@@ -19,9 +19,29 @@ bool FreeVarsSubset(const Query& a, const Query& b) {
   return std::includes(bv.begin(), bv.end(), av.begin(), av.end());
 }
 
+/// No free variable of `q` is in `bound`.
+bool FreeOfAll(const Query& q, const std::vector<std::string>& bound) {
+  for (const std::string& v : q.FreeVariables()) {
+    if (std::find(bound.begin(), bound.end(), v) != bound.end()) return false;
+  }
+  return true;
+}
+
 struct Rewriter {
   const std::set<const Query*>& empty;
   int removed = 0;
+  /// Variables of the enclosing quantifiers.  A dead branch that mentions
+  /// one keeps its OR: the optimizer pushes a quantifier through an OR only
+  /// when one side lacks its variable (query/optimize.h miniscoping), so
+  /// dropping such a branch first would let the quantifier sink into the
+  /// survivor and change the evaluated plan -- and its representation.
+  std::vector<std::string> bound;
+
+  /// `dead` may be dropped from a non-negated OR with sibling `alive`.
+  bool Droppable(const QueryPtr& dead, const QueryPtr& alive) const {
+    return empty.contains(dead.get()) && FreeVarsSubset(*dead, *alive) &&
+           FreeOfAll(*dead, bound);
+  }
 
   /// `negated` mirrors the pending-negation flag of the optimizer's
   /// PushNegations: it flips at NOT, is inherited by AND / OR / FORALL
@@ -46,13 +66,11 @@ struct Rewriter {
         // Dead-branch elimination: dropping an empty branch whose free
         // variables the sibling covers appends zero tuples fewer to the
         // union -- bit-identical (see rewrite.h).
-        if (!negated && empty.contains(q->left().get()) &&
-            FreeVarsSubset(*q->left(), *q->right())) {
+        if (!negated && Droppable(q->left(), q->right())) {
           ++removed;
           return Rewrite(q->right(), negated);
         }
-        if (!negated && empty.contains(q->right().get()) &&
-            FreeVarsSubset(*q->right(), *q->left())) {
+        if (!negated && Droppable(q->right(), q->left())) {
           ++removed;
           return Rewrite(q->left(), negated);
         }
@@ -67,12 +85,16 @@ struct Rewriter {
         return Rebuild(Query::Not(std::move(body)), q);
       }
       case Query::Kind::kExists: {
+        bound.push_back(q->quantified_var());
         QueryPtr body = Rewrite(q->left(), /*negated=*/false);
+        bound.pop_back();
         if (body == q->left()) return q;
         return Rebuild(Query::Exists(q->quantified_var(), std::move(body)), q);
       }
       case Query::Kind::kForall: {
+        bound.push_back(q->quantified_var());
         QueryPtr body = Rewrite(q->left(), negated);
+        bound.pop_back();
         if (body == q->left()) return q;
         return Rebuild(Query::Forall(q->quantified_var(), std::move(body)), q);
       }
@@ -91,7 +113,7 @@ struct Rewriter {
 QueryPtr EliminateDeadBranches(const QueryPtr& q,
                                const std::set<const Query*>& empty,
                                int* removed) {
-  Rewriter rewriter{empty};
+  Rewriter rewriter{empty, 0, {}};
   QueryPtr out = rewriter.Rewrite(q, /*negated=*/false);
   if (removed != nullptr) *removed = rewriter.removed;
   return out;

@@ -8,7 +8,11 @@
 // same representation, so OR(a, b) can be replaced by a outright
 // (symmetrically for an empty a).  The free-variable condition matters:
 // if b contributed a column that a lacks, dropping b would change the
-// result SCHEMA even though b has no tuples.  Set-level proofs (a
+// result SCHEMA even though b has no tuples.  Nor may b mention a variable
+// of an enclosing quantifier: the optimizer miniscopes a quantifier through
+// an OR only when one side lacks its variable, so dropping b before
+// optimizing could let the quantifier sink into a and change the evaluated
+// plan (the optimizer runs after this rewrite).  Set-level proofs (a
 // DBM-refuted selection chain) are NOT enough: evaluating such a branch
 // can yield infeasible-but-present tuples, and dropping them would be
 // visible in the union's representation.
@@ -16,7 +20,7 @@
 // Proven-empty nodes that are not OR branches are left alone -- replacing
 // e.g. an AND with a literal "empty" node could skip evaluation work but
 // would need a canonical-empty constructor in the AST; the evaluator's
-// root short-circuit (eval.cc) covers the root case instead.
+// root short-circuit (query/prepared.h) covers the root case instead.
 
 #ifndef ITDB_ANALYSIS_REWRITE_H_
 #define ITDB_ANALYSIS_REWRITE_H_

@@ -1,8 +1,8 @@
 #include "query/eval.h"
 
-#include "query/optimize.h"
 #include "query/parser.h"
 #include "query/planner.h"
+#include "query/prepared.h"
 
 #include <algorithm>
 #include <cmath>
@@ -712,20 +712,6 @@ void FlushKernelCounters(const KernelCounters& counters) {
       counters.tuples_subsumed.load(std::memory_order_relaxed));
 }
 
-/// The Status an error-severity analysis turns into: the legacy code for
-/// the FIRST error (NotFound for unknown relations, InvalidArgument
-/// otherwise), with the whole diagnostic list in the message.
-Status AnalysisFailure(const analysis::AnalysisResult& analysis) {
-  std::string message =
-      "static analysis failed:\n" + FormatDiagnosticList(analysis.diagnostics);
-  for (const Diagnostic& d : analysis.diagnostics) {
-    if (d.severity != Severity::kError) continue;
-    if (d.code == diag::kUnknownRelation) return Status::NotFound(message);
-    break;
-  }
-  return Status::InvalidArgument(message);
-}
-
 /// The canonical empty result for `q`: the exact schema evaluation would
 /// produce (free temporal then free data columns, each name-sorted) with
 /// zero tuples -- which is also exactly what evaluating a provably-empty
@@ -748,71 +734,22 @@ GeneralizedRelation EmptyRelationFor(const Query& q, const SortMap& sorts) {
       Schema(std::move(temporal), std::move(data_names), std::move(data_types)));
 }
 
-Result<GeneralizedRelation> EvalQueryImpl(
-    const Database& db, const QueryPtr& q, const QueryOptions& options,
-    obs::Profile* profile,
-    const analysis::AnalysisResult* pre_analysis = nullptr) {
-  // Static analysis front end: abort on error-severity findings, serve a
-  // proven-empty root without evaluating, drop provably dead OR branches.
-  QueryPtr base = q;
-  if (options.analyze || pre_analysis != nullptr) {
-    analysis::AnalysisResult own;
-    const analysis::AnalysisResult* ar = pre_analysis;
-    if (ar == nullptr) {
-      analysis::AnalyzeOptions aopts = options.analysis;
-      // Analysis spans follow the same opt-in as evaluation spans: only a
-      // traced run forwards the tracer (an untraced eval opens no spans).
-      if (aopts.tracer == nullptr && options.trace) {
-        aopts.tracer = options.tracer != nullptr ? options.tracer
-                                                 : options.algebra.tracer;
-      }
-      own = analysis::Analyze(db, q, aopts);
-      ar = &own;
-    }
-    if (ar->HasErrors()) {
-      obs::AddGlobalCounter("analysis.aborts", 1);
-      return AnalysisFailure(*ar);
-    }
-    // Short-circuit only on a bit-level proof: the plain evaluation of a
-    // merely set-empty root can return infeasible tuples, and analysis
-    // must be representation-invisible.
-    if (ar->root_proven_bit_empty) return EmptyRelationFor(*q, ar->sorts);
-    base = analysis::ApplySoundRewrites(q, *ar);
+}  // namespace
+
+Result<GeneralizedRelation> EvalPrepared(const Database& db, Prepared& prepared,
+                                         const QueryOptions& options,
+                                         obs::Profile* profile) {
+  ITDB_RETURN_IF_ERROR(prepared.Compile(db));
+  const Query& original = *prepared.query();
+  if (prepared.statically_empty()) {
+    return EmptyRelationFor(original, prepared.analysis().sorts);
   }
-  QueryPtr target = options.optimize ? Optimize(base) : base;
-  ITDB_ASSIGN_OR_RETURN(SortMap sorts, InferSorts(db, target));
-  // Cost-based physical planning: reorder AND-chains on the statistics.
-  // Planning preserves variable sets, so the sort inference above stays
-  // valid for the planned tree.
-  PlanEstimateMap estimates;
-  analysis::CertificateMap certificates;
-  if (options.cost_plan) {
-    // Certified bounds: interpret the tree being planned so the planner can
-    // clamp its heuristics (planner.h).  The active domain is seeded from
-    // the ORIGINAL query for the same reason ComputeActiveDomain below uses
-    // it: rewrites may drop constants, but the evaluator's data universes
-    // are sized from the original.
-    std::optional<analysis::AbstractInterpreter> interp;
-    if (options.certified_bounds) {
-      interp.emplace(db, sorts, options.stats_cache, options.analysis.budget);
-      interp->SeedActiveDomain(*q);
-      interp->Interpret(target);
-    }
-    PlannedQuery planned =
-        PlanQuery(db, target, sorts, options.stats_cache,
-                  interp.has_value() ? &*interp : nullptr);
-    target = std::move(planned.query);
-    estimates = std::move(planned.estimates);
-    // Copy AFTER planning: the planner registers certificates for the AND
-    // nodes it rebuilds, so the planned tree is fully annotated.
-    if (interp.has_value()) certificates = interp->certificates();
-    obs::AddGlobalCounter("query.cost_plans", 1);
-  }
+  const QueryPtr& target = prepared.plan();
   // The active domain always comes from the ORIGINAL query: constants in an
   // eliminated dead branch still feed it, so analysis cannot shift data
   // quantifier ranges.  (Optimize preserves atoms and constants, so this
   // changes nothing for the plain path.)
-  ActiveDomain adom = ComputeActiveDomain(db, *q);
+  ActiveDomain adom = ComputeActiveDomain(db, original);
   // One normalization memo-cache per query evaluation: subqueries repeatedly
   // renormalize the same base tuples (negation and quantifier elimination in
   // particular), so sharing the cache across the whole tree pays for itself.
@@ -838,6 +775,9 @@ Result<GeneralizedRelation> EvalQueryImpl(
     }
   }
   if (tracer != nullptr) algebra.tracer = tracer;
+  const SortMap& sorts = prepared.sorts();
+  const PlanEstimateMap& estimates = prepared.estimates();
+  const analysis::CertificateMap& certificates = prepared.certificates();
   Evaluator evaluator{db,     sorts,  adom,
                       algebra, options.prune_intermediates,
                       tracer, options.cost_plan ? &estimates : nullptr,
@@ -861,29 +801,39 @@ Result<GeneralizedRelation> EvalQueryImpl(
   return result;
 }
 
-}  // namespace
+Result<bool> EvalPreparedBoolean(const Database& db, Prepared& prepared,
+                                 const QueryOptions& options) {
+  const std::vector<std::string> free = prepared.query()->FreeVariables();
+  if (!free.empty()) {
+    std::string vars;
+    for (const std::string& v : free) vars += " " + v;
+    return Status::InvalidArgument("yes/no query has free variables:" + vars);
+  }
+  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation rel,
+                        EvalPrepared(db, prepared, options));
+  ITDB_ASSIGN_OR_RETURN(bool empty, IsEmpty(rel, options.algebra));
+  return !empty;
+}
 
 Result<GeneralizedRelation> EvalQuery(const Database& db, const QueryPtr& q,
                                       const QueryOptions& options) {
-  return EvalQueryImpl(db, q, options, /*profile=*/nullptr);
+  Prepared prepared(q, options);
+  return EvalPrepared(db, prepared, options);
 }
 
 Result<AnalyzedResult> EvalQueryAnalyzed(const Database& db, const QueryPtr& q,
                                          const QueryOptions& options) {
-  analysis::AnalyzeOptions aopts = options.analysis;
-  if (aopts.tracer == nullptr && options.trace) {
-    aopts.tracer =
-        options.tracer != nullptr ? options.tracer : options.algebra.tracer;
-  }
+  QueryOptions analyzed = options;
+  analyzed.analyze = true;
+  Prepared prepared(q, analyzed);
+  const Status compiled = prepared.Compile(db);  // Analyzes first.
   AnalyzedResult out;
-  out.analysis = analysis::Analyze(db, q, aopts);
-  if (out.analysis.HasErrors()) {
-    obs::AddGlobalCounter("analysis.aborts", 1);
-    return out;  // The diagnostics are the result; relation stays nullopt.
-  }
-  ITDB_ASSIGN_OR_RETURN(
-      GeneralizedRelation relation,
-      EvalQueryImpl(db, q, options, /*profile=*/nullptr, &out.analysis));
+  out.analysis = prepared.analysis();
+  // The diagnostics are the result; relation stays nullopt.
+  if (out.analysis.HasErrors()) return out;
+  ITDB_RETURN_IF_ERROR(compiled);
+  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation relation,
+                        EvalPrepared(db, prepared, options));
   out.relation = std::move(relation);
   return out;
 }
@@ -897,9 +847,10 @@ Result<AnalyzedResult> EvalQueryStringAnalyzed(const Database& db,
 
 Result<ProfiledResult> EvalQueryProfiled(const Database& db, const QueryPtr& q,
                                          const QueryOptions& options) {
+  Prepared prepared(q, options);
   obs::Profile profile;
   ITDB_ASSIGN_OR_RETURN(GeneralizedRelation relation,
-                        EvalQueryImpl(db, q, options, &profile));
+                        EvalPrepared(db, prepared, options, &profile));
   return ProfiledResult{std::move(relation), std::move(profile)};
 }
 
@@ -912,15 +863,8 @@ Result<ProfiledResult> EvalQueryStringProfiled(const Database& db,
 
 Result<bool> EvalBooleanQuery(const Database& db, const QueryPtr& q,
                               const QueryOptions& options) {
-  if (!q->FreeVariables().empty()) {
-    std::string vars;
-    for (const std::string& v : q->FreeVariables()) vars += " " + v;
-    return Status::InvalidArgument(
-        "yes/no query has free variables:" + vars);
-  }
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation rel, EvalQuery(db, q, options));
-  ITDB_ASSIGN_OR_RETURN(bool empty, IsEmpty(rel, options.algebra));
-  return !empty;
+  Prepared prepared(q, options);
+  return EvalPreparedBoolean(db, prepared, options);
 }
 
 Result<GeneralizedRelation> EvalQueryString(const Database& db,

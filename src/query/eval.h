@@ -102,7 +102,9 @@ struct ProfiledResult {
   obs::Profile profile;
 };
 
-/// Evaluates an open query; see the semantics above.
+/// Evaluates an open query; see the semantics above.  This and the
+/// variants below compile one query::Prepared (prepared.h) and evaluate it;
+/// callers that need the analysis or plan too should use Prepared directly.
 Result<GeneralizedRelation> EvalQuery(const Database& db, const QueryPtr& q,
                                       const QueryOptions& options = {});
 
@@ -148,8 +150,9 @@ Result<ProfiledResult> EvalQueryStringProfiled(
 
 /// The indented plan tree EXPLAIN prints: one line per plan node, labeled
 /// exactly like the spans EvalQueryProfiled opens (AND / OR / NOT /
-/// EXISTS v / FORALL v / ATOM P(x, y) / CMP x < y).  Apply
-/// query::Optimize first to see the plan evaluation actually runs.
+/// EXISTS v / FORALL v / ATOM P(x, y) / CMP x < y).  Format a compiled
+/// query::Prepared's plan() (prepared.h) to see the plan evaluation
+/// actually runs.
 std::string FormatQueryPlan(const QueryPtr& q);
 
 /// The label of one plan node: what EXPLAIN prints, what its trace span is

@@ -1,6 +1,5 @@
 #include "server/admission.h"
 
-#include "analysis/analyzer.h"
 #include "obs/metrics.h"
 #include "util/diagnostic.h"
 
@@ -24,14 +23,10 @@ CostClass ClassifyHeuristic(const analysis::AnalysisResult& result) {
 
 }  // namespace
 
-bool AdmissionQueue::TryAdmit(CostClass cls) {
-  if (cls == CostClass::kHeavy && !PromoteToHeavy()) return false;
+bool AdmissionQueue::TryAdmit() {
   std::int64_t now = pending_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (now > options_.max_pending) {
     pending_.fetch_sub(1, std::memory_order_relaxed);
-    if (cls == CostClass::kHeavy) {
-      pending_heavy_.fetch_sub(1, std::memory_order_relaxed);
-    }
     shed_.fetch_add(1, std::memory_order_relaxed);
     obs::AddGlobalCounter("server.shed", 1);
     return false;
@@ -56,20 +51,16 @@ bool AdmissionQueue::PromoteToHeavy() {
   return true;
 }
 
-void AdmissionQueue::Release(CostClass cls) {
-  pending_.fetch_sub(1, std::memory_order_relaxed);
-  if (cls == CostClass::kHeavy) {
-    pending_heavy_.fetch_sub(1, std::memory_order_relaxed);
-  }
+void AdmissionQueue::DemoteFromHeavy() {
+  pending_heavy_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-CostGrade GradeQueryCost(const Database& db, const query::QueryPtr& q) {
-  analysis::AnalyzeOptions options;
-  // Only the cost and certificate passes matter here; emptiness proofs (DBM
-  // closures over every conjunction) are the expensive part of analysis and
-  // evaluation re-runs them anyway.
-  options.check_emptiness = false;
-  analysis::AnalysisResult result = analysis::Analyze(db, q, options);
+void AdmissionQueue::Release() {
+  pending_.fetch_sub(1, std::memory_order_relaxed);
+}
+
+CostGrade GradeAnalysis(const analysis::AnalysisResult& result,
+                        const analysis::AnalyzeOptions& options) {
   CostGrade grade;
   if (result.HasErrors()) return grade;
   grade.root_certificate = result.root_certificate;
@@ -84,10 +75,6 @@ CostGrade GradeQueryCost(const Database& db, const query::QueryPtr& q) {
   }
   grade.cls = ClassifyHeuristic(result);
   return grade;
-}
-
-CostClass ClassifyQueryCost(const Database& db, const query::QueryPtr& q) {
-  return GradeQueryCost(db, q).cls;
 }
 
 }  // namespace server

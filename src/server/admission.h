@@ -19,7 +19,9 @@
 // admission budget (max_pending_heavy) so a burst of worst-case-exponential
 // work cannot hold every worker while cheap queries shed behind it, and
 // the session maps the class to divided tuple/split budgets and a shorter
-// deadline.
+// deadline.  The server applies the total gate before any work; the session
+// (server/session.h) grades a statement from its one analysis after the
+// result-cache lookup and applies the heavy gate there.
 
 #ifndef ITDB_SERVER_ADMISSION_H_
 #define ITDB_SERVER_ADMISSION_H_
@@ -27,9 +29,7 @@
 #include <atomic>
 #include <cstdint>
 
-#include "analysis/absint.h"
-#include "query/ast.h"
-#include "storage/database.h"
+#include "analysis/analyzer.h"
 
 namespace itdb {
 namespace server {
@@ -65,21 +65,24 @@ class AdmissionQueue {
   AdmissionQueue(const AdmissionQueue&) = delete;
   AdmissionQueue& operator=(const AdmissionQueue&) = delete;
 
-  /// Tries to admit one request of class `cls` (heavy requests must clear
-  /// both the total and the heavy bound).  On success the caller owes one
-  /// Release(cls) with the SAME class when the request finishes; on failure
-  /// the request was shed (the shed counter and the server.shed metric
+  /// Tries to admit one request against the total bound.  On success the
+  /// caller owes one Release() when the request finishes; on failure the
+  /// request was shed (the shed counter and the server.shed metric
   /// advance).
-  bool TryAdmit(CostClass cls = CostClass::kNormal);
+  bool TryAdmit();
 
-  /// Upgrades a request already admitted as kNormal to kHeavy once its
-  /// grade is known -- the server classifies AFTER total admission so that
-  /// shedding under overload never pays for analysis.  On success the
-  /// caller now owes Release(kHeavy); on failure the request was shed as
-  /// heavy and the caller still owes Release(kNormal).
+  /// Also admits an admitted request against the heavy bound once its
+  /// grade is known -- the session grades AFTER total admission and after
+  /// its result-cache lookup, so shedding under overload never pays for
+  /// analysis and a cache hit never pays for grading.  On success the
+  /// caller owes DemoteFromHeavy() before its Release(); on failure the
+  /// request was shed as heavy and still owes its Release().
   bool PromoteToHeavy();
 
-  void Release(CostClass cls = CostClass::kNormal);
+  /// Gives back the heavy slot of a successful PromoteToHeavy.
+  void DemoteFromHeavy();
+
+  void Release();
 
   /// Requests currently admitted (queued + executing).
   std::int64_t pending() const {
@@ -108,7 +111,8 @@ class AdmissionQueue {
   std::atomic<std::int64_t> admitted_{0};
 };
 
-/// A query's cost grade together with the certificate that justified it.
+/// A statement's cost grade together with the certificate that justified
+/// it.
 struct CostGrade {
   CostClass cls = CostClass::kNormal;
   /// The root certificate of the grading analysis (top when analysis had
@@ -119,16 +123,15 @@ struct CostGrade {
   analysis::Certificate root_certificate;
 };
 
-/// Grades `q` against `db`: runs the analyzer (without the emptiness pass;
-/// DBM closures are the expensive part and evaluation re-runs them anyway)
-/// and grades from the root certificate when it is bounded, falling back
-/// to the A010/A012 heuristics when it is not.  Queries that fail analysis
-/// grade kNormal -- evaluation will report the real error with its own
+/// Grades a statement from its analysis (query::Prepared::Analyze -- the
+/// one analysis a statement gets).  Pure: the grade comes from the root
+/// certificate when it is bounded, against the analyzer's own thresholds in
+/// `options` (A014's rows, A015's lcm), falling back to the A010/A012
+/// heuristics when it is not.  An analysis with errors grades kNormal with
+/// a top certificate -- evaluation will report the real error with its own
 /// diagnostics.
-CostGrade GradeQueryCost(const Database& db, const query::QueryPtr& q);
-
-/// GradeQueryCost reduced to its class.
-CostClass ClassifyQueryCost(const Database& db, const query::QueryPtr& q);
+CostGrade GradeAnalysis(const analysis::AnalysisResult& result,
+                        const analysis::AnalyzeOptions& options);
 
 }  // namespace server
 }  // namespace itdb

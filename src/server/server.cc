@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "query/parser.h"
 #include "storage/wal/storage_engine.h"
 #include "util/errno_message.h"
 #include "util/thread_pool.h"
@@ -76,6 +75,7 @@ Server::Server(Database* db, ServerOptions options)
     options_.session.result_cache = &result_cache_;
   }
   options_.session.stats_cache = &stats_cache_;
+  options_.session.admission = &admission_;
 }
 
 Server::~Server() { Stop(); }
@@ -344,42 +344,20 @@ void Server::HandleStatement(Connection& conn, const std::string& statement) {
                "overloaded: admission queue is full, retry later\n");
     return;
   }
-  // Class-aware admission: evaluating statements are graded AFTER clearing
-  // the total bound (shedding under overload must never pay for analysis)
-  // and heavy ones must also clear the smaller heavy bound, so worst-case-
-  // exponential queries cannot occupy every worker.
-  CostClass cls = CostClass::kNormal;
-  if (verb == "ask" || verb == "query" || verb == "profile" ||
-      verb == "PROFILE") {
-    cls = ClassifyStatement(verb, statement);
-    if (cls == CostClass::kHeavy && !admission_.PromoteToHeavy()) {
-      admission_.Release(CostClass::kNormal);
-      WriteFrame(conn, ResponseStatus::kRetry,
-                 "overloaded: heavy-query admission is full, retry later\n");
-      return;
-    }
-  }
+  // Class-aware admission continues inside the session: it grades a query
+  // from its one analysis after the result-cache lookup (shedding under
+  // overload never pays for analysis, a cache hit never pays for grading)
+  // and sheds a heavy one whose heavy bound is full with kUnavailable.
   std::ostringstream out;
   Status status = conn.session.Execute(statement, out);
-  admission_.Release(cls);
-  WriteFrame(conn, status.ok() ? ResponseStatus::kOk : ResponseStatus::kError,
-             out.str());
-}
-
-CostClass Server::ClassifyStatement(std::string_view verb,
-                                    const std::string& statement) {
-  std::string_view body = statement;
-  const std::size_t verb_at = body.find(verb);
-  if (verb_at == std::string_view::npos) return CostClass::kNormal;
-  body.remove_prefix(verb_at + verb.size());
-  const std::size_t start = body.find_first_not_of(" \t\n");
-  if (start == std::string_view::npos) return CostClass::kNormal;
-  body.remove_prefix(start);
-  Result<query::QueryPtr> q = query::ParseQuery(body);
-  if (!q.ok()) return CostClass::kNormal;
-  return shared_db_.WithRead([&](const Database& db) {
-    return ClassifyQueryCost(db, q.value());
-  });
+  admission_.Release();
+  ResponseStatus response = ResponseStatus::kOk;
+  if (status.code() == StatusCode::kUnavailable) {
+    response = ResponseStatus::kRetry;
+  } else if (!status.ok()) {
+    response = ResponseStatus::kError;
+  }
+  WriteFrame(conn, response, out.str());
 }
 
 std::string Server::StatusReport() {

@@ -8,8 +8,10 @@
 // the order sent; statements from different clients run concurrently).
 // Before a statement executes it passes admission control: past the bound
 // the server answers `retry` immediately instead of queueing -- see
-// admission.h.  `status` and `quit` bypass admission (they must work best
-// under overload).
+// admission.h.  The heavy bound is applied later, by the session, once the
+// statement's analysis has graded it (a heavy statement over that bound
+// also answers `retry`).  `status` and `quit` bypass admission (they must
+// work best under overload).
 //
 // Listens on a Unix-domain socket (options.unix_path) or loopback TCP
 // (options.port; 0 picks an ephemeral port, readable from port() after
@@ -64,8 +66,8 @@ struct ServerOptions {
   int backlog = 64;
   AdmissionOptions admission;
   /// Per-session defaults (deadline, budgets, read_only, ...).  The
-  /// normalize_cache and batcher fields are overwritten with the server's
-  /// own shared instances.
+  /// normalize_cache, batcher, result_cache, stats_cache and admission
+  /// fields are overwritten with the server's own shared instances.
   SessionOptions session;
   /// Capacity of the server-wide normalization memo-cache shared by every
   /// session (0 disables sharing).
@@ -119,11 +121,6 @@ class Server {
   /// Worker entry: executes the connection's queued statements in order.
   void PumpConnection(const std::shared_ptr<Connection>& conn);
   void HandleStatement(Connection& conn, const std::string& statement);
-  /// Grades an evaluating statement (ask / query / profile) for class-aware
-  /// admission.  Unparseable statements grade kNormal; execution reports
-  /// the real error.
-  CostClass ClassifyStatement(std::string_view verb,
-                              const std::string& statement);
   std::string StatusReport();
   static void WriteFrame(Connection& conn, ResponseStatus status,
                          std::string_view payload);

@@ -15,10 +15,8 @@
 #include "core/stats.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "query/optimize.h"
-#include "query/parser.h"
 #include "query/planner.h"
-#include "query/sorts.h"
+#include "query/prepared.h"
 #include "server/admission.h"
 #include "storage/binary/binary_format.h"
 #include "storage/text_format.h"
@@ -115,6 +113,39 @@ class DeadlineGuard {
   std::optional<CancellationScope> scope_;
 };
 
+constexpr const char* kHeavyShed =
+    "overloaded: heavy-query admission is full, retry later";
+
+// The heavy admission gate, applied once a statement's grade is known.
+// Holds the heavy slot, if it took one, until destroyed; the statement's
+// total-bound slot is the server's to release.
+class HeavyGate {
+ public:
+  HeavyGate() = default;
+  HeavyGate(const HeavyGate&) = delete;
+  HeavyGate& operator=(const HeavyGate&) = delete;
+  ~HeavyGate() {
+    if (queue_ != nullptr) queue_->DemoteFromHeavy();
+  }
+
+  // False when a heavy statement finds the heavy budget full (it sheds).
+  // Light statements and sessions without a queue always pass.
+  bool Admit(AdmissionQueue* queue, const CostGrade& grade) {
+    if (queue == nullptr || grade.cls != CostClass::kHeavy) return true;
+    if (!queue->PromoteToHeavy()) return false;
+    queue_ = queue;
+    return true;
+  }
+
+ private:
+  AdmissionQueue* queue_ = nullptr;
+};
+
+// The statement's cost grade, from its (memoized) analysis.
+CostGrade Grade(const Database& db, query::Prepared& prepared) {
+  return GradeAnalysis(prepared.Analyze(db), prepared.options().analysis);
+}
+
 bool IsBinaryPath(const std::string& path) {
   return path.size() >= 6 && path.ends_with(".itdbb");
 }
@@ -192,14 +223,15 @@ Status CmdEnumerate(std::ostream& out, const Database& db,
 // command itself only fails on I/O-level problems, so scripted `check`
 // runs (tools/check_queries.py) can assert on the printed codes.
 Status CmdCheckQuery(std::ostream& out, const Database& db,
+                     const query::QueryOptions& options,
                      const std::string& text) {
-  Result<query::QueryPtr> q = query::ParseQuery(text);
-  if (!q.ok()) {
-    out << "error[parse]: " << q.status().message() << "\n";
+  Result<query::Prepared> prepared = query::Prepared::Parse(text, options);
+  if (!prepared.ok()) {
+    out << "error[parse]: " << prepared.status().message() << "\n";
     out << "check: 1 error(s), 0 warning(s)\n";
     return Status::Ok();
   }
-  analysis::AnalysisResult result = analysis::Analyze(db, q.value());
+  const analysis::AnalysisResult& result = prepared.value().Analyze(db);
   out << FormatDiagnostics(text, result.diagnostics);
   if (result.root_proven_empty) {
     out << "note: the query result is statically empty\n";
@@ -278,16 +310,21 @@ Status CmdWitness(std::ostream& out, const Database& db,
   return Status::Ok();
 }
 
+// Renders the compiled statement: the plan printed is the plan `profile`
+// and evaluation run (sound rewrites applied, optimized, planned), from the
+// same Prepared, so explain can never drift from what executes.
 Status CmdExplain(std::ostream& out, const Database& db,
-                  const query::QueryOptions& opts, const std::string& text) {
-  ITDB_ASSIGN_OR_RETURN(query::QueryPtr q, query::ParseQuery(text));
-  out << "query:     " << q->ToString() << "\n";
-  query::QueryPtr optimized = query::Optimize(q);
-  out << "optimized: " << optimized->ToString() << "\n";
+                  query::Prepared& prepared) {
+  const analysis::AnalysisResult& analyzed = prepared.Analyze(db);
+  const Status compiled = prepared.Compile(db);
+  const bool has_plan = compiled.ok() && !prepared.statically_empty();
+  out << "query:     " << prepared.query()->ToString() << "\n";
+  out << "optimized: "
+      << (has_plan ? prepared.rewritten() : prepared.optimized())->ToString()
+      << "\n";
   // Analyzer findings in a STABLE severity order -- errors, then warnings,
   // then notes, pass order within each severity -- so scripts can pin the
   // first analysis line regardless of which pass found what.
-  analysis::AnalysisResult analyzed = analysis::Analyze(db, q);
   if (!analyzed.diagnostics.empty()) {
     std::vector<Diagnostic> ordered = analyzed.diagnostics;
     std::stable_sort(ordered.begin(), ordered.end(),
@@ -297,30 +334,28 @@ Status CmdExplain(std::ostream& out, const Database& db,
                      });
     out << "analysis:\n" << FormatDiagnosticList(ordered) << "\n";
   }
-  if (opts.cost_plan) {
-    // Show the PLANNED tree with the estimates that ordered it and, when
-    // certified bounds are on, the certificates that clamped them.  Sort
-    // inference can fail (unknown relations, sort conflicts); the
-    // unestimated tree is still worth printing then.
-    Result<query::SortMap> sorts = query::InferSorts(db, optimized);
-    if (sorts.ok()) {
-      std::optional<analysis::AbstractInterpreter> interp;
-      if (opts.certified_bounds) {
-        interp.emplace(db, sorts.value(), opts.stats_cache);
-        interp->SeedActiveDomain(*q);
-        interp->Interpret(optimized);
-      }
-      query::PlannedQuery planned =
-          query::PlanQuery(db, optimized, sorts.value(), opts.stats_cache,
-                           interp.has_value() ? &*interp : nullptr);
-      out << "plan:\n"
-          << query::FormatQueryPlanWithEstimates(
-                 planned.query, planned.estimates,
-                 interp.has_value() ? &interp->certificates() : nullptr);
-      return Status::Ok();
-    }
+  out << "plan:\n";
+  if (compiled.ok() && prepared.statically_empty()) {
+    out << "EMPTY (the analysis proves the result empty; nothing is "
+           "evaluated)\n";
+    return Status::Ok();
   }
-  out << "plan:\n" << query::FormatQueryPlan(optimized);
+  if (!has_plan) {
+    // Compilation failed (analysis errors, sort conflicts): evaluation will
+    // report why; the unplanned tree is still worth printing.
+    out << query::FormatQueryPlan(prepared.optimized());
+    return Status::Ok();
+  }
+  const query::QueryOptions& opts = prepared.options();
+  if (!opts.cost_plan) {
+    out << query::FormatQueryPlan(prepared.plan());
+    return Status::Ok();
+  }
+  // The PLANNED tree with the estimates that ordered it and, when certified
+  // bounds are on, the certificates that clamped them.
+  out << query::FormatQueryPlanWithEstimates(
+      prepared.plan(), prepared.estimates(),
+      opts.certified_bounds ? &prepared.certificates() : nullptr);
   return Status::Ok();
 }
 
@@ -447,7 +482,10 @@ Status Session::Execute(std::string_view statement, std::ostream& out) {
       ->Record(std::chrono::duration_cast<std::chrono::nanoseconds>(
                    std::chrono::steady_clock::now() - start)
                    .count());
-  if (!status.ok()) {
+  if (status.code() == StatusCode::kUnavailable) {
+    // Shed, not failed: nothing ran, and the caller may resend verbatim.
+    out << status.message() << "\n";
+  } else if (!status.ok()) {
     ++stats_.errors;
     obs::AddGlobalCounter("server.errors", 1);
     out << "error: " << status << "\n";
@@ -493,39 +531,25 @@ Status Session::Dispatch(const std::string& verb, const std::string& rest,
   if (verb == "fetch") return CmdFetch(out, rest);
   if (verb == "set") return CmdSet(out, rest);
   if (verb == "explain" || verb == "EXPLAIN") {
-    return db_->WithRead([&](const Database& db) {
-      query::QueryOptions opts = options_.query;
-      if (opts.stats_cache == nullptr) opts.stats_cache = options_.stats_cache;
-      return CmdExplain(out, db, opts, rest);
-    });
+    ITDB_ASSIGN_OR_RETURN(query::Prepared prepared,
+                          query::Prepared::Parse(rest, BaseOptions()));
+    return db_->WithRead(
+        [&](const Database& db) { return CmdExplain(out, db, prepared); });
   }
   if (verb == "stats") {
     return db_->WithRead([&](const Database& db) {
       return CmdStats(out, db, rest, options_.stats_cache);
     });
   }
-  if (verb == "profile" || verb == "PROFILE") {
-    ++stats_.queries;
-    obs::AddGlobalCounter("server.queries", 1);
-    ITDB_ASSIGN_OR_RETURN(query::QueryPtr q, query::ParseQuery(rest));
-    return db_->WithRead([&](const Database& db) -> Status {
-      std::int64_t deadline_ms = options_.deadline_ms;
-      query::QueryOptions opts = EffectiveOptions(db, q, &deadline_ms);
-      DeadlineGuard deadline(deadline_ms);
-      ITDB_ASSIGN_OR_RETURN(query::ProfiledResult profiled,
-                            query::EvalQueryProfiled(db, q, opts));
-      out << profiled.profile.ToText();
-      out << profiled.relation.size() << " generalized tuple(s)\n";
-      return Status::Ok();
-    });
-  }
+  if (verb == "profile" || verb == "PROFILE") return CmdProfile(out, rest);
   if (verb == "metrics") {
     CmdMetrics(out);
     return Status::Ok();
   }
   if (verb == "check") {
-    return db_->WithRead(
-        [&](const Database& db) { return CmdCheckQuery(out, db, rest); });
+    return db_->WithRead([&](const Database& db) {
+      return CmdCheckQuery(out, db, BaseOptions(), rest);
+    });
   }
   if (verb == "tlcheck") {
     return db_->WithRead([&](const Database& db) {
@@ -739,31 +763,56 @@ Status Session::CmdSet(std::ostream& out, const std::string& args) {
   return Status::InvalidArgument("bad value \"" + value + "\" for " + name);
 }
 
-query::QueryOptions Session::EffectiveOptions(const Database& db,
-                                              const query::QueryPtr& q,
-                                              std::int64_t* deadline_ms,
-                                              const CostGrade* grade) const {
+query::QueryOptions Session::BaseOptions() const {
   query::QueryOptions opts = options_.query;
   if (opts.algebra.normalize_cache == nullptr) {
     opts.algebra.normalize_cache = options_.normalize_cache;
   }
   if (opts.stats_cache == nullptr) opts.stats_cache = options_.stats_cache;
-  if (options_.cost_aware_budgets &&
-      (grade != nullptr ? grade->cls : ClassifyQueryCost(db, q)) ==
-          CostClass::kHeavy) {
-    const std::int64_t d =
-        std::max<std::int64_t>(1, options_.heavy_budget_divisor);
-    opts.algebra.max_tuples =
-        std::max<std::int64_t>(1, opts.algebra.max_tuples / d);
-    opts.algebra.max_complement_universe =
-        std::max<std::int64_t>(1, opts.algebra.max_complement_universe / d);
-    opts.algebra.normalize.max_split_product = std::max<std::int64_t>(
-        1, opts.algebra.normalize.max_split_product / d);
-    if (*deadline_ms > 0) {
-      *deadline_ms = std::max<std::int64_t>(1, *deadline_ms / d);
-    }
-  }
   return opts;
+}
+
+void Session::DivideHeavyBudgets(const CostGrade& grade,
+                                 query::QueryOptions* opts,
+                                 std::int64_t* deadline_ms) const {
+  if (!options_.cost_aware_budgets || grade.cls != CostClass::kHeavy) return;
+  const std::int64_t d =
+      std::max<std::int64_t>(1, options_.heavy_budget_divisor);
+  opts->algebra.max_tuples =
+      std::max<std::int64_t>(1, opts->algebra.max_tuples / d);
+  opts->algebra.max_complement_universe =
+      std::max<std::int64_t>(1, opts->algebra.max_complement_universe / d);
+  opts->algebra.normalize.max_split_product = std::max<std::int64_t>(
+      1, opts->algebra.normalize.max_split_product / d);
+  if (*deadline_ms > 0) {
+    *deadline_ms = std::max<std::int64_t>(1, *deadline_ms / d);
+  }
+}
+
+Status Session::CmdProfile(std::ostream& out, const std::string& text) {
+  ++stats_.queries;
+  obs::AddGlobalCounter("server.queries", 1);
+  query::QueryOptions opts = BaseOptions();
+  ITDB_ASSIGN_OR_RETURN(query::Prepared prepared,
+                        query::Prepared::Parse(text, opts));
+  return db_->WithRead([&](const Database& db) -> Status {
+    std::int64_t deadline_ms = options_.deadline_ms;
+    HeavyGate heavy;
+    if (options_.cost_aware_budgets || options_.admission != nullptr) {
+      const CostGrade grade = Grade(db, prepared);
+      if (!heavy.Admit(options_.admission, grade)) {
+        return Status::Unavailable(kHeavyShed);
+      }
+      DivideHeavyBudgets(grade, &opts, &deadline_ms);
+    }
+    DeadlineGuard deadline(deadline_ms);
+    obs::Profile profile;
+    ITDB_ASSIGN_OR_RETURN(GeneralizedRelation relation,
+                          query::EvalPrepared(db, prepared, opts, &profile));
+    out << profile.ToText();
+    out << relation.size() << " generalized tuple(s)\n";
+    return Status::Ok();
+  });
 }
 
 Status Session::EvalThroughBatcher(std::string_view verb,
@@ -771,41 +820,22 @@ Status Session::EvalThroughBatcher(std::string_view verb,
                                    std::ostream& out) {
   ++stats_.queries;
   obs::AddGlobalCounter("server.queries", 1);
-  ITDB_ASSIGN_OR_RETURN(query::QueryPtr q, query::ParseQuery(text));
+  query::QueryOptions opts = BaseOptions();
+  // Stage one: the statement's only parse.
+  ITDB_ASSIGN_OR_RETURN(query::Prepared prepared,
+                        query::Prepared::Parse(text, opts));
   return db_->WithRead([&](const Database& db) -> Status {
     std::int64_t deadline_ms = options_.deadline_ms;
-    // One grading analysis serves both budget division and, later, the
-    // result cache's certified-cacheability check.  Lazy: cache hits and
-    // budget-indifferent sessions never pay for it up front.
+    // One grade per statement, from its one analysis; it serves budget
+    // division, the heavy gate and cache admission.  A cost-aware session
+    // needs it before the key (the key holds the divided budgets), so it
+    // analyzes up front, cache hit or not; every other session grades only
+    // on a miss.
     std::optional<CostGrade> grade;
-    if (options_.cost_aware_budgets) grade = GradeQueryCost(db, q);
-    query::QueryOptions opts = EffectiveOptions(
-        db, q, &deadline_ms, grade.has_value() ? &*grade : nullptr);
-    auto compute = [&]() -> QueryBatcher::Outcome {
-      QueryBatcher::Outcome o;
-      std::ostringstream rendered;
-      DeadlineGuard deadline(deadline_ms);
-      if (verb == "ask") {
-        Result<bool> truth = query::EvalBooleanQuery(db, q, opts);
-        if (!truth.ok()) {
-          o.status = truth.status();
-          return o;
-        }
-        rendered << (truth.value() ? "true" : "false") << "\n";
-      } else {
-        Result<GeneralizedRelation> rel = query::EvalQuery(db, q, opts);
-        if (!rel.ok()) {
-          o.status = rel.status();
-          return o;
-        }
-        o.relation = std::make_shared<const GeneralizedRelation>(
-            std::move(rel).value());
-        rendered << PrintRelation("result", *o.relation);
-        rendered << o.relation->size() << " generalized tuple(s)\n";
-      }
-      o.text = rendered.str();
-      return o;
-    };
+    if (options_.cost_aware_budgets) {
+      grade = Grade(db, prepared);
+      DivideHeavyBudgets(*grade, &opts, &deadline_ms);
+    }
     // The fingerprint is the normalized plan shape plus every option that
     // can change the rendered outcome.  Thread count is deliberately
     // absent: results are bit-identical at every thread count (and, by the
@@ -817,11 +847,9 @@ Status Session::EvalThroughBatcher(std::string_view verb,
     std::uint64_t version = 0;
     if (options_.batcher != nullptr || options_.result_cache != nullptr) {
       std::ostringstream fp;
-      fp << verb << '\x1f'
-         << (opts.optimize ? query::Optimize(q)->ToString() : q->ToString())
-         << '\x1f' << opts.analyze << opts.optimize
-         << opts.prune_intermediates << opts.cost_plan
-         << opts.certified_bounds << '\x1f'
+      fp << verb << '\x1f' << prepared.optimized()->ToString() << '\x1f'
+         << opts.analyze << opts.optimize << opts.prune_intermediates
+         << opts.cost_plan << opts.certified_bounds << '\x1f'
          << opts.algebra.max_tuples << '/'
          << opts.algebra.max_complement_universe << '/'
          << opts.algebra.normalize.max_split_product << '/' << deadline_ms;
@@ -841,6 +869,42 @@ Status Session::EvalThroughBatcher(std::string_view verb,
         return Status::Ok();
       }
     }
+    // A miss: grade (the statement's one analysis), then the heavy gate,
+    // before any planning or evaluation.
+    if (!grade.has_value() &&
+        (options_.admission != nullptr || options_.result_cache != nullptr)) {
+      grade = Grade(db, prepared);
+    }
+    HeavyGate heavy;
+    if (grade.has_value() && !heavy.Admit(options_.admission, *grade)) {
+      return Status::Unavailable(kHeavyShed);
+    }
+    auto compute = [&]() -> QueryBatcher::Outcome {
+      QueryBatcher::Outcome o;
+      std::ostringstream rendered;
+      DeadlineGuard deadline(deadline_ms);
+      if (verb == "ask") {
+        Result<bool> truth = query::EvalPreparedBoolean(db, prepared, opts);
+        if (!truth.ok()) {
+          o.status = truth.status();
+          return o;
+        }
+        rendered << (truth.value() ? "true" : "false") << "\n";
+      } else {
+        Result<GeneralizedRelation> rel =
+            query::EvalPrepared(db, prepared, opts);
+        if (!rel.ok()) {
+          o.status = rel.status();
+          return o;
+        }
+        o.relation = std::make_shared<const GeneralizedRelation>(
+            std::move(rel).value());
+        rendered << PrintRelation("result", *o.relation);
+        rendered << o.relation->size() << " generalized tuple(s)\n";
+      }
+      o.text = rendered.str();
+      return o;
+    };
     QueryBatcher::Outcome outcome;
     bool shared = false;
     if (options_.batcher != nullptr) {
@@ -855,7 +919,6 @@ Status Session::EvalThroughBatcher(std::string_view verb,
       // to the shared cache.  An unbounded-certificate result may be
       // arbitrarily large relative to its query, so caching it could
       // displace any number of certified-small entries.
-      if (!grade.has_value()) grade = GradeQueryCost(db, q);
       if (grade->root_certificate.bounded()) {
         options_.result_cache->Insert(key, version,
                                       CachedResult{outcome.text,

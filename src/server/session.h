@@ -19,15 +19,34 @@
 // `quit` / `exit` are session-terminating and surface as Disposition::kQuit
 // from Feed (Execute never sees them; use IsQuitStatement for routing).
 //
+// One pipeline per statement.  A query verb (ask / query / profile /
+// explain) builds one query::Prepared (query/prepared.h) and every step
+// reads it; the server has already passed the statement through the total
+// admission gate, so the order is
+//
+//   total gate (server) -> parse -> fingerprint -> result-cache lookup ->
+//   analyze once -> grade -> heavy gate -> plan -> evaluate -> cache admission
+//
+// A cache hit pays the parse and the fingerprint's Optimize, nothing else.
+// A miss runs Analyze exactly once: the grade (certified bounds over the
+// analyzer's thresholds, or the A010 / A012 heuristics when no bound is
+// certified -- GradeAnalysis in admission.h) comes from that analysis, and
+// so do the plan's rewrites and the cache's certified-cacheability check.
+// With an admission queue set, a statement graded heavy must also clear
+// the queue's heavy bound or it is shed: Execute returns kUnavailable and
+// prints only the shed message, which the server answers as `retry`.
+// `explain` renders the same compiled plan evaluation and `profile` run.
+//
 // Budgets: with deadline_ms set, query-evaluating verbs run under a
 // CancellationToken (util/thread_pool.h) and fail with kResourceExhausted
 // when the budget elapses.  With cost_aware_budgets set, queries graded
-// heavy (certified bounds over the analyzer's thresholds, or the A010 /
-// A012 heuristics when no bound is certified -- see admission.h) get
-// tuple/split budgets and deadline divided by heavy_budget_divisor -- the
-// admission layer's defense against one pathological query starving the
-// fleet.  Results enter the shared result cache only when their root
-// certificate is bounded (certified cacheability).
+// heavy get tuple/split budgets and deadline divided by
+// heavy_budget_divisor -- the admission layer's defense against one
+// pathological query starving the fleet.  Because the result-cache key
+// holds those effective budgets, a cost-aware session grades (and so
+// analyzes) before the lookup, on hits too.  Results enter the shared
+// result cache only when their root certificate is bounded (certified
+// cacheability).
 
 #ifndef ITDB_SERVER_SESSION_H_
 #define ITDB_SERVER_SESSION_H_
@@ -41,6 +60,7 @@
 #include "core/normalize_cache.h"
 #include "core/relation.h"
 #include "query/eval.h"
+#include "query/prepared.h"
 #include "server/admission.h"
 #include "server/batcher.h"
 #include "server/result_cache.h"
@@ -83,6 +103,11 @@ struct SessionOptions {
   /// Per-relation statistics memo for the cost-based planner and the
   /// `stats` verb, shared across sessions (not owned; null recomputes).
   StatsCache* stats_cache = nullptr;
+  /// Admission queue whose heavy bound this session enforces (not owned;
+  /// null = no heavy gate).  The caller holds one admitted slot of it
+  /// (TryAdmit) for every Execute; a statement graded heavy is promoted
+  /// for its evaluation, or sheds with kUnavailable.
+  AdmissionQueue* admission = nullptr;
   /// Durable storage engine (not owned; null = in-memory only).  When set,
   /// every catalog mutation is WAL-logged through it -- under the same
   /// WithWrite lock as the in-memory change -- and the `checkpoint`,
@@ -154,15 +179,17 @@ class Session {
   Status CmdLoad(const std::string& path);
   Status CmdDefine(const std::string& text);
 
-  /// Evaluation options for `q`, with heavy-class budget division applied.
-  /// `grade` is the precomputed cost grade (admission.h); null classifies
-  /// here when cost_aware_budgets is set.
-  query::QueryOptions EffectiveOptions(const Database& db,
-                                       const query::QueryPtr& q,
-                                       std::int64_t* deadline_ms,
-                                       const CostGrade* grade = nullptr) const;
+  Status CmdProfile(std::ostream& out, const std::string& text);
 
-  /// Runs a read-only, deterministic evaluation -- through the batcher when
+  /// The session's query options with its shared caches wired in.
+  query::QueryOptions BaseOptions() const;
+  /// With cost_aware_budgets and a heavy grade, divides the tuple/split
+  /// budgets in `opts` and `*deadline_ms` by heavy_budget_divisor.
+  void DivideHeavyBudgets(const CostGrade& grade, query::QueryOptions* opts,
+                          std::int64_t* deadline_ms) const;
+
+  /// Runs ask / query: result-cache lookup, grading and the heavy gate,
+  /// then a read-only, deterministic evaluation -- through the batcher when
   /// configured -- rendering output into `out`.
   Status EvalThroughBatcher(std::string_view verb, const std::string& text,
                             std::ostream& out);

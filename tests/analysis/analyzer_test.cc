@@ -230,6 +230,27 @@ TEST(RewriteTest, FreeVariableSupersetBlocksElimination) {
   EXPECT_EQ(removed, 0);
 }
 
+TEST(RewriteTest, QuantifiedVariableInDeadBranchBlocksElimination) {
+  Database db = SmallDb();
+  // The dead branch mentions t, which EXISTS binds: the optimizer keeps
+  // EXISTS t above the OR, but would sink it into the survivor once the
+  // branch were gone -- another plan, another representation.
+  QueryPtr q = Parse("EXISTS t . ((P(t) AND Q(u)) OR (P(t) AND 3 < 2))");
+  AnalysisResult r = Analyze(db, q);
+  ASSERT_FALSE(r.HasErrors());
+  int removed = 0;
+  QueryPtr rewritten = ApplySoundRewrites(q, r, &removed);
+  EXPECT_EQ(removed, 0);
+  EXPECT_EQ(rewritten.get(), q.get());
+  // A dead branch free of the quantified variable still goes.
+  q = Parse("EXISTS u . (Less(t, u) OR (P(t) AND 3 < 2))");
+  r = Analyze(db, q);
+  ASSERT_FALSE(r.HasErrors());
+  rewritten = ApplySoundRewrites(q, r, &removed);
+  EXPECT_EQ(removed, 1);
+  EXPECT_EQ(rewritten->ToString(), "EXISTS u . (Less(t, u))");
+}
+
 bool SameRepresentation(const GeneralizedRelation& a,
                         const GeneralizedRelation& b) {
   return a.schema() == b.schema() && a.tuples() == b.tuples();
@@ -243,6 +264,7 @@ TEST(AnalyzedEvalTest, AnalysisIsBitIdentical) {
       "P(t) AND t > 5 AND t < 4",
       "Who(t, w) AND Who(t + 2, w)",
       "NOT ((P(t) AND 3 < 2) OR Q(t)) AND P(t) AND t <= 50",
+      "EXISTS u . (Less(t, u) OR (P(t) AND 3 < 2))",
   };
   for (const char* text : queries) {
     query::QueryOptions off;
@@ -255,6 +277,30 @@ TEST(AnalyzedEvalTest, AnalysisIsBitIdentical) {
     ASSERT_TRUE(got.ok()) << got.status() << " for " << text;
     EXPECT_TRUE(SameRepresentation(*base, *got)) << text;
   }
+}
+
+TEST(AnalyzedEvalTest, DeadBranchUnderItsQuantifierStaysBitIdentical) {
+  // A shrunk fuzz case: eliminating the dead branch before optimizing let
+  // EXISTS t0 sink below the join with U1(t1), which projects before the
+  // cross product instead of after it -- 15 tuples instead of 17.
+  Result<Database> db = Database::FromText(R"(
+    relation U0(T: time) { [1+3n]; [0+2n]; [3]; }
+    relation U1(T: time) { [3+4n]; [0+4n]; [4+6n] : T <= -5; }
+  )");
+  ASSERT_TRUE(db.ok()) << db.status();
+  const char* text =
+      "EXISTS t0 . ((((U0(t0) AND NOT (U1(t0))) AND U1(t1)) OR (((U0(t0) "
+      "AND NOT (U1(t0))) AND U1(t1)) AND (3 < 2 AND 0 = 0))))";
+  query::QueryOptions off;
+  off.analyze = false;
+  Result<GeneralizedRelation> base =
+      query::EvalQueryString(db.value(), text, off);
+  Result<GeneralizedRelation> got =
+      query::EvalQueryString(db.value(), text, {});
+  ASSERT_TRUE(base.ok()) << base.status();
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_TRUE(SameRepresentation(*base, *got))
+      << base->size() << " vs " << got->size() << " tuples";
 }
 
 TEST(AnalyzedEvalTest, ErrorsAbortEvaluationWithDiagnostics) {

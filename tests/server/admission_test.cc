@@ -7,6 +7,7 @@
 #include "analysis/analyzer.h"
 #include "obs/metrics.h"
 #include "query/parser.h"
+#include "query/prepared.h"
 #include "storage/database.h"
 #include "util/diagnostic.h"
 
@@ -44,6 +45,15 @@ TEST(AdmissionQueueTest, ZeroBoundShedsEverything) {
   EXPECT_EQ(shed_after - shed_before, 2);
 }
 
+// Grades `text` the way a session does: from the one analysis of its
+// prepared statement.
+CostGrade Grade(const Database& db, const std::string& text) {
+  Result<query::Prepared> prepared = query::Prepared::Parse(text, {});
+  EXPECT_TRUE(prepared.ok()) << prepared.status();
+  if (!prepared.ok()) return {};
+  return GradeAnalysis(prepared.value().Analyze(db), {});
+}
+
 class ClassifyCostTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -62,9 +72,7 @@ relation Q(T: time) {
   }
 
   CostClass Classify(const std::string& text) {
-    Result<query::QueryPtr> q = query::ParseQuery(text);
-    EXPECT_TRUE(q.ok()) << q.status();
-    return ClassifyQueryCost(db_, q.value());
+    return Grade(db_, text).cls;
   }
 
   Database db_;
@@ -90,34 +98,43 @@ TEST(AdmissionQueueTest, HeavyAdmissionHasItsOwnBudget) {
   options.max_pending = 8;
   options.max_pending_heavy = 1;
   AdmissionQueue queue(options);
-  EXPECT_TRUE(queue.TryAdmit(CostClass::kHeavy));
+  ASSERT_TRUE(queue.TryAdmit());
+  EXPECT_TRUE(queue.PromoteToHeavy());
   EXPECT_EQ(queue.pending(), 1);
   EXPECT_EQ(queue.pending_heavy(), 1);
   // A second heavy query sheds on the heavy budget while light traffic
   // still flows.
-  EXPECT_FALSE(queue.TryAdmit(CostClass::kHeavy));
+  ASSERT_TRUE(queue.TryAdmit());
+  EXPECT_FALSE(queue.PromoteToHeavy());
+  queue.Release();
   EXPECT_EQ(queue.shed_heavy_total(), 1);
-  EXPECT_TRUE(queue.TryAdmit(CostClass::kNormal));
+  EXPECT_TRUE(queue.TryAdmit());
   EXPECT_EQ(queue.pending(), 2);
-  // Releasing the heavy query frees both counters.
-  queue.Release(CostClass::kHeavy);
+  // Finishing the heavy query frees both counters.
+  queue.DemoteFromHeavy();
+  queue.Release();
   EXPECT_EQ(queue.pending(), 1);
   EXPECT_EQ(queue.pending_heavy(), 0);
-  EXPECT_TRUE(queue.TryAdmit(CostClass::kHeavy));
-  queue.Release(CostClass::kHeavy);
-  queue.Release(CostClass::kNormal);
+  ASSERT_TRUE(queue.TryAdmit());
+  EXPECT_TRUE(queue.PromoteToHeavy());
+  queue.DemoteFromHeavy();
+  queue.Release();
+  queue.Release();
   EXPECT_EQ(queue.pending(), 0);
 }
 
-TEST(AdmissionQueueTest, PromotionFailureReleasesTheTotalSlot) {
+TEST(AdmissionQueueTest, PromotionFailureHoldsNoHeavySlot) {
   AdmissionOptions options;
   options.max_pending = 4;
   options.max_pending_heavy = 0;
   AdmissionQueue queue(options);
-  EXPECT_FALSE(queue.TryAdmit(CostClass::kHeavy));
-  // The failed heavy admission must not leak a total slot.
-  EXPECT_EQ(queue.pending(), 0);
+  ASSERT_TRUE(queue.TryAdmit());
+  EXPECT_FALSE(queue.PromoteToHeavy());
+  // The failed promotion takes no heavy slot; the shed request gives back
+  // its total slot and leaves nothing behind.
   EXPECT_EQ(queue.pending_heavy(), 0);
+  queue.Release();
+  EXPECT_EQ(queue.pending(), 0);
   EXPECT_EQ(queue.shed_heavy_total(), 1);
 }
 
@@ -127,7 +144,7 @@ TEST(AdmissionQueueTest, PromotionFailureReleasesTheTotalSlot) {
 // its certified cardinality (the product of the stored tuple counts) is
 // over the huge-query threshold, and certified grading sheds it at a
 // zero-budget heavy gate where the heuristic would have let it through.
-TEST(GradeQueryCostTest, CertifiedHugeJoinIsHeavyWhereHeuristicAdmitted) {
+TEST(GradeAnalysisTest, CertifiedHugeJoinIsHeavyWhereHeuristicAdmitted) {
   // Three relations of 101 singleton tuples: 101^3 = 1,030,301 certified
   // join rows > the 1,000,000 threshold; lcm stays 1.
   std::string text;
@@ -150,35 +167,32 @@ TEST(GradeQueryCostTest, CertifiedHugeJoinIsHeavyWhereHeuristicAdmitted) {
     EXPECT_NE(d.code, diag::kPeriodBlowup) << d.message;
   }
 
-  CostGrade grade = GradeQueryCost(db.value(), q.value());
+  CostGrade grade = GradeAnalysis(analyzed, {});
   EXPECT_EQ(grade.cls, CostClass::kHeavy);
   ASSERT_TRUE(grade.root_certificate.rows.has_value());
   EXPECT_GT(*grade.root_certificate.rows, 1'000'000);
 
   // End to end at the queue: with no heavy budget, the certified grade
-  // sheds the query where the heuristic's kNormal grade admitted it.
+  // sheds the query where the heuristic's kNormal grade (never promoted)
+  // admitted it.
   AdmissionOptions options;
   options.max_pending = 8;
   options.max_pending_heavy = 0;
   AdmissionQueue queue(options);
-  EXPECT_TRUE(queue.TryAdmit(CostClass::kNormal));  // Heuristic grade.
-  queue.Release(CostClass::kNormal);
-  EXPECT_FALSE(queue.TryAdmit(grade.cls));  // Certified grade.
+  ASSERT_TRUE(queue.TryAdmit());
+  EXPECT_FALSE(queue.PromoteToHeavy());
+  queue.Release();
   EXPECT_EQ(queue.shed_heavy_total(), 1);
 }
 
-TEST(GradeQueryCostTest, BoundedCertificateEnablesCaching) {
+TEST(GradeAnalysisTest, BoundedCertificateEnablesCaching) {
   Result<Database> db = Database::FromText("relation P(T: time) { [2n]; }\n");
   ASSERT_TRUE(db.ok()) << db.status();
-  Result<query::QueryPtr> small = query::ParseQuery("P(t) AND t <= 10");
-  ASSERT_TRUE(small.ok());
-  CostGrade grade = GradeQueryCost(db.value(), small.value());
+  CostGrade grade = Grade(db.value(), "P(t) AND t <= 10");
   EXPECT_EQ(grade.cls, CostClass::kNormal);
   EXPECT_TRUE(grade.root_certificate.bounded());
   // Complements are rows-unbounded: certified cacheability refuses them.
-  Result<query::QueryPtr> neg = query::ParseQuery("NOT P(t)");
-  ASSERT_TRUE(neg.ok());
-  grade = GradeQueryCost(db.value(), neg.value());
+  grade = Grade(db.value(), "NOT P(t)");
   EXPECT_FALSE(grade.root_certificate.bounded());
 }
 

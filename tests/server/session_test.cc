@@ -2,9 +2,15 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/stats.h"
+#include "obs/metrics.h"
+#include "server/admission.h"
+#include "server/batcher.h"
+#include "server/result_cache.h"
 #include "server/shared_database.h"
 #include "storage/database.h"
 
@@ -204,6 +210,91 @@ TEST_F(SessionTest, ExecuteMatchesShellOutputShapes) {
   EXPECT_FALSE(status.ok());
   EXPECT_NE(unknown.find("unknown command \"frobnicate\" (try: help)"),
             std::string::npos);
+}
+
+// The work one statement costs, pinned: every query verb analyzes exactly
+// once, and a result-cache hit analyzes not at all -- with every server
+// collaborator wired (batcher, cache, stats cache, admission queue).
+TEST_F(SessionTest, EachStatementAnalyzesOnceAndCacheHitsNever) {
+  QueryBatcher batcher;
+  ResultCache cache(std::size_t{1} << 20);
+  StatsCache stats;
+  AdmissionQueue admission(AdmissionOptions{});
+  SessionOptions options;
+  options.batcher = &batcher;
+  options.result_cache = &cache;
+  options.stats_cache = &stats;
+  options.admission = &admission;
+  Session session(&*shared_, options);
+  auto analyses = [](Session& s, const std::string& statement) {
+    obs::Counter* runs =
+        obs::MetricsRegistry::Global().GetCounter("analysis.runs");
+    const std::int64_t before = runs->value();
+    std::ostringstream out;
+    Status status = s.Execute(statement, out);
+    EXPECT_TRUE(status.ok()) << statement << ": " << status;
+    return runs->value() - before;
+  };
+  EXPECT_EQ(analyses(session, "ask EXISTS t . P(t) AND t <= 40"), 1);
+  EXPECT_EQ(analyses(session, "query Q(t) AND t <= 12"), 1);
+  EXPECT_EQ(analyses(session, "profile P(t) AND Q(t)"), 1);
+  EXPECT_EQ(analyses(session, "explain P(t) AND Q(t)"), 1);
+  EXPECT_EQ(session.stats().cache_hits, 0);
+  EXPECT_EQ(analyses(session, "ask EXISTS t . P(t) AND t <= 40"), 0);
+  EXPECT_EQ(analyses(session, "query Q(t) AND t <= 12"), 0);
+  EXPECT_EQ(session.stats().cache_hits, 2);
+  // A plain session (the shell's: no cache, no queue) analyzes once too.
+  Session plain(&*shared_);
+  EXPECT_EQ(analyses(plain, "ask EXISTS t . P(t) AND t <= 40"), 1);
+  EXPECT_EQ(analyses(plain, "query Q(t) AND t <= 12"), 1);
+  EXPECT_EQ(admission.pending_heavy(), 0);
+}
+
+// Keeps the plan-tree lines of `explain` / `profile` output: the labels
+// and their indentation, without annotations.  `first` is the line after
+// which the tree starts.
+std::vector<std::string> TreeLines(const std::string& text,
+                                   const std::string& first,
+                                   const std::string& suffix_marker,
+                                   std::size_t strip_indent) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  std::string line;
+  bool in_tree = false;
+  while (std::getline(in, line)) {
+    if (!in_tree) {
+      in_tree = line.rfind(first, 0) == 0;
+      continue;
+    }
+    const std::size_t cut = line.find(suffix_marker);
+    if (cut == std::string::npos) break;
+    lines.push_back(line.substr(strip_indent, cut - strip_indent));
+  }
+  return lines;
+}
+
+TEST_F(SessionTest, ExplainPrintsThePlanProfileRuns) {
+  Session session(&*shared_);
+  Status status;
+  Run(session, "define relation Nothing(T: time) {\n}", &status);
+  ASSERT_TRUE(status.ok()) << status;
+  // The second branch is dead (A009, an empty relation): the sound rewrite
+  // drops it, so evaluation runs only the first.
+  const std::string query = "(P(t) AND t <= 40) OR (Nothing(t) AND P(t))";
+  const std::string explained = Run(session, "explain " + query, &status);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_NE(explained.find("warning[A009]"), std::string::npos) << explained;
+  EXPECT_NE(explained.find("optimized: (P(t) AND t <= 40)\n"),
+            std::string::npos)
+      << explained;
+  const std::vector<std::string> plan = TreeLines(explained, "plan:", "  (", 0);
+  const std::vector<std::string> golden = {"AND", "  ATOM P(t)",
+                                           "  CMP t <= 40"};
+  EXPECT_EQ(plan, golden) << explained;
+  const std::string profiled = Run(session, "profile " + query, &status);
+  ASSERT_TRUE(status.ok()) << status;
+  // Profile nodes sit one level under the root "query ..." span.
+  EXPECT_EQ(TreeLines(profiled, "query ", "  [", 2), plan) << profiled;
 }
 
 TEST_F(SessionTest, IsQuitStatement) {
