@@ -7,12 +7,10 @@
 #include <utility>
 
 #include "core/coalesce.h"
-#include "core/columnar.h"
 #include "core/index.h"
 #include "core/simplify.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/arena.h"
 #include "util/numeric.h"
 #include "util/thread_pool.h"
 
@@ -235,6 +233,26 @@ Result<GeneralizedRelation> IntersectByIndex(const GeneralizedRelation& a,
   return MaybeSimplify(std::move(out), options);
 }
 
+/// The rows of `b` that some outer bucket reaches, in first-touch order.
+/// Fills slot[j] with row j's position in that list (-1 when no bucket
+/// reaches it), so state hoisted per touched row is found by b index.
+/// Collecting the rows first lets callers reserve before hoisting.
+std::vector<std::size_t> TouchedRows(
+    const std::vector<std::span<const std::size_t>>& buckets,
+    const GeneralizedRelation& b, std::vector<std::int64_t>& slot) {
+  slot.assign(b.tuples().size(), -1);
+  std::vector<std::size_t> touched;
+  for (std::span<const std::size_t> bucket : buckets) {
+    for (std::size_t j : bucket) {
+      if (slot[j] < 0) {
+        slot[j] = static_cast<std::int64_t>(touched.size());
+        touched.push_back(j);
+      }
+    }
+  }
+  return touched;
+}
+
 /// Indexed pair scan (core/index.h): partition b on all data columns, then
 /// reject candidate pairs with the O(1) residue and hull prefilters before
 /// paying lrp intersection + conjunction, and close the conjunction
@@ -264,32 +282,13 @@ Result<GeneralizedRelation> IntersectIndexed(const GeneralizedRelation& a,
               static_cast<std::int64_t>(a.size()) * b.size());
   BumpCounter(&KernelCounters::pairs_candidate, options, candidates);
   ITDB_RETURN_IF_ERROR(CheckBudget(candidates, options, "Intersect"));
-  std::vector<std::int64_t> slot(b.tuples().size(), -1);
+  // Hoist hulls only for the b rows some bucket reaches.
+  std::vector<std::int64_t> slot;
+  const std::vector<std::size_t> touched = TouchedRows(a_buckets, b, slot);
   std::vector<TemporalHull> hull_b;
-  if (options.use_columnar) {
-    // Hoist hulls only for the b rows some bucket reaches, closing their
-    // constraint systems on one batched slab (core/columnar.h).
-    std::vector<std::size_t> touched;
-    for (std::span<const std::size_t> bucket : a_buckets) {
-      for (std::size_t j : bucket) {
-        if (slot[j] < 0) {
-          slot[j] = static_cast<std::int64_t>(touched.size());
-          touched.push_back(j);
-        }
-      }
-    }
-    Arena arena;
-    ColumnarRelation cb_cols(b, touched, &arena);
-    hull_b.reserve(touched.size());
-    for (std::size_t s = 0; s < touched.size(); ++s) {
-      hull_b.push_back(cb_cols.Hull(static_cast<std::int64_t>(s)));
-    }
-  } else {
-    hull_b.reserve(b.tuples().size());
-    for (std::size_t j = 0; j < b.tuples().size(); ++j) {
-      slot[j] = static_cast<std::int64_t>(j);
-      hull_b.push_back(TemporalHull::Of(b.tuples()[j]));
-    }
+  hull_b.reserve(touched.size());
+  for (std::size_t j : touched) {
+    hull_b.push_back(TemporalHull::Of(b.tuples()[j]));
   }
   std::vector<std::pair<int, int>> hull_cols;
   hull_cols.reserve(static_cast<std::size_t>(m));
@@ -1263,42 +1262,19 @@ Result<GeneralizedRelation> Join(const GeneralizedRelation& a,
     BumpCounter(&KernelCounters::pairs_candidate, options, candidates);
     ITDB_RETURN_IF_ERROR(CheckBudget(candidates, options, "Join"));
     // Per-b-tuple hulls and output-space constraint matrices, hoisted out
-    // of the pair loop (both depend only on tb).  Columnar path: hoist only
-    // the rows some bucket can actually reach, closing their constraints in
-    // one batched slab; legacy path: every row, one scalar closure each.
-    // slot[j] maps a b row to its entry in hull_b / cb_mapped.
-    std::vector<std::int64_t> slot(b.tuples().size(), -1);
+    // of the pair loop (both depend only on tb) for the rows some bucket
+    // reaches.  slot[j] maps a b row to its entry in hull_b / cb_mapped.
+    std::vector<std::int64_t> slot;
+    const std::vector<std::size_t> touched = TouchedRows(a_buckets, b, slot);
     std::vector<TemporalHull> hull_b;
     std::vector<Dbm> cb_mapped;
-    if (options.use_columnar) {
-      std::vector<std::size_t> touched;
-      for (std::span<const std::size_t> bucket : a_buckets) {
-        for (std::size_t j : bucket) {
-          if (slot[j] < 0) {
-            slot[j] = static_cast<std::int64_t>(touched.size());
-            touched.push_back(j);
-          }
-        }
-      }
-      Arena arena;
-      ColumnarRelation cb_cols(b, touched, &arena);
-      hull_b.reserve(touched.size());
-      cb_mapped.reserve(touched.size());
-      for (std::size_t s = 0; s < touched.size(); ++s) {
-        hull_b.push_back(cb_cols.Hull(static_cast<std::int64_t>(s)));
-        cb_mapped.push_back(b.tuples()[touched[s]].constraints().MapVariables(
-            b_temporal_target, m_out));
-      }
-    } else {
-      hull_b.reserve(b.tuples().size());
-      cb_mapped.reserve(b.tuples().size());
-      for (std::size_t j = 0; j < b.tuples().size(); ++j) {
-        const GeneralizedTuple& tb = b.tuples()[j];
-        slot[j] = static_cast<std::int64_t>(j);
-        hull_b.push_back(TemporalHull::Of(tb));
-        cb_mapped.push_back(
-            tb.constraints().MapVariables(b_temporal_target, m_out));
-      }
+    hull_b.reserve(touched.size());
+    cb_mapped.reserve(touched.size());
+    for (std::size_t j : touched) {
+      const GeneralizedTuple& tb = b.tuples()[j];
+      hull_b.push_back(TemporalHull::Of(tb));
+      cb_mapped.push_back(
+          tb.constraints().MapVariables(b_temporal_target, m_out));
     }
     ITDB_ASSIGN_OR_RETURN(
         tuples,

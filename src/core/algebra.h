@@ -100,15 +100,6 @@ struct AlgebraOptions {
   /// switches CheckBudget in Join / Intersect to charge candidate pairs
   /// rather than the raw a x b product.
   bool use_index = true;
-  /// Columnar (SoA) execution for the indexed Join / Intersect kernels
-  /// (core/columnar.h): probe every outer row once up front, regroup only
-  /// the *touched* inner rows into arena-backed column arrays, and close
-  /// their constraint systems in one batched Floyd-Warshall slab
-  /// (core/dbm_batch.h) instead of one scalar closure per row.  false = the
-  /// legacy per-tuple hoisting that materializes hulls for every inner row.
-  /// Results are bit-identical either way; the fuzz determinism matrix pins
-  /// this with a layout axis.
-  bool use_columnar = true;
   /// Optional instrumentation for the indexed kernels (pairs pruned per
   /// prefilter, incremental vs full closures, tuples subsumed).  Not owned;
   /// null disables counting.

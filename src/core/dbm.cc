@@ -327,15 +327,6 @@ Dbm Dbm::MapVariables(const std::vector<int>& new_from_old,
   return out;
 }
 
-Dbm Dbm::FromClosedEntries(int num_vars, const std::int64_t* entries) {
-  Dbm out(num_vars);
-  std::size_t n = static_cast<std::size_t>(num_vars) + 1;
-  for (std::size_t idx = 0; idx < n * n; ++idx) out.matrix_[idx] = entries[idx];
-  out.closed_ = true;
-  out.feasible_ = true;
-  return out;
-}
-
 Dbm Dbm::FromEntries(int num_vars, const std::int64_t* entries, bool closed,
                      bool feasible) {
   Dbm out(num_vars);

@@ -64,13 +64,13 @@ class Dbm {
   /// Magnitude limit for finite bounds: Close() reports kOverflow when a
   /// derived bound leaves [-kBoundLimit, kBoundLimit].  The margin below
   /// INT64_MAX keeps saturating additions representable in __int128 and far
-  /// from the kInf sentinel.  Shared with the batched kernels (dbm_batch),
-  /// which must reproduce the same overflow decisions.
+  /// from the kInf sentinel.  TightenAndClose applies the same limit, so
+  /// its incremental closure and Close() agree on every overflow decision.
   static constexpr std::int64_t kBoundLimit = std::int64_t{1} << 61;
 
   /// Matrices of up to this many nodes (num_vars + 1) are stored inline in
-  /// the Dbm object; larger ones take a single heap block.  Public so the
-  /// batched kernels can size their stack scratch to the common case.
+  /// the Dbm object; larger ones take a single heap block.  Temporal arity
+  /// 4 or less (the common case) therefore never allocates a matrix.
   static constexpr std::size_t kMaxInlineNodes = 5;
 
   /// An unconstrained system over `num_vars` variables.
@@ -148,17 +148,12 @@ class Dbm {
   /// The result is not closed.
   static Dbm Conjoin(const Dbm& a, const Dbm& b);
 
-  /// Builds a Dbm directly from `(num_vars + 1)^2` node-major entries that
-  /// are already a feasible shortest-path closure (as produced by the
-  /// batched closure kernels).  The result has closed() && feasible().
-  static Dbm FromClosedEntries(int num_vars, const std::int64_t* entries);
-
   /// Rebuilds a Dbm from `(num_vars + 1)^2` node-major entries captured via
   /// bound_node(), restoring the exact closure/feasibility state.  This is
-  /// the binary storage layer's round-trip primitive: unlike
-  /// FromClosedEntries it makes no canonicality assumption, so
-  /// FromEntries(v, snapshot, closed(), feasible()) reproduces the source
-  /// matrix bit for bit whatever state it was in.
+  /// the binary storage layer's round-trip primitive: it makes no
+  /// canonicality assumption, so FromEntries(v, snapshot, closed(),
+  /// feasible()) reproduces the source matrix bit for bit whatever state it
+  /// was in.
   static Dbm FromEntries(int num_vars, const std::int64_t* entries,
                          bool closed, bool feasible);
 

@@ -3,9 +3,7 @@
 #include <string>
 #include <utility>
 
-#include "core/dbm_batch.h"
 #include "obs/metrics.h"
-#include "util/arena.h"
 #include "util/numeric.h"
 #include "util/thread_pool.h"
 
@@ -13,9 +11,64 @@ namespace itdb {
 
 namespace {
 
-/// Candidates per batched-sweep morsel: enough for full SIMD lanes in the
-/// slab closure, small enough that a chunk's scratch stays in L1.
-constexpr std::int64_t kNormalizeChunk = 64;
+/// Steps 3..5 of Theorem 3.2 for one normal-form tuple with columns `lrps`.
+/// Writing X_i = c_i + k*n_i (or the constant c_i), the atomic
+/// X_p - X_q <= a of the closed X-space system becomes a difference/unary/
+/// ground constraint on the n's with bound floor((a - c_p + c_q)/k): exact
+/// over the integers because n_p, n_q are integers.  Adds each to `dbm`;
+/// a ground or same-variable contradiction clears `feasible` and the
+/// translation goes on, so a later overflow status still surfaces.
+Status TranslateToNSpace(const std::vector<AtomicConstraint>& atomics,
+                         const std::vector<Lrp>& lrps,
+                         const std::vector<int>& var_of_column, std::int64_t k,
+                         Dbm& dbm, bool& feasible) {
+  for (const AtomicConstraint& c : atomics) {
+    std::int64_t rhs = c.bound;
+    int vp = -1;
+    int vq = -1;
+    if (c.lhs != kZeroVar) {
+      ITDB_ASSIGN_OR_RETURN(
+          rhs, CheckedSub(rhs, lrps[static_cast<std::size_t>(c.lhs)].offset()));
+      vp = var_of_column[static_cast<std::size_t>(c.lhs)];
+    }
+    if (c.rhs != kZeroVar) {
+      ITDB_ASSIGN_OR_RETURN(
+          rhs, CheckedAdd(rhs, lrps[static_cast<std::size_t>(c.rhs)].offset()));
+      vq = var_of_column[static_cast<std::size_t>(c.rhs)];
+    }
+    if (vp >= 0 && vq >= 0) {
+      if (vp == vq) {
+        // Same lrp variable on both sides: k*n - k*n <= rhs.
+        if (rhs < 0) feasible = false;
+        continue;
+      }
+      dbm.AddDifferenceUpperBound(vp, vq, FloorDiv(rhs, k));
+    } else if (vp >= 0) {
+      dbm.AddUpperBound(vp, FloorDiv(rhs, k));
+    } else if (vq >= 0) {
+      // -k * n_q <= rhs.
+      dbm.AddAtomic(AtomicConstraint{kZeroVar, vq, FloorDiv(rhs, k)});
+    } else {
+      // Ground: 0 <= rhs.
+      if (rhs < 0) feasible = false;
+    }
+  }
+  return Status::Ok();
+}
+
+/// The n-variable index of each column of `t` (-1 for constant columns)
+/// and, in `*num_vars`, how many n-variables there are.
+std::vector<int> VariableLayout(const GeneralizedTuple& t, int* num_vars) {
+  std::vector<int> var_of_column(static_cast<std::size_t>(t.temporal_arity()),
+                                 -1);
+  *num_vars = 0;
+  for (std::size_t i = 0; i < var_of_column.size(); ++i) {
+    if (t.lrp(static_cast<int>(i)).period() != 0) {
+      var_of_column[i] = (*num_vars)++;
+    }
+  }
+  return var_of_column;
+}
 
 }  // namespace
 
@@ -87,12 +140,13 @@ Result<std::vector<GeneralizedTuple>> NormalizeTupleToPeriod(
   }
   // Cross product of the splits (step 2 of Theorem 3.2); constraints are
   // carried over unchanged in X-space -- the floor-alignment of steps 3..5
-  // happens in NSpaceTuple::Build, which we also use to prune infeasible
-  // combinations (step 4).  Combinations are enumerated by a linear index
-  // decoded in mixed radix with the LAST column least significant, which is
-  // exactly the sequential odometer order; feasibility checks are
-  // independent per combination, so the sweep fans out over the thread pool
-  // with index-ordered merging (byte-identical to the sequential loop).
+  // happens in the n-space translation NSpaceTuple::Build also uses, which
+  // prunes infeasible combinations (step 4).  Combinations are enumerated
+  // by a linear index decoded in mixed radix with the LAST column least
+  // significant, which is exactly the sequential odometer order;
+  // feasibility checks are independent per combination, so the sweep fans
+  // out over the thread pool with index-ordered merging (byte-identical to
+  // the sequential loop).
   const std::int64_t total = static_cast<std::int64_t>(product);
   {
     static obs::Counter* calls =
@@ -102,180 +156,39 @@ Result<std::vector<GeneralizedTuple>> NormalizeTupleToPeriod(
     calls->Increment();
     split->Record(total);
   }
-  if (!options.batch) {
-    ParallelOptions parallel{options.threads, /*grain=*/64};
-    return ParallelAppend<GeneralizedTuple>(
-        total, parallel,
-        [&](std::int64_t index, std::vector<GeneralizedTuple>& out) -> Status {
-          std::vector<Lrp> lrps(static_cast<std::size_t>(m));
-          std::int64_t rest = index;
-          for (int i = m - 1; i >= 0; --i) {
-            const std::vector<Lrp>& column =
-                choices[static_cast<std::size_t>(i)];
-            const std::int64_t size = static_cast<std::int64_t>(column.size());
-            lrps[static_cast<std::size_t>(i)] =
-                column[static_cast<std::size_t>(rest % size)];
-            rest /= size;
-          }
-          GeneralizedTuple candidate(std::move(lrps), t.data());
-          candidate.set_constraints(t.constraints());
-          ITDB_ASSIGN_OR_RETURN(NSpaceTuple ns, NSpaceTuple::Build(candidate));
-          if (ns.feasible()) out.push_back(std::move(candidate));
-          return Status::Ok();
-        });
-  }
-  // Batched sweep.  Per candidate, NSpaceTuple::Build (the legacy path)
-  // closes a fresh copy of the SAME X-space system, derives the same
-  // variable layout, and only then does candidate-specific work (bound
-  // translation against the chosen offsets plus one small closure).  Hoist
-  // everything candidate-independent out of the loop and run the remaining
-  // per-candidate closures on an entry-major slab, one morsel-sized chunk
-  // of the cross product at a time.  Decisions, statuses, order, and the
-  // surviving tuples are bit-identical to the legacy sweep.
+  // NSpaceTuple::Build on a candidate would close a fresh copy of the SAME
+  // X-space system and derive the same variable layout before any
+  // candidate-specific work, so both are hoisted out of the sweep.  Each
+  // candidate then translates the bounds against its chosen offsets and
+  // closes one small n-space system, in Build's order: the surviving
+  // tuples and every error status are exactly those of Build.
   Dbm x_closed = t.constraints();
   ITDB_RETURN_IF_ERROR(x_closed.Close());
   if (!x_closed.feasible()) return std::vector<GeneralizedTuple>{};
-  std::vector<int> var_of_column(static_cast<std::size_t>(m), -1);
   int num_vars = 0;
-  for (int i = 0; i < m; ++i) {
-    if (t.lrp(i).period() != 0) {
-      var_of_column[static_cast<std::size_t>(i)] = num_vars++;
-    }
-  }
-  const std::int64_t k = num_vars > 0 ? period : 1;
+  const std::vector<int> var_of_column = VariableLayout(t, &num_vars);
   const std::vector<AtomicConstraint> atomics = x_closed.ToAtomics();
-  const std::int64_t chunks =
-      (total + kNormalizeChunk - 1) / kNormalizeChunk;
-  ParallelOptions parallel{options.threads, /*grain=*/1};
   return ParallelAppend<GeneralizedTuple>(
-      chunks, parallel,
-      [&](std::int64_t chunk, std::vector<GeneralizedTuple>& out) -> Status {
-        const std::int64_t lo = chunk * kNormalizeChunk;
-        const std::int64_t hi = std::min(total, lo + kNormalizeChunk);
-        const std::int64_t cnt = hi - lo;
-        Arena& arena = Arena::ThreadLocalScratch();
-        ArenaScope scope(arena);
-        // Chunk-local candidate state: the chosen split index per column
-        // (the odometer digits, column-major) and derived offsets.
-        int* digits = arena.AllocateArray<int>(
-            static_cast<std::size_t>(m) * static_cast<std::size_t>(cnt));
-        std::int64_t* offsets = arena.AllocateArray<std::int64_t>(
-            static_cast<std::size_t>(m) * static_cast<std::size_t>(cnt));
-        for (std::int64_t c = 0; c < cnt; ++c) {
-          std::int64_t rest = lo + c;
-          for (int i = m - 1; i >= 0; --i) {
-            const std::vector<Lrp>& column =
-                choices[static_cast<std::size_t>(i)];
-            const std::int64_t size = static_cast<std::int64_t>(column.size());
-            const int digit = static_cast<int>(rest % size);
-            rest /= size;
-            digits[static_cast<std::size_t>(i) * static_cast<std::size_t>(cnt) +
-                   static_cast<std::size_t>(c)] = digit;
-            offsets[static_cast<std::size_t>(i) *
-                        static_cast<std::size_t>(cnt) +
-                    static_cast<std::size_t>(c)] =
-                column[static_cast<std::size_t>(digit)].offset();
-          }
+      total, ParallelOptions{options.threads, /*grain=*/64},
+      [&](std::int64_t index, std::vector<GeneralizedTuple>& out) -> Status {
+        std::vector<Lrp> lrps(static_cast<std::size_t>(m));
+        std::int64_t rest = index;
+        for (int i = m - 1; i >= 0; --i) {
+          const std::vector<Lrp>& column = choices[static_cast<std::size_t>(i)];
+          const std::int64_t size = static_cast<std::int64_t>(column.size());
+          lrps[static_cast<std::size_t>(i)] =
+              column[static_cast<std::size_t>(rest % size)];
+          rest /= size;
         }
-        // Translate the hoisted X-space atomics per candidate into the
-        // n-space slab, mirroring NSpaceTuple::Build's arithmetic (and its
-        // overflow statuses) exactly.  flag_infeasible mirrors the ground /
-        // same-variable contradiction flags; translation continues past
-        // them, as Build does.
-        DbmSlab slab(&arena, num_vars, cnt);
-        slab.InitUnconstrained();
-        bool* flag_infeasible = arena.AllocateArray<bool>(
-            static_cast<std::size_t>(cnt));
-        for (std::int64_t c = 0; c < cnt; ++c) {
-          flag_infeasible[static_cast<std::size_t>(c)] = false;
-        }
-        Status deferred = Status::Ok();
-        std::int64_t translated = cnt;
-        for (std::int64_t c = 0; c < cnt && deferred.ok(); ++c) {
-          for (const AtomicConstraint& a : atomics) {
-            std::int64_t rhs = a.bound;
-            int vp = -1;
-            int vq = -1;
-            if (a.lhs != kZeroVar) {
-              Result<std::int64_t> sub = CheckedSub(
-                  rhs, offsets[static_cast<std::size_t>(a.lhs) *
-                                   static_cast<std::size_t>(cnt) +
-                               static_cast<std::size_t>(c)]);
-              if (!sub.ok()) {
-                deferred = sub.status();
-                translated = c;
-                break;
-              }
-              rhs = *sub;
-              vp = var_of_column[static_cast<std::size_t>(a.lhs)];
-            }
-            if (a.rhs != kZeroVar) {
-              Result<std::int64_t> add = CheckedAdd(
-                  rhs, offsets[static_cast<std::size_t>(a.rhs) *
-                                   static_cast<std::size_t>(cnt) +
-                               static_cast<std::size_t>(c)]);
-              if (!add.ok()) {
-                deferred = add.status();
-                translated = c;
-                break;
-              }
-              rhs = *add;
-              vq = var_of_column[static_cast<std::size_t>(a.rhs)];
-            }
-            if (vp >= 0 && vq >= 0) {
-              if (vp == vq) {
-                if (rhs < 0) flag_infeasible[static_cast<std::size_t>(c)] = true;
-                continue;
-              }
-              slab.AddAtomic(c, vp, vq, FloorDiv(rhs, k));
-            } else if (vp >= 0) {
-              slab.AddAtomic(c, vp, kZeroVar, FloorDiv(rhs, k));
-            } else if (vq >= 0) {
-              slab.AddAtomic(c, kZeroVar, vq, FloorDiv(rhs, k));
-            } else if (rhs < 0) {
-              flag_infeasible[static_cast<std::size_t>(c)] = true;
-            }
-          }
-        }
-        bool* feasible = arena.AllocateArray<bool>(
-            static_cast<std::size_t>(cnt));
-        bool* overflow = arena.AllocateArray<bool>(
-            static_cast<std::size_t>(cnt));
-        slab.CloseAll(feasible, overflow);
-        // The legacy sweep surfaces a candidate's closure overflow before a
-        // LATER candidate's translation overflow; replicate that ordering.
-        for (std::int64_t c = 0; c < translated; ++c) {
-          if (overflow[static_cast<std::size_t>(c)]) {
-            return Status::Overflow(
-                "DBM bound exceeds safe range during closure");
-          }
-        }
-        if (!deferred.ok()) return deferred;
-        std::size_t survivors = 0;
-        for (std::int64_t c = 0; c < cnt; ++c) {
-          if (feasible[static_cast<std::size_t>(c)] &&
-              !flag_infeasible[static_cast<std::size_t>(c)]) {
-            ++survivors;
-          }
-        }
-        out.reserve(out.size() + survivors);
-        for (std::int64_t c = 0; c < cnt; ++c) {
-          if (!feasible[static_cast<std::size_t>(c)] ||
-              flag_infeasible[static_cast<std::size_t>(c)]) {
-            continue;
-          }
-          std::vector<Lrp> lrps(static_cast<std::size_t>(m));
-          for (int i = 0; i < m; ++i) {
-            lrps[static_cast<std::size_t>(i)] =
-                choices[static_cast<std::size_t>(i)][static_cast<std::size_t>(
-                    digits[static_cast<std::size_t>(i) *
-                               static_cast<std::size_t>(cnt) +
-                           static_cast<std::size_t>(c)])];
-          }
-          GeneralizedTuple candidate(std::move(lrps), t.data());
-          candidate.set_constraints(t.constraints());
-          out.push_back(std::move(candidate));
-        }
+        Dbm dbm(num_vars);
+        bool feasible = true;
+        ITDB_RETURN_IF_ERROR(TranslateToNSpace(atomics, lrps, var_of_column,
+                                               period, dbm, feasible));
+        ITDB_RETURN_IF_ERROR(dbm.Close());
+        if (!feasible || !dbm.feasible()) return Status::Ok();
+        GeneralizedTuple candidate(std::move(lrps), t.data());
+        candidate.set_constraints(t.constraints());
+        out.push_back(std::move(candidate));
         return Status::Ok();
       });
 }
@@ -290,16 +203,13 @@ Result<NSpaceTuple> NSpaceTuple::Build(const GeneralizedTuple& t) {
   out.period_ = period;
   int m = t.temporal_arity();
   out.offsets_.resize(static_cast<std::size_t>(m));
-  out.var_of_column_.assign(static_cast<std::size_t>(m), -1);
-  out.dropped_.assign(static_cast<std::size_t>(m), false);
-  int num_vars = 0;
   for (int i = 0; i < m; ++i) {
-    const Lrp& l = t.lrp(i);
-    out.offsets_[static_cast<std::size_t>(i)] = l.offset();
-    if (l.period() != 0) out.var_of_column_[static_cast<std::size_t>(i)] = num_vars++;
+    out.offsets_[static_cast<std::size_t>(i)] = t.lrp(i).offset();
   }
+  int num_vars = 0;
+  out.var_of_column_ = VariableLayout(t, &num_vars);
+  out.dropped_.assign(static_cast<std::size_t>(m), false);
   Dbm dbm(num_vars);
-  const std::int64_t k = period;
   // Close the X-space system first: a contradiction over the reals (or the
   // degenerate zero-variable contradiction flag) already proves emptiness.
   Dbm x_closed = t.constraints();
@@ -309,41 +219,9 @@ Result<NSpaceTuple> NSpaceTuple::Build(const GeneralizedTuple& t) {
     out.dbm_ = std::move(dbm);
     return out;
   }
-  // Translate every atomic X-space constraint.  Writing X_i = c_i + k*n_i
-  // (or the constant c_i), the atomic  X_p - X_q <= a  becomes a difference/
-  // unary/ground constraint on the n's with bound floor((a - c_p + c_q)/k):
-  // exact over the integers because n_p, n_q are integers.
-  for (const AtomicConstraint& c : x_closed.ToAtomics()) {
-    std::int64_t rhs = c.bound;
-    int vp = -1;
-    int vq = -1;
-    if (c.lhs != kZeroVar) {
-      ITDB_ASSIGN_OR_RETURN(
-          rhs, CheckedSub(rhs, out.offsets_[static_cast<std::size_t>(c.lhs)]));
-      vp = out.var_of_column_[static_cast<std::size_t>(c.lhs)];
-    }
-    if (c.rhs != kZeroVar) {
-      ITDB_ASSIGN_OR_RETURN(
-          rhs, CheckedAdd(rhs, out.offsets_[static_cast<std::size_t>(c.rhs)]));
-      vq = out.var_of_column_[static_cast<std::size_t>(c.rhs)];
-    }
-    if (vp >= 0 && vq >= 0) {
-      if (vp == vq) {
-        // Same lrp variable on both sides: k*n - k*n <= rhs.
-        if (rhs < 0) out.feasible_ = false;
-        continue;
-      }
-      dbm.AddDifferenceUpperBound(vp, vq, FloorDiv(rhs, k));
-    } else if (vp >= 0) {
-      dbm.AddUpperBound(vp, FloorDiv(rhs, k));
-    } else if (vq >= 0) {
-      // -k * n_q <= rhs.
-      dbm.AddAtomic(AtomicConstraint{kZeroVar, vq, FloorDiv(rhs, k)});
-    } else {
-      // Ground: 0 <= rhs.
-      if (rhs < 0) out.feasible_ = false;
-    }
-  }
+  ITDB_RETURN_IF_ERROR(TranslateToNSpace(x_closed.ToAtomics(), t.temporal(),
+                                         out.var_of_column_, period, dbm,
+                                         out.feasible_));
   ITDB_RETURN_IF_ERROR(dbm.Close());
   if (!dbm.feasible()) out.feasible_ = false;
   out.dbm_ = std::move(dbm);

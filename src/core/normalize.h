@@ -36,13 +36,6 @@ struct NormalizeOptions {
   /// ITDB_THREADS / hardware default, 1 = sequential).  The result is
   /// bit-identical at every thread count.
   int threads = 0;
-  /// Run the feasibility sweep on batched DBM slabs (core/dbm_batch) with
-  /// the X-space closure hoisted out of the candidate loop, processing
-  /// morsel-sized chunks of the cross product at a time.  false = the
-  /// legacy per-candidate NSpaceTuple::Build sweep.  Results are
-  /// bit-identical either way (fuzzed via the layout axis); the flag exists
-  /// for that comparison.
-  bool batch = true;
 };
 
 /// True iff every non-singleton lrp of `t` has the same period.  On success

@@ -91,10 +91,6 @@ struct EvalConfig {
   int threads;
   bool cache;
   bool index;
-  /// Flat layout: batched-slab normalization sweep (NormalizeOptions::batch)
-  /// plus columnar hoisting in the indexed kernels
-  /// (AlgebraOptions::use_columnar).  false = legacy per-tuple layout.
-  bool flat_layout;
 };
 
 }  // namespace
@@ -109,12 +105,9 @@ CaseOutcome CheckCase(const Database& db, const ExprPtr& expr,
   eval.algebra.threads = 1;
   eval.algebra.normalize_cache = nullptr;
   eval.algebra.use_index = false;
-  eval.algebra.use_columnar = false;
-  eval.algebra.normalize.batch = false;
   eval.bug = options.bug;
 
-  // ---- Reference evaluation: 1 thread, no memo-cache, naive kernels,
-  // legacy (per-tuple) layout. ----
+  // ---- Reference evaluation: 1 thread, no memo-cache, naive kernels. ----
   Result<GeneralizedRelation> ref = EvalExpr(expr, db, eval);
   if (!ref.ok()) {
     if (IsBudgetError(ref.status())) {
@@ -128,25 +121,21 @@ CaseOutcome CheckCase(const Database& db, const ExprPtr& expr,
     return outcome;
   }
 
-  // ---- Determinism matrix: {1, N} threads x {off, on} memo-cache x
-  // {naive, indexed} kernels x {legacy, flat} layout.  The indexed configs
-  // pin the bit-identity contract of the hash-partitioned Join / Intersect /
-  // Subtract kernels with prefilters and incremental closures; the flat
-  // configs pin the batched-slab normalization sweep and the columnar /
-  // arena hoisting against the legacy per-tuple layout.  Indexed budgets
-  // charge candidate pairs, a lower bound of the naive raw product, so an
-  // indexed config can never exhaust a budget the naive reference
-  // survived. ----
+  // ---- Determinism matrix over {1, N} threads x {off, on} memo-cache x
+  // {naive, indexed} kernels, against the reference (1 thread, cache off,
+  // naive).  The naive kernels are checked across threads; the indexed
+  // configs pin the bit-identity contract of the hash-partitioned Join /
+  // Intersect / Subtract kernels with prefilters, touched-row hull hoisting
+  // and incremental closures, alone and with the memo-cache, at both thread
+  // counts.  Indexed budgets charge candidate pairs, a lower bound of the
+  // naive raw product, so an indexed config can never exhaust a budget the
+  // naive reference survived. ----
   const EvalConfig configs[] = {
-      {"threads=N cache=off index=naive layout=legacy", options.threads, false,
-       false, false},
-      {"threads=1 cache=off index=naive layout=flat", 1, false, false, true},
-      {"threads=1 cache=off index=on layout=legacy", 1, false, true, false},
-      {"threads=N cache=off index=on layout=flat", options.threads, false,
-       true, true},
-      {"threads=1 cache=on index=on layout=flat", 1, true, true, true},
-      {"threads=N cache=on index=on layout=flat", options.threads, true, true,
-       true},
+      {"threads=N cache=off index=naive", options.threads, false, false},
+      {"threads=1 cache=off index=on", 1, false, true},
+      {"threads=N cache=off index=on", options.threads, false, true},
+      {"threads=1 cache=on index=on", 1, true, true},
+      {"threads=N cache=on index=on", options.threads, true, true},
   };
   for (const EvalConfig& cfg : configs) {
     NormalizeCache cache;
@@ -154,8 +143,6 @@ CaseOutcome CheckCase(const Database& db, const ExprPtr& expr,
     alt.algebra.threads = cfg.threads;
     alt.algebra.normalize_cache = cfg.cache ? &cache : nullptr;
     alt.algebra.use_index = cfg.index;
-    alt.algebra.use_columnar = cfg.flat_layout;
-    alt.algebra.normalize.batch = cfg.flat_layout;
     Result<GeneralizedRelation> got = EvalExpr(expr, db, alt);
     if (!got.ok()) {
       outcome.failure = {"determinism", "",

@@ -3,7 +3,6 @@
 #include <bit>
 #include <sstream>
 
-#include "util/arena.h"
 #include "util/thread_pool.h"
 
 namespace itdb {
@@ -123,14 +122,6 @@ void PublishThreadPoolMetrics(MetricsRegistry& registry) {
       ->RecordMax(stats.queue_depth_max);
   registry.GetCounter("thread_pool.tasks_submitted")
       ->RecordMax(stats.tasks_submitted);
-}
-
-void PublishArenaMetrics(MetricsRegistry& registry) {
-  const Arena::GlobalStats stats = Arena::TotalStats();
-  registry.GetCounter("arena.bytes_allocated")->RecordMax(stats.bytes_allocated);
-  registry.GetCounter("arena.allocations")->RecordMax(stats.allocations);
-  registry.GetCounter("arena.bytes_reserved")->RecordMax(stats.bytes_reserved);
-  registry.GetCounter("arena.resets")->RecordMax(stats.resets);
 }
 
 }  // namespace obs

@@ -136,13 +136,6 @@ void AddGlobalCounter(std::string_view name, std::int64_t delta);
 /// lives below obs and cannot push; readers pull through this bridge.)
 void PublishThreadPoolMetrics(MetricsRegistry& registry);
 
-/// Publishes the process-wide arena totals (util/arena.h) into `registry` as
-/// "arena.bytes_allocated", "arena.allocations", "arena.bytes_reserved", and
-/// "arena.resets".  Same pull-bridge pattern as the thread pool: util sits
-/// below obs, so the arena cannot push.  The totals are monotone; RecordMax
-/// makes re-publishing at any frequency safe.
-void PublishArenaMetrics(MetricsRegistry& registry);
-
 }  // namespace obs
 }  // namespace itdb
 

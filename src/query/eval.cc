@@ -17,7 +17,6 @@
 #include "core/index.h"
 #include "core/simplify.h"
 #include "obs/metrics.h"
-#include "util/arena.h"
 #include "obs/trace.h"
 #include "util/diagnostic.h"
 #include "util/numeric.h"
@@ -132,18 +131,11 @@ struct CounterSnapshot {
   std::int64_t tuples_subsumed = 0;
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
-  std::int64_t arena_bytes = 0;
-  std::int64_t arena_allocs = 0;
 };
 
 CounterSnapshot SnapshotCounters(const KernelCounters* counters,
                                  const NormalizeCache* cache) {
   CounterSnapshot s;
-  // Process-wide arena totals: the per-node delta reports how much slab
-  // memory the subtree's batched kernels consumed.
-  const Arena::GlobalStats arena = Arena::TotalStats();
-  s.arena_bytes = arena.bytes_allocated;
-  s.arena_allocs = arena.allocations;
   if (counters != nullptr) {
     s.pairs_candidate =
         counters->pairs_candidate.load(std::memory_order_relaxed);
@@ -636,8 +628,6 @@ Result<GeneralizedRelation> Evaluator::Eval(const Query& q) const {
               after.tuples_subsumed - before.tuples_subsumed);
   span.AddArg("cache_hits", after.cache_hits - before.cache_hits);
   span.AddArg("cache_misses", after.cache_misses - before.cache_misses);
-  span.AddArg("arena_bytes", after.arena_bytes - before.arena_bytes);
-  span.AddArg("arena_allocs", after.arena_allocs - before.arena_allocs);
   return result;
 }
 

@@ -382,7 +382,6 @@ Status CmdStats(std::ostream& out, const Database& db, const std::string& args,
 void CmdMetrics(std::ostream& out) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::PublishThreadPoolMetrics(registry);
-  obs::PublishArenaMetrics(registry);
   out << registry.snapshot().ToText();
 }
 

@@ -410,8 +410,8 @@ Status AppendSegment(const RelationSegment& segment, std::string* out) {
   }
 
   // Constraint matrices: per-row exact state flags, then the bound entries
-  // as one entry-major slab (DbmSlab layout: entry (p, q) of row t lives at
-  // slab[(p * nodes + q) * n + t]).
+  // as one entry-major slab: entry (p, q) of row t lives at
+  // slab[(p * nodes + q) * n + t].
   const std::size_t nodes = static_cast<std::size_t>(k) + 1;
   for (const SegmentRow& row : segment.rows) {
     const Dbm& dbm = row.tuple.constraints();

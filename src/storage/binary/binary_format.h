@@ -25,9 +25,9 @@
 //   data columns                          per data attribute: n int64s, or
 //                                         a string dictionary + n ids
 //   dbm flags[n], dbm slab                closure/feasibility flags plus
-//                                         the (k+1)^2 x n bound matrices in
-//                                         the ENTRY-MAJOR layout of
-//                                         core/dbm_batch.h's DbmSlab:
+//                                         the (k+1)^2 x n bound matrices,
+//                                         ENTRY-MAJOR: all n rows' entry
+//                                         (p, q) lie next to each other,
 //                                         slab[(p*(k+1)+q)*n + t]
 //
 // The encoding is EXACT: every tuple round-trips bit-identically, including

@@ -3,8 +3,13 @@
 //   * every output tuple is in normal form with the tuple's lcm period;
 //   * the free extensions of the outputs are pairwise disjoint (the cross
 //     product of Lemma 3.1 splits partitions the original lattice);
-//   * every output is feasible (step 4 pruned the contradictions).
+//   * every output is feasible (step 4 pruned the contradictions);
+//   * the hoisted sweep keeps exactly the split cross-product candidates
+//     that NSpaceTuple::Build finds feasible, in odometer order, and fails
+//     with Build's status when a candidate's translation fails.
 
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -89,6 +94,88 @@ TEST_P(NormalizePropertyTest, ExplicitPeriodMultiplesAlsoWork) {
       }
     }
     EXPECT_EQ(rebuilt, original) << t.ToString();
+  }
+}
+
+/// The reference for NormalizeTupleToPeriod: walk the cross product of the
+/// Lemma 3.1 splits in odometer order (last column least significant) and
+/// keep every candidate NSpaceTuple::Build finds feasible.  The first
+/// candidate whose Build fails decides the status.
+Result<std::vector<GeneralizedTuple>> ReferenceSweep(const GeneralizedTuple& t,
+                                                     std::int64_t period) {
+  const int m = t.temporal_arity();
+  std::vector<std::vector<Lrp>> choices;
+  for (int i = 0; i < m; ++i) {
+    if (t.lrp(i).period() == 0) {
+      choices.push_back({t.lrp(i)});
+    } else {
+      ITDB_ASSIGN_OR_RETURN(std::vector<Lrp> split,
+                            t.lrp(i).SplitToPeriod(period));
+      choices.push_back(std::move(split));
+    }
+  }
+  std::vector<GeneralizedTuple> out;
+  std::vector<std::size_t> digits(static_cast<std::size_t>(m), 0);
+  while (true) {
+    std::vector<Lrp> lrps;
+    for (int i = 0; i < m; ++i) {
+      lrps.push_back(choices[static_cast<std::size_t>(i)]
+                            [digits[static_cast<std::size_t>(i)]]);
+    }
+    GeneralizedTuple candidate(std::move(lrps), t.data());
+    candidate.set_constraints(t.constraints());
+    ITDB_ASSIGN_OR_RETURN(NSpaceTuple ns, NSpaceTuple::Build(candidate));
+    if (ns.feasible()) out.push_back(std::move(candidate));
+    int i = m - 1;
+    for (; i >= 0; --i) {
+      std::size_t& d = digits[static_cast<std::size_t>(i)];
+      if (++d < choices[static_cast<std::size_t>(i)].size()) break;
+      d = 0;
+    }
+    if (i < 0) return out;
+  }
+}
+
+TEST_P(NormalizePropertyTest, SweepMatchesPerCandidateBuild) {
+  RandomRelationConfig cfg;
+  cfg.num_tuples = 4;
+  cfg.periods = {0, 1, 2, 3, 4, 6};
+  GeneralizedRelation r = MakeRandomRelation(GetParam() + 9100, cfg);
+  for (const GeneralizedTuple& t : r.tuples()) {
+    Result<std::int64_t> k = CommonPeriod(t);
+    ASSERT_TRUE(k.ok());
+    Result<std::vector<GeneralizedTuple>> want = ReferenceSweep(t, *k);
+    ASSERT_TRUE(want.ok()) << want.status() << " for " << t.ToString();
+    for (int threads : {1, 4}) {
+      NormalizeOptions options;
+      options.threads = threads;
+      Result<std::vector<GeneralizedTuple>> got =
+          NormalizeTupleToPeriod(t, *k, options);
+      ASSERT_TRUE(got.ok()) << got.status() << " for " << t.ToString();
+      EXPECT_EQ(*got, *want) << "threads=" << threads << " " << t.ToString();
+    }
+  }
+}
+
+TEST(NormalizeSweepTest, TranslationOverflowReturnsBuildStatus) {
+  // Column 0 is the constant -(2^63 - 8); X0 <= 100 holds and closes fine
+  // in X-space, but its n-space bound 100 - c_0 leaves int64 in every
+  // candidate.
+  GeneralizedTuple t({Lrp::Singleton(std::numeric_limits<std::int64_t>::min() +
+                                     8),
+                      Lrp::Make(0, 2), Lrp::Make(1, 3)});
+  t.mutable_constraints().AddUpperBound(0, 100);
+  t.mutable_constraints().AddDifferenceUpperBound(1, 2, 5);
+  Result<std::vector<GeneralizedTuple>> want = ReferenceSweep(t, 6);
+  ASSERT_FALSE(want.ok());
+  EXPECT_EQ(want.status().code(), StatusCode::kOverflow);
+  for (int threads : {1, 4}) {
+    NormalizeOptions options;
+    options.threads = threads;
+    Result<std::vector<GeneralizedTuple>> got =
+        NormalizeTupleToPeriod(t, 6, options);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), want.status().code());
   }
 }
 
