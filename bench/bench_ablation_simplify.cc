@@ -19,55 +19,52 @@ using itdb::GeneralizedRelation;
 using itdb::bench::MakeNormalizedRelation;
 
 // Union of shifted copies followed by repeated subtraction: produces many
-// overlapping and empty tuples.
-itdb::Result<GeneralizedRelation> Pipeline(const AlgebraOptions& options,
-                                           int rounds) {
+// overlapping and empty tuples.  With `simplify`, Simplify runs after every
+// Union and Subtract.
+itdb::Result<GeneralizedRelation> Pipeline(bool simplify, int rounds) {
+  AlgebraOptions options;
+  options.max_tuples = std::int64_t{1} << 26;
   GeneralizedRelation acc = MakeNormalizedRelation(1, 32, 2, 6);
   for (int i = 0; i < rounds; ++i) {
     GeneralizedRelation other =
         MakeNormalizedRelation(static_cast<std::uint32_t>(i + 2), 16, 2, 6);
     ITDB_ASSIGN_OR_RETURN(acc, itdb::Union(acc, other, options));
+    if (simplify) {
+      ITDB_ASSIGN_OR_RETURN(acc, itdb::Simplify(acc));
+    }
     GeneralizedRelation minus =
         MakeNormalizedRelation(static_cast<std::uint32_t>(100 + i), 4, 2, 6);
     ITDB_ASSIGN_OR_RETURN(acc, itdb::Subtract(acc, minus, options));
+    if (simplify) {
+      ITDB_ASSIGN_OR_RETURN(acc, itdb::Simplify(acc));
+    }
   }
   return acc;
 }
 
-void BM_Pipeline_NoSimplify(benchmark::State& state) {
-  AlgebraOptions options;
-  options.max_tuples = std::int64_t{1} << 26;
-  options.simplify = false;
+void RunPipeline(benchmark::State& state, bool simplify) {
   std::int64_t tuples = 0;
   for (auto _ : state) {
-    auto r = Pipeline(options, static_cast<int>(state.range(0)));
+    auto r = Pipeline(simplify, static_cast<int>(state.range(0)));
     if (r.ok()) tuples = r.value().size();
     benchmark::DoNotOptimize(r);
   }
   state.counters["final_tuples"] =
       benchmark::Counter(static_cast<double>(tuples));
+}
+
+void BM_Pipeline_NoSimplify(benchmark::State& state) {
+  RunPipeline(state, /*simplify=*/false);
 }
 BENCHMARK(BM_Pipeline_NoSimplify)->DenseRange(1, 4);
 
 void BM_Pipeline_WithSimplify(benchmark::State& state) {
-  AlgebraOptions options;
-  options.max_tuples = std::int64_t{1} << 26;
-  options.simplify = true;
-  std::int64_t tuples = 0;
-  for (auto _ : state) {
-    auto r = Pipeline(options, static_cast<int>(state.range(0)));
-    if (r.ok()) tuples = r.value().size();
-    benchmark::DoNotOptimize(r);
-  }
-  state.counters["final_tuples"] =
-      benchmark::Counter(static_cast<double>(tuples));
+  RunPipeline(state, /*simplify=*/true);
 }
 BENCHMARK(BM_Pipeline_WithSimplify)->DenseRange(1, 4);
 
 void BM_SimplifyPass_Alone(benchmark::State& state) {
-  AlgebraOptions options;
-  options.max_tuples = std::int64_t{1} << 26;
-  auto built = Pipeline(options, 3);
+  auto built = Pipeline(/*simplify=*/false, 3);
   if (!built.ok()) {
     state.SkipWithError("pipeline failed");
     return;

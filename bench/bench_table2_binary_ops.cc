@@ -101,26 +101,6 @@ void BM_Join_VsN(benchmark::State& state) {
 BENCHMARK(BM_Join_VsN)->RangeMultiplier(2)->Range(32, 1024)->Complexity(
     benchmark::oNSquared);
 
-void BM_Intersect_IndexedVsN(benchmark::State& state) {
-  // Ablation: the Appendix A.3 hash join on free extensions (opt-in,
-  // use_intersection_index).  Same inputs as BM_Intersect_VsN; expect the
-  // N^2 pair scan to collapse toward the output size.
-  const int n = static_cast<int>(state.range(0));
-  GeneralizedRelation a = MakeNormalizedRelation(1, n, 2, 12);
-  GeneralizedRelation b = MakeNormalizedRelation(2, n, 2, 12);
-  AlgebraOptions options = BigBudget();
-  options.use_intersection_index = true;
-  for (auto _ : state) {
-    auto r = itdb::Intersect(a, b, options);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetComplexityN(n);
-}
-BENCHMARK(BM_Intersect_IndexedVsN)
-    ->RangeMultiplier(2)
-    ->Range(32, 1024)
-    ->Complexity();
-
 void BM_Intersect_VsArity(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   GeneralizedRelation a = MakeNormalizedRelation(1, 128, m, 12);

@@ -170,7 +170,6 @@ inline void RecordKernelCounters(benchmark::State& state,
   put("pruned_hull", counters.pairs_pruned_hull);
   put("closures_incremental", counters.closures_incremental);
   put("closures_full", counters.closures_full);
-  put("tuples_subsumed", counters.tuples_subsumed);
 }
 
 /// Like MakeNormalizedRelation but with one integer data attribute "K"

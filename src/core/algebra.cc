@@ -6,9 +6,7 @@
 #include <string>
 #include <utility>
 
-#include "core/coalesce.h"
 #include "core/index.h"
-#include "core/simplify.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/numeric.h"
@@ -62,12 +60,6 @@ Status CheckBudget(std::int64_t count, const AlgebraOptions& options,
                                      " tuples");
   }
   return Status::Ok();
-}
-
-Result<GeneralizedRelation> MaybeSimplify(GeneralizedRelation r,
-                                          const AlgebraOptions& options) {
-  if (!options.simplify) return r;
-  return Simplify(r, SimplifyOptions{options.normalize});
 }
 
 /// Closes a copy of the tuple's constraints; returns nullopt when they are
@@ -180,58 +172,10 @@ Result<GeneralizedRelation> Union(const GeneralizedRelation& a,
   for (const GeneralizedTuple& t : b.tuples()) {
     ITDB_RETURN_IF_ERROR(out.AddTuple(t));
   }
-  return MaybeSimplify(std::move(out), options);
+  return out;
 }
 
 namespace {
-
-/// The single period shared by every lrp of the relation, or 0 when the
-/// relation mixes periods or has singleton columns (no uniform lattice).
-std::int64_t UniformPeriod(const GeneralizedRelation& r) {
-  std::int64_t k = 0;
-  for (const GeneralizedTuple& t : r.tuples()) {
-    for (const Lrp& l : t.temporal()) {
-      if (l.period() == 0) return 0;
-      if (k == 0) {
-        k = l.period();
-      } else if (k != l.period()) {
-        return 0;
-      }
-    }
-  }
-  return k;
-}
-
-/// Appendix A.3 fast path: with one uniform period on both sides, two
-/// tuples intersect only when their residue vectors are identical, so a
-/// hash join on the offsets replaces the N^2 pair scan.
-Result<GeneralizedRelation> IntersectByIndex(const GeneralizedRelation& a,
-                                             const GeneralizedRelation& b,
-                                             const AlgebraOptions& options) {
-  std::map<std::vector<std::int64_t>, std::vector<std::size_t>> index;
-  for (std::size_t j = 0; j < b.tuples().size(); ++j) {
-    const GeneralizedTuple& tb = b.tuples()[j];
-    std::vector<std::int64_t> key;
-    key.reserve(tb.temporal().size());
-    for (const Lrp& l : tb.temporal()) key.push_back(l.offset());
-    index[std::move(key)].push_back(j);
-  }
-  GeneralizedRelation out(a.schema());
-  for (const GeneralizedTuple& ta : a.tuples()) {
-    std::vector<std::int64_t> key;
-    key.reserve(ta.temporal().size());
-    for (const Lrp& l : ta.temporal()) key.push_back(l.offset());
-    auto it = index.find(key);
-    if (it == index.end()) continue;
-    for (std::size_t j : it->second) {
-      ITDB_ASSIGN_OR_RETURN(std::optional<GeneralizedTuple> t,
-                            GeneralizedTuple::Intersect(ta, b.tuples()[j]));
-      if (t.has_value()) ITDB_RETURN_IF_ERROR(out.AddTuple(std::move(*t)));
-      ITDB_RETURN_IF_ERROR(CheckBudget(out.size(), options, "Intersect"));
-    }
-  }
-  return MaybeSimplify(std::move(out), options);
-}
 
 /// The rows of `b` that some outer bucket reaches, in first-touch order.
 /// Fills slot[j] with row j's position in that list (-1 when no bucket
@@ -360,7 +304,7 @@ Result<GeneralizedRelation> IntersectIndexed(const GeneralizedRelation& a,
   for (GeneralizedTuple& t : tuples) {
     ITDB_RETURN_IF_ERROR(out.AddTuple(std::move(t)));
   }
-  return MaybeSimplify(std::move(out), options);
+  return out;
 }
 
 }  // namespace
@@ -370,12 +314,6 @@ Result<GeneralizedRelation> Intersect(const GeneralizedRelation& a,
                                       const AlgebraOptions& options) {
   obs::Span span = OpSpan(options, "Intersect", &a, &b);
   ITDB_RETURN_IF_ERROR(CheckSameSchema(a, b, "Intersect"));
-  if (options.use_intersection_index && a.schema().temporal_arity() > 0) {
-    std::int64_t ka = UniformPeriod(a);
-    if (ka != 0 && ka == UniformPeriod(b)) {
-      return IntersectByIndex(a, b, options);
-    }
-  }
   if (options.use_index) return IntersectIndexed(a, b, options);
   ITDB_RETURN_IF_ERROR(
       CheckBudget(static_cast<std::int64_t>(a.size()) * b.size(), options,
@@ -402,7 +340,7 @@ Result<GeneralizedRelation> Intersect(const GeneralizedRelation& a,
   for (GeneralizedTuple& t : tuples) {
     ITDB_RETURN_IF_ERROR(out.AddTuple(std::move(t)));
   }
-  return MaybeSimplify(std::move(out), options);
+  return out;
 }
 
 Result<GeneralizedRelation> Subtract(const GeneralizedRelation& a,
@@ -500,7 +438,7 @@ Result<GeneralizedRelation> Subtract(const GeneralizedRelation& a,
   for (GeneralizedTuple& t : current) {
     ITDB_RETURN_IF_ERROR(out.AddTuple(std::move(t)));
   }
-  return MaybeSimplify(std::move(out), options);
+  return out;
 }
 
 namespace {
@@ -656,7 +594,6 @@ Result<GeneralizedRelation> Complement(const GeneralizedRelation& r,
   for (GeneralizedTuple& t : tuples) {
     ITDB_RETURN_IF_ERROR(out.AddTuple(std::move(t)));
   }
-  if (options.coalesce) return CoalesceResidues(out, options.threads);
   return out;
 }
 
@@ -918,7 +855,7 @@ Result<GeneralizedRelation> Project(const GeneralizedRelation& r,
         CheckBudget(static_cast<std::int64_t>(out.size()), options,
                     "Project"));
   }
-  return MaybeSimplify(std::move(out), options);
+  return out;
 }
 
 Result<GeneralizedRelation> SelectTemporal(const GeneralizedRelation& r,
@@ -1395,7 +1332,7 @@ Result<GeneralizedRelation> Join(const GeneralizedRelation& a,
   for (GeneralizedTuple& t : tuples) {
     ITDB_RETURN_IF_ERROR(out.AddTuple(std::move(t)));
   }
-  return MaybeSimplify(std::move(out), options);
+  return out;
 }
 
 Result<GeneralizedRelation> ShiftTemporalColumn(const GeneralizedRelation& r,

@@ -62,26 +62,14 @@ struct AlgebraOptions {
   std::int64_t max_tuples = std::int64_t{1} << 22;
   /// Cap on the k^m residue universe enumerated by Complement.
   std::int64_t max_complement_universe = std::int64_t{1} << 20;
-  /// Run the redundancy-elimination pass (simplify.h) on results.  The paper
-  /// leaves redundancy elimination open (Section 3.1); this is our extension.
-  bool simplify = false;
-  /// Run residue coalescing (coalesce.h) on complement results, collapsing
-  /// the enumerated residue universe back into coarse lrps.
-  bool coalesce = false;
-  /// Intersection fast path exploiting Appendix A.3's observation that
-  /// only tuple pairs with equal free extensions intersect: when both
-  /// relations are normalized to one uniform period, hash-join on the
-  /// residue vectors instead of considering all N^2 pairs.  Off by default
-  /// so the Table 2 benchmarks measure the paper's algorithm.
-  bool use_intersection_index = false;
   /// Partial normalization for projection (the optimization suggested at
   /// the end of Section 3.4): only the columns constraint-connected to the
   /// eliminated ones are normalized; unrelated columns pass through
   /// untouched, avoiding their share of the k^m split.
   bool partial_normalization = true;
   /// Worker threads for the per-tuple / per-tuple-pair kernels of
-  /// Intersect, Join, Subtract, Complement, and Coalesce (0 = the
-  /// ITDB_THREADS / hardware default, 1 = sequential).  Results are
+  /// Intersect, Join, Subtract and Complement (0 = the ITDB_THREADS /
+  /// hardware default, 1 = sequential).  Results are
   /// bit-identical at every thread count: work is partitioned by input
   /// index and merged in input order.  Independent of normalize.threads,
   /// which governs the in-tuple split sweep.
@@ -101,8 +89,8 @@ struct AlgebraOptions {
   /// rather than the raw a x b product.
   bool use_index = true;
   /// Optional instrumentation for the indexed kernels (pairs pruned per
-  /// prefilter, incremental vs full closures, tuples subsumed).  Not owned;
-  /// null disables counting.
+  /// prefilter, incremental vs full closures).  Not owned; null disables
+  /// counting.
   KernelCounters* counters = nullptr;
   /// Optional span tracer (obs/trace.h): every algebra operation opens one
   /// span recording wall/CPU time and input sizes.  Not owned; null falls

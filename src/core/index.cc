@@ -17,7 +17,6 @@ void KernelCounters::Reset() {
   pairs_pruned_hull.store(0, std::memory_order_relaxed);
   closures_incremental.store(0, std::memory_order_relaxed);
   closures_full.store(0, std::memory_order_relaxed);
-  tuples_subsumed.store(0, std::memory_order_relaxed);
 }
 
 bool LrpIntersectionEmpty(const Lrp& a, const Lrp& b) {
@@ -164,16 +163,6 @@ std::span<const std::size_t> DataKeyIndex::Candidates(
     slot = (slot + 1) & table_mask_;
   }
   return {};
-}
-
-std::int64_t DataKeyIndex::CountCandidatePairs(
-    const GeneralizedRelation& probe_rel,
-    const std::vector<int>& probe_cols) const {
-  std::int64_t total = 0;
-  for (const GeneralizedTuple& t : probe_rel.tuples()) {
-    total += static_cast<std::int64_t>(Candidates(t, probe_cols).size());
-  }
-  return total;
 }
 
 TemporalHull TemporalHull::Of(const GeneralizedTuple& t) {

@@ -60,8 +60,6 @@ struct KernelCounters {
   std::atomic<std::int64_t> closures_incremental{0};
   /// Conjunctions that fell back to the full Floyd-Warshall closure.
   std::atomic<std::int64_t> closures_full{0};
-  /// Tuples dropped by SimplifyRelation's subsumption sweep.
-  std::atomic<std::int64_t> tuples_subsumed{0};
 
   void Reset();
 };
@@ -117,11 +115,6 @@ class DataKeyIndex {
   /// key_cols[i].
   std::span<const std::size_t> Candidates(
       const GeneralizedTuple& probe, const std::vector<int>& probe_cols) const;
-
-  /// Sum of group sizes over every tuple of `probe_rel`: the number of
-  /// candidate pairs an indexed scan will visit.  Used for budget checks.
-  std::int64_t CountCandidatePairs(const GeneralizedRelation& probe_rel,
-                                   const std::vector<int>& probe_cols) const;
 
  private:
   bool KeysEqual(const GeneralizedTuple& probe,

@@ -3,36 +3,9 @@
 #include <utility>
 #include <vector>
 
-#include "core/index.h"
+#include "core/normalize.h"
 
 namespace itdb {
-
-namespace {
-
-/// Pass 2 of both Simplify variants: drop tuples subsumed by another
-/// surviving tuple.  Process in order, preferring to keep earlier tuples; a
-/// tuple subsumed by an already dropped tuple is re-tested against the
-/// keepers only, so mutual subsumption (duplicates) keeps exactly one copy.
-Result<std::vector<bool>> SubsumptionDrops(
-    const std::vector<GeneralizedTuple>& live) {
-  std::vector<bool> dropped(live.size(), false);
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    for (std::size_t j = 0; j < live.size(); ++j) {
-      if (i == j || dropped[j] || dropped[i]) continue;
-      ITDB_ASSIGN_OR_RETURN(bool sub, TupleSubsumes(live[j], live[i]));
-      if (sub) {
-        // Keep the lexicographically earlier index on mutual subsumption.
-        ITDB_ASSIGN_OR_RETURN(bool back, TupleSubsumes(live[i], live[j]));
-        if (back && i < j) continue;
-        dropped[i] = true;
-        break;
-      }
-    }
-  }
-  return dropped;
-}
-
-}  // namespace
 
 Result<bool> TupleSubsumes(const GeneralizedTuple& big,
                            const GeneralizedTuple& small) {
@@ -50,43 +23,35 @@ Result<bool> TupleSubsumes(const GeneralizedTuple& big,
   return small_closed.Implies(big.constraints());
 }
 
-Result<GeneralizedRelation> Simplify(const GeneralizedRelation& r,
-                                     const SimplifyOptions& options) {
+Result<GeneralizedRelation> Simplify(const GeneralizedRelation& r) {
   // Pass 1: drop tuples with empty extensions (exact via normal form).
   std::vector<GeneralizedTuple> live;
   for (const GeneralizedTuple& t : r.tuples()) {
     ITDB_ASSIGN_OR_RETURN(std::vector<GeneralizedTuple> normal,
-                          NormalizeTuple(t, options.normalize));
+                          NormalizeTuple(t));
     if (!normal.empty()) live.push_back(t);
   }
-  ITDB_ASSIGN_OR_RETURN(std::vector<bool> dropped, SubsumptionDrops(live));
+  // Pass 2: drop tuples subsumed by another surviving tuple.  Process in
+  // order, preferring to keep earlier tuples; a tuple subsumed by an already
+  // dropped tuple is re-tested against the keepers only, so mutual
+  // subsumption (duplicates) keeps exactly one copy.
+  std::vector<bool> dropped(live.size(), false);
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    for (std::size_t j = 0; j < live.size(); ++j) {
+      if (i == j || dropped[j] || dropped[i]) continue;
+      ITDB_ASSIGN_OR_RETURN(bool sub, TupleSubsumes(live[j], live[i]));
+      if (sub) {
+        // Keep the lexicographically earlier index on mutual subsumption.
+        ITDB_ASSIGN_OR_RETURN(bool back, TupleSubsumes(live[i], live[j]));
+        if (back && i < j) continue;
+        dropped[i] = true;
+        break;
+      }
+    }
+  }
   GeneralizedRelation out(r.schema());
   for (std::size_t i = 0; i < live.size(); ++i) {
     if (!dropped[i]) ITDB_RETURN_IF_ERROR(out.AddTuple(std::move(live[i])));
-  }
-  return out;
-}
-
-Result<GeneralizedRelation> SimplifyRelation(const GeneralizedRelation& r,
-                                             KernelCounters* counters) {
-  // Pass 1 (cheap): drop tuples whose constraints are infeasible already
-  // over the real relaxation -- no normalization, so lattice-empty tuples
-  // with a feasible relaxation survive (sound, not complete).
-  std::vector<GeneralizedTuple> live;
-  for (const GeneralizedTuple& t : r.tuples()) {
-    Dbm closed = t.constraints();
-    ITDB_RETURN_IF_ERROR(closed.Close());
-    if (closed.feasible()) live.push_back(t);
-  }
-  ITDB_ASSIGN_OR_RETURN(std::vector<bool> dropped, SubsumptionDrops(live));
-  GeneralizedRelation out(r.schema());
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    if (!dropped[i]) ITDB_RETURN_IF_ERROR(out.AddTuple(std::move(live[i])));
-  }
-  if (counters != nullptr) {
-    counters->tuples_subsumed.fetch_add(
-        static_cast<std::int64_t>(r.size()) - out.size(),
-        std::memory_order_relaxed);
   }
   return out;
 }

@@ -4,23 +4,17 @@
 // eliminate the redundancies that might appear between the tuples of the
 // merged relation.  We do not consider this problem."  This module is that
 // missing pass: it drops tuples with empty extensions and tuples subsumed by
-// other tuples.  It is exercised by the ablation benchmark
-// bench/bench_ablation_simplify.
+// other tuples.  No algebra operator or query node runs it implicitly;
+// callers that want it (the `simplify` verb, the query fuzz oracle, the
+// ablation benchmark bench/bench_ablation_simplify) call Simplify directly.
 
 #ifndef ITDB_CORE_SIMPLIFY_H_
 #define ITDB_CORE_SIMPLIFY_H_
 
-#include "core/normalize.h"
 #include "core/relation.h"
 #include "util/status.h"
 
 namespace itdb {
-
-struct KernelCounters;  // core/index.h
-
-struct SimplifyOptions {
-  NormalizeOptions normalize;
-};
 
 /// Sufficient (sound, not complete) subsumption test: returns true only when
 /// every concrete row of `small` is provably a row of `big` -- data values
@@ -31,18 +25,7 @@ Result<bool> TupleSubsumes(const GeneralizedTuple& big,
 
 /// Removes tuples whose extension is empty (exact, via normal form) and
 /// tuples subsumed by another remaining tuple.
-Result<GeneralizedRelation> Simplify(const GeneralizedRelation& r,
-                                     const SimplifyOptions& options = {});
-
-/// The cheap variant: only the pairwise subsumption sweep plus the
-/// real-relaxation infeasibility prune -- no normalization, so a tuple with
-/// a nonempty relaxation but an empty lattice extension survives.  Intended
-/// for intermediate results inside query evaluation
-/// (QueryOptions::prune_intermediates), where soundness matters but exact
-/// emptiness is too expensive to pay per operator.  Drops are counted into
-/// `counters` (tuples_subsumed) when provided.
-Result<GeneralizedRelation> SimplifyRelation(const GeneralizedRelation& r,
-                                             KernelCounters* counters = nullptr);
+Result<GeneralizedRelation> Simplify(const GeneralizedRelation& r);
 
 }  // namespace itdb
 

@@ -15,7 +15,6 @@
 
 #include "analysis/analyzer.h"
 #include "core/index.h"
-#include "core/simplify.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/diagnostic.h"
@@ -128,7 +127,6 @@ struct CounterSnapshot {
   std::int64_t pairs_pruned_hull = 0;
   std::int64_t closures_incremental = 0;
   std::int64_t closures_full = 0;
-  std::int64_t tuples_subsumed = 0;
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
 };
@@ -146,8 +144,6 @@ CounterSnapshot SnapshotCounters(const KernelCounters* counters,
     s.closures_incremental =
         counters->closures_incremental.load(std::memory_order_relaxed);
     s.closures_full = counters->closures_full.load(std::memory_order_relaxed);
-    s.tuples_subsumed =
-        counters->tuples_subsumed.load(std::memory_order_relaxed);
   }
   if (cache != nullptr) {
     NormalizeCache::Stats stats = cache->stats();
@@ -162,7 +158,6 @@ struct Evaluator {
   const SortMap& sorts;
   const ActiveDomain& adom;
   const AlgebraOptions& algebra;
-  bool prune_intermediates = false;
   /// Plan-span destination; null disables per-node tracing.
   obs::Tracer* tracer = nullptr;
   /// Planner estimates for the tree being evaluated (keyed by node
@@ -189,9 +184,6 @@ struct Evaluator {
     return SortOf(var) == Sort::kDataInt ? DataType::kInt : DataType::kString;
   }
 
-  /// Opt-in cheap-subsumption sweep on an intermediate result (see
-  /// QueryOptions::prune_intermediates).
-  Result<GeneralizedRelation> MaybePrune(GeneralizedRelation rel) const;
   /// Reorders (and renames nothing) so columns are sorted by name per kind.
   Result<GeneralizedRelation> Canonical(const GeneralizedRelation& rel) const;
   /// Extends `rel` with an unconstrained column for each missing variable
@@ -203,12 +195,6 @@ struct Evaluator {
   Result<GeneralizedRelation> Universe(
       const std::vector<std::string>& vars) const;
 };
-
-Result<GeneralizedRelation> Evaluator::MaybePrune(
-    GeneralizedRelation rel) const {
-  if (!prune_intermediates) return rel;
-  return SimplifyRelation(rel, algebra.counters);
-}
 
 Result<GeneralizedRelation> Evaluator::Canonical(
     const GeneralizedRelation& rel) const {
@@ -624,8 +610,6 @@ Result<GeneralizedRelation> Evaluator::Eval(const Query& q) const {
   span.AddArg("closures_incremental",
               after.closures_incremental - before.closures_incremental);
   span.AddArg("closures_full", after.closures_full - before.closures_full);
-  span.AddArg("tuples_subsumed",
-              after.tuples_subsumed - before.tuples_subsumed);
   span.AddArg("cache_hits", after.cache_hits - before.cache_hits);
   span.AddArg("cache_misses", after.cache_misses - before.cache_misses);
   return result;
@@ -648,16 +632,13 @@ Result<GeneralizedRelation> Evaluator::EvalNode(const Query& q) const {
       // the sequence depends on join order.  Sorting here makes planned and
       // written-order chains bit-identical (query/planner.h).
       canon.SortTuplesCanonical();
-      return MaybePrune(std::move(canon));
+      return canon;
     }
-    case Query::Kind::kOr: {
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation merged, EvalOr(q));
-      return MaybePrune(std::move(merged));
-    }
+    case Query::Kind::kOr:
+      return EvalOr(q);
     case Query::Kind::kNot: {
       ITDB_ASSIGN_OR_RETURN(GeneralizedRelation inner, Eval(*q.left()));
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation negated, EvalNot(inner));
-      return MaybePrune(std::move(negated));
+      return EvalNot(inner);
     }
     case Query::Kind::kExists: {
       ITDB_ASSIGN_OR_RETURN(GeneralizedRelation inner, Eval(*q.left()));
@@ -697,9 +678,6 @@ void FlushKernelCounters(const KernelCounters& counters) {
   obs::AddGlobalCounter(
       "kernel.closures_full",
       counters.closures_full.load(std::memory_order_relaxed));
-  obs::AddGlobalCounter(
-      "kernel.tuples_subsumed",
-      counters.tuples_subsumed.load(std::memory_order_relaxed));
 }
 
 /// The canonical empty result for `q`: the exact schema evaluation would
@@ -768,8 +746,7 @@ Result<GeneralizedRelation> EvalPrepared(const Database& db, Prepared& prepared,
   const SortMap& sorts = prepared.sorts();
   const PlanEstimateMap& estimates = prepared.estimates();
   const analysis::CertificateMap& certificates = prepared.certificates();
-  Evaluator evaluator{db,     sorts,  adom,
-                      algebra, options.prune_intermediates,
+  Evaluator evaluator{db,     sorts,  adom, algebra,
                       tracer, options.cost_plan ? &estimates : nullptr,
                       certificates.empty() ? nullptr : &certificates};
   Result<GeneralizedRelation> result = [&]() {

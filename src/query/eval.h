@@ -75,12 +75,6 @@ struct QueryOptions {
   /// at every thread count (the certified_bounds axis of the fuzz
   /// determinism matrix pins it).  No effect unless `cost_plan` is set.
   bool certified_bounds = true;
-  /// Sweep intermediate results of kAnd / kOr / kNot nodes with the cheap
-  /// subsumption pass (SimplifyRelation): drops duplicate, subsumed, and
-  /// relaxation-infeasible tuples so composed plans don't snowball tuple
-  /// counts.  Semantics-preserving (the represented set is unchanged) but
-  /// NOT representation-preserving, hence opt-in.
-  bool prune_intermediates = false;
   /// Open one span per query-plan node (category "plan", labeled AND / OR /
   /// ATOM ... / EXISTS v) in the resolved tracer, recording wall/CPU time,
   /// tuples_out, and the deltas of the kernel counters and normalize-cache

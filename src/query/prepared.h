@@ -25,8 +25,8 @@
 // optimize, cost_plan, certified_bounds, stats_cache, and trace/tracer for
 // analysis spans) are fixed at construction.  EvalPrepared reads only the
 // evaluation-time knobs of the options it is given (algebra budgets and
-// caches, prune_intermediates, trace, tracer), which is how a session
-// divides a heavy statement's budgets after grading it from the analysis.
+// caches, trace, tracer), which is how a session divides a heavy
+// statement's budgets after grading it from the analysis.
 
 #ifndef ITDB_QUERY_PREPARED_H_
 #define ITDB_QUERY_PREPARED_H_

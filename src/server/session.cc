@@ -711,8 +711,6 @@ Status Session::CmdSet(std::ostream& out, const std::string& args) {
     out << "analyze      " << (options_.query.analyze ? "on" : "off") << "\n";
     out << "optimize     " << (options_.query.optimize ? "on" : "off")
         << "\n";
-    out << "prune        "
-        << (options_.query.prune_intermediates ? "on" : "off") << "\n";
     out << "cost_plan    " << (options_.query.cost_plan ? "on" : "off")
         << "\n";
     out << "certified_bounds "
@@ -731,10 +729,6 @@ Status Session::CmdSet(std::ostream& out, const std::string& args) {
     if (ParseOnOff(value, &options_.query.analyze)) return Status::Ok();
   } else if (name == "optimize") {
     if (ParseOnOff(value, &options_.query.optimize)) return Status::Ok();
-  } else if (name == "prune") {
-    if (ParseOnOff(value, &options_.query.prune_intermediates)) {
-      return Status::Ok();
-    }
   } else if (name == "cost_plan") {
     if (ParseOnOff(value, &options_.query.cost_plan)) return Status::Ok();
   } else if (name == "certified_bounds") {
@@ -847,8 +841,8 @@ Status Session::EvalThroughBatcher(std::string_view verb,
     if (options_.batcher != nullptr || options_.result_cache != nullptr) {
       std::ostringstream fp;
       fp << verb << '\x1f' << prepared.optimized()->ToString() << '\x1f'
-         << opts.analyze << opts.optimize << opts.prune_intermediates
-         << opts.cost_plan << opts.certified_bounds << '\x1f'
+         << opts.analyze << opts.optimize << opts.cost_plan
+         << opts.certified_bounds << '\x1f'
          << opts.algebra.max_tuples << '/'
          << opts.algebra.max_complement_universe << '/'
          << opts.algebra.normalize.max_split_product << '/' << deadline_ms;

@@ -186,44 +186,6 @@ TEST(EquivalentTest, DifferentRepresentationsOfOneSet) {
   EXPECT_TRUE(Subset(missing, whole).value());
 }
 
-class IntersectionIndexTest : public ::testing::TestWithParam<std::uint32_t> {
-};
-
-TEST_P(IntersectionIndexTest, IndexedPathMatchesPairScan) {
-  // Uniform-period relations (the Appendix A.3 shape): both strategies
-  // must produce the same set.
-  RandomRelationConfig cfg;
-  cfg.periods = {6};
-  cfg.num_tuples = 6;
-  GeneralizedRelation a = MakeRandomRelation(GetParam() * 2 + 1500, cfg);
-  GeneralizedRelation b = MakeRandomRelation(GetParam() * 2 + 1501, cfg);
-  AlgebraOptions plain;
-  AlgebraOptions indexed;
-  indexed.use_intersection_index = true;
-  Result<GeneralizedRelation> slow = Intersect(a, b, plain);
-  Result<GeneralizedRelation> fast = Intersect(a, b, indexed);
-  ASSERT_TRUE(slow.ok());
-  ASSERT_TRUE(fast.ok()) << fast.status();
-  EXPECT_EQ(fast.value().Enumerate(-20, 20), slow.value().Enumerate(-20, 20));
-}
-
-TEST_P(IntersectionIndexTest, MixedPeriodsFallBackCorrectly) {
-  RandomRelationConfig cfg;
-  cfg.periods = {2, 3, 6};
-  GeneralizedRelation a = MakeRandomRelation(GetParam() * 2 + 1700, cfg);
-  GeneralizedRelation b = MakeRandomRelation(GetParam() * 2 + 1701, cfg);
-  AlgebraOptions indexed;
-  indexed.use_intersection_index = true;
-  Result<GeneralizedRelation> fast = Intersect(a, b, indexed);
-  Result<GeneralizedRelation> slow = Intersect(a, b);
-  ASSERT_TRUE(fast.ok());
-  ASSERT_TRUE(slow.ok());
-  EXPECT_EQ(fast.value().Enumerate(-20, 20), slow.value().Enumerate(-20, 20));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, IntersectionIndexTest,
-                         ::testing::Range(std::uint32_t{0}, std::uint32_t{20}));
-
 class EquivalenceChecksEnumerationTest
     : public ::testing::TestWithParam<std::uint32_t> {};
 

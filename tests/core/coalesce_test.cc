@@ -111,19 +111,6 @@ TEST(CoalesceTest, ComplementOutputCompresses) {
   EXPECT_TRUE(Equivalent(packed.value(), comp.value()).value());
 }
 
-TEST(CoalesceTest, ComplementOptionAppliesThePass) {
-  GeneralizedRelation r = Unary({Lrp::Make(3, 30)});
-  AlgebraOptions plain;
-  Result<GeneralizedRelation> raw = Complement(r, plain);
-  ASSERT_TRUE(raw.ok());
-  AlgebraOptions with_coalesce;
-  with_coalesce.coalesce = true;
-  Result<GeneralizedRelation> packed = Complement(r, with_coalesce);
-  ASSERT_TRUE(packed.ok());
-  EXPECT_LT(packed.value().size(), raw.value().size());
-  EXPECT_TRUE(Equivalent(packed.value(), raw.value()).value());
-}
-
 class CoalescePropertyTest : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(CoalescePropertyTest, PreservesSemanticsAndNeverGrows) {

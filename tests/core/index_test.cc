@@ -111,7 +111,6 @@ TEST(DataKeyIndexTest, EmptyKeyDegeneratesToRawProduct) {
   DataKeyIndex index(r, {});
   EXPECT_EQ(ToVec(index.Candidates(Probe(99), {})),
             (std::vector<std::size_t>{0, 1, 2}));
-  EXPECT_EQ(index.CountCandidatePairs(r, {}), 9);
 }
 
 TEST(DataKeyIndexTest, EmptyRelationHasNoCandidates) {
@@ -121,14 +120,6 @@ TEST(DataKeyIndexTest, EmptyRelationHasNoCandidates) {
   GeneralizedRelation unkeyed = KeyedRelation({});
   DataKeyIndex index2(unkeyed, {});
   EXPECT_TRUE(index2.Candidates(Probe(1), {}).empty());
-}
-
-TEST(DataKeyIndexTest, CountCandidatePairsMatchesBucketSizes) {
-  GeneralizedRelation r = KeyedRelation({1, 2, 1, 3, 1});
-  GeneralizedRelation probes = KeyedRelation({1, 3, 7});
-  DataKeyIndex index(r, {0});
-  // Probe 1 hits 3 tuples, probe 3 hits 1, probe 7 hits 0.
-  EXPECT_EQ(index.CountCandidatePairs(probes, {0}), 4);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 
 #include "common/random_relations.h"
 #include "core/algebra.h"
+#include "core/coalesce.h"
 #include "core/normalize.h"
 #include "core/normalize_cache.h"
 
@@ -111,11 +112,12 @@ TEST(ParallelAlgebraTest, CoalescedComplementMatchesSequential) {
   cfg.periods = {0, 2, 4};  // Keep the residue universe small (k <= 4).
   for (std::uint32_t seed = 100; seed < 108; ++seed) {
     GeneralizedRelation r = MakeRandomRelation(seed, cfg);
-    AlgebraOptions seq = WithThreads(1);
-    seq.coalesce = true;
-    AlgebraOptions par = WithThreads(4);
-    par.coalesce = true;
-    EXPECT_EQ(Render(Complement(r, seq)), Render(Complement(r, par)))
+    auto coalesced = [&](int threads) -> Result<GeneralizedRelation> {
+      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation comp,
+                            Complement(r, WithThreads(threads)));
+      return CoalesceResidues(comp, threads);
+    };
+    EXPECT_EQ(Render(coalesced(1)), Render(coalesced(4)))
         << "Complement seed " << seed;
   }
 }

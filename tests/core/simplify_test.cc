@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/algebra.h"
-#include "core/index.h"
-
 namespace itdb {
 namespace {
 
@@ -82,18 +79,6 @@ TEST(SimplifyTest, PreservesSemantics) {
   EXPECT_LT(s.value().size(), r.size());
 }
 
-TEST(SimplifyTest, ViaAlgebraOptionsFlag) {
-  GeneralizedRelation a(Schema::Temporal(1));
-  ASSERT_TRUE(a.AddTuple(GeneralizedTuple({Lrp::Make(0, 2)})).ok());
-  GeneralizedRelation b(Schema::Temporal(1));
-  ASSERT_TRUE(b.AddTuple(GeneralizedTuple({Lrp::Make(0, 4)})).ok());
-  AlgebraOptions options;
-  options.simplify = true;
-  Result<GeneralizedRelation> u = Union(a, b, options);
-  ASSERT_TRUE(u.ok());
-  EXPECT_EQ(u.value().size(), 1);  // 0+4n subsumed by 0+2n.
-}
-
 // ---------------------------------------------------------------------------
 // TupleSubsumes on lrp-period mismatches: Includes is exact on residue
 // classes, so coprime or shifted periods never subsume even when their
@@ -134,36 +119,16 @@ TEST(TupleSubsumesTest, PuncturedComplementIsSoundNotComplete) {
 }
 
 // ---------------------------------------------------------------------------
-// SimplifyRelation: the cheap sweep used on query intermediates.
+// Exact emptiness: Simplify decides it on the lattice, not the relaxation.
 
-TEST(SimplifyRelationTest, DropsInfeasibleSubsumedAndDuplicateTuples) {
-  GeneralizedRelation r(Schema::Temporal(1));
-  GeneralizedTuple infeasible({Lrp::Make(0, 2)});
-  infeasible.mutable_constraints().AddUpperBound(0, 0);
-  infeasible.mutable_constraints().AddLowerBound(0, 1);
-  ASSERT_TRUE(r.AddTuple(std::move(infeasible)).ok());
-  ASSERT_TRUE(r.AddTuple(GeneralizedTuple({Lrp::Make(0, 2)})).ok());
-  ASSERT_TRUE(r.AddTuple(GeneralizedTuple({Lrp::Make(0, 4)})).ok());
-  ASSERT_TRUE(r.AddTuple(GeneralizedTuple({Lrp::Make(0, 2)})).ok());
-  KernelCounters counters;
-  Result<GeneralizedRelation> s = SimplifyRelation(r, &counters);
-  ASSERT_TRUE(s.ok());
-  EXPECT_EQ(s.value().size(), 1);
-  EXPECT_EQ(s.value().tuples()[0].lrp(0), Lrp::Make(0, 2));
-  EXPECT_EQ(counters.tuples_subsumed.load(), 3);
-}
-
-TEST(SimplifyRelationTest, KeepsLatticeEmptyTuplesFullSimplifyDrops) {
+TEST(SimplifyTest, DropsLatticeEmptyTuples) {
   // 0+8n with T1 - T2 = 3 has an empty lattice extension (8 | difference
-  // of equal-period columns) but a feasible real relaxation: the cheap
-  // sweep must keep it, the exact Simplify must drop it.
+  // of equal-period columns) but a feasible real relaxation: the exact
+  // Simplify must drop it.
   GeneralizedRelation r(Schema::Temporal(2));
   GeneralizedTuple dead({Lrp::Make(0, 8), Lrp::Make(1, 8)});
   dead.mutable_constraints().AddDifferenceEquality(0, 1, 3);
   ASSERT_TRUE(r.AddTuple(std::move(dead)).ok());
-  Result<GeneralizedRelation> cheap = SimplifyRelation(r);
-  ASSERT_TRUE(cheap.ok());
-  EXPECT_EQ(cheap.value().size(), 1);  // Sound, not complete.
   Result<GeneralizedRelation> exact = Simplify(r);
   ASSERT_TRUE(exact.ok());
   EXPECT_EQ(exact.value().size(), 0);

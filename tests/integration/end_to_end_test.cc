@@ -100,10 +100,9 @@ TEST(EndToEndTest, FactoryScenario) {
   Result<GeneralizedRelation> day_cover = query::EvalQueryString(
       db, "EXISTS s . EXISTS e . Shift(s, e, \"day\") AND s <= t AND t < e");
   ASSERT_TRUE(day_cover.ok());
-  AlgebraOptions coalescing;
-  coalescing.coalesce = true;
-  Result<GeneralizedRelation> gaps =
-      Complement(day_cover.value(), coalescing);
+  Result<GeneralizedRelation> complement = Complement(day_cover.value());
+  ASSERT_TRUE(complement.ok());
+  Result<GeneralizedRelation> gaps = CoalesceResidues(complement.value());
   ASSERT_TRUE(gaps.ok());
   // Day shift covers [0, 8) of every 24: the gap is 16 residues of period
   // 24.  Residue coalescing pairs 8 of them into period-12 classes (the

@@ -254,29 +254,6 @@ TEST(EvalTest, Example41FullQuery) {
   EXPECT_TRUE(r.value());
 }
 
-TEST(EvalTest, PruneIntermediatesPreservesSemantics) {
-  Database db = SmallDb();
-  // OR of overlapping atoms piles up redundant tuples; AND and NOT route
-  // the pruned intermediates through joins and complements.
-  const std::string queries[] = {
-      "P(t) OR P(t) OR Q(t)",
-      "(P(t) OR Q(t)) AND NOT Q(t)",
-      "EXISTS u . (P(u) OR P(u)) AND Less(u, t)",
-  };
-  for (const std::string& text : queries) {
-    QueryOptions plain;
-    QueryOptions pruned;
-    pruned.prune_intermediates = true;
-    Result<GeneralizedRelation> a = EvalQueryString(db, text, plain);
-    Result<GeneralizedRelation> b = EvalQueryString(db, text, pruned);
-    ASSERT_TRUE(a.ok()) << a.status() << " for " << text;
-    ASSERT_TRUE(b.ok()) << b.status() << " for " << text;
-    EXPECT_EQ(a.value().Enumerate(-40, 40), b.value().Enumerate(-40, 40))
-        << text;
-    EXPECT_LE(b.value().size(), a.value().size()) << text;
-  }
-}
-
 }  // namespace
 }  // namespace itdb
 }  // namespace query

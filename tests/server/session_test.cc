@@ -137,6 +137,33 @@ TEST_F(SessionTest, SetListsAndUpdatesOptions) {
   EXPECT_FALSE(status.ok());
 }
 
+TEST_F(SessionTest, EveryListedOptionParsesAndPruneIsGone) {
+  // Each line of the bare `set` listing is `<name> <value>`; feeding it
+  // back verbatim must be accepted, so the listing and the parser agree.
+  Session session(&*shared_);
+  Status status;
+  std::string listing = Run(session, "set", &status);
+  ASSERT_TRUE(status.ok());
+  std::istringstream lines(listing);
+  std::string line;
+  int options = 0;
+  while (std::getline(lines, line)) {
+    std::istringstream fields(line);
+    std::string name;
+    std::string value;
+    ASSERT_TRUE(fields >> name >> value) << line;
+    Run(session, "set " + name + " " + value, &status);
+    EXPECT_TRUE(status.ok()) << line << ": " << status;
+    ++options;
+  }
+  EXPECT_GE(options, 6) << listing;
+  EXPECT_EQ(Run(session, "set", &status), listing);
+  Run(session, "set prune on", &status);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("unknown option"), std::string::npos)
+      << status;
+}
+
 TEST_F(SessionTest, ReadOnlySessionRejectsMutation) {
   SessionOptions options;
   options.read_only = true;
