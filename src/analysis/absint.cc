@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/value.h"
 #include "util/numeric.h"
 
 namespace itdb {
@@ -60,48 +59,6 @@ Bound PowBound(const Bound& base, int exp) {
   return out;
 }
 
-/// Collects the query's constants into the active-domain sets, mirroring
-/// the evaluator's CollectQueryConstants (query/eval.cc) exactly: atom
-/// string constants and data-position integer constants, plus comparison
-/// string constants.
-void CollectConstants(const Database& db, const query::Query& q,
-                      std::set<Value>& strings, std::set<Value>& ints) {
-  using query::Query;
-  using query::Term;
-  switch (q.kind()) {
-    case Query::Kind::kAtom: {
-      Result<GeneralizedRelation> rel = db.Get(q.relation());
-      if (!rel.ok()) return;
-      const Schema& schema = rel.value().schema();
-      for (std::size_t i = 0; i < q.args().size(); ++i) {
-        const Term& t = q.args()[i];
-        bool data_pos = static_cast<int>(i) >= schema.temporal_arity();
-        if (t.kind == Term::Kind::kString) {
-          strings.insert(Value(t.text));
-        } else if (t.kind == Term::Kind::kInt && data_pos) {
-          ints.insert(Value(t.number));
-        }
-      }
-      break;
-    }
-    case Query::Kind::kCmp:
-      for (const Term* t : {&q.lhs(), &q.rhs()}) {
-        if (t->kind == Term::Kind::kString) strings.insert(Value(t->text));
-      }
-      break;
-    case Query::Kind::kAnd:
-    case Query::Kind::kOr:
-      CollectConstants(db, *q.left(), strings, ints);
-      CollectConstants(db, *q.right(), strings, ints);
-      break;
-    case Query::Kind::kNot:
-    case Query::Kind::kExists:
-    case Query::Kind::kForall:
-      CollectConstants(db, *q.left(), strings, ints);
-      break;
-  }
-}
-
 }  // namespace
 
 Interval Interval::Intersect(const Interval& o) const {
@@ -146,37 +103,6 @@ std::string FormatInterval(const Interval& i) {
   return out.str();
 }
 
-Interval WidenInterval(const Interval& prev, const Interval& next) {
-  if (prev.empty()) return next;
-  if (next.empty()) return prev;
-  Interval out = next;
-  if (next.lo < prev.lo) out.lo = -kInf;
-  if (next.hi > prev.hi) out.hi = kInf;
-  return out;
-}
-
-FixpointResult IterateToFixpoint(Interval init,
-                                 const std::function<Interval(Interval)>& step,
-                                 const FixpointBudget& budget) {
-  FixpointResult out;
-  out.value = init;
-  while (out.iterations < budget.max_iterations) {
-    Interval next = out.value.Union(step(out.value));
-    if (out.iterations >= budget.widening_delay && !(next == out.value)) {
-      next = WidenInterval(out.value, next);
-      out.widened = true;
-    }
-    ++out.iterations;
-    if (next == out.value) {
-      out.converged = true;
-      return out;
-    }
-    out.value = next;
-  }
-  out.converged = out.value.Union(step(out.value)) == out.value;
-  return out;
-}
-
 bool Certificate::HullRefuted() const {
   for (const auto& [var, interval] : hull) {
     if (interval.empty()) return true;
@@ -204,28 +130,11 @@ std::string FormatCertificate(const Certificate& c) {
 
 AbstractInterpreter::AbstractInterpreter(const Database& db,
                                          query::SortMap sorts,
-                                         StatsCache* stats_cache,
-                                         FixpointBudget budget)
-    : db_(db),
-      sorts_(std::move(sorts)),
-      stats_cache_(stats_cache),
-      budget_(budget) {}
+                                         StatsCache* stats_cache)
+    : db_(db), sorts_(std::move(sorts)), stats_cache_(stats_cache) {}
 
 void AbstractInterpreter::SeedActiveDomain(const query::Query& q) {
-  std::set<Value> strings;
-  std::set<Value> ints;
-  for (const std::string& name : db_.Names()) {
-    Result<GeneralizedRelation> rel = db_.Get(name);
-    if (!rel.ok()) continue;
-    for (const GeneralizedTuple& t : rel.value().tuples()) {
-      for (const Value& v : t.data()) {
-        (v.IsString() ? strings : ints).insert(v);
-      }
-    }
-  }
-  CollectConstants(db_, q, strings, ints);
-  adom_strings_ = static_cast<std::int64_t>(strings.size());
-  adom_ints_ = static_cast<std::int64_t>(ints.size());
+  adom_ = query::ComputeActiveDomain(db_, q);
   domain_seeded_ = true;
 }
 
@@ -247,9 +156,9 @@ void AbstractInterpreter::Register(const query::Query* q, Certificate cert) {
 std::int64_t AbstractInterpreter::domain_size(query::Sort sort) const {
   switch (sort) {
     case query::Sort::kDataString:
-      return adom_strings_;
+      return static_cast<std::int64_t>(adom_.strings.size());
     case query::Sort::kDataInt:
-      return adom_ints_;
+      return static_cast<std::int64_t>(adom_.ints.size());
     case query::Sort::kTime:
       break;
   }
@@ -258,7 +167,7 @@ std::int64_t AbstractInterpreter::domain_size(query::Sort sort) const {
 
 std::optional<std::int64_t> AbstractInterpreter::CapLcm(
     std::optional<std::int64_t> l) const {
-  if (!l.has_value() || *l > budget_.max_period_lcm) return std::nullopt;
+  if (!l.has_value() || *l > kMaxCertifiedLcm) return std::nullopt;
   return l;
 }
 
@@ -308,7 +217,7 @@ Certificate AbstractInterpreter::Node(const query::Query& q) {
       cert = DisjoinCert(q, Node(*q.left()), Node(*q.right()));
       break;
     case Query::Kind::kNot:
-      cert = ComplementCert(q, Node(*q.left()));
+      cert = ComplementCert(Node(*q.left()));
       break;
     case Query::Kind::kExists:
       cert = ExistsCert(q, Node(*q.left()));
@@ -505,8 +414,7 @@ Certificate AbstractInterpreter::DisjoinCert(const query::Query& q,
 }
 
 Certificate AbstractInterpreter::ComplementCert(
-    const query::Query& q, const Certificate& child) const {
-  (void)q;
+    const Certificate& child) const {
   Certificate cert;
   // Cardinality: the complement enumerates a k^m residue universe --
   // unbounded from the certificate's point of view.  Hull: the complement

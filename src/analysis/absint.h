@@ -13,11 +13,10 @@
 //
 //   * interval hull: per free temporal variable, an interval containing
 //     every value that variable takes in the node's denotation (the SET,
-//     not the representation).  Widening (WidenInterval) keeps iterative
-//     uses -- the future Datalog fixpoint layer -- terminating.  An empty
-//     hull interval refutes the node at the set level; like A009's
-//     set-empty grade it must never drive a rewrite, because the evaluator
-//     may still represent the empty set with infeasible tuples.
+//     not the representation).  An empty hull interval refutes the node at
+//     the set level; like A009's set-empty grade it must never drive a
+//     rewrite, because the evaluator may still represent the empty set with
+//     infeasible tuples.
 //
 //   * cardinality: an upper bound on the number of generalized tuples in
 //     the node's result REPRESENTATION, seeded from
@@ -39,18 +38,16 @@
 // overflow).  Unbounded certificates gate result-cache admission and
 // drive the A017 diagnostic; bounded-but-huge ones drive A014/A015.
 //
-// FixpointBudget is the reusable knob set for iterative consumers: the
-// ROADMAP Datalog/transitive-closure layer runs semi-naive iteration with
-// exactly these limits (widening delay for hulls, an lcm growth budget for
-// the period lattice), and IterateToFixpoint is its contract in miniature:
-// it terminates within widening_delay + 3 joins for ANY monotone step
-// function, which the widening-convergence tests pin.
+// One interpreter serves a whole statement: the analyzer's pass 5 builds
+// it over the parsed tree (analyzer.h), the planner interprets the
+// optimized tree on the same instance and clamps its estimates with it
+// (query/planner.h), and evaluation ranges data variables over its active
+// domain (query/prepared.h).
 
 #ifndef ITDB_ANALYSIS_ABSINT_H_
 #define ITDB_ANALYSIS_ABSINT_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -92,45 +89,9 @@ struct Interval {
 /// Formats "[lo, hi]" with inf sentinels, "empty" for empty intervals.
 std::string FormatInterval(const Interval& i);
 
-/// Budgets for iterative abstract interpretation.  The AST interpreter
-/// below is structurally recursive and needs none of them to terminate;
-/// they exist for fixpoint consumers (the planned Datalog layer) and bound
-/// every certificate the interpreter reports.
-struct FixpointBudget {
-  /// Joins tolerated before WidenInterval snaps unstable bounds to
-  /// infinity.  IterateToFixpoint converges within widening_delay + 3
-  /// iterations for monotone steps.
-  int widening_delay = 3;
-  /// Hard iteration cap for fixpoint loops (diverging non-monotone steps).
-  int max_iterations = 64;
-  /// Period-lcm growth budget: a certified lcm above this is reported as
-  /// unbounded (nullopt) rather than propagated -- the Datalog layer stops
-  /// materializing beyond it.
-  std::int64_t max_period_lcm = 1'000'000'000;
-};
-
-/// Interval widening: bounds of `next` that moved past `prev`'s jump to
-/// infinity; stable bounds keep `next`'s value.  Standard guarantee: any
-/// ascending chain stabilizes after finitely many widenings (here: one,
-/// per side).
-Interval WidenInterval(const Interval& prev, const Interval& next);
-
-struct FixpointResult {
-  Interval value;
-  int iterations = 0;
-  bool widened = false;
-  /// step(value) <= value held when the loop stopped (always true for
-  /// monotone steps; false only when max_iterations tripped first).
-  bool converged = false;
-};
-
-/// Iterates value := value UNION step(value) with widening after
-/// budget.widening_delay rounds, until the value stabilizes or
-/// budget.max_iterations is hit.  This is the loop shape the Datalog layer
-/// will run per IDB predicate and temporal attribute.
-FixpointResult IterateToFixpoint(Interval init,
-                                 const std::function<Interval(Interval)>& step,
-                                 const FixpointBudget& budget);
+/// Period-lcm budget: a certified lcm above this is reported as unbounded
+/// (nullopt) rather than propagated.
+inline constexpr std::int64_t kMaxCertifiedLcm = 1'000'000'000;
 
 /// A sound bound triple for one query node.  nullopt = unbounded (top).
 struct Certificate {
@@ -156,27 +117,28 @@ std::string FormatCertificate(const Certificate& c);
 using CertificateMap = std::map<const query::Query*, Certificate>;
 
 /// Bottom-up abstract interpreter over a query tree.  One instance is tied
-/// to one Database snapshot + SortMap; Interpret() memoizes per node, and
+/// to one Database snapshot + SortMap + active domain; Interpret() memoizes
+/// per node (so trees that share subtrees share their certificates), and
 /// the planner registers certificates for the nodes it rebuilds so the
 /// planned tree is fully annotated.
 class AbstractInterpreter {
  public:
   /// `sorts` must cover every variable of the queries interpreted (the
   /// analyzer's pass-1 output).  `stats_cache` may be null (statistics are
-  /// then computed per relation per instance).  Active-domain sizes are
+  /// then computed per relation per instance).  The active domain is
   /// seeded lazily from the first Interpret() argument unless
   /// SeedActiveDomain was called; seed with the ORIGINAL query when
   /// interpreting a rewritten tree, since the evaluator's data universes
-  /// are sized from the original constants.
+  /// come from the original constants.
   AbstractInterpreter(const Database& db, query::SortMap sorts,
-                      StatsCache* stats_cache = nullptr,
-                      FixpointBudget budget = {});
+                      StatsCache* stats_cache = nullptr);
 
   AbstractInterpreter(const AbstractInterpreter&) = delete;
   AbstractInterpreter& operator=(const AbstractInterpreter&) = delete;
 
-  /// Counts the evaluator's active domain (all data values in `db` plus
-  /// the constants of `q`), fixing the domain sizes for this instance.
+  /// Computes the evaluator's active domain (all data values in `db` plus
+  /// the constants of `q`; query::ComputeActiveDomain), fixing it for this
+  /// instance.
   void SeedActiveDomain(const query::Query& q);
 
   /// Interprets the tree rooted at `q`, memoizing a Certificate for every
@@ -195,8 +157,9 @@ class AbstractInterpreter {
   Certificate Conjoin(const Certificate& l, const Certificate& r) const;
 
   const CertificateMap& certificates() const { return certs_; }
-  const FixpointBudget& budget() const { return budget_; }
 
+  /// The seeded active domain (empty before seeding).
+  const query::ActiveDomain& active_domain() const { return adom_; }
   /// Active-domain size for a data sort (0 before seeding).
   std::int64_t domain_size(query::Sort sort) const;
 
@@ -206,11 +169,10 @@ class AbstractInterpreter {
   Certificate CmpCert(const query::Query& q);
   Certificate DisjoinCert(const query::Query& q, const Certificate& l,
                           const Certificate& r) const;
-  Certificate ComplementCert(const query::Query& q,
-                             const Certificate& child) const;
+  Certificate ComplementCert(const Certificate& child) const;
   Certificate ExistsCert(const query::Query& q,
                          const Certificate& child) const;
-  /// nullopt when the lcm exceeds budget_.max_period_lcm (treated as top).
+  /// nullopt when the lcm exceeds kMaxCertifiedLcm (treated as top).
   std::optional<std::int64_t> CapLcm(std::optional<std::int64_t> l) const;
   RelationStats StatsFor(const std::string& name,
                          const GeneralizedRelation& rel) const;
@@ -224,10 +186,8 @@ class AbstractInterpreter {
   const Database& db_;
   query::SortMap sorts_;
   StatsCache* stats_cache_;
-  FixpointBudget budget_;
   bool domain_seeded_ = false;
-  std::int64_t adom_strings_ = 0;
-  std::int64_t adom_ints_ = 0;
+  query::ActiveDomain adom_;
   CertificateMap certs_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -237,71 +238,59 @@ AnalysisResult Analyze(const Database& db, const QueryPtr& q,
   result.sorts = sorted.sorts;
   CheckStructure(*q, result.sorts, &result.diagnostics);
 
-  // Passes 2-4 need a valid SortMap.
+  // Passes 2-5 need a valid SortMap.
   if (!result.HasErrors()) {
-    if (options.check_safety) {
-      SafetyPass(*q, result.sorts, sorted.var_spans, &result.diagnostics);
+    SafetyPass(*q, result.sorts, sorted.var_spans, &result.diagnostics);
+
+    EmptinessProof proof = ProveEmptySubplans(db, *q, result.sorts);
+    result.proven_empty = std::move(proof.empty);
+    result.proven_bit_empty = std::move(proof.bit_empty);
+    result.root_proven_empty = result.proven_empty.contains(q.get());
+    result.root_proven_bit_empty = result.proven_bit_empty.contains(q.get());
+    ReportEmpty(*q, result.proven_empty, &result.diagnostics);
+
+    CostDiagnostics(db, *q, result.sorts, &result.diagnostics);
+
+    // Pass 5: abstract interpretation.  Certified counterparts of the cost
+    // heuristics (A014/A015), hull refutations the emptiness prover cannot
+    // see (A016), and uncertifiable queries (A017).
+    result.interpreter = std::make_shared<AbstractInterpreter>(
+        db, result.sorts, options.stats_cache);
+    const Certificate& root = result.interpreter->Interpret(q);
+    result.root_certificate = root;
+    ReportHullRefuted(*q, result.interpreter->certificates(),
+                      result.proven_empty, &result.diagnostics);
+    if (root.rows.has_value() && *root.rows > kCertifiedRowsThreshold) {
+      Report(&result.diagnostics, Severity::kWarning,
+             diag::kCertifiedHugeCardinality, q->span(),
+             "certified result size is huge: up to " +
+                 std::to_string(*root.rows) +
+                 " generalized tuples (threshold " +
+                 std::to_string(kCertifiedRowsThreshold) + ")");
     }
-    if (options.check_emptiness) {
-      EmptinessProof proof = ProveEmptySubplans(db, *q, result.sorts);
-      result.proven_empty = std::move(proof.empty);
-      result.proven_bit_empty = std::move(proof.bit_empty);
-      result.root_proven_empty = result.proven_empty.contains(q.get());
-      result.root_proven_bit_empty =
-          result.proven_bit_empty.contains(q.get());
-      ReportEmpty(*q, result.proven_empty, &result.diagnostics);
+    if (root.lcm.has_value() && *root.lcm > kPeriodBlowupThreshold) {
+      Report(&result.diagnostics, Severity::kWarning,
+             diag::kCertifiedPeriodBlowup, q->span(),
+             "certified period lcm " + std::to_string(*root.lcm) +
+                 " exceeds the blowup threshold " +
+                 std::to_string(kPeriodBlowupThreshold),
+             "normalization may split each tuple up to the lcm; narrow "
+             "the periodic relations involved");
     }
-    if (options.check_cost) {
-      CostOptions cost;
-      cost.period_blowup_threshold = options.period_blowup_threshold;
-      cost.complement_width_threshold = options.complement_width_threshold;
-      CostDiagnostics(db, *q, result.sorts, cost, &result.diagnostics);
+    if (!root.bounded()) {
+      Report(&result.diagnostics, Severity::kNote,
+             diag::kUnboundedCertificate, q->span(),
+             "no finite certificate: the result's " +
+                 std::string(!root.rows.has_value() ? "cardinality"
+                                                    : "period structure") +
+                 " cannot be bounded statically" +
+                 std::string(!root.rows.has_value() && !root.lcm.has_value()
+                                 ? " (nor its period structure)"
+                                 : ""));
     }
-    if (options.check_certificates) {
-      // Pass 5: abstract interpretation.  Certified counterparts of the
-      // cost heuristics (A014/A015), hull refutations the emptiness prover
-      // cannot see (A016), and uncertifiable queries (A017).
-      AbstractInterpreter interp(db, result.sorts, options.stats_cache,
-                                 options.budget);
-      const Certificate& root = interp.Interpret(q);
-      result.root_certificate = root;
-      ReportHullRefuted(*q, interp.certificates(), result.proven_empty,
-                        &result.diagnostics);
-      if (root.rows.has_value() &&
-          *root.rows > options.certified_rows_threshold) {
-        Report(&result.diagnostics, Severity::kWarning,
-               diag::kCertifiedHugeCardinality, q->span(),
-               "certified result size is huge: up to " +
-                   std::to_string(*root.rows) +
-                   " generalized tuples (threshold " +
-                   std::to_string(options.certified_rows_threshold) + ")");
-      }
-      if (root.lcm.has_value() &&
-          *root.lcm > options.period_blowup_threshold) {
-        Report(&result.diagnostics, Severity::kWarning,
-               diag::kCertifiedPeriodBlowup, q->span(),
-               "certified period lcm " + std::to_string(*root.lcm) +
-                   " exceeds the blowup threshold " +
-                   std::to_string(options.period_blowup_threshold),
-               "normalization may split each tuple up to the lcm; narrow "
-               "the periodic relations involved");
-      }
-      if (!root.bounded()) {
-        Report(&result.diagnostics, Severity::kNote,
-               diag::kUnboundedCertificate, q->span(),
-               "no finite certificate: the result's " +
-                   std::string(!root.rows.has_value() ? "cardinality"
-                                                      : "period structure") +
-                   " cannot be bounded statically" +
-                   std::string(!root.rows.has_value() && !root.lcm.has_value()
-                                   ? " (nor its period structure)"
-                                   : ""));
-      }
-      result.certificates = interp.certificates();
-      obs::AddGlobalCounter(
-          "analysis.certificates",
-          static_cast<std::int64_t>(result.certificates.size()));
-    }
+    obs::AddGlobalCounter(
+        "analysis.certificates",
+        static_cast<std::int64_t>(result.interpreter->certificates().size()));
   }
 
   span.AddArg("diagnostics",

@@ -21,10 +21,16 @@
 //   4. complexity / cost estimates (cost.h): complements over wide
 //      operands (NP-complete regime, Theorem 3.5; A010), conjunctions with
 //      no shared attributes (cross products; A011), and period-blowup
-//      estimates from the lcm of operand periods (A012).
+//      estimates from the lcm of operand periods (A012);
+//   5. certified bounds (absint.h): the certified counterparts of the
+//      cost heuristics (A014/A015), hull refutations (A016) and
+//      uncertifiable queries (A017).  The pass-5 interpreter is kept in
+//      the result, so the planner and evaluation reuse its certificates
+//      and its active domain instead of computing their own.
 //
-// Passes 2-4 only run when pass 1 found no errors (their inputs -- the
-// SortMap -- would be meaningless otherwise).
+// Passes 2-5 only run when pass 1 found no errors (their inputs -- the
+// SortMap -- would be meaningless otherwise).  No pass can be switched
+// off, and the thresholds are the constants of cost.h.
 //
 // Soundness contract (pinned by the fuzz oracle, fuzz/query_oracle.h):
 // every node in `proven_empty` denotes the empty relation, and
@@ -38,11 +44,12 @@
 #ifndef ITDB_ANALYSIS_ANALYZER_H_
 #define ITDB_ANALYSIS_ANALYZER_H_
 
-#include <cstdint>
+#include <memory>
 #include <set>
 #include <vector>
 
 #include "analysis/absint.h"
+#include "analysis/cost.h"
 #include "obs/trace.h"
 #include "query/ast.h"
 #include "query/sorts.h"
@@ -52,24 +59,9 @@
 namespace itdb {
 namespace analysis {
 
+/// Wiring only: which caches and tracer the passes use.  The passes
+/// themselves always run, against the thresholds in cost.h.
 struct AnalyzeOptions {
-  bool check_safety = true;
-  bool check_emptiness = true;
-  bool check_cost = true;
-  /// Pass 5: abstract interpretation (absint.h).  Fills
-  /// AnalysisResult::certificates and reports A014-A017.
-  bool check_certificates = true;
-  /// A012 fires when the lcm of the periods reachable from the root
-  /// exceeds this.  A015 is its certified counterpart: it fires when the
-  /// CERTIFIED root lcm exceeds the same threshold.
-  std::int64_t period_blowup_threshold = 720;
-  /// A010 fires for complements (NOT / FORALL) whose operand has at least
-  /// this many free temporal variables.
-  int complement_width_threshold = 2;
-  /// A014 fires when the certified root cardinality exceeds this.
-  std::int64_t certified_rows_threshold = 1'000'000;
-  /// Budgets for the certificate pass (widening + lcm growth).
-  FixpointBudget budget;
   /// Statistics cache for the certificate pass; null computes stats per
   /// relation on the fly.  Not owned.
   StatsCache* stats_cache = nullptr;
@@ -92,9 +84,12 @@ struct AnalysisResult {
   std::set<const query::Query*> proven_bit_empty;
   bool root_proven_empty = false;
   bool root_proven_bit_empty = false;
-  /// Pass-5 certificates for every node of `root`'s tree (empty when
-  /// check_certificates was off or pass 1 found errors).
-  CertificateMap certificates;
+  /// The pass-5 interpreter, holding a certificate for every node of
+  /// `root`'s tree and the statement's active domain (seeded from `root`).
+  /// Null when pass 1 found errors.  Tied to the analyzed Database: the
+  /// planner interprets the optimized tree on the same instance
+  /// (query/prepared.h).
+  std::shared_ptr<AbstractInterpreter> interpreter;
   /// The root node's certificate (top when the pass did not run).
   Certificate root_certificate;
 

@@ -37,7 +37,6 @@ int FreeTemporalWidth(const Query& q, const SortMap& sorts) {
 struct CostWalker {
   const Database& db;
   const SortMap& sorts;
-  const CostOptions& options;
   std::vector<Diagnostic>* out;
 
   /// True when the variable-sharing graph over the conjuncts of the
@@ -132,7 +131,7 @@ struct CostWalker {
 
   void WarnComplement(const Query& q, std::string_view what) {
     int width = FreeTemporalWidth(*q.left(), sorts);
-    if (width < options.complement_width_threshold) return;
+    if (width < kComplementWidthThreshold) return;
     Warn(out, diag::kExpensiveComplement, q.span(),
          std::string(what) + " over " + std::to_string(width) +
              " temporal columns: nonemptiness of complements is NP-complete "
@@ -151,18 +150,18 @@ struct CostWalker {
 }  // namespace
 
 void CostDiagnostics(const Database& db, const Query& q, const SortMap& sorts,
-                     const CostOptions& options, std::vector<Diagnostic>* out) {
-  CostWalker walker{db, sorts, options, out};
+                     std::vector<Diagnostic>* out) {
+  CostWalker walker{db, sorts, out};
   std::optional<std::int64_t> lcm = walker.Walk(q);
   if (!lcm.has_value()) {
     Warn(out, diag::kPeriodBlowup, q.span(),
          "the periods reachable from this query compose to an lcm beyond "
          "int64; normalization may expand tuples massively");
-  } else if (*lcm > options.period_blowup_threshold) {
+  } else if (*lcm > kPeriodBlowupThreshold) {
     Warn(out, diag::kPeriodBlowup, q.span(),
          "the periods reachable from this query compose to lcm " +
              std::to_string(*lcm) + " (threshold " +
-             std::to_string(options.period_blowup_threshold) +
+             std::to_string(kPeriodBlowupThreshold) +
              "); normalization may expand each tuple by that factor");
   }
 }

@@ -12,7 +12,9 @@
 //
 // All findings are warnings: they never block evaluation, only explain
 // where time will go (the evaluator's budget checks still backstop
-// runaway cases at run time).
+// runaway cases at run time).  The thresholds are the constants below;
+// the certificate pass (A014/A015) and admission grading read the same
+// ones.
 
 #ifndef ITDB_ANALYSIS_COST_H_
 #define ITDB_ANALYSIS_COST_H_
@@ -28,15 +30,20 @@
 namespace itdb {
 namespace analysis {
 
-struct CostOptions {
-  std::int64_t period_blowup_threshold = 720;
-  int complement_width_threshold = 2;
-};
+/// A012 fires when the lcm of the periods reachable from the root exceeds
+/// this.  A015 is its certified counterpart: it fires when the CERTIFIED
+/// root lcm exceeds the same threshold.
+inline constexpr std::int64_t kPeriodBlowupThreshold = 720;
+/// A010 fires for complements (NOT / FORALL) whose operand has at least
+/// this many free temporal variables.
+inline constexpr int kComplementWidthThreshold = 2;
+/// A014 fires when the certified root cardinality exceeds this.
+inline constexpr std::int64_t kCertifiedRowsThreshold = 1'000'000;
 
 /// Appends A010/A011/A012 warnings for `q` to `out`.  `sorts` must be the
 /// error-free result of sort inference for `q`.
 void CostDiagnostics(const Database& db, const query::Query& q,
-                     const query::SortMap& sorts, const CostOptions& options,
+                     const query::SortMap& sorts,
                      std::vector<Diagnostic>* out);
 
 }  // namespace analysis

@@ -24,75 +24,6 @@
 namespace itdb {
 namespace query {
 
-namespace {
-
-/// The active domain of the generic sort, split by type.
-struct ActiveDomain {
-  std::vector<Value> strings;
-  std::vector<Value> ints;
-
-  const std::vector<Value>& OfType(DataType type) const {
-    return type == DataType::kString ? strings : ints;
-  }
-};
-
-void CollectQueryConstants(const Query& q, std::set<Value>& strings,
-                           std::set<Value>& ints, const Database& db) {
-  switch (q.kind()) {
-    case Query::Kind::kAtom: {
-      Result<GeneralizedRelation> rel = db.Get(q.relation());
-      if (!rel.ok()) return;  // Reported later by sort inference.
-      const Schema& schema = rel.value().schema();
-      for (std::size_t i = 0; i < q.args().size(); ++i) {
-        const Term& t = q.args()[i];
-        bool data_pos = static_cast<int>(i) >= schema.temporal_arity();
-        if (t.kind == Term::Kind::kString) {
-          strings.insert(Value(t.text));
-        } else if (t.kind == Term::Kind::kInt && data_pos) {
-          ints.insert(Value(t.number));
-        }
-      }
-      break;
-    }
-    case Query::Kind::kCmp:
-      for (const Term* t : {&q.lhs(), &q.rhs()}) {
-        if (t->kind == Term::Kind::kString) strings.insert(Value(t->text));
-      }
-      break;
-    case Query::Kind::kAnd:
-    case Query::Kind::kOr:
-      CollectQueryConstants(*q.left(), strings, ints, db);
-      CollectQueryConstants(*q.right(), strings, ints, db);
-      break;
-    case Query::Kind::kNot:
-    case Query::Kind::kExists:
-    case Query::Kind::kForall:
-      CollectQueryConstants(*q.left(), strings, ints, db);
-      break;
-  }
-}
-
-ActiveDomain ComputeActiveDomain(const Database& db, const Query& q) {
-  std::set<Value> strings;
-  std::set<Value> ints;
-  for (const std::string& name : db.Names()) {
-    Result<GeneralizedRelation> rel = db.Get(name);
-    if (!rel.ok()) continue;
-    for (const GeneralizedTuple& t : rel.value().tuples()) {
-      for (const Value& v : t.data()) {
-        (v.IsString() ? strings : ints).insert(v);
-      }
-    }
-  }
-  CollectQueryConstants(q, strings, ints, db);
-  ActiveDomain out;
-  out.strings.assign(strings.begin(), strings.end());
-  out.ints.assign(ints.begin(), ints.end());
-  return out;
-}
-
-}  // namespace
-
 // Leaves carry their full text; inner nodes just the operator, their
 // structure being the tree itself.
 std::string PlanNodeLabel(const Query& q) {
@@ -713,11 +644,9 @@ Result<GeneralizedRelation> EvalPrepared(const Database& db, Prepared& prepared,
     return EmptyRelationFor(original, prepared.analysis().sorts);
   }
   const QueryPtr& target = prepared.plan();
-  // The active domain always comes from the ORIGINAL query: constants in an
-  // eliminated dead branch still feed it, so analysis cannot shift data
-  // quantifier ranges.  (Optimize preserves atoms and constants, so this
-  // changes nothing for the plain path.)
-  ActiveDomain adom = ComputeActiveDomain(db, original);
+  // Seeded from the ORIGINAL query (see Prepared::active_domain), so
+  // analysis cannot shift data quantifier ranges.
+  const ActiveDomain& adom = prepared.active_domain(db);
   // One normalization memo-cache per query evaluation: subqueries repeatedly
   // renormalize the same base tuples (negation and quantifier elimination in
   // particular), so sharing the cache across the whole tree pays for itself.

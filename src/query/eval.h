@@ -9,7 +9,7 @@
 //     is not(exists not(...)).
 //   * Data variables and quantifiers range over the ACTIVE DOMAIN: the data
 //     values appearing in the database plus the constants of the query,
-//     split by type.  This is the standard safe interpretation of the
+//     split by type (query::ComputeActiveDomain, sorts.h).  This is the standard safe interpretation of the
 //     generic sort.
 //   * The result of an open query is a generalized relation with one
 //     temporal column per free temporal variable and one data column per
@@ -47,10 +47,10 @@ struct QueryOptions {
   /// and a root proven empty short-circuits evaluation.  Both are
   /// bit-identical to evaluating without analysis -- same representation,
   /// at every thread count (the fuzz oracle pins this).  Disable to
-  /// evaluate exactly the tree you built, diagnostics be damned.
+  /// evaluate exactly the tree you built, diagnostics be damned.  The
+  /// analyzer has no knobs of its own: its thresholds are the constants of
+  /// analysis/cost.h.
   bool analyze = true;
-  /// Analyzer knobs used when `analyze` is set.
-  analysis::AnalyzeOptions analysis;
   /// Run the logical optimizer (query/optimize.h) before evaluation.
   /// Semantics-preserving; dramatically cheaper complements on deeply
   /// quantified queries.  Disable to benchmark the naive pipeline.
@@ -66,8 +66,8 @@ struct QueryOptions {
   /// statistics on every planned query.
   StatsCache* stats_cache = nullptr;
   /// Feed certified bounds (analysis/absint.h) into the cost planner: the
-  /// abstract interpreter runs over the tree being planned and its
-  /// certificates CLAMP the planner's heuristic row estimates (a certified
+  /// analysis' abstract interpreter also certifies the tree being planned,
+  /// and its certificates CLAMP the planner's heuristic row estimates (a certified
   /// cardinality caps the guess; a hull-refuted conjunct sorts first as
   /// provably set-empty).  Certificates also annotate plan spans
   /// (cert_rows / cert_lcm args next to est_rows / est_cost).  Ordering and

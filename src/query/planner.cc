@@ -177,7 +177,6 @@ ConjunctInfo Planner::PlanAtom(const QueryPtr& q) {
   RelationStats stats = StatsFor(q->relation(), rel.value());
   const int m = rel.value().schema().temporal_arity();
   double rows = stats.bit_empty ? 0.0 : static_cast<double>(stats.tuple_count);
-  const double base_rows = std::max(rows, 1.0);
   info.est.cost = static_cast<double>(stats.tuple_count);
 
   auto column_ndv = [&](int pos) -> double {
@@ -215,7 +214,6 @@ ConjunctInfo Planner::PlanAtom(const QueryPtr& q) {
   for (const auto& [var, pos] : first_position) {
     info.ndv[var] = std::min(column_ndv(pos), std::max(rows, 1.0));
   }
-  (void)base_rows;
   return info;
 }
 

@@ -46,16 +46,16 @@ const QueryPtr& Prepared::optimized() {
 
 const analysis::AnalysisResult& Prepared::Analyze(const Database& db) {
   if (!analysis_.has_value()) {
-    analysis::AnalyzeOptions aopts = options_.analysis;
+    analysis::AnalyzeOptions aopts;
     // Analysis spans follow the same opt-in as evaluation spans: only a
     // traced run forwards the tracer (an untraced eval opens no spans).
-    if (aopts.tracer == nullptr && options_.trace) {
+    if (options_.trace) {
       aopts.tracer = options_.tracer != nullptr ? options_.tracer
                                                 : options_.algebra.tracer;
     }
     // The certificate pass reads the same per-relation statistics the
     // planner does; share its memo.
-    if (aopts.stats_cache == nullptr) aopts.stats_cache = options_.stats_cache;
+    aopts.stats_cache = options_.stats_cache;
     analysis_ = analysis::Analyze(db, query_, aopts);
   }
   return *analysis_;
@@ -97,27 +97,38 @@ Status Prepared::CompileOnce(const Database& db) {
   if (!options_.cost_plan) return Status::Ok();
   // Cost-based physical planning: reorder AND-chains on the statistics.
   // Planning preserves variable sets, so the sorts above stay valid for the
-  // planned tree.  Certified bounds: interpret the tree being planned so
-  // the planner can clamp its heuristics (planner.h).  The active domain is
-  // seeded from the ORIGINAL query for the same reason evaluation sizes its
-  // data universes from it: rewrites may drop constants.
-  std::optional<analysis::AbstractInterpreter> interp;
+  // planned tree.  Certified bounds: the analysis' interpreter certifies
+  // the tree being planned so the planner can clamp its heuristics
+  // (planner.h).  Its memo already holds the subtrees the optimized tree
+  // shares with the parsed one, and its active domain was seeded from the
+  // ORIGINAL query, as evaluation's is: rewrites may drop constants.
+  analysis::AbstractInterpreter* interp = nullptr;
   if (options_.certified_bounds) {
-    interp.emplace(db, sorts_, options_.stats_cache, options_.analysis.budget);
-    interp->SeedActiveDomain(*query_);
-    interp->Interpret(rewritten_);
+    interp = Analyze(db).interpreter.get();
+    if (interp != nullptr) interp->Interpret(rewritten_);
   }
   PlannedQuery planned =
-      PlanQuery(db, rewritten_, sorts_, options_.stats_cache,
-                interp.has_value() ? &*interp : nullptr);
+      PlanQuery(db, rewritten_, sorts_, options_.stats_cache, interp);
   plan_ = std::move(planned.query);
   estimates_ = std::move(planned.estimates);
-  // Copy AFTER planning: the planner registers certificates for the AND
-  // nodes it rebuilds, so the planned tree is fully annotated.  (The keys
-  // of `rewritten_`'s nodes stay valid: this object keeps that tree alive.)
-  if (interp.has_value()) certificates_ = interp->certificates();
+  // The planner registered certificates for the AND nodes it rebuilt, so
+  // the planned tree is fully annotated.
+  certified_ = interp != nullptr;
   obs::AddGlobalCounter("query.cost_plans", 1);
   return Status::Ok();
+}
+
+const analysis::CertificateMap& Prepared::certificates() const {
+  static const analysis::CertificateMap kNone;
+  return certified_ ? analysis_->interpreter->certificates() : kNone;
+}
+
+const ActiveDomain& Prepared::active_domain(const Database& db) {
+  if (analysis_.has_value() && analysis_->interpreter != nullptr) {
+    return analysis_->interpreter->active_domain();
+  }
+  if (!adom_.has_value()) adom_ = ComputeActiveDomain(db, *query_);
+  return *adom_;
 }
 
 }  // namespace query

@@ -12,18 +12,22 @@
 //   * Stage two (Analyze, then Compile): Analyze runs the static analyzer
 //     once and keeps its AnalysisResult (grading reads the root certificate
 //     and diagnostics from it); Compile applies the analyzer's sound
-//     rewrites, optimizes, infers sorts, runs the planner's abstract
-//     interpretation and plans.  Compile reuses the analysis when it has
+//     rewrites, optimizes, infers sorts and plans.  With certified planning
+//     the analysis' own abstract interpreter certifies the optimized tree
+//     (its memo already holds every subtree the two trees share) and
+//     clamps the planner; evaluation ranges data variables over that
+//     interpreter's active domain.  Compile reuses the analysis when it has
 //     already run and reuses stage one's optimized tree when no rewrite
-//     applied, so a miss analyzes and optimizes once.
+//     applied, so a miss runs one analysis, one abstract interpretation,
+//     one active-domain scan and one optimization.
 //
 // Both stages are memoized, and stage two is tied to the Database snapshot
 // it first ran against: callers hold the same reader lock from Analyze to
 // EvalPrepared (a Prepared is per statement, never cached across versions).
 //
-// Options split in two.  The compile-time knobs (analyze, analysis,
-// optimize, cost_plan, certified_bounds, stats_cache, and trace/tracer for
-// analysis spans) are fixed at construction.  EvalPrepared reads only the
+// Options split in two.  The compile-time knobs (analyze, optimize,
+// cost_plan, certified_bounds, stats_cache, and trace/tracer for analysis
+// spans) are fixed at construction.  EvalPrepared reads only the
 // evaluation-time knobs of the options it is given (algebra budgets and
 // caches, trace, tracer), which is how a session divides a heavy
 // statement's budgets after grading it from the analysis.
@@ -65,18 +69,21 @@ class Prepared {
   /// off).  Its text is the plan part of a batcher / result-cache key.
   const QueryPtr& optimized();
 
-  /// Stage two, first half: runs the analyzer (with `options().analysis`,
-  /// the statistics cache and tracer wired as evaluation wires them) on
-  /// the first call; later calls return the same result.  Runs whether or
-  /// not `options().analyze` is set -- grading needs it either way.
+  /// Stage two, first half: runs the analyzer (with the statistics cache
+  /// and tracer wired as evaluation wires them) on the first call; later
+  /// calls return the same result.  Runs whether or not
+  /// `options().analyze` is set -- grading and certified planning need it
+  /// either way.
   const analysis::AnalysisResult& Analyze(const Database& db);
   /// The analysis; only after Analyze.
   const analysis::AnalysisResult& analysis() const { return *analysis_; }
 
   /// Stage two, second half: with `options().analyze`, aborts on analysis
   /// errors, stops at a root proven bit-empty, and applies the sound
-  /// rewrites; then optimizes, infers sorts and (with cost_plan) plans.
-  /// Memoized, including its failure.
+  /// rewrites; then optimizes, infers sorts and (with cost_plan) plans --
+  /// with certified_bounds, clamped by the analysis' interpreter (none when
+  /// the analysis has errors: the plan is then unclamped).  Memoized,
+  /// including its failure.
   Status Compile(const Database& db);
 
   /// After a successful Compile: the analysis proved the root bit-empty,
@@ -90,9 +97,13 @@ class Prepared {
   const QueryPtr& plan() const { return plan_; }
   const SortMap& sorts() const { return sorts_; }
   const PlanEstimateMap& estimates() const { return estimates_; }
-  const analysis::CertificateMap& certificates() const {
-    return certificates_;
-  }
+  const analysis::CertificateMap& certificates() const;
+
+  /// The statement's active domain: the analysis interpreter's when the
+  /// analysis ran without errors, else computed here once from the parsed
+  /// tree.  Either way it is seeded from the ORIGINAL query, so constants
+  /// of an eliminated dead branch still feed it.
+  const ActiveDomain& active_domain(const Database& db);
 
  private:
   Status CompileOnce(const Database& db);
@@ -107,7 +118,9 @@ class Prepared {
   QueryPtr plan_;
   SortMap sorts_;
   PlanEstimateMap estimates_;
-  analysis::CertificateMap certificates_;
+  // The analysis' interpreter clamped the plan (certificates() is its map).
+  bool certified_ = false;
+  std::optional<ActiveDomain> adom_;  // Only without an interpreter.
 };
 
 /// Compiles `prepared` against `db` if it is not yet, then evaluates its

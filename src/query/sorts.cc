@@ -295,5 +295,64 @@ Result<SortMap> InferSorts(const Database& db, const QueryPtr& q) {
   return std::move(d.sorts);
 }
 
+namespace {
+
+void CollectQueryConstants(const Query& q, std::set<Value>& strings,
+                           std::set<Value>& ints, const Database& db) {
+  switch (q.kind()) {
+    case Query::Kind::kAtom: {
+      Result<GeneralizedRelation> rel = db.Get(q.relation());
+      if (!rel.ok()) return;  // Reported later by sort inference.
+      const Schema& schema = rel.value().schema();
+      for (std::size_t i = 0; i < q.args().size(); ++i) {
+        const Term& t = q.args()[i];
+        bool data_pos = static_cast<int>(i) >= schema.temporal_arity();
+        if (t.kind == Term::Kind::kString) {
+          strings.insert(Value(t.text));
+        } else if (t.kind == Term::Kind::kInt && data_pos) {
+          ints.insert(Value(t.number));
+        }
+      }
+      break;
+    }
+    case Query::Kind::kCmp:
+      for (const Term* t : {&q.lhs(), &q.rhs()}) {
+        if (t->kind == Term::Kind::kString) strings.insert(Value(t->text));
+      }
+      break;
+    case Query::Kind::kAnd:
+    case Query::Kind::kOr:
+      CollectQueryConstants(*q.left(), strings, ints, db);
+      CollectQueryConstants(*q.right(), strings, ints, db);
+      break;
+    case Query::Kind::kNot:
+    case Query::Kind::kExists:
+    case Query::Kind::kForall:
+      CollectQueryConstants(*q.left(), strings, ints, db);
+      break;
+  }
+}
+
+}  // namespace
+
+ActiveDomain ComputeActiveDomain(const Database& db, const Query& q) {
+  std::set<Value> strings;
+  std::set<Value> ints;
+  for (const std::string& name : db.Names()) {
+    Result<GeneralizedRelation> rel = db.Get(name);
+    if (!rel.ok()) continue;
+    for (const GeneralizedTuple& t : rel.value().tuples()) {
+      for (const Value& v : t.data()) {
+        (v.IsString() ? strings : ints).insert(v);
+      }
+    }
+  }
+  CollectQueryConstants(q, strings, ints, db);
+  ActiveDomain out;
+  out.strings.assign(strings.begin(), strings.end());
+  out.ints.assign(ints.begin(), ints.end());
+  return out;
+}
+
 }  // namespace query
 }  // namespace itdb

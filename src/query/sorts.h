@@ -18,6 +18,10 @@
 // the first problem and returns it as a Status) and InferSortsDiagnosed
 // (collects every problem as a coded Diagnostic with a source span -- the
 // front end of the static analyzer, src/analysis).
+//
+// The data sort's range is defined here too: ComputeActiveDomain is the
+// one scan of a statement's active domain, shared by the abstract
+// interpreter (analysis/absint.h) and evaluation (query/prepared.h).
 
 #ifndef ITDB_QUERY_SORTS_H_
 #define ITDB_QUERY_SORTS_H_
@@ -26,6 +30,8 @@
 #include <string>
 #include <vector>
 
+#include "core/schema.h"
+#include "core/value.h"
 #include "query/ast.h"
 #include "storage/database.h"
 #include "util/diagnostic.h"
@@ -69,6 +75,26 @@ struct SortDiagnostics {
 /// as A013 vacuous-quantifier warnings instead.
 SortDiagnostics InferSortsDiagnosed(const Database& db, const QueryPtr& q,
                                     bool strict_unused_quantified = true);
+
+/// The active domain of the generic sort, split by type: every data value
+/// stored in the database plus the constants of the query (Section 4's
+/// safe interpretation of data variables and quantifiers).  Each list is
+/// sorted and duplicate-free.
+struct ActiveDomain {
+  std::vector<Value> strings;
+  std::vector<Value> ints;
+
+  const std::vector<Value>& OfType(DataType type) const {
+    return type == DataType::kString ? strings : ints;
+  }
+};
+
+/// Scans `db`'s data values and collects `q`'s constants (atom string
+/// constants, data-position integer constants and comparison string
+/// constants).  Seed it with the
+/// ORIGINAL query of a statement: constants of a branch the analyzer's
+/// rewrites eliminated still belong to the domain.
+ActiveDomain ComputeActiveDomain(const Database& db, const Query& q);
 
 }  // namespace query
 }  // namespace itdb

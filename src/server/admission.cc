@@ -59,8 +59,7 @@ void AdmissionQueue::Release() {
   pending_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-CostGrade GradeAnalysis(const analysis::AnalysisResult& result,
-                        const analysis::AnalyzeOptions& options) {
+CostGrade GradeAnalysis(const analysis::AnalysisResult& result) {
   CostGrade grade;
   if (result.HasErrors()) return grade;
   grade.root_certificate = result.root_certificate;
@@ -68,8 +67,8 @@ CostGrade GradeAnalysis(const analysis::AnalysisResult& result,
     // Certified grading: the sound bounds replace the guesses in both
     // directions.  The thresholds are the analyzer's own (A014 / A015).
     const bool huge =
-        *grade.root_certificate.rows > options.certified_rows_threshold ||
-        *grade.root_certificate.lcm > options.period_blowup_threshold;
+        *grade.root_certificate.rows > analysis::kCertifiedRowsThreshold ||
+        *grade.root_certificate.lcm > analysis::kPeriodBlowupThreshold;
     grade.cls = huge ? CostClass::kHeavy : CostClass::kNormal;
     return grade;
   }

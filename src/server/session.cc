@@ -143,7 +143,7 @@ class HeavyGate {
 
 // The statement's cost grade, from its (memoized) analysis.
 CostGrade Grade(const Database& db, query::Prepared& prepared) {
-  return GradeAnalysis(prepared.Analyze(db), prepared.options().analysis);
+  return GradeAnalysis(prepared.Analyze(db));
 }
 
 bool IsBinaryPath(const std::string& path) {

@@ -60,81 +60,6 @@ TEST(IntervalTest, ShiftClampsAtTheSentinels) {
   EXPECT_TRUE(top.top());
 }
 
-// ---------------------------------------------------------------- Widening
-
-TEST(WideningTest, StableBoundsKeepTheirValues) {
-  Interval prev{0, 10};
-  Interval next{0, 10};
-  EXPECT_EQ(WidenInterval(prev, next), (Interval{0, 10}));
-}
-
-TEST(WideningTest, MovedBoundsJumpToInfinity) {
-  Interval prev{0, 10};
-  Interval grew_hi{0, 11};
-  Interval widened = WidenInterval(prev, grew_hi);
-  EXPECT_EQ(widened.lo, 0);
-  EXPECT_GE(widened.hi, Dbm::kInf);
-  Interval grew_lo{-1, 10};
-  widened = WidenInterval(prev, grew_lo);
-  EXPECT_LE(widened.lo, -Dbm::kInf);
-  EXPECT_EQ(widened.hi, 10);
-}
-
-TEST(WideningTest, DivergentMonotoneChainConvergesWithinDelayPlusThree) {
-  // step grows the upper bound by 10 forever: without widening the
-  // ascending chain [0,0] c= [0,10] c= [0,20] c= ... never stabilizes.
-  FixpointBudget budget;  // widening_delay = 3
-  auto step = [](Interval v) { return v.Union(v.Shift(10)); };
-  FixpointResult r = IterateToFixpoint(Interval::Point(0), step, budget);
-  EXPECT_TRUE(r.converged);
-  EXPECT_TRUE(r.widened);
-  EXPECT_LE(r.iterations, budget.widening_delay + 3);
-  // Sound: the fixpoint contains every iterate of the concrete chain.
-  EXPECT_EQ(r.value.lo, 0);
-  EXPECT_GE(r.value.hi, Dbm::kInf);
-}
-
-TEST(WideningTest, BothSidedDivergenceAlsoConverges) {
-  FixpointBudget budget;
-  auto step = [](Interval v) {
-    return v.Union(v.Shift(3)).Union(v.Shift(-7));
-  };
-  FixpointResult r = IterateToFixpoint(Interval::Point(0), step, budget);
-  EXPECT_TRUE(r.converged);
-  EXPECT_LE(r.iterations, budget.widening_delay + 3);
-  EXPECT_TRUE(r.value.top());
-}
-
-TEST(WideningTest, StableStepConvergesWithoutWidening) {
-  FixpointBudget budget;
-  auto step = [](Interval v) { return v.Intersect(Interval{0, 100}); };
-  FixpointResult r = IterateToFixpoint(Interval{0, 50}, step, budget);
-  EXPECT_TRUE(r.converged);
-  EXPECT_FALSE(r.widened);
-  EXPECT_EQ(r.value, (Interval{0, 50}));
-}
-
-TEST(WideningTest, LargerDelayStillTerminates) {
-  FixpointBudget budget;
-  budget.widening_delay = 7;
-  auto step = [](Interval v) { return v.Union(v.Shift(1)); };
-  FixpointResult r = IterateToFixpoint(Interval::Point(0), step, budget);
-  EXPECT_TRUE(r.converged);
-  EXPECT_LE(r.iterations, budget.widening_delay + 3);
-}
-
-TEST(WideningTest, IterationCapBelowTheWideningDelayStopsUnconverged) {
-  // With max_iterations below widening_delay the diverging chain runs out
-  // of budget before widening can stabilize it; the loop must stop at the
-  // cap and report non-convergence rather than spin.
-  FixpointBudget budget;
-  budget.max_iterations = 2;  // < widening_delay (3).
-  auto step = [](Interval v) { return v.Union(v.Shift(10)); };
-  FixpointResult r = IterateToFixpoint(Interval::Point(0), step, budget);
-  EXPECT_FALSE(r.converged);
-  EXPECT_EQ(r.iterations, budget.max_iterations);
-}
-
 // ------------------------------------------------------------ Certificates
 
 TEST(AbsintTest, AtomCertificateMatchesStoredStats) {
@@ -193,16 +118,18 @@ TEST(AbsintTest, ComplementIsRowsUnboundedButKeepsTheLcm) {
 
 TEST(AbsintTest, LcmPastTheBudgetReportsUnbounded) {
   Result<Database> db = Database::FromText(R"(
-    relation A(T: time) { [10007n]; }
-    relation B(T: time) { [10009n]; }
+    relation A(T: time) { [100003n]; }
+    relation B(T: time) { [100019n]; }
   )");
   ASSERT_TRUE(db.ok()) << db.status();
   QueryPtr q = Parse("A(t) AND B(t)");
-  FixpointBudget budget;
-  budget.max_period_lcm = 1'000'000;  // lcm = 10007 * 10009 > budget.
-  AbstractInterpreter interp(db.value(), SortsFor(db.value(), q),
-                             /*stats_cache=*/nullptr, budget);
+  AbstractInterpreter interp(db.value(), SortsFor(db.value(), q));
   const Certificate& cert = interp.Interpret(q);
+  // Each atom's lcm is within the budget, but their lcm is not.
+  static_assert(100003LL * 100019LL > kMaxCertifiedLcm);
+  const Certificate* a = interp.Find(q->left().get());
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->lcm, 100003);
   EXPECT_FALSE(cert.lcm.has_value());
 }
 

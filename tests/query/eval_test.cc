@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "query/prepared.h"
+#include "storage/text_format.h"
+
 namespace itdb {
 namespace query {
 namespace {
@@ -252,6 +255,38 @@ TEST(EvalTest, Example41FullQuery) {
                        " (FORALL z . NOT Perform(t3, t4, y, z)))");
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_TRUE(r.value());
+}
+
+TEST(EvalTest, ActiveDomainKeepsConstantsOfEliminatedBranches) {
+  // "zzz" occurs only in the OR branch the analyzer drops as bit-empty (E
+  // has no tuples).  The surviving complement ranges x over the active
+  // domain, which must still hold "zzz": it is seeded from the parsed
+  // query, never from the rewritten tree.
+  Result<Database> db = Database::FromText(R"(
+    relation P(T: time, X: string) { [2n | "a"]; }
+    relation E(T: time, X: string) { }
+  )");
+  ASSERT_TRUE(db.ok()) << db.status();
+  const char* text = "(NOT P(t, x)) OR (E(t, x) AND x = \"zzz\")";
+  QueryOptions on;
+  QueryOptions off;
+  off.analyze = false;
+  Result<Prepared> prepared = Prepared::Parse(text, on);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  ASSERT_TRUE(prepared->Compile(db.value()).ok());
+  EXPECT_EQ(prepared->rewritten()->ToString().find("zzz"), std::string::npos)
+      << prepared->rewritten()->ToString();
+  Result<GeneralizedRelation> with = EvalQueryString(db.value(), text, on);
+  Result<GeneralizedRelation> without = EvalQueryString(db.value(), text, off);
+  ASSERT_TRUE(with.ok()) << with.status();
+  ASSERT_TRUE(without.ok()) << without.status();
+  EXPECT_EQ(with.value().schema(), without.value().schema());
+  EXPECT_EQ(with.value().tuples(), without.value().tuples());
+  int zzz_rows = 0;
+  for (const GeneralizedTuple& t : with.value().tuples()) {
+    if (t.data()[0] == Value("zzz")) ++zzz_rows;
+  }
+  EXPECT_GT(zzz_rows, 0) << PrintRelation("result", with.value());
 }
 
 }  // namespace

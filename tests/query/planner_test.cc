@@ -1,14 +1,30 @@
 #include "query/planner.h"
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/absint.h"
+#include "fuzz/generator.h"
+#include "fuzz/query_gen.h"
 #include "query/eval.h"
 #include "query/parser.h"
+#include "query/prepared.h"
 #include "query/sorts.h"
+
+#ifndef ITDB_FUZZ_CORPUS_DIR
+#error "ITDB_FUZZ_CORPUS_DIR must be defined by the build"
+#endif
+#ifndef ITDB_EXAMPLES_QUERIES_DIR
+#error "ITDB_EXAMPLES_QUERIES_DIR must be defined by the build"
+#endif
 
 namespace itdb {
 namespace query {
@@ -247,6 +263,119 @@ TEST(PlannerTest, StatsCacheHitsOnRepeatedPlans) {
   StatsCache::Stats second = cache.stats();
   EXPECT_EQ(second.hits, 3u);
   EXPECT_EQ(second.misses, 3u);
+}
+
+// ------------------------------------- one interpretation per statement
+
+// The compiled statement's plan as explain renders it: clamped and
+// annotated by the analysis' own interpreter.
+std::string RenderCompiled(const Prepared& prepared) {
+  return FormatQueryPlanWithEstimates(prepared.plan(), prepared.estimates(),
+                                      &prepared.certificates());
+}
+
+// The same plan built with a second, fresh interpreter over the rewritten
+// tree's sorts, seeded from the parsed query -- the recipe planning used
+// before the analysis' interpreter was reused.
+std::string RenderWithFreshInterpreter(const Database& db,
+                                       const Prepared& prepared) {
+  Result<SortMap> sorts = InferSorts(db, prepared.rewritten());
+  EXPECT_TRUE(sorts.ok()) << sorts.status();
+  if (!sorts.ok()) return "";
+  StatsCache cache;
+  analysis::AbstractInterpreter interp(db, sorts.value(), &cache);
+  interp.SeedActiveDomain(*prepared.query());
+  interp.Interpret(prepared.rewritten());
+  PlannedQuery planned =
+      PlanQuery(db, prepared.rewritten(), sorts.value(), &cache, &interp);
+  return FormatQueryPlanWithEstimates(planned.query, planned.estimates,
+                                      &interp.certificates());
+}
+
+// Compiles `text` with analysis on and off and, for each compiled plan,
+// compares the two renderings.  Returns the number of plans compared.
+int ExpectSameRendering(const Database& db, const std::string& text) {
+  int compared = 0;
+  for (bool analyze : {true, false}) {
+    QueryOptions options;
+    options.analyze = analyze;
+    Result<Prepared> prepared = Prepared::Parse(text, options);
+    if (!prepared.ok()) continue;
+    // With analysis errors there is no interpreter to compare against (and
+    // with `analyze` on, no plan).
+    if (prepared->Analyze(db).interpreter == nullptr) continue;
+    if (!prepared->Compile(db).ok() || prepared->statically_empty()) continue;
+    EXPECT_EQ(RenderCompiled(*prepared),
+              RenderWithFreshInterpreter(db, *prepared))
+        << text << " (analyze " << (analyze ? "on" : "off") << ")";
+    ++compared;
+  }
+  return compared;
+}
+
+std::string ReadAll(const std::filesystem::path& path) {
+  std::ifstream file(path);
+  std::stringstream buffer;
+  buffer << file.rdbuf();
+  return buffer.str();
+}
+
+TEST(MergedInterpretationTest, DeadBranchAndRewrittenComparison) {
+  Database db = SkewedDb();
+  // The ground-false branch is eliminated before optimizing, and the
+  // optimizer turns NOT (t < 100) into a new CMP node (t >= 100): the
+  // rewritten tree shares some leaves with the parsed one and not others.
+  const std::string queries[] = {
+      "(Big(t) AND Link(t, u)) OR (Link(t, u) AND 3 < 2)",
+      "Big(t) AND NOT (t < 100) AND Link(t, u)",
+      "(Big(t) AND NOT (t < 100) AND Link(t, u)) OR (Link(t, u) AND 3 < 2)",
+  };
+  for (const std::string& text : queries) {
+    EXPECT_EQ(ExpectSameRendering(db, text), 2) << text;
+  }
+  Result<Prepared> prepared = Prepared::Parse(queries[2], {});
+  ASSERT_TRUE(prepared.ok());
+  ASSERT_TRUE(prepared->Compile(db).ok());
+  EXPECT_EQ(prepared->rewritten()->ToString().find("3 < 2"),
+            std::string::npos)
+      << prepared->rewritten()->ToString();
+  EXPECT_NE(prepared->rewritten()->ToString().find("t >= 100"),
+            std::string::npos)
+      << prepared->rewritten()->ToString();
+}
+
+TEST(MergedInterpretationTest, CheckQueriesRenderAsWithASecondInterpreter) {
+  int compared = 0;
+  for (const char* dir : {ITDB_EXAMPLES_QUERIES_DIR, ITDB_FUZZ_CORPUS_DIR}) {
+    std::vector<std::filesystem::path> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.path().extension() == ".itdb") files.push_back(entry.path());
+    }
+    std::sort(files.begin(), files.end());
+    for (const std::filesystem::path& path : files) {
+      SCOPED_TRACE(path.filename().string());
+      const std::string text = ReadAll(path);
+      Result<Database> db = Database::FromText(text);
+      ASSERT_TRUE(db.ok()) << db.status();
+      std::istringstream lines(text);
+      for (std::string line; std::getline(lines, line);) {
+        const std::string prefix = "# check:";
+        if (line.rfind(prefix, 0) != 0) continue;
+        compared += ExpectSameRendering(db.value(), line.substr(prefix.size()));
+      }
+    }
+  }
+  EXPECT_GE(compared, 10);
+}
+
+TEST(MergedInterpretationTest, FuzzQueriesRenderAsWithASecondInterpreter) {
+  int compared = 0;
+  for (std::uint32_t seed = 1; seed <= 200; ++seed) {
+    Database db = fuzz::MakeRandomDatabase(seed, {});
+    QueryPtr q = fuzz::MakeRandomQuery(seed, db, {});
+    compared += ExpectSameRendering(db, q->ToString());
+  }
+  EXPECT_GE(compared, 100);
 }
 
 }  // namespace

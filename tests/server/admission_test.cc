@@ -51,7 +51,7 @@ CostGrade Grade(const Database& db, const std::string& text) {
   Result<query::Prepared> prepared = query::Prepared::Parse(text, {});
   EXPECT_TRUE(prepared.ok()) << prepared.status();
   if (!prepared.ok()) return {};
-  return GradeAnalysis(prepared.value().Analyze(db), {});
+  return GradeAnalysis(prepared.value().Analyze(db));
 }
 
 class ClassifyCostTest : public ::testing::Test {
@@ -167,7 +167,7 @@ TEST(GradeAnalysisTest, CertifiedHugeJoinIsHeavyWhereHeuristicAdmitted) {
     EXPECT_NE(d.code, diag::kPeriodBlowup) << d.message;
   }
 
-  CostGrade grade = GradeAnalysis(analyzed, {});
+  CostGrade grade = GradeAnalysis(analyzed);
   EXPECT_EQ(grade.cls, CostClass::kHeavy);
   ASSERT_TRUE(grade.root_certificate.rows.has_value());
   EXPECT_GT(*grade.root_certificate.rows, 1'000'000);
