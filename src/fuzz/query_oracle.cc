@@ -1,6 +1,8 @@
 #include "fuzz/query_oracle.h"
 
 #include <cstdint>
+#include <iterator>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -63,6 +65,9 @@ constexpr Variant kVariants[] = {
      true, false},
 };
 
+constexpr Variant kBaseline = {"analyze=off threads=1 cost_plan=off", false,
+                               false, false};
+
 QueryOptions MakeOptions(bool analyze, bool parallel, bool cost_plan,
                          int threads, bool certified_bounds = true) {
   QueryOptions options;
@@ -71,6 +76,59 @@ QueryOptions MakeOptions(bool analyze, bool parallel, bool cost_plan,
   options.cost_plan = cost_plan;
   options.certified_bounds = certified_bounds;
   return options;
+}
+
+/// Oracle 4: `q` closed by EXISTS and by FORALL over its free variables,
+/// answered through the peeled yes/no path, must say "true" exactly when
+/// the relation path's result is nonempty -- on the baseline and on every
+/// matrix variant.  A budget failure of the relation path is a skip; one
+/// of the yes/no path alone is a failure, as a cross product of
+/// independent conjuncts would be.  Any other failure must hit both paths
+/// with the same status code.
+std::optional<std::string> CheckClosedForms(const Database& db,
+                                            const QueryPtr& q, int threads,
+                                            QueryCaseOutcome* outcome) {
+  const std::vector<std::string> free = q->FreeVariables();
+  std::vector<Variant> variants = {kBaseline};
+  variants.insert(variants.end(), std::begin(kVariants), std::end(kVariants));
+  for (bool universal : {false, true}) {
+    QueryPtr closed = q;
+    for (auto v = free.rbegin(); v != free.rend(); ++v) {
+      closed =
+          universal ? Query::Forall(*v, closed) : Query::Exists(*v, closed);
+    }
+    const char* form = universal ? "FORALL-closed" : "EXISTS-closed";
+    for (const Variant& v : variants) {
+      const QueryOptions opts = MakeOptions(v.analyze, v.parallel, v.cost_plan,
+                                            threads, v.certified_bounds);
+      Result<GeneralizedRelation> rel = EvalQuery(db, closed, opts);
+      Result<bool> answer = EvalBooleanQuery(db, closed, opts);
+      if (!rel.ok() || !answer.ok()) {
+        if (!rel.ok() && IsBudgetFailure(rel.status())) continue;
+        if (rel.ok() != answer.ok() ||
+            rel.status().code() != answer.status().code()) {
+          std::ostringstream os;
+          os << v.name << ": " << form << ": relation path "
+             << (rel.ok() ? "succeeded" : rel.status().ToString())
+             << " but yes/no path "
+             << (answer.ok() ? "succeeded" : answer.status().ToString());
+          return os.str();
+        }
+        continue;
+      }
+      Result<bool> empty = IsEmpty(*rel, opts.algebra);
+      if (!empty.ok()) continue;
+      ++outcome->closed_checked;
+      if (*answer == *empty) {
+        std::ostringstream os;
+        os << v.name << ": " << form << ": yes/no path answers "
+           << (*answer ? "true" : "false") << " but the relation path is "
+           << (*empty ? "empty" : "nonempty");
+        return os.str();
+      }
+    }
+  }
+  return std::nullopt;
 }
 
 /// Pre-order walk collecting the subplans the analyzer proved empty, in a
@@ -159,6 +217,13 @@ QueryCaseOutcome CheckQueryCase(const Database& db, const QueryPtr& q,
       outcome.failure = os.str();
       return outcome;
     }
+  }
+
+  // --- Oracle 4 (ahead of the analysis-dependent oracles): closed forms
+  // answer through the peeled yes/no path as the relation path does. ---
+  if (baseline.ok()) {
+    outcome.failure = CheckClosedForms(db, q, options.threads, &outcome);
+    if (outcome.failure.has_value()) return outcome;
   }
 
   // --- Oracle 2: proven-empty subplans must evaluate to empty. ---
@@ -330,8 +395,8 @@ std::string QueryFuzzReport::Summary() const {
   os << "query fuzz: " << cases << " case(s), " << skipped << " skipped, "
      << variants_checked << " variant check(s), " << empties_checked
      << " emptiness check(s) (" << empties_skipped << " skipped), "
-     << certificates_checked << " certificate check(s), " << failures.size()
-     << " failure(s)";
+     << certificates_checked << " certificate check(s), " << closed_checked
+     << " closed-form check(s), " << failures.size() << " failure(s)";
   return os.str();
 }
 
@@ -352,6 +417,7 @@ QueryFuzzReport RunQueryFuzz(const QueryFuzzConfig& config) {
     report.empties_checked += outcome.empties_checked;
     report.empties_skipped += outcome.empties_skipped;
     report.certificates_checked += outcome.certificates_checked;
+    report.closed_checked += outcome.closed_checked;
     if (outcome.failure.has_value()) {
       QueryFuzzFailure f;
       f.case_seed = case_seed;

@@ -1,7 +1,7 @@
 // Soundness oracles for the static analyzer (analysis/analyzer.h), driven
 // by random queries from query_gen.h.
 //
-// Three properties, checked per case:
+// Four properties, checked per case:
 //   * Bit-identity: evaluating with analysis on must give the SAME
 //     representation (schema plus tuple sequence) as evaluating with it
 //     off, at one thread and at N threads -- a matrix against the
@@ -21,6 +21,13 @@
 //     respect the root certificate -- tuple count <= cert rows, every lrp
 //     period divides cert lcm, and the feasible hull of every temporal
 //     column lies inside the certified hull interval.
+//   * Closed forms (query/prepared.h's yes/no path): the query closed by
+//     EXISTS and by FORALL over its free variables, answered through the
+//     peeled yes/no path, must be true exactly when the relation path's
+//     result of the same closed query is nonempty -- with the baseline's
+//     options and every matrix variant's.  A budget failure of the
+//     relation path is a skip; one of the yes/no path alone is a finding,
+//     and any other failure must hit both paths with one code.
 //
 // Cases whose baseline fails with kOverflow / kResourceExhausted are
 // budget-skips, mirroring the algebra fuzzer's convention (oracle.h).
@@ -61,11 +68,13 @@ struct QueryCaseOutcome {
   int certificates_checked = 0;  // Root certificates verified against plain
                                  // evaluation (0 when it failed or the
                                  // certificate was fully unbounded).
+  int closed_checked = 0;  // Closed-form yes/no answers compared with the
+                           // relation path (per form and variant).
   /// Unset = the case passed.
   std::optional<std::string> failure;
 };
 
-/// Runs all three oracles on one (database, query) pair.
+/// Runs all four oracles on one (database, query) pair.
 QueryCaseOutcome CheckQueryCase(const Database& db, const query::QueryPtr& q,
                                 const QueryOracleOptions& options = {});
 
@@ -101,6 +110,7 @@ struct QueryFuzzReport {
   std::int64_t empties_checked = 0;
   std::int64_t empties_skipped = 0;
   std::int64_t certificates_checked = 0;
+  std::int64_t closed_checked = 0;
   std::vector<QueryFuzzFailure> failures;
 
   bool ok() const { return failures.empty(); }

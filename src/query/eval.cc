@@ -633,17 +633,13 @@ GeneralizedRelation EmptyRelationFor(const Query& q, const SortMap& sorts) {
       Schema(std::move(temporal), std::move(data_names), std::move(data_types)));
 }
 
-}  // namespace
-
-Result<GeneralizedRelation> EvalPrepared(const Database& db, Prepared& prepared,
-                                         const QueryOptions& options,
-                                         obs::Profile* profile) {
-  ITDB_RETURN_IF_ERROR(prepared.Compile(db));
-  const Query& original = *prepared.query();
-  if (prepared.statically_empty()) {
-    return EmptyRelationFor(original, prepared.analysis().sorts);
-  }
-  const QueryPtr& target = prepared.plan();
+/// Evaluates plans of a compiled, not statically empty statement with one
+/// evaluator (one normalization cache, one set of kernel counters):
+/// `run(eval)` calls `eval(plan)` for each plan it needs and returns the
+/// statement's result.
+template <typename Run>
+auto EvalPlans(const Database& db, Prepared& prepared,
+               const QueryOptions& options, obs::Profile* profile, Run run) {
   // Seeded from the ORIGINAL query (see Prepared::active_domain), so
   // analysis cannot shift data quantifier ranges.
   const ActiveDomain& adom = prepared.active_domain(db);
@@ -678,8 +674,8 @@ Result<GeneralizedRelation> EvalPrepared(const Database& db, Prepared& prepared,
   Evaluator evaluator{db,     sorts,  adom, algebra,
                       tracer, options.cost_plan ? &estimates : nullptr,
                       certificates.empty() ? nullptr : &certificates};
-  Result<GeneralizedRelation> result = [&]() {
-    // Root span over the whole evaluation; scoped so it is committed (and
+  auto eval = [&](const QueryPtr& target) {
+    // Root span over the plan's evaluation; scoped so it is committed (and
     // visible to BuildProfile) before the profile is folded.
     obs::Span root =
         obs::Span::Begin(tracer, "query " + target->ToString(), "plan");
@@ -688,7 +684,8 @@ Result<GeneralizedRelation> EvalPrepared(const Database& db, Prepared& prepared,
       root.AddArg("tuples_out", static_cast<std::int64_t>(r.value().size()));
     }
     return r;
-  }();
+  };
+  auto result = run(eval);
   obs::AddGlobalCounter("query.evaluations", 1);
   if (algebra.counters == &own_counters) FlushKernelCounters(own_counters);
   if (profile != nullptr && tracer != nullptr) {
@@ -697,18 +694,44 @@ Result<GeneralizedRelation> EvalPrepared(const Database& db, Prepared& prepared,
   return result;
 }
 
+}  // namespace
+
+Result<GeneralizedRelation> EvalPrepared(const Database& db, Prepared& prepared,
+                                         const QueryOptions& options,
+                                         obs::Profile* profile) {
+  if (prepared.answer() != Answer::kRelation) {
+    return Status::InvalidArgument(
+        "a yes/no statement has no result relation");
+  }
+  ITDB_RETURN_IF_ERROR(prepared.Compile(db));
+  if (prepared.statically_empty()) {
+    return EmptyRelationFor(*prepared.query(), prepared.analysis().sorts);
+  }
+  return EvalPlans(db, prepared, options, profile,
+                   [&](auto& eval) { return eval(prepared.plan()); });
+}
+
 Result<bool> EvalPreparedBoolean(const Database& db, Prepared& prepared,
                                  const QueryOptions& options) {
-  const std::vector<std::string> free = prepared.query()->FreeVariables();
-  if (!free.empty()) {
-    std::string vars;
-    for (const std::string& v : free) vars += " " + v;
-    return Status::InvalidArgument("yes/no query has free variables:" + vars);
+  if (prepared.answer() != Answer::kYesNo) {
+    return Status::InvalidArgument("not a yes/no statement");
   }
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation rel,
-                        EvalPrepared(db, prepared, options));
-  ITDB_ASSIGN_OR_RETURN(bool empty, IsEmpty(rel, options.algebra));
-  return !empty;
+  ITDB_RETURN_IF_ERROR(prepared.Compile(db));
+  // The proof is about the whole statement, so it answers false before
+  // any FORALL flip: the flipped empty relation would read as true.
+  if (prepared.statically_empty()) return false;
+  // The parts share no variable: the body is nonempty iff every part is.
+  auto every_part_nonempty = [&](auto& eval) -> Result<bool> {
+    for (const QueryPtr& part : prepared.plans()) {
+      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation rel, eval(part));
+      ITDB_ASSIGN_OR_RETURN(bool empty, IsEmpty(rel, options.algebra));
+      if (empty) return false;
+    }
+    return true;
+  };
+  ITDB_ASSIGN_OR_RETURN(bool nonempty, EvalPlans(db, prepared, options, nullptr,
+                                                 every_part_nonempty));
+  return nonempty != prepared.holds_when_empty();
 }
 
 Result<GeneralizedRelation> EvalQuery(const Database& db, const QueryPtr& q,
@@ -759,7 +782,7 @@ Result<ProfiledResult> EvalQueryStringProfiled(const Database& db,
 
 Result<bool> EvalBooleanQuery(const Database& db, const QueryPtr& q,
                               const QueryOptions& options) {
-  Prepared prepared(q, options);
+  Prepared prepared(q, options, Answer::kYesNo);
   return EvalPreparedBoolean(db, prepared, options);
 }
 

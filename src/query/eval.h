@@ -15,8 +15,10 @@
 //     temporal column per free temporal variable and one data column per
 //     free data variable, each named after its variable, in sorted name
 //     order per kind.
-//   * A sentence (no free variables) evaluates to a zero-arity relation;
-//     EvalBooleanQuery reports whether it is nonempty (Theorem 4.1).
+//   * A sentence (no free variables) evaluates to a zero-arity relation,
+//     and is true iff that relation is nonempty (Theorem 4.1).
+//     EvalBooleanQuery decides this without the root quantifiers' work:
+//     emptiness tests on the body under them (query/prepared.h).
 
 #ifndef ITDB_QUERY_EVAL_H_
 #define ITDB_QUERY_EVAL_H_
@@ -118,8 +120,8 @@ Result<AnalyzedResult> EvalQueryAnalyzed(const Database& db, const QueryPtr& q,
 Result<AnalyzedResult> EvalQueryStringAnalyzed(
     const Database& db, std::string_view text, const QueryOptions& options = {});
 
-/// Evaluates a yes/no query.  Fails with kInvalidArgument when `q` has free
-/// variables.
+/// Evaluates a yes/no query as a query::Answer::kYesNo statement
+/// (prepared.h).  Fails with kInvalidArgument when `q` has free variables.
 Result<bool> EvalBooleanQuery(const Database& db, const QueryPtr& q,
                               const QueryOptions& options = {});
 

@@ -39,7 +39,10 @@
 // elimination, which IS representation-preserving), then hands the result
 // here.  The analyzer's polarity tracking mirrors the De Morgan pushes
 // above on purpose: elimination only fires where these rewrites keep the
-// branch a positive union arm.
+// branch a positive union arm.  A yes/no statement has its root
+// quantifier prefix peeled before this pass (query/prepared.h): the
+// miniscoping below would otherwise push those quantifiers into the AND
+// chain, where no prefix is left to peel.
 
 #ifndef ITDB_QUERY_OPTIMIZE_H_
 #define ITDB_QUERY_OPTIMIZE_H_

@@ -250,15 +250,6 @@ ConjunctInfo Planner::PlanCmp(const QueryPtr& q) {
   return info;
 }
 
-void FlattenConjuncts(const QueryPtr& q, std::vector<QueryPtr>* out) {
-  if (q->kind() == Query::Kind::kAnd) {
-    FlattenConjuncts(q->left(), out);
-    FlattenConjuncts(q->right(), out);
-    return;
-  }
-  out->push_back(q);
-}
-
 ConjunctInfo Planner::PlanChain(const QueryPtr& q) {
   std::vector<QueryPtr> conjuncts;
   FlattenConjuncts(q, &conjuncts);
@@ -456,6 +447,15 @@ ConjunctInfo Planner::PlanNode(const QueryPtr& q) {
 }
 
 }  // namespace
+
+void FlattenConjuncts(const QueryPtr& q, std::vector<QueryPtr>* out) {
+  if (q->kind() == Query::Kind::kAnd) {
+    FlattenConjuncts(q->left(), out);
+    FlattenConjuncts(q->right(), out);
+    return;
+  }
+  out->push_back(q);
+}
 
 PlannedQuery PlanQuery(const Database& db, const QueryPtr& q,
                        const SortMap& sorts, StatsCache* stats_cache,

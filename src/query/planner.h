@@ -38,6 +38,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "analysis/absint.h"
 #include "core/stats.h"
@@ -84,6 +85,10 @@ struct PlannedQuery {
 PlannedQuery PlanQuery(const Database& db, const QueryPtr& q,
                        const SortMap& sorts, StatsCache* stats_cache,
                        analysis::AbstractInterpreter* absint = nullptr);
+
+/// Appends the conjuncts of the maximal AND chain at `q`'s root to `out`,
+/// left to right (`q` itself when it is no AND).
+void FlattenConjuncts(const QueryPtr& q, std::vector<QueryPtr>* out);
 
 /// FormatQueryPlan (eval.h) with per-node estimates appended:
 ///   AND  (est_rows=12, est_cost=340)

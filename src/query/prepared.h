@@ -6,9 +6,10 @@
 // `explain` and `profile` -- reads one Prepared instead of re-running its
 // own slice of the front end.  It is built in two stages:
 //
-//   * Stage one (construction / Parse): the parsed tree plus its plan shape,
-//     the text of the optimized tree that fingerprints the statement for
-//     the batcher and the result cache.  A cache hit pays exactly this.
+//   * Stage one (construction / Parse): the parsed tree, how the statement
+//     is answered (its verb: a relation, or yes/no for `ask`), and its plan
+//     shape, the text of the optimized tree that fingerprints the statement
+//     for the batcher and the result cache.  A cache hit pays exactly this.
 //   * Stage two (Analyze, then Compile): Analyze runs the static analyzer
 //     once and keeps its AnalysisResult (grading reads the root certificate
 //     and diagnostics from it); Compile applies the analyzer's sound
@@ -20,6 +21,25 @@
 //     already run and reuses stage one's optimized tree when no rewrite
 //     applied, so a miss runs one analysis, one abstract interpretation,
 //     one active-domain scan and one optimization.
+//
+// A yes/no statement (Answer::kYesNo) is a closed formula.  Compile peels
+// the maximal run of one quantifier kind at the root of the rewritten tree
+// and plans only the body: `EXISTS x1 ... xk . phi` holds iff the relation
+// of phi is nonempty, and `FORALL x1 ... xk . phi` holds iff the relation
+// of NOT phi is empty (Theorem 4.1 by Table 2 emptiness tests, with no
+// projections).  The peel runs before Optimize, whose miniscoping would
+// bury the root quantifiers inside the AND chain; so a yes/no statement's
+// plan shape is built around its optimized body (optimized() below), and
+// the body is optimized once unless a sound rewrite applies.  The body is
+// then split into its parts: the maximal groups of its top AND chain's
+// conjuncts that share variables.  Parts share no variable, so the body's
+// relation is their cross product and is nonempty iff every part is --
+// one emptiness test per part, stopping at the first empty one, where the
+// whole body would materialize the product (miniscoping kept such
+// conjuncts apart as separate projections).  The body is sorted,
+// certified and planned part by part with the statement's one analysis,
+// interpreter and active domain -- seeded from the whole statement, so its
+// data variables range over the same values the projections would have.
 //
 // Both stages are memoized, and stage two is tied to the Database snapshot
 // it first ran against: callers hold the same reader lock from Analyze to
@@ -37,6 +57,7 @@
 
 #include <optional>
 #include <string_view>
+#include <vector>
 
 #include "analysis/analyzer.h"
 #include "obs/profile.h"
@@ -50,23 +71,35 @@
 namespace itdb {
 namespace query {
 
+/// How a statement is answered, fixed by its verb at stage one.
+enum class Answer {
+  kRelation,  // The result relation (`query`, `profile`): EvalPrepared.
+  kYesNo,     // A closed formula's truth (`ask`): EvalPreparedBoolean.
+};
+
 class Prepared {
  public:
   /// Stage one over an already-parsed tree.  Nothing is analyzed or
   /// optimized yet.
-  Prepared(QueryPtr query, QueryOptions options);
+  Prepared(QueryPtr query, QueryOptions options,
+           Answer answer = Answer::kRelation);
 
   /// Stage one from text.
   static Result<Prepared> Parse(std::string_view text,
-                                const QueryOptions& options);
+                                const QueryOptions& options,
+                                Answer answer = Answer::kRelation);
 
   /// The parsed tree.
   const QueryPtr& query() const { return query_; }
   /// The compile-time options this statement was prepared with.
   const QueryOptions& options() const { return options_; }
+  Answer answer() const { return answer_; }
 
   /// The plan shape: the optimized tree (the parsed one with optimize
   /// off).  Its text is the plan part of a batcher / result-cache key.
+  /// A yes/no statement's is its optimized peeled body restated as a
+  /// closed formula equivalent to the statement: `EXISTS x1 ... xk . body`,
+  /// or `NOT EXISTS x1 ... xk . body` for a FORALL prefix (body = NOT phi).
   const QueryPtr& optimized();
 
   /// Stage two, first half: runs the analyzer (with the statistics cache
@@ -78,23 +111,34 @@ class Prepared {
   /// The analysis; only after Analyze.
   const analysis::AnalysisResult& analysis() const { return *analysis_; }
 
-  /// Stage two, second half: with `options().analyze`, aborts on analysis
+  /// Stage two, second half: a yes/no statement with free variables fails
+  /// with kInvalidArgument.  With `options().analyze`, aborts on analysis
   /// errors, stops at a root proven bit-empty, and applies the sound
-  /// rewrites; then optimizes, infers sorts and (with cost_plan) plans --
-  /// with certified_bounds, clamped by the analysis' interpreter (none when
-  /// the analysis has errors: the plan is then unclamped).  Memoized,
-  /// including its failure.
+  /// rewrites; a yes/no statement then has its root quantifier prefix
+  /// peeled (above); then optimizes, infers sorts, splits a yes/no body
+  /// into its parts and (with cost_plan) plans each -- with
+  /// certified_bounds, clamped by the analysis' interpreter (none when the
+  /// analysis has errors: the plan is then unclamped).
+  /// Memoized, including its failure.
   Status Compile(const Database& db);
 
   /// After a successful Compile: the analysis proved the root bit-empty,
-  /// so there is no plan and evaluation returns the empty relation.
+  /// so there is no plan; a relation is empty and a yes/no answer false.
   bool statically_empty() const { return statically_empty_; }
+  /// After a successful Compile of a yes/no statement: the peeled prefix
+  /// was FORALL, so the body is NOT phi and the statement holds iff the
+  /// body's relation is empty (else: iff it is nonempty).
+  bool holds_when_empty() const { return holds_when_empty_; }
   /// After a successful Compile (and not statically empty): the rewritten,
-  /// optimized tree before planning, the planned tree evaluation runs, its
-  /// sorts, and the planner's estimates and certificates (both empty
-  /// unless cost_plan / certified_bounds).
+  /// optimized tree before planning (for a yes/no statement, the peeled
+  /// body), the planned trees evaluation runs, their sorts, and the
+  /// planner's estimates and certificates (both empty unless cost_plan /
+  /// certified_bounds).  A relation statement has one plan; a yes/no
+  /// statement one per part of its body (above), in chain order.
   const QueryPtr& rewritten() const { return rewritten_; }
-  const QueryPtr& plan() const { return plan_; }
+  const std::vector<QueryPtr>& plans() const { return plans_; }
+  /// The one plan of a relation statement.
+  const QueryPtr& plan() const { return plans_.front(); }
   const SortMap& sorts() const { return sorts_; }
   const PlanEstimateMap& estimates() const { return estimates_; }
   const analysis::CertificateMap& certificates() const;
@@ -110,12 +154,15 @@ class Prepared {
 
   QueryPtr query_;
   QueryOptions options_;
-  QueryPtr optimized_;  // Stage one's Optimize(query_), computed lazily.
+  Answer answer_;
+  QueryPtr optimized_;  // Stage one's plan shape, computed lazily.
+  QueryPtr optimized_body_;  // Yes/no only: the plan shape's body.
   std::optional<analysis::AnalysisResult> analysis_;
   std::optional<Status> compiled_;
   bool statically_empty_ = false;
+  bool holds_when_empty_ = false;
   QueryPtr rewritten_;
-  QueryPtr plan_;
+  std::vector<QueryPtr> plans_;
   SortMap sorts_;
   PlanEstimateMap estimates_;
   // The analysis' interpreter clamped the plan (certificates() is its map).
@@ -123,17 +170,20 @@ class Prepared {
   std::optional<ActiveDomain> adom_;  // Only without an interpreter.
 };
 
-/// Compiles `prepared` against `db` if it is not yet, then evaluates its
-/// plan (see the option split above).  With `profile`, evaluation is traced
-/// per plan node exactly as EvalQueryProfiled documents.  Defined in
+/// Compiles a relation statement against `db` if it is not yet, then
+/// evaluates its plan (see the option split above).  With `profile`,
+/// evaluation is traced per plan node exactly as EvalQueryProfiled
+/// documents.  A yes/no statement fails with kInvalidArgument.  Defined in
 /// eval.cc, next to the evaluator.
 Result<GeneralizedRelation> EvalPrepared(const Database& db, Prepared& prepared,
                                          const QueryOptions& options,
                                          obs::Profile* profile = nullptr);
 
-/// EvalPrepared for a yes/no query: fails with kInvalidArgument when the
-/// statement has free variables, else reports whether the result is
-/// nonempty (Theorem 4.1).
+/// Answers a yes/no statement (Theorem 4.1): compiles it (failing with
+/// kInvalidArgument when it has free variables), answers false for a root
+/// proven bit-empty, else runs one emptiness test per part of the peeled
+/// body, up to the first empty part.  A relation statement fails with
+/// kInvalidArgument.
 Result<bool> EvalPreparedBoolean(const Database& db, Prepared& prepared,
                                  const QueryOptions& options);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <fstream>
 #include <optional>
 #include <ostream>
@@ -43,6 +44,8 @@ constexpr const char* kHelp = R"(commands:
   fetch [n]                     next n tuples of the last `query` result
   set [<name> <value>]          per-session options; bare `set` lists them
   explain <query>               print the (optimized) query-plan tree
+  explain ask <query>           the plans `ask` runs on the peeled body, and
+                                whether true means it is empty or nonempty
   profile <query>               evaluate with tracing; prints per-plan-node
                                 wall/CPU time, tuple counts, and kernel stats
   metrics                       dump the process-global metrics registry
@@ -312,7 +315,9 @@ Status CmdWitness(std::ostream& out, const Database& db,
 
 // Renders the compiled statement: the plan printed is the plan `profile`
 // and evaluation run (sound rewrites applied, optimized, planned), from the
-// same Prepared, so explain can never drift from what executes.
+// same Prepared, so explain can never drift from what executes.  For a
+// yes/no statement those are the plans of the peeled body's parts,
+// followed by the one line saying which emptiness of them answers true.
 Status CmdExplain(std::ostream& out, const Database& db,
                   query::Prepared& prepared) {
   const analysis::AnalysisResult& analyzed = prepared.Analyze(db);
@@ -335,27 +340,46 @@ Status CmdExplain(std::ostream& out, const Database& db,
     out << "analysis:\n" << FormatDiagnosticList(ordered) << "\n";
   }
   out << "plan:\n";
+  const bool yes_no = prepared.answer() == query::Answer::kYesNo;
   if (compiled.ok() && prepared.statically_empty()) {
     out << "EMPTY (the analysis proves the result empty; nothing is "
            "evaluated)\n";
+    if (yes_no) out << "answer: false\n";
     return Status::Ok();
   }
   if (!has_plan) {
-    // Compilation failed (analysis errors, sort conflicts): evaluation will
-    // report why; the unplanned tree is still worth printing.
+    // Compilation failed (analysis errors, sort conflicts, free variables
+    // of a yes/no statement): evaluation will report why; the unplanned
+    // tree is still worth printing.
     out << query::FormatQueryPlan(prepared.optimized());
     return Status::Ok();
   }
   const query::QueryOptions& opts = prepared.options();
-  if (!opts.cost_plan) {
-    out << query::FormatQueryPlan(prepared.plan());
-    return Status::Ok();
+  const std::vector<query::QueryPtr>& plans = prepared.plans();
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    if (plans.size() > 1) {
+      out << "part " << i + 1 << " of " << plans.size() << ":\n";
+    }
+    if (!opts.cost_plan) {
+      out << query::FormatQueryPlan(plans[i]);
+    } else {
+      // The PLANNED tree with the estimates that ordered it and, when
+      // certified bounds are on, the certificates that clamped them.
+      out << query::FormatQueryPlanWithEstimates(
+          plans[i], prepared.estimates(),
+          opts.certified_bounds ? &prepared.certificates() : nullptr);
+    }
   }
-  // The PLANNED tree with the estimates that ordered it and, when certified
-  // bounds are on, the certificates that clamped them.
-  out << query::FormatQueryPlanWithEstimates(
-      prepared.plan(), prepared.estimates(),
-      opts.certified_bounds ? &prepared.certificates() : nullptr);
+  if (!yes_no) return Status::Ok();
+  // The parts share no variable: the body is empty iff some part is.
+  const bool empty = prepared.holds_when_empty();
+  if (plans.size() == 1) {
+    out << "answer: true iff the plan's relation is "
+        << (empty ? "empty" : "nonempty") << "\n";
+  } else {
+    out << "answer: true iff " << (empty ? "some" : "every")
+        << " part's relation is " << (empty ? "empty" : "nonempty") << "\n";
+  }
   return Status::Ok();
 }
 
@@ -530,8 +554,14 @@ Status Session::Dispatch(const std::string& verb, const std::string& rest,
   if (verb == "fetch") return CmdFetch(out, rest);
   if (verb == "set") return CmdSet(out, rest);
   if (verb == "explain" || verb == "EXPLAIN") {
-    ITDB_ASSIGN_OR_RETURN(query::Prepared prepared,
-                          query::Prepared::Parse(rest, BaseOptions()));
+    // `explain ask <formula>` compiles as `ask` does: the peeled body.
+    std::string formula;
+    const bool ask = SplitCommand(rest, &formula) == "ask";
+    ITDB_ASSIGN_OR_RETURN(
+        query::Prepared prepared,
+        query::Prepared::Parse(ask ? formula : rest, BaseOptions(),
+                               ask ? query::Answer::kYesNo
+                                   : query::Answer::kRelation));
     return db_->WithRead(
         [&](const Database& db) { return CmdExplain(out, db, prepared); });
   }
@@ -815,8 +845,11 @@ Status Session::EvalThroughBatcher(std::string_view verb,
   obs::AddGlobalCounter("server.queries", 1);
   query::QueryOptions opts = BaseOptions();
   // Stage one: the statement's only parse.
-  ITDB_ASSIGN_OR_RETURN(query::Prepared prepared,
-                        query::Prepared::Parse(text, opts));
+  ITDB_ASSIGN_OR_RETURN(
+      query::Prepared prepared,
+      query::Prepared::Parse(text, opts,
+                             verb == "ask" ? query::Answer::kYesNo
+                                           : query::Answer::kRelation));
   return db_->WithRead([&](const Database& db) -> Status {
     std::int64_t deadline_ms = options_.deadline_ms;
     // One grade per statement, from its one analysis; it serves budget

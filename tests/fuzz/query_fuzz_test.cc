@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "query/ast.h"
 #include "query/eval.h"
 #include "query/parser.h"
+#include "query/prepared.h"
 
 #ifndef ITDB_FUZZ_CORPUS_DIR
 #error "ITDB_FUZZ_CORPUS_DIR must be defined by the build"
@@ -51,6 +53,33 @@ TEST(QueryOracleTest, PassesOnAHandWrittenCase) {
   // A single atom with a comparison gets a fully bounded certificate, so
   // the soundness oracle must have verified it against the plain result.
   EXPECT_EQ(outcome.certificates_checked, 1);
+  // Both closed forms, on the baseline and each of the six variants.
+  EXPECT_EQ(outcome.closed_checked, 14);
+}
+
+// Closed forms whose peeled bodies split into parts over disjoint
+// variables: the EXISTS form of an AND and the FORALL form of an OR.
+TEST(QueryOracleTest, ChecksClosedFormsOfIndependentConjuncts) {
+  Database db = MakeRandomDatabase(3, {});
+  QueryPtr t = Query::Atom("U0", {Term::Variable("t")});
+  QueryPtr u = Query::Atom("U0", {Term::Variable("u")});
+  const std::pair<QueryPtr, bool> cases[] = {
+      {Query::And(t, u), false},
+      {Query::Or(t, u), true},
+  };
+  for (const auto& [q, universal] : cases) {
+    SCOPED_TRACE(q->ToString());
+    QueryPtr closed = universal
+                          ? Query::Forall("t", Query::Forall("u", q))
+                          : Query::Exists("t", Query::Exists("u", q));
+    query::Prepared prepared(closed, {}, query::Answer::kYesNo);
+    ASSERT_TRUE(prepared.Compile(db).ok());
+    EXPECT_EQ(prepared.plans().size(), 2u);
+    QueryCaseOutcome outcome = CheckQueryCase(db, q);
+    EXPECT_FALSE(outcome.skipped);
+    EXPECT_FALSE(outcome.failure.has_value()) << *outcome.failure;
+    EXPECT_EQ(outcome.closed_checked, 14);
+  }
 }
 
 TEST(QueryOracleTest, ChecksAProvenEmptySubplan) {
@@ -72,8 +101,9 @@ TEST(QueryOracleTest, ChecksAProvenEmptySubplan) {
 
 // The acceptance gate: 500 random queries, zero violations of any oracle --
 // analysis never changes results (at 1 and N threads), every proven-empty
-// subplan really is empty, and actual cardinality / periods / hulls never
-// exceed the root certificate.
+// subplan really is empty, actual cardinality / periods / hulls never
+// exceed the root certificate, and closed forms answer yes/no as the
+// relation path's emptiness says.
 TEST(QueryFuzzTest, FiveHundredCasesNoFindings) {
   QueryFuzzConfig config;
   config.seed = 20260806;
@@ -95,6 +125,8 @@ TEST(QueryFuzzTest, FiveHundredCasesNoFindings) {
   // Most generated queries earn at least a partial certificate, so the
   // soundness oracle must run on a large fraction of the cases.
   EXPECT_GT(report.certificates_checked, 100) << report.Summary();
+  // Closed forms answer through the peeled yes/no path on most cases.
+  EXPECT_GT(report.closed_checked, 3000) << report.Summary();
 }
 
 // Certificate soundness as a property over the checked-in corpus: every

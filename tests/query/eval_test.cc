@@ -1,12 +1,26 @@
 #include "query/eval.h"
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "query/parser.h"
 #include "query/prepared.h"
 #include "storage/text_format.h"
+
+#ifndef ITDB_FUZZ_CORPUS_DIR
+#error "ITDB_FUZZ_CORPUS_DIR must be defined by the build"
+#endif
+#ifndef ITDB_EXAMPLES_QUERIES_DIR
+#error "ITDB_EXAMPLES_QUERIES_DIR must be defined by the build"
+#endif
 
 namespace itdb {
 namespace query {
@@ -157,6 +171,197 @@ TEST(EvalTest, FreeVariablesRejectedInBooleanQueries) {
   Result<bool> r = Ask(db, "P(t)");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ---- Yes/no statements: one emptiness test on the peeled body ----
+
+TEST(EvalTest, YesNoStatementsPeelTheRootQuantifierPrefix) {
+  Database db = SmallDb();
+  Result<Prepared> exists = Prepared::Parse(
+      "EXISTS t . EXISTS u . Less(t, u) AND P(t)", {}, Answer::kYesNo);
+  ASSERT_TRUE(exists.ok()) << exists.status();
+  ASSERT_TRUE(exists->Compile(db).ok());
+  EXPECT_FALSE(exists->holds_when_empty());
+  EXPECT_EQ(exists->query()->FreeVariables().size(), 0u);
+  EXPECT_EQ(exists->rewritten()->FreeVariables(),
+            (std::vector<std::string>{"t", "u"}));
+  // The plan shape restates the statement around the very body Compile
+  // planned: no second Optimize.
+  EXPECT_EQ(exists->optimized()->left()->left(), exists->rewritten());
+  Result<bool> truth = EvalPreparedBoolean(db, *exists, {});
+  ASSERT_TRUE(truth.ok()) << truth.status();
+  EXPECT_TRUE(truth.value());
+  // A FORALL prefix plans NOT body; the statement holds iff it is empty.
+  Result<Prepared> forall =
+      Prepared::Parse("FORALL t . P(t) OR NOT P(t)", {}, Answer::kYesNo);
+  ASSERT_TRUE(forall.ok()) << forall.status();
+  ASSERT_TRUE(forall->Compile(db).ok());
+  EXPECT_TRUE(forall->holds_when_empty());
+  EXPECT_EQ(forall->rewritten()->FreeVariables(),
+            (std::vector<std::string>{"t"}));
+  EXPECT_EQ(forall->optimized()->kind(), Query::Kind::kNot);
+  EXPECT_EQ(forall->optimized()->left()->left(), forall->rewritten());
+  truth = EvalPreparedBoolean(db, *forall, {});
+  ASSERT_TRUE(truth.ok()) << truth.status();
+  EXPECT_TRUE(truth.value());
+  // Each entry point answers only its own kind of statement.
+  Result<Prepared> relation = Prepared::Parse("EXISTS t . P(t)", {});
+  ASSERT_TRUE(relation.ok());
+  EXPECT_EQ(EvalPreparedBoolean(db, *relation, {}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(EvalPrepared(db, *forall, {}).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(EvalTest, StaticallyEmptyRootsAnswerFalseBeforeAnyFlip) {
+  Result<Database> db = Database::FromText(R"(
+    relation P(T: time) { [3+10n]; }
+    relation Nothing(T: time) { }
+  )");
+  ASSERT_TRUE(db.ok()) << db.status();
+  for (bool analyze : {true, false}) {
+    SCOPED_TRACE(analyze ? "analyze on" : "analyze off");
+    QueryOptions options;
+    options.analyze = analyze;
+    for (const char* text :
+         {"EXISTS t . Nothing(t)", "EXISTS t . Nothing(t) AND P(t)",
+          "FORALL t . Nothing(t)", "FORALL t . Nothing(t) AND P(t)",
+          "FORALL t . EXISTS u . Nothing(u) AND P(t)"}) {
+      Result<bool> truth = EvalBooleanQueryString(db.value(), text, options);
+      ASSERT_TRUE(truth.ok()) << text << ": " << truth.status();
+      EXPECT_FALSE(truth.value()) << text;
+    }
+    // The analysis proves the EXISTS root bit-empty: no plan is evaluated.
+    Result<Prepared> prepared =
+        Prepared::Parse("EXISTS t . Nothing(t)", options, Answer::kYesNo);
+    ASSERT_TRUE(prepared.ok());
+    ASSERT_TRUE(prepared->Compile(db.value()).ok());
+    EXPECT_EQ(prepared->statically_empty(), analyze);
+  }
+}
+
+// Closed conjuncts over disjoint variables are answered one part at a
+// time: the body's cross product is never built, so a budget the product
+// would blow still answers.
+TEST(EvalTest, IndependentConjunctsAnswerWithoutTheirCrossProduct) {
+  std::string text = "relation A(T: time) {";
+  for (int i = 0; i < 30; ++i) text += " [" + std::to_string(i) + "+100n];";
+  text += " }\nrelation B(T: time) {";
+  for (int i = 0; i < 30; ++i) text += " [" + std::to_string(i) + "+200n];";
+  text += " }\n";
+  Result<Database> db = Database::FromText(text);
+  ASSERT_TRUE(db.ok()) << db.status();
+  for (bool analyze : {true, false}) {
+    SCOPED_TRACE(analyze ? "analyze on" : "analyze off");
+    QueryOptions options;
+    options.analyze = analyze;
+    options.algebra.max_tuples = 500;  // Below 30 * 30.
+    // The product itself is over budget.
+    Result<GeneralizedRelation> product =
+        EvalQueryString(db.value(), "A(t) AND B(u)", options);
+    ASSERT_FALSE(product.ok());
+    EXPECT_EQ(product.status().code(), StatusCode::kResourceExhausted);
+    // {statement, answer}: an EXISTS root, a FORALL root whose negated
+    // body De Morgans into the same two conjuncts, and a part that is
+    // empty.
+    const std::pair<const char*, bool> cases[] = {
+        {"EXISTS t . EXISTS u . A(t) AND B(u)", true},
+        {"FORALL t . FORALL u . NOT A(t) OR NOT B(u)", false},
+        {"EXISTS t . EXISTS u . A(t) AND B(u) AND u >= 30 AND u < 200",
+         false},
+    };
+    for (const auto& [statement, expected] : cases) {
+      SCOPED_TRACE(statement);
+      Result<Prepared> prepared =
+          Prepared::Parse(statement, options, Answer::kYesNo);
+      ASSERT_TRUE(prepared.ok()) << prepared.status();
+      ASSERT_TRUE(prepared->Compile(db.value()).ok());
+      EXPECT_EQ(prepared->plans().size(), 2u);
+      Result<bool> truth = EvalPreparedBoolean(db.value(), *prepared, options);
+      ASSERT_TRUE(truth.ok()) << truth.status();
+      EXPECT_EQ(truth.value(), expected);
+      // The relation path, whose zero-column projections still multiply
+      // to 30 * 30 tuples, agrees under the default budget.
+      QueryOptions unbudgeted;
+      unbudgeted.analyze = analyze;
+      Result<GeneralizedRelation> rel =
+          EvalQueryString(db.value(), statement, unbudgeted);
+      ASSERT_TRUE(rel.ok()) << rel.status();
+      Result<bool> empty = IsEmpty(rel.value(), unbudgeted.algebra);
+      ASSERT_TRUE(empty.ok()) << empty.status();
+      EXPECT_EQ(empty.value(), !expected);
+    }
+  }
+}
+
+std::string ReadAll(const std::filesystem::path& path) {
+  std::ifstream file(path);
+  std::stringstream buffer;
+  buffer << file.rdbuf();
+  return buffer.str();
+}
+
+// Every compiling `# check:` query, closed by EXISTS and by FORALL over its
+// free variables, answers through the peeled yes/no path exactly as the
+// relation path's result is nonempty -- with analyze and optimize each on
+// and off.
+TEST(EvalTest, ClosedCheckQueriesAnswerAsTheRelationPath) {
+  int compared = 0;
+  int true_answers = 0;
+  for (const char* dir : {ITDB_EXAMPLES_QUERIES_DIR, ITDB_FUZZ_CORPUS_DIR}) {
+    std::vector<std::filesystem::path> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.path().extension() == ".itdb") files.push_back(entry.path());
+    }
+    std::sort(files.begin(), files.end());
+    for (const std::filesystem::path& path : files) {
+      SCOPED_TRACE(path.filename().string());
+      const std::string text = ReadAll(path);
+      Result<Database> db = Database::FromText(text);
+      ASSERT_TRUE(db.ok()) << db.status();
+      std::istringstream lines(text);
+      for (std::string line; std::getline(lines, line);) {
+        const std::string prefix = "# check:";
+        if (line.rfind(prefix, 0) != 0) continue;
+        Result<QueryPtr> open = ParseQuery(line.substr(prefix.size()));
+        ASSERT_TRUE(open.ok()) << line << ": " << open.status();
+        const std::vector<std::string> free = open.value()->FreeVariables();
+        for (bool universal : {false, true}) {
+          QueryPtr closed = open.value();
+          for (auto v = free.rbegin(); v != free.rend(); ++v) {
+            closed = universal ? Query::Forall(*v, closed)
+                               : Query::Exists(*v, closed);
+          }
+          for (bool analyze : {true, false}) {
+            for (bool optimize : {true, false}) {
+              QueryOptions options;
+              options.analyze = analyze;
+              options.optimize = optimize;
+              Prepared relation(closed, options);
+              Result<GeneralizedRelation> rel =
+                  EvalPrepared(db.value(), relation, options);
+              if (!rel.ok()) continue;  // Does not compile.
+              Result<bool> empty = IsEmpty(rel.value(), options.algebra);
+              ASSERT_TRUE(empty.ok()) << empty.status();
+              Prepared yes_no(closed, options, Answer::kYesNo);
+              Result<bool> answer =
+                  EvalPreparedBoolean(db.value(), yes_no, options);
+              ASSERT_TRUE(answer.ok())
+                  << closed->ToString() << ": " << answer.status();
+              EXPECT_EQ(answer.value(), !empty.value())
+                  << closed->ToString() << " (analyze " << analyze
+                  << ", optimize " << optimize << ")";
+              ++compared;
+              true_answers += answer.value() ? 1 : 0;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(compared, 40);
+  EXPECT_GT(true_answers, 0);
+  EXPECT_LT(true_answers, compared);
 }
 
 // ---- The Example 2.4 train anomaly ----

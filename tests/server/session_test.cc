@@ -266,9 +266,16 @@ TEST_F(SessionTest, EachStatementAnalyzesOnceAndCacheHitsNever) {
   EXPECT_EQ(analyses(session, "query Q(t) AND t <= 12"), 1);
   EXPECT_EQ(analyses(session, "profile P(t) AND Q(t)"), 1);
   EXPECT_EQ(analyses(session, "explain P(t) AND Q(t)"), 1);
+  // A FORALL-rooted ask plans its peeled body inside the same compile.
+  EXPECT_EQ(analyses(session, "ask FORALL t . P(t) OR NOT Q(t)"), 1);
+  EXPECT_EQ(analyses(session, "explain ask FORALL t . P(t) OR NOT Q(t)"), 1);
   EXPECT_EQ(session.stats().cache_hits, 0);
   EXPECT_EQ(analyses(session, "ask EXISTS t . P(t) AND t <= 40"), 0);
   EXPECT_EQ(analyses(session, "query Q(t) AND t <= 12"), 0);
+  EXPECT_EQ(session.stats().cache_hits, 2);
+  // A FORALL root has no bounded certificate, so its answer is never
+  // admitted to the cache: the repeat is a miss and analyzes once again.
+  EXPECT_EQ(analyses(session, "ask FORALL t . P(t) OR NOT Q(t)"), 1);
   EXPECT_EQ(session.stats().cache_hits, 2);
   // A plain session (the shell's: no cache, no queue) analyzes once too.
   Session plain(&*shared_);
@@ -322,6 +329,66 @@ TEST_F(SessionTest, ExplainPrintsThePlanProfileRuns) {
   ASSERT_TRUE(status.ok()) << status;
   // Profile nodes sit one level under the root "query ..." span.
   EXPECT_EQ(TreeLines(profiled, "query ", "  [", 2), plan) << profiled;
+}
+
+// `explain ask` prints the plan `ask` runs -- the body under the peeled
+// root quantifiers -- and which emptiness of it answers true.
+TEST_F(SessionTest, ExplainAskPrintsThePeeledBodyPlan) {
+  Session session(&*shared_);
+  Status status;
+  EXPECT_EQ(Run(session, "explain ask EXISTS t . P(t) AND Q(t)", &status),
+            "query:     EXISTS t . ((P(t) AND Q(t)))\n"
+            "optimized: (P(t) AND Q(t))\n"
+            "plan:\n"
+            "AND  (est_rows=1, est_cost=4, cert_rows=1, cert_lcm=20)\n"
+            "  ATOM P(t)  (est_rows=1, est_cost=1, cert_rows=1, cert_lcm=10)\n"
+            "  ATOM Q(t)  (est_rows=1, est_cost=1, cert_rows=1, cert_lcm=4)\n"
+            "answer: true iff the plan's relation is nonempty\n");
+  EXPECT_TRUE(status.ok()) << status;
+  EXPECT_EQ(Run(session, "ask EXISTS t . P(t) AND Q(t)"), "false\n");
+  EXPECT_EQ(
+      Run(session, "explain ask FORALL t . t < 3 OR P(t) OR Q(t)", &status),
+      "query:     FORALL t . (((t < 3 OR P(t)) OR Q(t)))\n"
+      "optimized: ((t >= 3 AND NOT (P(t))) AND NOT (Q(t)))\n"
+      "analysis:\n"
+      "note[A017] at 1:1: no finite certificate: the result's cardinality "
+      "cannot be bounded statically\n"
+      "plan:\n"
+      "AND  (est_rows=1, est_cost=37, cert_rows=unbounded, cert_lcm=20)\n"
+      "  AND  (est_rows=1, est_cost=19, cert_rows=unbounded, cert_lcm=10)\n"
+      "    CMP t >= 3  (est_rows=1, est_cost=1, cert_rows=1, cert_lcm=1)\n"
+      "    NOT  (est_rows=8, est_cost=9, cert_rows=unbounded, cert_lcm=10)\n"
+      "      ATOM P(t)  (est_rows=1, est_cost=1, cert_rows=1, cert_lcm=10)\n"
+      "  NOT  (est_rows=8, est_cost=9, cert_rows=unbounded, cert_lcm=4)\n"
+      "    ATOM Q(t)  (est_rows=1, est_cost=1, cert_rows=1, cert_lcm=4)\n"
+      "answer: true iff the plan's relation is empty\n");
+  EXPECT_TRUE(status.ok()) << status;
+  EXPECT_EQ(Run(session, "ask FORALL t . t < 3 OR P(t) OR Q(t)"), "false\n");
+  // Conjuncts over disjoint variables are separate parts, each answered
+  // by its own emptiness test.
+  const std::string disjoint =
+      "FORALL t . FORALL u . NOT P(t) OR u > 8 OR NOT Q(u)";
+  EXPECT_EQ(
+      Run(session, "explain ask " + disjoint, &status),
+      "query:     FORALL t . (FORALL u . (((NOT (P(t)) OR u > 8) OR "
+      "NOT (Q(u)))))\n"
+      "optimized: ((P(t) AND u <= 8) AND Q(u))\n"
+      "analysis:\n"
+      "warning[A010] at 1:12: universal quantifier (two complements) over 2 "
+      "temporal columns: nonemptiness of complements is NP-complete "
+      "(Theorem 3.5) and the normal form can grow exponentially\n"
+      "note[A017] at 1:1: no finite certificate: the result's cardinality "
+      "cannot be bounded statically\n"
+      "plan:\n"
+      "part 1 of 2:\n"
+      "ATOM P(t)  (est_rows=1, est_cost=1, cert_rows=1, cert_lcm=10)\n"
+      "part 2 of 2:\n"
+      "AND  (est_rows=0, est_cost=3, cert_rows=1, cert_lcm=4)\n"
+      "  CMP u <= 8  (est_rows=1, est_cost=1, cert_rows=1, cert_lcm=1)\n"
+      "  ATOM Q(u)  (est_rows=1, est_cost=1, cert_rows=1, cert_lcm=4)\n"
+      "answer: true iff some part's relation is empty\n");
+  EXPECT_TRUE(status.ok()) << status;
+  EXPECT_EQ(Run(session, "ask " + disjoint), "false\n");
 }
 
 TEST_F(SessionTest, IsQuitStatement) {
