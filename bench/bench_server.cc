@@ -9,9 +9,9 @@
 // in-process layer the shell and server share; BM_Server_UnixRoundTrip adds
 // the wire (one persistent Unix-domain connection, one frame per
 // iteration); BM_Server_ConcurrentClients adds contention (8 clients firing
-// the identical query at once, where the plan batcher coalesces followers
-// onto the leader's evaluation -- the `coalesced` counter reports how often
-// that happened).
+// the identical query at once, where the result table coalesces followers
+// onto the leader's evaluation or answers them from its kept entry -- the
+// `coalesced` counter reports how often a follower waited on a leader).
 
 #include <benchmark/benchmark.h>
 
@@ -180,7 +180,7 @@ void BM_Server_UnixRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_Server_UnixRoundTrip);
 
 // Eight clients fire the identical query simultaneously, once per
-// iteration: the admission queue sees a burst and the plan batcher turns
+// iteration: the admission queue sees a burst and the result table turns
 // duplicate concurrent evaluations into followers of one leader.  Thread
 // start/join overhead is part of each iteration (identical every round, and
 // dwarfed by the eight round trips it fences).
@@ -218,9 +218,9 @@ void BM_Server_ConcurrentClients(benchmark::State& state) {
       }
     }
     state.counters["coalesced"] = benchmark::Counter(
-        static_cast<double>(server.batcher().stats().coalesced));
+        static_cast<double>(server.result_cache().stats().coalesced));
     state.counters["batch_leads"] = benchmark::Counter(
-        static_cast<double>(server.batcher().stats().leads));
+        static_cast<double>(server.result_cache().stats().leads));
   }
   server.Stop();
 }

@@ -1,6 +1,6 @@
 // Abstract interpretation over the query AST: certified bounds.
 //
-// The analyzer's cost pass (cost.h) guesses: A010/A012 are heuristics with
+// The analyzer's cost pass (cost.h) guesses: A010/A011 are heuristics with
 // no soundness contract.  This module computes *certificates* -- sound
 // upper bounds, per query node, in three abstract domains:
 //
@@ -8,8 +8,9 @@
 //     result representation divides L.  Seeded from
 //     RelationStats::period_lcm_rep (the representation-level lcm:
 //     Complement picks its uniform period from every stored tuple,
-//     feasible or not) and composed with saturating Lcm.  This certifies
-//     the A012 blowup heuristic: normalization can never split beyond L.
+//     feasible or not) and composed with saturating Lcm.  The root's L is
+//     the lcm the A012 blowup warning reports: normalization can never
+//     split beyond it.
 //
 //   * interval hull: per free temporal variable, an interval containing
 //     every value that variable takes in the node's denotation (the SET,

@@ -249,15 +249,15 @@ AnalysisResult Analyze(const Database& db, const QueryPtr& q,
     result.root_proven_bit_empty = result.proven_bit_empty.contains(q.get());
     ReportEmpty(*q, result.proven_empty, &result.diagnostics);
 
-    CostDiagnostics(db, *q, result.sorts, &result.diagnostics);
-
-    // Pass 5: abstract interpretation.  Certified counterparts of the cost
-    // heuristics (A014/A015), hull refutations the emptiness prover cannot
-    // see (A016), and uncertifiable queries (A017).
+    // Pass 5: abstract interpretation.  Its root lcm feeds the cost pass's
+    // A012; then certified counterparts of the cost heuristics (A014/A015),
+    // hull refutations the emptiness prover cannot see (A016), and
+    // uncertifiable queries (A017).
     result.interpreter = std::make_shared<AbstractInterpreter>(
         db, result.sorts, options.stats_cache);
     const Certificate& root = result.interpreter->Interpret(q);
     result.root_certificate = root;
+    CostDiagnostics(*q, result.sorts, root.lcm, &result.diagnostics);
     ReportHullRefuted(*q, result.interpreter->certificates(),
                       result.proven_empty, &result.diagnostics);
     if (root.rows.has_value() && *root.rows > kCertifiedRowsThreshold) {

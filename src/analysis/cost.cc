@@ -1,14 +1,10 @@
 #include "analysis/cost.h"
 
 #include <algorithm>
-#include <optional>
 #include <set>
 #include <string>
 
-#include "core/lrp.h"
-#include "core/relation.h"
-#include "core/tuple.h"
-#include "util/numeric.h"
+#include "analysis/absint.h"
 
 namespace itdb {
 namespace analysis {
@@ -35,7 +31,6 @@ int FreeTemporalWidth(const Query& q, const SortMap& sorts) {
 }
 
 struct CostWalker {
-  const Database& db;
   const SortMap& sorts;
   std::vector<Diagnostic>* out;
 
@@ -78,32 +73,16 @@ struct CostWalker {
     out.push_back(&q);
   }
 
-  /// Returns the lcm of all relation periods reachable from `q`, or
-  /// nullopt once the lcm has overflowed int64 (treated as "huge").
   /// `in_chain` is true when the parent node is already part of the same
   /// AND-chain, so the cross-product check only runs at the chain root.
-  std::optional<std::int64_t> Walk(const Query& q, bool in_chain = false) {
+  void Walk(const Query& q, bool in_chain = false) {
     switch (q.kind()) {
-      case Query::Kind::kAtom: {
-        std::optional<std::int64_t> lcm = 1;
-        Result<GeneralizedRelation> rel = db.Get(q.relation());
-        if (!rel.ok()) return lcm;
-        for (const GeneralizedTuple& t : rel.value().tuples()) {
-          for (const Lrp& lrp : t.temporal()) {
-            if (lrp.period() == 0) continue;
-            if (!lcm.has_value()) return std::nullopt;
-            Result<std::int64_t> next = Lcm(*lcm, lrp.period());
-            lcm = next.ok() ? std::optional<std::int64_t>(next.value())
-                            : std::nullopt;
-          }
-        }
-        return lcm;
-      }
+      case Query::Kind::kAtom:
       case Query::Kind::kCmp:
-        return 1;
-      case Query::Kind::kAnd: {
-        std::optional<std::int64_t> left = Walk(*q.left(), /*in_chain=*/true);
-        std::optional<std::int64_t> right = Walk(*q.right(), /*in_chain=*/true);
+        return;
+      case Query::Kind::kAnd:
+        Walk(*q.left(), /*in_chain=*/true);
+        Walk(*q.right(), /*in_chain=*/true);
         if (!in_chain && ChainIsCrossProduct(q)) {
           Warn(out, diag::kCrossProduct, q.span(),
                "conjunction operands share no attributes; the join "
@@ -111,22 +90,23 @@ struct CostWalker {
                "join the operands on a shared variable, or evaluate them "
                "separately");
         }
-        return Combine(left, right);
-      }
+        return;
       case Query::Kind::kOr:
-        return Combine(Walk(*q.left()), Walk(*q.right()));
-      case Query::Kind::kNot: {
+        Walk(*q.left());
+        Walk(*q.right());
+        return;
+      case Query::Kind::kNot:
         WarnComplement(q, "complement");
-        return Walk(*q.left());
-      }
+        Walk(*q.left());
+        return;
       case Query::Kind::kExists:
-        return Walk(*q.left());
-      case Query::Kind::kForall: {
+        Walk(*q.left());
+        return;
+      case Query::Kind::kForall:
         WarnComplement(q, "universal quantifier (two complements)");
-        return Walk(*q.left());
-      }
+        Walk(*q.left());
+        return;
     }
-    return 1;
   }
 
   void WarnComplement(const Query& q, std::string_view what) {
@@ -137,30 +117,24 @@ struct CostWalker {
              " temporal columns: nonemptiness of complements is NP-complete "
              "(Theorem 3.5) and the normal form can grow exponentially");
   }
-
-  static std::optional<std::int64_t> Combine(std::optional<std::int64_t> a,
-                                             std::optional<std::int64_t> b) {
-    if (!a.has_value() || !b.has_value()) return std::nullopt;
-    Result<std::int64_t> lcm = Lcm(*a, *b);
-    if (!lcm.ok()) return std::nullopt;
-    return lcm.value();
-  }
 };
 
 }  // namespace
 
-void CostDiagnostics(const Database& db, const Query& q, const SortMap& sorts,
+void CostDiagnostics(const Query& q, const SortMap& sorts,
+                     std::optional<std::int64_t> root_lcm,
                      std::vector<Diagnostic>* out) {
-  CostWalker walker{db, sorts, out};
-  std::optional<std::int64_t> lcm = walker.Walk(q);
-  if (!lcm.has_value()) {
+  CostWalker walker{sorts, out};
+  walker.Walk(q);
+  if (!root_lcm.has_value()) {
     Warn(out, diag::kPeriodBlowup, q.span(),
-         "the periods reachable from this query compose to an lcm beyond "
-         "int64; normalization may expand tuples massively");
-  } else if (*lcm > kPeriodBlowupThreshold) {
+         "the periods reachable from this query compose to an lcm beyond " +
+             std::to_string(kMaxCertifiedLcm) +
+             "; normalization may expand tuples massively");
+  } else if (*root_lcm > kPeriodBlowupThreshold) {
     Warn(out, diag::kPeriodBlowup, q.span(),
          "the periods reachable from this query compose to lcm " +
-             std::to_string(*lcm) + " (threshold " +
+             std::to_string(*root_lcm) + " (threshold " +
              std::to_string(kPeriodBlowupThreshold) +
              "); normalization may expand each tuple by that factor");
   }

@@ -9,6 +9,8 @@
 //   A012  the periods of the relations reachable from the root compose, in
 //         the worst case, to their lcm (Lemma 3.1 splits tuples to the
 //         common period), so a large lcm predicts normalization blowup.
+//         The lcm is the root certificate's (absint.h): the stored periods'
+//         lcm, composed through the tree, with no pass over the tuples.
 //
 // All findings are warnings: they never block evaluation, only explain
 // where time will go (the evaluator's budget checks still backstop
@@ -20,11 +22,11 @@
 #define ITDB_ANALYSIS_COST_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "query/ast.h"
 #include "query/sorts.h"
-#include "storage/database.h"
 #include "util/diagnostic.h"
 
 namespace itdb {
@@ -41,9 +43,10 @@ inline constexpr int kComplementWidthThreshold = 2;
 inline constexpr std::int64_t kCertifiedRowsThreshold = 1'000'000;
 
 /// Appends A010/A011/A012 warnings for `q` to `out`.  `sorts` must be the
-/// error-free result of sort inference for `q`.
-void CostDiagnostics(const Database& db, const query::Query& q,
-                     const query::SortMap& sorts,
+/// error-free result of sort inference for `q`; `root_lcm` is `q`'s root
+/// certificate lcm (nullopt: beyond analysis::kMaxCertifiedLcm).
+void CostDiagnostics(const query::Query& q, const query::SortMap& sorts,
+                     std::optional<std::int64_t> root_lcm,
                      std::vector<Diagnostic>* out);
 
 }  // namespace analysis

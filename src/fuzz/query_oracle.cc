@@ -50,7 +50,6 @@ struct Variant {
   bool analyze;
   bool parallel;
   bool cost_plan;
-  bool certified_bounds = true;
 };
 
 constexpr Variant kVariants[] = {
@@ -59,22 +58,17 @@ constexpr Variant kVariants[] = {
     {"analyze=on threads=N cost_plan=off", true, true, false},
     {"analyze=off threads=1 cost_plan=on", false, false, true},
     {"analyze=on threads=N cost_plan=on", true, true, true},
-    // Certificate-clamped planning off vs the default-on variants above:
-    // clamping may only change join ORDER, never the representation.
-    {"analyze=on threads=1 cost_plan=on certified_bounds=off", true, false,
-     true, false},
 };
 
 constexpr Variant kBaseline = {"analyze=off threads=1 cost_plan=off", false,
                                false, false};
 
 QueryOptions MakeOptions(bool analyze, bool parallel, bool cost_plan,
-                         int threads, bool certified_bounds = true) {
+                         int threads) {
   QueryOptions options;
   options.analyze = analyze;
   options.algebra.threads = parallel ? threads : 1;
   options.cost_plan = cost_plan;
-  options.certified_bounds = certified_bounds;
   return options;
 }
 
@@ -99,8 +93,8 @@ std::optional<std::string> CheckClosedForms(const Database& db,
     }
     const char* form = universal ? "FORALL-closed" : "EXISTS-closed";
     for (const Variant& v : variants) {
-      const QueryOptions opts = MakeOptions(v.analyze, v.parallel, v.cost_plan,
-                                            threads, v.certified_bounds);
+      const QueryOptions opts =
+          MakeOptions(v.analyze, v.parallel, v.cost_plan, threads);
       Result<GeneralizedRelation> rel = EvalQuery(db, closed, opts);
       Result<bool> answer = EvalBooleanQuery(db, closed, opts);
       if (!rel.ok() || !answer.ok()) {
@@ -172,8 +166,7 @@ QueryCaseOutcome CheckQueryCase(const Database& db, const QueryPtr& q,
   for (const Variant& v : kVariants) {
     Result<GeneralizedRelation> got = EvalQuery(
         db, q,
-        MakeOptions(v.analyze, v.parallel, v.cost_plan, options.threads,
-                    v.certified_bounds));
+        MakeOptions(v.analyze, v.parallel, v.cost_plan, options.threads));
     ++outcome.variants_checked;
     // Planned and written join orders can exhaust resource budgets
     // differently (the documented exception in query/planner.h): a budget

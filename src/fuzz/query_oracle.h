@@ -5,9 +5,9 @@
 //   * Bit-identity: evaluating with analysis on must give the SAME
 //     representation (schema plus tuple sequence) as evaluating with it
 //     off, at one thread and at N threads -- a matrix against the
-//     (analyze=off, threads=1) baseline that also covers cost_plan and
-//     certified_bounds (certificate-clamped planning must not change the
-//     representation either).  When the baseline fails, every variant must
+//     (analyze=off, threads=1) baseline that also covers cost_plan
+//     (certificate-clamped planning must not change the representation
+//     either).  When the baseline fails, every variant must
 //     fail with the same status code (the analyzer may turn an eval-time
 //     type error into an analysis error, but both surface as
 //     kInvalidArgument / kNotFound consistently).

@@ -67,16 +67,6 @@ struct QueryOptions {
   /// database's catalog version (core/stats.h).  Not owned; null recomputes
   /// statistics on every planned query.
   StatsCache* stats_cache = nullptr;
-  /// Feed certified bounds (analysis/absint.h) into the cost planner: the
-  /// analysis' abstract interpreter also certifies the tree being planned,
-  /// and its certificates CLAMP the planner's heuristic row estimates (a certified
-  /// cardinality caps the guess; a hull-refuted conjunct sorts first as
-  /// provably set-empty).  Certificates also annotate plan spans
-  /// (cert_rows / cert_lcm args next to est_rows / est_cost).  Ordering and
-  /// observability only -- results stay bit-identical with this on or off,
-  /// at every thread count (the certified_bounds axis of the fuzz
-  /// determinism matrix pins it).  No effect unless `cost_plan` is set.
-  bool certified_bounds = true;
   /// Open one span per query-plan node (category "plan", labeled AND / OR /
   /// ATOM ... / EXISTS v) in the resolved tracer, recording wall/CPU time,
   /// tuples_out, and the deltas of the kernel counters and normalize-cache

@@ -80,8 +80,8 @@ struct PlannedQuery {
 /// zero rows, pulling it to the front of the chain.  The planner registers
 /// certificates for every AND node it rebuilds, so the planned tree is
 /// fully annotated for explain/profile.  Clamping changes join ORDER only;
-/// bit-identity is untouched (QueryOptions::certified_bounds axis of the
-/// fuzz matrix).
+/// bit-identity is untouched (the cost_plan axis of the fuzz matrix runs
+/// with clamping on).
 PlannedQuery PlanQuery(const Database& db, const QueryPtr& q,
                        const SortMap& sorts, StatsCache* stats_cache,
                        analysis::AbstractInterpreter* absint = nullptr);

@@ -193,8 +193,7 @@ Status Prepared::CompileOnce(const Database& db) {
   // (planner.h).  Its memo already holds the subtrees the optimized tree
   // shares with the parsed one, and its active domain was seeded from the
   // ORIGINAL query, as evaluation's is: rewrites may drop constants.
-  analysis::AbstractInterpreter* interp = nullptr;
-  if (options_.certified_bounds) interp = Analyze(db).interpreter.get();
+  analysis::AbstractInterpreter* interp = Analyze(db).interpreter.get();
   for (QueryPtr& plan : plans_) {
     if (interp != nullptr) interp->Interpret(plan);
     PlannedQuery planned =
@@ -202,16 +201,18 @@ Status Prepared::CompileOnce(const Database& db) {
     plan = std::move(planned.query);
     estimates_.merge(planned.estimates);
   }
-  // The planner registered certificates for the AND nodes it rebuilt, so
-  // the planned trees are fully annotated.
-  certified_ = interp != nullptr;
   obs::AddGlobalCounter("query.cost_plans", 1);
   return Status::Ok();
 }
 
 const analysis::CertificateMap& Prepared::certificates() const {
   static const analysis::CertificateMap kNone;
-  return certified_ ? analysis_->interpreter->certificates() : kNone;
+  // A planned statement was clamped by the analysis' interpreter, which
+  // registered certificates for the AND nodes the planner rebuilt, so the
+  // planned trees are fully annotated.
+  const bool certified = options_.cost_plan && !plans_.empty() &&
+                         analysis_->interpreter != nullptr;
+  return certified ? analysis_->interpreter->certificates() : kNone;
 }
 
 const ActiveDomain& Prepared::active_domain(const Database& db) {

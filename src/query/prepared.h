@@ -1,20 +1,20 @@
 // A query statement compiled once: the single pipeline from admission to
 // evaluation.
 //
-// Every consumer of a statement -- the session's result-cache lookup,
-// admission grading, the plan batcher, evaluation, cache admission,
-// `explain` and `profile` -- reads one Prepared instead of re-running its
-// own slice of the front end.  It is built in two stages:
+// Every consumer of a statement -- the session's result-table key,
+// admission grading, evaluation, cache admission, `explain` and `profile`
+// -- reads one Prepared instead of re-running its own slice of the front
+// end.  It is built in two stages:
 //
 //   * Stage one (construction / Parse): the parsed tree, how the statement
 //     is answered (its verb: a relation, or yes/no for `ask`), and its plan
 //     shape, the text of the optimized tree that fingerprints the statement
-//     for the batcher and the result cache.  A cache hit pays exactly this.
+//     for the result table.  A hit or a follower pays exactly this.
 //   * Stage two (Analyze, then Compile): Analyze runs the static analyzer
 //     once and keeps its AnalysisResult (grading reads the root certificate
 //     and diagnostics from it); Compile applies the analyzer's sound
-//     rewrites, optimizes, infers sorts and plans.  With certified planning
-//     the analysis' own abstract interpreter certifies the optimized tree
+//     rewrites, optimizes, infers sorts and plans.  With cost_plan the
+//     analysis' own abstract interpreter certifies the optimized tree
 //     (its memo already holds every subtree the two trees share) and
 //     clamps the planner; evaluation ranges data variables over that
 //     interpreter's active domain.  Compile reuses the analysis when it has
@@ -46,8 +46,8 @@
 // EvalPrepared (a Prepared is per statement, never cached across versions).
 //
 // Options split in two.  The compile-time knobs (analyze, optimize,
-// cost_plan, certified_bounds, stats_cache, and trace/tracer for analysis
-// spans) are fixed at construction.  EvalPrepared reads only the
+// cost_plan, stats_cache, and trace/tracer for analysis spans) are fixed
+// at construction.  EvalPrepared reads only the
 // evaluation-time knobs of the options it is given (algebra budgets and
 // caches, trace, tracer), which is how a session divides a heavy
 // statement's budgets after grading it from the analysis.
@@ -96,7 +96,7 @@ class Prepared {
   Answer answer() const { return answer_; }
 
   /// The plan shape: the optimized tree (the parsed one with optimize
-  /// off).  Its text is the plan part of a batcher / result-cache key.
+  /// off).  Its text is the plan part of a result-table key.
   /// A yes/no statement's is its optimized peeled body restated as a
   /// closed formula equivalent to the statement: `EXISTS x1 ... xk . body`,
   /// or `NOT EXISTS x1 ... xk . body` for a FORALL prefix (body = NOT phi).
@@ -116,9 +116,9 @@ class Prepared {
   /// errors, stops at a root proven bit-empty, and applies the sound
   /// rewrites; a yes/no statement then has its root quantifier prefix
   /// peeled (above); then optimizes, infers sorts, splits a yes/no body
-  /// into its parts and (with cost_plan) plans each -- with
-  /// certified_bounds, clamped by the analysis' interpreter (none when the
-  /// analysis has errors: the plan is then unclamped).
+  /// into its parts and (with cost_plan) plans each, clamped by the
+  /// analysis' interpreter (none when the analysis has errors: the plan is
+  /// then unclamped).
   /// Memoized, including its failure.
   Status Compile(const Database& db);
 
@@ -132,8 +132,8 @@ class Prepared {
   /// After a successful Compile (and not statically empty): the rewritten,
   /// optimized tree before planning (for a yes/no statement, the peeled
   /// body), the planned trees evaluation runs, their sorts, and the
-  /// planner's estimates and certificates (both empty unless cost_plan /
-  /// certified_bounds).  A relation statement has one plan; a yes/no
+  /// planner's estimates and certificates (both empty unless cost_plan;
+  /// certificates also empty when the analysis has errors).  A relation statement has one plan; a yes/no
   /// statement one per part of its body (above), in chain order.
   const QueryPtr& rewritten() const { return rewritten_; }
   const std::vector<QueryPtr>& plans() const { return plans_; }
@@ -165,8 +165,6 @@ class Prepared {
   std::vector<QueryPtr> plans_;
   SortMap sorts_;
   PlanEstimateMap estimates_;
-  // The analysis' interpreter clamped the plan (certificates() is its map).
-  bool certified_ = false;
   std::optional<ActiveDomain> adom_;  // Only without an interpreter.
 };
 

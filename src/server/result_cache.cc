@@ -34,77 +34,102 @@ std::size_t EstimateRelationBytes(const GeneralizedRelation& rel) {
 ResultCache::ResultCache(std::size_t byte_budget) : byte_budget_(byte_budget) {}
 
 void ResultCache::ClearLocked(std::uint64_t version) {
-  if (!entries_.empty()) {
-    ++invalidations_;
+  if (!lru_.empty()) {
+    ++stats_.invalidations;
     obs::AddGlobalCounter("server.cache.invalidations", 1);
   }
+  // In-flight entries go too: their leaders still publish to the waiters
+  // holding them, but nothing computed against the old catalog is kept.
   entries_.clear();
   lru_.clear();
   bytes_ = 0;
   version_ = version;
 }
 
-void ResultCache::EvictLocked() {
-  while (bytes_ > byte_budget_ && !lru_.empty()) {
-    auto it = entries_.find(lru_.back());
-    bytes_ -= it->second.bytes;
-    entries_.erase(it);
-    lru_.pop_back();
-    ++evictions_;
-    obs::AddGlobalCounter("server.cache.evictions", 1);
-  }
-}
-
-std::optional<CachedResult> ResultCache::Lookup(const std::string& key,
-                                                std::uint64_t version) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (version > version_) ClearLocked(version);
-  auto it = entries_.find(key);
-  if (version < version_ || it == entries_.end()) {
-    ++misses_;
+ResultCache::Outcome ResultCache::Run(const std::string& key,
+                                      std::uint64_t version,
+                                      const std::function<Outcome()>& compute,
+                                      Served* served) {
+  std::shared_ptr<Flight> flight;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (version > version_) ClearLocked(version);
+    auto it = entries_.find(key);
+    if (version == version_ && it != entries_.end()) {
+      Entry& entry = it->second;
+      if (entry.flight == nullptr) {
+        lru_.splice(lru_.begin(), lru_, entry.lru_pos);
+        ++stats_.hits;
+        obs::AddGlobalCounter("server.cache.hits", 1);
+        if (served != nullptr) *served = Served::kHit;
+        return Outcome{Status::Ok(), entry.text, entry.relation, true};
+      }
+      flight = entry.flight;
+      ++stats_.misses;
+      ++stats_.coalesced;
+      obs::AddGlobalCounter("server.cache.misses", 1);
+      obs::AddGlobalCounter("server.batched", 1);
+      if (served != nullptr) *served = Served::kShared;
+      published_.wait(lock, [&flight] { return flight->done; });
+      return flight->outcome;
+    }
+    ++stats_.misses;
+    ++stats_.leads;
     obs::AddGlobalCounter("server.cache.misses", 1);
-    return std::nullopt;
+    // A stale version computes alone: it joins nothing and keeps nothing.
+    if (version == version_) {
+      flight = std::make_shared<Flight>();
+      entries_[key].flight = flight;
+    }
   }
-  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-  ++hits_;
-  obs::AddGlobalCounter("server.cache.hits", 1);
-  return it->second.result;
-}
-
-void ResultCache::Insert(const std::string& key, std::uint64_t version,
-                         CachedResult result) {
-  std::size_t bytes = kEntryOverhead + key.size() + result.text.size();
-  if (result.relation != nullptr) {
-    bytes += EstimateRelationBytes(*result.relation);
+  if (served != nullptr) *served = Served::kComputed;
+  Outcome outcome = compute();
+  if (flight == nullptr) return outcome;
+  std::size_t bytes = 0;
+  if (outcome.status.ok() && outcome.cacheable) {
+    bytes = kEntryOverhead + key.size() + outcome.text.size();
+    if (outcome.relation != nullptr) {
+      bytes += EstimateRelationBytes(*outcome.relation);
+    }
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (version > version_) ClearLocked(version);
-  if (version < version_ || bytes > byte_budget_) return;
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    bytes_ -= it->second.bytes;
-    lru_.erase(it->second.lru_pos);
-    entries_.erase(it);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    flight->outcome = outcome;
+    flight->done = true;
+    // A version bump while computing already dropped (or replaced) the
+    // entry; otherwise it stays only as a kept outcome.
+    auto it = entries_.find(key);
+    if (it != entries_.end() && it->second.flight == flight) {
+      if (bytes == 0 || bytes > byte_budget_) {
+        entries_.erase(it);
+      } else {
+        Entry& entry = it->second;
+        entry.flight.reset();
+        entry.text = outcome.text;
+        entry.relation = outcome.relation;
+        entry.bytes = bytes;
+        lru_.push_front(key);
+        entry.lru_pos = lru_.begin();
+        bytes_ += bytes;
+        while (bytes_ > byte_budget_) {
+          auto victim = entries_.find(lru_.back());
+          bytes_ -= victim->second.bytes;
+          entries_.erase(victim);
+          lru_.pop_back();
+          ++stats_.evictions;
+          obs::AddGlobalCounter("server.cache.evictions", 1);
+        }
+      }
+    }
   }
-  lru_.push_front(key);
-  entries_.emplace(key, Entry{std::move(result), bytes, lru_.begin()});
-  bytes_ += bytes;
-  EvictLocked();
-}
-
-void ResultCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ClearLocked(version_);
+  published_.notify_all();
+  return outcome;
 }
 
 ResultCache::Stats ResultCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  Stats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.evictions = evictions_;
-  s.invalidations = invalidations_;
-  s.entries = entries_.size();
+  Stats s = stats_;
+  s.entries = lru_.size();
   s.bytes = bytes_;
   return s;
 }

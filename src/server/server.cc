@@ -70,10 +70,7 @@ Server::Server(Database* db, ServerOptions options)
   if (options_.normalize_cache_capacity > 0) {
     options_.session.normalize_cache = &normalize_cache_;
   }
-  options_.session.batcher = &batcher_;
-  if (options_.result_cache_bytes > 0) {
-    options_.session.result_cache = &result_cache_;
-  }
+  options_.session.result_cache = &result_cache_;
   options_.session.stats_cache = &stats_cache_;
   options_.session.admission = &admission_;
 }
@@ -372,10 +369,9 @@ std::string Server::StatusReport() {
   out << "admitted_total " << admission_.admitted_total() << "\n";
   out << "shed_total " << admission_.shed_total() << "\n";
   out << "shed_heavy_total " << admission_.shed_heavy_total() << "\n";
-  QueryBatcher::Stats batch = batcher_.stats();
-  out << "batch_leads " << batch.leads << "\n";
-  out << "batch_coalesced " << batch.coalesced << "\n";
   ResultCache::Stats cache = result_cache_.stats();
+  out << "batch_leads " << cache.leads << "\n";
+  out << "batch_coalesced " << cache.coalesced << "\n";
   out << "cache_hits " << cache.hits << "\n";
   out << "cache_misses " << cache.misses << "\n";
   out << "cache_evictions " << cache.evictions << "\n";

@@ -23,9 +23,9 @@
 //     only on the single worker pumping that connection.  The two touch
 //     disjoint Session state (pending_ vs everything else), so neither
 //     locks.
-//   * Workers never block on other statements except as a batch follower,
-//     and a follower's leader is already running (batcher.h), so progress
-//     never depends on a free worker.
+//   * Workers never block on other statements except as a result-table
+//     follower, and a follower's leader is already running
+//     (result_cache.h), so progress never depends on a free worker.
 //   * Sockets are written only by the pumping worker, under the
 //     connection's write mutex, with MSG_NOSIGNAL (a vanished client is an
 //     EPIPE to handle, not a SIGPIPE to die from).
@@ -45,7 +45,6 @@
 #include "core/normalize_cache.h"
 #include "core/stats.h"
 #include "server/admission.h"
-#include "server/batcher.h"
 #include "server/protocol.h"
 #include "server/result_cache.h"
 #include "server/session.h"
@@ -66,14 +65,15 @@ struct ServerOptions {
   int backlog = 64;
   AdmissionOptions admission;
   /// Per-session defaults (deadline, budgets, read_only, ...).  The
-  /// normalize_cache, batcher, result_cache, stats_cache and admission
+  /// normalize_cache, result_cache, stats_cache and admission
   /// fields are overwritten with the server's own shared instances.
   SessionOptions session;
   /// Capacity of the server-wide normalization memo-cache shared by every
   /// session (0 disables sharing).
   std::size_t normalize_cache_capacity = std::size_t{1} << 12;
-  /// Byte budget of the versioned cross-query result cache shared by every
-  /// session (result_cache.h); 0 disables caching.
+  /// Byte budget of the versioned result table shared by every session
+  /// (result_cache.h); 0 keeps no outcome but still coalesces concurrent
+  /// identical statements.
   std::size_t result_cache_bytes = std::size_t{1} << 24;
 };
 
@@ -105,7 +105,6 @@ class Server {
     return connections_active_.load(std::memory_order_relaxed);
   }
   const AdmissionQueue& admission() const { return admission_; }
-  const QueryBatcher& batcher() const { return batcher_; }
   const ResultCache& result_cache() const { return result_cache_; }
   const StatsCache& stats_cache() const { return stats_cache_; }
   SharedDatabase& shared_database() { return shared_db_; }
@@ -128,7 +127,6 @@ class Server {
   ServerOptions options_;
   SharedDatabase shared_db_;
   NormalizeCache normalize_cache_;
-  QueryBatcher batcher_;
   ResultCache result_cache_;
   StatsCache stats_cache_;
   AdmissionQueue admission_;

@@ -119,34 +119,96 @@ class DeadlineGuard {
 constexpr const char* kHeavyShed =
     "overloaded: heavy-query admission is full, retry later";
 
-// The heavy admission gate, applied once a statement's grade is known.
-// Holds the heavy slot, if it took one, until destroyed; the statement's
-// total-bound slot is the server's to release.
-class HeavyGate {
+// The step every evaluating query verb (ask / query / profile) takes
+// between parse and evaluation.  The constructor fixes the budgets: a
+// cost-aware session grades the statement there (its one analysis) and
+// divides a heavy one's tuple/split budgets and deadline by
+// heavy_budget_divisor -- before the result-table key, which holds them.
+// Admit() grades the statement if that has not happened and the heavy gate
+// or the result table reads the grade, then applies the heavy gate; the
+// step holds its heavy slot, if it took one, until destroyed.  The
+// statement's total-bound slot is the server's to release.
+class StatementStep {
  public:
-  HeavyGate() = default;
-  HeavyGate(const HeavyGate&) = delete;
-  HeavyGate& operator=(const HeavyGate&) = delete;
-  ~HeavyGate() {
-    if (queue_ != nullptr) queue_->DemoteFromHeavy();
+  StatementStep(const SessionOptions& session, const Database& db,
+                query::Prepared& prepared)
+      : session_(session),
+        db_(db),
+        prepared_(prepared),
+        opts_(prepared.options()),
+        deadline_ms_(session.deadline_ms) {
+    if (!session.cost_aware_budgets) return;
+    Grade();
+    if (grade_->cls != CostClass::kHeavy) return;
+    const std::int64_t d =
+        std::max<std::int64_t>(1, session.heavy_budget_divisor);
+    opts_.algebra.max_tuples =
+        std::max<std::int64_t>(1, opts_.algebra.max_tuples / d);
+    opts_.algebra.max_complement_universe =
+        std::max<std::int64_t>(1, opts_.algebra.max_complement_universe / d);
+    opts_.algebra.normalize.max_split_product = std::max<std::int64_t>(
+        1, opts_.algebra.normalize.max_split_product / d);
+    if (deadline_ms_ > 0) {
+      deadline_ms_ = std::max<std::int64_t>(1, deadline_ms_ / d);
+    }
+  }
+  StatementStep(const StatementStep&) = delete;
+  StatementStep& operator=(const StatementStep&) = delete;
+  ~StatementStep() {
+    if (heavy_ != nullptr) heavy_->DemoteFromHeavy();
   }
 
-  // False when a heavy statement finds the heavy budget full (it sheds).
+  // kUnavailable when a heavy statement finds the heavy budget full.
   // Light statements and sessions without a queue always pass.
-  bool Admit(AdmissionQueue* queue, const CostGrade& grade) {
-    if (queue == nullptr || grade.cls != CostClass::kHeavy) return true;
-    if (!queue->PromoteToHeavy()) return false;
-    queue_ = queue;
-    return true;
+  Status Admit() {
+    AdmissionQueue* queue = session_.admission;
+    if (!grade_.has_value() &&
+        (queue != nullptr || session_.result_cache != nullptr)) {
+      Grade();
+    }
+    if (queue == nullptr || grade_->cls != CostClass::kHeavy) {
+      return Status::Ok();
+    }
+    if (!queue->PromoteToHeavy()) return Status::Unavailable(kHeavyShed);
+    heavy_ = queue;
+    return Status::Ok();
+  }
+
+  // The options and deadline the statement evaluates under.
+  const query::QueryOptions& opts() const { return opts_; }
+  std::int64_t deadline_ms() const { return deadline_ms_; }
+  // The grade certifies a bounded result, so the table may keep it.
+  bool cacheable() const {
+    return grade_.has_value() && grade_->root_certificate.bounded();
   }
 
  private:
-  AdmissionQueue* queue_ = nullptr;
+  void Grade() { grade_ = GradeAnalysis(prepared_.Analyze(db_)); }
+
+  const SessionOptions& session_;
+  const Database& db_;
+  query::Prepared& prepared_;
+  query::QueryOptions opts_;
+  std::int64_t deadline_ms_;
+  std::optional<CostGrade> grade_;
+  AdmissionQueue* heavy_ = nullptr;
 };
 
-// The statement's cost grade, from its (memoized) analysis.
-CostGrade Grade(const Database& db, query::Prepared& prepared) {
-  return GradeAnalysis(prepared.Analyze(db));
+// The result-table key: the normalized plan shape plus every option that
+// can change the rendered outcome.  Thread count is deliberately absent:
+// results are bit-identical at every thread count (and, by the planner's
+// guarantee, across cost_plan too -- it is keyed anyway so a budget-shaped
+// divergence can never alias).
+std::string StatementKey(std::string_view verb, query::Prepared& prepared,
+                         const StatementStep& step) {
+  const query::QueryOptions& opts = step.opts();
+  std::ostringstream fp;
+  fp << verb << '\x1f' << prepared.optimized()->ToString() << '\x1f'
+     << opts.analyze << opts.optimize << opts.cost_plan << '\x1f'
+     << opts.algebra.max_tuples << '/'
+     << opts.algebra.max_complement_universe << '/'
+     << opts.algebra.normalize.max_split_product << '/' << step.deadline_ms();
+  return fp.str();
 }
 
 bool IsBinaryPath(const std::string& path) {
@@ -354,20 +416,18 @@ Status CmdExplain(std::ostream& out, const Database& db,
     out << query::FormatQueryPlan(prepared.optimized());
     return Status::Ok();
   }
-  const query::QueryOptions& opts = prepared.options();
   const std::vector<query::QueryPtr>& plans = prepared.plans();
   for (std::size_t i = 0; i < plans.size(); ++i) {
     if (plans.size() > 1) {
       out << "part " << i + 1 << " of " << plans.size() << ":\n";
     }
-    if (!opts.cost_plan) {
+    if (!prepared.options().cost_plan) {
       out << query::FormatQueryPlan(plans[i]);
     } else {
-      // The PLANNED tree with the estimates that ordered it and, when
-      // certified bounds are on, the certificates that clamped them.
+      // The PLANNED tree with the estimates that ordered it and the
+      // certificates that clamped them.
       out << query::FormatQueryPlanWithEstimates(
-          plans[i], prepared.estimates(),
-          opts.certified_bounds ? &prepared.certificates() : nullptr);
+          plans[i], prepared.estimates(), &prepared.certificates());
     }
   }
   if (!yes_no) return Status::Ok();
@@ -549,8 +609,7 @@ Status Session::Dispatch(const std::string& verb, const std::string& rest,
     return db_->WithRead(
         [&](const Database& db) { return CmdEnumerate(out, db, rest); });
   }
-  if (verb == "ask") return CmdAsk(out, rest);
-  if (verb == "query") return CmdQuery(out, rest);
+  if (verb == "ask" || verb == "query") return CmdEval(verb, rest, out);
   if (verb == "fetch") return CmdFetch(out, rest);
   if (verb == "set") return CmdSet(out, rest);
   if (verb == "explain" || verb == "EXPLAIN") {
@@ -702,14 +761,6 @@ Status Session::CmdDefine(const std::string& text) {
   });
 }
 
-Status Session::CmdAsk(std::ostream& out, const std::string& text) {
-  return EvalThroughBatcher("ask", text, out);
-}
-
-Status Session::CmdQuery(std::ostream& out, const std::string& text) {
-  return EvalThroughBatcher("query", text, out);
-}
-
 Status Session::CmdFetch(std::ostream& out, const std::string& args) {
   if (!cursor_.has_value()) {
     return Status::InvalidArgument(
@@ -743,8 +794,6 @@ Status Session::CmdSet(std::ostream& out, const std::string& args) {
         << "\n";
     out << "cost_plan    " << (options_.query.cost_plan ? "on" : "off")
         << "\n";
-    out << "certified_bounds "
-        << (options_.query.certified_bounds ? "on" : "off") << "\n";
     out << "threads      " << options_.query.algebra.threads << "\n";
     out << "deadline_ms  " << options_.deadline_ms << "\n";
     return Status::Ok();
@@ -761,10 +810,6 @@ Status Session::CmdSet(std::ostream& out, const std::string& args) {
     if (ParseOnOff(value, &options_.query.optimize)) return Status::Ok();
   } else if (name == "cost_plan") {
     if (ParseOnOff(value, &options_.query.cost_plan)) return Status::Ok();
-  } else if (name == "certified_bounds") {
-    if (ParseOnOff(value, &options_.query.certified_bounds)) {
-      return Status::Ok();
-    }
   } else if (name == "threads") {
     std::istringstream vin(value);
     int threads = 0;
@@ -795,122 +840,48 @@ query::QueryOptions Session::BaseOptions() const {
   return opts;
 }
 
-void Session::DivideHeavyBudgets(const CostGrade& grade,
-                                 query::QueryOptions* opts,
-                                 std::int64_t* deadline_ms) const {
-  if (!options_.cost_aware_budgets || grade.cls != CostClass::kHeavy) return;
-  const std::int64_t d =
-      std::max<std::int64_t>(1, options_.heavy_budget_divisor);
-  opts->algebra.max_tuples =
-      std::max<std::int64_t>(1, opts->algebra.max_tuples / d);
-  opts->algebra.max_complement_universe =
-      std::max<std::int64_t>(1, opts->algebra.max_complement_universe / d);
-  opts->algebra.normalize.max_split_product = std::max<std::int64_t>(
-      1, opts->algebra.normalize.max_split_product / d);
-  if (*deadline_ms > 0) {
-    *deadline_ms = std::max<std::int64_t>(1, *deadline_ms / d);
-  }
-}
-
 Status Session::CmdProfile(std::ostream& out, const std::string& text) {
   ++stats_.queries;
   obs::AddGlobalCounter("server.queries", 1);
-  query::QueryOptions opts = BaseOptions();
   ITDB_ASSIGN_OR_RETURN(query::Prepared prepared,
-                        query::Prepared::Parse(text, opts));
+                        query::Prepared::Parse(text, BaseOptions()));
   return db_->WithRead([&](const Database& db) -> Status {
-    std::int64_t deadline_ms = options_.deadline_ms;
-    HeavyGate heavy;
-    if (options_.cost_aware_budgets || options_.admission != nullptr) {
-      const CostGrade grade = Grade(db, prepared);
-      if (!heavy.Admit(options_.admission, grade)) {
-        return Status::Unavailable(kHeavyShed);
-      }
-      DivideHeavyBudgets(grade, &opts, &deadline_ms);
-    }
-    DeadlineGuard deadline(deadline_ms);
+    StatementStep step(options_, db, prepared);
+    ITDB_RETURN_IF_ERROR(step.Admit());
+    DeadlineGuard deadline(step.deadline_ms());
     obs::Profile profile;
-    ITDB_ASSIGN_OR_RETURN(GeneralizedRelation relation,
-                          query::EvalPrepared(db, prepared, opts, &profile));
+    ITDB_ASSIGN_OR_RETURN(
+        GeneralizedRelation relation,
+        query::EvalPrepared(db, prepared, step.opts(), &profile));
     out << profile.ToText();
     out << relation.size() << " generalized tuple(s)\n";
     return Status::Ok();
   });
 }
 
-Status Session::EvalThroughBatcher(std::string_view verb,
-                                   const std::string& text,
-                                   std::ostream& out) {
+Status Session::CmdEval(std::string_view verb, const std::string& text,
+                        std::ostream& out) {
   ++stats_.queries;
   obs::AddGlobalCounter("server.queries", 1);
-  query::QueryOptions opts = BaseOptions();
   // Stage one: the statement's only parse.
   ITDB_ASSIGN_OR_RETURN(
       query::Prepared prepared,
-      query::Prepared::Parse(text, opts,
+      query::Prepared::Parse(text, BaseOptions(),
                              verb == "ask" ? query::Answer::kYesNo
                                            : query::Answer::kRelation));
   return db_->WithRead([&](const Database& db) -> Status {
-    std::int64_t deadline_ms = options_.deadline_ms;
-    // One grade per statement, from its one analysis; it serves budget
-    // division, the heavy gate and cache admission.  A cost-aware session
-    // needs it before the key (the key holds the divided budgets), so it
-    // analyzes up front, cache hit or not; every other session grades only
-    // on a miss.
-    std::optional<CostGrade> grade;
-    if (options_.cost_aware_budgets) {
-      grade = Grade(db, prepared);
-      DivideHeavyBudgets(*grade, &opts, &deadline_ms);
-    }
-    // The fingerprint is the normalized plan shape plus every option that
-    // can change the rendered outcome.  Thread count is deliberately
-    // absent: results are bit-identical at every thread count (and, by the
-    // planner's guarantee, across cost_plan too -- it is keyed anyway so a
-    // budget-shaped divergence can never alias).  The database version is
-    // read under the same reader lock the evaluation holds, so it is
-    // exactly the version the evaluation observes.
-    std::string key;
-    std::uint64_t version = 0;
-    if (options_.batcher != nullptr || options_.result_cache != nullptr) {
-      std::ostringstream fp;
-      fp << verb << '\x1f' << prepared.optimized()->ToString() << '\x1f'
-         << opts.analyze << opts.optimize << opts.cost_plan
-         << opts.certified_bounds << '\x1f'
-         << opts.algebra.max_tuples << '/'
-         << opts.algebra.max_complement_universe << '/'
-         << opts.algebra.normalize.max_split_product << '/' << deadline_ms;
-      key = fp.str();
-      version = db_->version();
-    }
-    if (options_.result_cache != nullptr) {
-      std::optional<CachedResult> hit =
-          options_.result_cache->Lookup(key, version);
-      if (hit.has_value()) {
-        ++stats_.cache_hits;
-        out << hit->text;
-        if (verb == "query" && hit->relation != nullptr) {
-          cursor_ = *hit->relation;
-          cursor_pos_ = 0;
-        }
-        return Status::Ok();
-      }
-    }
-    // A miss: grade (the statement's one analysis), then the heavy gate,
-    // before any planning or evaluation.
-    if (!grade.has_value() &&
-        (options_.admission != nullptr || options_.result_cache != nullptr)) {
-      grade = Grade(db, prepared);
-    }
-    HeavyGate heavy;
-    if (grade.has_value() && !heavy.Admit(options_.admission, *grade)) {
-      return Status::Unavailable(kHeavyShed);
-    }
-    auto compute = [&]() -> QueryBatcher::Outcome {
-      QueryBatcher::Outcome o;
+    StatementStep step(options_, db, prepared);
+    // Only the leader (or a session without a table) runs this: followers
+    // and hits never analyze, grade or take a heavy slot.
+    auto compute = [&]() -> ResultCache::Outcome {
+      ResultCache::Outcome o;
+      o.status = step.Admit();
+      if (!o.status.ok()) return o;
       std::ostringstream rendered;
-      DeadlineGuard deadline(deadline_ms);
+      DeadlineGuard deadline(step.deadline_ms());
       if (verb == "ask") {
-        Result<bool> truth = query::EvalPreparedBoolean(db, prepared, opts);
+        Result<bool> truth =
+            query::EvalPreparedBoolean(db, prepared, step.opts());
         if (!truth.ok()) {
           o.status = truth.status();
           return o;
@@ -918,7 +889,7 @@ Status Session::EvalThroughBatcher(std::string_view verb,
         rendered << (truth.value() ? "true" : "false") << "\n";
       } else {
         Result<GeneralizedRelation> rel =
-            query::EvalPrepared(db, prepared, opts);
+            query::EvalPrepared(db, prepared, step.opts());
         if (!rel.ok()) {
           o.status = rel.status();
           return o;
@@ -929,33 +900,31 @@ Status Session::EvalThroughBatcher(std::string_view verb,
         rendered << o.relation->size() << " generalized tuple(s)\n";
       }
       o.text = rendered.str();
-      return o;
-    };
-    QueryBatcher::Outcome outcome;
-    bool shared = false;
-    if (options_.batcher != nullptr) {
-      outcome = options_.batcher->Run(key, version, compute, &shared);
-      if (shared) ++stats_.batched;
-    } else {
-      outcome = compute();
-    }
-    if (outcome.status.ok() && options_.result_cache != nullptr) {
       // Certified cacheability: only results whose size the analysis can
-      // BOUND (bounded root certificate, analysis/absint.h) are admitted
-      // to the shared cache.  An unbounded-certificate result may be
-      // arbitrarily large relative to its query, so caching it could
-      // displace any number of certified-small entries.
-      if (grade->root_certificate.bounded()) {
-        options_.result_cache->Insert(key, version,
-                                      CachedResult{outcome.text,
-                                                   outcome.relation});
-      } else {
+      // BOUND are kept.  An unbounded-certificate result may be arbitrarily
+      // large relative to its query, so keeping it could displace any
+      // number of certified-small entries.
+      o.cacheable = step.cacheable();
+      if (!o.cacheable && options_.result_cache != nullptr) {
         obs::AddGlobalCounter("server.cache_refused_unbounded", 1);
       }
+      return o;
+    };
+    ResultCache::Outcome outcome;
+    if (options_.result_cache == nullptr) {
+      outcome = compute();
+    } else {
+      // The version is read under the reader lock the evaluation holds, so
+      // it is exactly the version the evaluation observes.
+      ResultCache::Served served = ResultCache::Served::kComputed;
+      outcome = options_.result_cache->Run(StatementKey(verb, prepared, step),
+                                           db_->version(), compute, &served);
+      if (served == ResultCache::Served::kHit) ++stats_.cache_hits;
+      if (served == ResultCache::Served::kShared) ++stats_.batched;
     }
     ITDB_RETURN_IF_ERROR(outcome.status);
     out << outcome.text;
-    if (verb == "query" && outcome.relation != nullptr) {
+    if (outcome.relation != nullptr) {
       cursor_ = *outcome.relation;
       cursor_pos_ = 0;
     }

@@ -22,19 +22,22 @@
 // One pipeline per statement.  A query verb (ask / query / profile /
 // explain) builds one query::Prepared (query/prepared.h) and every step
 // reads it; the server has already passed the statement through the total
-// admission gate, so the order is
+// admission gate, so `ask` and `query` run
 //
-//   total gate (server) -> parse -> fingerprint -> result-cache lookup ->
-//   analyze once -> grade -> heavy gate -> plan -> evaluate -> cache admission
+//   total gate (server) -> parse -> budgets -> fingerprint ->
+//   result table (result_cache.h): done entry | wait for the in-flight
+//   leader | lead: analyze once -> grade -> heavy gate -> plan -> evaluate
 //
-// A cache hit pays the parse and the fingerprint's Optimize, nothing else.
-// A miss runs Analyze exactly once: the grade (certified bounds over the
-// analyzer's thresholds, or the A010 / A012 heuristics when no bound is
-// certified -- GradeAnalysis in admission.h) comes from that analysis, and
-// so do the plan's rewrites and the cache's certified-cacheability check.
-// With an admission queue set, a statement graded heavy must also clear
-// the queue's heavy bound or it is shed: Execute returns kUnavailable and
-// prints only the shed message, which the server answers as `retry`.
+// and `profile` runs the same budgets, grade and heavy gate without the
+// table.  A hit or a follower pays the parse and the fingerprint's
+// Optimize, nothing else: only the leader analyzes.  Its grade (certified
+// bounds over the analyzer's thresholds, or the A010 / A012 heuristics when
+// no bound is certified -- GradeAnalysis in admission.h) comes from that
+// analysis, and so do the plan's rewrites and the table's certified
+// cacheability check.  With an admission queue set, a statement graded
+// heavy must also clear the queue's heavy bound or it is shed: Execute
+// returns kUnavailable and prints only the shed message, which the server
+// answers as `retry` -- to the leader and to every follower waiting on it.
 // `explain` renders the same compiled plan evaluation and `profile` run.
 //
 // Budgets: with deadline_ms set, query-evaluating verbs run under a
@@ -42,11 +45,10 @@
 // when the budget elapses.  With cost_aware_budgets set, queries graded
 // heavy get tuple/split budgets and deadline divided by
 // heavy_budget_divisor -- the admission layer's defense against one
-// pathological query starving the fleet.  Because the result-cache key
-// holds those effective budgets, a cost-aware session grades (and so
-// analyzes) before the lookup, on hits too.  Results enter the shared
-// result cache only when their root certificate is bounded (certified
-// cacheability).
+// pathological query starving the fleet.  Because the table key holds
+// those effective budgets, a cost-aware session grades (and so analyzes)
+// before the table, on hits too.  Results stay in the table only when
+// their root certificate is bounded (certified cacheability).
 
 #ifndef ITDB_SERVER_SESSION_H_
 #define ITDB_SERVER_SESSION_H_
@@ -62,7 +64,6 @@
 #include "query/eval.h"
 #include "query/prepared.h"
 #include "server/admission.h"
-#include "server/batcher.h"
 #include "server/result_cache.h"
 #include "server/shared_database.h"
 #include "util/status.h"
@@ -94,11 +95,10 @@ struct SessionOptions {
   /// Normalization memo-cache shared across sessions (not owned; null =
   /// one private cache per query evaluation).
   NormalizeCache* normalize_cache = nullptr;
-  /// Coalesces identical concurrent plans (not owned; null = off).
-  QueryBatcher* batcher = nullptr;
-  /// Versioned cross-query result cache shared across sessions (not owned;
-  /// null = off).  Keyed by the batcher fingerprint + database version, so
-  /// hits are byte-identical and any catalog write invalidates wholesale.
+  /// Versioned result table shared across sessions (not owned; null =
+  /// off): coalesces concurrent identical statements and keeps their
+  /// outcomes between catalog writes.  Keyed by the statement fingerprint +
+  /// database version, so every reply it serves is byte-identical.
   ResultCache* result_cache = nullptr;
   /// Per-relation statistics memo for the cost-based planner and the
   /// `stats` verb, shared across sessions (not owned; null recomputes).
@@ -164,7 +164,7 @@ class Session {
     std::int64_t queries = 0;  // ask / query / profile evaluations.
     std::int64_t errors = 0;
     std::int64_t batched = 0;  // Served from a concurrent leader's result.
-    std::int64_t cache_hits = 0;  // Served from the versioned result cache.
+    std::int64_t cache_hits = 0;  // Served from a kept result-table entry.
   };
   const Stats& stats() const { return stats_; }
   const SessionOptions& options() const { return options_; }
@@ -172,8 +172,6 @@ class Session {
  private:
   Status Dispatch(const std::string& verb, const std::string& rest,
                   std::ostream& out);
-  Status CmdQuery(std::ostream& out, const std::string& text);
-  Status CmdAsk(std::ostream& out, const std::string& text);
   Status CmdFetch(std::ostream& out, const std::string& args);
   Status CmdSet(std::ostream& out, const std::string& args);
   Status CmdLoad(const std::string& path);
@@ -183,16 +181,12 @@ class Session {
 
   /// The session's query options with its shared caches wired in.
   query::QueryOptions BaseOptions() const;
-  /// With cost_aware_budgets and a heavy grade, divides the tuple/split
-  /// budgets in `opts` and `*deadline_ms` by heavy_budget_divisor.
-  void DivideHeavyBudgets(const CostGrade& grade, query::QueryOptions* opts,
-                          std::int64_t* deadline_ms) const;
 
-  /// Runs ask / query: result-cache lookup, grading and the heavy gate,
-  /// then a read-only, deterministic evaluation -- through the batcher when
-  /// configured -- rendering output into `out`.
-  Status EvalThroughBatcher(std::string_view verb, const std::string& text,
-                            std::ostream& out);
+  /// Runs ask / query: one result-table Run whose computation grades the
+  /// statement, applies the heavy gate and evaluates it (read-only,
+  /// deterministic), rendering output into `out`.
+  Status CmdEval(std::string_view verb, const std::string& text,
+                 std::ostream& out);
 
   SharedDatabase* db_;
   SessionOptions options_;

@@ -9,9 +9,9 @@
 // which is what makes the multi-client stress test's "bit-identical to
 // serial execution" guarantee well-defined.
 //
-// Every write bumps a version counter.  The plan batcher keys in-flight
-// evaluations on (plan, version): two queries may share one evaluation only
-// when no write could have interleaved between them.
+// Every write bumps a version counter.  The result table keys statements
+// on (plan, version): two queries may share one evaluation only when no
+// write could have interleaved between them.
 
 #ifndef ITDB_SERVER_SHARED_DATABASE_H_
 #define ITDB_SERVER_SHARED_DATABASE_H_
@@ -33,8 +33,8 @@ class SharedDatabase {
  public:
   /// `initial_version` seeds the write-version -- the storage engine's
   /// recovered LSN when durability is on, so post-restart versions never
-  /// collide with pre-crash ones and version-keyed caches (result cache,
-  /// batcher) can never serve a stale pre-recovery entry.
+  /// collide with pre-crash ones and the version-keyed result table can
+  /// never serve a stale pre-recovery entry.
   explicit SharedDatabase(Database* db, std::uint64_t initial_version = 0)
       : db_(db), version_(initial_version) {}
 

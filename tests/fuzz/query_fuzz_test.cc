@@ -49,12 +49,12 @@ TEST(QueryOracleTest, PassesOnAHandWrittenCase) {
   QueryCaseOutcome outcome = CheckQueryCase(db, q);
   EXPECT_FALSE(outcome.skipped);
   EXPECT_FALSE(outcome.failure.has_value()) << *outcome.failure;
-  EXPECT_EQ(outcome.variants_checked, 6);
+  EXPECT_EQ(outcome.variants_checked, 5);
   // A single atom with a comparison gets a fully bounded certificate, so
   // the soundness oracle must have verified it against the plain result.
   EXPECT_EQ(outcome.certificates_checked, 1);
-  // Both closed forms, on the baseline and each of the six variants.
-  EXPECT_EQ(outcome.closed_checked, 14);
+  // Both closed forms, on the baseline and each of the five variants.
+  EXPECT_EQ(outcome.closed_checked, 12);
 }
 
 // Closed forms whose peeled bodies split into parts over disjoint
@@ -78,7 +78,7 @@ TEST(QueryOracleTest, ChecksClosedFormsOfIndependentConjuncts) {
     QueryCaseOutcome outcome = CheckQueryCase(db, q);
     EXPECT_FALSE(outcome.skipped);
     EXPECT_FALSE(outcome.failure.has_value()) << *outcome.failure;
-    EXPECT_EQ(outcome.closed_checked, 14);
+    EXPECT_EQ(outcome.closed_checked, 12);
   }
 }
 

@@ -258,7 +258,7 @@ TEST_F(ServerTest, EightConcurrentClientsMatchSerialExecutionBitForBit) {
       for (int round = 0; round < kRounds; ++round) {
         // Each client walks the statements from its own offset, so at any
         // instant different plans are in flight and identical plans can
-        // coalesce in the batcher.
+        // coalesce in the result table.
         for (std::size_t s = 0; s < statements.size(); ++s) {
           std::size_t idx =
               (s + static_cast<std::size_t>(c)) % statements.size();

@@ -17,8 +17,9 @@
 //   --deadline-ms N     per-query wall-clock budget (default: unlimited)
 //   --cost-aware        stricter budgets for statically heavy queries
 //                       (A010 NP-regime complement / A012 period blowup)
-//   --cache-bytes N     byte budget of the versioned cross-query result
-//                       cache (default 16 MiB; 0 disables caching)
+//   --cache-bytes N     byte budget of the versioned result table
+//                       (default 16 MiB; 0 keeps no result, but concurrent
+//                       identical statements still share one evaluation)
 //   --read-only         reject catalog mutation and server-side file writes
 //   --data-dir DIR      durable catalog: recover from DIR's snapshot + WAL
 //                       on startup, WAL-log every mutation, and enable the
