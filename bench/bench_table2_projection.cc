@@ -1,11 +1,12 @@
-// Table 2, row "Projection": fixed-schema O(N), general O(m^2 N); and the
+// Table 2, row "Projection": fixed-schema O(N), general O(m^2 N); the
 // Appendix A.4 remark that a non-normalized database pays an extra k^m
-// normalization factor.
+// normalization factor; and the free and pinned columns that skip it.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
 #include "core/algebra.h"
+#include "core/normalize.h"
 
 namespace {
 
@@ -120,6 +121,114 @@ void BM_Projection_FullNormalization(benchmark::State& state) {
 }
 BENCHMARK(BM_Projection_FullNormalization);
 
+// ---- Exact elimination of free and pinned columns. ----
+// The Theorem 4.1 shape: a busy interval [S, E] with E = S + 2, both of
+// period 32, and an instant T (all of Z) inside it.  Dropping E (pinned to
+// S) or T (period 1) is exact on the closed DBM; the Section 3.4 reference
+// (partial_normalization = false) normalizes T to period 32 instead.
+
+GeneralizedRelation BusyIntervalRelation() {
+  GeneralizedRelation r(itdb::Schema({"S", "E", "T"}, {}, {}));
+  for (int i = 0; i < 64; ++i) {
+    itdb::GeneralizedTuple t({itdb::Lrp::Make(i % 30, 32),
+                              itdb::Lrp::Make(i % 30 + 2, 32),
+                              itdb::Lrp::Make(0, 1)});
+    t.mutable_constraints().AddDifferenceEquality(1, 0, 2);  // E = S + 2.
+    t.mutable_constraints().AddDifferenceUpperBound(0, 2, 0);  // S <= T.
+    t.mutable_constraints().AddDifferenceUpperBound(2, 1, 0);  // T <= E.
+    benchmark::DoNotOptimize(r.AddTuple(std::move(t)));
+  }
+  return r;
+}
+
+void RunExactDrop(benchmark::State& state,
+                  const std::vector<std::string>& attrs, bool exact) {
+  GeneralizedRelation r = BusyIntervalRelation();
+  itdb::AlgebraOptions options;
+  options.partial_normalization = exact;
+  std::int64_t out_tuples = 0;
+  for (auto _ : state) {
+    auto p = itdb::Project(r, attrs, options);
+    if (!p.ok()) {
+      state.SkipWithError(p.status().ToString().c_str());
+      return;
+    }
+    out_tuples = p.value().size();
+    benchmark::DoNotOptimize(p);
+  }
+  state.counters["result_tuples"] =
+      benchmark::Counter(static_cast<double>(out_tuples));
+}
+
+// EXISTS E: E is pinned to S.
+void BM_Projection_PinnedDrop_Exact(benchmark::State& state) {
+  RunExactDrop(state, {"S", "T"}, /*exact=*/true);
+}
+BENCHMARK(BM_Projection_PinnedDrop_Exact);
+
+void BM_Projection_PinnedDrop_Full(benchmark::State& state) {
+  RunExactDrop(state, {"S", "T"}, /*exact=*/false);
+}
+BENCHMARK(BM_Projection_PinnedDrop_Full);
+
+// EXISTS T: T has period 1.
+void BM_Projection_FreeDrop_Exact(benchmark::State& state) {
+  RunExactDrop(state, {"S", "E"}, /*exact=*/true);
+}
+BENCHMARK(BM_Projection_FreeDrop_Exact);
+
+void BM_Projection_FreeDrop_Full(benchmark::State& state) {
+  RunExactDrop(state, {"S", "E"}, /*exact=*/false);
+}
+BENCHMARK(BM_Projection_FreeDrop_Full);
+
+// The body tuple of the Theorem 4.1 join `ask` over the window [0, 90]:
+// two busy intervals [S1, E1], [S2, E2] (E = S + 2, period 32) sharing an
+// instant T.  TupleIsEmpty drops T (free) and E1, E2 (pinned) exactly and
+// normalizes only S1, S2, which already share period 32; the reference
+// normalizes all five columns, splitting T 32 ways.
+itdb::GeneralizedTuple JoinBodyTuple() {
+  itdb::GeneralizedTuple t(
+      {itdb::Lrp::Make(0, 1), itdb::Lrp::Make(3, 32), itdb::Lrp::Make(5, 32),
+       itdb::Lrp::Make(20, 32), itdb::Lrp::Make(22, 32)});
+  itdb::Dbm& c = t.mutable_constraints();
+  c.AddDifferenceEquality(2, 1, 2);       // E1 = S1 + 2.
+  c.AddDifferenceEquality(4, 3, 2);       // E2 = S2 + 2.
+  c.AddDifferenceUpperBound(1, 0, 0);     // S1 <= T.
+  c.AddDifferenceUpperBound(0, 2, 0);     // T <= E1.
+  c.AddDifferenceUpperBound(3, 0, 0);     // S2 <= T.
+  c.AddDifferenceUpperBound(0, 4, 0);     // T <= E2.
+  c.AddLowerBound(0, 0);
+  c.AddUpperBound(0, 90);
+  return t;
+}
+
+void BM_IsEmpty_JoinBody_Exact(benchmark::State& state) {
+  const itdb::GeneralizedTuple t = JoinBodyTuple();
+  for (auto _ : state) {
+    auto empty = itdb::TupleIsEmpty(t);
+    if (!empty.ok() || !empty.value()) {
+      state.SkipWithError("the join body tuple must be empty");
+      return;
+    }
+    benchmark::DoNotOptimize(empty);
+  }
+}
+BENCHMARK(BM_IsEmpty_JoinBody_Exact);
+
+void BM_IsEmpty_JoinBody_Normalized(benchmark::State& state) {
+  const itdb::GeneralizedTuple t = JoinBodyTuple();
+  for (auto _ : state) {
+    auto normal = itdb::NormalizeTuple(t);
+    if (!normal.ok() || !normal.value().empty()) {
+      state.SkipWithError("the join body tuple must be empty");
+      return;
+    }
+    benchmark::DoNotOptimize(normal);
+  }
+}
+BENCHMARK(BM_IsEmpty_JoinBody_Normalized);
+
 }  // namespace
 
-BENCHMARK_MAIN();
+ITDB_BENCHMARK_MAIN();

@@ -217,6 +217,14 @@ void ReportHullRefuted(const Query& q, const CertificateMap& certs,
   }
 }
 
+/// The body under the root's maximal EXISTS prefix: the formula a yes/no
+/// statement splits into parts (a FORALL root's body is a negation).
+const Query& PeeledExistsBody(const Query& q) {
+  const Query* body = &q;
+  while (body->kind() == Query::Kind::kExists) body = body->left().get();
+  return *body;
+}
+
 }  // namespace
 
 AnalysisResult Analyze(const Database& db, const QueryPtr& q,
@@ -257,7 +265,9 @@ AnalysisResult Analyze(const Database& db, const QueryPtr& q,
         db, result.sorts, options.stats_cache);
     const Certificate& root = result.interpreter->Interpret(q);
     result.root_certificate = root;
-    CostDiagnostics(*q, result.sorts, root.lcm, &result.diagnostics);
+    CostDiagnostics(*q, result.sorts, root.lcm,
+                    options.yes_no ? &PeeledExistsBody(*q) : nullptr,
+                    &result.diagnostics);
     ReportHullRefuted(*q, result.interpreter->certificates(),
                       result.proven_empty, &result.diagnostics);
     if (root.rows.has_value() && *root.rows > kCertifiedRowsThreshold) {

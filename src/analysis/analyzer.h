@@ -68,6 +68,10 @@ struct AnalyzeOptions {
   /// Span destination for the "analysis" category; null falls back to the
   /// process-global tracer.  Not owned.
   obs::Tracer* tracer = nullptr;
+  /// The statement is a closed yes/no formula (`ask`).  Its top AND chain
+  /// under a root EXISTS prefix is answered one variable-disjoint part at
+  /// a time (query/prepared.h), so that chain gets no A011.
+  bool yes_no = false;
 };
 
 struct AnalysisResult {

@@ -32,6 +32,7 @@ int FreeTemporalWidth(const Query& q, const SortMap& sorts) {
 
 struct CostWalker {
   const SortMap& sorts;
+  const Query* parts;  // A chain answered part by part: no A011.
   std::vector<Diagnostic>* out;
 
   /// True when the variable-sharing graph over the conjuncts of the
@@ -83,7 +84,7 @@ struct CostWalker {
       case Query::Kind::kAnd:
         Walk(*q.left(), /*in_chain=*/true);
         Walk(*q.right(), /*in_chain=*/true);
-        if (!in_chain && ChainIsCrossProduct(q)) {
+        if (!in_chain && &q != parts && ChainIsCrossProduct(q)) {
           Warn(out, diag::kCrossProduct, q.span(),
                "conjunction operands share no attributes; the join "
                "degenerates to a cross product",
@@ -123,8 +124,8 @@ struct CostWalker {
 
 void CostDiagnostics(const Query& q, const SortMap& sorts,
                      std::optional<std::int64_t> root_lcm,
-                     std::vector<Diagnostic>* out) {
-  CostWalker walker{sorts, out};
+                     const Query* parts, std::vector<Diagnostic>* out) {
+  CostWalker walker{sorts, parts, out};
   walker.Walk(q);
   if (!root_lcm.has_value()) {
     Warn(out, diag::kPeriodBlowup, q.span(),

@@ -5,7 +5,9 @@
 //         the NP-complete regime of Theorem 3.5 (nonemptiness of
 //         complements), and its normal form can be exponentially larger;
 //   A011  conjunction whose operands share no attributes at all: the join
-//         degenerates to a cross product (|L| * |R| tuples);
+//         degenerates to a cross product (|L| * |R| tuples).  Not for the
+//         top AND chain of a yes/no statement, whose variable-disjoint
+//         conjuncts are tested for emptiness one part at a time;
 //   A012  the periods of the relations reachable from the root compose, in
 //         the worst case, to their lcm (Lemma 3.1 splits tuples to the
 //         common period), so a large lcm predicts normalization blowup.
@@ -44,9 +46,11 @@ inline constexpr std::int64_t kCertifiedRowsThreshold = 1'000'000;
 
 /// Appends A010/A011/A012 warnings for `q` to `out`.  `sorts` must be the
 /// error-free result of sort inference for `q`; `root_lcm` is `q`'s root
-/// certificate lcm (nullopt: beyond analysis::kMaxCertifiedLcm).
+/// certificate lcm (nullopt: beyond analysis::kMaxCertifiedLcm).  The AND
+/// chain rooted at `parts`, if any, gets no A011.
 void CostDiagnostics(const query::Query& q, const query::SortMap& sorts,
                      std::optional<std::int64_t> root_lcm,
+                     const query::Query* parts,
                      std::vector<Diagnostic>* out);
 
 }  // namespace analysis

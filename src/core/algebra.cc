@@ -693,8 +693,18 @@ Result<std::vector<GeneralizedTuple>> ProjectTuplePartial(
     const AlgebraOptions& options) {
   const int m = t.temporal_arity();
   // Connected component of the dropped columns under two-variable
-  // constraint edges (unary bounds do not connect columns).
-  std::vector<AtomicConstraint> atomics = t.constraints().ToAtomics();
+  // constraint edges (unary bounds do not connect columns).  An edge that
+  // the unary bounds imply (X_i - X_j <= b with X_i <= u, X_j >= l and
+  // u - l <= b) connects nothing either: closure derives one between every
+  // two bounded columns, and it would pull them into the component.
+  const Dbm& dbm = t.constraints();
+  std::vector<AtomicConstraint> atomics = dbm.ToAtomics();
+  auto implied = [&dbm](const AtomicConstraint& a) {
+    const std::int64_t upper = dbm.bound_node(a.lhs + 1, 0);
+    const std::int64_t lower = dbm.bound_node(0, a.rhs + 1);
+    return upper != Dbm::kInf && lower != Dbm::kInf &&
+           static_cast<__int128>(upper) + lower <= a.bound;
+  };
   std::vector<bool> in_comp(static_cast<std::size_t>(m), false);
   std::vector<int> frontier;
   for (int c = 0; c < m; ++c) {
@@ -707,7 +717,7 @@ Result<std::vector<GeneralizedTuple>> ProjectTuplePartial(
     int c = frontier.back();
     frontier.pop_back();
     for (const AtomicConstraint& a : atomics) {
-      if (a.lhs == kZeroVar || a.rhs == kZeroVar) continue;
+      if (a.lhs == kZeroVar || a.rhs == kZeroVar || implied(a)) continue;
       int other = -1;
       if (a.lhs == c) other = a.rhs;
       if (a.rhs == c) other = a.lhs;
@@ -731,19 +741,21 @@ Result<std::vector<GeneralizedTuple>> ProjectTuplePartial(
   for (int c : comp_cols) sub_lrps.push_back(t.lrp(c));
   GeneralizedTuple sub(std::move(sub_lrps));
   for (const AtomicConstraint& a : atomics) {
-    // By construction there are no two-variable edges crossing the
-    // component boundary; atomics belong to the subtuple iff any endpoint
-    // lies inside.
+    // The only two-variable edges crossing the component boundary are
+    // implied by the unary bounds on both sides, and are dropped; other
+    // atomics belong to the subtuple iff any endpoint lies inside.
     bool lhs_in = a.lhs != kZeroVar && in_comp[static_cast<std::size_t>(a.lhs)];
     bool rhs_in = a.rhs != kZeroVar && in_comp[static_cast<std::size_t>(a.rhs)];
     if (!lhs_in && !rhs_in) continue;
+    if (a.lhs != kZeroVar && a.rhs != kZeroVar && lhs_in != rhs_in) continue;
     AtomicConstraint mapped = a;
     if (a.lhs != kZeroVar) mapped.lhs = sub_index[static_cast<std::size_t>(a.lhs)];
     if (a.rhs != kZeroVar) mapped.rhs = sub_index[static_cast<std::size_t>(a.rhs)];
     sub.mutable_constraints().AddAtomic(mapped);
   }
   // Project the subtuple with full normalization (kept component columns in
-  // original order).
+  // original order).  Without a dropped column the component is empty and
+  // the projection is a pure reorder: there is nothing to normalize.
   std::vector<int> sub_keep;
   std::vector<bool> sub_kept(comp_cols.size(), false);
   for (std::size_t i = 0; i < comp_cols.size(); ++i) {
@@ -752,9 +764,13 @@ Result<std::vector<GeneralizedTuple>> ProjectTuplePartial(
       sub_kept[i] = true;
     }
   }
-  ITDB_ASSIGN_OR_RETURN(
-      std::vector<GeneralizedTuple> sub_results,
-      ProjectTupleFull(sub, sub_keep, sub_kept, {}, options));
+  std::vector<GeneralizedTuple> sub_results;
+  if (comp_cols.empty()) {
+    sub_results.push_back(std::move(sub));
+  } else {
+    ITDB_ASSIGN_OR_RETURN(
+        sub_results, ProjectTupleFull(sub, sub_keep, sub_kept, {}, options));
+  }
   // Where does each original kept column land in the output order?
   std::vector<int> out_pos(static_cast<std::size_t>(m), -1);
   for (std::size_t pos = 0; pos < keep_temporal.size(); ++pos) {
@@ -808,6 +824,41 @@ Result<std::vector<GeneralizedTuple>> ProjectTuplePartial(
   return out;
 }
 
+/// The default projection of one tuple: free and pinned dropped columns are
+/// eliminated exactly on the closed DBM (EliminateFreeAndPinnedColumns),
+/// and only the dropped columns left over go through partial normalization.
+Result<std::vector<GeneralizedTuple>> ProjectTupleExact(
+    const GeneralizedTuple& t, const std::vector<int>& keep_temporal,
+    const std::vector<bool>& kept, const std::vector<Value>& data,
+    const AlgebraOptions& options) {
+  if (static_cast<int>(keep_temporal.size()) == t.temporal_arity()) {
+    return ProjectTuplePartial(t, keep_temporal, kept, data, options);
+  }
+  std::vector<bool> dropped(kept.size());
+  for (std::size_t c = 0; c < kept.size(); ++c) dropped[c] = !kept[c];
+  ITDB_ASSIGN_OR_RETURN(std::optional<ExactElimination> rest,
+                        EliminateFreeAndPinnedColumns(t, dropped));
+  if (!rest.has_value()) return std::vector<GeneralizedTuple>{};
+  if (rest->columns.size() == kept.size()) {
+    // Nothing was eliminated: project the tuple as given.
+    return ProjectTuplePartial(t, keep_temporal, kept, data, options);
+  }
+  // Renumber the kept columns into the remaining tuple.
+  std::vector<int> index_of(kept.size(), -1);
+  std::vector<bool> rest_kept(rest->columns.size());
+  for (std::size_t i = 0; i < rest->columns.size(); ++i) {
+    const auto c = static_cast<std::size_t>(rest->columns[i]);
+    index_of[c] = static_cast<int>(i);
+    rest_kept[i] = kept[c];
+  }
+  std::vector<int> rest_keep;
+  rest_keep.reserve(keep_temporal.size());
+  for (int c : keep_temporal) {
+    rest_keep.push_back(index_of[static_cast<std::size_t>(c)]);
+  }
+  return ProjectTuplePartial(rest->tuple, rest_keep, rest_kept, data, options);
+}
+
 }  // namespace
 
 Result<GeneralizedRelation> Project(const GeneralizedRelation& r,
@@ -845,7 +896,7 @@ Result<GeneralizedRelation> Project(const GeneralizedRelation& r,
     ITDB_ASSIGN_OR_RETURN(
         std::vector<GeneralizedTuple> projected,
         options.partial_normalization
-            ? ProjectTuplePartial(t, keep_temporal, kept, data, options)
+            ? ProjectTupleExact(t, keep_temporal, kept, data, options)
             : ProjectTupleFull(t, keep_temporal, kept, std::move(data),
                                options));
     for (GeneralizedTuple& p : projected) {
@@ -1419,9 +1470,17 @@ Result<GeneralizedRelation> Rename(
 
 Result<bool> TupleIsEmpty(const GeneralizedTuple& t,
                           const AlgebraOptions& options) {
+  // Free and pinned columns go exactly; only the rest is normalized.
   ITDB_ASSIGN_OR_RETURN(
-      std::vector<GeneralizedTuple> normal,
-      CachedNormalizeTuple(options.normalize_cache, t, options.normalize));
+      std::optional<ExactElimination> rest,
+      EliminateFreeAndPinnedColumns(
+          t, std::vector<bool>(static_cast<std::size_t>(t.temporal_arity()),
+                               true)));
+  if (!rest.has_value()) return true;
+  if (rest->tuple.temporal_arity() == 0) return false;
+  ITDB_ASSIGN_OR_RETURN(std::vector<GeneralizedTuple> normal,
+                        CachedNormalizeTuple(options.normalize_cache,
+                                             rest->tuple, options.normalize));
   // NormalizeTuple prunes infeasible combinations, so any survivor is a
   // nonempty piece of the extension.
   return normal.empty();

@@ -5,13 +5,15 @@
 //   * union:            tuple-set merge (3.1)
 //   * intersection:     pairwise lrp intersection + conjoined constraints (3.2)
 //   * subtraction:      t1 - t2 = (t1 - t2*) U (not(t2) ^ t1) (3.3, Fig. 1)
-//   * projection:       normalize, eliminate in n-space, rebuild (3.4)
+//   * projection:       drop free and pinned columns exactly, then
+//                       normalize, eliminate in n-space, rebuild (3.4)
 //   * selection:        constraint insertion (3.5)
 //   * cross product:    tuple concatenation (3.6)
 //   * join:             intersection on shared attributes (3.7)
 //   * complement:       residue-universe enumeration + incremental DNF of
 //                       negated constraints with reduction (A.6)
-//   * emptiness:        normal-form feasibility (Theorem 3.5).
+//   * emptiness:        the same exact drops, then normal-form feasibility
+//                       (Theorem 3.5).
 
 #ifndef ITDB_CORE_ALGEBRA_H_
 #define ITDB_CORE_ALGEBRA_H_
@@ -63,9 +65,13 @@ struct AlgebraOptions {
   /// Cap on the k^m residue universe enumerated by Complement.
   std::int64_t max_complement_universe = std::int64_t{1} << 20;
   /// Partial normalization for projection (the optimization suggested at
-  /// the end of Section 3.4): only the columns constraint-connected to the
-  /// eliminated ones are normalized; unrelated columns pass through
-  /// untouched, avoiding their share of the k^m split.
+  /// the end of Section 3.4): dropped columns that are free (period 1) or
+  /// pinned by an equality are eliminated exactly without normalizing
+  /// (EliminateFreeAndPinnedColumns, normalize.h), and of the rest only the
+  /// columns constraint-connected to the eliminated ones are normalized;
+  /// unrelated columns pass through untouched, avoiding their share of the
+  /// k^m split.  False runs the verbatim Section 3.4 construction (normalize
+  /// every column), the reference the tests compare against.
   bool partial_normalization = true;
   /// Worker threads for the per-tuple / per-tuple-pair kernels of
   /// Intersect, Join, Subtract and Complement (0 = the ITDB_THREADS /
@@ -131,7 +137,10 @@ Result<GeneralizedRelation> ComplementWithDataDomains(
 
 /// Projection onto the named attributes, in the given order (temporal
 /// attributes first in the output schema, per convention).  Dropped temporal
-/// columns are eliminated exactly via normalization (Section 3.4).
+/// columns are eliminated exactly: free (period-1) and pinned ones on the
+/// closed DBM, where no lattice gap can open, the others via normalization
+/// (Section 3.4).  A projection that drops no temporal column only reorders
+/// and normalizes nothing.
 Result<GeneralizedRelation> Project(const GeneralizedRelation& r,
                                     const std::vector<std::string>& attrs,
                                     const AlgebraOptions& options = {});
@@ -175,8 +184,9 @@ Result<GeneralizedRelation> Rename(
     const GeneralizedRelation& r,
     const std::vector<std::pair<std::string, std::string>>& renames);
 
-/// Whether the tuple's extension is empty.  Exact over the lattice
-/// (normalizes and checks n-space feasibility).
+/// Whether the tuple's extension is empty.  Exact over the lattice: drops
+/// every free and pinned column without normalizing (normalize.h), then
+/// normalizes the rest and checks n-space feasibility.
 Result<bool> TupleIsEmpty(const GeneralizedTuple& t,
                           const AlgebraOptions& options = {});
 

@@ -1,5 +1,6 @@
 #include "core/normalize.h"
 
+#include <cstddef>
 #include <string>
 #include <utility>
 
@@ -191,6 +192,81 @@ Result<std::vector<GeneralizedTuple>> NormalizeTupleToPeriod(
         out.push_back(std::move(candidate));
         return Status::Ok();
       });
+}
+
+Result<std::optional<ExactElimination>> EliminateFreeAndPinnedColumns(
+    const GeneralizedTuple& t, const std::vector<bool>& eligible) {
+  using MaybeRest = std::optional<ExactElimination>;
+  Dbm dbm = t.constraints();
+  ITDB_RETURN_IF_ERROR(dbm.Close());
+  if (!dbm.feasible()) return MaybeRest();
+  std::vector<Lrp> lrps = t.temporal();
+  std::vector<int> columns(lrps.size());
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    columns[i] = static_cast<int>(i);
+  }
+  std::vector<bool> candidate = eligible;
+  auto drop = [&](int v) {
+    const auto at = static_cast<std::ptrdiff_t>(v);
+    dbm = dbm.EliminateVariable(v);
+    lrps.erase(lrps.begin() + at);
+    columns.erase(columns.begin() + at);
+    candidate.erase(candidate.begin() + at);
+  };
+  // Node p of the matrix is variable p - 1; node 0 is the constant zero.
+  auto unconstrained = [&dbm](int p) {
+    for (int q = 0; q <= dbm.num_vars(); ++q) {
+      if (q != p && (dbm.bound_node(p, q) != Dbm::kInf ||
+                     dbm.bound_node(q, p) != Dbm::kInf)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (int v = 0; v < dbm.num_vars();) {
+    if (candidate[static_cast<std::size_t>(v)] &&
+        (lrps[static_cast<std::size_t>(v)].period() == 1 ||
+         unconstrained(v + 1))) {
+      drop(v);
+    } else {
+      ++v;
+    }
+  }
+  for (int v = 0; v < dbm.num_vars();) {
+    const int p = v + 1;
+    int pin = -1;  // Node q with X_v = node_q + bound(p, q).
+    if (candidate[static_cast<std::size_t>(v)]) {
+      for (int q = 0; q <= dbm.num_vars() && pin < 0; ++q) {
+        const std::int64_t up = dbm.bound_node(p, q);
+        const std::int64_t down = dbm.bound_node(q, p);
+        if (q != p && up != Dbm::kInf && down != Dbm::kInf && up + down == 0) {
+          pin = q;
+        }
+      }
+    }
+    if (pin < 0) {
+      ++v;
+      continue;
+    }
+    const Lrp& own = lrps[static_cast<std::size_t>(v)];
+    const std::int64_t a = dbm.bound_node(p, pin);
+    if (pin == 0) {
+      if (!own.Contains(a)) return MaybeRest();
+    } else {
+      // X_j + a in lrp_v  <=>  X_j in lrp_v - a.
+      ITDB_ASSIGN_OR_RETURN(std::int64_t shifted, CheckedSub(own.offset(), a));
+      Lrp& partner = lrps[static_cast<std::size_t>(pin - 1)];
+      ITDB_ASSIGN_OR_RETURN(
+          std::optional<Lrp> meet,
+          Lrp::Intersect(partner, Lrp::Make(shifted, own.period())));
+      if (!meet.has_value()) return MaybeRest();
+      partner = *meet;
+    }
+    drop(v);
+  }
+  GeneralizedTuple rest(std::move(lrps), t.data());
+  rest.set_constraints(std::move(dbm));
+  return MaybeRest(ExactElimination{std::move(rest), std::move(columns)});
 }
 
 Result<NSpaceTuple> NSpaceTuple::Build(const GeneralizedTuple& t) {

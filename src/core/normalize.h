@@ -14,12 +14,19 @@
 //     X_i = c_i + k*n_i turns the restricted constraints on the X's into
 //     difference constraints on the integer variables n_i (steps 3..5 of
 //     Theorem 3.2 -- the floor-shift of step 5 happens in the translation),
-//     on which DBM operations (feasibility, elimination) are exact.
+//     on which DBM operations (feasibility, elimination) are exact;
+//   * exact elimination of the columns that need no normal form at all
+//     (EliminateFreeAndPinnedColumns): Figure 2's lattice gap cannot open
+//     over a column whose lrp is all of Z, nor over one the constraints pin
+//     to another column or a constant (X_d = X_j + a), whose existential is
+//     one lrp intersection.  Both are projected on the closed DBM directly
+//     and never split; Project and TupleIsEmpty normalize only the rest.
 
 #ifndef ITDB_CORE_NORMALIZE_H_
 #define ITDB_CORE_NORMALIZE_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/relation.h"
@@ -58,6 +65,35 @@ Result<std::vector<GeneralizedTuple>> NormalizeTuple(
 Result<std::vector<GeneralizedTuple>> NormalizeTupleToPeriod(
     const GeneralizedTuple& t, std::int64_t period,
     const NormalizeOptions& options = {});
+
+/// The result of EliminateFreeAndPinnedColumns: the columns that remain.
+struct ExactElimination {
+  /// The remaining columns in their original order, with the (possibly
+  /// narrowed) lrps, the input's data, and the restriction of the closed
+  /// constraint matrix (closed).
+  GeneralizedTuple tuple;
+  /// Original index of each remaining column.
+  std::vector<int> columns;
+};
+
+/// Eliminates, without normalizing, every `eligible` column whose
+/// existential is exact on the closed DBM (the rest of the tuple is kept as
+/// is).  After closing the constraints it drops
+///   * free columns: lrp period 1 (all of Z) or no constraint at all.  For
+///     any integer point of the others, the closed matrix leaves the column
+///     a nonempty interval with integer ends, so some lattice value fits;
+///   * pinned columns: the closed DBM has X_d = X_j + a for another column
+///     j.  Then exists X_d in lrp_d  <=>  X_j in lrp_d - a, so lrp_j is
+///     replaced by lrp_j meet (lrp_d - a) (one CRT intersection, Section
+///     3.2.1) and X_d's row is dropped.  A column pinned to a constant a is
+///     dropped once lrp_d contains a.
+/// Dropping a free column never narrows an lrp and dropping a pinned one
+/// never frees another, so one pass per rule reaches the fixpoint.  Returns
+/// nullopt when the tuple is provably empty: its constraints are infeasible,
+/// a CRT meet is empty or a constant misses its lrp.  Fails only with
+/// kOverflow.
+Result<std::optional<ExactElimination>> EliminateFreeAndPinnedColumns(
+    const GeneralizedTuple& t, const std::vector<bool>& eligible);
 
 /// The integer-variable ("n-space") view of one normal-form tuple.
 ///

@@ -130,6 +130,7 @@ const analysis::AnalysisResult& Prepared::Analyze(const Database& db) {
     // The certificate pass reads the same per-relation statistics the
     // planner does; share its memo.
     aopts.stats_cache = options_.stats_cache;
+    aopts.yes_no = answer_ == Answer::kYesNo;
     analysis_ = analysis::Analyze(db, query_, aopts);
   }
   return *analysis_;

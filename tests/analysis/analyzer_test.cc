@@ -131,6 +131,34 @@ TEST(AnalyzerTest, CrossProductWarns) {
       << FormatDiagnosticList(joined.diagnostics);
 }
 
+TEST(AnalyzerTest, YesNoPartsAreNoCrossProduct) {
+  Database db = SmallDb();
+  // `ask` tests the variable-disjoint conjuncts of its peeled body as
+  // separate parts, so their chain is no cross product ...
+  const std::string text = "EXISTS t . EXISTS u . P(t) AND Q(u)";
+  AnalyzeOptions ask;
+  ask.yes_no = true;
+  AnalysisResult asked = Analyze(db, Parse(text), ask);
+  EXPECT_FALSE(HasCode(asked, diag::kCrossProduct))
+      << FormatDiagnosticList(asked.diagnostics);
+  // ... but the same formula as a relation statement evaluates the join.
+  AnalysisResult relation = Analyze(db, Parse(text));
+  EXPECT_TRUE(HasCode(relation, diag::kCrossProduct))
+      << FormatDiagnosticList(relation.diagnostics);
+  // Only the top chain is split: a chain below it still warns.
+  AnalysisResult nested = Analyze(
+      db, Parse("EXISTS t . P(t) AND NOT (EXISTS u . EXISTS v . Q(u) AND "
+                "Seven(v) AND u <= t)"),
+      ask);
+  EXPECT_TRUE(HasCode(nested, diag::kCrossProduct))
+      << FormatDiagnosticList(nested.diagnostics);
+  // A FORALL root answers through NOT body, one part: its chain warns.
+  AnalysisResult universal =
+      Analyze(db, Parse("FORALL t . FORALL u . P(t) AND Q(u)"), ask);
+  EXPECT_TRUE(HasCode(universal, diag::kCrossProduct))
+      << FormatDiagnosticList(universal.diagnostics);
+}
+
 TEST(AnalyzerTest, PeriodBlowupWarns) {
   Database db = SmallDb();
   // lcm(7, 11, 13) = 1001 > 720.

@@ -8,12 +8,14 @@
 // inside the narrow one.
 
 #include <cstdint>
+#include <random>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "common/random_relations.h"
 #include "core/algebra.h"
+#include "core/normalize.h"
 #include "finite/finite_relation.h"
 
 namespace itdb {
@@ -200,6 +202,82 @@ TEST_P(BinaryOpPropertyTest, EmptinessAgreesWithEnumerationOnWideWindow) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BinaryOpPropertyTest,
                          ::testing::Range(std::uint32_t{0}, std::uint32_t{40}));
+
+// Pinned and free columns: the generator rarely produces an equality
+// between two columns or a period-1 column, which are exactly the columns
+// Project and TupleIsEmpty eliminate without normalizing.  This axis injects
+// both into random three-column relations and checks the default kernel
+// against the verbatim Section 3.4 reference (partial_normalization = false)
+// and against Theorem 3.5's normalization-based emptiness test.
+class PinnedFreePropertyTest : public ::testing::TestWithParam<std::uint32_t> {
+ protected:
+  GeneralizedRelation Injected() {
+    RandomRelationConfig cfg;
+    cfg.temporal_arity = 3;
+    GeneralizedRelation base = MakeRandomRelation(GetParam() + 500, cfg);
+    std::mt19937 rng(GetParam());
+    auto pick = [&rng](int lo, int hi) {
+      return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    GeneralizedRelation out(base.schema());
+    for (const GeneralizedTuple& t : base.tuples()) {
+      std::vector<Lrp> lrps = t.temporal();
+      const int mode = pick(0, 3);  // 0: pin, 1: free, 2: both, 3: two pins.
+      if (mode == 1 || mode == 2) {
+        lrps[static_cast<std::size_t>(pick(0, 2))] = Lrp::Make(0, 1);
+      }
+      GeneralizedTuple injected(std::move(lrps), t.data());
+      injected.set_constraints(t.constraints());
+      const int pins = mode == 3 ? 2 : (mode == 1 ? 0 : 1);
+      for (int k = 0; k < pins; ++k) {
+        const int i = pick(0, 2);
+        const int j = (i + pick(1, 2)) % 3;
+        injected.mutable_constraints().AddDifferenceEquality(i, j, pick(-4, 4));
+      }
+      EXPECT_TRUE(out.AddTuple(std::move(injected)).ok());
+    }
+    return out;
+  }
+};
+
+TEST_P(PinnedFreePropertyTest, ProjectionMatchesTheReference) {
+  GeneralizedRelation a = Injected();
+  AlgebraOptions full;
+  full.partial_normalization = false;
+  for (const std::vector<std::string>& attrs :
+       std::vector<std::vector<std::string>>{{"T1"},
+                                             {"T2"},
+                                             {"T3"},
+                                             {"T1", "T3"},
+                                             {"T3", "T2"},
+                                             {"T2", "T3", "T1"},
+                                             {}}) {
+    Result<GeneralizedRelation> exact = Project(a, attrs);
+    Result<GeneralizedRelation> reference = Project(a, attrs, full);
+    ASSERT_TRUE(exact.ok()) << exact.status();
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    EXPECT_EQ(Mat(exact.value()).rows(), Mat(reference.value()).rows())
+        << "a:\n" << a.ToString();
+  }
+}
+
+TEST_P(PinnedFreePropertyTest, EmptinessMatchesTheReference) {
+  GeneralizedRelation a = Injected();
+  for (const GeneralizedTuple& t : a.tuples()) {
+    Result<bool> empty = TupleIsEmpty(t);
+    Result<std::vector<GeneralizedTuple>> normal = NormalizeTuple(t);
+    ASSERT_TRUE(empty.ok()) << empty.status();
+    ASSERT_TRUE(normal.ok()) << normal.status();
+    EXPECT_EQ(empty.value(), normal.value().empty()) << t.ToString();
+    // A point in the window is a witness of nonemptiness.
+    if (!t.EnumerateTemporal(-kWindow, kWindow).empty()) {
+      EXPECT_FALSE(empty.value()) << t.ToString();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PinnedFreePropertyTest,
+                         ::testing::Range(std::uint32_t{0}, std::uint32_t{60}));
 
 // Relations with data columns exercise the data paths of the same ops.
 class DataOpPropertyTest : public ::testing::TestWithParam<std::uint32_t> {};

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include "core/algebra.h"
+#include "core/normalize.h"
 #include "core/relation.h"
+#include "obs/metrics.h"
 
 namespace itdb {
 namespace {
@@ -176,6 +178,185 @@ TEST(ProjectionTest, PartialNormalizationAvoidsUnrelatedSplit) {
   EXPECT_EQ(p.value().size(), 1);
   EXPECT_EQ(p.value().tuples()[0].lrp(0), Lrp::Make(0, 35));
   EXPECT_EQ(p.value().tuples()[0].lrp(1), Lrp::Make(0, 33));
+}
+
+// ---- Exact elimination of free and pinned columns. ----
+// Each case projects one tuple with the default kernel, which eliminates
+// free (period-1) and pinned columns on the closed DBM without normalizing,
+// and with the verbatim Section 3.4 reference (partial_normalization =
+// false).  Both must denote the same set; TupleIsEmpty must agree with the
+// reference's Theorem 3.5 test (no normal-form piece survives).
+
+GeneralizedRelation OneTuple(GeneralizedTuple t) {
+  GeneralizedRelation r(Schema::Temporal(t.temporal_arity()));
+  EXPECT_TRUE(r.AddTuple(std::move(t)).ok());
+  return r;
+}
+
+std::int64_t NormalizeCalls() {
+  return obs::MetricsRegistry::Global().GetCounter("normalize.calls")->value();
+}
+
+/// Returns the default kernel's projection after checking it against the
+/// reference, and checks TupleIsEmpty against `expect_empty` and the
+/// reference.  Unless `normalizes`, the projection must not normalize.
+GeneralizedRelation ExpectExactMatchesReference(
+    const GeneralizedTuple& t, const std::vector<std::string>& attrs,
+    bool expect_empty, bool normalizes = false) {
+  GeneralizedRelation r = OneTuple(t);
+  AlgebraOptions full;
+  full.partial_normalization = false;
+  const std::int64_t calls = NormalizeCalls();
+  Result<GeneralizedRelation> exact = Project(r, attrs);
+  if (!normalizes) {
+    EXPECT_EQ(NormalizeCalls(), calls) << t.ToString();
+  }
+  Result<GeneralizedRelation> reference = Project(r, attrs, full);
+  EXPECT_TRUE(exact.ok()) << exact.status();
+  EXPECT_TRUE(reference.ok()) << reference.status();
+  if (!exact.ok() || !reference.ok()) return GeneralizedRelation(r.schema());
+  EXPECT_EQ(exact->Enumerate(-60, 60), reference->Enumerate(-60, 60))
+      << "tuple: " << t.ToString() << "\nexact:\n"
+      << exact->ToString() << "reference:\n"
+      << reference->ToString();
+  Result<bool> empty = TupleIsEmpty(t);
+  Result<std::vector<GeneralizedTuple>> normal = NormalizeTuple(t);
+  EXPECT_TRUE(empty.ok()) << empty.status();
+  EXPECT_TRUE(normal.ok()) << normal.status();
+  if (empty.ok() && normal.ok()) {
+    EXPECT_EQ(*empty, expect_empty) << t.ToString();
+    EXPECT_EQ(*empty, normal->empty()) << t.ToString();
+  }
+  EXPECT_EQ(exact->size() == 0, expect_empty);
+  return std::move(exact).value();
+}
+
+TEST(ProjectionTest, ExactDropsAPeriodOneColumn) {
+  // T1 ranges over all of Z with T2 - 1 <= T1 <= T2 + 2 and T1 >= 7: some
+  // integer T1 fits for every T2 >= 6.
+  GeneralizedTuple t({Lrp::Make(0, 1), Lrp::Make(3, 5)});
+  t.mutable_constraints().AddDifferenceUpperBound(0, 1, 2);
+  t.mutable_constraints().AddDifferenceUpperBound(1, 0, 1);
+  t.mutable_constraints().AddLowerBound(0, 7);
+  GeneralizedRelation p = ExpectExactMatchesReference(t, {"T2"}, false);
+  ASSERT_EQ(p.size(), 1);
+  EXPECT_EQ(p.tuples()[0].lrp(0), Lrp::Make(3, 5));
+  EXPECT_FALSE(p.tuples()[0].ContainsTemporal({3}));
+  EXPECT_TRUE(p.tuples()[0].ContainsTemporal({8}));
+}
+
+TEST(ProjectionTest, ExactDropsAnUnconstrainedColumn) {
+  // No constraint mentions T1: some point of 0+7n always fits.
+  GeneralizedTuple t({Lrp::Make(0, 7), Lrp::Make(1, 4), Lrp::Make(3, 6)});
+  t.mutable_constraints().AddDifferenceUpperBound(1, 2, 3);
+  t.mutable_constraints().AddDifferenceUpperBound(2, 1, 5);
+  GeneralizedRelation p = ExpectExactMatchesReference(t, {"T2", "T3"}, false);
+  ASSERT_EQ(p.size(), 1);
+  EXPECT_EQ(p.tuples()[0].lrp(0), Lrp::Make(1, 4));
+  EXPECT_EQ(p.tuples()[0].lrp(1), Lrp::Make(3, 6));
+}
+
+TEST(ProjectionTest, ExactDropsAColumnPinnedToAKeptColumn) {
+  // T2 = T1 + 2 with T2 in 3+6n: T1 in (1+4n) meet (1+6n) = 1+12n.
+  GeneralizedTuple t({Lrp::Make(1, 4), Lrp::Make(3, 6)});
+  t.mutable_constraints().AddDifferenceEquality(1, 0, 2);
+  t.mutable_constraints().AddUpperBound(1, 40);
+  GeneralizedRelation p = ExpectExactMatchesReference(t, {"T1"}, false);
+  ASSERT_EQ(p.size(), 1);
+  EXPECT_EQ(p.tuples()[0].lrp(0), Lrp::Make(1, 12));
+  EXPECT_TRUE(p.tuples()[0].ContainsTemporal({37}));
+  EXPECT_FALSE(p.tuples()[0].ContainsTemporal({49}));
+}
+
+TEST(ProjectionTest, ExactDropsAColumnPinnedToADroppedColumn) {
+  // T1 = T2 + 1 narrows the dropped T2 to 1+12n; T2 <= T3 then still needs
+  // (partial) normalization against T3's period 9.
+  GeneralizedTuple t({Lrp::Make(2, 6), Lrp::Make(1, 4), Lrp::Make(0, 9)});
+  t.mutable_constraints().AddDifferenceEquality(0, 1, 1);
+  t.mutable_constraints().AddDifferenceUpperBound(1, 2, 0);
+  t.mutable_constraints().AddDifferenceUpperBound(2, 1, 5);
+  ExpectExactMatchesReference(t, {"T3"}, false, /*normalizes=*/true);
+  ExpectExactMatchesReference(t, {"T2", "T3"}, false);
+}
+
+TEST(ProjectionTest, ExactDropsAChainOfPins) {
+  // T1 = T2 + 4 and T2 = T3 + 1 (so T1 = T3 + 5): both drop without a
+  // split, leaving T3 in (0+2n) meet (0+3n) meet (0+5n) = 0+30n.
+  GeneralizedTuple t({Lrp::Make(0, 5), Lrp::Make(1, 3), Lrp::Make(0, 2)});
+  t.mutable_constraints().AddDifferenceEquality(0, 1, 4);
+  t.mutable_constraints().AddDifferenceEquality(1, 2, 1);
+  t.mutable_constraints().AddLowerBound(0, -20);
+  GeneralizedRelation p = ExpectExactMatchesReference(t, {"T3"}, false);
+  ASSERT_EQ(p.size(), 1);
+  EXPECT_EQ(p.tuples()[0].lrp(0), Lrp::Make(0, 30));
+  EXPECT_TRUE(p.tuples()[0].ContainsTemporal({0}));
+  EXPECT_FALSE(p.tuples()[0].ContainsTemporal({-30}));
+}
+
+TEST(ProjectionTest, ExactDropsAColumnPinnedToAConstant) {
+  // T1 = 13 lies in 3+5n; T2 >= T1 then bounds the kept column.
+  GeneralizedTuple inside({Lrp::Make(3, 5), Lrp::Make(0, 2)});
+  inside.mutable_constraints().AddEquality(0, 13);
+  inside.mutable_constraints().AddDifferenceUpperBound(0, 1, 0);
+  GeneralizedRelation p = ExpectExactMatchesReference(inside, {"T2"}, false);
+  ASSERT_EQ(p.size(), 1);
+  EXPECT_FALSE(p.tuples()[0].ContainsTemporal({12}));
+  EXPECT_TRUE(p.tuples()[0].ContainsTemporal({14}));
+  // T1 = 12 misses 3+5n: the tuple is empty.
+  GeneralizedTuple outside({Lrp::Make(3, 5), Lrp::Make(0, 2)});
+  outside.mutable_constraints().AddEquality(0, 12);
+  outside.mutable_constraints().AddDifferenceUpperBound(0, 1, 0);
+  ExpectExactMatchesReference(outside, {"T2"}, true);
+}
+
+TEST(ProjectionTest, ExactPinWithAnEmptyMeetIsEmpty) {
+  // T2 = T1 + 2 with T1 even and T2 in 1+6n (odd): no lattice point.
+  GeneralizedTuple t({Lrp::Make(0, 4), Lrp::Make(1, 6)});
+  t.mutable_constraints().AddDifferenceEquality(1, 0, 2);
+  ExpectExactMatchesReference(t, {"T1"}, true);
+  ExpectExactMatchesReference(t, {"T2"}, true);
+}
+
+TEST(ProjectionTest, ReorderOnlyProjectionKeepsTheRepresentation) {
+  // No temporal column is dropped: the tuple comes back column-permuted
+  // with its lrps and its constraint entries unchanged.
+  GeneralizedTuple t({Lrp::Make(1, 4), Lrp::Make(3, 6)});
+  t.mutable_constraints().AddDifferenceUpperBound(0, 1, 5);
+  t.mutable_constraints().AddLowerBound(1, -2);
+  GeneralizedRelation r = OneTuple(t);
+  Result<GeneralizedRelation> p = Project(r, {"T2", "T1"});
+  ASSERT_TRUE(p.ok()) << p.status();
+  ASSERT_EQ(p->size(), 1);
+  const GeneralizedTuple& out = p->tuples()[0];
+  EXPECT_EQ(out.lrp(0), t.lrp(1));
+  EXPECT_EQ(out.lrp(1), t.lrp(0));
+  const Dbm& in = t.constraints();
+  const Dbm& swapped = out.constraints();
+  for (int a = 0; a < 3; ++a) {
+    for (int b = 0; b < 3; ++b) {
+      const int pa = a == 0 ? 0 : 3 - a;
+      const int pb = b == 0 ? 0 : 3 - b;
+      EXPECT_EQ(swapped.bound_node(pa, pb), in.bound_node(a, b)) << a << b;
+    }
+  }
+}
+
+TEST(ProjectionTest, BoundImpliedEdgeDoesNotJoinTheComponent) {
+  // T1 - T2 <= 10 follows from T1 <= 30 and T2 >= 20 (a closed matrix
+  // always carries such edges).  It must neither pull T2 into T1's
+  // normalized component (T2 would split 3 ways to period 6) nor reach
+  // the component as a bound on T1 alone.
+  GeneralizedTuple t({Lrp::Make(0, 3), Lrp::Make(0, 2)});
+  t.mutable_constraints().AddLowerBound(0, 11);
+  t.mutable_constraints().AddUpperBound(0, 30);
+  t.mutable_constraints().AddLowerBound(1, 20);
+  t.mutable_constraints().AddDifferenceUpperBound(0, 1, 10);
+  GeneralizedRelation p =
+      ExpectExactMatchesReference(t, {"T2"}, false, /*normalizes=*/true);
+  ASSERT_EQ(p.size(), 1);
+  EXPECT_EQ(p.tuples()[0].lrp(0), Lrp::Make(0, 2));
+  EXPECT_TRUE(p.tuples()[0].ContainsTemporal({20}));
+  EXPECT_FALSE(p.tuples()[0].ContainsTemporal({18}));
 }
 
 TEST(ProjectionTest, EmptyAttributeListYieldsZeroArity) {

@@ -40,7 +40,10 @@ Database JoinHeavyDb() {
   return std::move(db).value();
 }
 
-constexpr const char* kJoinQuery = "P(t) AND Q(t) AND R(t, u) AND Q(u)";
+// EXISTS u projects a column that needs normalization (period > 1, bound
+// to t by an inequality, not pinned), so the normalize cache does work.
+constexpr const char* kJoinQuery =
+    "EXISTS u . (P(t) AND Q(t) AND R(t, u) AND Q(u))";
 
 std::int64_t SumMetric(const obs::ProfileNode& node, std::string_view name) {
   std::int64_t total = node.Metric(name);
