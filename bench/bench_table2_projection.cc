@@ -95,7 +95,7 @@ void RunProjectionAblation(benchmark::State& state, bool partial) {
   GeneralizedRelation r = DisconnectedDropRelation();
   itdb::AlgebraOptions options;
   options.partial_normalization = partial;
-  options.normalize.max_split_product = std::int64_t{1} << 24;
+  options.max_split_product = std::int64_t{1} << 24;
   options.max_tuples = std::int64_t{1} << 26;
   std::int64_t out_tuples = 0;
   for (auto _ : state) {

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/cmp.h"
 #include "util/numeric.h"
 
 namespace itdb {
@@ -289,7 +290,6 @@ Certificate AbstractInterpreter::AtomCert(const query::Query& q) {
 }
 
 Certificate AbstractInterpreter::CmpCert(const query::Query& q) {
-  using query::QueryCmp;
   using query::Term;
   Certificate cert;
   cert.lcm = 1;
@@ -309,66 +309,48 @@ Certificate AbstractInterpreter::CmpCert(const query::Query& q) {
       cert.rows = 1;  // Universe({v}) or empty.
       return cert;
     }
-    if (l_var && r_var) {
-      cert.rows = q.cmp() == QueryCmp::kNe ? 2 : 1;
-      return cert;
-    }
-    // Variable vs integer constant: (v + c) op K  <=>  v op K - c.
     const Term& var_term = l_var ? l : r;
-    const Term& const_term = l_var ? r : l;
-    if (const_term.kind != Term::Kind::kInt) return Certificate{};
-    QueryCmp cmp = q.cmp();
-    if (!l_var) {
-      switch (cmp) {
-        case QueryCmp::kLe:
-          cmp = QueryCmp::kGe;
-          break;
-        case QueryCmp::kLt:
-          cmp = QueryCmp::kGt;
-          break;
-        case QueryCmp::kGe:
-          cmp = QueryCmp::kLe;
-          break;
-        case QueryCmp::kGt:
-          cmp = QueryCmp::kLt;
-          break;
-        default:
-          break;
+    const Term& other = l_var ? r : l;
+    if (other.kind == Term::Kind::kString) return Certificate{};
+    // Oriented over column 0 (the variable) and, for two variables,
+    // column 1, with the offsets moved into the constant k = K - c.  The
+    // certificate saturates where the evaluator fails: k clamps to +-kInf,
+    // and k + 1 at k = +kInf (for > and !=) to +kInf -- the atoms of
+    // k = kInf - 1.
+    auto compile = [&](std::int64_t k) {
+      const CmpOperand v{0, 0};
+      const CmpOperand w = other.kind == Term::Kind::kVariable
+                               ? CmpOperand{1, 0}
+                               : CmpOperand{kZeroVar, k};
+      return CompileCmp(
+          *(l_var ? OrientCmp(v, q.cmp(), w) : OrientCmp(w, q.cmp(), v)));
+    };
+    const std::int64_t k = Clamp128(static_cast<__int128>(other.number) -
+                                    static_cast<__int128>(var_term.number));
+    Result<CmpBranches> branches = compile(k);
+    if (!branches.ok()) branches = compile(k - 1);
+    if (!branches.ok()) return Certificate{};
+    cert.rows = static_cast<std::int64_t>(branches->size());
+    if (other.kind == Term::Kind::kInt && branches->size() == 1) {
+      // The hull is read off the unary atoms X0 <= b and -X0 <= b.
+      Interval hull;
+      for (const AtomicConstraint& a : branches->front()) {
+        if (a.rhs == kZeroVar) hull.hi = Clamp128(a.bound);
+        if (a.lhs == kZeroVar) {
+          hull.lo = Clamp128(-static_cast<__int128>(a.bound));
+        }
       }
-    }
-    std::int64_t bound =
-        Clamp128(static_cast<__int128>(const_term.number) -
-                 static_cast<__int128>(var_term.number));
-    cert.rows = cmp == QueryCmp::kNe ? 2 : 1;
-    switch (cmp) {
-      case QueryCmp::kEq:
-        cert.hull[var_term.var] = Interval::Point(bound);
-        break;
-      case QueryCmp::kLe:
-        cert.hull[var_term.var] = Interval::AtMost(bound);
-        break;
-      case QueryCmp::kLt:
-        cert.hull[var_term.var] = Interval::AtMost(SatSub(bound, 1));
-        break;
-      case QueryCmp::kGe:
-        cert.hull[var_term.var] = Interval::AtLeast(bound);
-        break;
-      case QueryCmp::kGt:
-        cert.hull[var_term.var] =
-            Interval::AtLeast(Clamp128(static_cast<__int128>(bound) + 1));
-        break;
-      case QueryCmp::kNe:
-        break;
+      cert.hull[var_term.var] = hull;
     }
     return cert;
   }
   // Data sort: tuples are drawn from the active domain of the type.
   Bound n = domain_size(sort_it->second);
   if (l_var && r_var) {
-    cert.rows = q.cmp() == QueryCmp::kEq ? n : MulBound(n, n);
+    cert.rows = q.cmp() == CmpOp::kEq ? n : MulBound(n, n);
     return cert;
   }
-  cert.rows = q.cmp() == QueryCmp::kEq ? Bound(1) : n;
+  cert.rows = q.cmp() == CmpOp::kEq ? Bound(1) : n;
   return cert;
 }
 

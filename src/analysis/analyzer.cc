@@ -103,7 +103,7 @@ void CollectBinders(const Query& q, bool positive,
       }
       return;
     case Query::Kind::kCmp:
-      if (positive && q.cmp() == query::QueryCmp::kEq) {
+      if (positive && q.cmp() == CmpOp::kEq) {
         const Term& l = q.lhs();
         const Term& r = q.rhs();
         if (l.kind == Term::Kind::kVariable &&

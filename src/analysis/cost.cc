@@ -1,10 +1,10 @@
 #include "analysis/cost.h"
 
-#include <algorithm>
 #include <set>
 #include <string>
 
 #include "analysis/absint.h"
+#include "query/planner.h"
 
 namespace itdb {
 namespace analysis {
@@ -12,6 +12,7 @@ namespace analysis {
 namespace {
 
 using query::Query;
+using query::QueryPtr;
 using query::Sort;
 using query::SortMap;
 
@@ -35,43 +36,22 @@ struct CostWalker {
   const Query* parts;  // A chain answered part by part: no A011.
   std::vector<Diagnostic>* out;
 
-  /// True when the variable-sharing graph over the conjuncts of the
-  /// AND-chain rooted at `q` is disconnected: some group of conjuncts
-  /// shares no variable with the rest, so their join degenerates to a
-  /// cross product.  Checked over the MAXIMAL chain -- a comparison
-  /// elsewhere in the chain can connect two otherwise-disjoint atoms.
+  /// True when the variable-sharing graph over the non-ground conjuncts
+  /// of the AND-chain rooted at `q` (a kAnd node) is disconnected: some
+  /// group of conjuncts shares no variable with the rest, so their join
+  /// degenerates to a cross product.  Checked over the MAXIMAL chain -- a
+  /// comparison elsewhere in the chain can connect two otherwise-disjoint
+  /// atoms.
   static bool ChainIsCrossProduct(const Query& q) {
-    std::vector<const Query*> conjuncts;
-    FlattenConjuncts(q, conjuncts);
-    std::vector<std::set<std::string>> components;
-    for (const Query* c : conjuncts) {
-      std::vector<std::string> fv = c->FreeVariables();
-      if (fv.empty()) continue;
-      std::set<std::string> merged(fv.begin(), fv.end());
-      std::vector<std::set<std::string>> rest;
-      for (std::set<std::string>& comp : components) {
-        bool touches =
-            std::any_of(merged.begin(), merged.end(),
-                        [&](const std::string& v) { return comp.count(v); });
-        if (touches) {
-          merged.insert(comp.begin(), comp.end());
-        } else {
-          rest.push_back(std::move(comp));
-        }
-      }
-      rest.push_back(std::move(merged));
-      components = std::move(rest);
+    std::vector<QueryPtr> conjuncts;
+    query::FlattenConjuncts(q.left(), &conjuncts);
+    query::FlattenConjuncts(q.right(), &conjuncts);
+    const std::vector<std::size_t> group = query::GroupConjuncts(conjuncts);
+    std::set<std::size_t> groups;
+    for (std::size_t i = 0; i < conjuncts.size(); ++i) {
+      if (!conjuncts[i]->FreeVariables().empty()) groups.insert(group[i]);
     }
-    return components.size() > 1;
-  }
-
-  static void FlattenConjuncts(const Query& q, std::vector<const Query*>& out) {
-    if (q.kind() == Query::Kind::kAnd) {
-      FlattenConjuncts(*q.left(), out);
-      FlattenConjuncts(*q.right(), out);
-      return;
-    }
-    out.push_back(&q);
+    return groups.size() > 1;
   }
 
   /// `in_chain` is true when the parent node is already part of the same

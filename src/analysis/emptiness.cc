@@ -6,8 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "core/cmp.h"
 #include "core/dbm.h"
-#include "util/numeric.h"
+#include "query/planner.h"
 
 namespace itdb {
 namespace analysis {
@@ -15,7 +16,7 @@ namespace analysis {
 namespace {
 
 using query::Query;
-using query::QueryCmp;
+using query::QueryPtr;
 using query::Sort;
 using query::SortMap;
 using query::Term;
@@ -24,24 +25,6 @@ bool IsTemporalVar(const Term& t, const SortMap& sorts) {
   if (t.kind != Term::Kind::kVariable) return false;
   auto it = sorts.find(t.var);
   return it != sorts.end() && it->second == Sort::kTime;
-}
-
-bool CmpHolds(std::int64_t l, QueryCmp op, std::int64_t r) {
-  switch (op) {
-    case QueryCmp::kEq:
-      return l == r;
-    case QueryCmp::kNe:
-      return l != r;
-    case QueryCmp::kLe:
-      return l <= r;
-    case QueryCmp::kLt:
-      return l < r;
-    case QueryCmp::kGe:
-      return l >= r;
-    case QueryCmp::kGt:
-      return l > r;
-  }
-  return false;
 }
 
 /// Truth value of a comparison with no degrees of freedom, or nullopt.
@@ -54,29 +37,18 @@ std::optional<bool> GroundCmpTruth(const Query& q, const SortMap& sorts) {
   const Term& r = q.rhs();
   if (l.kind == Term::Kind::kVariable && r.kind == Term::Kind::kVariable) {
     if (l.var == r.var && IsTemporalVar(l, sorts)) {
-      return CmpHolds(l.number, q.cmp(), r.number);
+      return Holds(l.number, q.cmp(), r.number);
     }
     return std::nullopt;
   }
   if (l.kind == Term::Kind::kInt && r.kind == Term::Kind::kInt) {
-    return CmpHolds(l.number, q.cmp(), r.number);
+    return Holds(l.number, q.cmp(), r.number);
   }
   if (l.kind == Term::Kind::kString && r.kind == Term::Kind::kString &&
-      (q.cmp() == QueryCmp::kEq || q.cmp() == QueryCmp::kNe)) {
-    bool eq = l.text == r.text;
-    return q.cmp() == QueryCmp::kEq ? eq : !eq;
+      (q.cmp() == CmpOp::kEq || q.cmp() == CmpOp::kNe)) {
+    return Holds(l.text, q.cmp(), r.text);
   }
   return std::nullopt;
-}
-
-/// Collects the conjuncts of a maximal AND-chain.
-void FlattenConjuncts(const Query& q, std::vector<const Query*>& out) {
-  if (q.kind() == Query::Kind::kAnd) {
-    FlattenConjuncts(*q.left(), out);
-    FlattenConjuncts(*q.right(), out);
-    return;
-  }
-  out.push_back(&q);
 }
 
 /// Per-node proof strength (see EmptinessProof in the header).
@@ -102,96 +74,31 @@ struct EmptinessProver {
   /// form (data sort, !=, overflow) are simply skipped -- dropping a
   /// constraint can only make the system MORE feasible, so skipping is
   /// sound.
-  bool ConjunctionInfeasible(const std::vector<const Query*>& conjuncts) {
+  bool ConjunctionInfeasible(const std::vector<QueryPtr>& conjuncts) {
     std::map<std::string, int> index;
-    auto var_index = [&](const std::string& name) {
-      return index.emplace(name, static_cast<int>(index.size())).first->second;
-    };
-    auto sub = [](std::int64_t a, std::int64_t b) -> std::optional<std::int64_t> {
-      Result<std::int64_t> r = CheckedSub(a, b);
-      if (!r.ok()) return std::nullopt;
-      return r.value();
+    // A term in difference form: a temporal variable or an integer.
+    auto operand = [&](const Term& t) -> std::optional<CmpOperand> {
+      if (IsTemporalVar(t, sorts)) {
+        int col = index.emplace(t.var, static_cast<int>(index.size()))
+                      .first->second;
+        return CmpOperand{col, t.number};
+      }
+      if (t.kind == Term::Kind::kInt) return CmpOperand{kZeroVar, t.number};
+      return std::nullopt;
     };
     std::vector<AtomicConstraint> constraints;
-    // Turns `x op bound` (x a difference of nodes) into <= constraints;
-    // kEq contributes both directions, kNe nothing.
-    auto push = [&](int i, int j, QueryCmp op, std::int64_t bound) -> bool {
-      switch (op) {
-        case QueryCmp::kLe:
-          constraints.push_back({i, j, bound});
-          return true;
-        case QueryCmp::kLt: {
-          std::optional<std::int64_t> b = sub(bound, 1);
-          if (!b.has_value()) return true;
-          constraints.push_back({i, j, *b});
-          return true;
-        }
-        case QueryCmp::kGe: {
-          std::optional<std::int64_t> b = sub(0, bound);
-          if (!b.has_value()) return true;
-          constraints.push_back({j, i, *b});
-          return true;
-        }
-        case QueryCmp::kGt: {
-          std::optional<std::int64_t> b = sub(-1, bound);
-          if (!b.has_value()) return true;
-          constraints.push_back({j, i, *b});
-          return true;
-        }
-        case QueryCmp::kEq: {
-          constraints.push_back({i, j, bound});
-          std::optional<std::int64_t> b = sub(0, bound);
-          if (!b.has_value()) return true;
-          constraints.push_back({j, i, *b});
-          return true;
-        }
-        case QueryCmp::kNe:
-          return true;
-      }
-      return true;
-    };
-    for (const Query* c : conjuncts) {
-      if (c->kind() != Query::Kind::kCmp || c->cmp() == QueryCmp::kNe) {
-        continue;
-      }
-      const Term& l = c->lhs();
-      const Term& r = c->rhs();
-      bool l_temporal = IsTemporalVar(l, sorts);
-      bool r_temporal = IsTemporalVar(r, sorts);
-      if (l_temporal && r_temporal && l.var != r.var) {
-        // (vl + cl) op (vr + cr)  <=>  vl - vr op cr - cl.
-        std::optional<std::int64_t> delta = sub(r.number, l.number);
-        if (!delta.has_value()) continue;
-        push(var_index(l.var), var_index(r.var), c->cmp(), *delta);
-      } else if (l_temporal && r.kind == Term::Kind::kInt) {
-        // (v + cl) op k  <=>  v op k - cl.
-        std::optional<std::int64_t> bound = sub(r.number, l.number);
-        if (!bound.has_value()) continue;
-        push(var_index(l.var), kZeroVar, c->cmp(), *bound);
-      } else if (r_temporal && l.kind == Term::Kind::kInt) {
-        // k op (v + cr)  <=>  v flip(op) k - cr.
-        std::optional<std::int64_t> bound = sub(l.number, r.number);
-        if (!bound.has_value()) continue;
-        QueryCmp flipped = c->cmp();
-        switch (c->cmp()) {
-          case QueryCmp::kLe:
-            flipped = QueryCmp::kGe;
-            break;
-          case QueryCmp::kLt:
-            flipped = QueryCmp::kGt;
-            break;
-          case QueryCmp::kGe:
-            flipped = QueryCmp::kLe;
-            break;
-          case QueryCmp::kGt:
-            flipped = QueryCmp::kLt;
-            break;
-          case QueryCmp::kEq:
-          case QueryCmp::kNe:
-            break;
-        }
-        push(var_index(r.var), kZeroVar, flipped, *bound);
-      }
+    for (const QueryPtr& c : conjuncts) {
+      if (c->kind() != Query::Kind::kCmp) continue;
+      std::optional<CmpOperand> l = operand(c->lhs());
+      std::optional<CmpOperand> r = operand(c->rhs());
+      if (!l.has_value() || !r.has_value() || l->col == r->col) continue;
+      Result<TemporalCondition> cond = OrientCmp(*l, c->cmp(), *r);
+      if (!cond.ok()) continue;
+      Result<CmpBranches> branches = CompileCmp(*cond);
+      // != is a disjunction: only single-branch conditions conjoin.
+      if (!branches.ok() || branches->size() != 1) continue;
+      const std::vector<AtomicConstraint>& atoms = branches->front();
+      constraints.insert(constraints.end(), atoms.begin(), atoms.end());
     }
     if (constraints.empty()) return false;
     Dbm dbm(static_cast<int>(index.size()));
@@ -236,8 +143,9 @@ struct EmptinessProver {
         // A join with a zero-tuple operand yields zero tuples.
         Proof p{left.empty || right.empty, left.bit || right.bit};
         if (!p.empty) {
-          std::vector<const Query*> conjuncts;
-          FlattenConjuncts(q, conjuncts);
+          std::vector<QueryPtr> conjuncts;
+          query::FlattenConjuncts(q.left(), &conjuncts);
+          query::FlattenConjuncts(q.right(), &conjuncts);
           p.empty = ConjunctionInfeasible(conjuncts);
         }
         return Mark(q, p);

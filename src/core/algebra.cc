@@ -33,6 +33,11 @@ obs::Span OpSpan(const AlgebraOptions& options, const char* name,
   return span;
 }
 
+/// The normalization options an algebra operation runs under.
+NormalizeOptions NormalizeOptionsOf(const AlgebraOptions& options) {
+  return NormalizeOptions{options.max_split_product, options.threads};
+}
+
 /// Relaxed add on an optional KernelCounters field; safe from any worker
 /// thread (the fields are atomic).
 void BumpCounter(std::atomic<std::int64_t> KernelCounters::*field,
@@ -530,7 +535,7 @@ Result<GeneralizedRelation> Complement(const GeneralizedRelation& r,
     ITDB_ASSIGN_OR_RETURN(
         std::vector<GeneralizedTuple> normal,
         CachedNormalizeTupleToPeriod(options.normalize_cache, t, k,
-                                     options.normalize));
+                                     NormalizeOptionsOf(options)));
     for (GeneralizedTuple& nt : normal) {
       std::vector<std::int64_t> residues(static_cast<std::size_t>(m));
       Dbm constraints = nt.constraints();
@@ -667,7 +672,8 @@ Result<std::vector<GeneralizedTuple>> ProjectTupleFull(
   std::vector<GeneralizedTuple> out;
   ITDB_ASSIGN_OR_RETURN(
       std::vector<GeneralizedTuple> normal,
-      CachedNormalizeTuple(options.normalize_cache, t, options.normalize));
+      CachedNormalizeTuple(options.normalize_cache, t,
+                           NormalizeOptionsOf(options)));
   for (const GeneralizedTuple& nt : normal) {
     ITDB_ASSIGN_OR_RETURN(NSpaceTuple ns, NSpaceTuple::Build(nt));
     if (!ns.feasible()) continue;
@@ -924,43 +930,7 @@ Result<GeneralizedRelation> SelectTemporal(const GeneralizedRelation& r,
     return Status::InvalidArgument(
         "SelectTemporal: identical columns on both sides");
   }
-  // Compile the condition into one or two (for kNe) branches of atomic
-  // constraint lists.  X(lhs) op X(rhs) + c, with X(kZeroVar) == 0.
-  std::vector<std::vector<AtomicConstraint>> branches;
-  auto upper = [&cond](std::int64_t b) {  // X(lhs) - X(rhs) <= b
-    return AtomicConstraint{cond.lhs, cond.rhs, b};
-  };
-  auto lower = [&cond](std::int64_t b) {  // X(rhs) - X(lhs) <= -b
-    return AtomicConstraint{cond.rhs, cond.lhs, -b};
-  };
-  switch (cond.op) {
-    case CmpOp::kEq:
-      branches.push_back({upper(cond.c), lower(cond.c)});
-      break;
-    case CmpOp::kNe: {
-      ITDB_ASSIGN_OR_RETURN(std::int64_t below, CheckedSub(cond.c, 1));
-      ITDB_ASSIGN_OR_RETURN(std::int64_t above, CheckedAdd(cond.c, 1));
-      branches.push_back({upper(below)});
-      branches.push_back({lower(above)});
-      break;
-    }
-    case CmpOp::kLt: {
-      ITDB_ASSIGN_OR_RETURN(std::int64_t below, CheckedSub(cond.c, 1));
-      branches.push_back({upper(below)});
-      break;
-    }
-    case CmpOp::kLe:
-      branches.push_back({upper(cond.c)});
-      break;
-    case CmpOp::kGt: {
-      ITDB_ASSIGN_OR_RETURN(std::int64_t above, CheckedAdd(cond.c, 1));
-      branches.push_back({lower(above)});
-      break;
-    }
-    case CmpOp::kGe:
-      branches.push_back({lower(cond.c)});
-      break;
-  }
+  ITDB_ASSIGN_OR_RETURN(CmpBranches branches, CompileCmp(cond));
   GeneralizedRelation out(r.schema());
   for (const GeneralizedTuple& t : r.tuples()) {
     // DBM fast path: close the tuple's constraints once, then fold each
@@ -1019,28 +989,6 @@ Result<GeneralizedRelation> SelectTemporal(const GeneralizedRelation& r,
   return out;
 }
 
-namespace {
-
-bool CompareValues(const Value& a, CmpOp op, const Value& b) {
-  switch (op) {
-    case CmpOp::kEq:
-      return a == b;
-    case CmpOp::kNe:
-      return a != b;
-    case CmpOp::kLt:
-      return a < b;
-    case CmpOp::kLe:
-      return a <= b;
-    case CmpOp::kGt:
-      return a > b;
-    case CmpOp::kGe:
-      return a >= b;
-  }
-  return false;
-}
-
-}  // namespace
-
 Result<GeneralizedRelation> SelectData(const GeneralizedRelation& r,
                                        int data_col, CmpOp op,
                                        const Value& value) {
@@ -1050,7 +998,7 @@ Result<GeneralizedRelation> SelectData(const GeneralizedRelation& r,
   }
   GeneralizedRelation out(r.schema());
   for (const GeneralizedTuple& t : r.tuples()) {
-    if (CompareValues(t.value(data_col), op, value)) {
+    if (Holds(t.value(data_col), op, value)) {
       ITDB_RETURN_IF_ERROR(out.AddTuple(t));
     }
   }
@@ -1480,7 +1428,8 @@ Result<bool> TupleIsEmpty(const GeneralizedTuple& t,
   if (rest->tuple.temporal_arity() == 0) return false;
   ITDB_ASSIGN_OR_RETURN(std::vector<GeneralizedTuple> normal,
                         CachedNormalizeTuple(options.normalize_cache,
-                                             rest->tuple, options.normalize));
+                                             rest->tuple,
+                                             NormalizeOptionsOf(options)));
   // NormalizeTuple prunes infeasible combinations, so any survivor is a
   // nonempty piece of the extension.
   return normal.empty();
@@ -1501,7 +1450,8 @@ Result<std::optional<std::vector<std::int64_t>>> FindTemporalWitness(
   using MaybePoint = std::optional<std::vector<std::int64_t>>;
   ITDB_ASSIGN_OR_RETURN(
       std::vector<GeneralizedTuple> normal,
-      CachedNormalizeTuple(options.normalize_cache, t, options.normalize));
+      CachedNormalizeTuple(options.normalize_cache, t,
+                           NormalizeOptionsOf(options)));
   if (normal.empty()) return MaybePoint(std::nullopt);
   const GeneralizedTuple& nt = normal.front();
   // Fix the n-space variables one at a time: each variable is pinned to its

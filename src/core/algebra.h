@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cmp.h"
 #include "core/normalize.h"
 #include "core/normalize_cache.h"
 #include "core/relation.h"
@@ -35,30 +36,12 @@ namespace obs {
 class Tracer;  // obs/trace.h
 }  // namespace obs
 
-/// Comparison operators for selection conditions.
-enum class CmpOp {
-  kEq,
-  kNe,
-  kLt,
-  kLe,
-  kGt,
-  kGe,
-};
-
-/// A selection condition on temporal attributes:
-///   X(lhs) op X(rhs) + c        (rhs >= 0)
-///   X(lhs) op c                 (rhs == kZeroVar).
-/// kNe splits tuples in two (the paper's disjunction-splitting rule).
-struct TemporalCondition {
-  int lhs = 0;
-  int rhs = kZeroVar;
-  CmpOp op = CmpOp::kEq;
-  std::int64_t c = 0;
-};
-
 /// Budgets and switches for algebra operations.
 struct AlgebraOptions {
-  NormalizeOptions normalize;
+  /// Cap on the split product of one Theorem 3.2 normalization
+  /// (NormalizeOptions::max_split_product); the split sweep runs on
+  /// `threads`.
+  std::int64_t max_split_product = std::int64_t{1} << 20;
   /// Hard cap on the number of tuples any intermediate or final relation may
   /// reach (subtraction chains and complements can explode; see Appendix A).
   std::int64_t max_tuples = std::int64_t{1} << 22;
@@ -74,11 +57,10 @@ struct AlgebraOptions {
   /// every column), the reference the tests compare against.
   bool partial_normalization = true;
   /// Worker threads for the per-tuple / per-tuple-pair kernels of
-  /// Intersect, Join, Subtract and Complement (0 = the ITDB_THREADS /
-  /// hardware default, 1 = sequential).  Results are
-  /// bit-identical at every thread count: work is partitioned by input
-  /// index and merged in input order.  Independent of normalize.threads,
-  /// which governs the in-tuple split sweep.
+  /// Intersect, Join, Subtract and Complement and for the in-tuple
+  /// normalization split sweep (0 = the ITDB_THREADS / hardware default,
+  /// 1 = sequential).  Results are bit-identical at every thread count:
+  /// work is partitioned by input index and merged in input order.
   int threads = 0;
   /// Optional memo-cache for Theorem 3.2 normalization, shared across the
   /// operations of one query / benchmark run (see normalize_cache.h).

@@ -6,46 +6,6 @@
 
 namespace itdb {
 
-namespace {
-
-bool EvalCmp(std::int64_t lhs, CmpOp op, std::int64_t rhs) {
-  switch (op) {
-    case CmpOp::kEq:
-      return lhs == rhs;
-    case CmpOp::kNe:
-      return lhs != rhs;
-    case CmpOp::kLt:
-      return lhs < rhs;
-    case CmpOp::kLe:
-      return lhs <= rhs;
-    case CmpOp::kGt:
-      return lhs > rhs;
-    case CmpOp::kGe:
-      return lhs >= rhs;
-  }
-  return false;
-}
-
-bool EvalValueCmp(const Value& lhs, CmpOp op, const Value& rhs) {
-  switch (op) {
-    case CmpOp::kEq:
-      return lhs == rhs;
-    case CmpOp::kNe:
-      return lhs != rhs;
-    case CmpOp::kLt:
-      return lhs < rhs;
-    case CmpOp::kLe:
-      return lhs <= rhs;
-    case CmpOp::kGt:
-      return lhs > rhs;
-    case CmpOp::kGe:
-      return lhs >= rhs;
-  }
-  return false;
-}
-
-}  // namespace
-
 void FiniteRelation::Normalize() {
   std::sort(rows_.begin(), rows_.end());
   rows_.erase(std::unique(rows_.begin(), rows_.end()), rows_.end());
@@ -218,7 +178,7 @@ Result<FiniteRelation> FiniteRelation::SelectTemporal(
         cond.rhs == kZeroVar
             ? cond.c
             : row.temporal[static_cast<std::size_t>(cond.rhs)] + cond.c;
-    if (EvalCmp(lhs, cond.op, rhs)) out.rows_.push_back(row);
+    if (Holds(lhs, cond.op, rhs)) out.rows_.push_back(row);
   }
   return out;
 }
@@ -244,7 +204,7 @@ Result<FiniteRelation> FiniteRelation::SelectData(int data_col, CmpOp op,
   }
   FiniteRelation out(schema_);
   for (const ConcreteRow& row : rows_) {
-    if (EvalValueCmp(row.data[static_cast<std::size_t>(data_col)], op, value)) {
+    if (Holds(row.data[static_cast<std::size_t>(data_col)], op, value)) {
       out.rows_.push_back(row);
     }
   }

@@ -22,24 +22,6 @@ ExprPtr MakeBinary(Expr::Kind kind, ExprPtr a, ExprPtr b) {
   return MakeNode(std::move(e));
 }
 
-std::string_view CmpOpToString(CmpOp op) {
-  switch (op) {
-    case CmpOp::kEq:
-      return "=";
-    case CmpOp::kNe:
-      return "!=";
-    case CmpOp::kLt:
-      return "<";
-    case CmpOp::kLe:
-      return "<=";
-    case CmpOp::kGt:
-      return ">";
-    case CmpOp::kGe:
-      return ">=";
-  }
-  return "?";
-}
-
 }  // namespace
 
 Result<InjectedBug> ParseInjectedBug(std::string_view name) {
@@ -159,7 +141,7 @@ std::string Expr::ToString() const {
     case Kind::kSelect: {
       std::string out = "select(" + left->ToString() + ", X" +
                         std::to_string(cond.lhs + 1) + " " +
-                        std::string(CmpOpToString(cond.op)) + " ";
+                        std::string(CmpOpSymbol(cond.op)) + " ";
       if (cond.rhs == kZeroVar) {
         out += std::to_string(cond.c);
       } else {
@@ -172,7 +154,7 @@ std::string Expr::ToString() const {
     case Kind::kSelectData:
       return "selectdata(" + left->ToString() + ", D" +
              std::to_string(data_col + 1) + " " +
-             std::string(CmpOpToString(data_op)) + " " +
+             std::string(CmpOpSymbol(data_op)) + " " +
              data_value.ToString() + ")";
     case Kind::kShift:
       return "shift(" + left->ToString() + ", X" +
@@ -538,13 +520,9 @@ Result<int> ParseColumnRef(TokenStream& ts, char prefix) {
 }
 
 Result<CmpOp> ParseCmpOp(TokenStream& ts) {
-  if (ts.TrySymbol("<=")) return CmpOp::kLe;
-  if (ts.TrySymbol(">=")) return CmpOp::kGe;
-  if (ts.TrySymbol("!=")) return CmpOp::kNe;
-  if (ts.TrySymbol("=")) return CmpOp::kEq;
-  if (ts.TrySymbol("<")) return CmpOp::kLt;
-  if (ts.TrySymbol(">")) return CmpOp::kGt;
-  return ts.ErrorHere("expected comparison operator");
+  std::optional<CmpOp> op = ts.TryCmpOp();
+  if (!op.has_value()) return ts.ErrorHere("expected comparison operator");
+  return *op;
 }
 
 Result<ExprPtr> ParseExprNode(TokenStream& ts) {

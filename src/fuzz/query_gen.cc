@@ -11,7 +11,6 @@ namespace fuzz {
 namespace {
 
 using query::Query;
-using query::QueryCmp;
 using query::QueryPtr;
 using query::Term;
 
@@ -39,8 +38,8 @@ struct Rng {
   }
 };
 
-constexpr QueryCmp kAllCmps[] = {QueryCmp::kEq, QueryCmp::kNe, QueryCmp::kLe,
-                                 QueryCmp::kLt, QueryCmp::kGe, QueryCmp::kGt};
+constexpr CmpOp kAllCmps[] = {CmpOp::kEq, CmpOp::kNe, CmpOp::kLe,
+                              CmpOp::kLt, CmpOp::kGe, CmpOp::kGt};
 
 /// Structural deep copy, so OR branches never share nodes (the analyzer
 /// keys proven-empty nodes by pointer identity).
@@ -130,7 +129,7 @@ struct Generator {
     if (!string_vars.empty() && rng.Percent(25)) {
       const std::string& var =
           string_vars[rng.Below(static_cast<std::uint32_t>(string_vars.size()))];
-      QueryCmp op = rng.Percent(50) ? QueryCmp::kEq : QueryCmp::kNe;
+      CmpOp op = rng.Percent(50) ? CmpOp::kEq : CmpOp::kNe;
       return Query::Compare(Term::Variable(var), op,
                             Term::String(PickStringConst()));
     }
@@ -145,7 +144,7 @@ struct Generator {
     std::int64_t off = rng.Percent(40)
                            ? rng.IntIn(-cfg.offset_range, cfg.offset_range)
                            : 0;
-    QueryCmp op = kAllCmps[rng.Below(6)];
+    CmpOp op = kAllCmps[rng.Below(6)];
     if (temporal_vars.size() > 1 && rng.Percent(50)) {
       const std::string& b = temporal_vars[rng.Below(
           static_cast<std::uint32_t>(temporal_vars.size()))];
@@ -160,15 +159,15 @@ struct Generator {
   QueryPtr MakeContradiction() {
     if (temporal_vars.empty() || rng.Percent(30)) {
       return Query::And(
-          Query::Compare(Term::Int(3), QueryCmp::kLt, Term::Int(2)),
-          Query::Compare(Term::Int(0), QueryCmp::kEq, Term::Int(0)));
+          Query::Compare(Term::Int(3), CmpOp::kLt, Term::Int(2)),
+          Query::Compare(Term::Int(0), CmpOp::kEq, Term::Int(0)));
     }
     const std::string& var = temporal_vars[rng.Below(
         static_cast<std::uint32_t>(temporal_vars.size()))];
     std::int64_t c = rng.IntIn(-cfg.const_range, cfg.const_range);
     return Query::And(
-        Query::Compare(Term::Variable(var), QueryCmp::kGt, Term::Int(c)),
-        Query::Compare(Term::Variable(var), QueryCmp::kLt, Term::Int(c)));
+        Query::Compare(Term::Variable(var), CmpOp::kGt, Term::Int(c)),
+        Query::Compare(Term::Variable(var), CmpOp::kLt, Term::Int(c)));
   }
 
   /// One deliberately ill-formed conjunct; the oracle checks that analysis
@@ -183,7 +182,7 @@ struct Generator {
                                           Term::Variable(PickTemporalVar()),
                                           Term::Variable(PickTemporalVar())});
       default:  // Mixed constant sorts.
-        return Query::Compare(Term::String("a"), QueryCmp::kEq, Term::Int(3));
+        return Query::Compare(Term::String("a"), CmpOp::kEq, Term::Int(3));
     }
   }
 
@@ -245,7 +244,7 @@ QueryPtr MakeRandomQuery(std::uint32_t seed, const Database& db,
   Rng rng{SplitMix64(0x51c5a9a3u ^ static_cast<std::uint64_t>(seed))};
   Generator gen{rng, db, cfg, db.Names(), {}, {}};
   if (gen.relations.empty()) {
-    return Query::Compare(Term::Int(1), QueryCmp::kEq, Term::Int(1));
+    return Query::Compare(Term::Int(1), CmpOp::kEq, Term::Int(1));
   }
   return gen.Generate();
 }

@@ -27,7 +27,7 @@ struct QueryBuilder : Query {
   std::vector<Term>& args() { return args_; }
   Term& lhs() { return lhs_; }
   Term& rhs() { return rhs_; }
-  QueryCmp& cmp() { return cmp_; }
+  CmpOp& cmp() { return cmp_; }
   QueryPtr& left() { return left_; }
   QueryPtr& right() { return right_; }
   SourceSpan& span() { return span_; }
@@ -96,7 +96,7 @@ QueryPtr Query::Atom(std::string relation, std::vector<Term> args) {
   return node;
 }
 
-QueryPtr Query::Compare(Term lhs, QueryCmp op, Term rhs) {
+QueryPtr Query::Compare(Term lhs, CmpOp op, Term rhs) {
   auto node = NewNode(Kind::kCmp);
   node->lhs() = std::move(lhs);
   node->rhs() = std::move(rhs);
@@ -160,28 +160,8 @@ std::string Query::ToString() const {
       return out + ")";
     }
     case Kind::kCmp: {
-      const char* op = "=";
-      switch (cmp_) {
-        case QueryCmp::kEq:
-          op = "=";
-          break;
-        case QueryCmp::kNe:
-          op = "!=";
-          break;
-        case QueryCmp::kLe:
-          op = "<=";
-          break;
-        case QueryCmp::kLt:
-          op = "<";
-          break;
-        case QueryCmp::kGe:
-          op = ">=";
-          break;
-        case QueryCmp::kGt:
-          op = ">";
-          break;
-      }
-      return lhs_.ToString() + " " + op + " " + rhs_.ToString();
+      return lhs_.ToString() + " " + std::string(CmpOpSymbol(cmp_)) + " " +
+             rhs_.ToString();
     }
     case Kind::kAnd:
       return "(" + left_->ToString() + " AND " + right_->ToString() + ")";

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cmp.h"
 #include "core/value.h"
 #include "util/source_span.h"
 
@@ -55,10 +56,6 @@ struct Term {
   friend bool operator==(const Term& a, const Term& b) = default;
 };
 
-/// Comparison operators of the language.  <=, <, >=, > apply to the
-/// temporal sort; = and != apply to both sorts.
-enum class QueryCmp { kEq, kNe, kLe, kLt, kGe, kGt };
-
 class Query;
 using QueryPtr = std::shared_ptr<const Query>;
 
@@ -67,7 +64,7 @@ class Query {
  public:
   enum class Kind {
     kAtom,    // relation(args...)
-    kCmp,     // term op term
+    kCmp,     // term op term (<, <=, >, >= on the temporal sort only)
     kAnd,
     kOr,
     kNot,
@@ -76,7 +73,7 @@ class Query {
   };
 
   static QueryPtr Atom(std::string relation, std::vector<Term> args);
-  static QueryPtr Compare(Term lhs, QueryCmp op, Term rhs);
+  static QueryPtr Compare(Term lhs, CmpOp op, Term rhs);
   static QueryPtr And(QueryPtr a, QueryPtr b);
   static QueryPtr Or(QueryPtr a, QueryPtr b);
   static QueryPtr Not(QueryPtr a);
@@ -90,7 +87,7 @@ class Query {
   const std::vector<Term>& args() const { return args_; }
   const Term& lhs() const { return lhs_; }
   const Term& rhs() const { return rhs_; }
-  QueryCmp cmp() const { return cmp_; }
+  CmpOp cmp() const { return cmp_; }
   const QueryPtr& left() const { return left_; }
   const QueryPtr& right() const { return right_; }
   const std::string& quantified_var() const { return relation_; }
@@ -126,7 +123,7 @@ class Query {
   std::vector<Term> args_;    // kAtom.
   Term lhs_;                  // kCmp.
   Term rhs_;                  // kCmp.
-  QueryCmp cmp_ = QueryCmp::kEq;
+  CmpOp cmp_ = CmpOp::kEq;
   QueryPtr left_;
   QueryPtr right_;
   SourceSpan span_;                     // Unknown unless parsed from text.

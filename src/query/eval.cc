@@ -280,42 +280,6 @@ Result<GeneralizedRelation> Evaluator::EvalAtom(const Query& q) const {
 
 namespace {
 
-CmpOp ToCmpOp(QueryCmp cmp) {
-  switch (cmp) {
-    case QueryCmp::kEq:
-      return CmpOp::kEq;
-    case QueryCmp::kNe:
-      return CmpOp::kNe;
-    case QueryCmp::kLe:
-      return CmpOp::kLe;
-    case QueryCmp::kLt:
-      return CmpOp::kLt;
-    case QueryCmp::kGe:
-      return CmpOp::kGe;
-    case QueryCmp::kGt:
-      return CmpOp::kGt;
-  }
-  return CmpOp::kEq;
-}
-
-bool EvalGroundCmp(std::int64_t lhs, QueryCmp cmp, std::int64_t rhs) {
-  switch (cmp) {
-    case QueryCmp::kEq:
-      return lhs == rhs;
-    case QueryCmp::kNe:
-      return lhs != rhs;
-    case QueryCmp::kLe:
-      return lhs <= rhs;
-    case QueryCmp::kLt:
-      return lhs < rhs;
-    case QueryCmp::kGe:
-      return lhs >= rhs;
-    case QueryCmp::kGt:
-      return lhs > rhs;
-  }
-  return false;
-}
-
 GeneralizedRelation BooleanRelation(bool truth) {
   GeneralizedRelation out((Schema()));
   if (truth) {
@@ -340,75 +304,43 @@ Result<GeneralizedRelation> Evaluator::EvalCmp(const Query& q) const {
             "comparison between a string and an integer constant");
       }
       bool eq = l.text == r.text;
-      return BooleanRelation(q.cmp() == QueryCmp::kEq ? eq : !eq);
+      return BooleanRelation(q.cmp() == CmpOp::kEq ? eq : !eq);
     }
-    return BooleanRelation(EvalGroundCmp(l.number, q.cmp(), r.number));
+    return BooleanRelation(Holds(l.number, q.cmp(), r.number));
   }
   // Identify the sort from either variable.
   const std::string& probe = l_var ? l.var : r.var;
   if (SortOf(probe) == Sort::kTime) {
     if (l_var && r_var && l.var == r.var) {
       // (v + c1) op (v + c2): ground.
-      bool truth = EvalGroundCmp(l.number, q.cmp(), r.number);
-      if (truth) return Universe({l.var});
+      if (Holds(l.number, q.cmp(), r.number)) return Universe({l.var});
       GeneralizedRelation out(Schema({l.var}, {}, {}));
       return out;
     }
-    if (l_var && r_var) {
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation universe,
-                            Universe({l.var, r.var}));
-      int lpos = *universe.schema().FindTemporal(l.var);
-      int rpos = *universe.schema().FindTemporal(r.var);
-      // (v_l + cl) op (v_r + cr)  <=>  v_l op v_r + (cr - cl).
-      ITDB_ASSIGN_OR_RETURN(std::int64_t delta,
-                            CheckedSub(r.number, l.number));
-      ITDB_ASSIGN_OR_RETURN(
-          GeneralizedRelation selected,
-          SelectTemporal(universe,
-                         TemporalCondition{lpos, rpos, ToCmpOp(q.cmp()), delta},
-                         algebra));
-      return Canonical(selected);
-    }
-    // Variable vs integer constant.
-    const Term& var_term = l_var ? l : r;
-    const Term& const_term = l_var ? r : l;
-    if (const_term.kind != Term::Kind::kInt) {
+    if (l.kind == Term::Kind::kString || r.kind == Term::Kind::kString) {
       return Status::InvalidArgument(
           "temporal variable compared with a string constant");
     }
-    QueryCmp cmp = q.cmp();
-    if (!l_var) {
-      // const op var: flip.
-      switch (cmp) {
-        case QueryCmp::kLe:
-          cmp = QueryCmp::kGe;
-          break;
-        case QueryCmp::kLt:
-          cmp = QueryCmp::kGt;
-          break;
-        case QueryCmp::kGe:
-          cmp = QueryCmp::kLe;
-          break;
-        case QueryCmp::kGt:
-          cmp = QueryCmp::kLt;
-          break;
-        default:
-          break;
-      }
-    }
-    ITDB_ASSIGN_OR_RETURN(GeneralizedRelation universe, Universe({var_term.var}));
-    // (v + c) op K  <=>  v op K - c.
-    ITDB_ASSIGN_OR_RETURN(std::int64_t bound,
-                          CheckedSub(const_term.number, var_term.number));
-    return SelectTemporal(
-        universe, TemporalCondition{0, kZeroVar, ToCmpOp(cmp), bound}, algebra);
+    ITDB_ASSIGN_OR_RETURN(GeneralizedRelation universe,
+                          l_var && r_var ? Universe({l.var, r.var})
+                                         : Universe({probe}));
+    auto operand = [&universe](const Term& t) {
+      return t.kind == Term::Kind::kVariable
+                 ? CmpOperand{*universe.schema().FindTemporal(t.var), t.number}
+                 : CmpOperand{kZeroVar, t.number};
+    };
+    ITDB_ASSIGN_OR_RETURN(TemporalCondition cond,
+                          OrientCmp(operand(l), q.cmp(), operand(r)));
+    ITDB_ASSIGN_OR_RETURN(GeneralizedRelation selected,
+                          SelectTemporal(universe, cond, algebra));
+    return Canonical(selected);
   }
   // Data sort: only = and != are defined.
-  if (q.cmp() != QueryCmp::kEq && q.cmp() != QueryCmp::kNe) {
+  if (q.cmp() != CmpOp::kEq && q.cmp() != CmpOp::kNe) {
     return Status::InvalidArgument(
         "order comparison on data-sorted variable \"" + probe + "\"");
   }
-  const bool want_equal = q.cmp() == QueryCmp::kEq;
+  const bool want_equal = q.cmp() == CmpOp::kEq;
   DataType type = TypeOf(probe);
   if (l_var && r_var) {
     GeneralizedRelation out(
@@ -635,8 +567,9 @@ GeneralizedRelation EmptyRelationFor(const Query& q, const SortMap& sorts) {
 
 /// Evaluates plans of a compiled, not statically empty statement with one
 /// evaluator (one normalization cache, one set of kernel counters):
-/// `run(eval)` calls `eval(plan)` for each plan it needs and returns the
-/// statement's result.
+/// `run(eval, algebra)` calls `eval(plan)` for each plan it needs and
+/// returns the statement's result; `algebra` carries that context for any
+/// algebra call `run` makes itself.
 template <typename Run>
 auto EvalPlans(const Database& db, Prepared& prepared,
                const QueryOptions& options, obs::Profile* profile, Run run) {
@@ -685,7 +618,7 @@ auto EvalPlans(const Database& db, Prepared& prepared,
     }
     return r;
   };
-  auto result = run(eval);
+  auto result = run(eval, algebra);
   obs::AddGlobalCounter("query.evaluations", 1);
   if (algebra.counters == &own_counters) FlushKernelCounters(own_counters);
   if (profile != nullptr && tracer != nullptr) {
@@ -708,7 +641,9 @@ Result<GeneralizedRelation> EvalPrepared(const Database& db, Prepared& prepared,
     return EmptyRelationFor(*prepared.query(), prepared.analysis().sorts);
   }
   return EvalPlans(db, prepared, options, profile,
-                   [&](auto& eval) { return eval(prepared.plan()); });
+                   [&](auto& eval, const AlgebraOptions&) {
+                     return eval(prepared.plan());
+                   });
 }
 
 Result<bool> EvalPreparedBoolean(const Database& db, Prepared& prepared,
@@ -721,10 +656,13 @@ Result<bool> EvalPreparedBoolean(const Database& db, Prepared& prepared,
   // any FORALL flip: the flipped empty relation would read as true.
   if (prepared.statically_empty()) return false;
   // The parts share no variable: the body is nonempty iff every part is.
-  auto every_part_nonempty = [&](auto& eval) -> Result<bool> {
+  // The emptiness test runs in the statement's context (normalize cache,
+  // kernel counters, tracer), like the evaluation of the part itself.
+  auto every_part_nonempty = [&](auto& eval,
+                                 const AlgebraOptions& algebra) -> Result<bool> {
     for (const QueryPtr& part : prepared.plans()) {
       ITDB_ASSIGN_OR_RETURN(GeneralizedRelation rel, eval(part));
-      ITDB_ASSIGN_OR_RETURN(bool empty, IsEmpty(rel, options.algebra));
+      ITDB_ASSIGN_OR_RETURN(bool empty, IsEmpty(rel, algebra));
       if (empty) return false;
     }
     return true;

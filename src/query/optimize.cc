@@ -9,24 +9,6 @@ namespace query {
 
 namespace {
 
-QueryCmp NegateCmp(QueryCmp cmp) {
-  switch (cmp) {
-    case QueryCmp::kEq:
-      return QueryCmp::kNe;
-    case QueryCmp::kNe:
-      return QueryCmp::kEq;
-    case QueryCmp::kLe:
-      return QueryCmp::kGt;
-    case QueryCmp::kLt:
-      return QueryCmp::kGe;
-    case QueryCmp::kGe:
-      return QueryCmp::kLt;
-    case QueryCmp::kGt:
-      return QueryCmp::kLe;
-  }
-  return cmp;
-}
-
 bool IsFreeIn(const QueryPtr& q, const std::string& var) {
   std::vector<std::string> free = q->FreeVariables();
   return std::binary_search(free.begin(), free.end(), var);
@@ -39,7 +21,7 @@ QueryPtr PushNegations(const QueryPtr& q, bool negate) {
       return negate ? Query::Not(q) : q;
     case Query::Kind::kCmp:
       return negate
-                 ? Query::Compare(q->lhs(), NegateCmp(q->cmp()), q->rhs())
+                 ? Query::Compare(q->lhs(), Negate(q->cmp()), q->rhs())
                  : q;
     case Query::Kind::kAnd: {
       QueryPtr l = PushNegations(q->left(), negate);

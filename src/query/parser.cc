@@ -63,17 +63,7 @@ Result<Term> ParseTerm(TokenStream& ts, SourceSpan* span) {
   return ts.ErrorHere("expected a term");
 }
 
-std::optional<QueryCmp> TryCmpOp(TokenStream& ts) {
-  if (ts.TrySymbol("<=")) return QueryCmp::kLe;
-  if (ts.TrySymbol(">=")) return QueryCmp::kGe;
-  if (ts.TrySymbol("!=")) return QueryCmp::kNe;
-  if (ts.TrySymbol("=")) return QueryCmp::kEq;
-  if (ts.TrySymbol("<")) return QueryCmp::kLt;
-  if (ts.TrySymbol(">")) return QueryCmp::kGt;
-  return std::nullopt;
-}
-
-QueryPtr MakeCompare(Term lhs, QueryCmp op, Term rhs, SourceSpan lhs_span,
+QueryPtr MakeCompare(Term lhs, CmpOp op, Term rhs, SourceSpan lhs_span,
                      SourceSpan rhs_span) {
   QueryPtr out = Query::Compare(std::move(lhs), op, std::move(rhs));
   Query::SetSpans(out, SourceSpan::Cover(lhs_span, rhs_span),
@@ -112,7 +102,7 @@ Result<QueryPtr> ParsePrimary(TokenStream& ts) {
   // Comparison chain: term (OP term)+.
   SourceSpan first_span;
   ITDB_ASSIGN_OR_RETURN(Term first_term, ParseTerm(ts, &first_span));
-  std::optional<QueryCmp> op = TryCmpOp(ts);
+  std::optional<CmpOp> op = ts.TryCmpOp();
   if (!op.has_value()) {
     return ts.ErrorHere("expected comparison operator");
   }
@@ -122,7 +112,7 @@ Result<QueryPtr> ParsePrimary(TokenStream& ts) {
   Term prev = second;
   SourceSpan prev_span = second_span;
   while (true) {
-    std::optional<QueryCmp> next_op = TryCmpOp(ts);
+    std::optional<CmpOp> next_op = ts.TryCmpOp();
     if (!next_op.has_value()) break;
     SourceSpan next_span;
     ITDB_ASSIGN_OR_RETURN(Term next, ParseTerm(ts, &next_span));

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -232,15 +234,15 @@ ConjunctInfo Planner::PlanCmp(const QueryPtr& q) {
     // One universe tuple with a constraint: cheap, and joining it pins or
     // narrows the shared column.  Equality discriminates fully; ranges and
     // disequalities claim progressively less.
-    info.est.rows = q->cmp() == QueryCmp::kNe ? 2.0 : 1.0;
+    info.est.rows = q->cmp() == CmpOp::kNe ? 2.0 : 1.0;
     info.est.cost = 1.0;
-    const double ndv = q->cmp() == QueryCmp::kEq ? 1.0 : 4.0;
+    const double ndv = q->cmp() == CmpOp::kEq ? 1.0 : 4.0;
     for (const std::string& v : vars) info.ndv[v] = ndv;
     return info;
   }
   // Data comparisons enumerate active-domain combinations; without domain
   // statistics, price equality small and disequality large.
-  const bool eq = q->cmp() == QueryCmp::kEq;
+  const bool eq = q->cmp() == CmpOp::kEq;
   const bool two_vars = vars.size() > 1;
   info.est.rows = eq ? (two_vars ? 16.0 : 1.0) : 256.0;
   info.est.cost = info.est.rows;
@@ -455,6 +457,29 @@ void FlattenConjuncts(const QueryPtr& q, std::vector<QueryPtr>* out) {
     return;
   }
   out->push_back(q);
+}
+
+std::vector<std::size_t> GroupConjuncts(
+    const std::vector<QueryPtr>& conjuncts) {
+  std::vector<std::size_t> group(conjuncts.size());
+  std::map<std::string, std::size_t> owner;  // Variable -> its group.
+  for (std::size_t i = 0; i < conjuncts.size(); ++i) {
+    group[i] = i;
+    for (const std::string& v : conjuncts[i]->FreeVariables()) {
+      auto [it, fresh] = owner.emplace(v, group[i]);
+      if (fresh || group[i] == it->second) continue;
+      // Merge the later group into the earlier one.
+      const std::size_t from = std::max(group[i], it->second);
+      const std::size_t to = std::min(group[i], it->second);
+      for (std::size_t& g : group) {
+        if (g == from) g = to;
+      }
+      for (auto& [var, g] : owner) {
+        if (g == from) g = to;
+      }
+    }
+  }
+  return group;
 }
 
 PlannedQuery PlanQuery(const Database& db, const QueryPtr& q,

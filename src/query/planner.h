@@ -90,6 +90,12 @@ PlannedQuery PlanQuery(const Database& db, const QueryPtr& q,
 /// left to right (`q` itself when it is no AND).
 void FlattenConjuncts(const QueryPtr& q, std::vector<QueryPtr>* out);
 
+/// The groups of `conjuncts` connected by shared free variables (the
+/// components of their variable-sharing graph): entry i is the index of
+/// the first conjunct in conjunct i's group.  A ground conjunct is a group
+/// of its own.
+std::vector<std::size_t> GroupConjuncts(const std::vector<QueryPtr>& conjuncts);
+
 /// FormatQueryPlan (eval.h) with per-node estimates appended:
 ///   AND  (est_rows=12, est_cost=340)
 /// Nodes absent from `estimates` print without a suffix.  With

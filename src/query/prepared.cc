@@ -55,25 +55,7 @@ QueryPtr PeelQuantifierPrefix(QueryPtr q, bool* holds_when_empty,
 std::vector<QueryPtr> SplitIntoParts(const QueryPtr& body) {
   std::vector<QueryPtr> conjuncts;
   FlattenConjuncts(body, &conjuncts);
-  // part[i]: the group of conjunct i, the index of its first conjunct.
-  std::vector<std::size_t> part(conjuncts.size());
-  std::map<std::string, std::size_t> owner;  // Variable -> its group.
-  for (std::size_t i = 0; i < conjuncts.size(); ++i) {
-    part[i] = i;
-    for (const std::string& v : conjuncts[i]->FreeVariables()) {
-      auto [it, fresh] = owner.emplace(v, part[i]);
-      if (fresh || part[i] == it->second) continue;
-      // Merge the later group into the earlier one.
-      const std::size_t from = std::max(part[i], it->second);
-      const std::size_t to = std::min(part[i], it->second);
-      for (std::size_t& p : part) {
-        if (p == from) p = to;
-      }
-      for (auto& [var, group] : owner) {
-        if (group == from) group = to;
-      }
-    }
-  }
+  const std::vector<std::size_t> part = GroupConjuncts(conjuncts);
   std::vector<QueryPtr> parts;
   std::map<std::size_t, std::size_t> slot;  // Group -> index in parts.
   for (std::size_t i = 0; i < conjuncts.size(); ++i) {

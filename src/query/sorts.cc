@@ -166,8 +166,7 @@ void Walk(InferenceState& state, const Query& q) {
       return;
     }
     case Query::Kind::kCmp: {
-      bool order = q.cmp() == QueryCmp::kLe || q.cmp() == QueryCmp::kLt ||
-                   q.cmp() == QueryCmp::kGe || q.cmp() == QueryCmp::kGt;
+      bool order = q.cmp() != CmpOp::kEq && q.cmp() != CmpOp::kNe;
       const Term& l = q.lhs();
       const Term& r = q.rhs();
       for (std::size_t i = 0; i < 2; ++i) {

@@ -119,11 +119,15 @@ class DeadlineGuard {
 constexpr const char* kHeavyShed =
     "overloaded: heavy-query admission is full, retry later";
 
+// What a statement graded heavy divides its tuple/split budgets and deadline
+// by.
+constexpr std::int64_t kHeavyBudgetDivisor = 8;
+
 // The step every evaluating query verb (ask / query / profile) takes
 // between parse and evaluation.  The constructor fixes the budgets: a
 // cost-aware session grades the statement there (its one analysis) and
 // divides a heavy one's tuple/split budgets and deadline by
-// heavy_budget_divisor -- before the result-table key, which holds them.
+// kHeavyBudgetDivisor -- before the result-table key, which holds them.
 // Admit() grades the statement if that has not happened and the heavy gate
 // or the result table reads the grade, then applies the heavy gate; the
 // step holds its heavy slot, if it took one, until destroyed.  The
@@ -140,14 +144,13 @@ class StatementStep {
     if (!session.cost_aware_budgets) return;
     Grade();
     if (grade_->cls != CostClass::kHeavy) return;
-    const std::int64_t d =
-        std::max<std::int64_t>(1, session.heavy_budget_divisor);
+    constexpr std::int64_t d = kHeavyBudgetDivisor;
     opts_.algebra.max_tuples =
         std::max<std::int64_t>(1, opts_.algebra.max_tuples / d);
     opts_.algebra.max_complement_universe =
         std::max<std::int64_t>(1, opts_.algebra.max_complement_universe / d);
-    opts_.algebra.normalize.max_split_product = std::max<std::int64_t>(
-        1, opts_.algebra.normalize.max_split_product / d);
+    opts_.algebra.max_split_product =
+        std::max<std::int64_t>(1, opts_.algebra.max_split_product / d);
     if (deadline_ms_ > 0) {
       deadline_ms_ = std::max<std::int64_t>(1, deadline_ms_ / d);
     }
@@ -207,7 +210,7 @@ std::string StatementKey(std::string_view verb, query::Prepared& prepared,
      << opts.analyze << opts.optimize << opts.cost_plan << '\x1f'
      << opts.algebra.max_tuples << '/'
      << opts.algebra.max_complement_universe << '/'
-     << opts.algebra.normalize.max_split_product << '/' << step.deadline_ms();
+     << opts.algebra.max_split_product << '/' << step.deadline_ms();
   return fp.str();
 }
 

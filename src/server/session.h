@@ -43,9 +43,9 @@
 // Budgets: with deadline_ms set, query-evaluating verbs run under a
 // CancellationToken (util/thread_pool.h) and fail with kResourceExhausted
 // when the budget elapses.  With cost_aware_budgets set, queries graded
-// heavy get tuple/split budgets and deadline divided by
-// heavy_budget_divisor -- the admission layer's defense against one
-// pathological query starving the fleet.  Because the table key holds
+// heavy get tuple/split budgets and deadline divided by 8
+// (kHeavyBudgetDivisor, session.cc) -- the admission layer's defense
+// against one pathological query starving the fleet.  Because the table key holds
 // those effective budgets, a cost-aware session grades (and so analyzes)
 // before the table, on hits too.  Results stay in the table only when
 // their root certificate is bounded (certified cacheability).
@@ -85,8 +85,6 @@ struct SessionOptions {
   std::int64_t deadline_ms = 0;
   /// Apply stricter budgets to queries the cost analysis grades heavy.
   bool cost_aware_budgets = false;
-  /// Divisor for the heavy class's tuple/split budgets and deadline.
-  std::int64_t heavy_budget_divisor = 8;
   /// Default row count for a bare `fetch`.
   std::int64_t fetch_batch = 16;
   /// Reject verbs that mutate the shared catalog or touch server-side

@@ -153,6 +153,17 @@ bool TokenStream::TrySymbol(std::string_view symbol) {
   return false;
 }
 
+std::optional<CmpOp> TokenStream::PeekCmpOp() const {
+  if (Peek().kind != TokenKind::kSymbol) return std::nullopt;
+  return CmpOpFromSymbol(Peek().text);
+}
+
+std::optional<CmpOp> TokenStream::TryCmpOp() {
+  std::optional<CmpOp> op = PeekCmpOp();
+  if (op.has_value()) Next();
+  return op;
+}
+
 bool TokenStream::TryIdent(std::string_view ident) {
   if (Peek().kind == TokenKind::kIdent && Peek().text == ident) {
     Next();

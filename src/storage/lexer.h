@@ -4,10 +4,12 @@
 #define ITDB_STORAGE_LEXER_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/cmp.h"
 #include "util/source_span.h"
 #include "util/status.h"
 
@@ -53,6 +55,10 @@ class TokenStream {
   bool TrySymbol(std::string_view symbol);
   /// True (and consumes) when the next token is the given identifier.
   bool TryIdent(std::string_view ident);
+  /// The comparison operator the next token spells, if any (not consumed).
+  std::optional<CmpOp> PeekCmpOp() const;
+  /// PeekCmpOp, consuming the token when it spells an operator.
+  std::optional<CmpOp> TryCmpOp();
 
   Status ExpectSymbol(std::string_view symbol);
   /// Consumes an identifier and returns its name.

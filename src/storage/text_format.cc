@@ -5,8 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/cmp.h"
 #include "storage/lexer.h"
-#include "util/numeric.h"
 
 namespace itdb {
 
@@ -61,12 +61,6 @@ Result<Value> ParseValue(TokenStream& ts, DataType expected) {
   return Value(v);
 }
 
-/// One side of a constraint: either a plain integer or column + offset.
-struct Operand {
-  std::optional<int> column;
-  std::int64_t offset = 0;
-};
-
 Result<int> ResolveColumn(TokenStream& ts, const std::string& name,
                           const Schema& schema) {
   if (std::optional<int> c = schema.FindTemporal(name)) return *c;
@@ -84,12 +78,12 @@ Result<int> ResolveColumn(TokenStream& ts, const std::string& name,
   return ts.ErrorHere("unknown temporal attribute \"" + name + "\"");
 }
 
-Result<Operand> ParseOperand(TokenStream& ts, const Schema& schema) {
-  Operand out;
+Result<CmpOperand> ParseOperand(TokenStream& ts, const Schema& schema) {
+  CmpOperand out;
   if (ts.Peek().kind == TokenKind::kIdent) {
     ITDB_ASSIGN_OR_RETURN(std::string name, ts.ExpectIdent());
     ITDB_ASSIGN_OR_RETURN(int col, ResolveColumn(ts, name, schema));
-    out.column = col;
+    out.col = col;
     if (ts.Peek().kind == TokenKind::kSymbol &&
         (ts.Peek().text == "+" || ts.Peek().text == "-")) {
       // Offset term.
@@ -106,95 +100,27 @@ Result<Operand> ParseOperand(TokenStream& ts, const Schema& schema) {
   return out;
 }
 
-enum class ConstraintOp { kLe, kGe, kEq, kLt, kGt };
-
-Result<ConstraintOp> ParseConstraintOp(TokenStream& ts) {
-  if (ts.TrySymbol("<=")) return ConstraintOp::kLe;
-  if (ts.TrySymbol(">=")) return ConstraintOp::kGe;
-  if (ts.TrySymbol("=")) return ConstraintOp::kEq;
-  if (ts.TrySymbol("<")) return ConstraintOp::kLt;
-  if (ts.TrySymbol(">")) return ConstraintOp::kGt;
-  return ts.ErrorHere("expected comparison operator");
-}
-
-ConstraintOp Flip(ConstraintOp op) {
-  switch (op) {
-    case ConstraintOp::kLe:
-      return ConstraintOp::kGe;
-    case ConstraintOp::kGe:
-      return ConstraintOp::kLe;
-    case ConstraintOp::kLt:
-      return ConstraintOp::kGt;
-    case ConstraintOp::kGt:
-      return ConstraintOp::kLt;
-    case ConstraintOp::kEq:
-      return ConstraintOp::kEq;
+Result<CmpOp> ParseConstraintCmp(TokenStream& ts) {
+  // A tuple is a conjunction: != would need two tuples.
+  std::optional<CmpOp> op = ts.PeekCmpOp();
+  if (!op.has_value() || *op == CmpOp::kNe) {
+    return ts.ErrorHere("expected comparison operator");
   }
-  return op;
+  ts.Next();
+  return *op;
 }
 
-Status ApplyConstraint(TokenStream& ts, Dbm& dbm, Operand lhs, ConstraintOp op,
-                       Operand rhs) {
-  if (!lhs.column.has_value() && !rhs.column.has_value()) {
+Status ApplyConstraint(TokenStream& ts, Dbm& dbm, CmpOperand lhs, CmpOp op,
+                       CmpOperand rhs) {
+  if (lhs.col == kZeroVar && rhs.col == kZeroVar) {
     return ts.ErrorHere("constraint mentions no temporal attribute");
   }
-  if (!lhs.column.has_value()) {
-    std::swap(lhs, rhs);
-    op = Flip(op);
+  if (lhs.col == rhs.col) {
+    return ts.ErrorHere("constraint relates an attribute to itself");
   }
-  const int l = *lhs.column;
-  if (rhs.column.has_value()) {
-    const int r = *rhs.column;
-    if (l == r) return ts.ErrorHere("constraint relates an attribute to itself");
-    // X_l + lo  op  X_r + ro   <=>   X_l op X_r + (ro - lo).
-    ITDB_ASSIGN_OR_RETURN(std::int64_t delta,
-                          CheckedSub(rhs.offset, lhs.offset));
-    switch (op) {
-      case ConstraintOp::kLe:
-        dbm.AddDifferenceUpperBound(l, r, delta);
-        break;
-      case ConstraintOp::kGe:
-        dbm.AddDifferenceUpperBound(r, l, -delta);
-        break;
-      case ConstraintOp::kEq:
-        dbm.AddDifferenceEquality(l, r, delta);
-        break;
-      case ConstraintOp::kLt: {
-        ITDB_ASSIGN_OR_RETURN(std::int64_t b, CheckedSub(delta, 1));
-        dbm.AddDifferenceUpperBound(l, r, b);
-        break;
-      }
-      case ConstraintOp::kGt: {
-        ITDB_ASSIGN_OR_RETURN(std::int64_t b, CheckedAdd(-delta, 1));
-        dbm.AddDifferenceUpperBound(r, l, -b);
-        break;
-      }
-    }
-    return Status::Ok();
-  }
-  // X_l + lo  op  c   <=>   X_l op (c - lo).
-  ITDB_ASSIGN_OR_RETURN(std::int64_t bound, CheckedSub(rhs.offset, lhs.offset));
-  switch (op) {
-    case ConstraintOp::kLe:
-      dbm.AddUpperBound(l, bound);
-      break;
-    case ConstraintOp::kGe:
-      dbm.AddLowerBound(l, bound);
-      break;
-    case ConstraintOp::kEq:
-      dbm.AddEquality(l, bound);
-      break;
-    case ConstraintOp::kLt: {
-      ITDB_ASSIGN_OR_RETURN(std::int64_t b, CheckedSub(bound, 1));
-      dbm.AddUpperBound(l, b);
-      break;
-    }
-    case ConstraintOp::kGt: {
-      ITDB_ASSIGN_OR_RETURN(std::int64_t b, CheckedAdd(bound, 1));
-      dbm.AddLowerBound(l, b);
-      break;
-    }
-  }
+  ITDB_ASSIGN_OR_RETURN(TemporalCondition cond, OrientCmp(lhs, op, rhs));
+  ITDB_ASSIGN_OR_RETURN(CmpBranches branches, CompileCmp(cond));
+  for (const AtomicConstraint& a : branches.front()) dbm.AddAtomic(a);
   return Status::Ok();
 }
 
@@ -219,9 +145,9 @@ Result<GeneralizedTuple> ParseTuple(TokenStream& ts, const Schema& schema) {
   GeneralizedTuple tuple(std::move(lrps), std::move(values));
   if (ts.TrySymbol(":")) {
     do {
-      ITDB_ASSIGN_OR_RETURN(Operand lhs, ParseOperand(ts, schema));
-      ITDB_ASSIGN_OR_RETURN(ConstraintOp op, ParseConstraintOp(ts));
-      ITDB_ASSIGN_OR_RETURN(Operand rhs, ParseOperand(ts, schema));
+      ITDB_ASSIGN_OR_RETURN(CmpOperand lhs, ParseOperand(ts, schema));
+      ITDB_ASSIGN_OR_RETURN(CmpOp op, ParseConstraintCmp(ts));
+      ITDB_ASSIGN_OR_RETURN(CmpOperand rhs, ParseOperand(ts, schema));
       ITDB_RETURN_IF_ERROR(
           ApplyConstraint(ts, tuple.mutable_constraints(), lhs, op, rhs));
     } while (ts.TrySymbol("&&"));

@@ -78,7 +78,6 @@ std::string Render(const Result<GeneralizedRelation>& r) {
 AlgebraOptions WithThreads(int threads) {
   AlgebraOptions options;
   options.threads = threads;
-  options.normalize.threads = threads;
   return options;
 }
 

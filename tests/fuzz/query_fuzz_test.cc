@@ -25,7 +25,6 @@ namespace fuzz {
 namespace {
 
 using query::Query;
-using query::QueryCmp;
 using query::QueryPtr;
 using query::Term;
 
@@ -45,7 +44,7 @@ TEST(QueryOracleTest, PassesOnAHandWrittenCase) {
   // U0(t) AND t <= 4: well-formed, no analysis findings expected.
   QueryPtr q = Query::And(
       Query::Atom("U0", {Term::Variable("t")}),
-      Query::Compare(Term::Variable("t"), QueryCmp::kLe, Term::Int(4)));
+      Query::Compare(Term::Variable("t"), CmpOp::kLe, Term::Int(4)));
   QueryCaseOutcome outcome = CheckQueryCase(db, q);
   EXPECT_FALSE(outcome.skipped);
   EXPECT_FALSE(outcome.failure.has_value()) << *outcome.failure;
@@ -87,8 +86,8 @@ TEST(QueryOracleTest, ChecksAProvenEmptySubplan) {
   // The right OR branch is a DBM contradiction; the analyzer proves it
   // empty and the oracle evaluates it standalone.
   QueryPtr contradiction = Query::And(
-      Query::Compare(Term::Variable("t"), QueryCmp::kGt, Term::Int(3)),
-      Query::Compare(Term::Variable("t"), QueryCmp::kLt, Term::Int(3)));
+      Query::Compare(Term::Variable("t"), CmpOp::kGt, Term::Int(3)),
+      Query::Compare(Term::Variable("t"), CmpOp::kLt, Term::Int(3)));
   QueryPtr q = Query::Or(
       Query::Atom("U0", {Term::Variable("t")}),
       Query::And(Query::Atom("U0", {Term::Variable("t")}),
@@ -173,7 +172,7 @@ TEST(QueryOracleTest, ShrinkReturnsRootWhenNoSubtreeFails) {
   Database db = MakeRandomDatabase(3, {});
   QueryPtr q = Query::And(
       Query::Atom("U0", {Term::Variable("t")}),
-      Query::Compare(Term::Variable("t"), QueryCmp::kLe, Term::Int(4)));
+      Query::Compare(Term::Variable("t"), CmpOp::kLe, Term::Int(4)));
   // A passing case shrinks to itself: no subtree "still fails".
   QueryPtr shrunk = ShrinkFailingQuery(db, q);
   EXPECT_EQ(shrunk->ToString(), q->ToString());

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/trace.h"
 #include "query/parser.h"
 #include "query/prepared.h"
 #include "storage/text_format.h"
@@ -52,6 +53,21 @@ std::set<std::int64_t> OpenUnary(const Database& db, const std::string& text,
     out.insert(row.temporal[0]);
   }
   return out;
+}
+
+TEST(EvalTest, YesNoEmptinessTestRecordsIntoTheStatementTracer) {
+  Database db = SmallDb();
+  obs::Tracer tracer;
+  QueryOptions options;
+  options.trace = true;
+  options.tracer = &tracer;
+  Result<bool> truth = EvalBooleanQueryString(db, "EXISTS t . P(t)", options);
+  ASSERT_TRUE(truth.ok()) << truth.status();
+  EXPECT_TRUE(*truth);
+  std::vector<obs::SpanRecord> records = tracer.records();
+  EXPECT_TRUE(std::any_of(
+      records.begin(), records.end(),
+      [](const obs::SpanRecord& r) { return r.name == "IsEmpty"; }));
 }
 
 TEST(EvalTest, ExistentialAtom) {

@@ -79,10 +79,10 @@ TEST(OptimizeTest, DeMorganPushesNegationToLeaves) {
 TEST(OptimizeTest, ComparisonNegationAbsorbed) {
   QueryPtr q = Optimize(Parse("NOT t1 <= t2"));
   ASSERT_EQ(q->kind(), Query::Kind::kCmp);
-  EXPECT_EQ(q->cmp(), QueryCmp::kGt);
+  EXPECT_EQ(q->cmp(), CmpOp::kGt);
   q = Optimize(Parse("NOT t1 = t2"));
   ASSERT_EQ(q->kind(), Query::Kind::kCmp);
-  EXPECT_EQ(q->cmp(), QueryCmp::kNe);
+  EXPECT_EQ(q->cmp(), CmpOp::kNe);
 }
 
 TEST(OptimizeTest, NegationThroughQuantifiers) {

@@ -30,7 +30,7 @@ TEST(QueryParserTest, Comparison) {
   Result<QueryPtr> q = ParseQuery("t1 + 5 <= t2");
   ASSERT_TRUE(q.ok()) << q.status();
   EXPECT_EQ(q.value()->kind(), Query::Kind::kCmp);
-  EXPECT_EQ(q.value()->cmp(), QueryCmp::kLe);
+  EXPECT_EQ(q.value()->cmp(), CmpOp::kLe);
   EXPECT_EQ(q.value()->lhs(), Term::Variable("t1", 5));
   EXPECT_EQ(q.value()->rhs(), Term::Variable("t2"));
 }

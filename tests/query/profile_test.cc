@@ -117,7 +117,6 @@ TEST(ProfileTest, TracingChangesNoResultBit) {
   for (int threads : {1, 4}) {
     QueryOptions options;
     options.algebra.threads = threads;
-    options.algebra.normalize.threads = threads;
     // Traced, untraced, and profiled evaluation must agree bit for bit.
     Result<GeneralizedRelation> untraced =
         EvalQueryString(db, kJoinQuery, options);

@@ -81,9 +81,9 @@ QueryPtr MakeQuery(std::uint32_t seed, std::vector<std::string>* free_vars) {
       case 2:
         return Query::Compare(
             Term::Variable(vars[var_pick(rng)], const_pick(rng)),
-            QueryCmp::kLe, term(var_pick(rng)));
+            CmpOp::kLe, term(var_pick(rng)));
       default:
-        return Query::Compare(term(var_pick(rng)), QueryCmp::kLe,
+        return Query::Compare(term(var_pick(rng)), CmpOp::kLe,
                               Term::Int(const_pick(rng)));
     }
   };
@@ -133,21 +133,7 @@ bool BruteEval(const Query& q, std::map<std::string, std::int64_t>& assign,
       };
       std::int64_t l = value(q.lhs());
       std::int64_t r = value(q.rhs());
-      switch (q.cmp()) {
-        case QueryCmp::kEq:
-          return l == r;
-        case QueryCmp::kNe:
-          return l != r;
-        case QueryCmp::kLe:
-          return l <= r;
-        case QueryCmp::kLt:
-          return l < r;
-        case QueryCmp::kGe:
-          return l >= r;
-        case QueryCmp::kGt:
-          return l > r;
-      }
-      return false;
+      return Holds(l, q.cmp(), r);
     }
     case Query::Kind::kAnd:
       return BruteEval(*q.left(), assign, db) &&
@@ -257,7 +243,7 @@ bool BruteEvalData(const Query& q,
                                                  : dassign.at(l.var);
         Value rv = r.kind == Term::Kind::kString ? Value(r.text)
                                                  : dassign.at(r.var);
-        return q.cmp() == QueryCmp::kEq ? lv == rv : lv != rv;
+        return q.cmp() == CmpOp::kEq ? lv == rv : lv != rv;
       }
       auto value = [&tassign](const Term& t) {
         return t.kind == Term::Kind::kInt ? t.number
@@ -265,21 +251,7 @@ bool BruteEvalData(const Query& q,
       };
       std::int64_t lv = value(l);
       std::int64_t rv = value(r);
-      switch (q.cmp()) {
-        case QueryCmp::kEq:
-          return lv == rv;
-        case QueryCmp::kNe:
-          return lv != rv;
-        case QueryCmp::kLe:
-          return lv <= rv;
-        case QueryCmp::kLt:
-          return lv < rv;
-        case QueryCmp::kGe:
-          return lv >= rv;
-        case QueryCmp::kGt:
-          return lv > rv;
-      }
-      return false;
+      return Holds(lv, q.cmp(), rv);
     }
     case Query::Kind::kAnd:
       return BruteEvalData(*q.left(), tassign, dassign, db, adomain) &&
@@ -328,17 +300,17 @@ TEST_P(DataQueryPropertyTest, EngineAgreesWithBruteForce) {
   switch (extra_pick(rng)) {
     case 0:
       body = Query::And(std::move(body),
-                        Query::Compare(Term::Variable("w1"), QueryCmp::kNe,
+                        Query::Compare(Term::Variable("w1"), CmpOp::kNe,
                                        Term::Variable("w2")));
       break;
     case 1:
       body = Query::And(std::move(body),
-                        Query::Compare(Term::Variable("w1"), QueryCmp::kEq,
+                        Query::Compare(Term::Variable("w1"), CmpOp::kEq,
                                        Term::String("x")));
       break;
     case 2:
       body = Query::And(std::move(body),
-                        Query::Compare(Term::Variable("a"), QueryCmp::kLe,
+                        Query::Compare(Term::Variable("a"), CmpOp::kLe,
                                        Term::Variable("b", -1)));
       break;
     default:

@@ -307,8 +307,7 @@ TEST_F(SessionTest, CostAwareBudgetsDivideAHeavyStatementsBudgets) {
   options.result_cache = &cache;
   options.query.algebra.max_tuples = 20000;
   Session plain(&*shared_, options);
-  options.cost_aware_budgets = true;
-  options.heavy_budget_divisor = 8;  // 20000 / 8 = 2500 tuples.
+  options.cost_aware_budgets = true;  // 20000 / 8 = 2500 tuples.
   Session cost_aware(&*shared_, options);
 
   Status status;

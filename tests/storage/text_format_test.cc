@@ -1,6 +1,11 @@
 #include "storage/text_format.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "core/cmp.h"
 
 namespace itdb {
 namespace {
@@ -65,6 +70,79 @@ TEST(TextFormatTest, ConstraintOperators) {
   EXPECT_FALSE(t.ContainsTemporal({4, 4}));   // A < B violated.
   EXPECT_FALSE(t.ContainsTemporal({-3, 4}));  // A >= -2 violated.
   EXPECT_FALSE(t.ContainsTemporal({-2, 3}));  // B > 3 violated.
+}
+
+// The rows of `[n, n] : constraint` over columns X, Y in [lo, hi]^2, as
+// text.
+std::vector<std::string> PairRows(const std::string& constraint,
+                                  std::int64_t lo, std::int64_t hi) {
+  Result<NamedRelation> r = ParseRelation(
+      "relation R(X: time, Y: time) { [n, n] : " + constraint + "; }");
+  EXPECT_TRUE(r.ok()) << r.status() << " for " << constraint;
+  std::vector<std::string> out;
+  if (!r.ok()) return out;
+  for (const ConcreteRow& row : r.value().relation.Enumerate(lo, hi)) {
+    out.push_back(row.ToString());
+  }
+  return out;
+}
+
+TEST(TextFormatTest, GreaterThanBetweenColumns) {
+  const std::string box = " && X >= 0 && X <= 6 && Y >= 0 && Y <= 6";
+  std::vector<std::string> gt = PairRows("X > Y + 3" + box, 0, 6);
+  EXPECT_EQ(gt.size(), 6u);
+  EXPECT_EQ(gt, PairRows("X >= Y + 4" + box, 0, 6));
+  EXPECT_EQ(PairRows("X + 2 > Y", -4, 4), PairRows("Y <= X + 1", -4, 4));
+}
+
+// " + 3", " - 2", or "" for 0.
+std::string Offset(std::int64_t c) {
+  if (c == 0) return "";
+  return c > 0 ? " + " + std::to_string(c) : " - " + std::to_string(-c);
+}
+
+// Every operator and operand shape parses to exactly the points where the
+// comparison holds.
+TEST(TextFormatTest, ConstraintsMatchBruteForce) {
+  constexpr std::int64_t kLo = -5;
+  constexpr std::int64_t kHi = 5;
+  int checked = 0;
+  for (CmpOp op : {CmpOp::kLt, CmpOp::kLe, CmpOp::kEq, CmpOp::kGe,
+                   CmpOp::kGt}) {
+    const std::string sym = " " + std::string(CmpOpSymbol(op)) + " ";
+    for (std::int64_t a = -3; a <= 3; ++a) {
+      for (std::int64_t b = -3; b <= 3; ++b) {
+        // Each side is lhs_x * X + lhs_y * Y + lhs_k (likewise rhs); the
+        // shapes X op Y + c, X op c and c op X take c = a once per a.
+        struct Case {
+          std::string text;
+          std::int64_t lhs_x, lhs_y, lhs_k, rhs_x, rhs_y, rhs_k;
+        };
+        std::vector<Case> cases = {
+            {"X" + Offset(a) + sym + "Y" + Offset(b), 1, 0, a, 0, 1, b}};
+        if (b == 0) {
+          cases.push_back({"X" + sym + "Y" + Offset(a), 1, 0, 0, 0, 1, a});
+          cases.push_back({"X" + sym + std::to_string(a), 1, 0, 0, 0, 0, a});
+          cases.push_back({std::to_string(a) + sym + "X", 0, 0, a, 1, 0, 0});
+        }
+        for (const Case& c : cases) {
+          std::vector<std::string> want;
+          for (std::int64_t x = kLo; x <= kHi; ++x) {
+            for (std::int64_t y = kLo; y <= kHi; ++y) {
+              std::int64_t l = c.lhs_x * x + c.lhs_y * y + c.lhs_k;
+              std::int64_t r = c.rhs_x * x + c.rhs_y * y + c.rhs_k;
+              if (Holds(l, op, r)) {
+                want.push_back(ConcreteRow{{x, y}, {}}.ToString());
+              }
+            }
+          }
+          EXPECT_EQ(PairRows(c.text, kLo, kHi), want) << c.text;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 5 * (49 + 3 * 7));
 }
 
 TEST(TextFormatTest, ConstantOnLeftSide) {

@@ -22,6 +22,12 @@ Checks, over src/ (and where noted, tests/):
      so a copy-pasted name in another subsystem corrupts both counters.
      Read-only GetCounter(...)->value() sites are exempt; a name may also
      not be used as both a counter and a histogram.
+  7. `case CmpOp::` appears only in the comparison module (src/core/cmp.h,
+     src/core/cmp.cc), over src/ and tests/: truth, flip, negation,
+     spelling and the compilation into difference atoms have one
+     implementation each, and a second switch over the operators is a
+     copy that drifts (the relation text parser once compiled `>` between
+     two columns wrongly that way).
 
 Exit status 0 = clean, 1 = findings (printed one per line), 2 = misuse.
 """
@@ -175,6 +181,24 @@ def check_metric_names_unique(src: Path, findings: list[str]) -> None:
             )
 
 
+CMP_CASE_RE = re.compile(r"\bcase\s+CmpOp::")
+CMP_MODULE = {Path("src/core/cmp.h"), Path("src/core/cmp.cc")}
+
+
+def check_cmp_switch_in_one_module(root: Path, findings: list[str]) -> None:
+    for tree in (root / "src", root / "tests"):
+        for cc in sorted(list(tree.rglob("*.cc")) + list(tree.rglob("*.h"))):
+            if cc.relative_to(root) in CMP_MODULE:
+                continue
+            for lineno, raw in enumerate(cc.read_text().splitlines(), 1):
+                if CMP_CASE_RE.search(strip_comments_and_strings(raw)):
+                    findings.append(
+                        f"{cc}:{lineno}: switch over CmpOp outside "
+                        f"src/core/cmp.* (use Holds, Flip, Negate, "
+                        f"CmpOpSymbol or CompileCmp): {raw.strip()}"
+                    )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -194,6 +218,7 @@ def main() -> int:
     check_no_cout(src, findings)
     check_diag_codes_documented(args.root, src, findings)
     check_metric_names_unique(src, findings)
+    check_cmp_switch_in_one_module(args.root, findings)
 
     for finding in findings:
         print(finding)
