@@ -1,7 +1,7 @@
 #include "analysis/absint.h"
 
 #include <algorithm>
-#include <set>
+#include <iterator>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -14,24 +14,12 @@ namespace analysis {
 
 namespace {
 
-constexpr std::int64_t kInf = Dbm::kInf;
-
-/// Exact int128 arithmetic clamped to the +-kInf sentinels.  Clamping is
-/// sound for hull bounds: no int64 time point lies beyond the sentinels.
-std::int64_t Clamp128(__int128 v) {
-  if (v >= static_cast<__int128>(kInf)) return kInf;
-  if (v <= static_cast<__int128>(-kInf)) return -kInf;
-  return static_cast<std::int64_t>(v);
-}
-
-std::int64_t SatSub(std::int64_t a, std::int64_t b) {
-  if (a >= kInf || a <= -kInf) return a;  // Sentinels absorb shifts.
-  return Clamp128(static_cast<__int128>(a) - static_cast<__int128>(b));
-}
-
 using Bound = std::optional<std::int64_t>;
 
+/// 0 absorbs: a product with a zero-row operand has zero rows even when
+/// the other factor is unbounded.
 Bound MulBound(const Bound& a, const Bound& b) {
+  if (a == 0 || b == 0) return 0;
   if (!a.has_value() || !b.has_value()) return std::nullopt;
   Result<std::int64_t> r = CheckedMul(*a, *b);
   if (!r.ok()) return std::nullopt;
@@ -60,55 +48,87 @@ Bound PowBound(const Bound& base, int exp) {
   return out;
 }
 
-}  // namespace
-
-Interval Interval::Intersect(const Interval& o) const {
-  return Interval{std::max(lo, o.lo), std::min(hi, o.hi)};
+/// Position of `var` in the sorted `vars`, or -1.
+int IndexOf(const std::vector<std::string>& vars, const std::string& var) {
+  auto it = std::lower_bound(vars.begin(), vars.end(), var);
+  if (it == vars.end() || *it != var) return -1;
+  return static_cast<int>(it - vars.begin());
 }
 
-Interval Interval::Union(const Interval& o) const {
-  if (empty()) return o;
-  if (o.empty()) return *this;
-  return Interval{std::min(lo, o.lo), std::max(hi, o.hi)};
-}
-
-Interval Interval::Shift(std::int64_t delta) const {
-  if (empty()) return Empty();
-  Interval out;
-  out.lo = lo <= -kInf ? -kInf
-                       : Clamp128(static_cast<__int128>(lo) +
-                                  static_cast<__int128>(delta));
-  out.hi = hi >= kInf
-               ? kInf
-               : Clamp128(static_cast<__int128>(hi) +
-                          static_cast<__int128>(delta));
+std::vector<std::string> UnionVars(const std::vector<std::string>& a,
+                                   const std::vector<std::string>& b) {
+  std::vector<std::string> out;
+  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                 std::back_inserter(out));
   return out;
 }
 
-std::string FormatInterval(const Interval& i) {
-  if (i.empty()) return "empty";
-  std::ostringstream out;
-  out << "[";
-  if (i.lo <= -kInf) {
-    out << "-inf";
-  } else {
-    out << i.lo;
-  }
-  out << ", ";
-  if (i.hi >= kInf) {
-    out << "+inf";
-  } else {
-    out << i.hi;
-  }
-  out << "]";
-  return out.str();
+/// Adds X(lhs) - X(rhs) <= bound unless the bound lies outside the range
+/// Dbm::Close accepts: dropping a constraint only weakens the zone.
+void AddIfSafe(Dbm* dbm, int lhs, int rhs, __int128 bound) {
+  if (bound < -Dbm::kBoundLimit || bound > Dbm::kBoundLimit) return;
+  dbm->AddAtomic({lhs, rhs, static_cast<std::int64_t>(bound)});
 }
 
-bool Certificate::HullRefuted() const {
-  for (const auto& [var, interval] : hull) {
-    if (interval.empty()) return true;
+/// The zone of `dbm` over `vars` after closure.  An overflowing closure
+/// gives top: dropping every constraint is sound.
+Zone Closed(std::vector<std::string> vars, Dbm dbm) {
+  if (!dbm.Close().ok()) return Zone::Top(std::move(vars));
+  return Zone{std::move(vars), std::move(dbm)};
+}
+
+/// `z`'s matrix over `vars`, a sorted superset of z.vars; the added
+/// variables are unconstrained.  Pre: !z.refuted().
+Dbm Extend(const Zone& z, const std::vector<std::string>& vars) {
+  std::vector<int> to;
+  to.reserve(z.vars.size());
+  for (const std::string& v : z.vars) to.push_back(IndexOf(vars, v));
+  return z.dbm.MapVariables(to, static_cast<int>(vars.size()));
+}
+
+/// Entrywise max of two closed feasible matrices over the same variables
+/// (their closed flags need not be set): the tightest zone containing
+/// both, and closed, since each entry bounds its paths in both inputs.
+Dbm EntrywiseMax(const Dbm& a, const Dbm& b) {
+  const int n = a.num_vars() + 1;
+  std::vector<std::int64_t> entries;
+  entries.reserve(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
+  for (int p = 0; p < n; ++p) {
+    for (int q = 0; q < n; ++q) {
+      entries.push_back(std::max(a.bound_node(p, q), b.bound_node(p, q)));
+    }
   }
-  return false;
+  return Dbm::FromEntries(a.num_vars(), entries.data(), /*closed=*/true,
+                          /*feasible=*/true);
+}
+
+}  // namespace
+
+Zone Zone::Top(std::vector<std::string> vars) {
+  const int n = static_cast<int>(vars.size());
+  return Zone{std::move(vars), Dbm(n)};
+}
+
+Zone Zone::Bottom(std::vector<std::string> vars) {
+  Zone out = Top(std::move(vars));
+  out.dbm.AddAtomic({kZeroVar, kZeroVar, -1});  // 0 <= -1.
+  (void)out.dbm.Close();  // Infeasible: no range check runs.
+  return out;
+}
+
+std::int64_t Zone::Lower(const std::string& var) const {
+  if (refuted()) return Dbm::kInf;
+  const int i = IndexOf(vars, var);
+  if (i < 0) return -Dbm::kInf;
+  const std::int64_t b = dbm.bound_node(0, i + 1);  // -X <= b.
+  return b == Dbm::kInf ? -Dbm::kInf : -b;
+}
+
+std::int64_t Zone::Upper(const std::string& var) const {
+  if (refuted()) return -Dbm::kInf;
+  const int i = IndexOf(vars, var);
+  if (i < 0) return Dbm::kInf;
+  return dbm.bound_node(i + 1, 0);  // X <= b.
 }
 
 std::string FormatCertificate(const Certificate& c) {
@@ -125,7 +145,7 @@ std::string FormatCertificate(const Certificate& c) {
   } else {
     out << "unbounded";
   }
-  if (c.HullRefuted()) out << ", cert_empty=set";
+  if (c.ProvenEmpty()) out << ", cert_empty=set";
   return out.str();
 }
 
@@ -141,8 +161,7 @@ void AbstractInterpreter::SeedActiveDomain(const query::Query& q) {
 
 const Certificate& AbstractInterpreter::Interpret(const query::QueryPtr& q) {
   if (!domain_seeded_) SeedActiveDomain(*q);
-  Node(*q);
-  return certs_.find(q.get())->second;
+  return Node(*q);
 }
 
 const Certificate* AbstractInterpreter::Find(const query::Query* q) const {
@@ -199,7 +218,7 @@ std::optional<std::int64_t> AbstractInterpreter::MissingDataFactor(
   return factor;
 }
 
-Certificate AbstractInterpreter::Node(const query::Query& q) {
+const Certificate& AbstractInterpreter::Node(const query::Query& q) {
   auto it = certs_.find(&q);
   if (it != certs_.end()) return it->second;
   using query::Query;
@@ -223,18 +242,11 @@ Certificate AbstractInterpreter::Node(const query::Query& q) {
     case Query::Kind::kExists:
       cert = ExistsCert(q, Node(*q.left()));
       break;
-    case Query::Kind::kForall: {
-      // NOT (EXISTS v (NOT body)): cardinality and hull are out of reach
-      // (both complements run at the representation level), but every
-      // complement normalizes to a uniform period dividing the body's lcm,
-      // and the inner projection preserves divisibility.
-      Certificate child = Node(*q.left());
-      cert.lcm = CapLcm(child.lcm);
+    case Query::Kind::kForall:
+      cert = ForallCert(q, Node(*q.left()));
       break;
-    }
   }
-  certs_.emplace(&q, cert);
-  return cert;
+  return certs_.emplace(&q, std::move(cert)).first->second;
 }
 
 Certificate AbstractInterpreter::AtomCert(const query::Query& q) {
@@ -256,36 +268,44 @@ Certificate AbstractInterpreter::AtomCert(const query::Query& q) {
   // splits tuples only when a temporal column is dropped -- a constant or
   // a repeated variable in a temporal position.
   bool drops_temporal = false;
-  std::set<std::string> seen_temporal;
-  for (std::size_t i = 0; i < q.args().size() && static_cast<int>(i) < m;
-       ++i) {
-    const query::Term& t = q.args()[i];
+  std::vector<std::string> vars;
+  for (int i = 0; i < m; ++i) {
+    const query::Term& t = q.args()[static_cast<std::size_t>(i)];
     if (t.kind != query::Term::Kind::kVariable) {
       drops_temporal = true;
-    } else if (!seen_temporal.insert(t.var).second) {
+    } else if (std::find(vars.begin(), vars.end(), t.var) != vars.end()) {
       drops_temporal = true;
+    } else {
+      vars.push_back(t.var);
     }
   }
   cert.rows = drops_temporal ? stats.normalized_rows
                              : Bound(stats.tuple_count);
 
-  // Hull: the stats hull of each temporal column, shifted by the term
-  // offset (column = v + c, so v = column - c), intersected over every
+  // Zone: the stats hull of each temporal column, shifted by the term
+  // offset (column = v + c, so v = column - c), conjoined over every
   // position the variable occupies.
-  for (std::size_t i = 0; i < q.args().size() && static_cast<int>(i) < m;
-       ++i) {
-    const query::Term& t = q.args()[i];
-    if (t.kind != query::Term::Kind::kVariable) continue;
-    Interval col = stats.bit_empty
-                       ? Interval::Empty()
-                       : Interval{stats.hull_lo[i], stats.hull_hi[i]};
-    Interval shifted = col.empty()
-                           ? Interval::Empty()
-                           : Interval{SatSub(col.lo, t.number),
-                                      SatSub(col.hi, t.number)};
-    auto [pos, inserted] = cert.hull.emplace(t.var, shifted);
-    if (!inserted) pos->second = pos->second.Intersect(shifted);
+  std::sort(vars.begin(), vars.end());
+  if (stats.bit_empty) {
+    cert.zone = Zone::Bottom(std::move(vars));
+    return cert;
   }
+  Dbm dbm(static_cast<int>(vars.size()));
+  for (int i = 0; i < m; ++i) {
+    const query::Term& t = q.args()[static_cast<std::size_t>(i)];
+    if (t.kind != query::Term::Kind::kVariable) continue;
+    const int col = IndexOf(vars, t.var);
+    const std::size_t c = static_cast<std::size_t>(i);
+    if (stats.hull_hi[c] < Dbm::kInf) {
+      AddIfSafe(&dbm, col, kZeroVar,
+                static_cast<__int128>(stats.hull_hi[c]) - t.number);
+    }
+    if (stats.hull_lo[c] > -Dbm::kInf) {
+      AddIfSafe(&dbm, kZeroVar, col,
+                static_cast<__int128>(t.number) - stats.hull_lo[c]);
+    }
+  }
+  cert.zone = Closed(std::move(vars), std::move(dbm));
   return cert;
 }
 
@@ -298,7 +318,16 @@ Certificate AbstractInterpreter::CmpCert(const query::Query& q) {
   const bool l_var = l.kind == Term::Kind::kVariable;
   const bool r_var = r.kind == Term::Kind::kVariable;
   if (!l_var && !r_var) {
-    cert.rows = 1;  // BooleanRelation: zero or one tuples.
+    // BooleanRelation: one tuple when the ground comparison holds, none
+    // when it fails.  Strings are only ground under = and !=.
+    cert.rows = 1;
+    if (l.kind == Term::Kind::kInt && r.kind == Term::Kind::kInt) {
+      cert.rows = Holds(l.number, q.cmp(), r.number) ? 1 : 0;
+    } else if (l.kind == Term::Kind::kString &&
+               r.kind == Term::Kind::kString &&
+               (q.cmp() == CmpOp::kEq || q.cmp() == CmpOp::kNe)) {
+      cert.rows = Holds(l.text, q.cmp(), r.text) ? 1 : 0;
+    }
     return cert;
   }
   const std::string& probe = l_var ? l.var : r.var;
@@ -306,42 +335,39 @@ Certificate AbstractInterpreter::CmpCert(const query::Query& q) {
   if (sort_it == sorts_.end()) return Certificate{};  // Sorts failed: top.
   if (sort_it->second == query::Sort::kTime) {
     if (l_var && r_var && l.var == r.var) {
-      cert.rows = 1;  // Universe({v}) or empty.
+      // (v + a) op (v + b) is ground: Universe({v}) when a op b holds,
+      // no tuples when it fails.
+      cert.rows = Holds(l.number, q.cmp(), r.number) ? 1 : 0;
+      cert.zone = Zone::Top({l.var});
       return cert;
     }
-    const Term& var_term = l_var ? l : r;
-    const Term& other = l_var ? r : l;
-    if (other.kind == Term::Kind::kString) return Certificate{};
-    // Oriented over column 0 (the variable) and, for two variables,
-    // column 1, with the offsets moved into the constant k = K - c.  The
-    // certificate saturates where the evaluator fails: k clamps to +-kInf,
-    // and k + 1 at k = +kInf (for > and !=) to +kInf -- the atoms of
-    // k = kInf - 1.
-    auto compile = [&](std::int64_t k) {
-      const CmpOperand v{0, 0};
-      const CmpOperand w = other.kind == Term::Kind::kVariable
-                               ? CmpOperand{1, 0}
-                               : CmpOperand{kZeroVar, k};
-      return CompileCmp(
-          *(l_var ? OrientCmp(v, q.cmp(), w) : OrientCmp(w, q.cmp(), v)));
+    if (l.kind == Term::Kind::kString || r.kind == Term::Kind::kString) {
+      return Certificate{};
+    }
+    std::vector<std::string> vars = {probe};
+    if (l_var && r_var) {
+      vars = {std::min(l.var, r.var), std::max(l.var, r.var)};
+    }
+    // != compiles to two branches (two tuples); the rest to one.
+    cert.rows = q.cmp() == CmpOp::kNe ? 2 : 1;
+    auto operand = [&vars](const Term& t) {
+      return t.kind == Term::Kind::kVariable
+                 ? CmpOperand{IndexOf(vars, t.var), t.number}
+                 : CmpOperand{kZeroVar, t.number};
     };
-    const std::int64_t k = Clamp128(static_cast<__int128>(other.number) -
-                                    static_cast<__int128>(var_term.number));
-    Result<CmpBranches> branches = compile(k);
-    if (!branches.ok()) branches = compile(k - 1);
-    if (!branches.ok()) return Certificate{};
-    cert.rows = static_cast<std::int64_t>(branches->size());
-    if (other.kind == Term::Kind::kInt && branches->size() == 1) {
-      // The hull is read off the unary atoms X0 <= b and -X0 <= b.
-      Interval hull;
-      for (const AtomicConstraint& a : branches->front()) {
-        if (a.rhs == kZeroVar) hull.hi = Clamp128(a.bound);
-        if (a.lhs == kZeroVar) {
-          hull.lo = Clamp128(-static_cast<__int128>(a.bound));
+    // A bound outside int64 (where the evaluator fails) or a disjunction
+    // (!=) adds no constraint.
+    Dbm dbm(static_cast<int>(vars.size()));
+    Result<TemporalCondition> cond = OrientCmp(operand(l), q.cmp(), operand(r));
+    if (cond.ok()) {
+      Result<CmpBranches> branches = CompileCmp(*cond);
+      if (branches.ok() && branches->size() == 1) {
+        for (const AtomicConstraint& a : branches->front()) {
+          AddIfSafe(&dbm, a.lhs, a.rhs, a.bound);
         }
       }
-      cert.hull[var_term.var] = hull;
     }
+    cert.zone = Closed(std::move(vars), std::move(dbm));
     return cert;
   }
   // Data sort: tuples are drawn from the active domain of the type.
@@ -361,12 +387,13 @@ Certificate AbstractInterpreter::Conjoin(const Certificate& l,
   // reorder afterwards is split-free under partial normalization.
   out.rows = MulBound(l.rows, r.rows);
   out.lcm = CapLcm(LcmBound(l.lcm, r.lcm));
-  // Natural join: a shared variable satisfies both sides' bounds, a
-  // one-sided variable keeps its side's.
-  out.hull = l.hull;
-  for (const auto& [var, interval] : r.hull) {
-    auto [pos, inserted] = out.hull.emplace(var, interval);
-    if (!inserted) pos->second = pos->second.Intersect(interval);
+  // Natural join: a valuation of the union satisfies both sides' zones.
+  std::vector<std::string> vars = UnionVars(l.zone.vars, r.zone.vars);
+  if (l.ProvenEmpty() || r.ProvenEmpty()) {
+    out.zone = Zone::Bottom(std::move(vars));
+  } else {
+    Dbm both = Dbm::Conjoin(Extend(l.zone, vars), Extend(r.zone, vars));
+    out.zone = Closed(std::move(vars), std::move(both));
   }
   return out;
 }
@@ -384,13 +411,19 @@ Certificate AbstractInterpreter::DisjoinCert(const query::Query& q,
   Bound ext_r = MulBound(r.rows, MissingDataFactor(vars_l, vars_r));
   out.rows = AddBound(ext_l, ext_r);
   out.lcm = CapLcm(LcmBound(l.lcm, r.lcm));
-  // A variable bounded on both sides is bounded by the union; a variable
-  // missing from either map is unconstrained there (extension to the
-  // universe makes one-sided bounds worthless).
-  for (const auto& [var, interval] : l.hull) {
-    auto rit = r.hull.find(var);
-    if (rit == r.hull.end()) continue;
-    out.hull.emplace(var, interval.Union(rit->second));
+  // The union of the two sides' sets; a variable missing from one side is
+  // unconstrained there (the extension to the universe).  An empty side
+  // contributes nothing.
+  std::vector<std::string> vars = UnionVars(l.zone.vars, r.zone.vars);
+  if (l.ProvenEmpty() && r.ProvenEmpty()) {
+    out.zone = Zone::Bottom(std::move(vars));
+  } else if (l.ProvenEmpty()) {
+    out.zone = Closed(vars, Extend(r.zone, vars));
+  } else if (r.ProvenEmpty()) {
+    out.zone = Closed(vars, Extend(l.zone, vars));
+  } else {
+    Dbm hull = EntrywiseMax(Extend(l.zone, vars), Extend(r.zone, vars));
+    out.zone = Zone{std::move(vars), std::move(hull)};
   }
   return out;
 }
@@ -399,13 +432,14 @@ Certificate AbstractInterpreter::ComplementCert(
     const Certificate& child) const {
   Certificate cert;
   // Cardinality: the complement enumerates a k^m residue universe --
-  // unbounded from the certificate's point of view.  Hull: the complement
+  // unbounded from the certificate's point of view.  Zone: the complement
   // of a bounded set is unbounded -- top.  Period: the complement
   // normalizes every tuple to the representation's common period k (the
   // lcm of all stored periods, infeasible tuples included), and k divides
   // the child's certified lcm; coalescing only merges residue classes into
   // divisors of k.
   cert.lcm = CapLcm(child.lcm);
+  cert.zone = Zone::Top(child.zone.vars);
   return cert;
 }
 
@@ -413,7 +447,16 @@ Certificate AbstractInterpreter::ExistsCert(const query::Query& q,
                                             const Certificate& child) const {
   const std::string& var = q.quantified_var();
   Certificate cert = child;
-  cert.hull.erase(var);
+  const int col = IndexOf(child.zone.vars, var);
+  if (col >= 0) {
+    std::vector<std::string> vars = child.zone.vars;
+    vars.erase(vars.begin() + col);
+    // Dropping a row and column of a closed matrix is exact projection.
+    cert.zone = child.zone.refuted()
+                    ? Zone::Bottom(std::move(vars))
+                    : Zone{std::move(vars),
+                           child.zone.dbm.EliminateVariable(col)};
+  }
   std::vector<std::string> free_child = q.left()->FreeVariables();
   if (!std::binary_search(free_child.begin(), free_child.end(), var)) {
     return cert;  // Vacuous quantification: the relation passes through.
@@ -430,6 +473,28 @@ Certificate AbstractInterpreter::ExistsCert(const query::Query& q,
     }
     cert.rows = MulBound(child.rows, PowBound(child.lcm, std::max(m - 1, 0)));
   }
+  return cert;
+}
+
+Certificate AbstractInterpreter::ForallCert(const query::Query& q,
+                                            const Certificate& child) const {
+  // NOT (EXISTS v (NOT body)): cardinality is out of reach (both
+  // complements run at the representation level), but every complement
+  // normalizes to a uniform period dividing the body's lcm, and the inner
+  // projection preserves divisibility.
+  Certificate cert;
+  cert.lcm = CapLcm(child.lcm);
+  std::vector<std::string> vars = child.zone.vars;
+  const int col = IndexOf(vars, q.quantified_var());
+  if (col >= 0) vars.erase(vars.begin() + col);
+  // An empty body fails every value of a temporal variable, so FORALL is
+  // empty.  A data-sorted FORALL over an empty active domain is vacuously
+  // true, so its emptiness is no static fact.  A vacuous variable has no
+  // sort.
+  const bool data_var = sorts_.contains(q.quantified_var()) &&
+                        !IsTemporal(q.quantified_var());
+  cert.zone = child.ProvenEmpty() && !data_var ? Zone::Bottom(std::move(vars))
+                                               : Zone::Top(std::move(vars));
   return cert;
 }
 

@@ -12,12 +12,14 @@
 //     the lcm the A012 blowup warning reports: normalization can never
 //     split beyond it.
 //
-//   * interval hull: per free temporal variable, an interval containing
-//     every value that variable takes in the node's denotation (the SET,
-//     not the representation).  An empty hull interval refutes the node at
-//     the set level; like A009's set-empty grade it must never drive a
-//     rewrite, because the evaluator may still represent the empty set with
-//     infeasible tuples.
+//   * zone: the node's free temporal variables and a closed
+//     difference-bound matrix over them (core/dbm.h; Konecny's DBM domain,
+//     PAPERS.md) that every valuation in the node's denotation (the SET,
+//     not the representation) satisfies.  It holds the paper's restricted
+//     constraints X <= Y + a (Section 2.1), not only per-variable bounds.
+//     An infeasible zone refutes the node at the set level; like any
+//     set-level proof it must never drive a rewrite, because the evaluator
+//     may still represent the empty set with infeasible tuples.
 //
 //   * cardinality: an upper bound on the number of generalized tuples in
 //     the node's result REPRESENTATION, seeded from
@@ -33,13 +35,19 @@
 // the actual result satisfies
 //     tuples  <= Certificate::rows        (when rows is bounded)
 //     every lrp period divides ::lcm      (when lcm is bounded)
-//     feasible values of temporal var v lie in ::hull[v]
+//     every feasible valuation of the temporal columns lies in ::zone
+// (the oracle checks the zone's unary bounds).
 // nullopt rows/lcm mean "unbounded": the analysis could not certify a
 // bound (complements put cardinality out of reach; lcm composition can
 // overflow).  Unbounded certificates gate result-cache admission and
-// drive the A017 diagnostic; bounded-but-huge ones drive A014/A015.
+// drive the A017 diagnostic; bounded-but-huge ones drive A014.
 //
-// One interpreter serves a whole statement: the analyzer's pass 5 builds
+// Two emptiness proofs fall out of one certificate.  rows == 0 is a
+// bit-level proof: evaluation returns zero tuples, so it may drive
+// rewrites and short-circuits (analyzer.h).  rows == 0 or an infeasible
+// zone is a set-level proof (Certificate::ProvenEmpty).
+//
+// One interpreter serves a whole statement: the analyzer's pass 3 builds
 // it over the parsed tree (analyzer.h), the planner interprets the
 // optimized tree on the same instance and clamps its estimates with it
 // (query/planner.h), and evaluation ranges data variables over its active
@@ -52,6 +60,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/dbm.h"
 #include "core/stats.h"
@@ -62,33 +71,29 @@
 namespace itdb {
 namespace analysis {
 
-/// A closed interval over the temporal sort with +-Dbm::kInf sentinels.
-/// lo > hi encodes the empty interval.
-struct Interval {
-  std::int64_t lo = -Dbm::kInf;
-  std::int64_t hi = Dbm::kInf;
+/// A zone: a closed difference-bound matrix over named temporal variables.
+/// Every valuation of `vars` that the node's denotation contains satisfies
+/// `dbm`; variables not listed are unconstrained.  An infeasible `dbm` is
+/// bottom: the denotation is the empty set.
+struct Zone {
+  /// Sorted and distinct; vars[i] is DBM variable i.
+  std::vector<std::string> vars;
+  /// Closed (Dbm::Close), so its entries are the tightest bounds implied.
+  Dbm dbm{0};
 
-  static Interval Top() { return Interval{}; }
-  static Interval Empty() { return Interval{Dbm::kInf, -Dbm::kInf}; }
-  static Interval Point(std::int64_t v) { return Interval{v, v}; }
-  static Interval AtMost(std::int64_t v) { return Interval{-Dbm::kInf, v}; }
-  static Interval AtLeast(std::int64_t v) { return Interval{v, Dbm::kInf}; }
+  /// No constraint over `vars`.
+  static Zone Top(std::vector<std::string> vars);
+  /// The empty set over `vars`.
+  static Zone Bottom(std::vector<std::string> vars);
 
-  bool empty() const { return lo > hi; }
-  bool top() const { return lo <= -Dbm::kInf && hi >= Dbm::kInf; }
+  bool refuted() const { return !dbm.feasible(); }
+  /// The unary bounds of `var`: -Dbm::kInf / Dbm::kInf when it is
+  /// unconstrained or not in `vars`, Dbm::kInf / -Dbm::kInf on bottom.
+  std::int64_t Lower(const std::string& var) const;
+  std::int64_t Upper(const std::string& var) const;
 
-  Interval Intersect(const Interval& o) const;
-  Interval Union(const Interval& o) const;
-  /// The interval shifted by `delta`, exact over __int128 and clamped to
-  /// the +-kInf sentinels (a bound pushed past int64 is unreachable by any
-  /// int64 time point, so clamping stays sound).
-  Interval Shift(std::int64_t delta) const;
-
-  friend bool operator==(const Interval& a, const Interval& b) = default;
+  friend bool operator==(const Zone& a, const Zone& b) = default;
 };
-
-/// Formats "[lo, hi]" with inf sentinels, "empty" for empty intervals.
-std::string FormatInterval(const Interval& i);
 
 /// Period-lcm budget: a certified lcm above this is reported as unbounded
 /// (nullopt) rather than propagated.
@@ -100,19 +105,19 @@ struct Certificate {
   std::optional<std::int64_t> rows;
   /// Every lrp period of the result representation divides this (>= 1).
   std::optional<std::int64_t> lcm;
-  /// Per free temporal variable: an interval containing every value the
-  /// variable takes in the denotation.  Variables absent from the map are
-  /// unconstrained.
-  std::map<std::string, Interval> hull;
+  /// A zone over the node's free temporal variables.
+  Zone zone;
 
   bool bounded() const { return rows.has_value() && lcm.has_value(); }
-  /// Some variable's hull is empty: the denotation is provably the empty
-  /// SET (the representation may still hold infeasible tuples).
-  bool HullRefuted() const;
+  /// The denotation is provably the empty SET: no tuples at all, or an
+  /// infeasible zone (the representation may still hold infeasible
+  /// tuples).
+  bool ProvenEmpty() const { return rows == 0 || zone.refuted(); }
 };
 
 /// Compact rendering for explain/profile annotations:
-///   "cert_rows=12, cert_lcm=6"   (with "unbounded" for nullopt).
+///   "cert_rows=12, cert_lcm=6"   (with "unbounded" for nullopt), plus
+///   ", cert_empty=set" when ProvenEmpty().
 std::string FormatCertificate(const Certificate& c);
 
 using CertificateMap = std::map<const query::Query*, Certificate>;
@@ -165,13 +170,16 @@ class AbstractInterpreter {
   std::int64_t domain_size(query::Sort sort) const;
 
  private:
-  Certificate Node(const query::Query& q);
+  /// The memoized certificate of `q`, interpreting it first if needed.
+  const Certificate& Node(const query::Query& q);
   Certificate AtomCert(const query::Query& q);
   Certificate CmpCert(const query::Query& q);
   Certificate DisjoinCert(const query::Query& q, const Certificate& l,
                           const Certificate& r) const;
   Certificate ComplementCert(const Certificate& child) const;
   Certificate ExistsCert(const query::Query& q,
+                         const Certificate& child) const;
+  Certificate ForallCert(const query::Query& q,
                          const Certificate& child) const;
   /// nullopt when the lcm exceeds kMaxCertifiedLcm (treated as top).
   std::optional<std::int64_t> CapLcm(std::optional<std::int64_t> l) const;

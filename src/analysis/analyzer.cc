@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "analysis/cost.h"
-#include "analysis/emptiness.h"
 #include "analysis/rewrite.h"
 #include "obs/metrics.h"
 
@@ -178,45 +177,6 @@ void ReportEmpty(const Query& q, const std::set<const Query*>& empty,
   }
 }
 
-/// Emits A016 at each maximal hull-refuted node the emptiness prover did
-/// not already cover with A009.  Like A009's set-empty grade, a hull
-/// refutation proves the denotation empty but says nothing about the
-/// representation, so it never drives a rewrite.
-void ReportHullRefuted(const Query& q, const CertificateMap& certs,
-                       const std::set<const Query*>& proven_empty,
-                       std::vector<Diagnostic>* out) {
-  if (proven_empty.contains(&q)) return;  // A009 reported here already.
-  auto it = certs.find(&q);
-  if (it != certs.end() && it->second.HullRefuted()) {
-    std::string vars;
-    for (const auto& [var, interval] : it->second.hull) {
-      if (!interval.empty()) continue;
-      if (!vars.empty()) vars += ", ";
-      vars += "\"" + var + "\"";
-    }
-    Report(out, Severity::kWarning, diag::kHullRefuted, q.span(),
-           "interval analysis refutes this subquery: the certified hull of " +
-               vars + " is empty (set-level proof; the representation may "
-                      "still hold infeasible tuples)");
-    return;
-  }
-  switch (q.kind()) {
-    case Query::Kind::kAtom:
-    case Query::Kind::kCmp:
-      return;
-    case Query::Kind::kAnd:
-    case Query::Kind::kOr:
-      ReportHullRefuted(*q.left(), certs, proven_empty, out);
-      ReportHullRefuted(*q.right(), certs, proven_empty, out);
-      return;
-    case Query::Kind::kNot:
-    case Query::Kind::kExists:
-    case Query::Kind::kForall:
-      ReportHullRefuted(*q.left(), certs, proven_empty, out);
-      return;
-  }
-}
-
 /// The body under the root's maximal EXISTS prefix: the formula a yes/no
 /// statement splits into parts (a FORALL root's body is a negation).
 const Query& PeeledExistsBody(const Query& q) {
@@ -246,30 +206,30 @@ AnalysisResult Analyze(const Database& db, const QueryPtr& q,
   result.sorts = sorted.sorts;
   CheckStructure(*q, result.sorts, &result.diagnostics);
 
-  // Passes 2-5 need a valid SortMap.
+  // Passes 2-4 need a valid SortMap.
   if (!result.HasErrors()) {
     SafetyPass(*q, result.sorts, sorted.var_spans, &result.diagnostics);
 
-    EmptinessProof proof = ProveEmptySubplans(db, *q, result.sorts);
-    result.proven_empty = std::move(proof.empty);
-    result.proven_bit_empty = std::move(proof.bit_empty);
-    result.root_proven_empty = result.proven_empty.contains(q.get());
-    result.root_proven_bit_empty = result.proven_bit_empty.contains(q.get());
-    ReportEmpty(*q, result.proven_empty, &result.diagnostics);
-
-    // Pass 5: abstract interpretation.  Its root lcm feeds the cost pass's
-    // A012; then certified counterparts of the cost heuristics (A014/A015),
-    // hull refutations the emptiness prover cannot see (A016), and
-    // uncertifiable queries (A017).
+    // Pass 3: abstract interpretation.  A node with zero certified rows
+    // evaluates to zero tuples; one with an infeasible zone denotes the
+    // empty set.
     result.interpreter = std::make_shared<AbstractInterpreter>(
         db, result.sorts, options.stats_cache);
     const Certificate& root = result.interpreter->Interpret(q);
     result.root_certificate = root;
+    for (const auto& [node, cert] : result.interpreter->certificates()) {
+      if (cert.rows == 0) result.proven_bit_empty.insert(node);
+      if (cert.ProvenEmpty()) result.proven_empty.insert(node);
+    }
+    result.root_proven_empty = root.ProvenEmpty();
+    result.root_proven_bit_empty = root.rows == 0;
+    ReportEmpty(*q, result.proven_empty, &result.diagnostics);
+
+    // Pass 4: the cost heuristics, with A012 reading the root lcm, then
+    // the certified counterpart A014 and uncertifiable queries (A017).
     CostDiagnostics(*q, result.sorts, root.lcm,
                     options.yes_no ? &PeeledExistsBody(*q) : nullptr,
                     &result.diagnostics);
-    ReportHullRefuted(*q, result.interpreter->certificates(),
-                      result.proven_empty, &result.diagnostics);
     if (root.rows.has_value() && *root.rows > kCertifiedRowsThreshold) {
       Report(&result.diagnostics, Severity::kWarning,
              diag::kCertifiedHugeCardinality, q->span(),
@@ -277,15 +237,6 @@ AnalysisResult Analyze(const Database& db, const QueryPtr& q,
                  std::to_string(*root.rows) +
                  " generalized tuples (threshold " +
                  std::to_string(kCertifiedRowsThreshold) + ")");
-    }
-    if (root.lcm.has_value() && *root.lcm > kPeriodBlowupThreshold) {
-      Report(&result.diagnostics, Severity::kWarning,
-             diag::kCertifiedPeriodBlowup, q->span(),
-             "certified period lcm " + std::to_string(*root.lcm) +
-                 " exceeds the blowup threshold " +
-                 std::to_string(kPeriodBlowupThreshold),
-             "normalization may split each tuple up to the lcm; narrow "
-             "the periodic relations involved");
     }
     if (!root.bounded()) {
       Report(&result.diagnostics, Severity::kNote,

@@ -11,35 +11,32 @@
 //   2. safety / range restriction: a data variable not bound by a positive
 //      atom (or a positive equality with a constant) ranges over the whole
 //      active domain (A008);
-//   3. satisfiability prechecks (emptiness.h): constant temporal
-//      constraints of each conjunction are closed with
-//      Dbm::TightenAndClose; an infeasible conjunction, an empty relation,
-//      or a ground-false comparison proves a subplan empty, and emptiness
-//      propagates up the plan (A-and-empty = empty, or of empties = empty,
-//      exists of empty = empty, ...) -- reported as A009 on maximal empty
-//      nodes;
+//   3. certified bounds (absint.h): one bottom-up pass gives every node a
+//      certificate -- rows, lcm and a zone (a closed DBM over its free
+//      temporal variables).  A node with zero certified rows or an
+//      infeasible zone is proven empty, reported as A009 on maximal empty
+//      nodes.  The interpreter is kept in the result, so the planner and
+//      evaluation reuse its certificates and its active domain instead of
+//      computing their own;
 //   4. complexity / cost estimates (cost.h): complements over wide
 //      operands (NP-complete regime, Theorem 3.5; A010), conjunctions with
-//      no shared attributes (cross products; A011), and period-blowup
-//      estimates from the lcm of operand periods (A012);
-//   5. certified bounds (absint.h): the certified counterparts of the
-//      cost heuristics (A014/A015), hull refutations (A016) and
-//      uncertifiable queries (A017).  The pass-5 interpreter is kept in
-//      the result, so the planner and evaluation reuse its certificates
-//      and its active domain instead of computing their own.
+//      no shared attributes (cross products; A011), and period blowup from
+//      the root certificate's lcm (A012); then the certified cardinality
+//      over its threshold (A014) and uncertifiable queries (A017).
 //
-// Passes 2-5 only run when pass 1 found no errors (their inputs -- the
+// Passes 2-4 only run when pass 1 found no errors (their inputs -- the
 // SortMap -- would be meaningless otherwise).  No pass can be switched
 // off, and the thresholds are the constants of cost.h.
 //
 // Soundness contract (pinned by the fuzz oracle, fuzz/query_oracle.h):
-// every node in `proven_empty` denotes the empty relation, and
-// ApplySoundRewrites never changes the evaluation result -- bit-identical
-// output at any thread count, analysis on or off.  Only the
-// `proven_bit_empty` subset (evaluation provably yields ZERO tuples, not
-// just the empty set -- see emptiness.h) may drive rewrites or
-// short-circuits; DBM-refuted subplans stay diagnostics-only because the
-// evaluator may represent them with infeasible tuples.
+// every node in `proven_empty` denotes the empty relation, every node in
+// `proven_bit_empty` evaluates to zero tuples, and ApplySoundRewrites
+// never changes the evaluation result -- bit-identical output at any
+// thread count, analysis on or off.  Only the `proven_bit_empty` subset
+// (zero certified rows: evaluation yields ZERO tuples, not just the empty
+// set) may drive rewrites or short-circuits; zone-refuted subplans stay
+// diagnostics-only because the evaluator may represent them with
+// infeasible tuples.
 
 #ifndef ITDB_ANALYSIS_ANALYZER_H_
 #define ITDB_ANALYSIS_ANALYZER_H_
@@ -81,14 +78,15 @@ struct AnalysisResult {
   std::vector<Diagnostic> diagnostics;
   /// Valid when HasErrors() is false.
   query::SortMap sorts;
-  /// Every node of `root`'s tree whose denotation is provably empty.
+  /// Every node of `root`'s tree whose denotation is provably empty: its
+  /// certificate has zero rows or an infeasible zone.
   std::set<const query::Query*> proven_empty;
-  /// The subset whose evaluation provably yields zero tuples; the only
-  /// proofs strong enough to rewrite or short-circuit on.
+  /// The subset with zero certified rows, whose evaluation yields zero
+  /// tuples; the only proofs strong enough to rewrite or short-circuit on.
   std::set<const query::Query*> proven_bit_empty;
   bool root_proven_empty = false;
   bool root_proven_bit_empty = false;
-  /// The pass-5 interpreter, holding a certificate for every node of
+  /// The pass-3 interpreter, holding a certificate for every node of
   /// `root`'s tree and the statement's active domain (seeded from `root`).
   /// Null when pass 1 found errors.  Tied to the analyzed Database: the
   /// planner interprets the optimized tree on the same instance

@@ -17,7 +17,7 @@
 // All findings are warnings: they never block evaluation, only explain
 // where time will go (the evaluator's budget checks still backstop
 // runaway cases at run time).  The thresholds are the constants below;
-// the certificate pass (A014/A015) and admission grading read the same
+// the certificate checks (A014) and admission grading read the same
 // ones.
 
 #ifndef ITDB_ANALYSIS_COST_H_
@@ -34,9 +34,8 @@
 namespace itdb {
 namespace analysis {
 
-/// A012 fires when the lcm of the periods reachable from the root exceeds
-/// this.  A015 is its certified counterpart: it fires when the CERTIFIED
-/// root lcm exceeds the same threshold.
+/// A012 fires when the lcm of the periods reachable from the root (the
+/// root certificate's lcm) exceeds this.
 inline constexpr std::int64_t kPeriodBlowupThreshold = 720;
 /// A010 fires for complements (NOT / FORALL) whose operand has at least
 /// this many free temporal variables.

@@ -2,7 +2,7 @@
 //
 // The only rewrite applied is the one with a bit-identical justification:
 // in OR(a, b) where b is proven BIT-empty (evaluation yields zero tuples,
-// not merely the empty set -- see emptiness.h) and free(b) is a subset of
+// not merely the empty set -- see analyzer.h) and free(b) is a subset of
 // free(a), the evaluator would compute Union(Eval(a), ExtendTo(Eval(b),
 // schema)) -- and appending ZERO tuples to a relation returns the exact
 // same representation, so OR(a, b) can be replaced by a outright

@@ -6,7 +6,7 @@
 // binds (or constants), and quantifier names never shadow.  On top of the
 // well-formed core the generator deliberately injects, at low rates,
 //   * contradictions (t > c AND t < c, ground-false comparisons) so the
-//     emptiness prover has something to prove, and
+//     analysis has emptiness to prove, and
 //   * ill-formed constructs (unknown relations, arity mismatches, sort
 //     conflicts, string-vs-int comparisons) so the oracle can pin that
 //     analysis-on and analysis-off agree on FAILING too.

@@ -11,7 +11,7 @@
 #include <algorithm>
 
 #include "analysis/analyzer.h"
-#include "core/index.h"
+#include "core/dbm.h"
 #include "core/simplify.h"
 #include "fuzz/generator.h"
 #include "fuzz/query_gen.h"
@@ -219,16 +219,18 @@ QueryCaseOutcome CheckQueryCase(const Database& db, const QueryPtr& q,
     if (outcome.failure.has_value()) return outcome;
   }
 
-  // --- Oracle 2: proven-empty subplans must evaluate to empty. ---
+  // --- Oracle 2: proven-empty subplans must evaluate to empty, and
+  // bit-empty ones (zero certified rows) to zero tuples. ---
   analysis::AnalysisResult analyzed = analysis::Analyze(db, q);
   if (analyzed.HasErrors()) return outcome;
   std::vector<QueryPtr> empties;
   CollectProvenEmpty(q, analyzed.proven_empty, &empties);
   for (const QueryPtr& node : empties) {
-    if (outcome.empties_checked + outcome.empties_skipped >=
-        options.max_empty_checks) {
-      break;
-    }
+    // Every bit-level proof is checked; set-level ones up to the cap.
+    const bool bit = analyzed.proven_bit_empty.contains(node.get());
+    const bool capped = outcome.empties_checked + outcome.empties_skipped >=
+                        options.max_empty_checks;
+    if (capped && !bit) continue;
     // Standalone evaluation: enclosing quantified variables become free.
     // Sort inference can legitimately fail out of context; that is a skip,
     // not a finding.
@@ -237,9 +239,20 @@ QueryCaseOutcome CheckQueryCase(const Database& db, const QueryPtr& q,
         MakeOptions(/*analyze=*/false, /*parallel=*/false,
                     /*cost_plan=*/false, options.threads));
     if (!sub.ok()) {
-      ++outcome.empties_skipped;
+      if (!capped) ++outcome.empties_skipped;
       continue;
     }
+    if (bit) {
+      ++outcome.bit_empties_checked;
+      if (!sub->tuples().empty()) {
+        std::ostringstream os;
+        os << "proven bit-empty subplan has tuples: " << node->ToString()
+           << " evaluates to " << sub->size() << " tuple(s)";
+        outcome.failure = os.str();
+        return outcome;
+      }
+    }
+    if (capped) continue;
     // Exact emptiness: normalize away tuples with empty extensions first.
     Result<GeneralizedRelation> simplified = Simplify(*sub);
     if (!simplified.ok()) {
@@ -260,7 +273,9 @@ QueryCaseOutcome CheckQueryCase(const Database& db, const QueryPtr& q,
   // The certificate was computed for the analyzed tree, so the check
   // evaluates exactly that tree: analyze / optimize / cost_plan all off.
   const analysis::Certificate& cert = analyzed.root_certificate;
-  if (cert.rows.has_value() || cert.lcm.has_value() || !cert.hull.empty()) {
+  const analysis::Zone& zone = cert.zone;
+  const bool has_zone = !zone.vars.empty() || zone.refuted();
+  if (cert.rows.has_value() || cert.lcm.has_value() || has_zone) {
     QueryOptions plain = MakeOptions(/*analyze=*/false, /*parallel=*/false,
                                      /*cost_plan=*/false, options.threads);
     plain.optimize = false;
@@ -289,56 +304,52 @@ QueryCaseOutcome CheckQueryCase(const Database& db, const QueryPtr& q,
           }
         }
       }
-      if (!cert.hull.empty()) {
-        // The feasible per-column hull of the result must lie inside every
-        // certified interval (an empty certified interval means the result
-        // must have no feasible tuples at all).  Aggregated per tuple:
-        // infeasible tuples denote {}, and so does any tuple whose
-        // singleton lrp falls outside its own DBM bounds on some column --
-        // neither contributes feasible values.
+      if (has_zone) {
+        // The feasible per-column hull of the result must lie inside the
+        // zone's unary bounds (a refuted zone means the result must have
+        // no feasible tuples at all).  Per tuple, the hull comes from its
+        // constraints closed together with its singleton lrps as
+        // equalities: X0 <= X1 with X1 = [2] bounds X0 by 2 only after
+        // closure.  Infeasible tuples denote {} and contribute nothing.
         const std::vector<std::string>& names =
             got->schema().temporal_names();
-        const std::size_t m = names.size();
-        std::vector<std::int64_t> lo(m, Dbm::kInf);
-        std::vector<std::int64_t> hi(m, -Dbm::kInf);
+        const int m = static_cast<int>(names.size());
+        std::vector<std::int64_t> lo(names.size(), Dbm::kInf);
+        std::vector<std::int64_t> hi(names.size(), -Dbm::kInf);
         bool any_feasible = false;
         for (const GeneralizedTuple& t : got->tuples()) {
-          TemporalHull h = TemporalHull::Of(t);
-          if (h.infeasible) continue;
-          std::vector<std::int64_t> tlo(m), thi(m);
-          bool tuple_empty = false;
-          for (std::size_t i = 0; i < m; ++i) {
-            std::int64_t l = h.usable() ? h.lo[i] : -Dbm::kInf;
-            std::int64_t r = h.usable() ? h.hi[i] : Dbm::kInf;
-            const Lrp& lrp = t.lrp(static_cast<int>(i));
-            if (lrp.period() == 0) {
-              l = std::max(l, lrp.offset());
-              r = std::min(r, lrp.offset());
+          Dbm c = t.constraints();
+          for (int i = 0; i < m; ++i) {
+            const Lrp& lrp = t.lrp(i);
+            if (lrp.period() == 0 && lrp.offset() >= -Dbm::kBoundLimit &&
+                lrp.offset() <= Dbm::kBoundLimit) {
+              c.AddEquality(i, lrp.offset());
             }
-            if (l > r) {
-              tuple_empty = true;
-              break;
-            }
-            tlo[i] = l;
-            thi[i] = r;
           }
-          if (tuple_empty) continue;
+          const bool closed = c.Close().ok();  // Overflow: unbounded.
+          if (closed && !c.feasible()) continue;
           any_feasible = true;
-          for (std::size_t i = 0; i < m; ++i) {
-            lo[i] = std::min(lo[i], tlo[i]);
-            hi[i] = std::max(hi[i], thi[i]);
+          for (int i = 0; i < m; ++i) {
+            const std::size_t col = static_cast<std::size_t>(i);
+            const std::int64_t upper = closed ? c.bound_node(i + 1, 0)
+                                              : Dbm::kInf;
+            const std::int64_t lower = closed ? c.bound_node(0, i + 1)
+                                              : Dbm::kInf;
+            lo[col] = std::min(lo[col],
+                               lower == Dbm::kInf ? -Dbm::kInf : -lower);
+            hi[col] = std::max(hi[col], upper);
           }
         }
         if (any_feasible) {
-          for (std::size_t i = 0; i < m; ++i) {
-            auto it = cert.hull.find(names[i]);
-            if (it == cert.hull.end()) continue;
-            if (lo[i] < it->second.lo || hi[i] > it->second.hi) {
+          for (std::size_t i = 0; i < names.size(); ++i) {
+            const std::int64_t zlo = zone.Lower(names[i]);
+            const std::int64_t zhi = zone.Upper(names[i]);
+            if (lo[i] < zlo || hi[i] > zhi) {
               std::ostringstream os;
-              os << "hull certificate violated: column \"" << names[i]
+              os << "zone certificate violated: column \"" << names[i]
                  << "\" spans [" << lo[i] << ", " << hi[i]
-                 << "], certified "
-                 << analysis::FormatInterval(it->second);
+                 << "], certified " << (zone.refuted() ? "empty" : "")
+                 << "[" << zlo << ", " << zhi << "]";
               outcome.failure = os.str();
               return outcome;
             }
@@ -388,6 +399,7 @@ std::string QueryFuzzReport::Summary() const {
   os << "query fuzz: " << cases << " case(s), " << skipped << " skipped, "
      << variants_checked << " variant check(s), " << empties_checked
      << " emptiness check(s) (" << empties_skipped << " skipped), "
+     << bit_empties_checked << " bit-level emptiness check(s), "
      << certificates_checked << " certificate check(s), " << closed_checked
      << " closed-form check(s), " << failures.size() << " failure(s)";
   return os.str();
@@ -409,6 +421,7 @@ QueryFuzzReport RunQueryFuzz(const QueryFuzzConfig& config) {
     report.variants_checked += outcome.variants_checked;
     report.empties_checked += outcome.empties_checked;
     report.empties_skipped += outcome.empties_skipped;
+    report.bit_empties_checked += outcome.bit_empties_checked;
     report.certificates_checked += outcome.certificates_checked;
     report.closed_checked += outcome.closed_checked;
     if (outcome.failure.has_value()) {

@@ -13,14 +13,16 @@
 //     kInvalidArgument / kNotFound consistently).
 //   * Proven-empty => actually empty: every subplan the analyzer marks
 //     proven-empty is evaluated standalone (analysis off) and must have an
-//     empty extension.  Quantified variables of enclosing scopes become
+//     empty extension, and every subplan it marks proven BIT-empty (zero
+//     certified rows) must evaluate to zero tuples, before any
+//     simplification.  Quantified variables of enclosing scopes become
 //     free variables of the subplan; emptiness is preserved either way.
 //   * Certificate soundness (the analysis/absint.h contract): the query is
 //     evaluated PLAIN (analyze / optimize / cost_plan all off, so the
 //     evaluated tree is exactly the analyzed one) and the result must
 //     respect the root certificate -- tuple count <= cert rows, every lrp
 //     period divides cert lcm, and the feasible hull of every temporal
-//     column lies inside the certified hull interval.
+//     column lies inside the unary bounds of the certified zone.
 //   * Closed forms (query/prepared.h's yes/no path): the query closed by
 //     EXISTS and by FORALL over its free variables, answered through the
 //     peeled yes/no path, must be true exactly when the relation path's
@@ -55,7 +57,8 @@ namespace fuzz {
 struct QueryOracleOptions {
   /// Thread count for the parallel variants (0 = hardware concurrency).
   int threads = 0;
-  /// Cap on standalone evaluations of proven-empty subplans per case.
+  /// Cap on standalone evaluations of set-level proven-empty subplans per
+  /// case.  Bit-level proofs are all checked.
   std::int64_t max_empty_checks = 8;
 };
 
@@ -65,6 +68,8 @@ struct QueryCaseOutcome {
   int variants_checked = 0;    // Matrix variants compared to the baseline.
   int empties_checked = 0;     // Proven-empty subplans evaluated standalone.
   int empties_skipped = 0;     // Standalone evaluation failed (e.g. sorts).
+  int bit_empties_checked = 0;  // Proven bit-empty subplans evaluated
+                                // standalone to zero tuples.
   int certificates_checked = 0;  // Root certificates verified against plain
                                  // evaluation (0 when it failed or the
                                  // certificate was fully unbounded).
@@ -109,6 +114,7 @@ struct QueryFuzzReport {
   std::int64_t variants_checked = 0;
   std::int64_t empties_checked = 0;
   std::int64_t empties_skipped = 0;
+  std::int64_t bit_empties_checked = 0;
   std::int64_t certificates_checked = 0;
   std::int64_t closed_checked = 0;
   std::vector<QueryFuzzFailure> failures;

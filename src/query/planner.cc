@@ -96,13 +96,13 @@ ConjunctInfo JoinInfo(const ConjunctInfo& a, const ConjunctInfo& b) {
 }
 
 /// Clamps a heuristic estimate to a certified bound (planner.h): the
-/// certificate caps rows, and a set-level hull refutation zeroes them.
+/// certificate caps rows, and a set-level emptiness proof zeroes them.
 /// Ordering-only -- cost is left alone so chains still price their work.
 void ClampToCert(const analysis::Certificate& cert, PlanEstimate* est) {
   if (cert.rows.has_value()) {
     est->rows = std::min(est->rows, static_cast<double>(*cert.rows));
   }
-  if (cert.HullRefuted()) est->rows = 0.0;
+  if (cert.ProvenEmpty()) est->rows = 0.0;
 }
 
 class Planner {

@@ -76,12 +76,12 @@ struct PlannedQuery {
 /// `absint`, when non-null, must have interpreted `q`'s tree
 /// (analysis/absint.h); the planner then CLAMPS its heuristic row
 /// estimates to the certified bounds -- a certified cardinality caps the
-/// estimate, and a hull-refuted conjunct (provably empty set) estimates as
-/// zero rows, pulling it to the front of the chain.  The planner registers
-/// certificates for every AND node it rebuilds, so the planned tree is
-/// fully annotated for explain/profile.  Clamping changes join ORDER only;
-/// bit-identity is untouched (the cost_plan axis of the fuzz matrix runs
-/// with clamping on).
+/// estimate, and a proven-empty conjunct (Certificate::ProvenEmpty)
+/// estimates as zero rows, pulling it to the front of the chain.  The
+/// planner registers certificates for every AND node it rebuilds, so the
+/// planned tree is fully annotated for explain/profile.  Clamping changes
+/// join ORDER only; bit-identity is untouched (the cost_plan axis of the
+/// fuzz matrix runs with clamping on).
 PlannedQuery PlanQuery(const Database& db, const QueryPtr& q,
                        const SortMap& sorts, StatsCache* stats_cache,
                        analysis::AbstractInterpreter* absint = nullptr);

@@ -65,7 +65,7 @@ CostGrade GradeAnalysis(const analysis::AnalysisResult& result) {
   grade.root_certificate = result.root_certificate;
   if (grade.root_certificate.bounded()) {
     // Certified grading: the sound bounds replace the guesses in both
-    // directions.  The thresholds are the analyzer's own (A014 / A015).
+    // directions.  The thresholds are the analyzer's own (A014 / A012).
     const bool huge =
         *grade.root_certificate.rows > analysis::kCertifiedRowsThreshold ||
         *grade.root_certificate.lcm > analysis::kPeriodBlowupThreshold;

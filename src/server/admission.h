@@ -126,7 +126,7 @@ struct CostGrade {
 /// Grades a statement from its analysis (query::Prepared::Analyze -- the
 /// one analysis a statement gets).  Pure: the grade comes from the root
 /// certificate when it is bounded, against the analyzer's own thresholds
-/// (A014's analysis::kCertifiedRowsThreshold, A015's
+/// (A014's analysis::kCertifiedRowsThreshold, A012's
 /// analysis::kPeriodBlowupThreshold), falling back to the A010/A012
 /// heuristics when it is not.  An analysis with errors grades kNormal with
 /// a top certificate -- evaluation will report the real error with its own

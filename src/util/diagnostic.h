@@ -41,7 +41,10 @@ struct Diagnostic {
 };
 
 /// Stable diagnostic codes.  Append-only: codes are pinned by tests, the
-/// corpus `# expect:` annotations, and user scripts.
+/// corpus `# expect:` annotations, and user scripts.  A retired code is
+/// never reused: A015 (a certified lcm over the blowup threshold, the same
+/// number A012 reports) and A016 (an interval-hull refutation, now an A009
+/// proof of the certificate pass) are no longer emitted.
 namespace diag {
 inline constexpr std::string_view kUnknownRelation = "A001";
 inline constexpr std::string_view kArityMismatch = "A002";
@@ -57,8 +60,6 @@ inline constexpr std::string_view kCrossProduct = "A011";
 inline constexpr std::string_view kPeriodBlowup = "A012";
 inline constexpr std::string_view kVacuousQuantifier = "A013";
 inline constexpr std::string_view kCertifiedHugeCardinality = "A014";
-inline constexpr std::string_view kCertifiedPeriodBlowup = "A015";
-inline constexpr std::string_view kHullRefuted = "A016";
 inline constexpr std::string_view kUnboundedCertificate = "A017";
 }  // namespace diag
 

@@ -100,6 +100,30 @@ TEST(AnalyzerTest, OffsetChainsFeedTheDbm) {
   EXPECT_FALSE(HasCode(sat, diag::kStaticallyEmpty));
 }
 
+TEST(AnalyzerTest, RefutationAcrossAnExistsBoundary) {
+  Database db = SmallDb();
+  // No conjunction is contradictory on its own: t + 5 <= u <= 7 bounds t
+  // by 2 only through u, which EXISTS projects away before t >= 3 joins.
+  AnalysisResult r = Analyze(
+      db, Parse("(EXISTS u . (Less(t, u) AND t + 5 <= u AND u <= 7)) AND "
+                "t >= 3"));
+  EXPECT_TRUE(HasCode(r, diag::kStaticallyEmpty))
+      << FormatDiagnosticList(r.diagnostics);
+  EXPECT_TRUE(r.root_proven_empty);
+  EXPECT_FALSE(r.root_proven_bit_empty);
+}
+
+TEST(AnalyzerTest, StoredBoundsRefuteUnderA009) {
+  Database db = SmallDb();
+  // P's stored tuples satisfy T >= 3, so t < 2 leaves nothing.  This is
+  // an A009 proof like any other; A016 is retired.
+  AnalysisResult r = Analyze(db, Parse("P(t) AND t < 2"));
+  EXPECT_TRUE(HasCode(r, diag::kStaticallyEmpty))
+      << FormatDiagnosticList(r.diagnostics);
+  EXPECT_FALSE(HasCode(r, "A016")) << FormatDiagnosticList(r.diagnostics);
+  EXPECT_TRUE(r.root_proven_empty);
+}
+
 TEST(AnalyzerTest, GroundFalseComparisonProvesEmptiness) {
   Database db = SmallDb();
   AnalysisResult r = Analyze(db, Parse("P(t) AND 3 < 2"));

@@ -100,7 +100,8 @@ TEST(QueryOracleTest, ChecksAProvenEmptySubplan) {
 
 // The acceptance gate: 500 random queries, zero violations of any oracle --
 // analysis never changes results (at 1 and N threads), every proven-empty
-// subplan really is empty, actual cardinality / periods / hulls never
+// subplan really is empty (and every proven bit-empty one has zero
+// tuples), actual cardinality / periods / hulls never
 // exceed the root certificate, and closed forms answer yes/no as the
 // relation path's emptiness says.
 TEST(QueryFuzzTest, FiveHundredCasesNoFindings) {
@@ -121,6 +122,8 @@ TEST(QueryFuzzTest, FiveHundredCasesNoFindings) {
   // fire many times over 500 cases; a silent no-op run is itself a bug.
   EXPECT_GT(report.variants_checked, 1000);
   EXPECT_GT(report.empties_checked, 20) << report.Summary();
+  // Ground-false conjuncts give zero certified rows: bit-level proofs.
+  EXPECT_GT(report.bit_empties_checked, 20) << report.Summary();
   // Most generated queries earn at least a partial certificate, so the
   // soundness oracle must run on a large fraction of the cases.
   EXPECT_GT(report.certificates_checked, 100) << report.Summary();

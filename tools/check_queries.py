@@ -8,15 +8,17 @@ Scans the given directories for *.itdb files carrying annotations:
     # expect: A009
 
 Each `# check:` line is fed to the shell's `check` command with the file's
-relations preloaded.  The diagnostics must mention every code from the
-`# expect:` lines that follow it; a check with no expectations must come
-back `check: ok`.  Files without annotations are skipped.
+relations preloaded.  The set of `[Axxx]` codes it prints must equal the
+set of codes on the `# expect:` lines that follow it; a check with no
+expectations must come back `check: ok`.  Files without annotations are
+skipped.
 
 Usage: check_queries.py --shell PATH DIR [DIR ...]
 Exit status 0 = all gates pass, 1 = findings, 2 = misuse.
 """
 
 import argparse
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -59,13 +61,13 @@ def run_checks(shell: Path, path: Path, checks):
         return [f"{path}: expected {len(checks)} check summaries, "
                 f"got {len(segments)}:\n{proc.stdout}"]
     for (query, expects, lineno), segment in zip(checks, segments):
-        if expects:
-            for code in expects:
-                if f"[{code}]" not in segment:
-                    failures.append(
-                        f"{path}:{lineno}: `{query}` did not report {code}:"
-                        f"\n{segment}")
-        elif not segment.endswith("check: ok"):
+        printed = set(re.findall(r"\[(A\d{3})\]", segment))
+        if printed != set(expects):
+            failures.append(
+                f"{path}:{lineno}: `{query}` reported "
+                f"{', '.join(sorted(printed)) or 'no code'}, expected "
+                f"{', '.join(sorted(expects)) or 'no code'}:\n{segment}")
+        elif not expects and not segment.endswith("check: ok"):
             failures.append(
                 f"{path}:{lineno}: `{query}` expected a clean check:"
                 f"\n{segment}")
