@@ -11,6 +11,32 @@
 
 namespace itdb {
 
+namespace {
+
+/// The hull of `t` with its singleton lrps closed into a copy of its
+/// constraints as equalities, when it has both: A = 2 and B <= A + 1 give
+/// B <= 3, which neither the DBM hull nor the singleton shows alone.  Else
+/// (or when the pins contradict the constraints) TemporalHull::Of, which
+/// stays as it is: it feeds the kernel prefilters.
+TemporalHull PinnedHull(const GeneralizedTuple& t) {
+  TemporalHull hull = TemporalHull::Of(t);
+  const auto singleton = [](const Lrp& lrp) { return lrp.period() == 0; };
+  if (!hull.usable() || std::ranges::none_of(t.temporal(), singleton) ||
+      t.constraints().ToAtomics().empty()) {
+    return hull;
+  }
+  GeneralizedTuple pinned = t;
+  for (int i = 0; i < t.temporal_arity(); ++i) {
+    if (singleton(t.lrp(i))) {
+      pinned.mutable_constraints().AddEquality(i, t.lrp(i).offset());
+    }
+  }
+  TemporalHull tight = TemporalHull::Of(pinned);
+  return tight.usable() ? tight : hull;
+}
+
+}  // namespace
+
 RelationStats ComputeRelationStats(const GeneralizedRelation& r) {
   RelationStats out;
   const int m = r.schema().temporal_arity();
@@ -80,10 +106,10 @@ RelationStats ComputeRelationStats(const GeneralizedRelation& r) {
         }
       }
     }
-    // One closure per tuple classifies feasibility and yields per-column
-    // bounds; a failed closure (overflow) counts as potentially nonempty
+    // One closure per tuple (two with pins) classifies feasibility and
+    // yields per-column bounds; a failed closure (overflow) counts as potentially nonempty
     // and unbounded -- stats must stay conservative.
-    TemporalHull hull = TemporalHull::Of(t);
+    TemporalHull hull = PinnedHull(t);
     if (hull.infeasible) continue;  // Denotes {}: invisible to every stat.
     any_feasible = true;
     for (int i = 0; i < m; ++i) {

@@ -58,7 +58,9 @@ struct RelationStats {
   /// nullopt when the sum or a factor overflows int64.
   std::optional<std::int64_t> normalized_rows;
   /// Inclusive bounding interval per temporal column, folding each tuple's
-  /// DBM hull with its singleton lrps; Dbm::kInf / -Dbm::kInf = unbounded.
+  /// DBM hull with its singleton lrps -- closed into the constraints as
+  /// equalities, so a pinned column bounds the columns constrained against
+  /// it; Dbm::kInf / -Dbm::kInf = unbounded.
   /// Empty (alongside hull_hi) when the relation has no tuples.
   std::vector<std::int64_t> hull_lo;
   std::vector<std::int64_t> hull_hi;
@@ -69,7 +71,8 @@ struct RelationStats {
 };
 
 /// One full scan of `r`.  O(tuples * columns) plus one DBM closure per
-/// tuple; never fails (overflowed aggregates degrade to "unknown").
+/// tuple (two for a tuple with both a singleton lrp and a constraint);
+/// never fails (overflowed aggregates degrade to "unknown").
 RelationStats ComputeRelationStats(const GeneralizedRelation& r);
 
 /// Human-readable rendering, one `name.field value` line per statistic (the

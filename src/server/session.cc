@@ -313,29 +313,69 @@ Status CmdCheckQuery(std::ostream& out, const Database& db,
   return Status::Ok();
 }
 
-Status CmdCheckTl(std::ostream& out, const Database& db,
-                  const std::string& text) {
-  ITDB_ASSIGN_OR_RETURN(tl::TlPtr formula, tl::ParseTlFormula(text));
-  ITDB_ASSIGN_OR_RETURN(bool holds, tl::HoldsEverywhere(db, formula));
-  if (holds) {
-    out << "PASS: holds at every instant\n";
-    return Status::Ok();
+// Stage one of an evaluating verb.  `tlcheck` and `sat` state their
+// formula's first-order definition at T (tl/ltl.h): FORALL T . phi(T)
+// answered yes/no, and the relation of phi(T).
+Result<query::Prepared> PrepareStatement(std::string_view verb,
+                                         const std::string& text,
+                                         const query::QueryOptions& options) {
+  const bool yes_no = verb == "ask" || verb == "tlcheck";
+  const query::Answer answer =
+      yes_no ? query::Answer::kYesNo : query::Answer::kRelation;
+  if (verb == "ask" || verb == "query") {
+    return query::Prepared::Parse(text, options, answer);
   }
-  ITDB_ASSIGN_OR_RETURN(
-      GeneralizedRelation sat,
-      tl::SatisfactionSet(db, tl::TlFormula::Not(formula)));
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation packed, CoalesceResidues(sat));
-  out << "FAIL: violated on\n" << PrintRelation("violations", packed);
-  return Status::Ok();
+  ITDB_ASSIGN_OR_RETURN(tl::TlPtr formula, tl::ParseTlFormula(text));
+  ITDB_ASSIGN_OR_RETURN(query::QueryPtr phi,
+                        tl::ToQuery(*formula, query::Term::Variable("T")));
+  return query::Prepared(yes_no ? query::Query::Forall("T", phi) : phi,
+                         options, answer);
 }
 
-Status CmdSat(std::ostream& out, const Database& db, const std::string& text) {
-  ITDB_ASSIGN_OR_RETURN(tl::TlPtr formula, tl::ParseTlFormula(text));
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation sat,
-                        tl::SatisfactionSet(db, formula));
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation packed, CoalesceResidues(sat));
-  out << PrintRelation("sat", packed);
-  out << packed.size() << " generalized tuple(s)\n";
+// Evaluates a prepared statement under `opts` and renders its outcome as
+// `verb` prints it; `query` also hands its relation to the fetch cursor.
+// A failing `tlcheck` prints its violations: the relation statement
+// NOT phi(T), evaluated under the same options.
+Status EvalAndRender(std::string_view verb, const Database& db,
+                     query::Prepared& prepared,
+                     const query::QueryOptions& opts, std::ostream& out,
+                     std::shared_ptr<const GeneralizedRelation>* relation) {
+  if (verb == "ask") {
+    ITDB_ASSIGN_OR_RETURN(bool truth,
+                          query::EvalPreparedBoolean(db, prepared, opts));
+    out << (truth ? "true" : "false") << "\n";
+    return Status::Ok();
+  }
+  if (verb == "query") {
+    ITDB_ASSIGN_OR_RETURN(GeneralizedRelation rel,
+                          query::EvalPrepared(db, prepared, opts));
+    *relation = std::make_shared<const GeneralizedRelation>(std::move(rel));
+    out << PrintRelation("result", **relation);
+    out << (*relation)->size() << " generalized tuple(s)\n";
+    return Status::Ok();
+  }
+  ITDB_RETURN_IF_ERROR(tl::CheckPropositions(db, *prepared.query()));
+  std::optional<query::Prepared> violations;
+  if (verb == "tlcheck") {
+    ITDB_ASSIGN_OR_RETURN(bool holds,
+                          query::EvalPreparedBoolean(db, prepared, opts));
+    if (holds) {
+      out << "PASS: holds at every instant\n";
+      return Status::Ok();
+    }
+    violations.emplace(query::Query::Not(prepared.query()->left()),
+                       prepared.options());
+  }
+  ITDB_ASSIGN_OR_RETURN(
+      GeneralizedRelation rel,
+      query::EvalPrepared(db, violations ? *violations : prepared, opts));
+  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation packed, CoalesceResidues(rel));
+  if (violations) {
+    out << "FAIL: violated on\n" << PrintRelation("violations", packed);
+  } else {
+    out << PrintRelation("sat", packed);
+    out << packed.size() << " generalized tuple(s)\n";
+  }
   return Status::Ok();
 }
 
@@ -612,7 +652,15 @@ Status Session::Dispatch(const std::string& verb, const std::string& rest,
     return db_->WithRead(
         [&](const Database& db) { return CmdEnumerate(out, db, rest); });
   }
-  if (verb == "ask" || verb == "query") return CmdEval(verb, rest, out);
+  if (verb == "ask" || verb == "query" || verb == "tlcheck" ||
+      verb == "sat") {
+    ++stats_.queries;
+    obs::AddGlobalCounter("server.queries", 1);
+    // Stage one: the statement's only parse.
+    ITDB_ASSIGN_OR_RETURN(query::Prepared prepared,
+                          PrepareStatement(verb, rest, BaseOptions()));
+    return CmdEval(verb, prepared, out);
+  }
   if (verb == "fetch") return CmdFetch(out, rest);
   if (verb == "set") return CmdSet(out, rest);
   if (verb == "explain" || verb == "EXPLAIN") {
@@ -640,18 +688,6 @@ Status Session::Dispatch(const std::string& verb, const std::string& rest,
   if (verb == "check") {
     return db_->WithRead([&](const Database& db) {
       return CmdCheckQuery(out, db, BaseOptions(), rest);
-    });
-  }
-  if (verb == "tlcheck") {
-    return db_->WithRead([&](const Database& db) {
-      DeadlineGuard deadline(options_.deadline_ms);
-      return CmdCheckTl(out, db, rest);
-    });
-  }
-  if (verb == "sat") {
-    return db_->WithRead([&](const Database& db) {
-      DeadlineGuard deadline(options_.deadline_ms);
-      return CmdSat(out, db, rest);
     });
   }
   if (verb == "coalesce") {
@@ -862,16 +898,8 @@ Status Session::CmdProfile(std::ostream& out, const std::string& text) {
   });
 }
 
-Status Session::CmdEval(std::string_view verb, const std::string& text,
+Status Session::CmdEval(std::string_view verb, query::Prepared& prepared,
                         std::ostream& out) {
-  ++stats_.queries;
-  obs::AddGlobalCounter("server.queries", 1);
-  // Stage one: the statement's only parse.
-  ITDB_ASSIGN_OR_RETURN(
-      query::Prepared prepared,
-      query::Prepared::Parse(text, BaseOptions(),
-                             verb == "ask" ? query::Answer::kYesNo
-                                           : query::Answer::kRelation));
   return db_->WithRead([&](const Database& db) -> Status {
     StatementStep step(options_, db, prepared);
     // Only the leader (or a session without a table) runs this: followers
@@ -882,26 +910,9 @@ Status Session::CmdEval(std::string_view verb, const std::string& text,
       if (!o.status.ok()) return o;
       std::ostringstream rendered;
       DeadlineGuard deadline(step.deadline_ms());
-      if (verb == "ask") {
-        Result<bool> truth =
-            query::EvalPreparedBoolean(db, prepared, step.opts());
-        if (!truth.ok()) {
-          o.status = truth.status();
-          return o;
-        }
-        rendered << (truth.value() ? "true" : "false") << "\n";
-      } else {
-        Result<GeneralizedRelation> rel =
-            query::EvalPrepared(db, prepared, step.opts());
-        if (!rel.ok()) {
-          o.status = rel.status();
-          return o;
-        }
-        o.relation = std::make_shared<const GeneralizedRelation>(
-            std::move(rel).value());
-        rendered << PrintRelation("result", *o.relation);
-        rendered << o.relation->size() << " generalized tuple(s)\n";
-      }
+      o.status = EvalAndRender(verb, db, prepared, step.opts(), rendered,
+                               &o.relation);
+      if (!o.status.ok()) return o;
       o.text = rendered.str();
       // Certified cacheability: only results whose size the analysis can
       // BOUND are kept.  An unbounded-certificate result may be arbitrarily

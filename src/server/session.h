@@ -19,10 +19,13 @@
 // `quit` / `exit` are session-terminating and surface as Disposition::kQuit
 // from Feed (Execute never sees them; use IsQuitStatement for routing).
 //
-// One pipeline per statement.  A query verb (ask / query / profile /
-// explain) builds one query::Prepared (query/prepared.h) and every step
-// reads it; the server has already passed the statement through the total
-// admission gate, so `ask` and `query` run
+// One pipeline per statement.  A query verb (ask / query / tlcheck / sat /
+// profile / explain) builds one query::Prepared (query/prepared.h) and
+// every step reads it -- `tlcheck` and `sat` from the first-order
+// definition of their temporal-logic formula (tl/ltl.h), answered yes/no
+// as FORALL T . phi(T) and as the relation of phi(T).  The server has
+// already passed the statement through the total admission gate, so
+// `ask`, `query`, `tlcheck` and `sat` run
 //
 //   total gate (server) -> parse -> budgets -> fingerprint ->
 //   result table (result_cache.h): done entry | wait for the in-flight
@@ -159,7 +162,7 @@ class Session {
 
   struct Stats {
     std::int64_t commands = 0;
-    std::int64_t queries = 0;  // ask / query / profile evaluations.
+    std::int64_t queries = 0;  // ask / query / tlcheck / sat / profile.
     std::int64_t errors = 0;
     std::int64_t batched = 0;  // Served from a concurrent leader's result.
     std::int64_t cache_hits = 0;  // Served from a kept result-table entry.
@@ -180,10 +183,11 @@ class Session {
   /// The session's query options with its shared caches wired in.
   query::QueryOptions BaseOptions() const;
 
-  /// Runs ask / query: one result-table Run whose computation grades the
-  /// statement, applies the heavy gate and evaluates it (read-only,
-  /// deterministic), rendering output into `out`.
-  Status CmdEval(std::string_view verb, const std::string& text,
+  /// Runs ask / query / tlcheck / sat on their prepared statement: one
+  /// result-table Run whose computation grades the statement, applies the
+  /// heavy gate and evaluates it (read-only, deterministic), rendering
+  /// output into `out`.
+  Status CmdEval(std::string_view verb, query::Prepared& prepared,
                  std::ostream& out);
 
   SharedDatabase* db_;

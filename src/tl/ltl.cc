@@ -1,8 +1,7 @@
 #include "tl/ltl.h"
 
-#include <limits>
+#include <string>
 #include <utility>
-#include <vector>
 
 #include "util/numeric.h"
 
@@ -131,221 +130,152 @@ std::string TlFormula::ToString() const {
 
 namespace {
 
-constexpr std::int64_t kNoBound = std::numeric_limits<std::int64_t>::min();
+using query::Query;
+using query::QueryPtr;
+using query::Term;
+using Kind = TlFormula::Kind;
 
-Schema UnarySchema() { return Schema({"T"}, {}, {}); }
-
-GeneralizedRelation UniverseT() {
-  GeneralizedRelation out(UnarySchema());
-  Status s = out.AddTuple(GeneralizedTuple({Lrp::Make(0, 1)}));
-  (void)s;
-  return out;
+QueryPtr Le(const Term& a, const Term& b) {
+  return Query::Compare(a, CmpOp::kLe, b);
 }
 
-/// {t | exists u in S: lo <= u - t <= hi}, where either bound may be
-/// kNoBound (absent).  This one combinator yields F, P, and the bounded
-/// variants.
-Result<GeneralizedRelation> ExistsAtOffset(const GeneralizedRelation& s,
-                                           std::int64_t lo, std::int64_t hi,
-                                           const AlgebraOptions& options) {
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation u_named,
-                        Rename(s, {{"T", "U"}}));
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation pairs,
-                        CrossProduct(u_named, UniverseT(), options));
-  // Columns: U = 0, T = 1.
-  if (lo != kNoBound) {
-    // u - t >= lo  <=>  T <= U - lo.
-    ITDB_ASSIGN_OR_RETURN(std::int64_t b, CheckedSub(0, lo));
-    ITDB_ASSIGN_OR_RETURN(
-        pairs,
-        SelectTemporal(pairs, TemporalCondition{1, 0, CmpOp::kLe, b},
-                       options));
-  }
-  if (hi != kNoBound) {
-    // u - t <= hi  <=>  U <= T + hi.
-    ITDB_ASSIGN_OR_RETURN(
-        pairs,
-        SelectTemporal(pairs, TemporalCondition{0, 1, CmpOp::kLe, hi},
-                       options));
-  }
-  return Project(pairs, {"T"}, options);
-}
+/// One ToQuery call: bound variables are t1, t2, ... from a counter,
+/// skipping the free variable's name.
+struct Translator {
+  std::string free;
+  int next = 0;
 
-Result<GeneralizedRelation> Sat(const Database& db, const TlFormula& f,
-                                const AlgebraOptions& options);
-
-Result<GeneralizedRelation> SatNegated(const Database& db, const TlPtr& f,
-                                       const AlgebraOptions& options) {
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation inner, Sat(db, *f, options));
-  return Complement(inner, options);
-}
-
-/// Until / Since.  For Until (past = false):
-///   t |= a U b  iff  exists u >= t: b(u) and for all v in [t, u): a(v).
-/// Computed as Project_T( GOOD - BAD ) where
-///   GOOD = {(t,u) | u in Sat(b), t <= u}
-///   BAD  = {(t,u) | exists v: t <= v <= u-1, v not in Sat(a)}.
-Result<GeneralizedRelation> SatUntil(const Database& db, const TlFormula& f,
-                                     bool past,
-                                     const AlgebraOptions& options) {
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation sat_a, Sat(db, *f.left(), options));
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation sat_b,
-                        Sat(db, *f.right(), options));
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation not_a, Complement(sat_a, options));
-  // GOOD pairs.
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation b_named,
-                        Rename(sat_b, {{"T", "U"}}));
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation good,
-                        CrossProduct(b_named, UniverseT(), options));
-  {  // Columns: U = 0, T = 1.
-    TemporalCondition order = past ? TemporalCondition{0, 1, CmpOp::kLe, 0}
-                                   : TemporalCondition{1, 0, CmpOp::kLe, 0};
-    ITDB_ASSIGN_OR_RETURN(good, SelectTemporal(good, order, options));
-    ITDB_ASSIGN_OR_RETURN(good, Project(good, {"T", "U"}, options));
+  // EXISTS u . range(u) AND a(u), or FORALL u . range(u) -> a(u).
+  template <typename Range>
+  Result<QueryPtr> Quantify(bool forall, const TlFormula& a,
+                            const Range& range) {
+    Term u = Fresh();
+    ITDB_ASSIGN_OR_RETURN(QueryPtr body, At(a, u));
+    return forall ? Query::Forall(u.var, Query::Implies(range(u), body))
+                  : Query::Exists(u.var, Query::And(range(u), body));
   }
-  // BAD pairs: a violation strictly between t and u (exclusive of u for
-  // Until, exclusive of u for Since mirrored: v in (u, t]).
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation v_named,
-                        Rename(not_a, {{"T", "V"}}));
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation tu,
-                        CrossProduct(UniverseT(), v_named, options));
-  // Columns now: T = 0, V = 1.  Add U via another cross product.
-  GeneralizedRelation u_universe(Schema({"U"}, {}, {}));
-  ITDB_RETURN_IF_ERROR(
-      u_universe.AddTuple(GeneralizedTuple({Lrp::Make(0, 1)})));
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation triples,
-                        CrossProduct(tu, u_universe, options));
-  // Columns: T = 0, V = 1, U = 2.
-  if (!past) {
-    // t <= v <= u - 1.
-    ITDB_ASSIGN_OR_RETURN(
-        triples,
-        SelectTemporal(triples, TemporalCondition{0, 1, CmpOp::kLe, 0},
-                       options));
-    ITDB_ASSIGN_OR_RETURN(
-        triples,
-        SelectTemporal(triples, TemporalCondition{1, 2, CmpOp::kLe, -1},
-                       options));
-  } else {
-    // u + 1 <= v <= t.
-    ITDB_ASSIGN_OR_RETURN(
-        triples,
-        SelectTemporal(triples, TemporalCondition{2, 1, CmpOp::kLe, -1},
-                       options));
-    ITDB_ASSIGN_OR_RETURN(
-        triples,
-        SelectTemporal(triples, TemporalCondition{1, 0, CmpOp::kLe, 0},
-                       options));
-  }
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation bad,
-                        Project(triples, {"T", "U"}, options));
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation witnesses,
-                        Subtract(good, bad, options));
-  return Project(witnesses, {"T"}, options);
-}
 
-Result<GeneralizedRelation> Sat(const Database& db, const TlFormula& f,
-                                const AlgebraOptions& options) {
-  switch (f.kind()) {
-    case TlFormula::Kind::kProp: {
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation rel, db.Get(f.prop()));
-      if (rel.schema().temporal_arity() != 1 ||
-          rel.schema().data_arity() != 0) {
-        return Status::InvalidArgument(
-            "proposition \"" + f.prop() +
-            "\" must be a purely temporal unary relation");
+  Term Fresh() {
+    std::string name;
+    do {
+      name = "t" + std::to_string(++next);
+    } while (name == free);
+    return Term::Variable(std::move(name));
+  }
+
+  Result<QueryPtr> At(const TlFormula& f, const Term& x) {
+    switch (f.kind()) {
+      case Kind::kProp:
+        return Query::Atom(f.prop(), {x});
+      case Kind::kNot: {
+        ITDB_ASSIGN_OR_RETURN(QueryPtr a, At(*f.left(), x));
+        return Query::Not(std::move(a));
       }
-      return Rename(rel, {{rel.schema().temporal_name(0), "T"}});
-    }
-    case TlFormula::Kind::kNot:
-      return SatNegated(db, f.left(), options);
-    case TlFormula::Kind::kAnd: {
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation l, Sat(db, *f.left(), options));
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation r,
-                            Sat(db, *f.right(), options));
-      return Intersect(l, r, options);
-    }
-    case TlFormula::Kind::kOr: {
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation l, Sat(db, *f.left(), options));
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation r,
-                            Sat(db, *f.right(), options));
-      return Union(l, r, options);
-    }
-    case TlFormula::Kind::kNext: {
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation s, Sat(db, *f.left(), options));
-      return ShiftTemporalColumn(s, 0, -1);
-    }
-    case TlFormula::Kind::kPrev: {
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation s, Sat(db, *f.left(), options));
-      return ShiftTemporalColumn(s, 0, 1);
-    }
-    case TlFormula::Kind::kEventually: {
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation s, Sat(db, *f.left(), options));
-      return ExistsAtOffset(s, 0, kNoBound, options);
-    }
-    case TlFormula::Kind::kOnce: {
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation s, Sat(db, *f.left(), options));
-      return ExistsAtOffset(s, kNoBound, 0, options);
-    }
-    case TlFormula::Kind::kAlways: {
-      // G a == !F !a.
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation not_a,
-                            SatNegated(db, f.left(), options));
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation f_not_a,
-                            ExistsAtOffset(not_a, 0, kNoBound, options));
-      return Complement(f_not_a, options);
-    }
-    case TlFormula::Kind::kHistorically: {
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation not_a,
-                            SatNegated(db, f.left(), options));
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation p_not_a,
-                            ExistsAtOffset(not_a, kNoBound, 0, options));
-      return Complement(p_not_a, options);
-    }
-    case TlFormula::Kind::kEventuallyWithin: {
-      if (f.lo() > f.hi()) {
-        return Status::InvalidArgument("EventuallyWithin: lo > hi");
+      case Kind::kAnd:
+      case Kind::kOr: {
+        ITDB_ASSIGN_OR_RETURN(QueryPtr a, At(*f.left(), x));
+        ITDB_ASSIGN_OR_RETURN(QueryPtr b, At(*f.right(), x));
+        return f.kind() == Kind::kAnd ? Query::And(a, b) : Query::Or(a, b);
       }
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation s, Sat(db, *f.left(), options));
-      return ExistsAtOffset(s, f.lo(), f.hi(), options);
-    }
-    case TlFormula::Kind::kAlwaysWithin: {
-      if (f.lo() > f.hi()) {
-        return Status::InvalidArgument("AlwaysWithin: lo > hi");
+      case Kind::kNext:
+      case Kind::kPrev: {
+        Term shifted = x;
+        ITDB_ASSIGN_OR_RETURN(
+            shifted.number,
+            CheckedAdd(x.number, f.kind() == Kind::kNext ? 1 : -1));
+        return At(*f.left(), shifted);
       }
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation not_a,
-                            SatNegated(db, f.left(), options));
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation violated,
-                            ExistsAtOffset(not_a, f.lo(), f.hi(), options));
-      return Complement(violated, options);
+      case Kind::kEventually:
+      case Kind::kAlways:
+        return Quantify(f.kind() == Kind::kAlways, *f.left(),
+                        [&](const Term& u) { return Le(x, u); });
+      case Kind::kOnce:
+      case Kind::kHistorically:
+        return Quantify(f.kind() == Kind::kHistorically, *f.left(),
+                        [&](const Term& u) { return Le(u, x); });
+      case Kind::kEventuallyWithin:
+      case Kind::kAlwaysWithin: {
+        const bool always = f.kind() == Kind::kAlwaysWithin;
+        if (f.lo() > f.hi()) {
+          return Status::InvalidArgument(
+              std::string(always ? "AlwaysWithin" : "EventuallyWithin") +
+              ": lo > hi");
+        }
+        Term lo = x;
+        Term hi = x;
+        ITDB_ASSIGN_OR_RETURN(lo.number, CheckedAdd(x.number, f.lo()));
+        ITDB_ASSIGN_OR_RETURN(hi.number, CheckedAdd(x.number, f.hi()));
+        return Quantify(always, *f.left(), [&](const Term& u) {
+          return Query::And(Le(lo, u), Le(u, hi));
+        });
+      }
+      case Kind::kUntil:
+      case Kind::kSince: {
+        // a U b: EXISTS u . x <= u AND b(u) AND
+        //          FORALL v . (x <= v AND v < u) -> a(v); S mirrors it.
+        const bool past = f.kind() == Kind::kSince;
+        Term u = Fresh();
+        ITDB_ASSIGN_OR_RETURN(QueryPtr b, At(*f.right(), u));
+        ITDB_ASSIGN_OR_RETURN(
+            QueryPtr waiting, Quantify(true, *f.left(), [&](const Term& v) {
+              return past ? Query::And(Query::Compare(u, CmpOp::kLt, v),
+                                       Le(v, x))
+                          : Query::And(Le(x, v),
+                                       Query::Compare(v, CmpOp::kLt, u));
+            }));
+        return Query::Exists(
+            u.var, Query::And(Query::And(past ? Le(u, x) : Le(x, u), b),
+                              waiting));
+      }
     }
-    case TlFormula::Kind::kUntil:
-      return SatUntil(db, f, /*past=*/false, options);
-    case TlFormula::Kind::kSince:
-      return SatUntil(db, f, /*past=*/true, options);
+    return Status::InvalidArgument("unreachable formula kind");
   }
-  return Status::InvalidArgument("unreachable formula kind");
-}
+};
+
+// The variable every satisfaction set is defined over, and so its column.
+constexpr const char* kInstant = "T";
 
 }  // namespace
 
+Result<query::QueryPtr> ToQuery(const TlFormula& f, const query::Term& at) {
+  Translator translator{at.kind == Term::Kind::kVariable ? at.var : ""};
+  return translator.At(f, at);
+}
+
+Status CheckPropositions(const Database& db, const query::Query& q) {
+  if (q.kind() == Query::Kind::kAtom) {
+    ITDB_ASSIGN_OR_RETURN(GeneralizedRelation rel, db.Get(q.relation()));
+    if (rel.schema().temporal_arity() != 1 || rel.schema().data_arity() != 0) {
+      return Status::InvalidArgument(
+          "proposition \"" + q.relation() +
+          "\" must be a purely temporal unary relation");
+    }
+  }
+  for (const QueryPtr& child : {q.left(), q.right()}) {
+    if (child != nullptr) ITDB_RETURN_IF_ERROR(CheckPropositions(db, *child));
+  }
+  return Status::Ok();
+}
+
 Result<GeneralizedRelation> SatisfactionSet(const Database& db, const TlPtr& f,
-                                            const AlgebraOptions& options) {
-  return Sat(db, *f, options);
+                                            const query::QueryOptions& options) {
+  ITDB_ASSIGN_OR_RETURN(QueryPtr q, ToQuery(*f, Term::Variable(kInstant)));
+  ITDB_RETURN_IF_ERROR(CheckPropositions(db, *q));
+  return query::EvalQuery(db, q, options);
 }
 
 Result<bool> HoldsAt(const Database& db, const TlPtr& f, std::int64_t t,
-                     const AlgebraOptions& options) {
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation s, SatisfactionSet(db, f, options));
-  return s.Contains({{t}, {}});
+                     const query::QueryOptions& options) {
+  ITDB_ASSIGN_OR_RETURN(QueryPtr q, ToQuery(*f, Term::Int(t)));
+  ITDB_RETURN_IF_ERROR(CheckPropositions(db, *q));
+  return query::EvalBooleanQuery(db, q, options);
 }
 
 Result<bool> HoldsEverywhere(const Database& db, const TlPtr& f,
-                             const AlgebraOptions& options) {
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation s, SatisfactionSet(db, f, options));
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation gaps, Complement(s, options));
-  ITDB_ASSIGN_OR_RETURN(bool empty, IsEmpty(gaps, options));
-  return empty;
+                             const query::QueryOptions& options) {
+  ITDB_ASSIGN_OR_RETURN(QueryPtr q, ToQuery(*f, Term::Variable(kInstant)));
+  ITDB_RETURN_IF_ERROR(CheckPropositions(db, *q));
+  return query::EvalBooleanQuery(db, Query::Forall(kInstant, q), options);
 }
 
 }  // namespace tl

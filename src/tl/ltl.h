@@ -1,23 +1,25 @@
 // Point-based linear temporal logic over the infinite integer timeline,
-// evaluated by compilation to the Section 3 relational algebra.
+// evaluated as first-order queries (Section 4).
 //
 // The paper's introduction observes that "model-checking is essentially a
 // form of query evaluation on a special type of database".  This module
-// makes that concrete: atomic propositions are unary temporal relations of
+// makes that literal: atomic propositions are unary temporal relations of
 // a Database, and each temporal operator is a fixed first-order definition
-// over them, so the satisfaction set of any formula is itself a unary
-// generalized relation -- computed exactly, over all of Z, with no horizon.
+// over them (ToQuery), so the satisfaction set of any formula is the
+// result of one query -- computed exactly, over all of Z, with no horizon,
+// by the same pipeline (query/prepared.h) that answers `ask` and `query`.
 //
-// Operators (discrete time, both temporal directions):
-//   Prop(p)                   instants where relation p holds
+// Operators (discrete time, both temporal directions) and their definition
+// at the instant x (ALGORITHMS.md §6 has the full table):
+//   Prop(p)                   p(x)
 //   Not / And / Or            boolean structure
-//   Next / Prev               one step forward / backward
-//   Eventually / Always       unbounded future   (F / G)
-//   Once / Historically       unbounded past     (P / H)
-//   Until(a, b)               exists u >= t with b(u) and a on [t, u)
+//   Next / Prev               the subformula at x + 1 / x - 1
+//   Eventually / Always       EXISTS / FORALL u >= x        (F / G)
+//   Once / Historically       EXISTS / FORALL u <= x        (O / H)
+//   Until(a, b)               exists u >= x with b(u) and a on [x, u)
 //   Since(a, b)               past mirror of Until
-//   EventuallyWithin(a,l,h)   exists u in [t+l, t+h] with a(u)
-//   AlwaysWithin(a,l,h)       for all  u in [t+l, t+h], a(u)
+//   EventuallyWithin(a,l,h)   exists u in [x+l, x+h] with a(u)
+//   AlwaysWithin(a,l,h)       for all  u in [x+l, x+h], a(u)
 
 #ifndef ITDB_TL_LTL_H_
 #define ITDB_TL_LTL_H_
@@ -26,7 +28,9 @@
 #include <memory>
 #include <string>
 
-#include "core/algebra.h"
+#include "core/relation.h"
+#include "query/ast.h"
+#include "query/eval.h"
 #include "storage/database.h"
 #include "util/status.h"
 
@@ -103,19 +107,31 @@ class TlFormula {
   std::int64_t hi_ = 0;
 };
 
-/// The satisfaction set {t in Z | t |= f} as a unary generalized relation
-/// (column "T").  Every proposition must name a relation in `db` of
-/// temporal arity 1 and data arity 0.
-Result<GeneralizedRelation> SatisfactionSet(const Database& db, const TlPtr& f,
-                                            const AlgebraOptions& options = {});
+/// The first-order definition of `f` at `at` (a temporal variable with an
+/// offset, or an integer constant).  Its only free variable is `at`'s; the
+/// bound ones are t1, t2, ..., one per quantifier (sort inference rejects
+/// shadowing).  kInvalidArgument on a bounded operator with lo > hi,
+/// kOverflow when an offset leaves the 64-bit range.
+Result<query::QueryPtr> ToQuery(const TlFormula& f, const query::Term& at);
 
-/// Whether the formula holds at the single instant t.
+/// OK when every atom of `q` names a relation of `db` with one temporal
+/// column and no data column, as a proposition must; sort inference alone
+/// would read a data column as a data-sorted instant.
+Status CheckPropositions(const Database& db, const query::Query& q);
+
+/// The satisfaction set {t in Z | t |= f}: the relation (column "T") of
+/// ToQuery(f, T).
+Result<GeneralizedRelation> SatisfactionSet(
+    const Database& db, const TlPtr& f,
+    const query::QueryOptions& options = {});
+
+/// Whether the formula holds at the single instant t: ToQuery(f, t).
 Result<bool> HoldsAt(const Database& db, const TlPtr& f, std::int64_t t,
-                     const AlgebraOptions& options = {});
+                     const query::QueryOptions& options = {});
 
-/// Whether the formula holds at every instant (its satisfaction set is Z).
+/// Whether the formula holds at every instant: FORALL T . ToQuery(f, T).
 Result<bool> HoldsEverywhere(const Database& db, const TlPtr& f,
-                             const AlgebraOptions& options = {});
+                             const query::QueryOptions& options = {});
 
 }  // namespace tl
 }  // namespace itdb

@@ -225,6 +225,54 @@ TEST_F(SessionTest, StatsCountCommandsQueriesAndErrors) {
   EXPECT_EQ(session.stats().errors, 1);
 }
 
+// tlcheck and sat run the session's statement pipeline, so the session's
+// tuple budget binds them as it binds ask and query: a proposition with
+// more tuples than the budget fails both with the budget status.
+TEST_F(SessionTest, TemporalLogicVerbsObeyTheSessionTupleBudget) {
+  Session writer(&*shared_);
+  Status status;
+  Run(writer, "define relation p(T: time) { [2n]; [1+4n]; [3+8n]; }",
+      &status);
+  ASSERT_TRUE(status.ok()) << status;
+  SessionOptions options;
+  options.query.algebra.max_tuples = 2;
+  Session session(&*shared_, options);
+  for (const char* statement : {"sat p", "tlcheck G(p)"}) {
+    std::string out = Run(session, statement, &status);
+    EXPECT_EQ(status.code(), StatusCode::kResourceExhausted)
+        << statement << ": " << status << "\n" << out;
+    EXPECT_NE(status.message().find("exceeds 2 tuples"), std::string::npos)
+        << statement << ": " << status;
+  }
+}
+
+// tlcheck and sat answer byte-identically at every thread count, like
+// every other statement of the pipeline.
+TEST_F(SessionTest, TemporalLogicVerbsAnswerTheSameAtEveryThreadCount) {
+  const char* statements[] = {
+      "tlcheck G(P -> F[0,9](Q))", "tlcheck G(Q -> F[0,2](P))",
+      "sat F[0,3](P) & !Q",        "sat P U Q",
+      "sat H(!P) | O(Q & X(Q))",   "tlcheck G(F(P))",
+  };
+  std::string answers[2];
+  int slot = 0;
+  for (const char* threads : {"set threads 1", "set threads 4"}) {
+    Session session(&*shared_);
+    Status status;
+    Run(session, threads, &status);
+    ASSERT_TRUE(status.ok()) << status;
+    for (const char* statement : statements) {
+      answers[slot] += Run(session, statement, &status);
+      EXPECT_TRUE(status.ok()) << statement << ": " << status;
+    }
+    ++slot;
+  }
+  EXPECT_EQ(answers[0], answers[1]);
+  EXPECT_NE(answers[0].find("PASS"), std::string::npos) << answers[0];
+  EXPECT_NE(answers[0].find("FAIL: violated on"), std::string::npos);
+  EXPECT_NE(answers[0].find("relation sat(T: time)"), std::string::npos);
+}
+
 TEST_F(SessionTest, ExecuteMatchesShellOutputShapes) {
   // The session IS the shell's engine; spot-check the classic outputs.
   Session session(&*shared_);

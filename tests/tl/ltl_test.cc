@@ -1,5 +1,6 @@
 #include "tl/ltl.h"
 
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -235,6 +236,61 @@ TEST(LtlTest, HoldsAtSpotChecks) {
   EXPECT_FALSE(HoldsAt(db, F::Eventually(F::Prop("r")), 2).value());
 }
 
+// The yes/no path (HoldsAt: the closed formula at a constant instant)
+// agrees with the relation path (membership in SatisfactionSet) on every
+// formula this suite evaluates, at every instant of the window.
+TEST(LtlTest, HoldsAtAgreesWithSatisfactionSetMembership) {
+  Database db = TestDb();
+  const TlPtr p = F::Prop("p");
+  const TlPtr q = F::Prop("q");
+  const TlPtr r = F::Prop("r");
+  const TlPtr truth = F::Or(p, F::Not(p));
+  const TlPtr falsity = F::And(p, F::Not(p));
+  const TlPtr formulas[] = {
+      p,
+      F::Not(p),
+      F::And(p, q),
+      F::Or(p, r),
+      F::Next(p),
+      F::Prev(p),
+      F::Eventually(r),
+      F::Once(r),
+      F::Eventually(p),
+      F::Once(p),
+      F::Always(p),
+      F::Always(q),
+      F::Historically(q),
+      F::Always(F::Eventually(q)),
+      F::Eventually(F::Always(q)),
+      F::Always(F::Eventually(r)),
+      F::EventuallyWithin(p, 0, 3),
+      F::AlwaysWithin(q, 0, 1),
+      F::EventuallyWithin(r, -1, 0),
+      F::Until(q, p),
+      F::Since(q, p),
+      F::Until(r, p),
+      F::Always(F::Implies(r, F::EventuallyWithin(p, 0, 5))),
+      F::Always(F::Implies(r, F::EventuallyWithin(p, 0, 3))),
+      F::WeakUntil(q, p),
+      F::WeakUntil(truth, falsity),
+      F::Until(truth, falsity),
+      F::Release(r, q),
+      F::Not(F::Until(F::Not(r), F::Not(q))),
+  };
+  for (const TlPtr& f : formulas) {
+    Result<GeneralizedRelation> sat = SatisfactionSet(db, f);
+    ASSERT_TRUE(sat.ok()) << sat.status() << " for " << f->ToString();
+    for (std::int64_t t = kLo; t <= kHi; ++t) {
+      Result<bool> holds = HoldsAt(db, f, t);
+      ASSERT_TRUE(holds.ok()) << holds.status() << " for " << f->ToString();
+      EXPECT_EQ(holds.value(), sat.value().Contains({{t}, {}}))
+          << f->ToString() << " at " << t;
+    }
+  }
+  // A bounded operator with lo > hi fails on both paths.
+  EXPECT_FALSE(HoldsAt(db, F::EventuallyWithin(p, 3, 1), 0).ok());
+}
+
 TEST(LtlTest, PropMustBeUnaryTemporal) {
   Result<Database> db = Database::FromText(R"(
     relation Pair(A: time, B: time) { [n, n]; }
@@ -244,6 +300,34 @@ TEST(LtlTest, PropMustBeUnaryTemporal) {
   EXPECT_FALSE(SatisfactionSet(db.value(), F::Prop("Pair")).ok());
   EXPECT_FALSE(SatisfactionSet(db.value(), F::Prop("WithData")).ok());
   EXPECT_FALSE(SatisfactionSet(db.value(), F::Prop("Missing")).ok());
+}
+
+// The translation is the first-order definition of each operator, with
+// fresh bound names t1, t2, ... that skip the free variable's name.
+TEST(LtlTest, ToQueryStatesTheFirstOrderDefinition) {
+  const query::Term at = query::Term::Variable("T");
+  auto text = [](Result<query::QueryPtr> q) {
+    EXPECT_TRUE(q.ok()) << q.status();
+    return q.ok() ? q.value()->ToString() : "";
+  };
+  EXPECT_EQ(text(ToQuery(*F::Always(F::Prop("p")), at)),
+            "FORALL t1 . ((NOT (T <= t1) OR p(t1)))");
+  EXPECT_EQ(text(ToQuery(*F::Until(F::Prop("p"), F::Prop("q")), at)),
+            "EXISTS t1 . (((T <= t1 AND q(t1)) AND FORALL t2 . ((NOT ((T <= "
+            "t2 AND t2 < t1)) OR p(t2)))))");
+  EXPECT_EQ(
+      text(ToQuery(*F::EventuallyWithin(F::Next(F::Prop("p")), 1, 3), at)),
+      "EXISTS t1 . (((T + 1 <= t1 AND t1 <= T + 3) AND p(t1 + 1)))");
+  EXPECT_EQ(text(ToQuery(*F::Always(F::Prop("p")),
+                         query::Term::Variable("t1"))),
+            "FORALL t2 . ((NOT (t1 <= t2) OR p(t2)))");
+  EXPECT_EQ(text(ToQuery(*F::Next(F::Prop("p")), query::Term::Int(4))),
+            "p(5)");
+  EXPECT_EQ(ToQuery(*F::Next(F::Prop("p")),
+                    query::Term::Int(std::numeric_limits<std::int64_t>::max()))
+                .status()
+                .code(),
+            StatusCode::kOverflow);
 }
 
 TEST(LtlTest, ToStringReadable) {

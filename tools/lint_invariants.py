@@ -28,6 +28,11 @@ Checks, over src/ (and where noted, tests/):
      implementation each, and a second switch over the operators is a
      copy that drifts (the relation text parser once compiled `>` between
      two columns wrongly that way).
+  8. no file under src/tl/ includes core/algebra.h or calls an algebra
+     operator (Complement, Project, Join, ... -- the operators of
+     core/algebra.h): temporal logic is evaluated by translation to a
+     first-order query (tl/ltl.h), so a second evaluator beside
+     query::Prepared cannot grow back there.
 
 Exit status 0 = clean, 1 = findings (printed one per line), 2 = misuse.
 """
@@ -199,6 +204,36 @@ def check_cmp_switch_in_one_module(root: Path, findings: list[str]) -> None:
                     )
 
 
+ALGEBRA_INCLUDE_RE = re.compile(r'#include\s+"core/algebra\.h"')
+ALGEBRA_OPS = (
+    "Complement|ComplementWithDataDomains|CrossProduct|Equivalent|"
+    "FindTemporalWitness|FindWitness|Intersect|IsEmpty|Join|Project|Rename|"
+    "SelectData|SelectDataEqColumns|SelectTemporal|ShiftTemporalColumn|"
+    "Subset|Subtract|TupleIsEmpty|Union"
+)
+# An unqualified or itdb::-qualified call; members (x.Join, Query::Join)
+# are other functions of the same name.
+ALGEBRA_CALL_RE = re.compile(
+    rf"(?:(?<![\w.>:])|(?<=itdb::))(?:{ALGEBRA_OPS})\s*\("
+)
+
+
+def check_tl_has_no_algebra(src: Path, findings: list[str]) -> None:
+    tl = src / "tl"
+    for cc in sorted(list(tl.rglob("*.cc")) + list(tl.rglob("*.h"))):
+        for lineno, raw in enumerate(cc.read_text().splitlines(), 1):
+            if ALGEBRA_INCLUDE_RE.search(raw):
+                findings.append(
+                    f"{cc}:{lineno}: src/tl/ includes core/algebra.h "
+                    f"(translate to a query instead): {raw.strip()}"
+                )
+            elif ALGEBRA_CALL_RE.search(strip_comments_and_strings(raw)):
+                findings.append(
+                    f"{cc}:{lineno}: algebra operator called in src/tl/ "
+                    f"(translate to a query instead): {raw.strip()}"
+                )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -219,6 +254,7 @@ def main() -> int:
     check_diag_codes_documented(args.root, src, findings)
     check_metric_names_unique(src, findings)
     check_cmp_switch_in_one_module(args.root, findings)
+    check_tl_has_no_algebra(src, findings)
 
     for finding in findings:
         print(finding)
