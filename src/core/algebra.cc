@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <span>
 #include <string>
 #include <utility>
@@ -202,110 +203,254 @@ std::vector<std::size_t> TouchedRows(
   return touched;
 }
 
-/// Indexed pair scan (core/index.h): partition b on all data columns, then
-/// reject candidate pairs with the O(1) residue and hull prefilters before
-/// paying lrp intersection + conjunction, and close the conjunction
-/// incrementally from ta's cached closed matrix.  Bit-identical to the
-/// naive double loop: buckets enumerate exactly the pairs whose data values
-/// match, in the naive order; prefilter-rejected pairs are exactly those
-/// GeneralizedTuple::Intersect maps to nullopt; and the incremental
-/// conjunction reproduces the naive closure's matrix and status.
-Result<GeneralizedRelation> IntersectIndexed(const GeneralizedRelation& a,
-                                             const GeneralizedRelation& b,
-                                             const AlgebraOptions& options) {
-  const int m = a.schema().temporal_arity();
-  std::vector<int> key_cols(static_cast<std::size_t>(a.schema().data_arity()));
-  for (std::size_t i = 0; i < key_cols.size(); ++i) {
-    key_cols[i] = static_cast<int>(i);
+/// The pairwise step Section 3 builds both intersection and natural join
+/// from: for every pair of tuples that agree on the matched data columns,
+/// the CRT intersection of the matched lrps and the closed conjunction of
+/// the two constraint systems.  A pair with disjoint lrps or an infeasible
+/// conjunction contributes nothing.  b_temporal_match[j] (b_data_match[j])
+/// is the column of `a` that b's temporal (data) column j meets, or -1 when
+/// the column is new; the output holds a's columns, then b's new ones, and
+/// its tuples come in the naive double loop's order (a's rows outer).  `op`
+/// names the operation in budget messages.
+///
+/// With options.use_index the scan is indexed (core/index.h): b is
+/// partitioned on its matched data columns, the O(1) residue and hull
+/// prefilters reject candidate pairs on the matched temporal columns, and
+/// the conjunction closes incrementally from a's cached closed matrix.
+/// Bit-identical to the naive loop: buckets enumerate exactly the pairs
+/// whose data values match, in the naive order; a prefilter rejects only
+/// pairs the naive loop drops; and ConjoinOntoClosed reproduces the naive
+/// closure's matrix and status.
+Result<GeneralizedRelation> JoinKernel(const GeneralizedRelation& a,
+                                       const GeneralizedRelation& b,
+                                       const std::vector<int>& b_temporal_match,
+                                       const std::vector<int>& b_data_match,
+                                       const AlgebraOptions& options,
+                                       const char* op) {
+  const Schema& sa = a.schema();
+  const Schema& sb = b.schema();
+  const int ma = sa.temporal_arity();
+  const int mb = sb.temporal_arity();
+  // Output schema: all of a's attributes, then b's non-shared ones.
+  std::vector<std::string> temporal_names = sa.temporal_names();
+  std::vector<int> b_new_temporal;  // b columns appended, with new indices.
+  for (int j = 0; j < mb; ++j) {
+    if (b_temporal_match[static_cast<std::size_t>(j)] < 0) {
+      b_new_temporal.push_back(j);
+      temporal_names.push_back(sb.temporal_name(j));
+    }
   }
-  DataKeyIndex index(b, key_cols);
-  // One probe pass (see JoinIndexed): the candidate spans feed the budget
-  // count, the touched-row discovery, and the pair scan.
-  std::vector<std::span<const std::size_t>> a_buckets(a.tuples().size());
-  std::int64_t candidates = 0;
-  for (std::size_t i = 0; i < a.tuples().size(); ++i) {
-    a_buckets[i] = index.Candidates(a.tuples()[i], key_cols);
-    candidates += static_cast<std::int64_t>(a_buckets[i].size());
+  std::vector<std::string> data_names = sa.data_names();
+  std::vector<DataType> data_types = sa.data_types();
+  std::vector<int> b_new_data;
+  for (int j = 0; j < sb.data_arity(); ++j) {
+    if (b_data_match[static_cast<std::size_t>(j)] < 0) {
+      b_new_data.push_back(j);
+      data_names.push_back(sb.data_name(j));
+      data_types.push_back(sb.data_type(j));
+    }
   }
-  BumpCounter(&KernelCounters::pairs_total, options,
-              static_cast<std::int64_t>(a.size()) * b.size());
-  BumpCounter(&KernelCounters::pairs_candidate, options, candidates);
-  ITDB_RETURN_IF_ERROR(CheckBudget(candidates, options, "Intersect"));
-  // Hoist hulls only for the b rows some bucket reaches.
-  std::vector<std::int64_t> slot;
-  const std::vector<std::size_t> touched = TouchedRows(a_buckets, b, slot);
-  std::vector<TemporalHull> hull_b;
-  hull_b.reserve(touched.size());
-  for (std::size_t j : touched) {
-    hull_b.push_back(TemporalHull::Of(b.tuples()[j]));
+  Schema schema(temporal_names, data_names, data_types);
+  const int m_out = static_cast<int>(temporal_names.size());
+  // Where does b's temporal column j land in the output?
+  std::vector<int> b_temporal_target(static_cast<std::size_t>(mb), -1);
+  for (int j = 0; j < mb; ++j) {
+    int match = b_temporal_match[static_cast<std::size_t>(j)];
+    if (match >= 0) {
+      b_temporal_target[static_cast<std::size_t>(j)] = match;
+    }
   }
-  std::vector<std::pair<int, int>> hull_cols;
-  hull_cols.reserve(static_cast<std::size_t>(m));
-  for (int i = 0; i < m; ++i) hull_cols.emplace_back(i, i);
-  ITDB_ASSIGN_OR_RETURN(
-      std::vector<GeneralizedTuple> tuples,
-      ParallelAppend<GeneralizedTuple>(
-          static_cast<std::int64_t>(a.size()),
-          ParallelOptions{options.threads, /*grain=*/16},
-          [&](std::int64_t i, std::vector<GeneralizedTuple>& row) -> Status {
-            const GeneralizedTuple& ta =
-                a.tuples()[static_cast<std::size_t>(i)];
-            const std::span<const std::size_t> bucket =
-                a_buckets[static_cast<std::size_t>(i)];
-            if (bucket.empty()) return Status::Ok();
-            TemporalHull ha = TemporalHull::Of(ta);
-            for (std::size_t j : bucket) {
-              const GeneralizedTuple& tb = b.tuples()[j];
-              bool residue_empty = false;
-              for (int col = 0; col < m; ++col) {
-                if (LrpIntersectionEmpty(ta.lrp(col), tb.lrp(col))) {
-                  residue_empty = true;
-                  break;
+  for (std::size_t pos = 0; pos < b_new_temporal.size(); ++pos) {
+    b_temporal_target[static_cast<std::size_t>(b_new_temporal[pos])] =
+        ma + static_cast<int>(pos);
+  }
+  // Shared data columns drive the hash partition; shared temporal columns
+  // drive the prefilters.
+  std::vector<int> a_key_cols;
+  std::vector<int> b_key_cols;
+  for (int j = 0; j < sb.data_arity(); ++j) {
+    int i = b_data_match[static_cast<std::size_t>(j)];
+    if (i >= 0) {
+      a_key_cols.push_back(i);
+      b_key_cols.push_back(j);
+    }
+  }
+  std::vector<std::pair<int, int>> shared_temporal;  // (a column, b column)
+  for (int j = 0; j < mb; ++j) {
+    int match = b_temporal_match[static_cast<std::size_t>(j)];
+    if (match >= 0) shared_temporal.emplace_back(match, j);
+  }
+  // The per-pair lrp intersection over shared columns, writing into the
+  // output lrp vector.  Sets `temporal_ok` false on a disjoint pair.
+  auto intersect_shared = [&](const GeneralizedTuple& ta,
+                              const GeneralizedTuple& tb,
+                              std::vector<Lrp>& lrps,
+                              bool& temporal_ok) -> Status {
+    temporal_ok = true;
+    for (int j = 0; j < mb && temporal_ok; ++j) {
+      int target = b_temporal_target[static_cast<std::size_t>(j)];
+      int match = b_temporal_match[static_cast<std::size_t>(j)];
+      if (match >= 0) {
+        ITDB_ASSIGN_OR_RETURN(std::optional<Lrp> inter,
+                              Lrp::Intersect(ta.lrp(match), tb.lrp(j)));
+        if (!inter.has_value()) {
+          temporal_ok = false;
+          break;
+        }
+        lrps[static_cast<std::size_t>(target)] = *inter;
+      } else {
+        lrps[static_cast<std::size_t>(target)] = tb.lrp(j);
+      }
+    }
+    return Status::Ok();
+  };
+  std::vector<GeneralizedTuple> tuples;
+  if (options.use_index) {
+    DataKeyIndex index(b, b_key_cols);
+    // Probe every outer row once: the stored candidate spans drive the
+    // budget count, the touched-row discovery, AND the pair scan, instead
+    // of re-probing the index in each of those passes.
+    std::vector<std::span<const std::size_t>> a_buckets(a.tuples().size());
+    std::int64_t candidates = 0;
+    for (std::size_t i = 0; i < a.tuples().size(); ++i) {
+      a_buckets[i] = index.Candidates(a.tuples()[i], a_key_cols);
+      candidates += static_cast<std::int64_t>(a_buckets[i].size());
+    }
+    BumpCounter(&KernelCounters::pairs_total, options,
+                static_cast<std::int64_t>(a.size()) * b.size());
+    BumpCounter(&KernelCounters::pairs_candidate, options, candidates);
+    ITDB_RETURN_IF_ERROR(CheckBudget(candidates, options, op));
+    // Per-b-tuple hulls and output-space constraint matrices, hoisted out
+    // of the pair loop (both depend only on tb) for the rows some bucket
+    // reaches.  slot[j] maps a b row to its entry in hull_b / cb_mapped.
+    std::vector<std::int64_t> slot;
+    const std::vector<std::size_t> touched = TouchedRows(a_buckets, b, slot);
+    std::vector<TemporalHull> hull_b;
+    std::vector<Dbm> cb_mapped;
+    hull_b.reserve(touched.size());
+    cb_mapped.reserve(touched.size());
+    for (std::size_t j : touched) {
+      const GeneralizedTuple& tb = b.tuples()[j];
+      hull_b.push_back(TemporalHull::Of(tb));
+      cb_mapped.push_back(
+          tb.constraints().MapVariables(b_temporal_target, m_out));
+    }
+    ITDB_ASSIGN_OR_RETURN(
+        tuples,
+        ParallelAppend<GeneralizedTuple>(
+            static_cast<std::int64_t>(a.size()),
+            ParallelOptions{options.threads, /*grain=*/16},
+            [&](std::int64_t row, std::vector<GeneralizedTuple>& part)
+                -> Status {
+              const GeneralizedTuple& ta =
+                  a.tuples()[static_cast<std::size_t>(row)];
+              const std::span<const std::size_t> bucket =
+                  a_buckets[static_cast<std::size_t>(row)];
+              if (bucket.empty()) return Status::Ok();
+              TemporalHull ha = TemporalHull::Of(ta);
+              std::optional<Dbm> ca_ext;
+              if (ha.usable()) {
+                ca_ext = ha.closed->AppendVariablesClosed(m_out - ma);
+              }
+              for (std::size_t j : bucket) {
+                const GeneralizedTuple& tb = b.tuples()[j];
+                bool residue_empty = false;
+                for (const auto& [ca_col, cb_col] : shared_temporal) {
+                  if (LrpIntersectionEmpty(ta.lrp(ca_col), tb.lrp(cb_col))) {
+                    residue_empty = true;
+                    break;
+                  }
                 }
-              }
-              if (residue_empty) {
-                BumpCounter(&KernelCounters::pairs_pruned_residue, options, 1);
-                continue;
-              }
-              const TemporalHull& hb =
-                  hull_b[static_cast<std::size_t>(slot[j])];
-              if (ha.infeasible || hb.infeasible ||
-                  HullsDisjoint(ha, hb, hull_cols)) {
-                BumpCounter(&KernelCounters::pairs_pruned_hull, options, 1);
-                continue;
-              }
-              if (!ha.usable() || !hb.usable()) {
-                // A tuple's own closure overflowed: take the naive pair
-                // kernel so any status it reports is reproduced exactly.
-                ITDB_ASSIGN_OR_RETURN(std::optional<GeneralizedTuple> t,
-                                      GeneralizedTuple::Intersect(ta, tb));
-                if (t.has_value()) row.push_back(std::move(*t));
-                continue;
-              }
-              std::vector<Lrp> lrps;
-              lrps.reserve(static_cast<std::size_t>(m));
-              bool empty = false;
-              for (int col = 0; col < m && !empty; ++col) {
-                ITDB_ASSIGN_OR_RETURN(std::optional<Lrp> x,
-                                      Lrp::Intersect(ta.lrp(col), tb.lrp(col)));
-                if (!x.has_value()) {
-                  empty = true;  // Unreachable after the residue prefilter.
-                  break;
+                if (residue_empty) {
+                  BumpCounter(&KernelCounters::pairs_pruned_residue, options,
+                              1);
+                  continue;
                 }
-                lrps.push_back(*x);
+                const TemporalHull& hb =
+                    hull_b[static_cast<std::size_t>(slot[j])];
+                if (ha.infeasible || hb.infeasible ||
+                    HullsDisjoint(ha, hb, shared_temporal)) {
+                  BumpCounter(&KernelCounters::pairs_pruned_hull, options, 1);
+                  continue;
+                }
+                std::vector<Lrp> lrps = ta.temporal();
+                lrps.resize(static_cast<std::size_t>(m_out));
+                bool temporal_ok = true;
+                ITDB_RETURN_IF_ERROR(
+                    intersect_shared(ta, tb, lrps, temporal_ok));
+                if (!temporal_ok) continue;
+                std::vector<Value> data = ta.data();
+                for (int j2 : b_new_data) data.push_back(tb.value(j2));
+                GeneralizedTuple t(std::move(lrps), std::move(data));
+                Dbm merged(m_out);
+                const Dbm& cb = cb_mapped[static_cast<std::size_t>(slot[j])];
+                if (ca_ext.has_value()) {
+                  ITDB_ASSIGN_OR_RETURN(
+                      merged,
+                      ConjoinOntoClosed(*ca_ext, cb, options.counters));
+                } else {
+                  // ta's own closure overflowed: replay the naive kernel so
+                  // its status is reproduced exactly.
+                  Dbm ca = ta.constraints().AppendVariables(m_out - ma);
+                  merged = Dbm::Conjoin(ca, cb);
+                  ITDB_RETURN_IF_ERROR(merged.Close());
+                }
+                if (!merged.feasible()) continue;
+                t.set_constraints(std::move(merged));
+                part.push_back(std::move(t));
               }
-              if (empty) continue;
-              ITDB_ASSIGN_OR_RETURN(
-                  Dbm merged, ConjoinOntoClosed(*ha.closed, tb.constraints(),
-                                                options.counters));
-              if (!merged.feasible()) continue;
-              GeneralizedTuple t(std::move(lrps), ta.data());
-              t.set_constraints(std::move(merged));
-              row.push_back(std::move(t));
-            }
-            return Status::Ok();
-          }));
-  GeneralizedRelation out(a.schema());
+              return Status::Ok();
+            }));
+  } else {
+    ITDB_RETURN_IF_ERROR(
+        CheckBudget(static_cast<std::int64_t>(a.size()) * b.size(), options,
+                    op));
+    // Tuple-pair matching is independent per pair; fan the rows of `a` out
+    // over the thread pool.  Per-row buffers keep b's order within each row
+    // and merge in row order: byte-identical to the sequential double loop.
+    ITDB_ASSIGN_OR_RETURN(
+        tuples,
+        ParallelAppend<GeneralizedTuple>(
+            static_cast<std::int64_t>(a.size()),
+            ParallelOptions{options.threads, /*grain=*/16},
+            [&](std::int64_t row, std::vector<GeneralizedTuple>& part)
+                -> Status {
+              const GeneralizedTuple& ta =
+                  a.tuples()[static_cast<std::size_t>(row)];
+              for (const GeneralizedTuple& tb : b.tuples()) {
+                // Shared data attributes must agree.
+                bool data_ok = true;
+                for (int j = 0; j < sb.data_arity(); ++j) {
+                  int i = b_data_match[static_cast<std::size_t>(j)];
+                  if (i >= 0 && ta.value(i) != tb.value(j)) {
+                    data_ok = false;
+                    break;
+                  }
+                }
+                if (!data_ok) continue;
+                // Shared temporal attributes: lrp intersection.
+                std::vector<Lrp> lrps = ta.temporal();
+                lrps.resize(static_cast<std::size_t>(m_out));
+                bool temporal_ok = true;
+                ITDB_RETURN_IF_ERROR(
+                    intersect_shared(ta, tb, lrps, temporal_ok));
+                if (!temporal_ok) continue;
+                std::vector<Value> data = ta.data();
+                for (int j : b_new_data) data.push_back(tb.value(j));
+                GeneralizedTuple t(std::move(lrps), std::move(data));
+                Dbm ca = ta.constraints().AppendVariables(m_out - ma);
+                Dbm cb =
+                    tb.constraints().MapVariables(b_temporal_target, m_out);
+                Dbm merged = Dbm::Conjoin(ca, cb);
+                ITDB_RETURN_IF_ERROR(merged.Close());
+                if (!merged.feasible()) continue;
+                t.set_constraints(std::move(merged));
+                part.push_back(std::move(t));
+              }
+              return Status::Ok();
+            }));
+  }
+  GeneralizedRelation out(std::move(schema));
   for (GeneralizedTuple& t : tuples) {
     ITDB_RETURN_IF_ERROR(out.AddTuple(std::move(t)));
   }
@@ -319,33 +464,14 @@ Result<GeneralizedRelation> Intersect(const GeneralizedRelation& a,
                                       const AlgebraOptions& options) {
   obs::Span span = OpSpan(options, "Intersect", &a, &b);
   ITDB_RETURN_IF_ERROR(CheckSameSchema(a, b, "Intersect"));
-  if (options.use_index) return IntersectIndexed(a, b, options);
-  ITDB_RETURN_IF_ERROR(
-      CheckBudget(static_cast<std::int64_t>(a.size()) * b.size(), options,
-                  "Intersect"));
-  // Pair intersections are independent; fan the rows of `a` out over the
-  // thread pool.  Per-row buffers merge in row order, so the tuple sequence
-  // matches the sequential double loop exactly.
-  ITDB_ASSIGN_OR_RETURN(
-      std::vector<GeneralizedTuple> tuples,
-      ParallelAppend<GeneralizedTuple>(
-          static_cast<std::int64_t>(a.size()),
-          ParallelOptions{options.threads, /*grain=*/16},
-          [&](std::int64_t i, std::vector<GeneralizedTuple>& row) -> Status {
-            const GeneralizedTuple& ta =
-                a.tuples()[static_cast<std::size_t>(i)];
-            for (const GeneralizedTuple& tb : b.tuples()) {
-              ITDB_ASSIGN_OR_RETURN(std::optional<GeneralizedTuple> t,
-                                    GeneralizedTuple::Intersect(ta, tb));
-              if (t.has_value()) row.push_back(std::move(*t));
-            }
-            return Status::Ok();
-          }));
-  GeneralizedRelation out(a.schema());
-  for (GeneralizedTuple& t : tuples) {
-    ITDB_RETURN_IF_ERROR(out.AddTuple(std::move(t)));
-  }
-  return out;
+  // Over one schema every column is shared, position for position: the
+  // intersection is the natural join of the two relations.
+  std::vector<int> temporal(
+      static_cast<std::size_t>(a.schema().temporal_arity()));
+  std::iota(temporal.begin(), temporal.end(), 0);
+  std::vector<int> data(static_cast<std::size_t>(a.schema().data_arity()));
+  std::iota(data.begin(), data.end(), 0);
+  return JoinKernel(a, b, temporal, data, options, "Intersect");
 }
 
 Result<GeneralizedRelation> Subtract(const GeneralizedRelation& a,
@@ -1088,7 +1214,6 @@ Result<GeneralizedRelation> Join(const GeneralizedRelation& a,
   // Identify shared attributes by name.
   const Schema& sa = a.schema();
   const Schema& sb = b.schema();
-  const int ma = sa.temporal_arity();
   const int mb = sb.temporal_arity();
   // For each of b's temporal columns: matching column of a, or -1.
   std::vector<int> b_temporal_match(static_cast<std::size_t>(mb), -1);
@@ -1108,230 +1233,7 @@ Result<GeneralizedRelation> Join(const GeneralizedRelation& a,
       }
     }
   }
-  // Output schema: all of a's attributes, then b's non-shared ones.
-  std::vector<std::string> temporal_names = sa.temporal_names();
-  std::vector<int> b_new_temporal;  // b columns appended, with new indices.
-  for (int j = 0; j < mb; ++j) {
-    if (b_temporal_match[static_cast<std::size_t>(j)] < 0) {
-      b_new_temporal.push_back(j);
-      temporal_names.push_back(sb.temporal_name(j));
-    }
-  }
-  std::vector<std::string> data_names = sa.data_names();
-  std::vector<DataType> data_types = sa.data_types();
-  std::vector<int> b_new_data;
-  for (int j = 0; j < sb.data_arity(); ++j) {
-    if (b_data_match[static_cast<std::size_t>(j)] < 0) {
-      b_new_data.push_back(j);
-      data_names.push_back(sb.data_name(j));
-      data_types.push_back(sb.data_type(j));
-    }
-  }
-  Schema schema(temporal_names, data_names, data_types);
-  const int m_out = static_cast<int>(temporal_names.size());
-  // Where does b's temporal column j land in the output?
-  std::vector<int> b_temporal_target(static_cast<std::size_t>(mb), -1);
-  for (int j = 0; j < mb; ++j) {
-    int match = b_temporal_match[static_cast<std::size_t>(j)];
-    if (match >= 0) {
-      b_temporal_target[static_cast<std::size_t>(j)] = match;
-    }
-  }
-  for (std::size_t pos = 0; pos < b_new_temporal.size(); ++pos) {
-    b_temporal_target[static_cast<std::size_t>(b_new_temporal[pos])] =
-        ma + static_cast<int>(pos);
-  }
-  // Shared data columns drive the hash partition; shared temporal columns
-  // drive the prefilters.
-  std::vector<int> a_key_cols;
-  std::vector<int> b_key_cols;
-  for (int j = 0; j < sb.data_arity(); ++j) {
-    int i = b_data_match[static_cast<std::size_t>(j)];
-    if (i >= 0) {
-      a_key_cols.push_back(i);
-      b_key_cols.push_back(j);
-    }
-  }
-  std::vector<std::pair<int, int>> shared_temporal;  // (a column, b column)
-  for (int j = 0; j < mb; ++j) {
-    int match = b_temporal_match[static_cast<std::size_t>(j)];
-    if (match >= 0) shared_temporal.emplace_back(match, j);
-  }
-  // The per-pair lrp intersection over shared columns, writing into the
-  // output lrp vector.  Sets `temporal_ok` false on a disjoint pair.
-  auto intersect_shared = [&](const GeneralizedTuple& ta,
-                              const GeneralizedTuple& tb,
-                              std::vector<Lrp>& lrps,
-                              bool& temporal_ok) -> Status {
-    temporal_ok = true;
-    for (int j = 0; j < mb && temporal_ok; ++j) {
-      int target = b_temporal_target[static_cast<std::size_t>(j)];
-      int match = b_temporal_match[static_cast<std::size_t>(j)];
-      if (match >= 0) {
-        ITDB_ASSIGN_OR_RETURN(std::optional<Lrp> inter,
-                              Lrp::Intersect(ta.lrp(match), tb.lrp(j)));
-        if (!inter.has_value()) {
-          temporal_ok = false;
-          break;
-        }
-        lrps[static_cast<std::size_t>(target)] = *inter;
-      } else {
-        lrps[static_cast<std::size_t>(target)] = tb.lrp(j);
-      }
-    }
-    return Status::Ok();
-  };
-  std::vector<GeneralizedTuple> tuples;
-  if (options.use_index) {
-    DataKeyIndex index(b, b_key_cols);
-    // Probe every outer row once: the stored candidate spans drive the
-    // budget count, the touched-row discovery, AND the pair scan, instead
-    // of re-probing the index in each of those passes.
-    std::vector<std::span<const std::size_t>> a_buckets(a.tuples().size());
-    std::int64_t candidates = 0;
-    for (std::size_t i = 0; i < a.tuples().size(); ++i) {
-      a_buckets[i] = index.Candidates(a.tuples()[i], a_key_cols);
-      candidates += static_cast<std::int64_t>(a_buckets[i].size());
-    }
-    BumpCounter(&KernelCounters::pairs_total, options,
-                static_cast<std::int64_t>(a.size()) * b.size());
-    BumpCounter(&KernelCounters::pairs_candidate, options, candidates);
-    ITDB_RETURN_IF_ERROR(CheckBudget(candidates, options, "Join"));
-    // Per-b-tuple hulls and output-space constraint matrices, hoisted out
-    // of the pair loop (both depend only on tb) for the rows some bucket
-    // reaches.  slot[j] maps a b row to its entry in hull_b / cb_mapped.
-    std::vector<std::int64_t> slot;
-    const std::vector<std::size_t> touched = TouchedRows(a_buckets, b, slot);
-    std::vector<TemporalHull> hull_b;
-    std::vector<Dbm> cb_mapped;
-    hull_b.reserve(touched.size());
-    cb_mapped.reserve(touched.size());
-    for (std::size_t j : touched) {
-      const GeneralizedTuple& tb = b.tuples()[j];
-      hull_b.push_back(TemporalHull::Of(tb));
-      cb_mapped.push_back(
-          tb.constraints().MapVariables(b_temporal_target, m_out));
-    }
-    ITDB_ASSIGN_OR_RETURN(
-        tuples,
-        ParallelAppend<GeneralizedTuple>(
-            static_cast<std::int64_t>(a.size()),
-            ParallelOptions{options.threads, /*grain=*/16},
-            [&](std::int64_t row, std::vector<GeneralizedTuple>& part)
-                -> Status {
-              const GeneralizedTuple& ta =
-                  a.tuples()[static_cast<std::size_t>(row)];
-              const std::span<const std::size_t> bucket =
-                  a_buckets[static_cast<std::size_t>(row)];
-              if (bucket.empty()) return Status::Ok();
-              TemporalHull ha = TemporalHull::Of(ta);
-              std::optional<Dbm> ca_ext;
-              if (ha.usable()) {
-                ca_ext = ha.closed->AppendVariablesClosed(m_out - ma);
-              }
-              for (std::size_t j : bucket) {
-                const GeneralizedTuple& tb = b.tuples()[j];
-                bool residue_empty = false;
-                for (const auto& [ca_col, cb_col] : shared_temporal) {
-                  if (LrpIntersectionEmpty(ta.lrp(ca_col), tb.lrp(cb_col))) {
-                    residue_empty = true;
-                    break;
-                  }
-                }
-                if (residue_empty) {
-                  BumpCounter(&KernelCounters::pairs_pruned_residue, options,
-                              1);
-                  continue;
-                }
-                const TemporalHull& hb =
-                    hull_b[static_cast<std::size_t>(slot[j])];
-                if (ha.infeasible || hb.infeasible ||
-                    HullsDisjoint(ha, hb, shared_temporal)) {
-                  BumpCounter(&KernelCounters::pairs_pruned_hull, options, 1);
-                  continue;
-                }
-                std::vector<Lrp> lrps = ta.temporal();
-                lrps.resize(static_cast<std::size_t>(m_out));
-                bool temporal_ok = true;
-                ITDB_RETURN_IF_ERROR(
-                    intersect_shared(ta, tb, lrps, temporal_ok));
-                if (!temporal_ok) continue;
-                std::vector<Value> data = ta.data();
-                for (int j2 : b_new_data) data.push_back(tb.value(j2));
-                GeneralizedTuple t(std::move(lrps), std::move(data));
-                Dbm merged(m_out);
-                const Dbm& cb = cb_mapped[static_cast<std::size_t>(slot[j])];
-                if (ca_ext.has_value()) {
-                  ITDB_ASSIGN_OR_RETURN(
-                      merged,
-                      ConjoinOntoClosed(*ca_ext, cb, options.counters));
-                } else {
-                  // ta's own closure overflowed: replay the naive kernel so
-                  // its status is reproduced exactly.
-                  Dbm ca = ta.constraints().AppendVariables(m_out - ma);
-                  merged = Dbm::Conjoin(ca, cb);
-                  ITDB_RETURN_IF_ERROR(merged.Close());
-                }
-                if (!merged.feasible()) continue;
-                t.set_constraints(std::move(merged));
-                part.push_back(std::move(t));
-              }
-              return Status::Ok();
-            }));
-  } else {
-    ITDB_RETURN_IF_ERROR(
-        CheckBudget(static_cast<std::int64_t>(a.size()) * b.size(), options,
-                    "Join"));
-    // Tuple-pair matching is independent per pair; fan the rows of `a` out
-    // over the thread pool.  Per-row buffers keep b's order within each row
-    // and merge in row order: byte-identical to the sequential double loop.
-    ITDB_ASSIGN_OR_RETURN(
-        tuples,
-        ParallelAppend<GeneralizedTuple>(
-            static_cast<std::int64_t>(a.size()),
-            ParallelOptions{options.threads, /*grain=*/16},
-            [&](std::int64_t row, std::vector<GeneralizedTuple>& part)
-                -> Status {
-              const GeneralizedTuple& ta =
-                  a.tuples()[static_cast<std::size_t>(row)];
-              for (const GeneralizedTuple& tb : b.tuples()) {
-                // Shared data attributes must agree.
-                bool data_ok = true;
-                for (int j = 0; j < sb.data_arity(); ++j) {
-                  int i = b_data_match[static_cast<std::size_t>(j)];
-                  if (i >= 0 && ta.value(i) != tb.value(j)) {
-                    data_ok = false;
-                    break;
-                  }
-                }
-                if (!data_ok) continue;
-                // Shared temporal attributes: lrp intersection.
-                std::vector<Lrp> lrps = ta.temporal();
-                lrps.resize(static_cast<std::size_t>(m_out));
-                bool temporal_ok = true;
-                ITDB_RETURN_IF_ERROR(
-                    intersect_shared(ta, tb, lrps, temporal_ok));
-                if (!temporal_ok) continue;
-                std::vector<Value> data = ta.data();
-                for (int j : b_new_data) data.push_back(tb.value(j));
-                GeneralizedTuple t(std::move(lrps), std::move(data));
-                Dbm ca = ta.constraints().AppendVariables(m_out - ma);
-                Dbm cb =
-                    tb.constraints().MapVariables(b_temporal_target, m_out);
-                Dbm merged = Dbm::Conjoin(ca, cb);
-                ITDB_RETURN_IF_ERROR(merged.Close());
-                if (!merged.feasible()) continue;
-                t.set_constraints(std::move(merged));
-                part.push_back(std::move(t));
-              }
-              return Status::Ok();
-            }));
-  }
-  GeneralizedRelation out(std::move(schema));
-  for (GeneralizedTuple& t : tuples) {
-    ITDB_RETURN_IF_ERROR(out.AddTuple(std::move(t)));
-  }
-  return out;
+  return JoinKernel(a, b, b_temporal_match, b_data_match, options, "Join");
 }
 
 Result<GeneralizedRelation> ShiftTemporalColumn(const GeneralizedRelation& r,

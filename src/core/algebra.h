@@ -68,13 +68,14 @@ struct AlgebraOptions {
   /// are byte-identical.
   NormalizeCache* normalize_cache = nullptr;
   /// Indexed kernels and DBM fast paths (core/index.h): hash-partition the
-  /// inner relation of Join / Intersect / Subtract on shared data-attribute
-  /// values, reject candidate pairs with O(1) residue-class and bounding-
-  /// interval prefilters, and close conjunctions incrementally in O(n^2) per
-  /// atomic instead of the full O(n^3) Floyd-Warshall.  Bit-identical to the
-  /// naive paths (the fuzz determinism matrix pins indexed == naive); also
-  /// switches CheckBudget in Join / Intersect to charge candidate pairs
-  /// rather than the raw a x b product.
+  /// inner relation of Join (and so of Intersect, which runs Join's pair
+  /// kernel) and Subtract on shared data-attribute values, reject candidate
+  /// pairs with O(1) residue-class and bounding-interval prefilters, and
+  /// close conjunctions incrementally in O(n^2) per atomic instead of the
+  /// full O(n^3) Floyd-Warshall.  Bit-identical to the naive paths (the fuzz
+  /// determinism matrix pins indexed == naive); also switches CheckBudget in
+  /// Join / Intersect to charge candidate pairs rather than the raw a x b
+  /// product.
   bool use_index = true;
   /// Optional instrumentation for the indexed kernels (pairs pruned per
   /// prefilter, incremental vs full closures).  Not owned; null disables
@@ -94,7 +95,11 @@ Result<GeneralizedRelation> Union(const GeneralizedRelation& a,
                                   const GeneralizedRelation& b,
                                   const AlgebraOptions& options = {});
 
-/// r1 ^ r2 (Section 3.2.2): pairwise tuple intersections.
+/// r1 ^ r2 (Section 3.2.2): pairwise tuple intersections.  Schemas must
+/// match.  Over one schema every column is shared, so this is Join(a, b)
+/// with columns matched by position: the same pair kernel, the same tuples
+/// in the same order, and the same statuses, with budget messages and the
+/// trace span named "Intersect".
 Result<GeneralizedRelation> Intersect(const GeneralizedRelation& a,
                                       const GeneralizedRelation& b,
                                       const AlgebraOptions& options = {});

@@ -2,8 +2,9 @@
 //
 // The paper costs every binary operation as a full product over tuple pairs
 // (Tables 2-3), each pair paying lrp intersection plus a DBM closure.  This
-// header factors the machinery that lets Join / Intersect / Subtract visit
-// only *candidate* pairs and reject most of those in O(1):
+// header factors the machinery that lets Join (whose pair kernel Intersect
+// also runs) and Subtract visit only *candidate* pairs and reject most of
+// those in O(1):
 //
 //   - DataKeyIndex: a hash partition of a relation's tuples keyed on the
 //     values of selected data attributes, so equality on shared data columns

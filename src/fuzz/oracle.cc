@@ -124,10 +124,10 @@ CaseOutcome CheckCase(const Database& db, const ExprPtr& expr,
   // ---- Determinism matrix over {1, N} threads x {off, on} memo-cache x
   // {naive, indexed} kernels, against the reference (1 thread, cache off,
   // naive).  The naive kernels are checked across threads; the indexed
-  // configs pin the bit-identity contract of the hash-partitioned Join /
-  // Intersect / Subtract kernels with prefilters, touched-row hull hoisting
-  // and incremental closures, alone and with the memo-cache, at both thread
-  // counts.  Indexed budgets charge candidate pairs, a lower bound of the
+  // configs pin the bit-identity contract of the hash-partitioned Join pair
+  // kernel (which Intersect runs too) and Subtract kernel with prefilters,
+  // touched-row hull hoisting and incremental closures, alone and with the
+  // memo-cache, at both thread counts.  Indexed budgets charge candidate pairs, a lower bound of the
   // naive raw product, so an indexed config can never exhaust a budget the
   // naive reference survived. ----
   const EvalConfig configs[] = {

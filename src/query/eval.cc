@@ -88,9 +88,9 @@ struct Evaluator {
   const Database& db;
   const SortMap& sorts;
   const ActiveDomain& adom;
+  /// Its tracer is the plan-span destination; null disables per-node
+  /// tracing.
   const AlgebraOptions& algebra;
-  /// Plan-span destination; null disables per-node tracing.
-  obs::Tracer* tracer = nullptr;
   /// Planner estimates for the tree being evaluated (keyed by node
   /// address); null or missing nodes simply omit the est_* span args.
   const PlanEstimateMap* estimates = nullptr;
@@ -427,11 +427,12 @@ Result<GeneralizedRelation> Evaluator::Eval(const Query& q) const {
   // per-request budget (util/thread_pool.h) unwinds here between nodes even
   // when no kernel below happens to hit its own stride check.
   ITDB_RETURN_IF_ERROR(CheckCancellation());
-  if (tracer == nullptr) return EvalNode(q);
+  if (algebra.tracer == nullptr) return EvalNode(q);
   // One span per plan node, reporting the subtree's output size and the
   // work-counter deltas accrued while it was open.  Pure observation: the
   // evaluation path is identical with tracer == nullptr.
-  obs::Span span = obs::Span::Begin(tracer, PlanNodeLabel(q), "plan");
+  obs::Span span =
+      obs::Span::Begin(algebra.tracer, PlanNodeLabel(q), "plan");
   CounterSnapshot before =
       SnapshotCounters(algebra.counters, algebra.normalize_cache);
   Result<GeneralizedRelation> result = EvalNode(q);
@@ -589,29 +590,23 @@ auto EvalPlans(const Database& db, Prepared& prepared,
   // the global registry get the pairs_* / closures_* breakdown either way.
   KernelCounters own_counters;
   if (algebra.counters == nullptr) algebra.counters = &own_counters;
-  // Tracer resolution (see QueryOptions::trace).  Profiled runs without an
-  // explicit tracer use a private one so foreign spans in the global tracer
-  // cannot leak into the profile.
+  // Plan spans go to the caller's algebra tracer (see QueryOptions).
+  // Profiled runs without one use a private tracer so foreign spans in the
+  // global tracer cannot leak into the profile.
   obs::Tracer local_tracer;
-  obs::Tracer* tracer = nullptr;
-  if (options.trace || profile != nullptr) {
-    tracer = options.tracer != nullptr ? options.tracer : algebra.tracer;
-    if (tracer == nullptr) {
-      tracer = profile != nullptr ? &local_tracer : obs::GlobalTracer();
-    }
+  if (algebra.tracer == nullptr && profile != nullptr) {
+    algebra.tracer = &local_tracer;
   }
-  if (tracer != nullptr) algebra.tracer = tracer;
-  const SortMap& sorts = prepared.sorts();
-  const PlanEstimateMap& estimates = prepared.estimates();
   const analysis::CertificateMap& certificates = prepared.certificates();
-  Evaluator evaluator{db,     sorts,  adom, algebra,
-                      tracer, options.cost_plan ? &estimates : nullptr,
+  Evaluator evaluator{db, prepared.sorts(), adom, algebra,
+                      &prepared.estimates(),
                       certificates.empty() ? nullptr : &certificates};
   auto eval = [&](const QueryPtr& target) {
     // Root span over the plan's evaluation; scoped so it is committed (and
     // visible to BuildProfile) before the profile is folded.
     obs::Span root =
-        obs::Span::Begin(tracer, "query " + target->ToString(), "plan");
+        obs::Span::Begin(algebra.tracer, "query " + target->ToString(),
+                         "plan");
     Result<GeneralizedRelation> r = evaluator.Eval(*target);
     if (r.ok()) {
       root.AddArg("tuples_out", static_cast<std::int64_t>(r.value().size()));
@@ -621,8 +616,8 @@ auto EvalPlans(const Database& db, Prepared& prepared,
   auto result = run(eval, algebra);
   obs::AddGlobalCounter("query.evaluations", 1);
   if (algebra.counters == &own_counters) FlushKernelCounters(own_counters);
-  if (profile != nullptr && tracer != nullptr) {
-    *profile = obs::BuildProfile(tracer->records(), "plan");
+  if (profile != nullptr) {
+    *profile = obs::BuildProfile(algebra.tracer->records(), "plan");
   }
   return result;
 }
@@ -738,30 +733,7 @@ Result<bool> EvalBooleanQueryString(const Database& db, std::string_view text,
 }
 
 std::string FormatQueryPlan(const QueryPtr& q) {
-  std::string out;
-  // Preorder walk; two-space indent per level, matching Profile::ToText.
-  auto walk = [&out](auto&& self, const Query& node, int depth) -> void {
-    out.append(static_cast<std::size_t>(2 * depth), ' ');
-    out += PlanNodeLabel(node);
-    out += '\n';
-    switch (node.kind()) {
-      case Query::Kind::kAnd:
-      case Query::Kind::kOr:
-        self(self, *node.left(), depth + 1);
-        self(self, *node.right(), depth + 1);
-        break;
-      case Query::Kind::kNot:
-      case Query::Kind::kExists:
-      case Query::Kind::kForall:
-        self(self, *node.left(), depth + 1);
-        break;
-      case Query::Kind::kAtom:
-      case Query::Kind::kCmp:
-        break;
-    }
-  };
-  walk(walk, *q, 0);
-  return out;
+  return FormatQueryPlanWithEstimates(q, {});
 }
 
 }  // namespace query

@@ -42,6 +42,16 @@ class StatsCache;  // core/stats.h
 namespace query {
 
 struct QueryOptions {
+  /// The options every algebra call of the statement runs under.  When
+  /// algebra.tracer is set, the statement also opens its analysis spans
+  /// (category "analysis") and one span per query-plan node (category
+  /// "plan", labeled AND / OR / ATOM ... / EXISTS v) there, recording
+  /// wall/CPU time, tuples_out, and the deltas of the kernel counters and
+  /// normalize-cache stats attributable to the node's subtree.  With no
+  /// algebra.tracer, only the algebra spans go to the process-global
+  /// tracer (obs::InstallGlobalTracer) when one is installed.  Tracing is
+  /// an observer only: results are bit-identical with it on or off, at
+  /// every thread count.
   AlgebraOptions algebra;
   /// Run the static analyzer (analysis/analyzer.h) before evaluation.
   /// Error-severity diagnostics abort with a Status listing them; otherwise
@@ -67,18 +77,6 @@ struct QueryOptions {
   /// database's catalog version (core/stats.h).  Not owned; null recomputes
   /// statistics on every planned query.
   StatsCache* stats_cache = nullptr;
-  /// Open one span per query-plan node (category "plan", labeled AND / OR /
-  /// ATOM ... / EXISTS v) in the resolved tracer, recording wall/CPU time,
-  /// tuples_out, and the deltas of the kernel counters and normalize-cache
-  /// stats attributable to the node's subtree.  The resolved tracer is
-  /// `tracer` below, else algebra.tracer, else the process-global tracer
-  /// (obs::InstallGlobalTracer); when none is set, tracing is off.  Tracing
-  /// is an observer only: results are bit-identical with it on or off, at
-  /// every thread count.  EvalQueryProfiled implies trace.
-  bool trace = false;
-  /// Destination for the plan spans.  Not owned; null falls back as
-  /// described at `trace`.
-  obs::Tracer* tracer = nullptr;
 };
 
 /// A query result together with its evaluation profile (the plan-span tree
@@ -124,11 +122,10 @@ Result<bool> EvalBooleanQueryString(const Database& db, std::string_view text,
 
 /// Evaluates `q` with per-plan-node tracing and returns the result together
 /// with its profile (the backing store of the shell's PROFILE command).
-/// With no explicit tracer in `options`, spans go to a private tracer local
-/// to this call -- the process-global tracer is deliberately NOT used, so
-/// the profile never folds in spans of unrelated work.  With an explicit
-/// options.tracer (or algebra.tracer), spans are recorded there and the
-/// profile is built from ALL of that tracer's "plan" spans.
+/// Without options.algebra.tracer, spans go to a private tracer local to
+/// this call -- the process-global tracer is deliberately NOT used, so the
+/// profile never folds in spans of unrelated work.  With one, spans are
+/// recorded there and the profile is built from ALL of its "plan" spans.
 Result<ProfiledResult> EvalQueryProfiled(const Database& db, const QueryPtr& q,
                                          const QueryOptions& options = {});
 Result<ProfiledResult> EvalQueryStringProfiled(
@@ -138,7 +135,8 @@ Result<ProfiledResult> EvalQueryStringProfiled(
 /// exactly like the spans EvalQueryProfiled opens (AND / OR / NOT /
 /// EXISTS v / FORALL v / ATOM P(x, y) / CMP x < y).  Format a compiled
 /// query::Prepared's plan() (prepared.h) to see the plan evaluation
-/// actually runs.
+/// actually runs.  FormatQueryPlanWithEstimates (planner.h) with no
+/// estimates.
 std::string FormatQueryPlan(const QueryPtr& q);
 
 /// The label of one plan node: what EXPLAIN prints, what its trace span is

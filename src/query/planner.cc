@@ -120,13 +120,20 @@ class Planner {
   ConjunctInfo PlanCmp(const QueryPtr& q);
   ConjunctInfo PlanChain(const QueryPtr& q);
 
-  /// JoinInfo with the estimate clamped to the conjoined certificate of the
-  /// operands (when both are certified).  Used for every candidate pair the
-  /// greedy search prices, so certified bounds steer the ORDER, not just
-  /// the printed annotations.
-  ConjunctInfo Join(const ConjunctInfo& a, const ConjunctInfo& b) const {
+  /// JoinInfo for a candidate pair of a chain's greedy search.  In a chain
+  /// whose root certificate is proven empty (`refuted`), the estimate is
+  /// clamped to the conjoined certificate of the operands (when both are
+  /// certified), so a pair whose zones refute each other is priced at zero
+  /// rows and certified bounds steer the ORDER, not just the annotations.
+  /// Elsewhere the conjunction cannot move the estimate: each operand's
+  /// estimate is already clamped to its own certificate, JoinInfo's rows
+  /// never exceed the product of the operands' rows (all the conjoined
+  /// certificate's rows carry), and zones that refute each other refute the
+  /// chain root's zone, which conjoins every conjunct's.
+  ConjunctInfo Join(const ConjunctInfo& a, const ConjunctInfo& b,
+                    bool refuted) const {
     ConjunctInfo out = JoinInfo(a, b);
-    if (absint_ != nullptr) {
+    if (refuted) {
       const analysis::Certificate* ca = absint_->Find(a.q.get());
       const analysis::Certificate* cb = absint_->Find(b.q.get());
       if (ca != nullptr && cb != nullptr) {
@@ -272,6 +279,9 @@ ConjunctInfo Planner::PlanChain(const QueryPtr& q) {
   // written order.
   std::vector<std::size_t> remaining(infos.size());
   for (std::size_t i = 0; i < remaining.size(); ++i) remaining[i] = i;
+  const analysis::Certificate* root =
+      absint_ != nullptr ? absint_->Find(q.get()) : nullptr;
+  const bool refuted = root != nullptr && root->ProvenEmpty();
 
   auto better = [](bool cand_cross, const PlanEstimate& cand,
                    std::size_t cand_idx, bool best_cross,
@@ -293,7 +303,7 @@ ConjunctInfo Planner::PlanChain(const QueryPtr& q) {
       const ConjunctInfo& a = infos[i];
       const ConjunctInfo& b = infos[j];
       const bool cross = !SharesVariable(a, b);
-      ConjunctInfo joined = Join(a, b);
+      ConjunctInfo joined = Join(a, b, refuted);
       if (!have_best ||
           better(cross, joined.est, i * remaining.size() + j, best_cross,
                  best_joined.est, best_a * remaining.size() + best_b)) {
@@ -320,7 +330,7 @@ ConjunctInfo Planner::PlanChain(const QueryPtr& q) {
   }
   std::size_t next = best_b;
   while (true) {
-    ConjunctInfo joined = Join(current, infos[next]);
+    ConjunctInfo joined = Join(current, infos[next], refuted);
     QueryPtr prev = planned;
     planned = Query::And(planned, infos[next].q);
     joined.q = planned;
@@ -343,7 +353,7 @@ ConjunctInfo Planner::PlanChain(const QueryPtr& q) {
     for (std::size_t k = 0; k < pending.size(); ++k) {
       const ConjunctInfo& cand = infos[pending[k]];
       const bool cross = !SharesVariable(current, cand);
-      ConjunctInfo j = Join(current, cand);
+      ConjunctInfo j = Join(current, cand, refuted);
       if (!have || better(cross, j.est, cand.index, choice_cross,
                           choice_joined.est, infos[pending[choice]].index)) {
         have = true;

@@ -103,12 +103,8 @@ const QueryPtr& Prepared::optimized() {
 const analysis::AnalysisResult& Prepared::Analyze(const Database& db) {
   if (!analysis_.has_value()) {
     analysis::AnalyzeOptions aopts;
-    // Analysis spans follow the same opt-in as evaluation spans: only a
-    // traced run forwards the tracer (an untraced eval opens no spans).
-    if (options_.trace) {
-      aopts.tracer = options_.tracer != nullptr ? options_.tracer
-                                                : options_.algebra.tracer;
-    }
+    // Analysis spans go where plan spans go (see QueryOptions::algebra).
+    aopts.tracer = options_.algebra.tracer;
     // The certificate pass reads the same per-relation statistics the
     // planner does; share its memo.
     aopts.stats_cache = options_.stats_cache;

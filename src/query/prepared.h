@@ -46,11 +46,11 @@
 // EvalPrepared (a Prepared is per statement, never cached across versions).
 //
 // Options split in two.  The compile-time knobs (analyze, optimize,
-// cost_plan, stats_cache, and trace/tracer for analysis spans) are fixed
-// at construction.  EvalPrepared reads only the
-// evaluation-time knobs of the options it is given (algebra budgets and
-// caches, trace, tracer), which is how a session divides a heavy
-// statement's budgets after grading it from the analysis.
+// cost_plan, stats_cache, and algebra.tracer for analysis spans) are fixed
+// at construction.  EvalPrepared reads only the evaluation-time knobs of
+// the options it is given (algebra budgets, caches and tracer), which is
+// how a session divides a heavy statement's budgets after grading it from
+// the analysis.
 
 #ifndef ITDB_QUERY_PREPARED_H_
 #define ITDB_QUERY_PREPARED_H_

@@ -464,14 +464,10 @@ Status CmdExplain(std::ostream& out, const Database& db,
     if (plans.size() > 1) {
       out << "part " << i + 1 << " of " << plans.size() << ":\n";
     }
-    if (!prepared.options().cost_plan) {
-      out << query::FormatQueryPlan(plans[i]);
-    } else {
-      // The PLANNED tree with the estimates that ordered it and the
-      // certificates that clamped them.
-      out << query::FormatQueryPlanWithEstimates(
-          plans[i], prepared.estimates(), &prepared.certificates());
-    }
+    // The PLANNED tree with the estimates that ordered it and the
+    // certificates that clamped them (none without cost_plan).
+    out << query::FormatQueryPlanWithEstimates(
+        plans[i], prepared.estimates(), &prepared.certificates());
   }
   if (!yes_no) return Status::Ok();
   // The parts share no variable: the body is empty iff some part is.
@@ -597,9 +593,8 @@ Status Session::Execute(std::string_view statement, std::ostream& out) {
       std::chrono::steady_clock::now();
   ++stats_.commands;
   obs::AddGlobalCounter("server.commands", 1);
-  obs::Span span =
-      obs::Span::Begin(obs::ResolveTracer(options_.query.tracer), verb,
-                       "server");
+  obs::Span span = obs::Span::Begin(
+      obs::ResolveTracer(options_.query.algebra.tracer), verb, "server");
   Status status = Dispatch(verb, rest, out);
   span.AddArg("ok", status.ok() ? 1 : 0);
   span.End();

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -260,6 +261,85 @@ TEST(IndexedKernelsTest, CountersRecordPrefilterPrunes) {
   EXPECT_EQ(counters.pairs_candidate.load(), 16);
   EXPECT_EQ(counters.pairs_pruned_residue.load(), 16);
   EXPECT_EQ(counters.pairs_pruned_hull.load(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Overflow edge: bounds near Dbm::kBoundLimit.  Intersect runs Join's pair
+// kernel, so both must report the same status and representation whichever
+// closure overflows, with the index on or off, at any thread count.
+
+// One keyed tuple [0+n, 0+n] over (T1, T2 | K) with the given atomics:
+// {lhs, rhs, bound} means T(lhs+1) - T(rhs+1) <= bound, -1 the zero node.
+GeneralizedTuple EdgeTuple(std::int64_t key,
+                           const std::vector<AtomicConstraint>& atomics) {
+  GeneralizedTuple t({Lrp::Make(0, 1), Lrp::Make(0, 1)}, {Value(key)});
+  Dbm c(2);
+  for (const AtomicConstraint& a : atomics) c.AddAtomic(a);
+  t.set_constraints(std::move(c));
+  return t;
+}
+
+GeneralizedRelation EdgeRelation(
+    const std::vector<std::vector<AtomicConstraint>>& per_key) {
+  GeneralizedRelation r(Schema({"T1", "T2"}, {"K"}, {DataType::kInt}));
+  for (std::size_t k = 0; k < per_key.size(); ++k) {
+    EXPECT_TRUE(
+        r.AddTuple(EdgeTuple(static_cast<std::int64_t>(k), per_key[k])).ok());
+  }
+  return r;
+}
+
+TEST(IndexedKernelsTest, OverflowEdgeAgreesAcrossKernelsAndModes) {
+  constexpr std::int64_t kBig = 3 * (Dbm::kBoundLimit / 4);
+  // T1 - T2 <= kBig and T2 <= kBig close to T1 <= 1.5 kBoundLimit: overflow.
+  const std::vector<AtomicConstraint> chain = {{0, 1, kBig},
+                                               {1, kZeroVar, kBig}};
+  const std::vector<AtomicConstraint> small = {{0, kZeroVar, 10}};
+  const std::vector<AtomicConstraint> diff_only = {{0, 1, kBig}};
+  const std::vector<AtomicConstraint> upper_only = {{1, kZeroVar, kBig}};
+  struct Case {
+    const char* name;
+    GeneralizedRelation a;
+    GeneralizedRelation b;
+    StatusCode want;
+  };
+  const std::vector<Case> cases = {
+      // a's own closure overflows; T1 <= 10 caps the conjunction.
+      {"only a", EdgeRelation({chain, small}), EdgeRelation({small, small}),
+       StatusCode::kOk},
+      // b's own closure overflows; b's atomics tighten a's closed matrix.
+      {"only b", EdgeRelation({small, small}), EdgeRelation({chain, small}),
+       StatusCode::kOk},
+      // Each side closes in range; their conjunction does not.
+      {"only the conjunction", EdgeRelation({small, diff_only}),
+       EdgeRelation({small, upper_only}), StatusCode::kOverflow},
+  };
+  for (const Case& c : cases) {
+    std::optional<GeneralizedRelation> first;
+    for (bool use_index : {false, true}) {
+      for (int threads : {1, 4}) {
+        AlgebraOptions options;
+        options.use_index = use_index;
+        options.threads = threads;
+        for (bool join : {false, true}) {
+          auto r =
+              join ? Join(c.a, c.b, options) : Intersect(c.a, c.b, options);
+          const std::string where =
+              std::string(c.name) + (join ? " Join" : " Intersect") +
+              " index=" + std::to_string(use_index) +
+              " threads=" + std::to_string(threads);
+          ASSERT_EQ(r.status().code(), c.want) << where << ": " << r.status();
+          if (!r.ok()) continue;
+          EXPECT_EQ(r.value().size(), 2u) << where;
+          if (!first.has_value()) {
+            first = r.value();
+          } else {
+            ExpectSame(*first, r.value(), where.c_str());
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -59,8 +59,7 @@ TEST(EvalTest, YesNoEmptinessTestRecordsIntoTheStatementTracer) {
   Database db = SmallDb();
   obs::Tracer tracer;
   QueryOptions options;
-  options.trace = true;
-  options.tracer = &tracer;
+  options.algebra.tracer = &tracer;
   Result<bool> truth = EvalBooleanQueryString(db, "EXISTS t . P(t)", options);
   ASSERT_TRUE(truth.ok()) << truth.status();
   EXPECT_TRUE(*truth);

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -130,9 +131,8 @@ TEST(ProfileTest, TracingChangesNoResultBit) {
     EXPECT_EQ(PrintRelation("r", profiled->relation), expect)
         << "profiled, threads=" << threads;
 
-    options.trace = true;
     obs::Tracer tracer;
-    options.tracer = &tracer;
+    options.algebra.tracer = &tracer;
     Result<GeneralizedRelation> traced =
         EvalQueryString(db, kJoinQuery, options);
     ASSERT_TRUE(traced.ok()) << traced.status();
@@ -145,9 +145,8 @@ TEST(ProfileTest, TracingChangesNoResultBit) {
 TEST(ProfileTest, ExplicitTracerEmitsValidChromeTrace) {
   Database db = JoinHeavyDb();
   QueryOptions options;
-  options.trace = true;
   obs::Tracer tracer;
-  options.tracer = &tracer;
+  options.algebra.tracer = &tracer;
   Result<GeneralizedRelation> result = EvalQueryString(db, kJoinQuery, options);
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_GT(tracer.size(), 0u);
@@ -166,12 +165,20 @@ TEST(ProfileTest, ExplicitTracerEmitsValidChromeTrace) {
 
 TEST(ProfileTest, UntracedEvalOpensNoSpans) {
   Database db = JoinHeavyDb();
+  // A process-global tracer receives the algebra spans, but plan spans
+  // only go to a caller's algebra.tracer.
   obs::Tracer tracer;
-  QueryOptions options;
-  options.tracer = &tracer;  // Present but trace == false: ignored.
-  Result<GeneralizedRelation> result = EvalQueryString(db, kJoinQuery, options);
+  obs::InstallGlobalTracer(&tracer);
+  Result<GeneralizedRelation> result = EvalQueryString(db, kJoinQuery);
+  obs::InstallGlobalTracer(nullptr);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(tracer.size(), 0u);
+  const std::vector<obs::SpanRecord> records = tracer.records();
+  EXPECT_TRUE(std::any_of(
+      records.begin(), records.end(),
+      [](const obs::SpanRecord& s) { return s.category == "algebra"; }));
+  EXPECT_TRUE(std::none_of(
+      records.begin(), records.end(),
+      [](const obs::SpanRecord& s) { return s.category == "plan"; }));
 }
 
 TEST(FormatQueryPlanTest, RendersTheTreeExplainPrints) {

@@ -33,6 +33,12 @@ Checks, over src/ (and where noted, tests/):
      core/algebra.h): temporal logic is evaluated by translation to a
      first-order query (tl/ltl.h), so a second evaluator beside
      query::Prepared cannot grow back there.
+  9. outside src/core/index.*, `ConjoinOntoClosed(` and `TouchedRows(` each
+     have exactly one call site in src/: the indexed pair scan lives in
+     one kernel (JoinKernel in core/algebra.cc, which Join and Intersect
+     both run), and a second caller would be a fork of it that can drift,
+     e.g. in how it handles a closure overflow.  Declarations and
+     definitions start at column 0 and are not call sites.
 
 Exit status 0 = clean, 1 = findings (printed one per line), 2 = misuse.
 """
@@ -234,6 +240,34 @@ def check_tl_has_no_algebra(src: Path, findings: list[str]) -> None:
                 )
 
 
+ONE_CALLER = ("ConjoinOntoClosed", "TouchedRows")
+INDEX_MODULE = {Path("src/core/index.h"), Path("src/core/index.cc")}
+
+
+def check_pair_kernel_has_one_caller(root: Path, findings: list[str]) -> None:
+    src = root / "src"
+    files = sorted(list(src.rglob("*.cc")) + list(src.rglob("*.h")))
+    for name in ONE_CALLER:
+        # Free or ::-qualified calls; members (x.f, p->f) are other functions.
+        call_re = re.compile(rf"(?<![\w.>]){name}\s*\(")
+        sites = []
+        for cc in files:
+            if cc.relative_to(root) in INDEX_MODULE:
+                continue
+            for lineno, raw in enumerate(cc.read_text().splitlines(), 1):
+                line = strip_comments_and_strings(raw)
+                if not line[:1].isspace():
+                    continue  # Column 0: a declaration or definition.
+                if call_re.search(line):
+                    sites.append(f"{cc}:{lineno}")
+        if len(sites) != 1:
+            findings.append(
+                f"{name}( has {len(sites)} call site(s) in src/ outside "
+                f"src/core/index.*, want exactly 1 (the pair kernel in "
+                f"core/algebra.cc): {', '.join(sites) or 'none'}"
+            )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -255,6 +289,7 @@ def main() -> int:
     check_metric_names_unique(src, findings)
     check_cmp_switch_in_one_module(args.root, findings)
     check_tl_has_no_algebra(src, findings)
+    check_pair_kernel_has_one_caller(args.root, findings)
 
     for finding in findings:
         print(finding)
