@@ -153,7 +153,7 @@ inline GeneralizedRelation MakeNormalizedRelation(std::uint32_t seed,
 }
 
 /// Reports the indexed-kernel statistics of a run as benchmark counters.
-/// `pairs_total` is the raw |a| x |b| product the naive kernels scan,
+/// `pairs_total` is the raw |a| x |b| product before partitioning,
 /// `pairs_candidate` the pairs that survived the hash partition, and the
 /// `pruned_*` counters the candidates discarded by the O(1) temporal
 /// prefilters before any DBM work.

@@ -85,7 +85,8 @@ Result<std::optional<GeneralizedTuple>> PruneByRelaxation(GeneralizedTuple t) {
 /// closure out of the per-t1 loop: it is the same matrix for every t1 of a
 /// round).
 Result<std::vector<GeneralizedTuple>> SubtractTuples(
-    const GeneralizedTuple& t1, const GeneralizedTuple& t2, const Dbm& c2) {
+    const GeneralizedTuple& t1, const GeneralizedTuple& t2, const Dbm& c2,
+    const AlgebraOptions& options) {
   std::vector<GeneralizedTuple> out;
   if (t1.data() != t2.data()) {
     out.push_back(t1);
@@ -97,16 +98,22 @@ Result<std::vector<GeneralizedTuple>> SubtractTuples(
     out.push_back(t1);
     return out;
   }
-  // Componentwise intersection of the free extensions t3* = t1* ^ t2*.
+  // Free extensions disjoint on some column (the O(1) residue-class test,
+  // core/index.h): t1 - t2 == t1.
+  for (int i = 0; i < m; ++i) {
+    if (LrpIntersectionEmpty(t1.lrp(i), t2.lrp(i))) {
+      BumpCounter(&KernelCounters::pairs_pruned_residue, options, 1);
+      out.push_back(t1);
+      return out;
+    }
+  }
+  // Componentwise intersection of the free extensions t3* = t1* ^ t2*, none
+  // empty after the test above.
   std::vector<Lrp> inter;
   inter.reserve(static_cast<std::size_t>(m));
   for (int i = 0; i < m; ++i) {
     ITDB_ASSIGN_OR_RETURN(std::optional<Lrp> x,
                           Lrp::Intersect(t1.lrp(i), t2.lrp(i)));
-    if (!x.has_value()) {
-      out.push_back(t1);  // Free extensions disjoint: t1 - t2 == t1.
-      return out;
-    }
     inter.push_back(*x);
   }
   // Part 1: r3 = (t1* - t2*) with t1's constraints.  A point of t1* escapes
@@ -210,17 +217,15 @@ std::vector<std::size_t> TouchedRows(
 /// conjunction contributes nothing.  b_temporal_match[j] (b_data_match[j])
 /// is the column of `a` that b's temporal (data) column j meets, or -1 when
 /// the column is new; the output holds a's columns, then b's new ones, and
-/// its tuples come in the naive double loop's order (a's rows outer).  `op`
-/// names the operation in budget messages.
+/// its tuples come in pair order (a's rows outer, b's rows ascending).
+/// `op` names the operation in budget messages.
 ///
-/// With options.use_index the scan is indexed (core/index.h): b is
-/// partitioned on its matched data columns, the O(1) residue and hull
-/// prefilters reject candidate pairs on the matched temporal columns, and
-/// the conjunction closes incrementally from a's cached closed matrix.
-/// Bit-identical to the naive loop: buckets enumerate exactly the pairs
-/// whose data values match, in the naive order; a prefilter rejects only
-/// pairs the naive loop drops; and ConjoinOntoClosed reproduces the naive
-/// closure's matrix and status.
+/// The scan is indexed (core/index.h): b is partitioned on its matched data
+/// columns, the O(1) residue and hull prefilters reject candidate pairs on
+/// the matched temporal columns, and the conjunction closes incrementally
+/// from a's cached closed matrix.  A prefilter rejects only pairs whose
+/// conjunction is empty, and ConjoinOntoClosed returns the matrix and
+/// status of closing the raw conjunction.
 Result<GeneralizedRelation> JoinKernel(const GeneralizedRelation& a,
                                        const GeneralizedRelation& b,
                                        const std::vector<int>& b_temporal_match,
@@ -280,176 +285,115 @@ Result<GeneralizedRelation> JoinKernel(const GeneralizedRelation& a,
     int match = b_temporal_match[static_cast<std::size_t>(j)];
     if (match >= 0) shared_temporal.emplace_back(match, j);
   }
-  // The per-pair lrp intersection over shared columns, writing into the
-  // output lrp vector.  Sets `temporal_ok` false on a disjoint pair.
-  auto intersect_shared = [&](const GeneralizedTuple& ta,
-                              const GeneralizedTuple& tb,
-                              std::vector<Lrp>& lrps,
-                              bool& temporal_ok) -> Status {
-    temporal_ok = true;
-    for (int j = 0; j < mb && temporal_ok; ++j) {
-      int target = b_temporal_target[static_cast<std::size_t>(j)];
-      int match = b_temporal_match[static_cast<std::size_t>(j)];
-      if (match >= 0) {
-        ITDB_ASSIGN_OR_RETURN(std::optional<Lrp> inter,
-                              Lrp::Intersect(ta.lrp(match), tb.lrp(j)));
-        if (!inter.has_value()) {
-          temporal_ok = false;
-          break;
-        }
-        lrps[static_cast<std::size_t>(target)] = *inter;
-      } else {
-        lrps[static_cast<std::size_t>(target)] = tb.lrp(j);
-      }
-    }
-    return Status::Ok();
-  };
-  std::vector<GeneralizedTuple> tuples;
-  if (options.use_index) {
-    DataKeyIndex index(b, b_key_cols);
-    // Probe every outer row once: the stored candidate spans drive the
-    // budget count, the touched-row discovery, AND the pair scan, instead
-    // of re-probing the index in each of those passes.
-    std::vector<std::span<const std::size_t>> a_buckets(a.tuples().size());
-    std::int64_t candidates = 0;
-    for (std::size_t i = 0; i < a.tuples().size(); ++i) {
-      a_buckets[i] = index.Candidates(a.tuples()[i], a_key_cols);
-      candidates += static_cast<std::int64_t>(a_buckets[i].size());
-    }
-    BumpCounter(&KernelCounters::pairs_total, options,
-                static_cast<std::int64_t>(a.size()) * b.size());
-    BumpCounter(&KernelCounters::pairs_candidate, options, candidates);
-    ITDB_RETURN_IF_ERROR(CheckBudget(candidates, options, op));
-    // Per-b-tuple hulls and output-space constraint matrices, hoisted out
-    // of the pair loop (both depend only on tb) for the rows some bucket
-    // reaches.  slot[j] maps a b row to its entry in hull_b / cb_mapped.
-    std::vector<std::int64_t> slot;
-    const std::vector<std::size_t> touched = TouchedRows(a_buckets, b, slot);
-    std::vector<TemporalHull> hull_b;
-    std::vector<Dbm> cb_mapped;
-    hull_b.reserve(touched.size());
-    cb_mapped.reserve(touched.size());
-    for (std::size_t j : touched) {
-      const GeneralizedTuple& tb = b.tuples()[j];
-      hull_b.push_back(TemporalHull::Of(tb));
-      cb_mapped.push_back(
-          tb.constraints().MapVariables(b_temporal_target, m_out));
-    }
-    ITDB_ASSIGN_OR_RETURN(
-        tuples,
-        ParallelAppend<GeneralizedTuple>(
-            static_cast<std::int64_t>(a.size()),
-            ParallelOptions{options.threads, /*grain=*/16},
-            [&](std::int64_t row, std::vector<GeneralizedTuple>& part)
-                -> Status {
-              const GeneralizedTuple& ta =
-                  a.tuples()[static_cast<std::size_t>(row)];
-              const std::span<const std::size_t> bucket =
-                  a_buckets[static_cast<std::size_t>(row)];
-              if (bucket.empty()) return Status::Ok();
-              TemporalHull ha = TemporalHull::Of(ta);
-              std::optional<Dbm> ca_ext;
-              if (ha.usable()) {
-                ca_ext = ha.closed->AppendVariablesClosed(m_out - ma);
-              }
-              for (std::size_t j : bucket) {
-                const GeneralizedTuple& tb = b.tuples()[j];
-                bool residue_empty = false;
-                for (const auto& [ca_col, cb_col] : shared_temporal) {
-                  if (LrpIntersectionEmpty(ta.lrp(ca_col), tb.lrp(cb_col))) {
-                    residue_empty = true;
-                    break;
-                  }
-                }
-                if (residue_empty) {
-                  BumpCounter(&KernelCounters::pairs_pruned_residue, options,
-                              1);
-                  continue;
-                }
-                const TemporalHull& hb =
-                    hull_b[static_cast<std::size_t>(slot[j])];
-                if (ha.infeasible || hb.infeasible ||
-                    HullsDisjoint(ha, hb, shared_temporal)) {
-                  BumpCounter(&KernelCounters::pairs_pruned_hull, options, 1);
-                  continue;
-                }
-                std::vector<Lrp> lrps = ta.temporal();
-                lrps.resize(static_cast<std::size_t>(m_out));
-                bool temporal_ok = true;
-                ITDB_RETURN_IF_ERROR(
-                    intersect_shared(ta, tb, lrps, temporal_ok));
-                if (!temporal_ok) continue;
-                std::vector<Value> data = ta.data();
-                for (int j2 : b_new_data) data.push_back(tb.value(j2));
-                GeneralizedTuple t(std::move(lrps), std::move(data));
-                Dbm merged(m_out);
-                const Dbm& cb = cb_mapped[static_cast<std::size_t>(slot[j])];
-                if (ca_ext.has_value()) {
-                  ITDB_ASSIGN_OR_RETURN(
-                      merged,
-                      ConjoinOntoClosed(*ca_ext, cb, options.counters));
-                } else {
-                  // ta's own closure overflowed: replay the naive kernel so
-                  // its status is reproduced exactly.
-                  Dbm ca = ta.constraints().AppendVariables(m_out - ma);
-                  merged = Dbm::Conjoin(ca, cb);
-                  ITDB_RETURN_IF_ERROR(merged.Close());
-                }
-                if (!merged.feasible()) continue;
-                t.set_constraints(std::move(merged));
-                part.push_back(std::move(t));
-              }
-              return Status::Ok();
-            }));
-  } else {
-    ITDB_RETURN_IF_ERROR(
-        CheckBudget(static_cast<std::int64_t>(a.size()) * b.size(), options,
-                    op));
-    // Tuple-pair matching is independent per pair; fan the rows of `a` out
-    // over the thread pool.  Per-row buffers keep b's order within each row
-    // and merge in row order: byte-identical to the sequential double loop.
-    ITDB_ASSIGN_OR_RETURN(
-        tuples,
-        ParallelAppend<GeneralizedTuple>(
-            static_cast<std::int64_t>(a.size()),
-            ParallelOptions{options.threads, /*grain=*/16},
-            [&](std::int64_t row, std::vector<GeneralizedTuple>& part)
-                -> Status {
-              const GeneralizedTuple& ta =
-                  a.tuples()[static_cast<std::size_t>(row)];
-              for (const GeneralizedTuple& tb : b.tuples()) {
-                // Shared data attributes must agree.
-                bool data_ok = true;
-                for (int j = 0; j < sb.data_arity(); ++j) {
-                  int i = b_data_match[static_cast<std::size_t>(j)];
-                  if (i >= 0 && ta.value(i) != tb.value(j)) {
-                    data_ok = false;
-                    break;
-                  }
-                }
-                if (!data_ok) continue;
-                // Shared temporal attributes: lrp intersection.
-                std::vector<Lrp> lrps = ta.temporal();
-                lrps.resize(static_cast<std::size_t>(m_out));
-                bool temporal_ok = true;
-                ITDB_RETURN_IF_ERROR(
-                    intersect_shared(ta, tb, lrps, temporal_ok));
-                if (!temporal_ok) continue;
-                std::vector<Value> data = ta.data();
-                for (int j : b_new_data) data.push_back(tb.value(j));
-                GeneralizedTuple t(std::move(lrps), std::move(data));
-                Dbm ca = ta.constraints().AppendVariables(m_out - ma);
-                Dbm cb =
-                    tb.constraints().MapVariables(b_temporal_target, m_out);
-                Dbm merged = Dbm::Conjoin(ca, cb);
-                ITDB_RETURN_IF_ERROR(merged.Close());
-                if (!merged.feasible()) continue;
-                t.set_constraints(std::move(merged));
-                part.push_back(std::move(t));
-              }
-              return Status::Ok();
-            }));
+  DataKeyIndex index(b, b_key_cols);
+  // Probe every outer row once: the stored candidate spans drive the
+  // budget count, the touched-row discovery, AND the pair scan, instead
+  // of re-probing the index in each of those passes.
+  std::vector<std::span<const std::size_t>> a_buckets(a.tuples().size());
+  std::int64_t candidates = 0;
+  for (std::size_t i = 0; i < a.tuples().size(); ++i) {
+    a_buckets[i] = index.Candidates(a.tuples()[i], a_key_cols);
+    candidates += static_cast<std::int64_t>(a_buckets[i].size());
   }
+  BumpCounter(&KernelCounters::pairs_total, options,
+              static_cast<std::int64_t>(a.size()) * b.size());
+  BumpCounter(&KernelCounters::pairs_candidate, options, candidates);
+  ITDB_RETURN_IF_ERROR(CheckBudget(candidates, options, op));
+  // Per-b-tuple hulls and output-space constraint matrices, hoisted out
+  // of the pair loop (both depend only on tb) for the rows some bucket
+  // reaches.  slot[j] maps a b row to its entry in hull_b / cb_mapped.
+  std::vector<std::int64_t> slot;
+  const std::vector<std::size_t> touched = TouchedRows(a_buckets, b, slot);
+  std::vector<TemporalHull> hull_b;
+  std::vector<Dbm> cb_mapped;
+  hull_b.reserve(touched.size());
+  cb_mapped.reserve(touched.size());
+  for (std::size_t j : touched) {
+    const GeneralizedTuple& tb = b.tuples()[j];
+    hull_b.push_back(TemporalHull::Of(tb));
+    cb_mapped.push_back(
+        tb.constraints().MapVariables(b_temporal_target, m_out));
+  }
+  ITDB_ASSIGN_OR_RETURN(
+      std::vector<GeneralizedTuple> tuples,
+      ParallelAppend<GeneralizedTuple>(
+          static_cast<std::int64_t>(a.size()),
+          ParallelOptions{options.threads, /*grain=*/16},
+          [&](std::int64_t row, std::vector<GeneralizedTuple>& part)
+              -> Status {
+            const GeneralizedTuple& ta =
+                a.tuples()[static_cast<std::size_t>(row)];
+            const std::span<const std::size_t> bucket =
+                a_buckets[static_cast<std::size_t>(row)];
+            if (bucket.empty()) return Status::Ok();
+            TemporalHull ha = TemporalHull::Of(ta);
+            std::optional<Dbm> ca_ext;
+            if (ha.usable()) {
+              ca_ext = ha.closed->AppendVariablesClosed(m_out - ma);
+            }
+            for (std::size_t j : bucket) {
+              const GeneralizedTuple& tb = b.tuples()[j];
+              bool residue_empty = false;
+              for (const auto& [ca_col, cb_col] : shared_temporal) {
+                if (LrpIntersectionEmpty(ta.lrp(ca_col), tb.lrp(cb_col))) {
+                  residue_empty = true;
+                  break;
+                }
+              }
+              if (residue_empty) {
+                BumpCounter(&KernelCounters::pairs_pruned_residue, options,
+                            1);
+                continue;
+              }
+              const TemporalHull& hb =
+                  hull_b[static_cast<std::size_t>(slot[j])];
+              if (ha.infeasible || hb.infeasible ||
+                  HullsDisjoint(ha, hb, shared_temporal)) {
+                BumpCounter(&KernelCounters::pairs_pruned_hull, options, 1);
+                continue;
+              }
+              // Shared temporal columns: CRT intersection of the lrps.
+              std::vector<Lrp> lrps = ta.temporal();
+              lrps.resize(static_cast<std::size_t>(m_out));
+              bool temporal_ok = true;
+              for (int jb = 0; jb < mb && temporal_ok; ++jb) {
+                const auto col = static_cast<std::size_t>(jb);
+                const int match = b_temporal_match[col];
+                Lrp& target =
+                    lrps[static_cast<std::size_t>(b_temporal_target[col])];
+                if (match < 0) {
+                  target = tb.lrp(jb);
+                  continue;
+                }
+                ITDB_ASSIGN_OR_RETURN(
+                    std::optional<Lrp> inter,
+                    Lrp::Intersect(ta.lrp(match), tb.lrp(jb)));
+                temporal_ok = inter.has_value();
+                if (temporal_ok) target = *inter;
+              }
+              if (!temporal_ok) continue;
+              std::vector<Value> data = ta.data();
+              for (int j2 : b_new_data) data.push_back(tb.value(j2));
+              GeneralizedTuple t(std::move(lrps), std::move(data));
+              Dbm merged(m_out);
+              const Dbm& cb = cb_mapped[static_cast<std::size_t>(slot[j])];
+              if (ca_ext.has_value()) {
+                ITDB_ASSIGN_OR_RETURN(
+                    merged,
+                    ConjoinOntoClosed(*ca_ext, cb, options.counters));
+              } else {
+                // ta's own closure overflowed: close the raw conjunction in
+                // full, so the status is the one that closure reports.
+                Dbm ca = ta.constraints().AppendVariables(m_out - ma);
+                merged = Dbm::Conjoin(ca, cb);
+                ITDB_RETURN_IF_ERROR(merged.Close());
+              }
+              if (!merged.feasible()) continue;
+              t.set_constraints(std::move(merged));
+              part.push_back(std::move(t));
+            }
+            return Status::Ok();
+          }));
   GeneralizedRelation out(std::move(schema));
   for (GeneralizedTuple& t : tuples) {
     ITDB_RETURN_IF_ERROR(out.AddTuple(std::move(t)));
@@ -480,37 +424,31 @@ Result<GeneralizedRelation> Subtract(const GeneralizedRelation& a,
   obs::Span span = OpSpan(options, "Subtract", &a, &b);
   ITDB_RETURN_IF_ERROR(CheckSameSchema(a, b, "Subtract"));
   std::vector<GeneralizedTuple> current = a.tuples();
-  const int m = a.schema().temporal_arity();
   // Round skipping: every tuple SubtractTuples emits inherits t1's data
   // values, so the data keys of `current` never change across rounds.  A
   // key probe of t2 against the partition of the original `a` therefore
-  // decides in O(log n) whether the whole round is the identity.
-  const bool skip_rounds = options.use_index && a.schema().data_arity() > 0;
+  // decides in O(1) whether the whole round is the identity.
+  const bool keyed = a.schema().data_arity() > 0;
   std::vector<int> key_cols(static_cast<std::size_t>(a.schema().data_arity()));
-  for (std::size_t i = 0; i < key_cols.size(); ++i) {
-    key_cols[i] = static_cast<int>(i);
-  }
+  std::iota(key_cols.begin(), key_cols.end(), 0);
   std::optional<DataKeyIndex> index;
-  if (skip_rounds) index.emplace(a, key_cols);
+  if (keyed) index.emplace(a, key_cols);
   for (const GeneralizedTuple& t2 : b.tuples()) {
     if (current.empty()) break;
     BumpCounter(&KernelCounters::pairs_total, options,
                 static_cast<std::int64_t>(current.size()));
     // When no residue shares t2's data values the round maps every t1 to
-    // {t1}: skip it (keeping the old per-round budget check).  Decided by
-    // index probe when available, by linear scan otherwise -- either way
-    // this mirrors SubtractTuples' data-mismatch early exit, which also
-    // never looks at t2's constraints.
-    bool any_match = true;
-    if (skip_rounds && index->Candidates(t2, key_cols).empty()) {
-      // The partition covers the original `a`, a superset of the surviving
-      // residues: an empty bucket proves no survivor matches either.
-      any_match = false;
-    } else if (a.schema().data_arity() > 0) {
-      any_match = std::any_of(
-          current.begin(), current.end(),
-          [&t2](const GeneralizedTuple& t1) { return t1.data() == t2.data(); });
-    }
+    // {t1}: skip it (keeping the per-round budget check).  This mirrors
+    // SubtractTuples' data-mismatch early exit, which also never looks at
+    // t2's constraints.  The partition covers the original `a`, a superset
+    // of the surviving residues, so an empty bucket proves that no survivor
+    // matches; a nonempty one leaves the survivors to a linear scan.
+    const bool any_match =
+        !keyed || (!index->Candidates(t2, key_cols).empty() &&
+                   std::any_of(current.begin(), current.end(),
+                               [&t2](const GeneralizedTuple& t1) {
+                                 return t1.data() == t2.data();
+                               }));
     if (!any_match) {
       ITDB_RETURN_IF_ERROR(
           CheckBudget(static_cast<std::int64_t>(current.size()), options,
@@ -534,24 +472,10 @@ Result<GeneralizedRelation> Subtract(const GeneralizedRelation& a,
             ParallelOptions{options.threads, /*grain=*/16},
             [&](std::int64_t i, std::vector<std::vector<GeneralizedTuple>>&
                                     out_parts) -> Status {
-              const GeneralizedTuple& t1 =
-                  current[static_cast<std::size_t>(i)];
-              if (options.use_index && t1.data() == t2.data() &&
-                  c2.feasible()) {
-                // Residue prefilter: a disjoint shared column means the free
-                // extensions miss each other, so t1 - t2 == t1 -- exactly
-                // SubtractTuples' first-empty-column early exit.
-                for (int col = 0; col < m; ++col) {
-                  if (LrpIntersectionEmpty(t1.lrp(col), t2.lrp(col))) {
-                    BumpCounter(&KernelCounters::pairs_pruned_residue,
-                                options, 1);
-                    out_parts.push_back({t1});
-                    return Status::Ok();
-                  }
-                }
-              }
-              ITDB_ASSIGN_OR_RETURN(std::vector<GeneralizedTuple> parts,
-                                    SubtractTuples(t1, t2, c2));
+              ITDB_ASSIGN_OR_RETURN(
+                  std::vector<GeneralizedTuple> parts,
+                  SubtractTuples(current[static_cast<std::size_t>(i)], t2,
+                                 c2, options));
               out_parts.push_back(std::move(parts));
               return Status::Ok();
             }));
@@ -594,18 +518,13 @@ Result<std::vector<Dbm>> ComplementConstraintSets(
         // Every system in `current` is closed and feasible, so one negated
         // atomic can be folded in with the O(n^2) incremental closure.
         Dbm d = s;
-        if (options.use_index) {
-          Dbm::TightenResult tr = d.TightenAndClose(a.Negated());
-          if (tr == Dbm::TightenResult::kFallbackNeeded) {
-            BumpCounter(&KernelCounters::closures_full, options, 1);
-            d.AddAtomic(a.Negated());
-            ITDB_RETURN_IF_ERROR(d.Close());
-          } else {
-            BumpCounter(&KernelCounters::closures_incremental, options, 1);
-          }
-        } else {
+        if (d.TightenAndClose(a.Negated()) ==
+            Dbm::TightenResult::kFallbackNeeded) {
+          BumpCounter(&KernelCounters::closures_full, options, 1);
           d.AddAtomic(a.Negated());
           ITDB_RETURN_IF_ERROR(d.Close());
+        } else {
+          BumpCounter(&KernelCounters::closures_incremental, options, 1);
         }
         if (!d.feasible()) continue;
         // Reduction: drop d if subsumed by a kept system; drop kept systems
@@ -1059,22 +978,17 @@ Result<GeneralizedRelation> SelectTemporal(const GeneralizedRelation& r,
   ITDB_ASSIGN_OR_RETURN(CmpBranches branches, CompileCmp(cond));
   GeneralizedRelation out(r.schema());
   for (const GeneralizedTuple& t : r.tuples()) {
-    // DBM fast path: close the tuple's constraints once, then fold each
-    // branch's atomics in with the O(n^2) incremental closure instead of
-    // paying one full Floyd-Warshall per branch.  If the base closure
-    // overflows, every branch takes the naive route (reproducing the
-    // error); if it is infeasible, so is every branch.
-    std::optional<Dbm> base;
-    if (options.use_index) {
-      Dbm c = t.constraints();
-      if (c.Close().ok()) {
-        if (!c.feasible()) continue;
-        base = std::move(c);
-      }
-    }
+    // Close the tuple's constraints once, then fold each branch's atomics in
+    // with the O(n^2) incremental closure instead of paying one full
+    // Floyd-Warshall per branch.  If the base closure overflows, every
+    // branch takes the full route (reproducing the error); if it is
+    // infeasible, so is every branch.
+    Dbm base = t.constraints();
+    const bool base_closed = base.Close().ok();
+    if (base_closed && !base.feasible()) continue;
     for (const std::vector<AtomicConstraint>& branch : branches) {
-      if (base.has_value()) {
-        Dbm c = *base;
+      if (base_closed) {
+        Dbm c = base;
         bool feasible = true;
         bool fast = true;
         for (const AtomicConstraint& a : branch) {

@@ -67,19 +67,9 @@ struct AlgebraOptions {
   /// Not owned; null disables memoization.  Cached and uncached results
   /// are byte-identical.
   NormalizeCache* normalize_cache = nullptr;
-  /// Indexed kernels and DBM fast paths (core/index.h): hash-partition the
-  /// inner relation of Join (and so of Intersect, which runs Join's pair
-  /// kernel) and Subtract on shared data-attribute values, reject candidate
-  /// pairs with O(1) residue-class and bounding-interval prefilters, and
-  /// close conjunctions incrementally in O(n^2) per atomic instead of the
-  /// full O(n^3) Floyd-Warshall.  Bit-identical to the naive paths (the fuzz
-  /// determinism matrix pins indexed == naive); also switches CheckBudget in
-  /// Join / Intersect to charge candidate pairs rather than the raw a x b
-  /// product.
-  bool use_index = true;
-  /// Optional instrumentation for the indexed kernels (pairs pruned per
-  /// prefilter, incremental vs full closures).  Not owned; null disables
-  /// counting.
+  /// Optional instrumentation for the indexed kernels (core/index.h: pairs
+  /// pruned per prefilter, incremental vs full closures).  Not owned; null
+  /// disables counting.
   KernelCounters* counters = nullptr;
   /// Optional span tracer (obs/trace.h): every algebra operation opens one
   /// span recording wall/CPU time and input sizes.  Not owned; null falls
@@ -99,7 +89,8 @@ Result<GeneralizedRelation> Union(const GeneralizedRelation& a,
 /// match.  Over one schema every column is shared, so this is Join(a, b)
 /// with columns matched by position: the same pair kernel, the same tuples
 /// in the same order, and the same statuses, with budget messages and the
-/// trace span named "Intersect".
+/// trace span named "Intersect".  Budgets charge the candidate pairs left
+/// after the data-key partition, not the raw a x b product.
 Result<GeneralizedRelation> Intersect(const GeneralizedRelation& a,
                                       const GeneralizedRelation& b,
                                       const AlgebraOptions& options = {});
@@ -154,7 +145,10 @@ Result<GeneralizedRelation> CrossProduct(const GeneralizedRelation& a,
 
 /// Natural join (Section 3.7): matches temporal attributes by name
 /// (lrp intersection + merged constraints) and data attributes by name
-/// (value equality).
+/// (value equality).  One indexed pair scan (core/index.h): b is
+/// partitioned on the shared data columns, residue and hull prefilters
+/// reject pairs on the shared temporal columns, and each conjunction closes
+/// incrementally.  Budgets charge candidate pairs, as for Intersect.
 Result<GeneralizedRelation> Join(const GeneralizedRelation& a,
                                  const GeneralizedRelation& b,
                                  const AlgebraOptions& options = {});

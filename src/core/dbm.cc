@@ -101,20 +101,13 @@ void Dbm::AddEquality(int i, std::int64_t a) {
 
 void Dbm::AddAtomic(const AtomicConstraint& c) {
   if (c.lhs == kZeroVar && c.rhs == kZeroVar) {
+    // 0 <= bound: vacuous, or a contradiction recorded as a negative cycle
+    // on the zero node.  Living in the matrix, it survives every copy,
+    // Conjoin, AppendVariables and MapVariables, and Close() detects it.
     if (c.bound < 0) {
-      // 0 <= negative: contradiction.  Encode by making any node pair (or,
-      // for zero variables, the whole system) infeasible via the zero node.
-      // A self-loop cannot be stored (diagonal is 0), so force infeasibility
-      // through closure: mark by tightening 0-0 path via a dummy; simplest is
-      // to remember via feasible_ after closing.  We instead store an
-      // impossible pair when a variable exists, else flag directly.
-      if (num_vars_ > 0) {
-        Tighten(1, 0, -1);
-        Tighten(0, 1, 0);  // X0 <= -1 and X0 >= 0: infeasible.
-      } else {
-        closed_ = true;
-        feasible_ = false;
-      }
+      set_bound_node(0, 0, std::min(bound_node(0, 0), c.bound));
+      closed_ = true;
+      feasible_ = false;
     }
     return;
   }
@@ -296,7 +289,6 @@ Dbm Dbm::AppendVariables(int count) const {
   }
   out.closed_ = false;  // New rows are kInf; closure may propagate nothing,
                         // but infeasibility flags must be recomputed.
-  if (closed_ && !feasible_) out.closed_ = false;
   return out;
 }
 
@@ -318,9 +310,8 @@ Dbm Dbm::MapVariables(const std::vector<int>& new_from_old,
   int n = num_vars_ + 1;
   for (int p = 0; p < n; ++p) {
     for (int q = 0; q < n; ++q) {
-      if (p == q) continue;
       std::int64_t b = bound_node(p, q);
-      if (b == kInf) continue;
+      if (b == kInf || (p == q && b >= 0)) continue;
       out.Tighten(node_of(p), node_of(q), b);
     }
   }
@@ -353,9 +344,8 @@ std::vector<AtomicConstraint> Dbm::ToAtomics() const {
   int n = num_vars_ + 1;
   for (int p = 0; p < n; ++p) {
     for (int q = 0; q < n; ++q) {
-      if (p == q) continue;
       std::int64_t b = bound_node(p, q);
-      if (b == kInf) continue;
+      if (b == kInf || (p == q && b >= 0)) continue;
       out.push_back(AtomicConstraint{p - 1, q - 1, b});
     }
   }

@@ -88,7 +88,9 @@ class Dbm {
   void AddDifferenceEquality(int i, int j, std::int64_t a);
   /// Adds X(i) = a.
   void AddEquality(int i, std::int64_t a);
-  /// Adds one atomic constraint (kZeroVar handled).
+  /// Adds one atomic constraint (kZeroVar handled).  A ground
+  /// contradiction (0 <= b with b < 0) is stored as a negative diagonal
+  /// entry on the zero node, so every copy of the matrix carries it.
   void AddAtomic(const AtomicConstraint& c);
 
   /// Floyd-Warshall closure.  Returns kOverflow if intermediate bounds leave
@@ -141,7 +143,8 @@ class Dbm {
 
   /// Returns a DBM over `new_size` variables where old variable i becomes
   /// new variable new_from_old[i].  Targets must be distinct and in range;
-  /// unmapped new variables are unconstrained.
+  /// unmapped new variables are unconstrained.  Negative diagonal entries
+  /// (recorded contradictions) carry over.
   Dbm MapVariables(const std::vector<int>& new_from_old, int new_size) const;
 
   /// Conjunction of two systems over the same variables (entrywise min).
@@ -165,8 +168,10 @@ class Dbm {
                    static_cast<std::size_t>(q)];
   }
 
-  /// All finite off-diagonal entries as atomic constraints.  On a closed
-  /// matrix this list is canonical but redundant.
+  /// All finite off-diagonal entries as atomic constraints, plus each
+  /// negative diagonal entry (a contradiction X - X <= b < 0, or 0 <= b < 0
+  /// on the zero node).  On a closed matrix this list is canonical but
+  /// redundant.
   std::vector<AtomicConstraint> ToAtomics() const;
 
   /// A minimal (irredundant) set of atomics whose conjunction is equivalent

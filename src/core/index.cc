@@ -21,7 +21,7 @@ void KernelCounters::Reset() {
 
 bool LrpIntersectionEmpty(const Lrp& a, const Lrp& b) {
   // Mirrors Lrp::Intersect's emptiness decisions exactly, in the same order
-  // and through the same primitives, so the prefilter and the naive kernel
+  // and through the same primitives, so the prefilter and Lrp::Intersect
   // agree on every input -- including any edge cases of Contains / FloorMod.
   if (a.period() == 0) return !b.Contains(a.offset());
   if (b.period() == 0) return !a.Contains(b.offset());
@@ -136,8 +136,8 @@ DataKeyIndex::DataKeyIndex(const GeneralizedRelation& r,
     group_offsets_[g + 1] += group_offsets_[g];
   }
   // Pass 2: scatter rows into their group's CSR range.  Visiting rows in
-  // ascending order keeps each group's indices ascending -- the naive inner
-  // loop's order, which the bit-identity contract requires.
+  // ascending order keeps each group's indices ascending -- row order, which
+  // the kernels' output order depends on.
   std::vector<std::size_t> cursor(group_offsets_.begin(),
                                   group_offsets_.end() - 1);
   for (std::size_t i = 0; i < n; ++i) {
@@ -223,8 +223,8 @@ Result<Dbm> ConjoinOntoClosed(const Dbm& closed_base, const Dbm& addition,
         }
         return out;
       case Dbm::TightenResult::kFallbackNeeded: {
-        // Bounds near the overflow guard: recompute exactly the way the
-        // naive kernel would, so the status (and matrix) are identical.
+        // Bounds near the overflow guard: close the raw conjunction in full,
+        // so the status (and matrix) are the full closure's.
         if (counters != nullptr) {
           counters->closures_full.fetch_add(1, std::memory_order_relaxed);
         }

@@ -22,10 +22,12 @@
 //     (Dbm::TightenAndClose), falling back to the full O(n^3) closure only
 //     when bounds approach the overflow guard.
 //
-// Every fast path here is bit-identical to the naive computation it replaces
-// (same tuples, same order, same statuses); the fuzz oracle pins this with an
-// indexed-vs-naive axis in its determinism matrix.  KernelCounters reports
-// how much work each layer saved.
+// Each piece only skips work whose outcome is already decided: a pruned
+// pair is a pair whose conjunction is empty, and an incremental closure
+// returns the matrix and status of the full one.  The kernels' semantics
+// are pinned by the fuzz oracle's finite-baseline differential and by
+// tests against GeneralizedTuple::Intersect and a plain pair loop.
+// KernelCounters reports how much work each layer saved.
 
 #ifndef ITDB_CORE_INDEX_H_
 #define ITDB_CORE_INDEX_H_
@@ -49,7 +51,7 @@ namespace itdb {
 /// atomic so parallel workers can bump them without synchronization; wire
 /// an instance through AlgebraOptions::counters to collect.
 struct KernelCounters {
-  /// Raw pair product a.size() * b.size() the naive kernel would scan.
+  /// Raw pair product a.size() * b.size() before the data-key partition.
   std::atomic<std::int64_t> pairs_total{0};
   /// Pairs surviving the data-key partition (what the budget charges).
   std::atomic<std::int64_t> pairs_candidate{0};
@@ -69,8 +71,8 @@ struct KernelCounters {
 /// intersection is the empty set.  Mirrors the emptiness decisions of
 /// Lrp::Intersect code-path for code-path (singleton membership, gcd
 /// residue), which all happen before the CRT witness construction -- so a
-/// pair pruned here is exactly a pair the naive kernel would have dropped,
-/// never one where Lrp::Intersect would have reported overflow.
+/// column pruned here is exactly one where Lrp::Intersect returns the empty
+/// set, never one where it would have reported overflow.
 bool LrpIntersectionEmpty(const Lrp& a, const Lrp& b);
 
 namespace internal {
@@ -96,9 +98,9 @@ struct ValueKeyHash {
 /// cheap enough for the indexed kernels to win on mid-size inputs.
 ///
 /// Groups list tuple indices in ascending order, so probing a group
-/// enumerates exactly the naive inner loop's surviving iterations in the
-/// naive order -- the partition changes which pairs are *visited*, never
-/// which pairs *match* or in what sequence.  Table iteration order is never
+/// enumerates exactly the matching rows in row order -- the partition
+/// changes which pairs are *visited*, never which pairs *match* or in what
+/// sequence.  Table iteration order is never
 /// observed, so the hash storage cannot leak into results.
 ///
 /// An empty key column list degenerates to a single group holding every
@@ -143,10 +145,10 @@ class DataKeyIndex {
 ///
 /// Soundness of hull pruning: the hull only *relaxes* the DBM, so disjoint
 /// hulls on any shared column imply the conjoined system is infeasible over
-/// the reals -- exactly the pairs the naive kernel drops after paying for
-/// the full closure.  The hull deliberately ignores lrp information: the
-/// naive DBM closure never sees lrps either, and pruning on them would drop
-/// representation tuples the naive path keeps.
+/// the reals -- pairs whose closed conjunction would be dropped anyway.  The
+/// hull deliberately ignores lrp information: the DBM closure never sees
+/// lrps either, and pruning on them would drop representation tuples whose
+/// conjunction closes feasibly.
 struct TemporalHull {
   /// Set when Close() succeeded on a copy of the tuple's constraints and the
   /// system is feasible; fast paths require it.
@@ -154,7 +156,7 @@ struct TemporalHull {
   /// The constraints are infeasible over the integers (tuple denotes {}).
   bool infeasible = false;
   /// Whether Close() returned a status error (overflow): no fast path, the
-  /// pair must take the naive route to reproduce the error.
+  /// pair closes its raw conjunction in full to reproduce the error.
   bool close_failed = false;
   /// Inclusive bounds per temporal column; Dbm::kInf / -Dbm::kInf when
   /// unbounded.  Empty unless `closed` is set.

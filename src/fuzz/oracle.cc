@@ -90,7 +90,6 @@ struct EvalConfig {
   const char* name;
   int threads;
   bool cache;
-  bool index;
 };
 
 }  // namespace
@@ -104,10 +103,9 @@ CaseOutcome CheckCase(const Database& db, const ExprPtr& expr,
   eval.algebra = options.algebra;
   eval.algebra.threads = 1;
   eval.algebra.normalize_cache = nullptr;
-  eval.algebra.use_index = false;
   eval.bug = options.bug;
 
-  // ---- Reference evaluation: 1 thread, no memo-cache, naive kernels. ----
+  // ---- Reference evaluation: 1 thread, no memo-cache. ----
   Result<GeneralizedRelation> ref = EvalExpr(expr, db, eval);
   if (!ref.ok()) {
     if (IsBudgetError(ref.status())) {
@@ -121,28 +119,20 @@ CaseOutcome CheckCase(const Database& db, const ExprPtr& expr,
     return outcome;
   }
 
-  // ---- Determinism matrix over {1, N} threads x {off, on} memo-cache x
-  // {naive, indexed} kernels, against the reference (1 thread, cache off,
-  // naive).  The naive kernels are checked across threads; the indexed
-  // configs pin the bit-identity contract of the hash-partitioned Join pair
-  // kernel (which Intersect runs too) and Subtract kernel with prefilters,
-  // touched-row hull hoisting and incremental closures, alone and with the
-  // memo-cache, at both thread counts.  Indexed budgets charge candidate pairs, a lower bound of the
-  // naive raw product, so an indexed config can never exhaust a budget the
-  // naive reference survived. ----
+  // ---- Determinism matrix over {1, N} threads x {off, on} memo-cache,
+  // against the reference (1 thread, cache off): the parallel pair and
+  // residue kernels and the memo-cache must each leave the representation
+  // unchanged, alone and together. ----
   const EvalConfig configs[] = {
-      {"threads=N cache=off index=naive", options.threads, false, false},
-      {"threads=1 cache=off index=on", 1, false, true},
-      {"threads=N cache=off index=on", options.threads, false, true},
-      {"threads=1 cache=on index=on", 1, true, true},
-      {"threads=N cache=on index=on", options.threads, true, true},
+      {"threads=N cache=off", options.threads, false},
+      {"threads=1 cache=on", 1, true},
+      {"threads=N cache=on", options.threads, true},
   };
   for (const EvalConfig& cfg : configs) {
     NormalizeCache cache;
     EvalExprOptions alt = eval;
     alt.algebra.threads = cfg.threads;
     alt.algebra.normalize_cache = cfg.cache ? &cache : nullptr;
-    alt.algebra.use_index = cfg.index;
     Result<GeneralizedRelation> got = EvalExpr(expr, db, alt);
     if (!got.ok()) {
       outcome.failure = {"determinism", "",

@@ -355,5 +355,47 @@ TEST(IsEmptyTest, EmptyRelationIsEmpty) {
   EXPECT_TRUE(IsEmpty(r).value());
 }
 
+// A data-only tuple whose only constraint is the ground contradiction
+// 0 <= -1: it denotes no row, and neither does anything built from it.
+GeneralizedRelation DataOnly(bool contradiction) {
+  GeneralizedRelation r(Schema({}, {"K"}, {DataType::kInt}));
+  GeneralizedTuple t(std::vector<Lrp>{}, {Value(std::int64_t{7})});
+  if (contradiction) {
+    t.mutable_constraints().AddAtomic({kZeroVar, kZeroVar, -1});
+  }
+  EXPECT_TRUE(r.AddTuple(std::move(t)).ok());
+  return r;
+}
+
+bool EmptyResult(const Result<GeneralizedRelation>& r) {
+  EXPECT_TRUE(r.ok()) << r.status();
+  return r.ok() && IsEmpty(*r).value();
+}
+
+TEST(IsEmptyTest, CrossProductKeepsAGroundContradiction) {
+  GeneralizedRelation a = DataOnly(true);
+  GeneralizedRelation b = Unary({Lrp::Make(0, 1)});
+  ASSERT_TRUE(IsEmpty(a).value());
+  EXPECT_TRUE(EmptyResult(CrossProduct(a, b)));
+  EXPECT_TRUE(EmptyResult(CrossProduct(b, a)));
+}
+
+TEST(IsEmptyTest, BinaryOperatorsAgreeWithIsEmptyOnAGroundContradiction) {
+  GeneralizedRelation flagged = DataOnly(true);
+  GeneralizedRelation plain = DataOnly(false);
+  GeneralizedRelation b = Unary({Lrp::Make(0, 1)});
+  ASSERT_FALSE(IsEmpty(plain).value());
+  EXPECT_TRUE(EmptyResult(Join(flagged, b)));
+  EXPECT_TRUE(EmptyResult(Join(b, flagged)));
+  EXPECT_TRUE(EmptyResult(Join(flagged, plain)));
+  EXPECT_TRUE(EmptyResult(Join(plain, flagged)));
+  EXPECT_TRUE(EmptyResult(Intersect(flagged, flagged)));
+  EXPECT_TRUE(EmptyResult(Intersect(flagged, plain)));
+  EXPECT_TRUE(EmptyResult(Intersect(plain, flagged)));
+  EXPECT_TRUE(EmptyResult(Subtract(flagged, plain)));
+  // Subtracting the empty tuple removes nothing.
+  EXPECT_FALSE(EmptyResult(Subtract(plain, flagged)));
+}
+
 }  // namespace
 }  // namespace itdb

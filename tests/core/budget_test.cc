@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/algebra.h"
+#include "core/index.h"
 #include "core/normalize.h"
 
 namespace itdb {
@@ -98,6 +101,58 @@ TEST(BudgetTest, LcmOverflowSurfacesAsOverflow) {
   // lcm = kBig * kBig2 ~ 2^64: must overflow, not wrap.
   ASSERT_FALSE(k.ok());
   EXPECT_EQ(k.status().code(), StatusCode::kOverflow);
+}
+
+// Bounds near Dbm::kBoundLimit.  Where the O(n^2) incremental closure
+// punts (kFallbackNeeded) or a tuple's own closure overflows, the operators
+// close in full and report that closure's kOverflow.
+constexpr std::int64_t kBig = 3 * (Dbm::kBoundLimit / 4);
+
+// One [0+n, 0+n] tuple over two temporal columns with the given atomics.
+GeneralizedTuple EdgePair(const std::vector<AtomicConstraint>& atomics) {
+  GeneralizedTuple t({Lrp::Make(0, 1), Lrp::Make(0, 1)});
+  for (const AtomicConstraint& a : atomics) {
+    t.mutable_constraints().AddAtomic(a);
+  }
+  return t;
+}
+
+TEST(BudgetTest, ComplementDnfOverflowSurfacesAsOverflow) {
+  // Each tuple closes in range, but the conjunction of their negations,
+  // X1 - X0 <= -kBig - 1 and -X1 <= -kBig - 1, derives X0 >= 2 kBig + 2.
+  GeneralizedRelation r(Schema::Temporal(2));
+  ASSERT_TRUE(r.AddTuple(EdgePair({{0, 1, kBig}})).ok());
+  ASSERT_TRUE(r.AddTuple(EdgePair({{1, kZeroVar, kBig}})).ok());
+  KernelCounters counters;
+  AlgebraOptions options;
+  options.counters = &counters;
+  Result<GeneralizedRelation> c = Complement(r, options);
+  ASSERT_FALSE(c.ok());
+  EXPECT_EQ(c.status().code(), StatusCode::kOverflow) << c.status();
+  EXPECT_EQ(counters.closures_full.load(), 1);
+}
+
+TEST(BudgetTest, SelectionOverflowSurfacesAsOverflow) {
+  KernelCounters counters;
+  AlgebraOptions options;
+  options.counters = &counters;
+  // The tuple closes in range; selecting X1 <= kBig derives X0 <= 2 kBig.
+  GeneralizedRelation r(Schema::Temporal(2));
+  ASSERT_TRUE(r.AddTuple(EdgePair({{0, 1, kBig}})).ok());
+  Result<GeneralizedRelation> s =
+      SelectTemporal(r, {1, kZeroVar, CmpOp::kLe, kBig}, options);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.status().code(), StatusCode::kOverflow) << s.status();
+  EXPECT_EQ(counters.closures_full.load(), 1);
+  // The tuple's own closure overflows: every branch of X0 != 0 takes the
+  // full route.
+  GeneralizedRelation chain(Schema::Temporal(2));
+  ASSERT_TRUE(
+      chain.AddTuple(EdgePair({{0, 1, kBig}, {1, kZeroVar, kBig}})).ok());
+  Result<GeneralizedRelation> t =
+      SelectTemporal(chain, {0, kZeroVar, CmpOp::kNe, 0}, options);
+  ASSERT_FALSE(t.ok());
+  EXPECT_EQ(t.status().code(), StatusCode::kOverflow) << t.status();
 }
 
 TEST(BudgetTest, ErrorsCarryOperationNames) {

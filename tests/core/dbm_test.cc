@@ -216,6 +216,32 @@ TEST(DbmTest, ZeroVariableSystem) {
   EXPECT_TRUE(d.IsSatisfiedBy({}));
 }
 
+// A ground contradiction lives in the matrix, so copies, conjunctions,
+// appended and mapped matrices, and a rebuild from ToAtomics all keep it.
+TEST(DbmTest, GroundContradictionSurvivesEveryDerivedMatrix) {
+  for (int vars : {0, 2}) {
+    Dbm d(vars);
+    d.AddAtomic({kZeroVar, kZeroVar, 0});  // 0 <= 0: vacuous.
+    EXPECT_EQ(d, Dbm(vars));
+    d.AddAtomic({kZeroVar, kZeroVar, -1});  // 0 <= -1.
+    ASSERT_TRUE(d.Close().ok());
+    EXPECT_FALSE(d.feasible()) << vars;
+    EXPECT_FALSE(d.IsSatisfiedBy(std::vector<std::int64_t>(
+        static_cast<std::size_t>(vars), 0)));
+    EXPECT_NE(d, Dbm(vars));
+    std::vector<int> shift;
+    for (int i = 0; i < vars; ++i) shift.push_back(i + 1);
+    Dbm rebuilt(vars);
+    for (const AtomicConstraint& a : d.ToAtomics()) rebuilt.AddAtomic(a);
+    for (Dbm derived :
+         {Dbm::Conjoin(d, Dbm(vars)), Dbm::Conjoin(Dbm(vars), d),
+          d.AppendVariables(1), d.MapVariables(shift, vars + 1), rebuilt}) {
+      ASSERT_TRUE(derived.Close().ok()) << vars;
+      EXPECT_FALSE(derived.feasible()) << vars;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // TightenAndClose: the O(n^2) incremental closure must agree with
 // AddAtomic + Close on every outcome, and must leave the matrix untouched

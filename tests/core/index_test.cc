@@ -1,9 +1,9 @@
 // The indexed-kernel support layer (core/index.h): the gcd residue-class
 // prefilter must agree with Lrp::Intersect emptiness decision for decision,
-// the data-key partition must enumerate exactly the naive matching pairs in
-// the naive order, hull disjointness must imply an empty tuple intersection,
-// and the indexed Join / Intersect / Subtract must be bit-identical to the
-// naive kernels while charging budgets on candidate pairs only.
+// the data-key partition must enumerate exactly the matching rows in row
+// order, hull disjointness must imply an empty tuple intersection, and the
+// indexed Join / Intersect pair scan must produce exactly what a plain pair
+// loop produces while charging budgets on candidate pairs only.
 
 #include <cstdint>
 #include <optional>
@@ -175,12 +175,47 @@ TEST(TemporalHullTest, UnboundedHullsNeverPrune) {
 }
 
 // ---------------------------------------------------------------------------
-// Indexed kernels vs naive: bit-identical on relations with data columns.
+// Indexed kernels vs a plain pair loop on relations with data columns.
 
-void ExpectSame(const GeneralizedRelation& want,
-                const GeneralizedRelation& got, const char* what) {
-  EXPECT_EQ(want.schema(), got.schema()) << what;
-  EXPECT_EQ(want.tuples(), got.tuples()) << what;
+// The pair loop of Sections 3.2.2 and 3.7, with a's rows outer: per matched
+// column Lrp::Intersect, then Dbm::Conjoin + Close.  Every data column is
+// shared; b's temporal column j lands on output column b_temporal[j], and
+// columns below a's arity are a's own.
+Result<std::vector<GeneralizedTuple>> PairLoop(
+    const GeneralizedRelation& a, const GeneralizedRelation& b,
+    const std::vector<int>& b_temporal, int m_out) {
+  const int ma = a.schema().temporal_arity();
+  std::vector<GeneralizedTuple> out;
+  for (const GeneralizedTuple& ta : a.tuples()) {
+    for (const GeneralizedTuple& tb : b.tuples()) {
+      if (ta.data() != tb.data()) continue;
+      std::vector<Lrp> lrps = ta.temporal();
+      lrps.resize(static_cast<std::size_t>(m_out));
+      bool disjoint = false;
+      for (int j = 0; j < tb.temporal_arity() && !disjoint; ++j) {
+        const int col = b_temporal[static_cast<std::size_t>(j)];
+        Lrp& target = lrps[static_cast<std::size_t>(col)];
+        if (col >= ma) {
+          target = tb.lrp(j);
+          continue;
+        }
+        ITDB_ASSIGN_OR_RETURN(std::optional<Lrp> meet,
+                              Lrp::Intersect(ta.lrp(col), tb.lrp(j)));
+        disjoint = !meet.has_value();
+        if (!disjoint) target = *meet;
+      }
+      if (disjoint) continue;
+      Dbm merged =
+          Dbm::Conjoin(ta.constraints().AppendVariables(m_out - ma),
+                       tb.constraints().MapVariables(b_temporal, m_out));
+      ITDB_RETURN_IF_ERROR(merged.Close());
+      if (!merged.feasible()) continue;
+      GeneralizedTuple t(std::move(lrps), ta.data());
+      t.set_constraints(std::move(merged));
+      out.push_back(std::move(t));
+    }
+  }
+  return out;
 }
 
 TEST(IndexedKernelsTest, BitIdenticalToNaiveOnRandomKeyedRelations) {
@@ -189,25 +224,25 @@ TEST(IndexedKernelsTest, BitIdenticalToNaiveOnRandomKeyedRelations) {
   cfg.num_tuples = 12;
   cfg.data_values = {Value(std::int64_t{0}), Value(std::int64_t{1}),
                      Value(std::int64_t{2})};
-  AlgebraOptions naive;
-  naive.use_index = false;
-  AlgebraOptions indexed;
-  indexed.use_index = true;
   for (std::uint32_t seed = 1; seed <= 20; ++seed) {
     GeneralizedRelation a = MakeRandomRelation(seed, cfg);
     GeneralizedRelation b = MakeRandomRelation(seed + 1000, cfg);
-    auto i0 = Intersect(a, b, naive);
-    auto i1 = Intersect(a, b, indexed);
-    ASSERT_EQ(i0.ok(), i1.ok()) << "Intersect seed " << seed;
-    if (i0.ok()) ExpectSame(*i0, *i1, "Intersect");
-    auto j0 = Join(a, b, naive);
-    auto j1 = Join(a, b, indexed);
-    ASSERT_EQ(j0.ok(), j1.ok()) << "Join seed " << seed;
-    if (j0.ok()) ExpectSame(*j0, *j1, "Join");
-    auto s0 = Subtract(a, b, naive);
-    auto s1 = Subtract(a, b, indexed);
-    ASSERT_EQ(s0.ok(), s1.ok()) << "Subtract seed " << seed;
-    if (s0.ok()) ExpectSame(*s0, *s1, "Subtract");
+    // Intersect: every column shared, position for position.
+    auto want_i = PairLoop(a, b, {0, 1}, 2);
+    ASSERT_TRUE(want_i.ok()) << "seed " << seed << ": " << want_i.status();
+    auto got_i = Intersect(a, b);
+    ASSERT_TRUE(got_i.ok()) << "Intersect seed " << seed;
+    EXPECT_EQ(got_i->tuples(), *want_i) << "Intersect seed " << seed;
+    // Join sharing the first temporal column and the data column; b's
+    // second temporal column is new and lands after a's.
+    const std::string t2 = b.schema().temporal_name(1);
+    GeneralizedRelation b_renamed = Rename(b, {{t2, t2 + "b"}}).value();
+    auto want_j = PairLoop(a, b_renamed, {0, 2}, 3);
+    ASSERT_TRUE(want_j.ok()) << "seed " << seed << ": " << want_j.status();
+    auto got_j = Join(a, b_renamed);
+    ASSERT_TRUE(got_j.ok()) << "Join seed " << seed;
+    EXPECT_EQ(got_j->schema().temporal_arity(), 3);
+    EXPECT_EQ(got_j->tuples(), *want_j) << "Join seed " << seed;
   }
 }
 
@@ -223,19 +258,14 @@ TEST(IndexedKernelsTest, BudgetChargesCandidatePairsNotRawProduct) {
   GeneralizedRelation b = KeyedRelation(keys);
   AlgebraOptions options;
   options.max_tuples = 500;
-
-  options.use_index = false;
-  auto naive = Intersect(a, b, options);
-  ASSERT_FALSE(naive.ok());
-  EXPECT_EQ(naive.status().code(), StatusCode::kResourceExhausted);
-
-  options.use_index = true;
   KernelCounters counters;
   options.counters = &counters;
   auto indexed = Intersect(a, b, options);
   ASSERT_TRUE(indexed.ok()) << indexed.status();
   EXPECT_EQ(indexed.value().size(), 100u);
+  // The raw product alone would have tripped the budget.
   EXPECT_EQ(counters.pairs_total.load(), 10000);
+  EXPECT_GT(counters.pairs_total.load(), options.max_tuples);
   EXPECT_EQ(counters.pairs_candidate.load(), 100);
 }
 
@@ -266,7 +296,13 @@ TEST(IndexedKernelsTest, CountersRecordPrefilterPrunes) {
 // ---------------------------------------------------------------------------
 // Overflow edge: bounds near Dbm::kBoundLimit.  Intersect runs Join's pair
 // kernel, so both must report the same status and representation whichever
-// closure overflows, with the index on or off, at any thread count.
+// closure overflows, at any thread count.
+
+void ExpectSame(const GeneralizedRelation& want,
+                const GeneralizedRelation& got, const char* what) {
+  EXPECT_EQ(want.schema(), got.schema()) << what;
+  EXPECT_EQ(want.tuples(), got.tuples()) << what;
+}
 
 // One keyed tuple [0+n, 0+n] over (T1, T2 | K) with the given atomics:
 // {lhs, rhs, bound} means T(lhs+1) - T(rhs+1) <= bound, -1 the zero node.
@@ -316,26 +352,21 @@ TEST(IndexedKernelsTest, OverflowEdgeAgreesAcrossKernelsAndModes) {
   };
   for (const Case& c : cases) {
     std::optional<GeneralizedRelation> first;
-    for (bool use_index : {false, true}) {
-      for (int threads : {1, 4}) {
-        AlgebraOptions options;
-        options.use_index = use_index;
-        options.threads = threads;
-        for (bool join : {false, true}) {
-          auto r =
-              join ? Join(c.a, c.b, options) : Intersect(c.a, c.b, options);
-          const std::string where =
-              std::string(c.name) + (join ? " Join" : " Intersect") +
-              " index=" + std::to_string(use_index) +
-              " threads=" + std::to_string(threads);
-          ASSERT_EQ(r.status().code(), c.want) << where << ": " << r.status();
-          if (!r.ok()) continue;
-          EXPECT_EQ(r.value().size(), 2u) << where;
-          if (!first.has_value()) {
-            first = r.value();
-          } else {
-            ExpectSame(*first, r.value(), where.c_str());
-          }
+    for (int threads : {1, 4}) {
+      AlgebraOptions options;
+      options.threads = threads;
+      for (bool join : {false, true}) {
+        auto r = join ? Join(c.a, c.b, options) : Intersect(c.a, c.b, options);
+        const std::string where = std::string(c.name) +
+                                  (join ? " Join" : " Intersect") +
+                                  " threads=" + std::to_string(threads);
+        ASSERT_EQ(r.status().code(), c.want) << where << ": " << r.status();
+        if (!r.ok()) continue;
+        EXPECT_EQ(r.value().size(), 2u) << where;
+        if (!first.has_value()) {
+          first = r.value();
+        } else {
+          ExpectSame(*first, r.value(), where.c_str());
         }
       }
     }
