@@ -56,22 +56,21 @@ Result<GeneralizedRelation> CoalesceResidues(const GeneralizedRelation& r,
   // sensitive dedup stays sequential.
   {
     using KeyEntry = std::pair<bool, std::string>;
+    auto key_of = [&](std::int64_t i, std::vector<KeyEntry>& out) -> Status {
+      const GeneralizedTuple& t = r.tuples()[static_cast<std::size_t>(i)];
+      Dbm closed = t.constraints();
+      ITDB_RETURN_IF_ERROR(closed.Close());
+      if (!closed.feasible()) {
+        out.push_back({false, std::string()});
+      } else {
+        out.push_back({true, t.ToString()});
+      }
+      return Status::Ok();
+    };
     ITDB_ASSIGN_OR_RETURN(
         std::vector<KeyEntry> keys,
-        ParallelAppend<KeyEntry>(
-            static_cast<std::int64_t>(r.tuples().size()), parallel,
-            [&](std::int64_t i, std::vector<KeyEntry>& out) -> Status {
-              const GeneralizedTuple& t =
-                  r.tuples()[static_cast<std::size_t>(i)];
-              Dbm closed = t.constraints();
-              ITDB_RETURN_IF_ERROR(closed.Close());
-              if (!closed.feasible()) {
-                out.push_back({false, std::string()});
-              } else {
-                out.push_back({true, t.ToString()});
-              }
-              return Status::Ok();
-            }));
+        ParallelAppend<KeyEntry>(static_cast<std::int64_t>(r.tuples().size()),
+                                 parallel, key_of));
     std::set<std::string> seen;
     for (std::size_t i = 0; i < keys.size(); ++i) {
       if (!keys[i].first) continue;
@@ -87,22 +86,21 @@ Result<GeneralizedRelation> CoalesceResidues(const GeneralizedRelation& r,
       // Families keyed by everything but this column's offset.  The
       // per-tuple signatures (a closure each) fan out; the family map is
       // built sequentially so member lists stay index-ordered.
+      auto signature_of = [&](std::int64_t i,
+                              std::vector<std::string>& out) -> Status {
+        const GeneralizedTuple& t = tuples[static_cast<std::size_t>(i)];
+        if (t.lrp(col).period() == 0) {
+          out.push_back(std::string());
+          return Status::Ok();
+        }
+        ITDB_ASSIGN_OR_RETURN(std::string key, SignatureWithoutOffset(t, col));
+        out.push_back(std::move(key));
+        return Status::Ok();
+      };
       ITDB_ASSIGN_OR_RETURN(
           std::vector<std::string> signatures,
-          ParallelAppend<std::string>(
-              static_cast<std::int64_t>(tuples.size()), parallel,
-              [&](std::int64_t i, std::vector<std::string>& out) -> Status {
-                const GeneralizedTuple& t =
-                    tuples[static_cast<std::size_t>(i)];
-                if (t.lrp(col).period() == 0) {
-                  out.push_back(std::string());
-                  return Status::Ok();
-                }
-                ITDB_ASSIGN_OR_RETURN(std::string key,
-                                      SignatureWithoutOffset(t, col));
-                out.push_back(std::move(key));
-                return Status::Ok();
-              }));
+          ParallelAppend<std::string>(static_cast<std::int64_t>(tuples.size()),
+                                      parallel, signature_of));
       std::map<std::string, std::vector<std::size_t>> families;
       for (std::size_t i = 0; i < signatures.size(); ++i) {
         if (signatures[i].empty()) continue;

@@ -673,46 +673,6 @@ Result<GeneralizedRelation> EvalQuery(const Database& db, const QueryPtr& q,
   return EvalPrepared(db, prepared, options);
 }
 
-Result<AnalyzedResult> EvalQueryAnalyzed(const Database& db, const QueryPtr& q,
-                                         const QueryOptions& options) {
-  QueryOptions analyzed = options;
-  analyzed.analyze = true;
-  Prepared prepared(q, analyzed);
-  const Status compiled = prepared.Compile(db);  // Analyzes first.
-  AnalyzedResult out;
-  out.analysis = prepared.analysis();
-  // The diagnostics are the result; relation stays nullopt.
-  if (out.analysis.HasErrors()) return out;
-  ITDB_RETURN_IF_ERROR(compiled);
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation relation,
-                        EvalPrepared(db, prepared, options));
-  out.relation = std::move(relation);
-  return out;
-}
-
-Result<AnalyzedResult> EvalQueryStringAnalyzed(const Database& db,
-                                               std::string_view text,
-                                               const QueryOptions& options) {
-  ITDB_ASSIGN_OR_RETURN(QueryPtr q, ParseQuery(text));
-  return EvalQueryAnalyzed(db, q, options);
-}
-
-Result<ProfiledResult> EvalQueryProfiled(const Database& db, const QueryPtr& q,
-                                         const QueryOptions& options) {
-  Prepared prepared(q, options);
-  obs::Profile profile;
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation relation,
-                        EvalPrepared(db, prepared, options, &profile));
-  return ProfiledResult{std::move(relation), std::move(profile)};
-}
-
-Result<ProfiledResult> EvalQueryStringProfiled(const Database& db,
-                                               std::string_view text,
-                                               const QueryOptions& options) {
-  ITDB_ASSIGN_OR_RETURN(QueryPtr q, ParseQuery(text));
-  return EvalQueryProfiled(db, q, options);
-}
-
 Result<bool> EvalBooleanQuery(const Database& db, const QueryPtr& q,
                               const QueryOptions& options) {
   Prepared prepared(q, options, Answer::kYesNo);
@@ -730,10 +690,6 @@ Result<bool> EvalBooleanQueryString(const Database& db, std::string_view text,
                                     const QueryOptions& options) {
   ITDB_ASSIGN_OR_RETURN(QueryPtr q, ParseQuery(text));
   return EvalBooleanQuery(db, q, options);
-}
-
-std::string FormatQueryPlan(const QueryPtr& q) {
-  return FormatQueryPlanWithEstimates(q, {});
 }
 
 }  // namespace query

@@ -23,13 +23,10 @@
 #ifndef ITDB_QUERY_EVAL_H_
 #define ITDB_QUERY_EVAL_H_
 
-#include <optional>
 #include <string>
 #include <string_view>
 
-#include "analysis/analyzer.h"
 #include "core/algebra.h"
-#include "obs/profile.h"
 #include "query/ast.h"
 #include "query/sorts.h"
 #include "storage/database.h"
@@ -79,34 +76,13 @@ struct QueryOptions {
   StatsCache* stats_cache = nullptr;
 };
 
-/// A query result together with its evaluation profile (the plan-span tree
-/// folded per node; see obs/profile.h).
-struct ProfiledResult {
-  GeneralizedRelation relation;
-  obs::Profile profile;
-};
-
 /// Evaluates an open query; see the semantics above.  This and the
 /// variants below compile one query::Prepared (prepared.h) and evaluate it;
-/// callers that need the analysis or plan too should use Prepared directly.
+/// callers that need the analysis, the plan or a profile too use Prepared
+/// directly (Prepared::Analyze, Prepared::Compile, and EvalPrepared with a
+/// profile).
 Result<GeneralizedRelation> EvalQuery(const Database& db, const QueryPtr& q,
                                       const QueryOptions& options = {});
-
-/// An evaluation result together with everything the analyzer found.  When
-/// the analysis has error-severity diagnostics, `relation` is nullopt (and
-/// the call itself still returns ok: the diagnostics ARE the result).
-struct AnalyzedResult {
-  analysis::AnalysisResult analysis;
-  std::optional<GeneralizedRelation> relation;
-};
-
-/// Like EvalQuery with `analyze` forced on, but analysis findings are
-/// returned structurally instead of flattened into a Status message.
-/// Parse failures and evaluation failures still fail the call.
-Result<AnalyzedResult> EvalQueryAnalyzed(const Database& db, const QueryPtr& q,
-                                         const QueryOptions& options = {});
-Result<AnalyzedResult> EvalQueryStringAnalyzed(
-    const Database& db, std::string_view text, const QueryOptions& options = {});
 
 /// Evaluates a yes/no query as a query::Answer::kYesNo statement
 /// (prepared.h).  Fails with kInvalidArgument when `q` has free variables.
@@ -120,28 +96,10 @@ Result<GeneralizedRelation> EvalQueryString(const Database& db,
 Result<bool> EvalBooleanQueryString(const Database& db, std::string_view text,
                                     const QueryOptions& options = {});
 
-/// Evaluates `q` with per-plan-node tracing and returns the result together
-/// with its profile (the backing store of the shell's PROFILE command).
-/// Without options.algebra.tracer, spans go to a private tracer local to
-/// this call -- the process-global tracer is deliberately NOT used, so the
-/// profile never folds in spans of unrelated work.  With one, spans are
-/// recorded there and the profile is built from ALL of its "plan" spans.
-Result<ProfiledResult> EvalQueryProfiled(const Database& db, const QueryPtr& q,
-                                         const QueryOptions& options = {});
-Result<ProfiledResult> EvalQueryStringProfiled(
-    const Database& db, std::string_view text, const QueryOptions& options = {});
-
-/// The indented plan tree EXPLAIN prints: one line per plan node, labeled
-/// exactly like the spans EvalQueryProfiled opens (AND / OR / NOT /
-/// EXISTS v / FORALL v / ATOM P(x, y) / CMP x < y).  Format a compiled
-/// query::Prepared's plan() (prepared.h) to see the plan evaluation
-/// actually runs.  FormatQueryPlanWithEstimates (planner.h) with no
-/// estimates.
-std::string FormatQueryPlan(const QueryPtr& q);
-
 /// The label of one plan node: what EXPLAIN prints, what its trace span is
-/// named, and what the planner's estimated-plan rendering prefixes (AND /
-/// OR / NOT / EXISTS v / FORALL v / ATOM P(x, y) / CMP x < y).
+/// named, and what the planner's estimated-plan rendering
+/// (FormatQueryPlanWithEstimates, planner.h) prefixes (AND / OR / NOT /
+/// EXISTS v / FORALL v / ATOM P(x, y) / CMP x < y).
 std::string PlanNodeLabel(const Query& q);
 
 }  // namespace query

@@ -96,7 +96,8 @@ void FlattenConjuncts(const QueryPtr& q, std::vector<QueryPtr>* out);
 /// of its own.
 std::vector<std::size_t> GroupConjuncts(const std::vector<QueryPtr>& conjuncts);
 
-/// FormatQueryPlan (eval.h) with per-node estimates appended:
+/// The plan tree EXPLAIN prints, one PlanNodeLabel (eval.h) per line,
+/// with per-node estimates appended:
 ///   AND  (est_rows=12, est_cost=340)
 /// Nodes absent from `estimates` print without a suffix.  With
 /// `certificates`, certified bounds are appended to the annotation:

@@ -169,10 +169,11 @@ class Prepared {
 };
 
 /// Compiles a relation statement against `db` if it is not yet, then
-/// evaluates its plan (see the option split above).  With `profile`,
-/// evaluation is traced per plan node exactly as EvalQueryProfiled
-/// documents.  A yes/no statement fails with kInvalidArgument.  Defined in
-/// eval.cc, next to the evaluator.
+/// evaluates its plan (see the option split above).  With `profile`, the
+/// plan spans fold into `*profile` (obs/profile.h), recorded in
+/// options.algebra.tracer or else a tracer private to the call (never the
+/// global one).  A yes/no statement fails with kInvalidArgument.  Defined
+/// in eval.cc, next to the evaluator.
 Result<GeneralizedRelation> EvalPrepared(const Database& db, Prepared& prepared,
                                          const QueryOptions& options,
                                          obs::Profile* profile = nullptr);

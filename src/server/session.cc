@@ -46,7 +46,8 @@ constexpr const char* kHelp = R"(commands:
   explain <query>               print the (optimized) query-plan tree
   explain ask <query>           the plans `ask` runs on the peeled body, and
                                 whether true means it is empty or nonempty
-  profile <query>               evaluate with tracing; prints per-plan-node
+  explain tlcheck|sat <tl>      the plans of the formula's query
+  profile [sat] <query|tl>      evaluate with tracing; prints per-plan-node
                                 wall/CPU time, tuple counts, and kernel stats
   metrics                       dump the process-global metrics registry
   stats [name]                  per-relation statistics (tuple counts,
@@ -332,6 +333,15 @@ Result<query::Prepared> PrepareStatement(std::string_view verb,
                          options, answer);
 }
 
+// `explain` and `profile` text: `<verb> <text>` for a verb of
+// PrepareStatement, else a bare `query`.
+std::pair<std::string, std::string> StatementVerb(const std::string& rest) {
+  std::string text;
+  std::string verb = SplitCommand(rest, &text);
+  if (verb == "ask" || verb == "tlcheck" || verb == "sat") return {verb, text};
+  return {"query", rest};
+}
+
 // Evaluates a prepared statement under `opts` and renders its outcome as
 // `verb` prints it; `query` also hands its relation to the fetch cursor.
 // A failing `tlcheck` prints its violations: the relation statement
@@ -456,7 +466,7 @@ Status CmdExplain(std::ostream& out, const Database& db,
     // Compilation failed (analysis errors, sort conflicts, free variables
     // of a yes/no statement): evaluation will report why; the unplanned
     // tree is still worth printing.
-    out << query::FormatQueryPlan(prepared.optimized());
+    out << query::FormatQueryPlanWithEstimates(prepared.optimized(), {});
     return Status::Ok();
   }
   const std::vector<query::QueryPtr>& plans = prepared.plans();
@@ -659,14 +669,10 @@ Status Session::Dispatch(const std::string& verb, const std::string& rest,
   if (verb == "fetch") return CmdFetch(out, rest);
   if (verb == "set") return CmdSet(out, rest);
   if (verb == "explain" || verb == "EXPLAIN") {
-    // `explain ask <formula>` compiles as `ask` does: the peeled body.
-    std::string formula;
-    const bool ask = SplitCommand(rest, &formula) == "ask";
-    ITDB_ASSIGN_OR_RETURN(
-        query::Prepared prepared,
-        query::Prepared::Parse(ask ? formula : rest, BaseOptions(),
-                               ask ? query::Answer::kYesNo
-                                   : query::Answer::kRelation));
+    // Compiled exactly as its verb compiles it (`ask`: the peeled body).
+    const auto [inner, text] = StatementVerb(rest);
+    ITDB_ASSIGN_OR_RETURN(query::Prepared prepared,
+                          PrepareStatement(inner, text, BaseOptions()));
     return db_->WithRead(
         [&](const Database& db) { return CmdExplain(out, db, prepared); });
   }
@@ -877,9 +883,16 @@ query::QueryOptions Session::BaseOptions() const {
 Status Session::CmdProfile(std::ostream& out, const std::string& text) {
   ++stats_.queries;
   obs::AddGlobalCounter("server.queries", 1);
+  const auto [verb, body] = StatementVerb(text);
+  if (verb == "ask" || verb == "tlcheck") {
+    return Status::InvalidArgument("profile " + verb +
+                                   ": a yes/no statement has no profile");
+  }
+  const bool sat = verb == "sat";
   ITDB_ASSIGN_OR_RETURN(query::Prepared prepared,
-                        query::Prepared::Parse(text, BaseOptions()));
+                        PrepareStatement(verb, body, BaseOptions()));
   return db_->WithRead([&](const Database& db) -> Status {
+    if (sat) ITDB_RETURN_IF_ERROR(tl::CheckPropositions(db, *prepared.query()));
     StatementStep step(options_, db, prepared);
     ITDB_RETURN_IF_ERROR(step.Admit());
     DeadlineGuard deadline(step.deadline_ms());

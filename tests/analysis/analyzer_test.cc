@@ -1,5 +1,6 @@
 #include "analysis/analyzer.h"
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -7,6 +8,7 @@
 
 #include "query/eval.h"
 #include "query/parser.h"
+#include "query/prepared.h"
 #include "storage/database.h"
 #include "util/diagnostic.h"
 
@@ -14,7 +16,6 @@ namespace itdb {
 namespace analysis {
 namespace {
 
-using query::EvalQueryStringAnalyzed;
 using query::ParseQuery;
 using query::QueryPtr;
 
@@ -370,37 +371,54 @@ TEST(AnalyzedEvalTest, ErrorsAbortEvaluationWithDiagnostics) {
   EXPECT_EQ(nf.status().code(), StatusCode::kNotFound);
 }
 
-TEST(AnalyzedEvalTest, EvalQueryAnalyzedReturnsStructuredFindings) {
+// A compiled statement's analysis and its result, as a caller that wants
+// both reads them from the one query::Prepared.  `relation` stays unset
+// when the analysis has errors: the diagnostics are the result.
+struct Analyzed {
+  AnalysisResult analysis;
+  std::optional<GeneralizedRelation> relation;
+};
+
+Analyzed PrepareAndEval(const Database& db, const std::string& text) {
+  Result<query::Prepared> prepared =
+      query::Prepared::Parse(text, query::QueryOptions{});
+  EXPECT_TRUE(prepared.ok()) << prepared.status();
+  Analyzed out;
+  if (!prepared.ok()) return out;
+  out.analysis = prepared->Analyze(db);
+  if (out.analysis.HasErrors()) return out;
+  Status compiled = prepared->Compile(db);
+  EXPECT_TRUE(compiled.ok()) << compiled;
+  Result<GeneralizedRelation> relation =
+      query::EvalPrepared(db, prepared.value(), prepared->options());
+  EXPECT_TRUE(relation.ok()) << relation.status();
+  if (relation.ok()) out.relation = std::move(relation).value();
+  return out;
+}
+
+TEST(AnalyzedEvalTest, PreparedAnalysisReturnsStructuredFindings) {
   Database db = SmallDb();
-  Result<query::AnalyzedResult> ok =
-      EvalQueryStringAnalyzed(db, "P(t) AND t <= 20");
-  ASSERT_TRUE(ok.ok()) << ok.status();
-  ASSERT_TRUE(ok->relation.has_value());
-  EXPECT_TRUE(ok->analysis.diagnostics.empty());
+  Analyzed ok = PrepareAndEval(db, "P(t) AND t <= 20");
+  ASSERT_TRUE(ok.relation.has_value());
+  EXPECT_TRUE(ok.analysis.diagnostics.empty());
 
-  Result<query::AnalyzedResult> bad =
-      EvalQueryStringAnalyzed(db, "Zq(t) AND P(t)");
-  ASSERT_TRUE(bad.ok()) << bad.status();  // Diagnostics ARE the result.
-  EXPECT_FALSE(bad->relation.has_value());
-  EXPECT_TRUE(bad->analysis.HasErrors());
+  Analyzed bad = PrepareAndEval(db, "Zq(t) AND P(t)");
+  EXPECT_FALSE(bad.relation.has_value());  // Diagnostics ARE the result.
+  EXPECT_TRUE(bad.analysis.HasErrors());
 
-  Result<query::AnalyzedResult> warn =
-      EvalQueryStringAnalyzed(db, "P(t) AND Q(u)");
-  ASSERT_TRUE(warn.ok()) << warn.status();
-  EXPECT_TRUE(warn->relation.has_value());
-  EXPECT_GT(warn->analysis.warnings(), 0);
+  Analyzed warn = PrepareAndEval(db, "P(t) AND Q(u)");
+  EXPECT_TRUE(warn.relation.has_value());
+  EXPECT_GT(warn.analysis.warnings(), 0);
 }
 
 TEST(AnalyzedEvalTest, ProvenEmptyRootShortCircuits) {
   Database db = SmallDb();
   // Bit-level proof (ground-false conjunct): served without evaluating.
-  Result<query::AnalyzedResult> r =
-      EvalQueryStringAnalyzed(db, "P(t) AND 3 < 2");
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_TRUE(r->analysis.root_proven_bit_empty);
-  ASSERT_TRUE(r->relation.has_value());
-  EXPECT_EQ(r->relation->size(), 0);
-  EXPECT_EQ(r->relation->schema().temporal_names(),
+  Analyzed r = PrepareAndEval(db, "P(t) AND 3 < 2");
+  EXPECT_TRUE(r.analysis.root_proven_bit_empty);
+  ASSERT_TRUE(r.relation.has_value());
+  EXPECT_EQ(r.relation->size(), 0);
+  EXPECT_EQ(r.relation->schema().temporal_names(),
             std::vector<std::string>{"t"});
 }
 
@@ -408,12 +426,10 @@ TEST(AnalyzedEvalTest, SetLevelEmptyRootStillEvaluates) {
   Database db = SmallDb();
   // DBM-level proof only: the evaluator runs (its representation of the
   // empty set is its own business), but the diagnostics still flag it.
-  Result<query::AnalyzedResult> r =
-      EvalQueryStringAnalyzed(db, "P(t) AND t > 5 AND t < 4");
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_TRUE(r->analysis.root_proven_empty);
-  EXPECT_FALSE(r->analysis.root_proven_bit_empty);
-  ASSERT_TRUE(r->relation.has_value());
+  Analyzed r = PrepareAndEval(db, "P(t) AND t > 5 AND t < 4");
+  EXPECT_TRUE(r.analysis.root_proven_empty);
+  EXPECT_FALSE(r.analysis.root_proven_bit_empty);
+  ASSERT_TRUE(r.relation.has_value());
 }
 
 }  // namespace

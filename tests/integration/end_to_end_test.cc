@@ -11,7 +11,6 @@
 #include "core/algebra.h"
 #include "core/coalesce.h"
 #include "finite/finite_relation.h"
-#include "interval/allen.h"
 #include "query/eval.h"
 #include "shell/shell.h"
 #include "storage/database.h"
@@ -73,28 +72,13 @@ TEST(EndToEndTest, FactoryScenario) {
   ASSERT_TRUE(spec_holds.ok()) << spec_holds.status();
   EXPECT_TRUE(spec_holds.value());
 
-  // 5. Allen reasoning: every night shift CONTAINS some inspection-derived
-  // unit interval [t, t+1]?  Build the inspection intervals and join.
-  Result<GeneralizedRelation> insp_points = db.Get("Inspection");
-  ASSERT_TRUE(insp_points.ok());
-  GeneralizedRelation insp_intervals(Schema({"IS", "IE"}, {}, {}));
-  for (const GeneralizedTuple& t : insp_points.value().tuples()) {
-    GeneralizedTuple iv({t.lrp(0), Lrp::Make(t.lrp(0).offset() + 1,
-                                             t.lrp(0).period())});
-    iv.mutable_constraints().AddDifferenceEquality(0, 1, -1);
-    ASSERT_TRUE(insp_intervals.AddTuple(std::move(iv)).ok());
-  }
-  Result<GeneralizedRelation> shifts = db.Get("Shift");
-  ASSERT_TRUE(shifts.ok());
-  Result<GeneralizedRelation> night = SelectData(
-      shifts.value(), 0, CmpOp::kEq, Value("night"));
-  ASSERT_TRUE(night.ok());
-  Result<GeneralizedRelation> during =
-      AllenJoin(insp_intervals, night.value(), AllenRelation::kDuring);
-  ASSERT_TRUE(during.ok()) << during.status();
-  Result<bool> some_during = IsEmpty(during.value());
-  ASSERT_TRUE(some_during.ok());
-  EXPECT_FALSE(some_during.value());
+  // 5. Allen reasoning as a query: some inspection's unit interval
+  // [t, t+1] lies DURING a night shift (s < t and t + 1 < e).
+  Result<bool> some_during = query::EvalBooleanQueryString(
+      db, "EXISTS t . EXISTS s . EXISTS e . Inspection(t) AND "
+          "Shift(s, e, \"night\") AND s < t AND t + 1 < e");
+  ASSERT_TRUE(some_during.ok()) << some_during.status();
+  EXPECT_TRUE(some_during.value());
 
   // 6. Complement + coalesce: the uncovered instants of the day shift.
   Result<GeneralizedRelation> day_cover = query::EvalQueryString(

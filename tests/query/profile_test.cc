@@ -8,6 +8,8 @@
 #include "obs/trace.h"
 #include "query/eval.h"
 #include "query/parser.h"
+#include "query/planner.h"
+#include "query/prepared.h"
 #include "storage/text_format.h"
 
 namespace itdb {
@@ -54,6 +56,23 @@ std::int64_t SumMetric(const obs::ProfileNode& node, std::string_view name) {
   return total;
 }
 
+// A relation statement evaluated with its profile, as the `profile` verb
+// runs it: one Prepared, evaluated by EvalPrepared with a profile.
+struct Profiled {
+  Result<GeneralizedRelation> relation;
+  obs::Profile profile;
+};
+
+Profiled EvalProfiled(const Database& db, const char* text,
+                      const QueryOptions& options = {}) {
+  Result<Prepared> prepared = Prepared::Parse(text, options);
+  if (!prepared.ok()) return {prepared.status(), {}};
+  obs::Profile profile;
+  Result<GeneralizedRelation> relation =
+      EvalPrepared(db, prepared.value(), options, &profile);
+  return {std::move(relation), std::move(profile)};
+}
+
 int CountNodes(const obs::ProfileNode& node) {
   int n = 1;
   for (const obs::ProfileNode& child : node.children) n += CountNodes(child);
@@ -62,9 +81,9 @@ int CountNodes(const obs::ProfileNode& node) {
 
 TEST(ProfileTest, JoinHeavyQueryReportsPerNodeMetrics) {
   Database db = JoinHeavyDb();
-  Result<ProfiledResult> profiled = EvalQueryStringProfiled(db, kJoinQuery);
-  ASSERT_TRUE(profiled.ok()) << profiled.status();
-  const obs::Profile& profile = profiled->profile;
+  Profiled profiled = EvalProfiled(db, kJoinQuery);
+  ASSERT_TRUE(profiled.relation.ok()) << profiled.relation.status();
+  const obs::Profile& profile = profiled.profile;
   ASSERT_FALSE(profile.empty());
 
   // The root is the whole-query span; the plan tree hangs beneath it.
@@ -74,7 +93,7 @@ TEST(ProfileTest, JoinHeavyQueryReportsPerNodeMetrics) {
 
   // Every plan node reports wall time and its result size.
   EXPECT_EQ(profile.root.Metric("tuples_out"),
-            static_cast<std::int64_t>(profiled->relation.size()));
+            static_cast<std::int64_t>(profiled.relation->size()));
   for (const obs::ProfileNode& child : profile.root.children) {
     EXPECT_GE(child.wall_ns, 0);
     EXPECT_GE(child.Metric("tuples_out", -1), 0) << child.label;
@@ -125,10 +144,9 @@ TEST(ProfileTest, TracingChangesNoResultBit) {
     EXPECT_EQ(PrintRelation("r", untraced.value()), expect)
         << "untraced, threads=" << threads;
 
-    Result<ProfiledResult> profiled =
-        EvalQueryStringProfiled(db, kJoinQuery, options);
-    ASSERT_TRUE(profiled.ok()) << profiled.status();
-    EXPECT_EQ(PrintRelation("r", profiled->relation), expect)
+    Profiled profiled = EvalProfiled(db, kJoinQuery, options);
+    ASSERT_TRUE(profiled.relation.ok()) << profiled.relation.status();
+    EXPECT_EQ(PrintRelation("r", profiled.relation.value()), expect)
         << "profiled, threads=" << threads;
 
     obs::Tracer tracer;
@@ -185,7 +203,7 @@ TEST(FormatQueryPlanTest, RendersTheTreeExplainPrints) {
   Result<QueryPtr> q =
       ParseQuery("(EXISTS t . (P(t) AND NOT Q(t))) OR P(0)");
   ASSERT_TRUE(q.ok()) << q.status();
-  std::string plan = FormatQueryPlan(q.value());
+  std::string plan = FormatQueryPlanWithEstimates(q.value(), {});
   EXPECT_EQ(plan,
             "OR\n"
             "  EXISTS t\n"

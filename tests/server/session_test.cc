@@ -483,6 +483,69 @@ TEST_F(SessionTest, ExplainAskPrintsThePeeledBodyPlan) {
   EXPECT_EQ(Run(session, "ask " + disjoint), "false\n");
 }
 
+// `explain tlcheck` and `explain sat` compile the formula's first-order
+// query exactly as the verb does; `profile sat` evaluates that plan.
+TEST_F(SessionTest, ExplainAndProfileTemporalLogicVerbs) {
+  Session session(&*shared_);
+  Status status;
+  const std::string tlcheck =
+      Run(session, "explain tlcheck G(P -> F[0,9](Q))", &status);
+  ASSERT_TRUE(status.ok()) << status;
+  // The yes/no statement FORALL T . phi(T), peeled to NOT phi(T).
+  EXPECT_EQ(tlcheck.rfind("query:     FORALL T . (FORALL t1 . ", 0), 0u)
+      << tlcheck;
+  EXPECT_NE(tlcheck.find("\n  AND  (est_rows=0, est_cost=3, cert_rows=1, "
+                         "cert_lcm=10)\n    CMP T <= t1  "),
+            std::string::npos)
+      << tlcheck;
+  EXPECT_NE(tlcheck.find("\nanswer: true iff the plan's relation is empty\n"),
+            std::string::npos)
+      << tlcheck;
+
+  const std::string sat = Run(session, "explain sat P U Q", &status);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(sat.rfind("query:     EXISTS t1 . (((T <= t1 AND Q(t1)) AND "
+                      "FORALL t2 . ",
+                      0),
+            0u)
+      << sat;
+  EXPECT_EQ(sat.find("answer:"), std::string::npos) << sat;
+  const std::vector<std::string> plan = TreeLines(sat, "plan:", "  (", 0);
+  const std::vector<std::string> golden = {
+      "EXISTS t1",
+      "  AND",
+      "    AND",
+      "      CMP T <= t1",
+      "      ATOM Q(t1)",
+      "    FORALL t2",
+      "      OR",
+      "        OR",
+      "          CMP T > t2",
+      "          CMP t2 >= t1",
+      "        ATOM P(t2)",
+  };
+  EXPECT_EQ(plan, golden) << sat;
+
+  const std::string profiled = Run(session, "profile sat P U Q", &status);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(TreeLines(profiled, "query ", "  [", 2), plan) << profiled;
+  EXPECT_NE(profiled.find("\n6 generalized tuple(s)\n"), std::string::npos)
+      << profiled;
+
+  // A proposition that names no relation fails as `sat` fails.
+  Run(session, "profile sat Nope", &status);
+  EXPECT_EQ(status.code(), StatusCode::kNotFound) << status;
+  // A yes/no verb has no relation to profile.
+  for (const char* statement :
+       {"profile ask EXISTS t . P(t)", "profile tlcheck G(P)"}) {
+    Run(session, statement, &status);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << statement;
+    EXPECT_NE(status.message().find("a yes/no statement has no profile"),
+              std::string::npos)
+        << statement << ": " << status;
+  }
+}
+
 TEST_F(SessionTest, IsQuitStatement) {
   EXPECT_TRUE(Session::IsQuitStatement("quit"));
   EXPECT_TRUE(Session::IsQuitStatement("  exit  "));
