@@ -10,7 +10,7 @@
 //
 // The cache pair pushes the same statement through the session layer with
 // and without an attached ResultCache: cold pays parse + plan + eval +
-// render every iteration, warm pays parse + fingerprint + one map lookup
+// render every iteration, warm pays parse + key + one map lookup
 // and re-serves the rendered bytes.  CI pins both gaps as ratio floors in
 // bench_floors.json.
 

@@ -1269,67 +1269,9 @@ Result<std::optional<std::vector<std::int64_t>>> FindTemporalWitness(
                            NormalizeOptionsOf(options)));
   if (normal.empty()) return MaybePoint(std::nullopt);
   const GeneralizedTuple& nt = normal.front();
-  // Fix the n-space variables one at a time: each variable is pinned to its
-  // tightest finite bound (lower preferred, else upper, else 0); re-closing
-  // after each pin keeps the system feasible because the pinned value lies
-  // inside the variable's admissible interval of the closed DBM.
   ITDB_ASSIGN_OR_RETURN(NSpaceTuple ns, NSpaceTuple::Build(nt));
   if (!ns.feasible()) return MaybePoint(std::nullopt);
-  // Re-derive the n-space DBM here: NSpaceTuple does not expose its matrix,
-  // so work with the X-space values via repeated equality selection instead.
-  // Pin columns left to right.
-  GeneralizedTuple pinned = nt;
-  std::vector<std::int64_t> point(static_cast<std::size_t>(nt.temporal_arity()));
-  for (int col = 0; col < nt.temporal_arity(); ++col) {
-    const Lrp& l = pinned.lrp(col);
-    if (l.period() == 0) {
-      point[static_cast<std::size_t>(col)] = l.offset();
-      continue;
-    }
-    // Project the current tuple onto this column to learn its admissible
-    // lattice values, then pick the smallest bounded one.
-    ITDB_ASSIGN_OR_RETURN(NSpaceTuple view, NSpaceTuple::Build(pinned));
-    if (!view.feasible()) {
-      return Status::InvalidArgument(
-          "FindTemporalWitness: pinning made the tuple infeasible (bug)");
-    }
-    for (int other = 0; other < nt.temporal_arity(); ++other) {
-      if (other != col) ITDB_RETURN_IF_ERROR(view.EliminateColumn(other));
-    }
-    ITDB_ASSIGN_OR_RETURN(GeneralizedTuple unary, view.Rebuild({col}, {}));
-    // The unary tuple is an lrp with bound constraints; pick its smallest
-    // element if bounded below, else its largest if bounded above, else the
-    // offset itself.
-    Dbm c = unary.constraints();
-    ITDB_RETURN_IF_ERROR(c.Close());
-    std::int64_t lo_bound = c.bound_node(0, 1);  // -x <= b  ->  x >= -b.
-    std::int64_t hi_bound = c.bound_node(1, 0);  //  x <= b.
-    std::int64_t value;
-    if (lo_bound != Dbm::kInf) {
-      std::optional<std::int64_t> v = unary.lrp(0).FirstAtLeast(-lo_bound);
-      if (!v.has_value()) return MaybePoint(std::nullopt);
-      value = *v;
-      if (hi_bound != Dbm::kInf && value > hi_bound) {
-        return MaybePoint(std::nullopt);
-      }
-    } else if (hi_bound != Dbm::kInf) {
-      // Largest lattice element <= hi_bound: step down from FirstAtLeast.
-      std::optional<std::int64_t> v = unary.lrp(0).FirstAtLeast(hi_bound);
-      value = (v.has_value() && *v == hi_bound)
-                  ? hi_bound
-                  : hi_bound - FloorMod(hi_bound - unary.lrp(0).offset(),
-                                        unary.lrp(0).period());
-    } else {
-      value = unary.lrp(0).offset();
-    }
-    point[static_cast<std::size_t>(col)] = value;
-    // Pin: replace the column's lrp by the chosen singleton.
-    std::vector<Lrp> lrps = pinned.temporal();
-    lrps[static_cast<std::size_t>(col)] = Lrp::Singleton(value);
-    GeneralizedTuple next(std::move(lrps), pinned.data());
-    next.set_constraints(pinned.constraints());
-    pinned = std::move(next);
-  }
+  ITDB_ASSIGN_OR_RETURN(std::vector<std::int64_t> point, ns.FirstPoint());
   if (!nt.ContainsTemporal(point)) {
     return Status::InvalidArgument(
         "FindTemporalWitness produced a non-member point (bug)");

@@ -399,4 +399,26 @@ Result<GeneralizedTuple> NSpaceTuple::RebuildAll(
   return Rebuild(columns, std::move(data));
 }
 
+Result<std::vector<std::int64_t>> NSpaceTuple::FirstPoint() const {
+  if (!feasible_) {
+    return Status::InvalidArgument("FirstPoint on an infeasible tuple");
+  }
+  Dbm dbm = dbm_;
+  std::vector<std::int64_t> point(offsets_.size());
+  for (std::size_t col = 0; col < point.size(); ++col) {
+    const int var = var_of_column_[col];
+    std::int64_t n = 0;
+    if (var >= 0) {
+      const std::int64_t lo = dbm.bound_node(0, var + 1);  // -n <= lo.
+      const std::int64_t hi = dbm.bound_node(var + 1, 0);  //  n <= hi.
+      n = lo != Dbm::kInf ? -lo : (hi != Dbm::kInf ? hi : 0);
+      dbm.AddEquality(var, n);
+      ITDB_RETURN_IF_ERROR(dbm.Close());
+    }
+    ITDB_ASSIGN_OR_RETURN(std::int64_t step, CheckedMul(period_, n));
+    ITDB_ASSIGN_OR_RETURN(point[col], CheckedAdd(offsets_[col], step));
+  }
+  return point;
+}
+
 }  // namespace itdb

@@ -132,6 +132,16 @@ class NSpaceTuple {
   /// Rebuild with all remaining columns in original order.
   Result<GeneralizedTuple> RebuildAll(std::vector<Value> data) const;
 
+  /// One concrete point of the tuple, one value per column in original
+  /// order.  The n-variables are pinned in column order on a copy of the
+  /// closed matrix, each to its lower bound if finite, else its upper
+  /// bound, else 0, re-closing after each pin; since every bound of a
+  /// closed integer difference system is its exact projection, each pin
+  /// keeps the system feasible.  The point is X_i = c_i + k*n_i; constant
+  /// columns keep their value.  Pre: feasible() and no column dropped.
+  /// Fails with kOverflow if a bound or a value leaves the int64 range.
+  Result<std::vector<std::int64_t>> FirstPoint() const;
+
  private:
   NSpaceTuple() : dbm_(0) {}
 

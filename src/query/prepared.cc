@@ -35,16 +35,12 @@ Status AnalysisFailure(const analysis::AnalysisResult& analysis) {
 /// The body under the maximal run of one quantifier kind at the root of a
 /// closed formula: `EXISTS x1 ... xk . phi` peels to phi, `FORALL x1 ... xk
 /// . phi` to NOT phi with `*holds_when_empty` set.  Any other root is its
-/// own body.  `vars`, when given, receives x1 ... xk.
-QueryPtr PeelQuantifierPrefix(QueryPtr q, bool* holds_when_empty,
-                              std::vector<std::string>* vars = nullptr) {
+/// own body.
+QueryPtr PeelQuantifierPrefix(QueryPtr q, bool* holds_when_empty) {
   const Query::Kind kind = q->kind();
   *holds_when_empty = kind == Query::Kind::kForall;
   if (kind != Query::Kind::kExists && kind != Query::Kind::kForall) return q;
-  while (q->kind() == kind) {
-    if (vars != nullptr) vars->push_back(q->quantified_var());
-    q = q->left();
-  }
+  while (q->kind() == kind) q = q->left();
   return *holds_when_empty ? Query::Not(std::move(q)) : q;
 }
 
@@ -79,25 +75,6 @@ Result<Prepared> Prepared::Parse(std::string_view text,
                                  const QueryOptions& options, Answer answer) {
   ITDB_ASSIGN_OR_RETURN(QueryPtr q, ParseQuery(text));
   return Prepared(std::move(q), options, answer);
-}
-
-const QueryPtr& Prepared::optimized() {
-  if (optimized_ != nullptr) return optimized_;
-  if (answer_ == Answer::kRelation) {
-    optimized_ = options_.optimize ? Optimize(query_) : query_;
-    return optimized_;
-  }
-  // The shape is built around the optimized body so that Compile, when no
-  // sound rewrite applies, plans that body without a second Optimize.
-  std::vector<std::string> vars;
-  QueryPtr body = PeelQuantifierPrefix(query_, &holds_when_empty_, &vars);
-  optimized_body_ = options_.optimize ? Optimize(body) : body;
-  optimized_ = optimized_body_;
-  for (auto v = vars.rbegin(); v != vars.rend(); ++v) {
-    optimized_ = Query::Exists(*v, optimized_);
-  }
-  if (holds_when_empty_) optimized_ = Query::Not(optimized_);
-  return optimized_;
 }
 
 const analysis::AnalysisResult& Prepared::Analyze(const Database& db) {
@@ -147,19 +124,12 @@ Status Prepared::CompileOnce(const Database& db) {
     }
     base = analysis::ApplySoundRewrites(query_, ar);
   }
-  // ApplySoundRewrites returns its input when nothing applies: then the
-  // plan shape's Optimize is the one evaluation needs.
-  if (base == query_) {
-    rewritten_ = optimized();
-    if (answer_ == Answer::kYesNo) rewritten_ = optimized_body_;
-  } else {
-    // A yes/no statement plans only its peeled body, peeled before
-    // Optimize miniscopes the root quantifiers into the AND chain.
-    if (answer_ == Answer::kYesNo) {
-      base = PeelQuantifierPrefix(std::move(base), &holds_when_empty_);
-    }
-    rewritten_ = options_.optimize ? Optimize(base) : base;
+  // A yes/no statement plans only its peeled body, peeled before Optimize
+  // miniscopes the root quantifiers into the AND chain.
+  if (answer_ == Answer::kYesNo) {
+    base = PeelQuantifierPrefix(std::move(base), &holds_when_empty_);
   }
+  rewritten_ = options_.optimize ? Optimize(base) : base;
   ITDB_ASSIGN_OR_RETURN(sorts_, InferSorts(db, rewritten_));
   // Parts share no variable, so the sorts above hold for each of them.
   plans_ = answer_ == Answer::kYesNo ? SplitIntoParts(rewritten_)

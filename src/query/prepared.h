@@ -6,10 +6,10 @@
 // -- reads one Prepared instead of re-running its own slice of the front
 // end.  It is built in two stages:
 //
-//   * Stage one (construction / Parse): the parsed tree, how the statement
-//     is answered (its verb: a relation, or yes/no for `ask`), and its plan
-//     shape, the text of the optimized tree that fingerprints the statement
-//     for the result table.  A hit or a follower pays exactly this.
+//   * Stage one (construction / Parse): the parsed tree, whose text keys
+//     the statement in the result table, and how the statement is answered
+//     (its verb: a relation, or yes/no for `ask`).  A hit or a follower
+//     pays exactly this.
 //   * Stage two (Analyze, then Compile): Analyze runs the static analyzer
 //     once and keeps its AnalysisResult (grading reads the root certificate
 //     and diagnostics from it); Compile applies the analyzer's sound
@@ -18,9 +18,8 @@
 //     (its memo already holds every subtree the two trees share) and
 //     clamps the planner; evaluation ranges data variables over that
 //     interpreter's active domain.  Compile reuses the analysis when it has
-//     already run and reuses stage one's optimized tree when no rewrite
-//     applied, so a miss runs one analysis, one abstract interpretation,
-//     one active-domain scan and one optimization.
+//     already run, so a miss runs one analysis, one abstract
+//     interpretation, one active-domain scan and one optimization.
 //
 // A yes/no statement (Answer::kYesNo) is a closed formula.  Compile peels
 // the maximal run of one quantifier kind at the root of the rewritten tree
@@ -28,11 +27,9 @@
 // of phi is nonempty, and `FORALL x1 ... xk . phi` holds iff the relation
 // of NOT phi is empty (Theorem 4.1 by Table 2 emptiness tests, with no
 // projections).  The peel runs before Optimize, whose miniscoping would
-// bury the root quantifiers inside the AND chain; so a yes/no statement's
-// plan shape is built around its optimized body (optimized() below), and
-// the body is optimized once unless a sound rewrite applies.  The body is
-// then split into its parts: the maximal groups of its top AND chain's
-// conjuncts that share variables.  Parts share no variable, so the body's
+// bury the root quantifiers inside the AND chain.  The body is then split
+// into its parts: the maximal groups of its top AND chain's conjuncts
+// that share variables.  Parts share no variable, so the body's
 // relation is their cross product and is nonempty iff every part is --
 // one emptiness test per part, stopping at the first empty one, where the
 // whole body would materialize the product (miniscoping kept such
@@ -95,13 +92,6 @@ class Prepared {
   const QueryOptions& options() const { return options_; }
   Answer answer() const { return answer_; }
 
-  /// The plan shape: the optimized tree (the parsed one with optimize
-  /// off).  Its text is the plan part of a result-table key.
-  /// A yes/no statement's is its optimized peeled body restated as a
-  /// closed formula equivalent to the statement: `EXISTS x1 ... xk . body`,
-  /// or `NOT EXISTS x1 ... xk . body` for a FORALL prefix (body = NOT phi).
-  const QueryPtr& optimized();
-
   /// Stage two, first half: runs the analyzer (with the statistics cache
   /// and tracer wired as evaluation wires them) on the first call; later
   /// calls return the same result.  Runs whether or not
@@ -155,8 +145,6 @@ class Prepared {
   QueryPtr query_;
   QueryOptions options_;
   Answer answer_;
-  QueryPtr optimized_;  // Stage one's plan shape, computed lazily.
-  QueryPtr optimized_body_;  // Yes/no only: the plan shape's body.
   std::optional<analysis::AnalysisResult> analysis_;
   std::optional<Status> compiled_;
   bool statically_empty_ = false;

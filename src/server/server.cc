@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstddef>
 #include <cstring>
 #include <deque>
 #include <sstream>
@@ -23,6 +24,9 @@ namespace itdb {
 namespace server {
 
 namespace {
+
+// Entries of the server-wide normalization memo-cache every session shares.
+constexpr std::size_t kNormalizeCacheCapacity = std::size_t{1} << 12;
 
 Status SetNonBlocking(int fd) {
   int flags = fcntl(fd, F_GETFL, 0);
@@ -62,14 +66,10 @@ Server::Server(Database* db, ServerOptions options)
       shared_db_(db, options_.session.engine != nullptr
                          ? options_.session.engine->version()
                          : 0),
-      normalize_cache_(options_.normalize_cache_capacity
-                           ? options_.normalize_cache_capacity
-                           : 1),
+      normalize_cache_(kNormalizeCacheCapacity),
       result_cache_(options_.result_cache_bytes),
       admission_(options_.admission) {
-  if (options_.normalize_cache_capacity > 0) {
-    options_.session.normalize_cache = &normalize_cache_;
-  }
+  options_.session.normalize_cache = &normalize_cache_;
   options_.session.result_cache = &result_cache_;
   options_.session.stats_cache = &stats_cache_;
   options_.session.admission = &admission_;

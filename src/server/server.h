@@ -68,9 +68,6 @@ struct ServerOptions {
   /// normalize_cache, result_cache, stats_cache and admission
   /// fields are overwritten with the server's own shared instances.
   SessionOptions session;
-  /// Capacity of the server-wide normalization memo-cache shared by every
-  /// session (0 disables sharing).
-  std::size_t normalize_cache_capacity = std::size_t{1} << 12;
   /// Byte budget of the versioned result table shared by every session
   /// (result_cache.h); 0 keeps no outcome but still coalesces concurrent
   /// identical statements.

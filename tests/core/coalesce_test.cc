@@ -85,6 +85,23 @@ TEST(CoalesceTest, MultiColumnCascade) {
   EXPECT_EQ(c.value().tuples()[0].lrp(1), Lrp::Make(0, 1));
 }
 
+TEST(CoalesceTest, SingletonColumnIsSkippedThenTheNextColumnMerges) {
+  // {[5, 0+2n], [5, 1+2n]}: the pass over column 0 finds only singletons
+  // and forms no family; the pass over column 1 merges the two residues.
+  GeneralizedRelation r(Schema::Temporal(2));
+  for (std::int64_t offset : {0, 1}) {
+    ASSERT_TRUE(r.AddTuple(GeneralizedTuple(
+                               {Lrp::Singleton(5), Lrp::Make(offset, 2)}))
+                    .ok());
+  }
+  Result<GeneralizedRelation> c = CoalesceResidues(r);
+  ASSERT_TRUE(c.ok()) << c.status();
+  ASSERT_EQ(c.value().size(), 1);
+  EXPECT_EQ(c.value().tuples()[0].lrp(0), Lrp::Singleton(5));
+  EXPECT_EQ(c.value().tuples()[0].lrp(1), Lrp::Make(0, 1));
+  EXPECT_TRUE(Equivalent(c.value(), r).value());
+}
+
 TEST(CoalesceTest, DropsEmptyAndDuplicateTuples) {
   GeneralizedRelation r(Schema::Temporal(1));
   GeneralizedTuple dead({Lrp::Make(0, 2)});

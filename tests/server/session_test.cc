@@ -122,18 +122,24 @@ TEST_F(SessionTest, SetListsAndUpdatesOptions) {
   Status status;
   std::string listing = Run(session, "set", &status);
   ASSERT_TRUE(status.ok());
-  EXPECT_NE(listing.find("analyze      on"), std::string::npos) << listing;
-  EXPECT_NE(listing.find("deadline_ms  0"), std::string::npos) << listing;
-  Run(session, "set analyze off", &status);
+  EXPECT_EQ(listing, "threads      0\ndeadline_ms  0\n");
+  Run(session, "set threads 2", &status);
   ASSERT_TRUE(status.ok());
   Run(session, "set deadline_ms 250", &status);
   ASSERT_TRUE(status.ok());
-  EXPECT_FALSE(session.options().query.analyze);
+  EXPECT_EQ(session.options().threads, 2);
   EXPECT_EQ(session.options().deadline_ms, 250);
   Run(session, "set bogus 1", &status);
   EXPECT_FALSE(status.ok());
   Run(session, "set threads lots", &status);
   EXPECT_FALSE(status.ok());
+  // The pipeline switches are gone: every statement is analyzed, optimized
+  // and planned.
+  const std::string refused = Run(session, "set analyze off", &status);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(refused.rfind("error: ", 0), 0u) << refused;
+  EXPECT_NE(refused.find("unknown option \"analyze\""), std::string::npos)
+      << refused;
 }
 
 TEST_F(SessionTest, EveryListedOptionParsesAndPruneIsGone) {
@@ -155,10 +161,13 @@ TEST_F(SessionTest, EveryListedOptionParsesAndPruneIsGone) {
     EXPECT_TRUE(status.ok()) << line << ": " << status;
     ++options;
   }
-  EXPECT_EQ(options, 5) << listing;
+  EXPECT_EQ(options, 2) << listing;
   EXPECT_EQ(Run(session, "set", &status), listing);
-  // Deleted knobs are unknown options, not silently accepted ones.
-  for (const char* gone : {"set prune on", "set certified_bounds on"}) {
+  // Deleted knobs are unknown options, not silently accepted ones: every
+  // statement runs the full pipeline.
+  for (const char* gone :
+       {"set prune on", "set certified_bounds on", "set analyze on",
+        "set analyze off", "set optimize off", "set cost_plan off"}) {
     Run(session, gone, &status);
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << gone;
     EXPECT_NE(status.message().find("unknown option"), std::string::npos)
@@ -198,8 +207,6 @@ TEST_F(SessionTest, DeadlineAbortsExpensiveQueries) {
   Run(session,
       "define relation Tall(T: time) { [1+720n]; }", &status);
   ASSERT_TRUE(status.ok());
-  Run(session, "set analyze off", &status);
-  ASSERT_TRUE(status.ok());
   Run(session, "query NOT Wide(t) AND NOT Tall(u)", &status);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kResourceExhausted) << status;
@@ -235,7 +242,7 @@ TEST_F(SessionTest, TemporalLogicVerbsObeyTheSessionTupleBudget) {
       &status);
   ASSERT_TRUE(status.ok()) << status;
   SessionOptions options;
-  options.query.algebra.max_tuples = 2;
+  options.max_tuples = 2;
   Session session(&*shared_, options);
   for (const char* statement : {"sat p", "tlcheck G(p)"}) {
     std::string out = Run(session, statement, &status);
@@ -353,7 +360,7 @@ TEST_F(SessionTest, CostAwareBudgetsDivideAHeavyStatementsBudgets) {
   ResultCache cache(std::size_t{1} << 20);
   SessionOptions options;
   options.result_cache = &cache;
-  options.query.algebra.max_tuples = 20000;
+  options.max_tuples = 20000;
   Session plain(&*shared_, options);
   options.cost_aware_budgets = true;  // 20000 / 8 = 2500 tuples.
   Session cost_aware(&*shared_, options);
