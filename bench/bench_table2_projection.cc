@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "common/reference_projection.h"
 #include "core/algebra.h"
 #include "core/normalize.h"
 
@@ -14,6 +15,7 @@ using itdb::AlgebraOptions;
 using itdb::GeneralizedRelation;
 using itdb::bench::MakeMixedPeriodRelation;
 using itdb::bench::MakeNormalizedRelation;
+using itdb::testing_util::ReferenceProject;
 
 void BM_Projection_VsN(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -74,7 +76,8 @@ BENCHMARK(BM_Projection_CoprimePeriods);
 // ---- Ablation: partial normalization (Section 3.4, last paragraph). ----
 // Three columns; T3 is dropped and constraint-connected to nothing, while
 // T1/T2 have large coprime periods.  Partial normalization skips their
-// k^m split entirely.
+// k^m split entirely; the *_Full rows run the verbatim Section 3.4
+// reference (tests/common/reference_projection.h).
 
 GeneralizedRelation DisconnectedDropRelation() {
   // Periods {14, 6, 4}: full normalization to lcm 84 splits every tuple
@@ -94,12 +97,14 @@ GeneralizedRelation DisconnectedDropRelation() {
 void RunProjectionAblation(benchmark::State& state, bool partial) {
   GeneralizedRelation r = DisconnectedDropRelation();
   itdb::AlgebraOptions options;
-  options.partial_normalization = partial;
   options.max_split_product = std::int64_t{1} << 24;
   options.max_tuples = std::int64_t{1} << 26;
+  itdb::NormalizeOptions reference;
+  reference.max_split_product = options.max_split_product;
   std::int64_t out_tuples = 0;
   for (auto _ : state) {
-    auto p = itdb::Project(r, {"T1", "T2"}, options);
+    auto p = partial ? itdb::Project(r, {"T1", "T2"}, options)
+                     : ReferenceProject(r, {"T1", "T2"}, reference);
     if (!p.ok()) {
       state.SkipWithError(p.status().ToString().c_str());
       return;
@@ -125,7 +130,7 @@ BENCHMARK(BM_Projection_FullNormalization);
 // The Theorem 4.1 shape: a busy interval [S, E] with E = S + 2, both of
 // period 32, and an instant T (all of Z) inside it.  Dropping E (pinned to
 // S) or T (period 1) is exact on the closed DBM; the Section 3.4 reference
-// (partial_normalization = false) normalizes T to period 32 instead.
+// (ReferenceProject) normalizes T to period 32 instead.
 
 GeneralizedRelation BusyIntervalRelation() {
   GeneralizedRelation r(itdb::Schema({"S", "E", "T"}, {}, {}));
@@ -144,11 +149,9 @@ GeneralizedRelation BusyIntervalRelation() {
 void RunExactDrop(benchmark::State& state,
                   const std::vector<std::string>& attrs, bool exact) {
   GeneralizedRelation r = BusyIntervalRelation();
-  itdb::AlgebraOptions options;
-  options.partial_normalization = exact;
   std::int64_t out_tuples = 0;
   for (auto _ : state) {
-    auto p = itdb::Project(r, attrs, options);
+    auto p = exact ? itdb::Project(r, attrs) : ReferenceProject(r, attrs);
     if (!p.ok()) {
       state.SkipWithError(p.status().ToString().c_str());
       return;

@@ -706,13 +706,12 @@ Result<GeneralizedRelation> ComplementWithDataDomains(
 
 namespace {
 
-/// Full-normalization projection of one tuple (Section 3.4 verbatim):
-/// normalize every column to the common period, eliminate the dropped ones
-/// in n-space, rebuild in the requested order.
+/// Full-normalization projection of one data-free tuple (Section 3.4
+/// verbatim, ProjectTuplePartial's component step): normalize every column,
+/// eliminate the dropped ones in n-space, rebuild in the requested order.
 Result<std::vector<GeneralizedTuple>> ProjectTupleFull(
     const GeneralizedTuple& t, const std::vector<int>& keep_temporal,
-    const std::vector<bool>& kept, std::vector<Value> data,
-    const AlgebraOptions& options) {
+    const std::vector<bool>& kept, const AlgebraOptions& options) {
   std::vector<GeneralizedTuple> out;
   ITDB_ASSIGN_OR_RETURN(
       std::vector<GeneralizedTuple> normal,
@@ -727,7 +726,7 @@ Result<std::vector<GeneralizedTuple>> ProjectTupleFull(
       }
     }
     ITDB_ASSIGN_OR_RETURN(GeneralizedTuple projected,
-                          ns.Rebuild(keep_temporal, data));
+                          ns.Rebuild(keep_temporal, {}));
     out.push_back(std::move(projected));
   }
   return out;
@@ -819,7 +818,7 @@ Result<std::vector<GeneralizedTuple>> ProjectTuplePartial(
     sub_results.push_back(std::move(sub));
   } else {
     ITDB_ASSIGN_OR_RETURN(
-        sub_results, ProjectTupleFull(sub, sub_keep, sub_kept, {}, options));
+        sub_results, ProjectTupleFull(sub, sub_keep, sub_kept, options));
   }
   // Where does each original kept column land in the output order?
   std::vector<int> out_pos(static_cast<std::size_t>(m), -1);
@@ -884,8 +883,8 @@ Result<std::vector<GeneralizedTuple>> ProjectTupleExact(
   if (static_cast<int>(keep_temporal.size()) == t.temporal_arity()) {
     return ProjectTuplePartial(t, keep_temporal, kept, data, options);
   }
-  std::vector<bool> dropped(kept.size());
-  for (std::size_t c = 0; c < kept.size(); ++c) dropped[c] = !kept[c];
+  std::vector<bool> dropped = kept;
+  dropped.flip();
   ITDB_ASSIGN_OR_RETURN(std::optional<ExactElimination> rest,
                         EliminateFreeAndPinnedColumns(t, dropped));
   if (!rest.has_value()) return std::vector<GeneralizedTuple>{};
@@ -907,6 +906,27 @@ Result<std::vector<GeneralizedTuple>> ProjectTupleExact(
     rest_keep.push_back(index_of[static_cast<std::size_t>(c)]);
   }
   return ProjectTuplePartial(rest->tuple, rest_keep, rest_kept, data, options);
+}
+
+/// The lattice-feasibility reduction of TupleIsEmpty and FirstPoint: drops
+/// every free and pinned column exactly, then normalizes the rest.  nullopt
+/// when t is empty, else the elimination with `tuple` replaced by its first
+/// feasible normal-form piece (a tuple with no column left is its own).
+Result<std::optional<ExactElimination>> ReduceToNormalPiece(
+    const GeneralizedTuple& t, const AlgebraOptions& options) {
+  ITDB_ASSIGN_OR_RETURN(
+      std::optional<ExactElimination> rest,
+      EliminateFreeAndPinnedColumns(
+          t, std::vector<bool>(static_cast<std::size_t>(t.temporal_arity()),
+                               true)));
+  if (!rest.has_value() || rest->tuple.temporal_arity() == 0) return rest;
+  ITDB_ASSIGN_OR_RETURN(std::vector<GeneralizedTuple> normal,
+                        CachedNormalizeTuple(options.normalize_cache,
+                                             rest->tuple,
+                                             NormalizeOptionsOf(options)));
+  if (normal.empty()) return std::optional<ExactElimination>();
+  rest->tuple = std::move(normal.front());
+  return rest;
 }
 
 }  // namespace
@@ -945,10 +965,7 @@ Result<GeneralizedRelation> Project(const GeneralizedRelation& r,
     for (int d : keep_data) data.push_back(t.value(d));
     ITDB_ASSIGN_OR_RETURN(
         std::vector<GeneralizedTuple> projected,
-        options.partial_normalization
-            ? ProjectTupleExact(t, keep_temporal, kept, data, options)
-            : ProjectTupleFull(t, keep_temporal, kept, std::move(data),
-                               options));
+        ProjectTupleExact(t, keep_temporal, kept, data, options));
     for (GeneralizedTuple& p : projected) {
       ITDB_RETURN_IF_ERROR(out.AddTuple(std::move(p)));
     }
@@ -1233,21 +1250,9 @@ Result<GeneralizedRelation> Rename(
 
 Result<bool> TupleIsEmpty(const GeneralizedTuple& t,
                           const AlgebraOptions& options) {
-  // Free and pinned columns go exactly; only the rest is normalized.
-  ITDB_ASSIGN_OR_RETURN(
-      std::optional<ExactElimination> rest,
-      EliminateFreeAndPinnedColumns(
-          t, std::vector<bool>(static_cast<std::size_t>(t.temporal_arity()),
-                               true)));
-  if (!rest.has_value()) return true;
-  if (rest->tuple.temporal_arity() == 0) return false;
-  ITDB_ASSIGN_OR_RETURN(std::vector<GeneralizedTuple> normal,
-                        CachedNormalizeTuple(options.normalize_cache,
-                                             rest->tuple,
-                                             NormalizeOptionsOf(options)));
-  // NormalizeTuple prunes infeasible combinations, so any survivor is a
-  // nonempty piece of the extension.
-  return normal.empty();
+  ITDB_ASSIGN_OR_RETURN(std::optional<ExactElimination> piece,
+                        ReduceToNormalPiece(t, options));
+  return !piece.has_value();
 }
 
 Result<bool> IsEmpty(const GeneralizedRelation& r,
@@ -1260,21 +1265,41 @@ Result<bool> IsEmpty(const GeneralizedRelation& r,
   return true;
 }
 
-Result<std::optional<std::vector<std::int64_t>>> FindTemporalWitness(
+Result<std::optional<std::vector<std::int64_t>>> FirstPoint(
     const GeneralizedTuple& t, const AlgebraOptions& options) {
   using MaybePoint = std::optional<std::vector<std::int64_t>>;
-  ITDB_ASSIGN_OR_RETURN(
-      std::vector<GeneralizedTuple> normal,
-      CachedNormalizeTuple(options.normalize_cache, t,
-                           NormalizeOptionsOf(options)));
-  if (normal.empty()) return MaybePoint(std::nullopt);
-  const GeneralizedTuple& nt = normal.front();
-  ITDB_ASSIGN_OR_RETURN(NSpaceTuple ns, NSpaceTuple::Build(nt));
-  if (!ns.feasible()) return MaybePoint(std::nullopt);
-  ITDB_ASSIGN_OR_RETURN(std::vector<std::int64_t> point, ns.FirstPoint());
-  if (!nt.ContainsTemporal(point)) {
+  ITDB_ASSIGN_OR_RETURN(std::optional<ExactElimination> piece,
+                        ReduceToNormalPiece(t, options));
+  if (!piece.has_value()) return MaybePoint(std::nullopt);
+  ITDB_ASSIGN_OR_RETURN(NSpaceTuple ns, NSpaceTuple::Build(piece->tuple));
+  ITDB_ASSIGN_OR_RETURN(std::vector<std::int64_t> rest_point, ns.FirstPoint());
+  // Fix the columns left on the closed matrix and lift the point through the
+  // dropped ones, last dropped first.  A pinned column's re-closed bounds
+  // meet in one value of its lrp (the CRT meet put it there); a free one has
+  // period 1 or no bound at all.  So each step finds an lrp member.
+  std::vector<std::int64_t> point(static_cast<std::size_t>(t.temporal_arity()));
+  Dbm dbm = t.constraints();
+  for (std::size_t i = 0; i < rest_point.size(); ++i) {
+    point[static_cast<std::size_t>(piece->columns[i])] = rest_point[i];
+    dbm.AddEquality(piece->columns[i], rest_point[i]);
+  }
+  ITDB_RETURN_IF_ERROR(dbm.Close());
+  for (auto it = piece->dropped.rbegin(); it != piece->dropped.rend(); ++it) {
+    const int c = *it;
+    const std::int64_t lo = dbm.bound_node(0, c + 1);  // -X_c <= lo.
+    const std::int64_t hi = dbm.bound_node(c + 1, 0);  //  X_c <= hi.
+    std::optional<std::int64_t> value = t.lrp(c).FirstAtLeast(
+        lo != Dbm::kInf ? -lo : (hi != Dbm::kInf ? hi : t.lrp(c).offset()));
+    if (!value.has_value()) {
+      return Status::Overflow("FirstPoint: a value leaves the int64 range");
+    }
+    point[static_cast<std::size_t>(c)] = *value;
+    dbm.AddEquality(c, *value);
+    ITDB_RETURN_IF_ERROR(dbm.Close());
+  }
+  if (!t.ContainsTemporal(point)) {
     return Status::InvalidArgument(
-        "FindTemporalWitness produced a non-member point (bug)");
+        "FirstPoint produced a non-member point (bug)");
   }
   return MaybePoint(std::move(point));
 }
@@ -1283,7 +1308,7 @@ Result<std::optional<ConcreteRow>> FindWitness(const GeneralizedRelation& r,
                                                const AlgebraOptions& options) {
   for (const GeneralizedTuple& t : r.tuples()) {
     ITDB_ASSIGN_OR_RETURN(std::optional<std::vector<std::int64_t>> point,
-                          FindTemporalWitness(t, options));
+                          FirstPoint(t, options));
     if (point.has_value()) {
       return std::optional<ConcreteRow>(ConcreteRow{*point, t.data()});
     }

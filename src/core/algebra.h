@@ -12,8 +12,8 @@
 //   * join:             intersection on shared attributes (3.7)
 //   * complement:       residue-universe enumeration + incremental DNF of
 //                       negated constraints with reduction (A.6)
-//   * emptiness:        the same exact drops, then normal-form feasibility
-//                       (Theorem 3.5).
+//   * emptiness and     the same exact drops, then normal-form feasibility
+//     witness:          (Theorem 3.5), lifting a point back through them.
 
 #ifndef ITDB_CORE_ALGEBRA_H_
 #define ITDB_CORE_ALGEBRA_H_
@@ -36,7 +36,7 @@ namespace obs {
 class Tracer;  // obs/trace.h
 }  // namespace obs
 
-/// Budgets and switches for algebra operations.
+/// Budgets, worker threads and observers for algebra operations.
 struct AlgebraOptions {
   /// Cap on the split product of one Theorem 3.2 normalization
   /// (NormalizeOptions::max_split_product); the split sweep runs on
@@ -47,15 +47,6 @@ struct AlgebraOptions {
   std::int64_t max_tuples = std::int64_t{1} << 22;
   /// Cap on the k^m residue universe enumerated by Complement.
   std::int64_t max_complement_universe = std::int64_t{1} << 20;
-  /// Partial normalization for projection (the optimization suggested at
-  /// the end of Section 3.4): dropped columns that are free (period 1) or
-  /// pinned by an equality are eliminated exactly without normalizing
-  /// (EliminateFreeAndPinnedColumns, normalize.h), and of the rest only the
-  /// columns constraint-connected to the eliminated ones are normalized;
-  /// unrelated columns pass through untouched, avoiding their share of the
-  /// k^m split.  False runs the verbatim Section 3.4 construction (normalize
-  /// every column), the reference the tests compare against.
-  bool partial_normalization = true;
   /// Worker threads for the per-tuple / per-tuple-pair kernels of
   /// Intersect, Join, Subtract and Complement and for the in-tuple
   /// normalization split sweep (0 = the ITDB_THREADS / hardware default,
@@ -117,8 +108,8 @@ Result<GeneralizedRelation> ComplementWithDataDomains(
 /// attributes first in the output schema, per convention).  Dropped temporal
 /// columns are eliminated exactly: free (period-1) and pinned ones on the
 /// closed DBM, where no lattice gap can open, the others via normalization
-/// (Section 3.4).  A projection that drops no temporal column only reorders
-/// and normalizes nothing.
+/// of their constraint component only (Section 3.4).  A projection that
+/// drops no temporal column only reorders and normalizes nothing.
 Result<GeneralizedRelation> Project(const GeneralizedRelation& r,
                                     const std::vector<std::string>& attrs,
                                     const AlgebraOptions& options = {});
@@ -167,7 +158,7 @@ Result<GeneralizedRelation> Rename(
 
 /// Whether the tuple's extension is empty.  Exact over the lattice: drops
 /// every free and pinned column without normalizing (normalize.h), then
-/// normalizes the rest and checks n-space feasibility.
+/// normalizes the rest and checks n-space feasibility.  Computes no point.
 Result<bool> TupleIsEmpty(const GeneralizedTuple& t,
                           const AlgebraOptions& options = {});
 
@@ -175,10 +166,11 @@ Result<bool> TupleIsEmpty(const GeneralizedTuple& t,
 Result<bool> IsEmpty(const GeneralizedRelation& r,
                      const AlgebraOptions& options = {});
 
-/// A concrete temporal point of the tuple's extension, if any.  Computed by
-/// normalizing and then fixing the n-space variables one at a time inside
-/// their (closed) DBM bounds -- the constructive content of Theorem 3.5.
-Result<std::optional<std::vector<std::int64_t>>> FindTemporalWitness(
+/// A concrete temporal point of the tuple, nullopt iff TupleIsEmpty(t): the
+/// same reduction, then NSpaceTuple::FirstPoint on the columns left, lifted
+/// back through the dropped ones on the re-closed DBM (Theorem 3.5).  Fails
+/// with kOverflow when a value leaves the int64 range.
+Result<std::optional<std::vector<std::int64_t>>> FirstPoint(
     const GeneralizedTuple& t, const AlgebraOptions& options = {});
 
 /// A concrete row of the relation, if any.

@@ -206,8 +206,10 @@ Result<std::optional<ExactElimination>> EliminateFreeAndPinnedColumns(
     columns[i] = static_cast<int>(i);
   }
   std::vector<bool> candidate = eligible;
+  std::vector<int> dropped;
   auto drop = [&](int v) {
     const auto at = static_cast<std::ptrdiff_t>(v);
+    dropped.push_back(columns[static_cast<std::size_t>(v)]);
     dbm = dbm.EliminateVariable(v);
     lrps.erase(lrps.begin() + at);
     columns.erase(columns.begin() + at);
@@ -266,7 +268,8 @@ Result<std::optional<ExactElimination>> EliminateFreeAndPinnedColumns(
   }
   GeneralizedTuple rest(std::move(lrps), t.data());
   rest.set_constraints(std::move(dbm));
-  return MaybeRest(ExactElimination{std::move(rest), std::move(columns)});
+  return MaybeRest(ExactElimination{std::move(rest), std::move(columns),
+                                    std::move(dropped)});
 }
 
 Result<NSpaceTuple> NSpaceTuple::Build(const GeneralizedTuple& t) {
@@ -277,35 +280,30 @@ Result<NSpaceTuple> NSpaceTuple::Build(const GeneralizedTuple& t) {
   }
   NSpaceTuple out;
   out.period_ = period;
-  int m = t.temporal_arity();
-  out.offsets_.resize(static_cast<std::size_t>(m));
-  for (int i = 0; i < m; ++i) {
-    out.offsets_[static_cast<std::size_t>(i)] = t.lrp(i).offset();
-  }
+  out.offsets_.reserve(t.temporal().size());
+  for (const Lrp& l : t.temporal()) out.offsets_.push_back(l.offset());
   int num_vars = 0;
   out.var_of_column_ = VariableLayout(t, &num_vars);
-  out.dropped_.assign(static_cast<std::size_t>(m), false);
-  Dbm dbm(num_vars);
+  out.dropped_.assign(out.offsets_.size(), false);
+  out.dbm_ = Dbm(num_vars);
   // Close the X-space system first: a contradiction over the reals (or the
   // degenerate zero-variable contradiction flag) already proves emptiness.
   Dbm x_closed = t.constraints();
   ITDB_RETURN_IF_ERROR(x_closed.Close());
   if (!x_closed.feasible()) {
     out.feasible_ = false;
-    out.dbm_ = std::move(dbm);
     return out;
   }
   ITDB_RETURN_IF_ERROR(TranslateToNSpace(x_closed.ToAtomics(), t.temporal(),
-                                         out.var_of_column_, period, dbm,
+                                         out.var_of_column_, period, out.dbm_,
                                          out.feasible_));
-  ITDB_RETURN_IF_ERROR(dbm.Close());
-  if (!dbm.feasible()) out.feasible_ = false;
-  out.dbm_ = std::move(dbm);
+  ITDB_RETURN_IF_ERROR(out.dbm_.Close());
+  if (!out.dbm_.feasible()) out.feasible_ = false;
   return out;
 }
 
 Status NSpaceTuple::EliminateColumn(int col) {
-  if (col < 0 || col >= num_columns() ||
+  if (col < 0 || col >= static_cast<int>(offsets_.size()) ||
       dropped_[static_cast<std::size_t>(col)]) {
     return Status::InvalidArgument("EliminateColumn: bad column " +
                                    std::to_string(col));
@@ -333,11 +331,11 @@ Result<GeneralizedTuple> NSpaceTuple::Rebuild(const std::vector<int>& columns,
   const std::int64_t k = period_;
   std::vector<Lrp> lrps;
   lrps.reserve(columns.size());
-  // new_var_pos[v]: position in `columns` of the column owning n-var v.
+  // column_of_var[v]: position in `columns` of the column owning n-var v.
   std::vector<int> column_of_var(static_cast<std::size_t>(dbm_.num_vars()), -1);
   for (std::size_t pos = 0; pos < columns.size(); ++pos) {
     int col = columns[pos];
-    if (col < 0 || col >= num_columns() ||
+    if (col < 0 || col >= static_cast<int>(offsets_.size()) ||
         dropped_[static_cast<std::size_t>(col)]) {
       return Status::InvalidArgument("Rebuild: bad or dropped column " +
                                      std::to_string(col));
@@ -388,15 +386,6 @@ Result<GeneralizedTuple> NSpaceTuple::Rebuild(const std::vector<int>& columns,
   }
   out.set_constraints(std::move(x_constraints));
   return out;
-}
-
-Result<GeneralizedTuple> NSpaceTuple::RebuildAll(
-    std::vector<Value> data) const {
-  std::vector<int> columns;
-  for (int i = 0; i < num_columns(); ++i) {
-    if (!dropped_[static_cast<std::size_t>(i)]) columns.push_back(i);
-  }
-  return Rebuild(columns, std::move(data));
 }
 
 Result<std::vector<std::int64_t>> NSpaceTuple::FirstPoint() const {

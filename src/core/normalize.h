@@ -20,7 +20,8 @@
 //     over a column whose lrp is all of Z, nor over one the constraints pin
 //     to another column or a constant (X_d = X_j + a), whose existential is
 //     one lrp intersection.  Both are projected on the closed DBM directly
-//     and never split; Project and TupleIsEmpty normalize only the rest.
+//     and never split; Project, TupleIsEmpty and FirstPoint normalize only
+//     the rest.
 
 #ifndef ITDB_CORE_NORMALIZE_H_
 #define ITDB_CORE_NORMALIZE_H_
@@ -74,6 +75,9 @@ struct ExactElimination {
   GeneralizedTuple tuple;
   /// Original index of each remaining column.
   std::vector<int> columns;
+  /// Original index of each eliminated column, in elimination order (a
+  /// point of `tuple` lifts back through them in reverse order).
+  std::vector<int> dropped;
 };
 
 /// Eliminates, without normalizing, every `eligible` column whose
@@ -111,13 +115,6 @@ class NSpaceTuple {
   /// Whether the tuple denotes at least one concrete point.  Exact.
   bool feasible() const { return feasible_; }
 
-  std::int64_t period() const { return period_; }
-  int num_columns() const { return static_cast<int>(offsets_.size()); }
-  bool is_dropped(int col) const { return dropped_[static_cast<std::size_t>(col)]; }
-  bool is_constant(int col) const {
-    return var_of_column_[static_cast<std::size_t>(col)] < 0;
-  }
-
   /// Projects away one (not yet dropped) column.  Exact by Theorem 3.1.
   /// Pre: feasible().
   Status EliminateColumn(int col);
@@ -128,9 +125,6 @@ class NSpaceTuple {
   /// Pre: feasible().
   Result<GeneralizedTuple> Rebuild(const std::vector<int>& columns,
                                    std::vector<Value> data) const;
-
-  /// Rebuild with all remaining columns in original order.
-  Result<GeneralizedTuple> RebuildAll(std::vector<Value> data) const;
 
   /// One concrete point of the tuple, one value per column in original
   /// order.  The n-variables are pinned in column order on a copy of the

@@ -3,7 +3,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/normalize.h"
+#include "core/algebra.h"
 
 namespace itdb {
 
@@ -24,12 +24,11 @@ Result<bool> TupleSubsumes(const GeneralizedTuple& big,
 }
 
 Result<GeneralizedRelation> Simplify(const GeneralizedRelation& r) {
-  // Pass 1: drop tuples with empty extensions (exact via normal form).
+  // Pass 1: drop tuples with empty extensions (Theorem 3.5's exact test).
   std::vector<GeneralizedTuple> live;
   for (const GeneralizedTuple& t : r.tuples()) {
-    ITDB_ASSIGN_OR_RETURN(std::vector<GeneralizedTuple> normal,
-                          NormalizeTuple(t));
-    if (!normal.empty()) live.push_back(t);
+    ITDB_ASSIGN_OR_RETURN(bool empty, TupleIsEmpty(t));
+    if (!empty) live.push_back(t);
   }
   // Pass 2: drop tuples subsumed by another surviving tuple.  Process in
   // order, preferring to keep earlier tuples; a tuple subsumed by an already

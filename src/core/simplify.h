@@ -23,7 +23,7 @@ namespace itdb {
 Result<bool> TupleSubsumes(const GeneralizedTuple& big,
                            const GeneralizedTuple& small);
 
-/// Removes tuples whose extension is empty (exact, via normal form) and
+/// Removes tuples whose extension is empty (exact, via TupleIsEmpty) and
 /// tuples subsumed by another remaining tuple.
 Result<GeneralizedRelation> Simplify(const GeneralizedRelation& r);
 

@@ -68,7 +68,7 @@ TEST(FindWitnessTest, WitnessOfConstrainedTuple) {
   GeneralizedTuple t({Lrp::Make(3, 8), Lrp::Make(1, 8)});
   t.mutable_constraints().AddDifferenceEquality(0, 1, 2);
   t.mutable_constraints().AddLowerBound(1, 5);
-  Result<std::optional<std::vector<std::int64_t>>> w = FindTemporalWitness(t);
+  Result<std::optional<std::vector<std::int64_t>>> w = FirstPoint(t);
   ASSERT_TRUE(w.ok()) << w.status();
   ASSERT_TRUE(w.value().has_value());
   EXPECT_TRUE(t.ContainsTemporal(*w.value()));
@@ -77,7 +77,7 @@ TEST(FindWitnessTest, WitnessOfConstrainedTuple) {
 TEST(FindWitnessTest, NoWitnessForLatticeEmptyTuple) {
   GeneralizedTuple t({Lrp::Make(0, 8), Lrp::Make(1, 8)});
   t.mutable_constraints().AddDifferenceEquality(0, 1, 3);
-  Result<std::optional<std::vector<std::int64_t>>> w = FindTemporalWitness(t);
+  Result<std::optional<std::vector<std::int64_t>>> w = FirstPoint(t);
   ASSERT_TRUE(w.ok()) << w.status();
   EXPECT_FALSE(w.value().has_value());
 }
@@ -85,23 +85,109 @@ TEST(FindWitnessTest, NoWitnessForLatticeEmptyTuple) {
 TEST(FindWitnessTest, UnboundedTupleStillYieldsAPoint) {
   GeneralizedTuple t({Lrp::Make(0, 1), Lrp::Make(0, 1)});
   t.mutable_constraints().AddDifferenceUpperBound(0, 1, -3);  // X0 <= X1 - 3.
-  Result<std::optional<std::vector<std::int64_t>>> w = FindTemporalWitness(t);
+  Result<std::optional<std::vector<std::int64_t>>> w = FirstPoint(t);
   ASSERT_TRUE(w.ok()) << w.status();
   ASSERT_TRUE(w.value().has_value());
   EXPECT_TRUE(t.ContainsTemporal(*w.value()));
 }
 
-class FindWitnessPropertyTest : public ::testing::TestWithParam<std::uint32_t> {
+// The W tuple: four columns of periods 7, 5, 5 and 12.  Normalizing it as
+// a whole splits it 60 * 84 * 84 * 35 ways (period 420), past the default
+// split budget; dropping the unconstrained first two columns leaves a
+// period-60 pair.
+GeneralizedTuple CoprimeTuple() {
+  GeneralizedTuple t(
+      {Lrp::Make(2, 7), Lrp::Make(0, 5), Lrp::Make(0, 5), Lrp::Make(7, 12)});
+  t.mutable_constraints().AddLowerBound(3, -2);                // D >= -2.
+  t.mutable_constraints().AddDifferenceUpperBound(2, 3, -5);  // C <= D - 5.
+  return t;
+}
+
+TEST(FindWitnessTest, CoprimeTupleHasAWitness) {
+  const GeneralizedTuple t = CoprimeTuple();
+  Result<std::optional<std::vector<std::int64_t>>> w = FirstPoint(t);
+  ASSERT_TRUE(w.ok()) << w.status();
+  ASSERT_TRUE(w.value().has_value());
+  EXPECT_TRUE(t.ContainsTemporal(*w.value()));
+  GeneralizedRelation r(Schema::Temporal(4));
+  ASSERT_TRUE(r.AddTuple(t).ok());
+  Result<std::optional<ConcreteRow>> row = FindWitness(r);
+  ASSERT_TRUE(row.ok()) << row.status();
+  ASSERT_TRUE(row.value().has_value());
+  EXPECT_TRUE(r.Contains(*row.value()));
+}
+
+// The two lifting tests below have periods whose lcm splits the whole tuple
+// past the default budget, so only the exact drops make them answer.
+
+TEST(FindWitnessTest, LiftsThroughAPinChain) {
+  // X1 = X0 + 2 and X2 = X1 + 1 pin X0 and X1 away; the CRT meets leave X2
+  // in 3+420n, and the lift must land X1 in 2+7n and X0 in 0+5n.
+  GeneralizedTuple t({Lrp::Make(0, 5), Lrp::Make(2, 7), Lrp::Make(3, 12),
+                      Lrp::Make(1, 11)});
+  t.mutable_constraints().AddDifferenceEquality(1, 0, 2);
+  t.mutable_constraints().AddDifferenceEquality(2, 1, 1);
+  t.mutable_constraints().AddLowerBound(0, 10);
+  t.mutable_constraints().AddDifferenceUpperBound(2, 3, 0);  // X2 <= X3.
+  Result<std::optional<std::vector<std::int64_t>>> w = FirstPoint(t);
+  ASSERT_TRUE(w.ok()) << w.status();
+  ASSERT_TRUE(w.value().has_value());
+  EXPECT_TRUE(t.ContainsTemporal(*w.value()));
+}
+
+TEST(FindWitnessTest, LiftsTheLastDroppedColumnFirst) {
+  // X0 (period 1) is dropped first, which leaves X1 = X0 + 2 unconstrained
+  // and dropped next.  Lifting X0 first would pick X0 = 0 and force X1 = 2,
+  // outside 0+5n; lifting X1 first picks X1 = 0 and X0 = -2.
+  GeneralizedTuple t({Lrp::Make(0, 1), Lrp::Make(0, 5), Lrp::Make(3, 7),
+                      Lrp::Make(1, 12)});
+  t.mutable_constraints().AddDifferenceEquality(1, 0, 2);
+  t.mutable_constraints().AddDifferenceUpperBound(2, 3, 0);  // X2 <= X3.
+  Result<std::optional<std::vector<std::int64_t>>> w = FirstPoint(t);
+  ASSERT_TRUE(w.ok()) << w.status();
+  ASSERT_TRUE(w.value().has_value());
+  EXPECT_TRUE(t.ContainsTemporal(*w.value()));
+  EXPECT_EQ((*w.value())[1], 0);
+  EXPECT_EQ((*w.value())[0], -2);
+}
+
+// A relation shape and a seed.  The coprime shape draws 4 columns from
+// periods 5, 7 and 12 (lcm 420), where normalizing a whole tuple exceeds the
+// split budget but the columns left after the exact drops rarely do.
+struct WitnessCase {
+  RandomRelationConfig cfg;
+  std::uint32_t seed;
+};
+
+void PrintTo(const WitnessCase& c, std::ostream* os) {
+  *os << c.cfg.temporal_arity << " columns, seed " << c.seed;
+}
+
+std::vector<WitnessCase> WitnessCases(const RandomRelationConfig& cfg) {
+  std::vector<WitnessCase> cases;
+  for (std::uint32_t seed = 500; seed < 525; ++seed) {
+    cases.push_back({cfg, seed});
+  }
+  return cases;
+}
+
+RandomRelationConfig CoprimeConfig() {
+  RandomRelationConfig cfg;
+  cfg.temporal_arity = 4;
+  cfg.num_tuples = 8;
+  cfg.periods = {5, 7, 12};
+  return cfg;
+}
+
+class FindWitnessPropertyTest : public ::testing::TestWithParam<WitnessCase> {
 };
 
 TEST_P(FindWitnessPropertyTest, WitnessIffNonEmpty) {
-  RandomRelationConfig cfg;
-  GeneralizedRelation r = MakeRandomRelation(GetParam() + 500, cfg);
+  GeneralizedRelation r = MakeRandomRelation(GetParam().seed, GetParam().cfg);
   for (const GeneralizedTuple& t : r.tuples()) {
     Result<bool> empty = TupleIsEmpty(t);
-    ASSERT_TRUE(empty.ok());
-    Result<std::optional<std::vector<std::int64_t>>> w =
-        FindTemporalWitness(t);
+    ASSERT_TRUE(empty.ok()) << empty.status() << " for " << t.ToString();
+    Result<std::optional<std::vector<std::int64_t>>> w = FirstPoint(t);
     ASSERT_TRUE(w.ok()) << w.status() << " for " << t.ToString();
     EXPECT_EQ(!empty.value(), w.value().has_value()) << t.ToString();
     if (w.value().has_value()) {
@@ -111,7 +197,9 @@ TEST_P(FindWitnessPropertyTest, WitnessIffNonEmpty) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FindWitnessPropertyTest,
-                         ::testing::Range(std::uint32_t{0}, std::uint32_t{25}));
+                         ::testing::ValuesIn(WitnessCases({})));
+INSTANTIATE_TEST_SUITE_P(CoprimePeriods, FindWitnessPropertyTest,
+                         ::testing::ValuesIn(WitnessCases(CoprimeConfig())));
 
 TEST(FindWitnessTest, RelationWitnessCarriesData) {
   Schema schema({"T"}, {"who"}, {DataType::kString});

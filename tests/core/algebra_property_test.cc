@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random_relations.h"
+#include "common/reference_projection.h"
 #include "core/algebra.h"
 #include "core/normalize.h"
 #include "finite/finite_relation.h"
@@ -23,6 +24,7 @@ namespace {
 
 using testing_util::MakeRandomRelation;
 using testing_util::RandomRelationConfig;
+using testing_util::ReferenceProject;
 
 constexpr std::int64_t kWindow = 12;
 
@@ -141,14 +143,10 @@ TEST_P(BinaryOpPropertyTest, ProjectionMatchesSetSemanticsOnInnerWindow) {
 
 TEST_P(BinaryOpPropertyTest, ProjectionPartialAndFullAgree) {
   GeneralizedRelation a = A();
-  AlgebraOptions partial;
-  partial.partial_normalization = true;
-  AlgebraOptions full;
-  full.partial_normalization = false;
   for (const std::vector<std::string>& attrs :
        std::vector<std::vector<std::string>>{{"T1"}, {"T2"}, {"T2", "T1"}}) {
-    Result<GeneralizedRelation> p = Project(a, attrs, partial);
-    Result<GeneralizedRelation> f = Project(a, attrs, full);
+    Result<GeneralizedRelation> p = Project(a, attrs);
+    Result<GeneralizedRelation> f = ReferenceProject(a, attrs);
     ASSERT_TRUE(p.ok()) << p.status();
     ASSERT_TRUE(f.ok()) << f.status();
     EXPECT_EQ(Mat(p.value()).rows(), Mat(f.value()).rows())
@@ -207,7 +205,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BinaryOpPropertyTest,
 // between two columns or a period-1 column, which are exactly the columns
 // Project and TupleIsEmpty eliminate without normalizing.  This axis injects
 // both into random three-column relations and checks the default kernel
-// against the verbatim Section 3.4 reference (partial_normalization = false)
+// against the verbatim Section 3.4 reference (ReferenceProject)
 // and against Theorem 3.5's normalization-based emptiness test.
 class PinnedFreePropertyTest : public ::testing::TestWithParam<std::uint32_t> {
  protected:
@@ -242,8 +240,6 @@ class PinnedFreePropertyTest : public ::testing::TestWithParam<std::uint32_t> {
 
 TEST_P(PinnedFreePropertyTest, ProjectionMatchesTheReference) {
   GeneralizedRelation a = Injected();
-  AlgebraOptions full;
-  full.partial_normalization = false;
   for (const std::vector<std::string>& attrs :
        std::vector<std::vector<std::string>>{{"T1"},
                                              {"T2"},
@@ -253,7 +249,7 @@ TEST_P(PinnedFreePropertyTest, ProjectionMatchesTheReference) {
                                              {"T2", "T3", "T1"},
                                              {}}) {
     Result<GeneralizedRelation> exact = Project(a, attrs);
-    Result<GeneralizedRelation> reference = Project(a, attrs, full);
+    Result<GeneralizedRelation> reference = ReferenceProject(a, attrs);
     ASSERT_TRUE(exact.ok()) << exact.status();
     ASSERT_TRUE(reference.ok()) << reference.status();
     EXPECT_EQ(Mat(exact.value()).rows(), Mat(reference.value()).rows())

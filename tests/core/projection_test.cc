@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/reference_projection.h"
 #include "core/algebra.h"
 #include "core/normalize.h"
 #include "core/relation.h"
@@ -16,6 +17,7 @@ namespace itdb {
 namespace {
 
 using Point = std::vector<std::int64_t>;
+using testing_util::ReferenceProject;
 
 std::set<std::int64_t> UnaryEnum(const GeneralizedRelation& r, std::int64_t lo,
                                  std::int64_t hi) {
@@ -143,21 +145,17 @@ TEST(ProjectionTest, InfeasibleTuplesVanish) {
 
 TEST(ProjectionTest, PartialAndFullNormalizationAgree) {
   // A dropped column disconnected from a large-period pair: the partial
-  // path avoids their split; both paths must yield the same set.
+  // path avoids their split; it must yield the reference's set.
   GeneralizedRelation r(Schema({"T1", "T2", "T3"}, {}, {}));
   GeneralizedTuple t({Lrp::Make(2, 6), Lrp::Make(1, 10), Lrp::Make(0, 4)});
   t.mutable_constraints().AddDifferenceUpperBound(0, 1, 3);
   t.mutable_constraints().AddLowerBound(2, -8);
   ASSERT_TRUE(r.AddTuple(std::move(t)).ok());
-  AlgebraOptions partial;
-  partial.partial_normalization = true;
-  AlgebraOptions full;
-  full.partial_normalization = false;
   for (const std::vector<std::string>& attrs :
        std::vector<std::vector<std::string>>{
            {"T1", "T2"}, {"T3"}, {"T2"}, {"T2", "T1", "T3"}, {}}) {
-    Result<GeneralizedRelation> a = Project(r, attrs, partial);
-    Result<GeneralizedRelation> b = Project(r, attrs, full);
+    Result<GeneralizedRelation> a = Project(r, attrs);
+    Result<GeneralizedRelation> b = ReferenceProject(r, attrs);
     ASSERT_TRUE(a.ok()) << a.status();
     ASSERT_TRUE(b.ok()) << b.status();
     EXPECT_EQ(a.value().Enumerate(-30, 30), b.value().Enumerate(-30, 30));
@@ -171,9 +169,7 @@ TEST(ProjectionTest, PartialNormalizationAvoidsUnrelatedSplit) {
   GeneralizedTuple t({Lrp::Make(0, 35), Lrp::Make(0, 33), Lrp::Make(1, 4)});
   t.mutable_constraints().AddDifferenceUpperBound(0, 1, 5);
   ASSERT_TRUE(r.AddTuple(std::move(t)).ok());
-  AlgebraOptions partial;
-  partial.partial_normalization = true;
-  Result<GeneralizedRelation> p = Project(r, {"T1", "T2"}, partial);
+  Result<GeneralizedRelation> p = Project(r, {"T1", "T2"});
   ASSERT_TRUE(p.ok()) << p.status();
   EXPECT_EQ(p.value().size(), 1);
   EXPECT_EQ(p.value().tuples()[0].lrp(0), Lrp::Make(0, 35));
@@ -183,8 +179,8 @@ TEST(ProjectionTest, PartialNormalizationAvoidsUnrelatedSplit) {
 // ---- Exact elimination of free and pinned columns. ----
 // Each case projects one tuple with the default kernel, which eliminates
 // free (period-1) and pinned columns on the closed DBM without normalizing,
-// and with the verbatim Section 3.4 reference (partial_normalization =
-// false).  Both must denote the same set; TupleIsEmpty must agree with the
+// and with the verbatim Section 3.4 reference (ReferenceProject,
+// tests/common/reference_projection.h).  Both must denote the same set; TupleIsEmpty must agree with the
 // reference's Theorem 3.5 test (no normal-form piece survives).
 
 GeneralizedRelation OneTuple(GeneralizedTuple t) {
@@ -204,14 +200,12 @@ GeneralizedRelation ExpectExactMatchesReference(
     const GeneralizedTuple& t, const std::vector<std::string>& attrs,
     bool expect_empty, bool normalizes = false) {
   GeneralizedRelation r = OneTuple(t);
-  AlgebraOptions full;
-  full.partial_normalization = false;
   const std::int64_t calls = NormalizeCalls();
   Result<GeneralizedRelation> exact = Project(r, attrs);
   if (!normalizes) {
     EXPECT_EQ(NormalizeCalls(), calls) << t.ToString();
   }
-  Result<GeneralizedRelation> reference = Project(r, attrs, full);
+  Result<GeneralizedRelation> reference = ReferenceProject(r, attrs);
   EXPECT_TRUE(exact.ok()) << exact.status();
   EXPECT_TRUE(reference.ok()) << reference.status();
   if (!exact.ok() || !reference.ok()) return GeneralizedRelation(r.schema());

@@ -134,5 +134,20 @@ TEST(SimplifyTest, DropsLatticeEmptyTuples) {
   EXPECT_EQ(exact.value().size(), 0);
 }
 
+TEST(SimplifyTest, KeepsANonemptyTupleTooWideToNormalizeWhole) {
+  // Periods 7, 5, 5 and 12: normalizing the whole tuple would split it past
+  // the default budget (period 420).  The emptiness test drops the two
+  // unconstrained columns first and keeps the tuple.
+  GeneralizedRelation r(Schema::Temporal(4));
+  GeneralizedTuple t(
+      {Lrp::Make(2, 7), Lrp::Make(0, 5), Lrp::Make(0, 5), Lrp::Make(7, 12)});
+  t.mutable_constraints().AddLowerBound(3, -2);                // D >= -2.
+  t.mutable_constraints().AddDifferenceUpperBound(2, 3, -5);  // C <= D - 5.
+  ASSERT_TRUE(r.AddTuple(std::move(t)).ok());
+  Result<GeneralizedRelation> s = Simplify(r);
+  ASSERT_TRUE(s.ok()) << s.status();
+  EXPECT_EQ(s.value().size(), 1);
+}
+
 }  // namespace
 }  // namespace itdb

@@ -60,7 +60,12 @@ Checks, over src/ (and where noted, tests/):
      matrix, the query layer's tests and benches), so a per-session
      switch -- with its `set` verb and its result-table key field --
      cannot grow back.  Not caught: positional aggregate initialisation
-     of a QueryOptions, and code outside src/server/.
+     of a QueryOptions, and code outside src/server/.  Likewise
+     `struct AlgebraOptions` and `struct NormalizeOptions` declare no
+     `bool` member: they hold only budgets, `threads` and observers.  A
+     bool there picks between two implementations of one operator (as the
+     projection and index switches once did); keep the faster one and move
+     the other into tests/ as a reference.
 
 Exit status 0 = clean, 1 = findings (printed one per line), 2 = misuse.
 """
@@ -235,7 +240,7 @@ def check_cmp_switch_in_one_module(root: Path, findings: list[str]) -> None:
 ALGEBRA_INCLUDE_RE = re.compile(r'#include\s+"core/algebra\.h"')
 ALGEBRA_OPS = (
     "Complement|ComplementWithDataDomains|CrossProduct|Equivalent|"
-    "FindTemporalWitness|FindWitness|Intersect|IsEmpty|Join|Project|Rename|"
+    "FindWitness|FirstPoint|Intersect|IsEmpty|Join|Project|Rename|"
     "SelectData|SelectDataEqColumns|SelectTemporal|ShiftTemporalColumn|"
     "Subset|Subtract|TupleIsEmpty|Union"
 )
@@ -315,6 +320,26 @@ def check_no_pipeline_switch_in_server(src: Path, findings: list[str]) -> None:
                 )
 
 
+OPTIONS_STRUCT_RE = re.compile(r"^struct (AlgebraOptions|NormalizeOptions) \{")
+BOOL_MEMBER_RE = re.compile(r"^\s*bool\s+\w+\s*[;={]")
+
+
+def check_no_switch_in_algebra_options(src: Path, findings: list[str]) -> None:
+    for h in sorted(src.rglob("*.h")):
+        struct = None
+        for lineno, raw in enumerate(h.read_text().splitlines(), 1):
+            line = strip_comments_and_strings(raw)
+            if m := OPTIONS_STRUCT_RE.match(line):
+                struct = m.group(1)
+            elif line.startswith("};"):
+                struct = None
+            elif struct and BOOL_MEMBER_RE.match(line):
+                findings.append(
+                    f"{h}:{lineno}: bool member in {struct} (it holds only "
+                    f"budgets, threads and observers): {raw.strip()}"
+                )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -338,6 +363,7 @@ def main() -> int:
     check_algebra_only_in_listed_modules(src, findings)
     check_pair_kernel_has_one_caller(args.root, findings)
     check_no_pipeline_switch_in_server(src, findings)
+    check_no_switch_in_algebra_options(src, findings)
 
     for finding in findings:
         print(finding)
