@@ -242,9 +242,6 @@ const Certificate& AbstractInterpreter::Node(const query::Query& q) {
     case Query::Kind::kExists:
       cert = ExistsCert(q, Node(*q.left()));
       break;
-    case Query::Kind::kForall:
-      cert = ForallCert(q, Node(*q.left()));
-      break;
   }
   return certs_.emplace(&q, std::move(cert)).first->second;
 }
@@ -439,7 +436,13 @@ Certificate AbstractInterpreter::ComplementCert(
   // the child's certified lcm; coalescing only merges residue classes into
   // divisors of k.
   cert.lcm = CapLcm(child.lcm);
-  cert.zone = Zone::Top(child.zone.vars);
+  // The complement of the empty set holds every point, and the complement
+  // of every point is empty: a FORALL over a temporal variable of a refuted
+  // body (NOT EXISTS t . NOT body) is refuted.  Rows stay unbounded, since
+  // both complements run at the representation level.
+  cert.universe = child.ProvenEmpty();
+  cert.zone = child.universe ? Zone::Bottom(child.zone.vars)
+                             : Zone::Top(child.zone.vars);
   return cert;
 }
 
@@ -461,6 +464,9 @@ Certificate AbstractInterpreter::ExistsCert(const query::Query& q,
   if (!std::binary_search(free_child.begin(), free_child.end(), var)) {
     return cert;  // Vacuous quantification: the relation passes through.
   }
+  // Projecting a data variable out of every point leaves nothing when its
+  // active domain is empty, so only a temporal variable keeps the universe.
+  cert.universe = child.universe && IsTemporal(var);
   if (IsTemporal(var)) {
     // Projection normalizes the dropped column's constraint component to
     // its lcm L_t: each tuple splits prod(L_t/k_c) = L_t^j / prod(k_c)
@@ -473,28 +479,6 @@ Certificate AbstractInterpreter::ExistsCert(const query::Query& q,
     }
     cert.rows = MulBound(child.rows, PowBound(child.lcm, std::max(m - 1, 0)));
   }
-  return cert;
-}
-
-Certificate AbstractInterpreter::ForallCert(const query::Query& q,
-                                            const Certificate& child) const {
-  // NOT (EXISTS v (NOT body)): cardinality is out of reach (both
-  // complements run at the representation level), but every complement
-  // normalizes to a uniform period dividing the body's lcm, and the inner
-  // projection preserves divisibility.
-  Certificate cert;
-  cert.lcm = CapLcm(child.lcm);
-  std::vector<std::string> vars = child.zone.vars;
-  const int col = IndexOf(vars, q.quantified_var());
-  if (col >= 0) vars.erase(vars.begin() + col);
-  // An empty body fails every value of a temporal variable, so FORALL is
-  // empty.  A data-sorted FORALL over an empty active domain is vacuously
-  // true, so its emptiness is no static fact.  A vacuous variable has no
-  // sort.
-  const bool data_var = sorts_.contains(q.quantified_var()) &&
-                        !IsTemporal(q.quantified_var());
-  cert.zone = child.ProvenEmpty() && !data_var ? Zone::Bottom(std::move(vars))
-                                               : Zone::Top(std::move(vars));
   return cert;
 }
 

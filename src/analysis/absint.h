@@ -107,6 +107,10 @@ struct Certificate {
   std::optional<std::int64_t> lcm;
   /// A zone over the node's free temporal variables.
   Zone zone;
+  /// The denotation is provably every point over the node's free variables
+  /// (data ones ranging over the active domain): the complement of a
+  /// proven-empty node, kept by EXISTS over a temporal variable.
+  bool universe = false;
 
   bool bounded() const { return rows.has_value() && lcm.has_value(); }
   /// The denotation is provably the empty SET: no tuples at all, or an
@@ -178,8 +182,6 @@ class AbstractInterpreter {
                           const Certificate& r) const;
   Certificate ComplementCert(const Certificate& child) const;
   Certificate ExistsCert(const query::Query& q,
-                         const Certificate& child) const;
-  Certificate ForallCert(const query::Query& q,
                          const Certificate& child) const;
   /// nullopt when the lcm exceeds kMaxCertifiedLcm (treated as top).
   std::optional<std::int64_t> CapLcm(std::optional<std::int64_t> l) const;

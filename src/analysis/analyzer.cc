@@ -72,8 +72,7 @@ void CheckStructure(const Query& q, const SortMap& sorts,
     case Query::Kind::kNot:
       CheckStructure(*q.left(), sorts, out);
       return;
-    case Query::Kind::kExists:
-    case Query::Kind::kForall: {
+    case Query::Kind::kExists: {
       const std::vector<std::string> free = q.left()->FreeVariables();
       if (!std::binary_search(free.begin(), free.end(), q.quantified_var())) {
         Report(out, Severity::kWarning, diag::kVacuousQuantifier, q.span(),
@@ -89,8 +88,8 @@ void CheckStructure(const Query& q, const SortMap& sorts,
 
 /// Collects variables bound by a positively-polarized atom or a
 /// positively-polarized equality with a constant.  Polarity flips at NOT
-/// only: a FORALL body sits under the two complements of NOT EXISTS NOT,
-/// so occurrences inside it keep their polarity.
+/// only, so a FORALL body, under the two complements of NOT EXISTS NOT,
+/// keeps its polarity.
 void CollectBinders(const Query& q, bool positive,
                     std::set<std::string>* binders) {
   switch (q.kind()) {
@@ -124,7 +123,6 @@ void CollectBinders(const Query& q, bool positive,
       CollectBinders(*q.left(), !positive, binders);
       return;
     case Query::Kind::kExists:
-    case Query::Kind::kForall:
       CollectBinders(*q.left(), positive, binders);
       return;
   }
@@ -151,10 +149,17 @@ void SafetyPass(const Query& q, const SortMap& sorts,
 }
 
 /// Emits A009 at each MAXIMAL proven-empty node (reporting every empty
-/// descendant of an empty node would just repeat the same fact).
-void ReportEmpty(const Query& q, const std::set<const Query*>& empty,
+/// descendant of an empty node would just repeat the same fact).  The
+/// EXISTS and inner NOT a parsed FORALL desugars to carry their parent's
+/// span (query/parser.cc) and are looked through: `FORALL t . NOT e` with
+/// e empty reports e, the subquery written, not the hidden EXISTS t . NOT
+/// NOT e.
+void ReportEmpty(const Query& q, const SourceSpan& parent,
+                 const std::set<const Query*>& empty,
                  std::vector<Diagnostic>* out) {
-  if (empty.contains(&q)) {
+  const bool desugared = q.span().known() && q.span().begin == parent.begin &&
+                         q.span().end == parent.end;
+  if (empty.contains(&q) && !desugared) {
     Report(out, Severity::kWarning, diag::kStaticallyEmpty, q.span(),
            "subquery is statically empty: no tuple can satisfy it against "
            "the current database");
@@ -166,23 +171,14 @@ void ReportEmpty(const Query& q, const std::set<const Query*>& empty,
       return;
     case Query::Kind::kAnd:
     case Query::Kind::kOr:
-      ReportEmpty(*q.left(), empty, out);
-      ReportEmpty(*q.right(), empty, out);
+      ReportEmpty(*q.left(), q.span(), empty, out);
+      ReportEmpty(*q.right(), q.span(), empty, out);
       return;
     case Query::Kind::kNot:
     case Query::Kind::kExists:
-    case Query::Kind::kForall:
-      ReportEmpty(*q.left(), empty, out);
+      ReportEmpty(*q.left(), q.span(), empty, out);
       return;
   }
-}
-
-/// The body under the root's maximal EXISTS prefix: the formula a yes/no
-/// statement splits into parts (a FORALL root's body is a negation).
-const Query& PeeledExistsBody(const Query& q) {
-  const Query* body = &q;
-  while (body->kind() == Query::Kind::kExists) body = body->left().get();
-  return *body;
 }
 
 }  // namespace
@@ -223,12 +219,13 @@ AnalysisResult Analyze(const Database& db, const QueryPtr& q,
     }
     result.root_proven_empty = root.ProvenEmpty();
     result.root_proven_bit_empty = root.rows == 0;
-    ReportEmpty(*q, result.proven_empty, &result.diagnostics);
+    ReportEmpty(*q, SourceSpan(), result.proven_empty, &result.diagnostics);
 
     // Pass 4: the cost heuristics, with A012 reading the root lcm, then
     // the certified counterpart A014 and uncertifiable queries (A017).
     CostDiagnostics(*q, result.sorts, root.lcm,
-                    options.yes_no ? &PeeledExistsBody(*q) : nullptr,
+                    options.yes_no ? query::PeelQuantifierPrefix(q).body.get()
+                                   : nullptr,
                     &result.diagnostics);
     if (root.rows.has_value() && *root.rows > kCertifiedRowsThreshold) {
       Report(&result.diagnostics, Severity::kWarning,

@@ -77,24 +77,20 @@ struct CostWalker {
         Walk(*q.right());
         return;
       case Query::Kind::kNot:
-        WarnComplement(q, "complement");
+        WarnComplement(q);
         Walk(*q.left());
         return;
       case Query::Kind::kExists:
         Walk(*q.left());
         return;
-      case Query::Kind::kForall:
-        WarnComplement(q, "universal quantifier (two complements)");
-        Walk(*q.left());
-        return;
     }
   }
 
-  void WarnComplement(const Query& q, std::string_view what) {
+  void WarnComplement(const Query& q) {
     int width = FreeTemporalWidth(*q.left(), sorts);
     if (width < kComplementWidthThreshold) return;
     Warn(out, diag::kExpensiveComplement, q.span(),
-         std::string(what) + " over " + std::to_string(width) +
+         "complement over " + std::to_string(width) +
              " temporal columns: nonemptiness of complements is NP-complete "
              "(Theorem 3.5) and the normal form can grow exponentially");
   }

@@ -1,9 +1,10 @@
 // Complexity and cost warnings (analysis pass 4).
 //
-//   A010  complement (NOT / FORALL) whose operand has >= N free temporal
-//         variables: complement of a multi-column generalized relation is
-//         the NP-complete regime of Theorem 3.5 (nonemptiness of
-//         complements), and its normal form can be exponentially larger;
+//   A010  complement (NOT; a FORALL is NOT EXISTS NOT) whose operand has
+//         >= N free temporal variables: complement of a multi-column
+//         generalized relation is the NP-complete regime of Theorem 3.5
+//         (nonemptiness of complements), and its normal form can be
+//         exponentially larger;
 //   A011  conjunction whose operands share no attributes at all: the join
 //         degenerates to a cross product (|L| * |R| tuples).  Not for the
 //         top AND chain of a yes/no statement, whose variable-disjoint
@@ -37,8 +38,8 @@ namespace analysis {
 /// A012 fires when the lcm of the periods reachable from the root (the
 /// root certificate's lcm) exceeds this.
 inline constexpr std::int64_t kPeriodBlowupThreshold = 720;
-/// A010 fires for complements (NOT / FORALL) whose operand has at least
-/// this many free temporal variables.
+/// A010 fires for complements (NOT) whose operand has at least this many
+/// free temporal variables.
 inline constexpr int kComplementWidthThreshold = 2;
 /// A014 fires when the certified root cardinality exceeds this.
 inline constexpr std::int64_t kCertifiedRowsThreshold = 1'000'000;

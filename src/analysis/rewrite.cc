@@ -44,8 +44,8 @@ struct Rewriter {
   }
 
   /// `negated` mirrors the pending-negation flag of the optimizer's
-  /// PushNegations: it flips at NOT, is inherited by AND / OR / FORALL
-  /// operands, and resets at an EXISTS body (the optimizer keeps the
+  /// PushNegations: it flips at NOT, is inherited by AND / OR operands,
+  /// and resets at an EXISTS body (the optimizer keeps the
   /// negation outside the quantifier).  Elimination only fires at
   /// non-negated OR nodes -- under a pending negation the optimizer turns
   /// the OR into an AND (De Morgan), and conjoining with the complement of
@@ -90,13 +90,6 @@ struct Rewriter {
         bound.pop_back();
         if (body == q->left()) return q;
         return Rebuild(Query::Exists(q->quantified_var(), std::move(body)), q);
-      }
-      case Query::Kind::kForall: {
-        bound.push_back(q->quantified_var());
-        QueryPtr body = Rewrite(q->left(), negated);
-        bound.pop_back();
-        if (body == q->left()) return q;
-        return Rebuild(Query::Forall(q->quantified_var(), std::move(body)), q);
       }
     }
     return q;

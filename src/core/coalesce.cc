@@ -1,5 +1,6 @@
 #include "core/coalesce.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -145,7 +146,15 @@ Result<GeneralizedRelation> CoalesceResidues(const GeneralizedRelation& r,
             for (std::size_t i = 0; i < tuples.size(); ++i) {
               if (!to_remove.contains(i)) next.push_back(std::move(tuples[i]));
             }
-            next.push_back(std::move(merged));
+            // Another family may already have merged to the same tuple;
+            // keep one copy, by the entry pass's text check.
+            const std::string text = merged.ToString();
+            if (std::none_of(next.begin(), next.end(),
+                             [&text](const GeneralizedTuple& t) {
+                               return t.ToString() == text;
+                             })) {
+              next.push_back(std::move(merged));
+            }
             tuples = std::move(next);
             changed = true;
           }

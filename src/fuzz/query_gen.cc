@@ -57,8 +57,6 @@ QueryPtr Clone(const QueryPtr& q) {
       return Query::Not(Clone(q->left()));
     case Query::Kind::kExists:
       return Query::Exists(q->quantified_var(), Clone(q->left()));
-    case Query::Kind::kForall:
-      return Query::Forall(q->quantified_var(), Clone(q->left()));
   }
   return q;
 }

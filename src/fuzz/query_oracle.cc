@@ -125,6 +125,34 @@ std::optional<std::string> CheckClosedForms(const Database& db,
   return std::nullopt;
 }
 
+/// Oracle 5: Optimize preserves the point set.  Every other oracle
+/// evaluates with optimize on, so the successful baseline is compared with
+/// `plain`, the same query evaluated with analyze, optimize and cost_plan
+/// off at one thread.  A budget failure of Equivalent is a skip, and so is
+/// any failure of `plain`: a budget, or a vacuous quantifier that sort
+/// inference rejects and Optimize drops.
+std::optional<std::string> CheckOptimizer(
+    const GeneralizedRelation& baseline,
+    const Result<GeneralizedRelation>& plain, const AlgebraOptions& algebra,
+    QueryCaseOutcome* outcome) {
+  if (!plain.ok()) return std::nullopt;
+  if (!(baseline.schema() == plain->schema())) {
+    return "optimizer changed the schema: " + baseline.schema().ToString() +
+           " vs plain " + plain->schema().ToString();
+  }
+  Result<bool> same = Equivalent(baseline, *plain, algebra);
+  if (!same.ok()) {
+    if (IsBudgetFailure(same.status())) return std::nullopt;
+    return "optimizer check failed: " + same.status().ToString();
+  }
+  ++outcome->optimizer_checked;
+  if (*same) return std::nullopt;
+  std::ostringstream os;
+  os << "optimized and plain evaluations differ: " << baseline.size()
+     << " vs " << plain->size() << " tuples, not the same point set";
+  return os.str();
+}
+
 /// Pre-order walk collecting the subplans the analyzer proved empty, in a
 /// deterministic order (the pointer set itself iterates by address).
 void CollectProvenEmpty(const QueryPtr& q,
@@ -139,7 +167,6 @@ void CollectProvenEmpty(const QueryPtr& q,
       break;
     case Query::Kind::kNot:
     case Query::Kind::kExists:
-    case Query::Kind::kForall:
       CollectProvenEmpty(q->left(), proven, out);
       break;
     default:
@@ -212,10 +239,20 @@ QueryCaseOutcome CheckQueryCase(const Database& db, const QueryPtr& q,
     }
   }
 
-  // --- Oracle 4 (ahead of the analysis-dependent oracles): closed forms
-  // answer through the peeled yes/no path as the relation path does. ---
+  // The query evaluated plain: exactly the analyzed tree, unoptimized.
+  QueryOptions plain = MakeOptions(/*analyze=*/false, /*parallel=*/false,
+                                   /*cost_plan=*/false, options.threads);
+  plain.optimize = false;
+  const Result<GeneralizedRelation> plain_result = EvalQuery(db, q, plain);
+
+  // --- Oracles 4 and 5 (ahead of the analysis-dependent oracles): closed
+  // forms answer through the peeled yes/no path as the relation path does,
+  // and the optimized baseline has the plain evaluation's point set. ---
   if (baseline.ok()) {
     outcome.failure = CheckClosedForms(db, q, options.threads, &outcome);
+    if (outcome.failure.has_value()) return outcome;
+    outcome.failure =
+        CheckOptimizer(*baseline, plain_result, plain.algebra, &outcome);
     if (outcome.failure.has_value()) return outcome;
   }
 
@@ -271,15 +308,12 @@ QueryCaseOutcome CheckQueryCase(const Database& db, const QueryPtr& q,
 
   // --- Oracle 3: the root certificate bounds the plain evaluation. ---
   // The certificate was computed for the analyzed tree, so the check
-  // evaluates exactly that tree: analyze / optimize / cost_plan all off.
+  // reads the evaluation of exactly that tree.
   const analysis::Certificate& cert = analyzed.root_certificate;
   const analysis::Zone& zone = cert.zone;
   const bool has_zone = !zone.vars.empty() || zone.refuted();
   if (cert.rows.has_value() || cert.lcm.has_value() || has_zone) {
-    QueryOptions plain = MakeOptions(/*analyze=*/false, /*parallel=*/false,
-                                     /*cost_plan=*/false, options.threads);
-    plain.optimize = false;
-    Result<GeneralizedRelation> got = EvalQuery(db, q, plain);
+    const Result<GeneralizedRelation>& got = plain_result;
     if (got.ok()) {
       ++outcome.certificates_checked;
       if (cert.rows.has_value() &&
@@ -375,7 +409,6 @@ QueryPtr ShrinkFailingQuery(const Database& db, QueryPtr q,
         break;
       case Query::Kind::kNot:
       case Query::Kind::kExists:
-      case Query::Kind::kForall:
         children = {q->left()};
         break;
       default:
@@ -401,7 +434,8 @@ std::string QueryFuzzReport::Summary() const {
      << " emptiness check(s) (" << empties_skipped << " skipped), "
      << bit_empties_checked << " bit-level emptiness check(s), "
      << certificates_checked << " certificate check(s), " << closed_checked
-     << " closed-form check(s), " << failures.size() << " failure(s)";
+     << " closed-form check(s), " << optimizer_checked
+     << " optimizer check(s), " << failures.size() << " failure(s)";
   return os.str();
 }
 
@@ -424,6 +458,7 @@ QueryFuzzReport RunQueryFuzz(const QueryFuzzConfig& config) {
     report.bit_empties_checked += outcome.bit_empties_checked;
     report.certificates_checked += outcome.certificates_checked;
     report.closed_checked += outcome.closed_checked;
+    report.optimizer_checked += outcome.optimizer_checked;
     if (outcome.failure.has_value()) {
       QueryFuzzFailure f;
       f.case_seed = case_seed;

@@ -1,7 +1,7 @@
 // Soundness oracles for the static analyzer (analysis/analyzer.h), driven
 // by random queries from query_gen.h.
 //
-// Four properties, checked per case:
+// Five properties, checked per case:
 //   * Bit-identity: evaluating with analysis on must give the SAME
 //     representation (schema plus tuple sequence) as evaluating with it
 //     off, at one thread and at N threads -- a matrix against the
@@ -30,6 +30,13 @@
 //     options and every matrix variant's.  A budget failure of the
 //     relation path is a skip; one of the yes/no path alone is a finding,
 //     and any other failure must hit both paths with one code.
+//   * Optimizer soundness: every check above evaluates with optimize on,
+//     so a successful baseline is compared with the plain evaluation
+//     (analyze / optimize / cost_plan off, one thread): the two must have
+//     one schema and be Equivalent (the same point set; Optimize may change
+//     the representation).  A budget failure of Equivalent, and any
+//     failure of the plain evaluation (a budget, or a vacuous quantifier
+//     that only Optimize drops), is a skip.
 //
 // Cases whose baseline fails with kOverflow / kResourceExhausted are
 // budget-skips, mirroring the algebra fuzzer's convention (oracle.h).
@@ -75,11 +82,13 @@ struct QueryCaseOutcome {
                                  // certificate was fully unbounded).
   int closed_checked = 0;  // Closed-form yes/no answers compared with the
                            // relation path (per form and variant).
+  int optimizer_checked = 0;  // Baselines found Equivalent to the plain
+                              // (unoptimized) evaluation.
   /// Unset = the case passed.
   std::optional<std::string> failure;
 };
 
-/// Runs all four oracles on one (database, query) pair.
+/// Runs all five oracles on one (database, query) pair.
 QueryCaseOutcome CheckQueryCase(const Database& db, const query::QueryPtr& q,
                                 const QueryOracleOptions& options = {});
 
@@ -117,6 +126,7 @@ struct QueryFuzzReport {
   std::int64_t bit_empties_checked = 0;
   std::int64_t certificates_checked = 0;
   std::int64_t closed_checked = 0;
+  std::int64_t optimizer_checked = 0;
   std::vector<QueryFuzzFailure> failures;
 
   bool ok() const { return failures.empty(); }

@@ -67,8 +67,7 @@ void CollectFree(const Query& q, std::set<std::string>& bound,
     case Query::Kind::kNot:
       CollectFree(*q.left(), bound, free);
       break;
-    case Query::Kind::kExists:
-    case Query::Kind::kForall: {
+    case Query::Kind::kExists: {
       bool inserted = bound.insert(q.quantified_var()).second;
       CollectFree(*q.left(), bound, free);
       if (inserted) bound.erase(q.quantified_var());
@@ -136,10 +135,28 @@ QueryPtr Query::Exists(std::string var, QueryPtr body) {
 }
 
 QueryPtr Query::Forall(std::string var, QueryPtr body) {
-  auto node = NewNode(Kind::kForall);
-  node->relation() = std::move(var);
-  node->left() = std::move(body);
-  return node;
+  return Not(Exists(std::move(var), Not(std::move(body))));
+}
+
+PeeledBody PeelQuantifierPrefix(QueryPtr q) {
+  auto not_over_exists = [](const QueryPtr& n) {
+    return n->kind() == Query::Kind::kNot &&
+           n->left()->kind() == Query::Kind::kExists;
+  };
+  PeeledBody out;
+  out.holds_when_empty = not_over_exists(q);
+  if (out.holds_when_empty) q = q->left();
+  while (true) {
+    if (q->kind() == Query::Kind::kExists) {
+      q = q->left();
+    } else if (q->kind() == Query::Kind::kNot && not_over_exists(q->left())) {
+      q = q->left()->left();
+    } else {
+      break;
+    }
+  }
+  out.body = std::move(q);
+  return out;
 }
 
 std::vector<std::string> Query::FreeVariables() const {
@@ -171,8 +188,6 @@ std::string Query::ToString() const {
       return "NOT (" + left_->ToString() + ")";
     case Kind::kExists:
       return "EXISTS " + relation_ + " . (" + left_->ToString() + ")";
-    case Kind::kForall:
-      return "FORALL " + relation_ + " . (" + left_->ToString() + ")";
   }
   return "?";
 }

@@ -69,7 +69,6 @@ class Query {
     kOr,
     kNot,
     kExists,  // one quantified variable (sort inferred)
-    kForall,
   };
 
   static QueryPtr Atom(std::string relation, std::vector<Term> args);
@@ -80,6 +79,7 @@ class Query {
   /// a -> b, sugar for (NOT a) OR b.
   static QueryPtr Implies(QueryPtr a, QueryPtr b);
   static QueryPtr Exists(std::string var, QueryPtr body);
+  /// FORALL var . body, sugar for NOT EXISTS var . NOT body (Section 4).
   static QueryPtr Forall(std::string var, QueryPtr body);
 
   Kind kind() const { return kind_; }
@@ -119,7 +119,7 @@ class Query {
   friend struct QueryBuilder;
 
   Kind kind_ = Kind::kAtom;
-  std::string relation_;      // kAtom: name; kExists/kForall: variable.
+  std::string relation_;      // kAtom: name; kExists: variable.
   std::vector<Term> args_;    // kAtom.
   Term lhs_;                  // kCmp.
   Term rhs_;                  // kCmp.
@@ -129,6 +129,22 @@ class Query {
   SourceSpan span_;                     // Unknown unless parsed from text.
   std::vector<SourceSpan> term_spans_;  // kAtom: per arg; kCmp: lhs, rhs.
 };
+
+/// The formula a yes/no statement tests for emptiness (query/prepared.h).
+struct PeeledBody {
+  QueryPtr body;
+  /// The statement holds iff the body is empty (else: iff it is nonempty).
+  bool holds_when_empty = false;
+};
+
+/// Peels the quantifier prefix of a closed formula: an optional leading NOT
+/// directly over an EXISTS sets holds_when_empty, then EXISTS nodes are
+/// stripped, a NOT NOT directly above an EXISTS being transparent.  So
+/// `EXISTS x1 ... xk . phi` peels to phi and holds iff phi is nonempty;
+/// `FORALL x1 ... xk . phi` peels to the subtree NOT phi, and `NOT EXISTS
+/// x . psi` to psi, each holding iff its body is empty.  Any other root is
+/// its own body.  The body is a subtree of `q`.
+PeeledBody PeelQuantifierPrefix(QueryPtr q);
 
 }  // namespace query
 }  // namespace itdb

@@ -40,8 +40,6 @@ std::string PlanNodeLabel(const Query& q) {
       return "NOT";
     case Query::Kind::kExists:
       return "EXISTS " + q.quantified_var();
-    case Query::Kind::kForall:
-      return "FORALL " + q.quantified_var();
   }
   return "?";
 }
@@ -508,14 +506,6 @@ Result<GeneralizedRelation> Evaluator::EvalNode(const Query& q) const {
       ITDB_ASSIGN_OR_RETURN(GeneralizedRelation inner, Eval(*q.left()));
       return ExistsVar(std::move(inner), q.quantified_var());
     }
-    case Query::Kind::kForall: {
-      // forall v. phi  ==  not exists v. not phi.
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation inner, Eval(*q.left()));
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation negated, EvalNot(inner));
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation dropped,
-                            ExistsVar(std::move(negated), q.quantified_var()));
-      return EvalNot(dropped);
-    }
   }
   return Status::InvalidArgument("unreachable query kind");
 }
@@ -648,7 +638,7 @@ Result<bool> EvalPreparedBoolean(const Database& db, Prepared& prepared,
   }
   ITDB_RETURN_IF_ERROR(prepared.Compile(db));
   // The proof is about the whole statement, so it answers false before
-  // any FORALL flip: the flipped empty relation would read as true.
+  // any peeled NOT flips it: the flipped empty relation would read as true.
   if (prepared.statically_empty()) return false;
   // The parts share no variable: the body is nonempty iff every part is.
   // The emptiness test runs in the statement's context (normalize cache,

@@ -5,8 +5,9 @@
 // Semantics:
 //   * Temporal variables and quantifiers range over all of Z -- the whole
 //     point of the paper's representation.  Negation over the temporal sort
-//     uses the Appendix A.6 complement; universal temporal quantification
-//     is not(exists not(...)).
+//     uses the Appendix A.6 complement.  Universal quantification is
+//     NOT EXISTS NOT: the parser and Query::Forall build exactly that tree
+//     (query/ast.h), so the evaluator has no universal node.
 //   * Data variables and quantifiers range over the ACTIVE DOMAIN: the data
 //     values appearing in the database plus the constants of the query,
 //     split by type (query::ComputeActiveDomain, sorts.h).  This is the standard safe interpretation of the
@@ -99,7 +100,7 @@ Result<bool> EvalBooleanQueryString(const Database& db, std::string_view text,
 /// The label of one plan node: what EXPLAIN prints, what its trace span is
 /// named, and what the planner's estimated-plan rendering
 /// (FormatQueryPlanWithEstimates, planner.h) prefixes (AND / OR / NOT /
-/// EXISTS v / FORALL v / ATOM P(x, y) / CMP x < y).
+/// EXISTS v / ATOM P(x, y) / CMP x < y).
 std::string PlanNodeLabel(const Query& q);
 
 }  // namespace query

@@ -38,24 +38,13 @@ QueryPtr PushNegations(const QueryPtr& q, bool negate) {
     case Query::Kind::kNot:
       return PushNegations(q->left(), !negate);
     case Query::Kind::kExists: {
-      // Deliberately do NOT rewrite "not exists" into "forall not": the
-      // evaluator computes a negated existential as one complement AFTER
-      // the projection (few columns), whereas a universal would complement
-      // the un-projected scope -- strictly more columns, exponentially
-      // worse (Table 3).  The pending negation stays outside.
+      // The pending negation stays outside the existential: the evaluator
+      // complements a negated existential AFTER the projection (few
+      // columns), whereas pushing it in would complement the un-projected
+      // scope -- strictly more columns, exponentially worse (Table 3).
       QueryPtr body = PushNegations(q->left(), false);
       QueryPtr exists = Query::Exists(q->quantified_var(), std::move(body));
       return negate ? Query::Not(std::move(exists)) : exists;
-    }
-    case Query::Kind::kForall: {
-      if (negate) {
-        // "not forall x. phi" == "exists x. not phi": saves two of the
-        // three complements the evaluator would otherwise run.
-        return Query::Exists(q->quantified_var(),
-                             PushNegations(q->left(), true));
-      }
-      return Query::Forall(q->quantified_var(),
-                           PushNegations(q->left(), false));
     }
   }
   return q;
@@ -75,18 +64,11 @@ QueryPtr ShrinkQuantifiers(const QueryPtr& q) {
                        ShrinkQuantifiers(q->right()));
     case Query::Kind::kNot:
       return Query::Not(ShrinkQuantifiers(q->left()));
-    case Query::Kind::kExists:
-    case Query::Kind::kForall: {
-      const bool exists = q->kind() == Query::Kind::kExists;
+    case Query::Kind::kExists: {
       const std::string& var = q->quantified_var();
       QueryPtr body = ShrinkQuantifiers(q->left());
       if (!IsFreeIn(body, var)) return body;  // Vacuous (domains nonempty).
-      auto requantify = [exists, &var](QueryPtr inner) {
-        return exists ? Query::Exists(var, std::move(inner))
-                      : Query::Forall(var, std::move(inner));
-      };
-      // Push through AND/OR when one side does not mention the variable
-      // (sound for both quantifiers in that one-sided case).
+      // Push through AND/OR when one side does not mention the variable.
       if (body->kind() == Query::Kind::kAnd ||
           body->kind() == Query::Kind::kOr) {
         const bool in_left = IsFreeIn(body->left(), var);
@@ -97,15 +79,15 @@ QueryPtr ShrinkQuantifiers(const QueryPtr& q) {
                      : Query::Or(std::move(l), std::move(r));
         };
         if (in_left && !in_right) {
-          return rebuild(ShrinkQuantifiers(requantify(body->left())),
+          return rebuild(ShrinkQuantifiers(Query::Exists(var, body->left())),
                          body->right());
         }
         if (!in_left && in_right) {
           return rebuild(body->left(),
-                         ShrinkQuantifiers(requantify(body->right())));
+                         ShrinkQuantifiers(Query::Exists(var, body->right())));
         }
       }
-      return requantify(std::move(body));
+      return Query::Exists(var, std::move(body));
     }
   }
   return q;

@@ -10,20 +10,19 @@
 //   NOT NOT phi                      -> phi
 //   NOT (phi AND psi)                -> NOT phi OR NOT psi     (toward atoms)
 //   NOT (phi OR psi)                 -> NOT phi AND NOT psi
-//   NOT FORALL v . phi               -> EXISTS v . NOT phi
 //   (but NOT EXISTS stays as written: the evaluator complements a negated
 //    existential after its projection, which is the cheap direction)
 //   NOT (t1 cmp t2)                  -> t1 cmp' t2   (comparison negation)
 //   EXISTS v . phi                   -> phi             if v not free in phi
-//   FORALL v . phi                   -> phi             if v not free in phi
 //   EXISTS v . (phi AND psi)         -> phi AND EXISTS v . psi   if v not
 //                                       free in phi (and symmetrically)
 //   EXISTS v . (phi OR psi)          -> phi OR EXISTS v . psi    if v not
 //                                       free in phi (and symmetrically)
-//   FORALL v . (phi AND psi)         -> phi AND FORALL v . psi   if v not
-//                                       free in phi (and symmetrically)
-//   FORALL v . (phi OR psi)          -> phi OR FORALL v . psi    if v not
-//                                       free in phi (and symmetrically)
+//
+// FORALL is parse-level sugar for NOT EXISTS NOT (query/ast.h), so the
+// rules above cover it: a universal reaches this pass as a negated
+// existential over a negated body, and the negation pushing takes the
+// inner NOT into the body at the arity it needs.
 //
 // Quantifier-duplicating distributions (EXISTS over OR into both branches)
 // are deliberately NOT applied: they would quantify the same variable name

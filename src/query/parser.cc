@@ -147,8 +147,13 @@ Result<QueryPtr> ParseUnary(TokenStream& ts) {
     ITDB_ASSIGN_OR_RETURN(std::string var, ts.ExpectIdent());
     ITDB_RETURN_IF_ERROR(ts.ExpectSymbol("."));
     ITDB_ASSIGN_OR_RETURN(QueryPtr body, ParseImpl(ts));
+    // Sugar for NOT EXISTS var . NOT body: every node it builds points at
+    // the FORALL, so diagnostics on any of them do.
     QueryPtr out = Query::Forall(std::move(var), std::move(body));
-    Query::SetSpans(out, SpanFrom(first, ts));
+    const SourceSpan span = SpanFrom(first, ts);
+    for (const QueryPtr& node : {out, out->left(), out->left()->left()}) {
+      Query::SetSpans(node, span);
+    }
     return out;
   }
   return ParsePrimary(ts);

@@ -9,7 +9,7 @@
 //   and    := unary ("AND" unary)*
 //   unary  := "NOT" unary
 //           | "EXISTS" VAR "." impl    (quantifier scope extends maximally)
-//           | "FORALL" VAR "." impl
+//           | "FORALL" VAR "." impl    (sugar: NOT EXISTS VAR . NOT impl)
 //           | primary
 //   primary:= "(" query ")" | NAME "(" terms ")" | chain
 //   chain  := term (OP term)+                      (comparison chains:

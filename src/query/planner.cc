@@ -432,25 +432,6 @@ ConjunctInfo Planner::PlanNode(const QueryPtr& q) {
       Record(info);
       return info;
     }
-    case Query::Kind::kForall: {
-      ConjunctInfo child = PlanNode(q->left());
-      ConjunctInfo info;
-      info.q = child.q == q->left()
-                   ? q
-                   : Query::Forall(q->quantified_var(), child.q);
-      // not(exists(not(child))): two complements, priced at the node's own
-      // free temporal width plus the quantified column.
-      const int width = FreeTemporalWidth(*q, sorts_) + 1;
-      info.est.rows = ClampRows(std::max(child.est.rows, 1.0) *
-                                std::pow(kComplementBase, width));
-      info.est.cost = child.est.cost + 2.0 * info.est.rows;
-      for (const std::string& v : q->FreeVariables()) {
-        info.ndv[v] = std::max(info.est.rows, 1.0);
-      }
-      Certify(q.get(), &info);
-      Record(info);
-      return info;
-    }
   }
   ConjunctInfo info;
   info.q = q;
@@ -539,7 +520,6 @@ std::string FormatQueryPlanWithEstimates(
         break;
       case Query::Kind::kNot:
       case Query::Kind::kExists:
-      case Query::Kind::kForall:
         self(self, *node.left(), depth + 1);
         break;
       case Query::Kind::kAtom:

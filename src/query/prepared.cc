@@ -32,18 +32,6 @@ Status AnalysisFailure(const analysis::AnalysisResult& analysis) {
   return Status::InvalidArgument(message);
 }
 
-/// The body under the maximal run of one quantifier kind at the root of a
-/// closed formula: `EXISTS x1 ... xk . phi` peels to phi, `FORALL x1 ... xk
-/// . phi` to NOT phi with `*holds_when_empty` set.  Any other root is its
-/// own body.
-QueryPtr PeelQuantifierPrefix(QueryPtr q, bool* holds_when_empty) {
-  const Query::Kind kind = q->kind();
-  *holds_when_empty = kind == Query::Kind::kForall;
-  if (kind != Query::Kind::kExists && kind != Query::Kind::kForall) return q;
-  while (q->kind() == kind) q = q->left();
-  return *holds_when_empty ? Query::Not(std::move(q)) : q;
-}
-
 /// The parts of a peeled body: the maximal groups of its top AND chain's
 /// conjuncts connected by shared free variables, each rebuilt as a
 /// left-deep AND in chain order, ordered by first conjunct.  A body of one
@@ -127,7 +115,9 @@ Status Prepared::CompileOnce(const Database& db) {
   // A yes/no statement plans only its peeled body, peeled before Optimize
   // miniscopes the root quantifiers into the AND chain.
   if (answer_ == Answer::kYesNo) {
-    base = PeelQuantifierPrefix(std::move(base), &holds_when_empty_);
+    PeeledBody peeled = PeelQuantifierPrefix(std::move(base));
+    base = std::move(peeled.body);
+    holds_when_empty_ = peeled.holds_when_empty;
   }
   rewritten_ = options_.optimize ? Optimize(base) : base;
   ITDB_ASSIGN_OR_RETURN(sorts_, InferSorts(db, rewritten_));

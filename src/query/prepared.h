@@ -22,9 +22,10 @@
 //     interpretation, one active-domain scan and one optimization.
 //
 // A yes/no statement (Answer::kYesNo) is a closed formula.  Compile peels
-// the maximal run of one quantifier kind at the root of the rewritten tree
-// and plans only the body: `EXISTS x1 ... xk . phi` holds iff the relation
-// of phi is nonempty, and `FORALL x1 ... xk . phi` holds iff the relation
+// the quantifier prefix of the rewritten tree (PeelQuantifierPrefix,
+// query/ast.h) and plans only the body: `EXISTS x1 ... xk . phi` holds iff
+// the relation of phi is nonempty, and `FORALL x1 ... xk . phi` -- that is,
+// NOT EXISTS x1 . NOT NOT EXISTS x2 ... NOT phi -- holds iff the relation
 // of NOT phi is empty (Theorem 4.1 by Table 2 emptiness tests, with no
 // projections).  The peel runs before Optimize, whose miniscoping would
 // bury the root quantifiers inside the AND chain.  The body is then split
@@ -116,8 +117,9 @@ class Prepared {
   /// so there is no plan; a relation is empty and a yes/no answer false.
   bool statically_empty() const { return statically_empty_; }
   /// After a successful Compile of a yes/no statement: the peeled prefix
-  /// was FORALL, so the body is NOT phi and the statement holds iff the
-  /// body's relation is empty (else: iff it is nonempty).
+  /// began with NOT EXISTS (a FORALL prefix peels to the body NOT phi), so
+  /// the statement holds iff the body's relation is empty (else: iff it is
+  /// nonempty).
   bool holds_when_empty() const { return holds_when_empty_; }
   /// After a successful Compile (and not statically empty): the rewritten,
   /// optimized tree before planning (for a yes/no statement, the peeled

@@ -82,8 +82,7 @@ void CollectVariables(InferenceState& state, const Query& q,
       CollectVariables(state, *q.left(), bound, seen_quantified, all,
                        quantified);
       return;
-    case Query::Kind::kExists:
-    case Query::Kind::kForall: {
+    case Query::Kind::kExists: {
       const std::string& var = q.quantified_var();
       if (!seen_quantified.insert(var).second || bound.contains(var)) {
         state.Report(
@@ -211,7 +210,6 @@ void Walk(InferenceState& state, const Query& q) {
       return;
     case Query::Kind::kNot:
     case Query::Kind::kExists:
-    case Query::Kind::kForall:
       Walk(state, *q.left());
       return;
   }
@@ -326,7 +324,6 @@ void CollectQueryConstants(const Query& q, std::set<Value>& strings,
       break;
     case Query::Kind::kNot:
     case Query::Kind::kExists:
-    case Query::Kind::kForall:
       CollectQueryConstants(*q.left(), strings, ints, db);
       break;
   }

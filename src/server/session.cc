@@ -378,8 +378,9 @@ Status EvalAndRender(std::string_view verb, const Database& db,
       out << "PASS: holds at every instant\n";
       return Status::Ok();
     }
-    violations.emplace(query::Query::Not(prepared.query()->left()),
-                       prepared.options());
+    // The statement is NOT EXISTS T . NOT phi(T); its violations are the
+    // inner NOT phi(T).
+    violations.emplace(prepared.query()->left()->left(), prepared.options());
   }
   ITDB_ASSIGN_OR_RETURN(
       GeneralizedRelation rel,

@@ -28,6 +28,19 @@ TEST(CoalesceTest, FullResidueFamilyCollapsesToZ) {
   EXPECT_EQ(c.value().tuples()[0].lrp(0), Lrp::Make(0, 1));
 }
 
+TEST(CoalesceTest, FamiliesMergingToOneTupleKeepOneCopy) {
+  // Three complete residue families, each of which merges to 0+1n.
+  GeneralizedRelation r = Unary({Lrp::Make(0, 2), Lrp::Make(1, 2),
+                                 Lrp::Make(0, 3), Lrp::Make(1, 3),
+                                 Lrp::Make(2, 3), Lrp::Make(0, 5),
+                                 Lrp::Make(1, 5), Lrp::Make(2, 5),
+                                 Lrp::Make(3, 5), Lrp::Make(4, 5)});
+  Result<GeneralizedRelation> c = CoalesceResidues(r);
+  ASSERT_TRUE(c.ok());
+  ASSERT_EQ(c.value().size(), 1);
+  EXPECT_EQ(c.value().tuples()[0].lrp(0), Lrp::Make(0, 1));
+}
+
 TEST(CoalesceTest, PartialFamilyCollapsesToCoarserPeriod) {
   // {1+6n, 4+6n} == 1+3n; the third class 2+6n stays apart.
   GeneralizedRelation r =

@@ -54,6 +54,8 @@ TEST(QueryOracleTest, PassesOnAHandWrittenCase) {
   EXPECT_EQ(outcome.certificates_checked, 1);
   // Both closed forms, on the baseline and each of the five variants.
   EXPECT_EQ(outcome.closed_checked, 12);
+  // The optimized baseline has the plain evaluation's point set.
+  EXPECT_EQ(outcome.optimizer_checked, 1);
 }
 
 // Closed forms whose peeled bodies split into parts over disjoint
@@ -102,8 +104,8 @@ TEST(QueryOracleTest, ChecksAProvenEmptySubplan) {
 // analysis never changes results (at 1 and N threads), every proven-empty
 // subplan really is empty (and every proven bit-empty one has zero
 // tuples), actual cardinality / periods / hulls never
-// exceed the root certificate, and closed forms answer yes/no as the
-// relation path's emptiness says.
+// exceed the root certificate, closed forms answer yes/no as the
+// relation path's emptiness says, and optimizing keeps the point set.
 TEST(QueryFuzzTest, FiveHundredCasesNoFindings) {
   QueryFuzzConfig config;
   config.seed = 20260806;
@@ -129,6 +131,8 @@ TEST(QueryFuzzTest, FiveHundredCasesNoFindings) {
   EXPECT_GT(report.certificates_checked, 100) << report.Summary();
   // Closed forms answer through the peeled yes/no path on most cases.
   EXPECT_GT(report.closed_checked, 3000) << report.Summary();
+  // Most baselines are compared with their unoptimized evaluation.
+  EXPECT_GT(report.optimizer_checked, 250) << report.Summary();
 }
 
 // Certificate soundness as a property over the checked-in corpus: every

@@ -133,7 +133,6 @@ TEST(PlannerTest, EveryPlannedNodeHasAnEstimate) {
         break;
       case Query::Kind::kNot:
       case Query::Kind::kExists:
-      case Query::Kind::kForall:
         self(self, *q.left());
         break;
       default:

@@ -447,7 +447,7 @@ TEST_F(SessionTest, ExplainAskPrintsThePeeledBodyPlan) {
   EXPECT_EQ(Run(session, "ask EXISTS t . P(t) AND Q(t)"), "false\n");
   EXPECT_EQ(
       Run(session, "explain ask FORALL t . t < 3 OR P(t) OR Q(t)", &status),
-      "query:     FORALL t . (((t < 3 OR P(t)) OR Q(t)))\n"
+      "query:     NOT (EXISTS t . (NOT (((t < 3 OR P(t)) OR Q(t)))))\n"
       "optimized: ((t >= 3 AND NOT (P(t))) AND NOT (Q(t)))\n"
       "analysis:\n"
       "note[A017] at 1:1: no finite certificate: the result's cardinality "
@@ -469,13 +469,13 @@ TEST_F(SessionTest, ExplainAskPrintsThePeeledBodyPlan) {
       "FORALL t . FORALL u . NOT P(t) OR u > 8 OR NOT Q(u)";
   EXPECT_EQ(
       Run(session, "explain ask " + disjoint, &status),
-      "query:     FORALL t . (FORALL u . (((NOT (P(t)) OR u > 8) OR "
-      "NOT (Q(u)))))\n"
+      "query:     NOT (EXISTS t . (NOT (NOT (EXISTS u . (NOT (((NOT (P(t)) "
+      "OR u > 8) OR NOT (Q(u)))))))))\n"
       "optimized: ((P(t) AND u <= 8) AND Q(u))\n"
       "analysis:\n"
-      "warning[A010] at 1:12: universal quantifier (two complements) over 2 "
-      "temporal columns: nonemptiness of complements is NP-complete "
-      "(Theorem 3.5) and the normal form can grow exponentially\n"
+      "warning[A010] at 1:12: complement over 2 temporal columns: "
+      "nonemptiness of complements is NP-complete (Theorem 3.5) and the "
+      "normal form can grow exponentially\n"
       "note[A017] at 1:1: no finite certificate: the result's cardinality "
       "cannot be bounded statically\n"
       "plan:\n"
@@ -490,6 +490,30 @@ TEST_F(SessionTest, ExplainAskPrintsThePeeledBodyPlan) {
   EXPECT_EQ(Run(session, "ask " + disjoint), "false\n");
 }
 
+// Response properties over three-tuple periodic propositions (periods 6,
+// 10, 15 and 4, 9, 14): `sat` runs each G as a negated existential, so no
+// complement spans the unprojected scope at period 1260, and residue
+// families that coalesce to one tuple print it once.
+TEST_F(SessionTest, TemporalLogicOverThreeTuplePropositions) {
+  Session session(&*shared_);
+  Status status;
+  Run(session, "define relation r(T: time) { [1+6n]; [3+10n]; [7+15n]; }",
+      &status);
+  ASSERT_TRUE(status.ok()) << status;
+  Run(session, "define relation q(T: time) { [2+4n]; [5+9n]; [11+14n]; }",
+      &status);
+  ASSERT_TRUE(status.ok()) << status;
+  const std::string everywhere =
+      "relation sat(T: time) {\n  [0+1n];\n}\n1 generalized tuple(s)\n";
+  EXPECT_EQ(Run(session, "sat G(r -> F(q))", &status), everywhere);
+  EXPECT_TRUE(status.ok()) << status;
+  EXPECT_EQ(Run(session, "tlcheck G(r -> F(q))", &status),
+            "PASS: holds at every instant\n");
+  EXPECT_TRUE(status.ok()) << status;
+  EXPECT_EQ(Run(session, "sat F(q)", &status), everywhere);
+  EXPECT_TRUE(status.ok()) << status;
+}
+
 // `explain tlcheck` and `explain sat` compile the formula's first-order
 // query exactly as the verb does; `profile sat` evaluates that plan.
 TEST_F(SessionTest, ExplainAndProfileTemporalLogicVerbs) {
@@ -498,8 +522,11 @@ TEST_F(SessionTest, ExplainAndProfileTemporalLogicVerbs) {
   const std::string tlcheck =
       Run(session, "explain tlcheck G(P -> F[0,9](Q))", &status);
   ASSERT_TRUE(status.ok()) << status;
-  // The yes/no statement FORALL T . phi(T), peeled to NOT phi(T).
-  EXPECT_EQ(tlcheck.rfind("query:     FORALL T . (FORALL t1 . ", 0), 0u)
+  // The yes/no statement FORALL T . phi(T) -- NOT EXISTS T . NOT phi(T)
+  // -- peeled to NOT phi(T).
+  EXPECT_EQ(tlcheck.rfind("query:     NOT (EXISTS T . (NOT (NOT (EXISTS t1 . ",
+                          0),
+            0u)
       << tlcheck;
   EXPECT_NE(tlcheck.find("\n  AND  (est_rows=0, est_cost=3, cert_rows=1, "
                          "cert_lcm=10)\n    CMP T <= t1  "),
@@ -512,7 +539,7 @@ TEST_F(SessionTest, ExplainAndProfileTemporalLogicVerbs) {
   const std::string sat = Run(session, "explain sat P U Q", &status);
   ASSERT_TRUE(status.ok()) << status;
   EXPECT_EQ(sat.rfind("query:     EXISTS t1 . (((T <= t1 AND Q(t1)) AND "
-                      "FORALL t2 . ",
+                      "NOT (EXISTS t2 . ",
                       0),
             0u)
       << sat;
@@ -524,12 +551,14 @@ TEST_F(SessionTest, ExplainAndProfileTemporalLogicVerbs) {
       "    AND",
       "      CMP T <= t1",
       "      ATOM Q(t1)",
-      "    FORALL t2",
-      "      OR",
-      "        OR",
-      "          CMP T > t2",
-      "          CMP t2 >= t1",
-      "        ATOM P(t2)",
+      "    NOT",
+      "      EXISTS t2",
+      "        AND",
+      "          AND",
+      "            CMP T <= t2",
+      "            CMP t2 < t1",
+      "          NOT",
+      "            ATOM P(t2)",
   };
   EXPECT_EQ(plan, golden) << sat;
 

@@ -303,7 +303,8 @@ TEST(LtlTest, PropMustBeUnaryTemporal) {
 }
 
 // The translation is the first-order definition of each operator, with
-// fresh bound names t1, t2, ... that skip the free variable's name.
+// fresh bound names t1, t2, ... that skip the free variable's name.  A
+// universal prints as NOT EXISTS NOT, the tree Query::Forall builds.
 TEST(LtlTest, ToQueryStatesTheFirstOrderDefinition) {
   const query::Term at = query::Term::Variable("T");
   auto text = [](Result<query::QueryPtr> q) {
@@ -311,16 +312,16 @@ TEST(LtlTest, ToQueryStatesTheFirstOrderDefinition) {
     return q.ok() ? q.value()->ToString() : "";
   };
   EXPECT_EQ(text(ToQuery(*F::Always(F::Prop("p")), at)),
-            "FORALL t1 . ((NOT (T <= t1) OR p(t1)))");
+            "NOT (EXISTS t1 . (NOT ((NOT (T <= t1) OR p(t1)))))");
   EXPECT_EQ(text(ToQuery(*F::Until(F::Prop("p"), F::Prop("q")), at)),
-            "EXISTS t1 . (((T <= t1 AND q(t1)) AND FORALL t2 . ((NOT ((T <= "
-            "t2 AND t2 < t1)) OR p(t2)))))");
+            "EXISTS t1 . (((T <= t1 AND q(t1)) AND NOT (EXISTS t2 . (NOT "
+            "((NOT ((T <= t2 AND t2 < t1)) OR p(t2)))))))");
   EXPECT_EQ(
       text(ToQuery(*F::EventuallyWithin(F::Next(F::Prop("p")), 1, 3), at)),
       "EXISTS t1 . (((T + 1 <= t1 AND t1 <= T + 3) AND p(t1 + 1)))");
   EXPECT_EQ(text(ToQuery(*F::Always(F::Prop("p")),
                          query::Term::Variable("t1"))),
-            "FORALL t2 . ((NOT (t1 <= t2) OR p(t2)))");
+            "NOT (EXISTS t2 . (NOT ((NOT (t1 <= t2) OR p(t2)))))");
   EXPECT_EQ(text(ToQuery(*F::Next(F::Prop("p")), query::Term::Int(4))),
             "p(5)");
   EXPECT_EQ(ToQuery(*F::Next(F::Prop("p")),

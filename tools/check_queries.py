@@ -5,13 +5,14 @@ Scans the given directories for *.itdb files carrying annotations:
 
     # check: <query>
     # expect: A003
-    # expect: A009
+    # expect: A009, A010 at 1:12
 
 Each `# check:` line is fed to the shell's `check` command with the file's
 relations preloaded.  The set of `[Axxx]` codes it prints must equal the
 set of codes on the `# expect:` lines that follow it; a check with no
-expectations must come back `check: ok`.  Files without annotations are
-skipped.
+expectations must come back `check: ok`.  A code written `Axxx at L:C`
+must also be printed with its caret at line L, column C (`--> L:C`).
+Files without annotations are skipped.
 
 Usage: check_queries.py --shell PATH DIR [DIR ...]
 Exit status 0 = all gates pass, 1 = findings, 2 = misuse.
@@ -35,8 +36,9 @@ def parse_annotations(path: Path):
             if not checks:
                 raise ValueError(
                     f"{path}:{lineno}: '# expect:' before any '# check:'")
-            for code in line[len("# expect:"):].split(","):
-                checks[-1][1].append(code.strip())
+            for item in line[len("# expect:"):].split(","):
+                code, _, at = item.strip().partition(" at ")
+                checks[-1][1].append((code, at or None))
     return checks
 
 
@@ -62,11 +64,20 @@ def run_checks(shell: Path, path: Path, checks):
                 f"got {len(segments)}:\n{proc.stdout}"]
     for (query, expects, lineno), segment in zip(checks, segments):
         printed = set(re.findall(r"\[(A\d{3})\]", segment))
-        if printed != set(expects):
+        located = set(re.findall(r"\[(A\d{3})\].*\n\s*--> (\d+:\d+)",
+                                 segment))
+        codes = {code for code, _ in expects}
+        missing = [f"{code} at {at}" for code, at in expects
+                   if at is not None and (code, at) not in located]
+        if printed != codes:
             failures.append(
                 f"{path}:{lineno}: `{query}` reported "
                 f"{', '.join(sorted(printed)) or 'no code'}, expected "
-                f"{', '.join(sorted(expects)) or 'no code'}:\n{segment}")
+                f"{', '.join(sorted(codes)) or 'no code'}:\n{segment}")
+        elif missing:
+            failures.append(
+                f"{path}:{lineno}: `{query}` printed no "
+                f"{', '.join(missing)}:\n{segment}")
         elif not expects and not segment.endswith("check: ok"):
             failures.append(
                 f"{path}:{lineno}: `{query}` expected a clean check:"

@@ -28,9 +28,10 @@ constexpr const char* kUsage = R"(usage: itdb_fuzz [options]
   --inner W          differential comparison window [-W, W] (default 4)
   --outer W          finite-baseline materialization window (default 28)
   --max-failures N   stop after N failures (default 5)
-  --query-cases N    additionally fuzz the query static analyzer: N random
-                     queries through the bit-identity (analyze on/off x
-                     1/N threads) and proven-empty oracles (default 0 = off)
+  --query-cases N    additionally fuzz the query pipeline: N random queries
+                     through the five oracles of fuzz/query_oracle.h
+                     (bit-identity matrix, proven-empty, certificate,
+                     closed-form, optimizer) (default 0 = off)
   --no-shrink        report failures unminimized
   --inject-bug NAME  corrupt the engine on purpose; the fuzzer must catch it
                      (none, join-drop-constraint, union-drop-tuple,
