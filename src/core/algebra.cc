@@ -190,19 +190,19 @@ Result<GeneralizedRelation> Union(const GeneralizedRelation& a,
 
 namespace {
 
-/// The rows of `b` that some outer bucket reaches, in first-touch order.
-/// Fills slot[j] with row j's position in that list (-1 when no bucket
-/// reaches it), so state hoisted per touched row is found by b index.
-/// Collecting the rows first lets callers reserve before hoisting.
+/// The rows that the buckets reach and `slot` does not list yet, in
+/// first-touch order.  Gives each the next free position among the
+/// `hoisted` rows listed so far (slot[j] < 0 marks an unlisted row), so
+/// state hoisted per touched row is found by b index.  Collecting the rows
+/// first lets callers reserve before hoisting.
 std::vector<std::size_t> TouchedRows(
-    const std::vector<std::span<const std::size_t>>& buckets,
-    const GeneralizedRelation& b, std::vector<std::int64_t>& slot) {
-  slot.assign(b.tuples().size(), -1);
+    std::span<const std::span<const std::size_t>> buckets,
+    std::vector<std::int64_t>& slot, std::size_t hoisted) {
   std::vector<std::size_t> touched;
   for (std::span<const std::size_t> bucket : buckets) {
     for (std::size_t j : bucket) {
       if (slot[j] < 0) {
-        slot[j] = static_cast<std::int64_t>(touched.size());
+        slot[j] = static_cast<std::int64_t>(hoisted + touched.size());
         touched.push_back(j);
       }
     }
@@ -210,187 +210,34 @@ std::vector<std::size_t> TouchedRows(
   return touched;
 }
 
-/// The pairwise step Section 3 builds both intersection and natural join
-/// from: for every pair of tuples that agree on the matched data columns,
-/// the CRT intersection of the matched lrps and the closed conjunction of
-/// the two constraint systems.  A pair with disjoint lrps or an infeasible
-/// conjunction contributes nothing.  b_temporal_match[j] (b_data_match[j])
-/// is the column of `a` that b's temporal (data) column j meets, or -1 when
-/// the column is new; the output holds a's columns, then b's new ones, and
-/// its tuples come in pair order (a's rows outer, b's rows ascending).
-/// `op` names the operation in budget messages.
-///
-/// The scan is indexed (core/index.h): b is partitioned on its matched data
-/// columns, the O(1) residue and hull prefilters reject candidate pairs on
-/// the matched temporal columns, and the conjunction closes incrementally
-/// from a's cached closed matrix.  A prefilter rejects only pairs whose
-/// conjunction is empty, and ConjoinOntoClosed returns the matrix and
-/// status of closing the raw conjunction.
+/// Section 3's pairwise step, which both intersection and natural join are
+/// built from, over every row of `a`: for each pair that agrees on the
+/// matched data columns, the CRT intersection of the matched lrps and the
+/// closed conjunction of the two constraint systems.  The output's tuples
+/// come in pair order (a's rows outer, b's rows ascending).  Every row is
+/// probed before any pair is joined, so the budget charges the candidate
+/// pairs of the whole operation before any pair work.
 Result<GeneralizedRelation> JoinKernel(const GeneralizedRelation& a,
-                                       const GeneralizedRelation& b,
-                                       const std::vector<int>& b_temporal_match,
-                                       const std::vector<int>& b_data_match,
-                                       const AlgebraOptions& options,
-                                       const char* op) {
-  const Schema& sa = a.schema();
-  const Schema& sb = b.schema();
-  const int ma = sa.temporal_arity();
-  const int mb = sb.temporal_arity();
-  // Output schema: all of a's attributes, then b's non-shared ones.
-  std::vector<std::string> temporal_names = sa.temporal_names();
-  std::vector<int> b_new_temporal;  // b columns appended, with new indices.
-  for (int j = 0; j < mb; ++j) {
-    if (b_temporal_match[static_cast<std::size_t>(j)] < 0) {
-      b_new_temporal.push_back(j);
-      temporal_names.push_back(sb.temporal_name(j));
-    }
-  }
-  std::vector<std::string> data_names = sa.data_names();
-  std::vector<DataType> data_types = sa.data_types();
-  std::vector<int> b_new_data;
-  for (int j = 0; j < sb.data_arity(); ++j) {
-    if (b_data_match[static_cast<std::size_t>(j)] < 0) {
-      b_new_data.push_back(j);
-      data_names.push_back(sb.data_name(j));
-      data_types.push_back(sb.data_type(j));
-    }
-  }
-  Schema schema(temporal_names, data_names, data_types);
-  const int m_out = static_cast<int>(temporal_names.size());
-  // Where does b's temporal column j land in the output?
-  std::vector<int> b_temporal_target(static_cast<std::size_t>(mb), -1);
-  for (int j = 0; j < mb; ++j) {
-    int match = b_temporal_match[static_cast<std::size_t>(j)];
-    if (match >= 0) {
-      b_temporal_target[static_cast<std::size_t>(j)] = match;
-    }
-  }
-  for (std::size_t pos = 0; pos < b_new_temporal.size(); ++pos) {
-    b_temporal_target[static_cast<std::size_t>(b_new_temporal[pos])] =
-        ma + static_cast<int>(pos);
-  }
-  // Shared data columns drive the hash partition; shared temporal columns
-  // drive the prefilters.
-  std::vector<int> a_key_cols;
-  std::vector<int> b_key_cols;
-  for (int j = 0; j < sb.data_arity(); ++j) {
-    int i = b_data_match[static_cast<std::size_t>(j)];
-    if (i >= 0) {
-      a_key_cols.push_back(i);
-      b_key_cols.push_back(j);
-    }
-  }
-  std::vector<std::pair<int, int>> shared_temporal;  // (a column, b column)
-  for (int j = 0; j < mb; ++j) {
-    int match = b_temporal_match[static_cast<std::size_t>(j)];
-    if (match >= 0) shared_temporal.emplace_back(match, j);
-  }
-  DataKeyIndex index(b, b_key_cols);
-  // Probe every outer row once: the stored candidate spans drive the
-  // budget count, the touched-row discovery, AND the pair scan, instead
-  // of re-probing the index in each of those passes.
+                                       JoinProbe probe,
+                                       const AlgebraOptions& options) {
   std::vector<std::span<const std::size_t>> a_buckets(a.tuples().size());
-  std::int64_t candidates = 0;
   for (std::size_t i = 0; i < a.tuples().size(); ++i) {
-    a_buckets[i] = index.Candidates(a.tuples()[i], a_key_cols);
-    candidates += static_cast<std::int64_t>(a_buckets[i].size());
+    ITDB_ASSIGN_OR_RETURN(a_buckets[i], probe.Candidates(a.tuples()[i]));
   }
-  BumpCounter(&KernelCounters::pairs_total, options,
-              static_cast<std::int64_t>(a.size()) * b.size());
-  BumpCounter(&KernelCounters::pairs_candidate, options, candidates);
-  ITDB_RETURN_IF_ERROR(CheckBudget(candidates, options, op));
-  // Per-b-tuple hulls and output-space constraint matrices, hoisted out
-  // of the pair loop (both depend only on tb) for the rows some bucket
-  // reaches.  slot[j] maps a b row to its entry in hull_b / cb_mapped.
-  std::vector<std::int64_t> slot;
-  const std::vector<std::size_t> touched = TouchedRows(a_buckets, b, slot);
-  std::vector<TemporalHull> hull_b;
-  std::vector<Dbm> cb_mapped;
-  hull_b.reserve(touched.size());
-  cb_mapped.reserve(touched.size());
-  for (std::size_t j : touched) {
-    const GeneralizedTuple& tb = b.tuples()[j];
-    hull_b.push_back(TemporalHull::Of(tb));
-    cb_mapped.push_back(
-        tb.constraints().MapVariables(b_temporal_target, m_out));
-  }
+  probe.Hoist(a_buckets);
   // Bound to a name, not written inside the macro below, so coverage
   // tools attribute its lines one by one.
   auto join_row = [&](std::int64_t row,
                       std::vector<GeneralizedTuple>& part) -> Status {
-    const GeneralizedTuple& ta = a.tuples()[static_cast<std::size_t>(row)];
-    const std::span<const std::size_t> bucket =
-        a_buckets[static_cast<std::size_t>(row)];
-    if (bucket.empty()) return Status::Ok();
-    TemporalHull ha = TemporalHull::Of(ta);
-    std::optional<Dbm> ca_ext;
-    if (ha.usable()) {
-      ca_ext = ha.closed->AppendVariablesClosed(m_out - ma);
-    }
-    for (std::size_t j : bucket) {
-      const GeneralizedTuple& tb = b.tuples()[j];
-      bool residue_empty = false;
-      for (const auto& [ca_col, cb_col] : shared_temporal) {
-        if (LrpIntersectionEmpty(ta.lrp(ca_col), tb.lrp(cb_col))) {
-          residue_empty = true;
-          break;
-        }
-      }
-      if (residue_empty) {
-        BumpCounter(&KernelCounters::pairs_pruned_residue, options, 1);
-        continue;
-      }
-      const TemporalHull& hb = hull_b[static_cast<std::size_t>(slot[j])];
-      if (ha.infeasible || hb.infeasible ||
-          HullsDisjoint(ha, hb, shared_temporal)) {
-        BumpCounter(&KernelCounters::pairs_pruned_hull, options, 1);
-        continue;
-      }
-      // Shared temporal columns: CRT intersection of the lrps.
-      std::vector<Lrp> lrps = ta.temporal();
-      lrps.resize(static_cast<std::size_t>(m_out));
-      bool temporal_ok = true;
-      for (int jb = 0; jb < mb && temporal_ok; ++jb) {
-        const auto col = static_cast<std::size_t>(jb);
-        const int match = b_temporal_match[col];
-        Lrp& target = lrps[static_cast<std::size_t>(b_temporal_target[col])];
-        if (match < 0) {
-          target = tb.lrp(jb);
-          continue;
-        }
-        ITDB_ASSIGN_OR_RETURN(std::optional<Lrp> inter,
-                              Lrp::Intersect(ta.lrp(match), tb.lrp(jb)));
-        temporal_ok = inter.has_value();
-        if (temporal_ok) target = *inter;
-      }
-      if (!temporal_ok) continue;
-      std::vector<Value> data = ta.data();
-      for (int j2 : b_new_data) data.push_back(tb.value(j2));
-      GeneralizedTuple t(std::move(lrps), std::move(data));
-      Dbm merged(m_out);
-      const Dbm& cb = cb_mapped[static_cast<std::size_t>(slot[j])];
-      if (ca_ext.has_value()) {
-        ITDB_ASSIGN_OR_RETURN(
-            merged, ConjoinOntoClosed(*ca_ext, cb, options.counters));
-      } else {
-        // ta's own closure overflowed: close the raw conjunction in full,
-        // so the status is the one that closure reports.
-        Dbm ca = ta.constraints().AppendVariables(m_out - ma);
-        merged = Dbm::Conjoin(ca, cb);
-        ITDB_RETURN_IF_ERROR(merged.Close());
-      }
-      if (!merged.feasible()) continue;
-      t.set_constraints(std::move(merged));
-      part.push_back(std::move(t));
-    }
-    return Status::Ok();
+    const auto i = static_cast<std::size_t>(row);
+    return probe.Probe(a.tuples()[i], a_buckets[i], part);
   };
   ITDB_ASSIGN_OR_RETURN(
       std::vector<GeneralizedTuple> tuples,
       ParallelAppend<GeneralizedTuple>(
           static_cast<std::int64_t>(a.size()),
           ParallelOptions{options.threads, /*grain=*/16}, join_row));
-  GeneralizedRelation out(std::move(schema));
+  GeneralizedRelation out(probe.schema());
   for (GeneralizedTuple& t : tuples) {
     ITDB_RETURN_IF_ERROR(out.AddTuple(std::move(t)));
   }
@@ -398,6 +245,178 @@ Result<GeneralizedRelation> JoinKernel(const GeneralizedRelation& a,
 }
 
 }  // namespace
+
+JoinProbe::JoinProbe(const Schema& a_schema, const GeneralizedRelation& b,
+                     std::vector<int> b_temporal_match,
+                     std::vector<int> b_data_match,
+                     const AlgebraOptions& options, const char* op)
+    : b_(&b),
+      options_(options),
+      op_(op),
+      b_temporal_match_(std::move(b_temporal_match)),
+      ma_(a_schema.temporal_arity()),
+      slot_(b.tuples().size(), -1) {
+  const Schema& sb = b.schema();
+  const int mb = sb.temporal_arity();
+  // Output schema: all of a's attributes, then b's non-shared ones.
+  std::vector<std::string> temporal_names = a_schema.temporal_names();
+  b_temporal_target_.assign(static_cast<std::size_t>(mb), -1);
+  for (int j = 0; j < mb; ++j) {
+    const int match = b_temporal_match_[static_cast<std::size_t>(j)];
+    if (match >= 0) {
+      b_temporal_target_[static_cast<std::size_t>(j)] = match;
+      shared_temporal_.emplace_back(match, j);
+    } else {
+      b_temporal_target_[static_cast<std::size_t>(j)] =
+          static_cast<int>(temporal_names.size());
+      temporal_names.push_back(sb.temporal_name(j));
+    }
+  }
+  m_out_ = static_cast<int>(temporal_names.size());
+  std::vector<std::string> data_names = a_schema.data_names();
+  std::vector<DataType> data_types = a_schema.data_types();
+  // Shared data columns drive the hash partition; shared temporal columns
+  // drive the prefilters.
+  std::vector<int> b_key_cols;
+  for (int j = 0; j < sb.data_arity(); ++j) {
+    const int i = b_data_match[static_cast<std::size_t>(j)];
+    if (i >= 0) {
+      a_key_cols_.push_back(i);
+      b_key_cols.push_back(j);
+    } else {
+      b_new_data_.push_back(j);
+      data_names.push_back(sb.data_name(j));
+      data_types.push_back(sb.data_type(j));
+    }
+  }
+  schema_ = Schema(std::move(temporal_names), std::move(data_names),
+                   std::move(data_types));
+  index_.emplace(b, std::move(b_key_cols));
+}
+
+Result<JoinProbe> JoinProbe::ForJoin(const Schema& a_schema,
+                                     const GeneralizedRelation& b,
+                                     const AlgebraOptions& options) {
+  const Schema& sb = b.schema();
+  const int mb = sb.temporal_arity();
+  // For each of b's temporal columns: matching column of a, or -1.
+  std::vector<int> b_temporal_match(static_cast<std::size_t>(mb), -1);
+  for (int j = 0; j < mb; ++j) {
+    if (std::optional<int> i = a_schema.FindTemporal(sb.temporal_name(j))) {
+      b_temporal_match[static_cast<std::size_t>(j)] = *i;
+    }
+  }
+  std::vector<int> b_data_match(static_cast<std::size_t>(sb.data_arity()), -1);
+  for (int j = 0; j < sb.data_arity(); ++j) {
+    if (std::optional<int> i = a_schema.FindData(sb.data_name(j))) {
+      b_data_match[static_cast<std::size_t>(j)] = *i;
+      if (a_schema.data_type(*i) != sb.data_type(j)) {
+        return Status::InvalidArgument(
+            "Join: shared data attribute \"" + sb.data_name(j) +
+            "\" has different types");
+      }
+    }
+  }
+  return JoinProbe(a_schema, b, std::move(b_temporal_match),
+                   std::move(b_data_match), options, "Join");
+}
+
+Result<std::span<const std::size_t>> JoinProbe::Candidates(
+    const GeneralizedTuple& ta) {
+  std::span<const std::size_t> bucket = index_->Candidates(ta, a_key_cols_);
+  BumpCounter(&KernelCounters::pairs_total, options_,
+              static_cast<std::int64_t>(b_->size()));
+  BumpCounter(&KernelCounters::pairs_candidate, options_,
+              static_cast<std::int64_t>(bucket.size()));
+  candidates_ += static_cast<std::int64_t>(bucket.size());
+  ITDB_RETURN_IF_ERROR(CheckBudget(candidates_, options_, op_));
+  return bucket;
+}
+
+void JoinProbe::Hoist(std::span<const std::span<const std::size_t>> buckets) {
+  // Both depend only on the b row, so they are computed once per row
+  // instead of once per pair.
+  const std::vector<std::size_t> touched =
+      TouchedRows(buckets, slot_, hull_b_.size());
+  hull_b_.reserve(hull_b_.size() + touched.size());
+  cb_mapped_.reserve(cb_mapped_.size() + touched.size());
+  for (std::size_t j : touched) {
+    const GeneralizedTuple& tb = b_->tuples()[j];
+    hull_b_.push_back(TemporalHull::Of(tb));
+    cb_mapped_.push_back(
+        tb.constraints().MapVariables(b_temporal_target_, m_out_));
+  }
+}
+
+Status JoinProbe::Probe(const GeneralizedTuple& ta,
+                        std::span<const std::size_t> bucket,
+                        std::vector<GeneralizedTuple>& out) const {
+  if (bucket.empty()) return Status::Ok();
+  const int mb = b_->schema().temporal_arity();
+  TemporalHull ha = TemporalHull::Of(ta);
+  std::optional<Dbm> ca_ext;
+  if (ha.usable()) {
+    ca_ext = ha.closed->AppendVariablesClosed(m_out_ - ma_);
+  }
+  for (std::size_t j : bucket) {
+    const GeneralizedTuple& tb = b_->tuples()[j];
+    bool residue_empty = false;
+    for (const auto& [ca_col, cb_col] : shared_temporal_) {
+      if (LrpIntersectionEmpty(ta.lrp(ca_col), tb.lrp(cb_col))) {
+        residue_empty = true;
+        break;
+      }
+    }
+    if (residue_empty) {
+      BumpCounter(&KernelCounters::pairs_pruned_residue, options_, 1);
+      continue;
+    }
+    const auto slot = static_cast<std::size_t>(slot_[j]);
+    const TemporalHull& hb = hull_b_[slot];
+    if (ha.infeasible || hb.infeasible ||
+        HullsDisjoint(ha, hb, shared_temporal_)) {
+      BumpCounter(&KernelCounters::pairs_pruned_hull, options_, 1);
+      continue;
+    }
+    // Shared temporal columns: CRT intersection of the lrps.
+    std::vector<Lrp> lrps = ta.temporal();
+    lrps.resize(static_cast<std::size_t>(m_out_));
+    bool temporal_ok = true;
+    for (int jb = 0; jb < mb && temporal_ok; ++jb) {
+      const auto col = static_cast<std::size_t>(jb);
+      const int match = b_temporal_match_[col];
+      Lrp& target = lrps[static_cast<std::size_t>(b_temporal_target_[col])];
+      if (match < 0) {
+        target = tb.lrp(jb);
+        continue;
+      }
+      ITDB_ASSIGN_OR_RETURN(std::optional<Lrp> inter,
+                            Lrp::Intersect(ta.lrp(match), tb.lrp(jb)));
+      temporal_ok = inter.has_value();
+      if (temporal_ok) target = *inter;
+    }
+    if (!temporal_ok) continue;
+    std::vector<Value> data = ta.data();
+    for (int j2 : b_new_data_) data.push_back(tb.value(j2));
+    GeneralizedTuple t(std::move(lrps), std::move(data));
+    Dbm merged(m_out_);
+    const Dbm& cb = cb_mapped_[slot];
+    if (ca_ext.has_value()) {
+      ITDB_ASSIGN_OR_RETURN(
+          merged, ConjoinOntoClosed(*ca_ext, cb, options_.counters));
+    } else {
+      // ta's own closure overflowed: close the raw conjunction in full,
+      // so the status is the one that closure reports.
+      Dbm ca = ta.constraints().AppendVariables(m_out_ - ma_);
+      merged = Dbm::Conjoin(ca, cb);
+      ITDB_RETURN_IF_ERROR(merged.Close());
+    }
+    if (!merged.feasible()) continue;
+    t.set_constraints(std::move(merged));
+    out.push_back(std::move(t));
+  }
+  return Status::Ok();
+}
 
 Result<GeneralizedRelation> Intersect(const GeneralizedRelation& a,
                                       const GeneralizedRelation& b,
@@ -411,7 +430,10 @@ Result<GeneralizedRelation> Intersect(const GeneralizedRelation& a,
   std::iota(temporal.begin(), temporal.end(), 0);
   std::vector<int> data(static_cast<std::size_t>(a.schema().data_arity()));
   std::iota(data.begin(), data.end(), 0);
-  return JoinKernel(a, b, temporal, data, options, "Intersect");
+  return JoinKernel(a,
+                    JoinProbe(a.schema(), b, std::move(temporal),
+                              std::move(data), options, "Intersect"),
+                    options);
 }
 
 Result<GeneralizedRelation> Subtract(const GeneralizedRelation& a,
@@ -911,7 +933,8 @@ Result<std::vector<GeneralizedTuple>> ProjectTupleExact(
 /// The lattice-feasibility reduction of TupleIsEmpty and FirstPoint: drops
 /// every free and pinned column exactly, then normalizes the rest.  nullopt
 /// when t is empty, else the elimination with `tuple` replaced by its first
-/// feasible normal-form piece (a tuple with no column left is its own).
+/// feasible normal-form piece (a tuple with no column left is its own); the
+/// normalization sweep stops at that piece.
 Result<std::optional<ExactElimination>> ReduceToNormalPiece(
     const GeneralizedTuple& t, const AlgebraOptions& options) {
   ITDB_ASSIGN_OR_RETURN(
@@ -920,12 +943,12 @@ Result<std::optional<ExactElimination>> ReduceToNormalPiece(
           t, std::vector<bool>(static_cast<std::size_t>(t.temporal_arity()),
                                true)));
   if (!rest.has_value() || rest->tuple.temporal_arity() == 0) return rest;
-  ITDB_ASSIGN_OR_RETURN(std::vector<GeneralizedTuple> normal,
-                        CachedNormalizeTuple(options.normalize_cache,
-                                             rest->tuple,
-                                             NormalizeOptionsOf(options)));
-  if (normal.empty()) return std::optional<ExactElimination>();
-  rest->tuple = std::move(normal.front());
+  ITDB_ASSIGN_OR_RETURN(std::optional<GeneralizedTuple> piece,
+                        CachedFirstNormalPiece(options.normalize_cache,
+                                               rest->tuple,
+                                               NormalizeOptionsOf(options)));
+  if (!piece.has_value()) return std::optional<ExactElimination>();
+  rest->tuple = std::move(*piece);
   return rest;
 }
 
@@ -1141,29 +1164,9 @@ Result<GeneralizedRelation> Join(const GeneralizedRelation& a,
                                  const GeneralizedRelation& b,
                                  const AlgebraOptions& options) {
   obs::Span span = OpSpan(options, "Join", &a, &b);
-  // Identify shared attributes by name.
-  const Schema& sa = a.schema();
-  const Schema& sb = b.schema();
-  const int mb = sb.temporal_arity();
-  // For each of b's temporal columns: matching column of a, or -1.
-  std::vector<int> b_temporal_match(static_cast<std::size_t>(mb), -1);
-  for (int j = 0; j < mb; ++j) {
-    if (std::optional<int> i = sa.FindTemporal(sb.temporal_name(j))) {
-      b_temporal_match[static_cast<std::size_t>(j)] = *i;
-    }
-  }
-  std::vector<int> b_data_match(static_cast<std::size_t>(sb.data_arity()), -1);
-  for (int j = 0; j < sb.data_arity(); ++j) {
-    if (std::optional<int> i = sa.FindData(sb.data_name(j))) {
-      b_data_match[static_cast<std::size_t>(j)] = *i;
-      if (sa.data_type(*i) != sb.data_type(j)) {
-        return Status::InvalidArgument(
-            "Join: shared data attribute \"" + sb.data_name(j) +
-            "\" has different types");
-      }
-    }
-  }
-  return JoinKernel(a, b, b_temporal_match, b_data_match, options, "Join");
+  ITDB_ASSIGN_OR_RETURN(JoinProbe probe,
+                        JoinProbe::ForJoin(a.schema(), b, options));
+  return JoinKernel(a, std::move(probe), options);
 }
 
 Result<GeneralizedRelation> ShiftTemporalColumn(const GeneralizedRelation& r,

@@ -19,18 +19,20 @@
 #define ITDB_CORE_ALGEBRA_H_
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cmp.h"
+#include "core/index.h"
 #include "core/normalize.h"
 #include "core/normalize_cache.h"
 #include "core/relation.h"
 #include "util/status.h"
 
 namespace itdb {
-
-struct KernelCounters;  // core/index.h
 
 namespace obs {
 class Tracer;  // obs/trace.h
@@ -143,6 +145,77 @@ Result<GeneralizedRelation> CrossProduct(const GeneralizedRelation& a,
 Result<GeneralizedRelation> Join(const GeneralizedRelation& a,
                                  const GeneralizedRelation& b,
                                  const AlgebraOptions& options = {});
+
+/// The pair kernel of Join and Intersect, with its right side `b` prepared
+/// once: the data-key partition of b, the column matching and the output
+/// schema, and (as rows are reached) each b row's hull and constraint
+/// matrix in the output's columns.  A left tuple is joined by probing:
+/// Candidates finds the b rows that agree on the matched data columns,
+/// Hoist prepares the rows reached for the first time, and Probe runs the
+/// residue and hull prefilters, the CRT intersection of the matched lrps
+/// and the incremental closure of the conjunction (core/index.h) on each
+/// candidate pair.  Join and Intersect probe every tuple of their left
+/// side; a yes/no statement probes one left tuple at a time and stops at
+/// its first witness (query/eval.cc).  The probe borrows `b`, which must
+/// outlive it.
+class JoinProbe {
+ public:
+  /// Join's matching: b's attributes meet a's of the same name.  Fails with
+  /// kInvalidArgument when a shared data attribute has two types.
+  static Result<JoinProbe> ForJoin(const Schema& a_schema,
+                                   const GeneralizedRelation& b,
+                                   const AlgebraOptions& options);
+
+  /// b_temporal_match[j] (b_data_match[j]) is the column of a's schema
+  /// that b's temporal (data) column j meets, or -1 when the column is new.
+  /// The output holds a's columns, then b's new ones.  `op` names the
+  /// operation in budget messages.
+  JoinProbe(const Schema& a_schema, const GeneralizedRelation& b,
+            std::vector<int> b_temporal_match, std::vector<int> b_data_match,
+            const AlgebraOptions& options, const char* op);
+
+  /// The schema of every joined tuple.
+  const Schema& schema() const { return schema_; }
+
+  /// The b rows (ascending) that agree with `ta` on the matched data
+  /// columns.  Counts them, over every call, against options.max_tuples:
+  /// fails with kResourceExhausted once the running count exceeds it.
+  Result<std::span<const std::size_t>> Candidates(const GeneralizedTuple& ta);
+
+  /// Prepares, in first-touch order, the rows of `buckets` (spans that
+  /// Candidates returned) not prepared yet.
+  void Hoist(std::span<const std::span<const std::size_t>> buckets);
+
+  /// Appends `ta` joined with each row of `bucket` (a span Candidates
+  /// returned, hoisted) to `out`, in bucket order; a pair with disjoint
+  /// lrps or an infeasible conjunction contributes nothing.  Safe to call
+  /// from several threads at once.
+  Status Probe(const GeneralizedTuple& ta, std::span<const std::size_t> bucket,
+               std::vector<GeneralizedTuple>& out) const;
+
+ private:
+  const GeneralizedRelation* b_;
+  AlgebraOptions options_;
+  const char* op_;
+  std::vector<int> b_temporal_match_;
+  Schema schema_;
+  int ma_ = 0;
+  int m_out_ = 0;
+  /// Where b's temporal column j lands in the output.
+  std::vector<int> b_temporal_target_;
+  /// b's data columns appended to the output.
+  std::vector<int> b_new_data_;
+  /// a's data columns that the partition of b is keyed on, in key order.
+  std::vector<int> a_key_cols_;
+  /// (a column, b column) of every shared temporal column.
+  std::vector<std::pair<int, int>> shared_temporal_;
+  std::optional<DataKeyIndex> index_;
+  std::int64_t candidates_ = 0;
+  /// slot_[j]: b row j's entry in hull_b_ / cb_mapped_, -1 before Hoist.
+  std::vector<std::int64_t> slot_;
+  std::vector<TemporalHull> hull_b_;
+  std::vector<Dbm> cb_mapped_;
+};
 
 /// Replaces temporal column `col` by its image under x -> x + delta (the
 /// iterated successor function of the query language, Section 4).  Lrps

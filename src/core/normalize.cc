@@ -1,5 +1,6 @@
 #include "core/normalize.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <utility>
@@ -111,87 +112,150 @@ Result<std::vector<GeneralizedTuple>> NormalizeTuple(
   return NormalizeTupleToPeriod(t, k, options);
 }
 
+namespace {
+
+/// Theorem 3.2's split of one tuple to a period, one combination at a time.
+/// Every infinite column is split to the period (Lemma 3.1) and constant
+/// columns contribute the single choice {c}; the cross product of the
+/// splits (step 2) is indexed linearly, decoded in mixed radix with the
+/// LAST column least significant, which is exactly the sequential odometer
+/// order.  Constraints are carried over unchanged in X-space -- the
+/// floor-alignment of steps 3..5 happens in the n-space translation
+/// NSpaceTuple::Build also uses, which prunes infeasible combinations
+/// (step 4).  Build would close a fresh copy of the SAME X-space system and
+/// derive the same variable layout before any combination-specific work,
+/// so both are hoisted here.  Each combination then translates the bounds
+/// against its chosen offsets and closes one small n-space system, in
+/// Build's order: the surviving tuples and every error status are exactly
+/// those of Build.
+class SplitSweep {
+ public:
+  /// Fails with kResourceExhausted when the split product exceeds
+  /// options.max_split_product, and with kOverflow when closing the
+  /// constraints overflows.
+  static Result<SplitSweep> Make(const GeneralizedTuple& t,
+                                 std::int64_t period,
+                                 const NormalizeOptions& options) {
+    if (period <= 0) {
+      return Status::InvalidArgument("normalization period must be positive");
+    }
+    SplitSweep sweep(t, period);
+    const int m = t.temporal_arity();
+    sweep.choices_.reserve(static_cast<std::size_t>(m));
+    __int128 product = 1;
+    for (int i = 0; i < m; ++i) {
+      const Lrp& l = t.lrp(i);
+      if (l.period() == 0) {
+        sweep.choices_.push_back({l});
+      } else {
+        ITDB_ASSIGN_OR_RETURN(std::vector<Lrp> split, l.SplitToPeriod(period));
+        product *= static_cast<__int128>(split.size());
+        sweep.choices_.push_back(std::move(split));
+      }
+      if (product > static_cast<__int128>(options.max_split_product)) {
+        return Status::ResourceExhausted(
+            "normalization to period " + std::to_string(period) +
+            " would produce more than " +
+            std::to_string(options.max_split_product) + " tuples");
+      }
+    }
+    sweep.total_ = static_cast<std::int64_t>(product);
+    {
+      static obs::Counter* calls =
+          obs::MetricsRegistry::Global().GetCounter("normalize.calls");
+      static obs::Histogram* split = obs::MetricsRegistry::Global()
+                                         .GetHistogram("normalize.split_product");
+      calls->Increment();
+      split->Record(sweep.total_);
+    }
+    Dbm x_closed = t.constraints();
+    ITDB_RETURN_IF_ERROR(x_closed.Close());
+    // An infeasible system prunes every combination.
+    if (!x_closed.feasible()) sweep.total_ = 0;
+    sweep.var_of_column_ = VariableLayout(t, &sweep.num_vars_);
+    sweep.atomics_ = x_closed.ToAtomics();
+    return sweep;
+  }
+
+  /// How many combinations there are to test.
+  std::int64_t total() const { return total_; }
+
+  /// Appends combination `index` to `out` unless step 4 prunes it.
+  Status Emit(std::int64_t index, std::vector<GeneralizedTuple>& out) const {
+    const int m = t_->temporal_arity();
+    std::vector<Lrp> lrps(static_cast<std::size_t>(m));
+    std::int64_t rest = index;
+    for (int i = m - 1; i >= 0; --i) {
+      const std::vector<Lrp>& column = choices_[static_cast<std::size_t>(i)];
+      const std::int64_t size = static_cast<std::int64_t>(column.size());
+      lrps[static_cast<std::size_t>(i)] =
+          column[static_cast<std::size_t>(rest % size)];
+      rest /= size;
+    }
+    Dbm dbm(num_vars_);
+    bool feasible = true;
+    ITDB_RETURN_IF_ERROR(TranslateToNSpace(atomics_, lrps, var_of_column_,
+                                           period_, dbm, feasible));
+    ITDB_RETURN_IF_ERROR(dbm.Close());
+    if (!feasible || !dbm.feasible()) return Status::Ok();
+    GeneralizedTuple candidate(std::move(lrps), t_->data());
+    candidate.set_constraints(t_->constraints());
+    out.push_back(std::move(candidate));
+    return Status::Ok();
+  }
+
+ private:
+  SplitSweep(const GeneralizedTuple& t, std::int64_t period)
+      : t_(&t), period_(period) {}
+
+  const GeneralizedTuple* t_;
+  std::int64_t period_;
+  std::vector<std::vector<Lrp>> choices_;
+  std::int64_t total_ = 0;
+  int num_vars_ = 0;
+  std::vector<int> var_of_column_;
+  std::vector<AtomicConstraint> atomics_;
+};
+
+}  // namespace
+
 Result<std::vector<GeneralizedTuple>> NormalizeTupleToPeriod(
     const GeneralizedTuple& t, std::int64_t period,
     const NormalizeOptions& options) {
-  if (period <= 0) {
-    return Status::InvalidArgument("normalization period must be positive");
-  }
-  int m = t.temporal_arity();
-  // Split every infinite column to the target period (Lemma 3.1); constant
-  // columns contribute the single choice {c}.
-  std::vector<std::vector<Lrp>> choices;
-  choices.reserve(static_cast<std::size_t>(m));
-  __int128 product = 1;
-  for (int i = 0; i < m; ++i) {
-    const Lrp& l = t.lrp(i);
-    if (l.period() == 0) {
-      choices.push_back({l});
-    } else {
-      ITDB_ASSIGN_OR_RETURN(std::vector<Lrp> split, l.SplitToPeriod(period));
-      product *= static_cast<__int128>(split.size());
-      choices.push_back(std::move(split));
-    }
-    if (product > static_cast<__int128>(options.max_split_product)) {
-      return Status::ResourceExhausted(
-          "normalization to period " + std::to_string(period) +
-          " would produce more than " +
-          std::to_string(options.max_split_product) + " tuples");
-    }
-  }
-  // Cross product of the splits (step 2 of Theorem 3.2); constraints are
-  // carried over unchanged in X-space -- the floor-alignment of steps 3..5
-  // happens in the n-space translation NSpaceTuple::Build also uses, which
-  // prunes infeasible combinations (step 4).  Combinations are enumerated
-  // by a linear index decoded in mixed radix with the LAST column least
-  // significant, which is exactly the sequential odometer order;
-  // feasibility checks are independent per combination, so the sweep fans
-  // out over the thread pool with index-ordered merging (byte-identical to
-  // the sequential loop).
-  const std::int64_t total = static_cast<std::int64_t>(product);
-  {
-    static obs::Counter* calls =
-        obs::MetricsRegistry::Global().GetCounter("normalize.calls");
-    static obs::Histogram* split =
-        obs::MetricsRegistry::Global().GetHistogram("normalize.split_product");
-    calls->Increment();
-    split->Record(total);
-  }
-  // NSpaceTuple::Build on a candidate would close a fresh copy of the SAME
-  // X-space system and derive the same variable layout before any
-  // candidate-specific work, so both are hoisted out of the sweep.  Each
-  // candidate then translates the bounds against its chosen offsets and
-  // closes one small n-space system, in Build's order: the surviving
-  // tuples and every error status are exactly those of Build.
-  Dbm x_closed = t.constraints();
-  ITDB_RETURN_IF_ERROR(x_closed.Close());
-  if (!x_closed.feasible()) return std::vector<GeneralizedTuple>{};
-  int num_vars = 0;
-  const std::vector<int> var_of_column = VariableLayout(t, &num_vars);
-  const std::vector<AtomicConstraint> atomics = x_closed.ToAtomics();
+  ITDB_ASSIGN_OR_RETURN(SplitSweep sweep, SplitSweep::Make(t, period, options));
+  // Combinations are independent, so the sweep fans out over the thread
+  // pool with index-ordered merging (byte-identical to the sequential
+  // loop).
   return ParallelAppend<GeneralizedTuple>(
-      total, ParallelOptions{options.threads, /*grain=*/64},
-      [&](std::int64_t index, std::vector<GeneralizedTuple>& out) -> Status {
-        std::vector<Lrp> lrps(static_cast<std::size_t>(m));
-        std::int64_t rest = index;
-        for (int i = m - 1; i >= 0; --i) {
-          const std::vector<Lrp>& column = choices[static_cast<std::size_t>(i)];
-          const std::int64_t size = static_cast<std::int64_t>(column.size());
-          lrps[static_cast<std::size_t>(i)] =
-              column[static_cast<std::size_t>(rest % size)];
-          rest /= size;
-        }
-        Dbm dbm(num_vars);
-        bool feasible = true;
-        ITDB_RETURN_IF_ERROR(TranslateToNSpace(atomics, lrps, var_of_column,
-                                               period, dbm, feasible));
-        ITDB_RETURN_IF_ERROR(dbm.Close());
-        if (!feasible || !dbm.feasible()) return Status::Ok();
-        GeneralizedTuple candidate(std::move(lrps), t.data());
-        candidate.set_constraints(t.constraints());
-        out.push_back(std::move(candidate));
-        return Status::Ok();
+      sweep.total(), ParallelOptions{options.threads, /*grain=*/64},
+      [&sweep](std::int64_t index, std::vector<GeneralizedTuple>& out) {
+        return sweep.Emit(index, out);
       });
+}
+
+Result<std::optional<GeneralizedTuple>> FirstNormalPiece(
+    const GeneralizedTuple& t, const NormalizeOptions& options) {
+  ITDB_ASSIGN_OR_RETURN(std::int64_t k, CommonPeriod(t));
+  ITDB_ASSIGN_OR_RETURN(SplitSweep sweep, SplitSweep::Make(t, k, options));
+  // Windows of doubling width, each swept like the full normalization:
+  // the first survivor is the first survivor of the whole sweep, and at
+  // most about twice the combinations before it are tested.
+  for (std::int64_t begin = 0, width = 1; begin < sweep.total();
+       begin += width, width *= 2) {
+    const std::int64_t count = std::min(width, sweep.total() - begin);
+    ITDB_ASSIGN_OR_RETURN(
+        std::vector<GeneralizedTuple> found,
+        ParallelAppend<GeneralizedTuple>(
+            count, ParallelOptions{options.threads, /*grain=*/64},
+            [&sweep, begin](std::int64_t index,
+                            std::vector<GeneralizedTuple>& out) {
+              return sweep.Emit(begin + index, out);
+            }));
+    if (!found.empty()) {
+      return std::optional<GeneralizedTuple>(std::move(found.front()));
+    }
+  }
+  return std::optional<GeneralizedTuple>();
 }
 
 Result<std::optional<ExactElimination>> EliminateFreeAndPinnedColumns(

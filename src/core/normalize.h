@@ -67,6 +67,14 @@ Result<std::vector<GeneralizedTuple>> NormalizeTupleToPeriod(
     const GeneralizedTuple& t, std::int64_t period,
     const NormalizeOptions& options = {});
 
+/// The first tuple NormalizeTuple(t) returns, or nullopt when it returns
+/// none: the same sweep in the same order, stopped at the first feasible
+/// combination.  The split budget is checked exactly as NormalizeTuple
+/// checks it; errors of combinations after the first survivor are not
+/// reached.
+Result<std::optional<GeneralizedTuple>> FirstNormalPiece(
+    const GeneralizedTuple& t, const NormalizeOptions& options = {});
+
 /// The result of EliminateFreeAndPinnedColumns: the columns that remain.
 struct ExactElimination {
   /// The remaining columns in their original order, with the (possibly

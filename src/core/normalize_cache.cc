@@ -1,6 +1,8 @@
 #include "core/normalize_cache.h"
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -84,17 +86,9 @@ Result<std::vector<GeneralizedTuple>> NormalizeCache::NormalizeToPeriod(
     // skip the enumeration (and the cache) entirely.
     return std::vector<GeneralizedTuple>{};
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(*key);
-    if (it != entries_.end()) {
-      ++stats_.hits;
-      obs::AddGlobalCounter("normalize_cache.hits", 1);
-      lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-      return Materialize(it->second.survivors, t);
-    }
-    ++stats_.misses;
-    obs::AddGlobalCounter("normalize_cache.misses", 1);
+  if (std::optional<std::vector<std::vector<Lrp>>> survivors =
+          Find(*key, std::numeric_limits<std::size_t>::max())) {
+    return Materialize(*survivors, t);
   }
   ITDB_ASSIGN_OR_RETURN(std::vector<GeneralizedTuple> result,
                         NormalizeTupleToPeriod(t, period, options));
@@ -117,6 +111,42 @@ Result<std::vector<GeneralizedTuple>> NormalizeCache::NormalizeToPeriod(
     }
   }
   return result;
+}
+
+std::optional<std::vector<std::vector<Lrp>>> NormalizeCache::Find(
+    const std::string& key, std::size_t limit) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(key);
+  if (it == entries_.end()) {
+    ++stats_.misses;
+    obs::AddGlobalCounter("normalize_cache.misses", 1);
+    return std::nullopt;
+  }
+  ++stats_.hits;
+  obs::AddGlobalCounter("normalize_cache.hits", 1);
+  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+  const std::vector<std::vector<Lrp>>& survivors = it->second.survivors;
+  return std::vector<std::vector<Lrp>>(
+      survivors.begin(),
+      survivors.begin() + static_cast<std::ptrdiff_t>(
+                              std::min(limit, survivors.size())));
+}
+
+Result<std::optional<GeneralizedTuple>> NormalizeCache::FirstPiece(
+    const GeneralizedTuple& t, const NormalizeOptions& options) {
+  using MaybePiece = std::optional<GeneralizedTuple>;
+  ITDB_ASSIGN_OR_RETURN(std::int64_t k, CommonPeriod(t));
+  bool infeasible = false;
+  Result<std::string> key = MakeKey(t, k, options, &infeasible);
+  // A closure overflow re-reports from the plain path, as in
+  // NormalizeToPeriod.
+  if (!key.ok()) return FirstNormalPiece(t, options);
+  if (infeasible) return MaybePiece();
+  if (std::optional<std::vector<std::vector<Lrp>>> first = Find(*key, 1)) {
+    if (first->empty()) return MaybePiece();
+    return MaybePiece(std::move(Materialize(*first, t).front()));
+  }
+  return FirstNormalPiece(t, options);
 }
 
 Result<std::vector<GeneralizedTuple>> NormalizeCache::Normalize(
@@ -151,6 +181,13 @@ Result<std::vector<GeneralizedTuple>> CachedNormalizeTuple(
     const NormalizeOptions& options) {
   if (cache != nullptr) return cache->Normalize(t, options);
   return NormalizeTuple(t, options);
+}
+
+Result<std::optional<GeneralizedTuple>> CachedFirstNormalPiece(
+    NormalizeCache* cache, const GeneralizedTuple& t,
+    const NormalizeOptions& options) {
+  if (cache != nullptr) return cache->FirstPiece(t, options);
+  return FirstNormalPiece(t, options);
 }
 
 }  // namespace itdb

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <list>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -51,6 +52,12 @@ class NormalizeCache {
   Result<std::vector<GeneralizedTuple>> Normalize(
       const GeneralizedTuple& t, const NormalizeOptions& options);
 
+  /// FirstNormalPiece(t, options) through the cache: a cached entry for
+  /// the tuple's shape at its common period answers it, else the sweep
+  /// stops at its first survivor.  A partial sweep is not inserted.
+  Result<std::optional<GeneralizedTuple>> FirstPiece(
+      const GeneralizedTuple& t, const NormalizeOptions& options);
+
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -70,6 +77,11 @@ class NormalizeCache {
     LruList::iterator lru_pos;
   };
 
+  /// Looks `key` up, counting a hit or a miss; a hit copies out at most
+  /// `limit` survivors, in enumeration order.
+  std::optional<std::vector<std::vector<Lrp>>> Find(const std::string& key,
+                                                    std::size_t limit);
+
   mutable std::mutex mu_;
   std::size_t capacity_;
   std::unordered_map<std::string, Entry> entries_;
@@ -83,6 +95,9 @@ Result<std::vector<GeneralizedTuple>> CachedNormalizeTupleToPeriod(
     NormalizeCache* cache, const GeneralizedTuple& t, std::int64_t period,
     const NormalizeOptions& options);
 Result<std::vector<GeneralizedTuple>> CachedNormalizeTuple(
+    NormalizeCache* cache, const GeneralizedTuple& t,
+    const NormalizeOptions& options);
+Result<std::optional<GeneralizedTuple>> CachedFirstNormalPiece(
     NormalizeCache* cache, const GeneralizedTuple& t,
     const NormalizeOptions& options);
 

@@ -9,6 +9,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -98,6 +99,12 @@ struct Evaluator {
   const analysis::CertificateMap* certificates = nullptr;
 
   Result<GeneralizedRelation> Eval(const Query& q) const;
+
+  /// Whether q's relation has a point, decided without building it: the
+  /// depth-first pull over q's left-deep AND chain (EvalPreparedBoolean).
+  /// Records one span, "pull <q>", whose children are the materialized
+  /// chain children.
+  Result<bool> Nonempty(const Query& q) const;
 
  private:
   Result<GeneralizedRelation> EvalNode(const Query& q) const;
@@ -510,6 +517,89 @@ Result<GeneralizedRelation> Evaluator::EvalNode(const Query& q) const {
   return Status::InvalidArgument("unreachable query kind");
 }
 
+/// The depth-first pull of Evaluator::Nonempty over a chain whose probes
+/// are built: a tuple entering chain node `level` is probed against that
+/// node's right child, each joined tuple enters the node above, and a tuple
+/// past the root is tested for a point.
+struct ChainPull {
+  std::vector<JoinProbe>& probes;
+  const AlgebraOptions& algebra;
+  std::int64_t candidates_tested = 0;
+
+  /// Whether some tuple grown from `t` at chain node `level` has a point.
+  Result<bool> Feed(std::size_t level, const GeneralizedTuple& t) {
+    ITDB_RETURN_IF_ERROR(CheckCancellation());
+    if (level == probes.size()) {
+      ++candidates_tested;
+      ITDB_ASSIGN_OR_RETURN(bool empty, TupleIsEmpty(t, algebra));
+      return !empty;
+    }
+    JoinProbe& probe = probes[level];
+    ITDB_ASSIGN_OR_RETURN(std::span<const std::size_t> bucket,
+                          probe.Candidates(t));
+    probe.Hoist({&bucket, 1});
+    std::vector<GeneralizedTuple> joined;
+    ITDB_RETURN_IF_ERROR(probe.Probe(t, bucket, joined));
+    for (const GeneralizedTuple& next : joined) {
+      ITDB_ASSIGN_OR_RETURN(bool found, Feed(level + 1, next));
+      if (found) return true;
+    }
+    return false;
+  }
+};
+
+Result<bool> Evaluator::Nonempty(const Query& q) const {
+  // Like the plan spans of Eval, only under the statement's own tracer.
+  obs::Span span;
+  if (algebra.tracer != nullptr) {
+    span = obs::Span::Begin(algebra.tracer, "pull " + q.ToString(), "plan");
+  }
+  const CounterSnapshot before =
+      SnapshotCounters(algebra.counters, algebra.normalize_cache);
+  // The chain's AND nodes, bottom first, and its leftmost leaf.
+  std::vector<const Query*> chain;
+  const Query* leaf = &q;
+  while (leaf->kind() == Query::Kind::kAnd) {
+    chain.push_back(leaf);
+    leaf = leaf->left().get();
+  }
+  std::reverse(chain.begin(), chain.end());
+  // Children are materialized in the order the relation path evaluates
+  // them.  Neither Canonical nor the canonical sort changes whether a point
+  // exists, so the chain skips both.
+  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation outer, Eval(*leaf));
+  std::vector<GeneralizedRelation> rights;
+  rights.reserve(chain.size());
+  for (const Query* node : chain) {
+    ITDB_ASSIGN_OR_RETURN(GeneralizedRelation right, Eval(*node->right()));
+    rights.push_back(std::move(right));
+  }
+  std::vector<JoinProbe> probes;
+  probes.reserve(rights.size());
+  const Schema* left = &outer.schema();
+  for (const GeneralizedRelation& right : rights) {
+    ITDB_ASSIGN_OR_RETURN(JoinProbe probe,
+                          JoinProbe::ForJoin(*left, right, algebra));
+    probes.push_back(std::move(probe));
+    left = &probes.back().schema();
+  }
+  ChainPull pull{probes, algebra};
+  std::int64_t outer_pulled = 0;
+  bool found = false;
+  for (const GeneralizedTuple& t : outer.tuples()) {
+    ++outer_pulled;
+    ITDB_ASSIGN_OR_RETURN(found, pull.Feed(0, t));
+    if (found) break;
+  }
+  const CounterSnapshot after =
+      SnapshotCounters(algebra.counters, algebra.normalize_cache);
+  span.AddArg("outer_pulled", outer_pulled);
+  span.AddArg("candidates_tested", pull.candidates_tested);
+  span.AddArg("found", found ? 1 : 0);
+  span.AddArg("pairs_candidate", after.pairs_candidate - before.pairs_candidate);
+  return found;
+}
+
 /// Publishes the totals of a per-query KernelCounters instance into the
 /// global metrics registry, so runs that never wire counters explicitly
 /// still show up under `metrics` / --trace-json consumers.
@@ -558,9 +648,8 @@ GeneralizedRelation EmptyRelationFor(const Query& q, const SortMap& sorts) {
 
 /// Evaluates plans of a compiled, not statically empty statement with one
 /// evaluator (one normalization cache, one set of kernel counters):
-/// `run(eval, algebra)` calls `eval(plan)` for each plan it needs and
-/// returns the statement's result; `algebra` carries that context for any
-/// algebra call `run` makes itself.
+/// `run(evaluator)` evaluates each plan it needs and returns the
+/// statement's result.
 template <typename Run>
 auto EvalPlans(const Database& db, Prepared& prepared,
                const QueryOptions& options, obs::Profile* profile, Run run) {
@@ -591,19 +680,7 @@ auto EvalPlans(const Database& db, Prepared& prepared,
   Evaluator evaluator{db, prepared.sorts(), adom, algebra,
                       &prepared.estimates(),
                       certificates.empty() ? nullptr : &certificates};
-  auto eval = [&](const QueryPtr& target) {
-    // Root span over the plan's evaluation; scoped so it is committed (and
-    // visible to BuildProfile) before the profile is folded.
-    obs::Span root =
-        obs::Span::Begin(algebra.tracer, "query " + target->ToString(),
-                         "plan");
-    Result<GeneralizedRelation> r = evaluator.Eval(*target);
-    if (r.ok()) {
-      root.AddArg("tuples_out", static_cast<std::int64_t>(r.value().size()));
-    }
-    return r;
-  };
-  auto result = run(eval, algebra);
+  auto result = run(std::as_const(evaluator));
   obs::AddGlobalCounter("query.evaluations", 1);
   if (algebra.counters == &own_counters) FlushKernelCounters(own_counters);
   if (profile != nullptr) {
@@ -625,14 +702,25 @@ Result<GeneralizedRelation> EvalPrepared(const Database& db, Prepared& prepared,
   if (prepared.statically_empty()) {
     return EmptyRelationFor(*prepared.query(), prepared.analysis().sorts);
   }
-  return EvalPlans(db, prepared, options, profile,
-                   [&](auto& eval, const AlgebraOptions&) {
-                     return eval(prepared.plan());
-                   });
+  return EvalPlans(
+      db, prepared, options, profile,
+      [&](const Evaluator& evaluator) -> Result<GeneralizedRelation> {
+        // Root span over the plan's evaluation; scoped so it is committed
+        // (and visible to BuildProfile) before the profile is folded.
+        obs::Span root =
+            obs::Span::Begin(evaluator.algebra.tracer,
+                             "query " + prepared.plan()->ToString(), "plan");
+        Result<GeneralizedRelation> r = evaluator.Eval(*prepared.plan());
+        if (r.ok()) {
+          root.AddArg("tuples_out", static_cast<std::int64_t>(r->size()));
+        }
+        return r;
+      });
 }
 
 Result<bool> EvalPreparedBoolean(const Database& db, Prepared& prepared,
-                                 const QueryOptions& options) {
+                                 const QueryOptions& options,
+                                 obs::Profile* profile) {
   if (prepared.answer() != Answer::kYesNo) {
     return Status::InvalidArgument("not a yes/no statement");
   }
@@ -641,18 +729,14 @@ Result<bool> EvalPreparedBoolean(const Database& db, Prepared& prepared,
   // any peeled NOT flips it: the flipped empty relation would read as true.
   if (prepared.statically_empty()) return false;
   // The parts share no variable: the body is nonempty iff every part is.
-  // The emptiness test runs in the statement's context (normalize cache,
-  // kernel counters, tracer), like the evaluation of the part itself.
-  auto every_part_nonempty = [&](auto& eval,
-                                 const AlgebraOptions& algebra) -> Result<bool> {
+  auto every_part_nonempty = [&](const Evaluator& evaluator) -> Result<bool> {
     for (const QueryPtr& part : prepared.plans()) {
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation rel, eval(part));
-      ITDB_ASSIGN_OR_RETURN(bool empty, IsEmpty(rel, algebra));
-      if (empty) return false;
+      ITDB_ASSIGN_OR_RETURN(bool nonempty, evaluator.Nonempty(*part));
+      if (!nonempty) return false;
     }
     return true;
   };
-  ITDB_ASSIGN_OR_RETURN(bool nonempty, EvalPlans(db, prepared, options, nullptr,
+  ITDB_ASSIGN_OR_RETURN(bool nonempty, EvalPlans(db, prepared, options, profile,
                                                  every_part_nonempty));
   return nonempty != prepared.holds_when_empty();
 }

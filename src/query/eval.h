@@ -19,7 +19,16 @@
 //   * A sentence (no free variables) evaluates to a zero-arity relation,
 //     and is true iff that relation is nonempty (Theorem 4.1).
 //     EvalBooleanQuery decides this without the root quantifiers' work:
-//     emptiness tests on the body under them (query/prepared.h).
+//     emptiness tests on the body under them (query/prepared.h).  The body
+//     is not built either.  Each part runs as a depth-first pull over its
+//     plan's left-deep AND chain.  The leftmost leaf and the right child of
+//     every AND are materialized; each AND joins the tuples it is fed with
+//     its right child through one JoinProbe (core/algebra.h), and a tuple
+//     past the root is tested with TupleIsEmpty.  The loop stops at the
+//     first nonempty one.  Each AND charges its candidate pairs, over every
+//     tuple it is fed, against max_tuples: a false answer probes every pair
+//     the relation path joins, so it fails whenever one of that path's
+//     joins exceeds the budget.
 
 #ifndef ITDB_QUERY_EVAL_H_
 #define ITDB_QUERY_EVAL_H_

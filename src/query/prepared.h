@@ -170,11 +170,15 @@ Result<GeneralizedRelation> EvalPrepared(const Database& db, Prepared& prepared,
 
 /// Answers a yes/no statement (Theorem 4.1): compiles it (failing with
 /// kInvalidArgument when it has free variables), answers false for a root
-/// proven bit-empty, else runs one emptiness test per part of the peeled
-/// body, up to the first empty part.  A relation statement fails with
-/// kInvalidArgument.
+/// proven bit-empty, else asks of each part of the peeled body, up to the
+/// first empty one, whether its relation has a point -- by the pull loop
+/// of eval.h, which stops at the first tuple with one.  A relation
+/// statement fails with kInvalidArgument.  With `profile`, each part's
+/// "pull" span and the spans of the children it materialized fold into
+/// `*profile`, as for EvalPrepared.
 Result<bool> EvalPreparedBoolean(const Database& db, Prepared& prepared,
-                                 const QueryOptions& options);
+                                 const QueryOptions& options,
+                                 obs::Profile* profile = nullptr);
 
 }  // namespace query
 }  // namespace itdb

@@ -50,6 +50,9 @@ constexpr const char* kHelp = R"(commands:
   explain tlcheck|sat <tl>      the plans of the formula's query
   profile [sat] <query|tl>      evaluate with tracing; prints per-plan-node
                                 wall/CPU time, tuple counts, and kernel stats
+  profile ask|tlcheck <...>     the yes/no pull loop per part (tuples pulled,
+                                candidates tested, found) over the children
+                                it materialized, then the answer
   metrics                       dump the process-global metrics registry
   stats [name]                  per-relation statistics (tuple counts,
                                 distinct keys, period lcm, interval hull)
@@ -867,19 +870,26 @@ Status Session::CmdProfile(std::ostream& out, const std::string& text) {
   ++stats_.queries;
   obs::AddGlobalCounter("server.queries", 1);
   const auto [verb, body] = StatementVerb(text);
-  if (verb == "ask" || verb == "tlcheck") {
-    return Status::InvalidArgument("profile " + verb +
-                                   ": a yes/no statement has no profile");
-  }
-  const bool sat = verb == "sat";
+  const bool temporal_logic = verb == "sat" || verb == "tlcheck";
   ITDB_ASSIGN_OR_RETURN(query::Prepared prepared,
                         PrepareStatement(verb, body, BaseOptions()));
   return db_->WithRead([&](const Database& db) -> Status {
-    if (sat) ITDB_RETURN_IF_ERROR(tl::CheckPropositions(db, *prepared.query()));
+    if (temporal_logic) {
+      ITDB_RETURN_IF_ERROR(tl::CheckPropositions(db, *prepared.query()));
+    }
     StatementStep step(options_, db, prepared);
     ITDB_RETURN_IF_ERROR(step.Admit());
     DeadlineGuard deadline(step.deadline_ms());
     obs::Profile profile;
+    if (prepared.answer() == query::Answer::kYesNo) {
+      // The pull loop's span per part, over the children it materialized.
+      ITDB_ASSIGN_OR_RETURN(
+          bool truth,
+          query::EvalPreparedBoolean(db, prepared, step.opts(), &profile));
+      out << profile.ToText();
+      out << "answer: " << (truth ? "true" : "false") << "\n";
+      return Status::Ok();
+    }
     ITDB_ASSIGN_OR_RETURN(
         GeneralizedRelation relation,
         query::EvalPrepared(db, prepared, step.opts(), &profile));

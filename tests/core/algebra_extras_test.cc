@@ -201,6 +201,27 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FindWitnessPropertyTest,
 INSTANTIATE_TEST_SUITE_P(CoprimePeriods, FindWitnessPropertyTest,
                          ::testing::ValuesIn(WitnessCases(CoprimeConfig())));
 
+// Normalizing this tuple whole splits it into 84 * 60 * 35 pieces at period
+// 420; the emptiness test and the witness stop the sweep at the first
+// feasible one, which is the piece the full sweep would put first.
+TEST(FindWitnessTest, CoprimePeriodsStopAtTheFirstPiece) {
+  GeneralizedTuple t({Lrp::Make(0, 5), Lrp::Make(0, 7), Lrp::Make(0, 12)});
+  t.mutable_constraints().AddDifferenceUpperBound(0, 1, 3);
+  t.mutable_constraints().AddDifferenceUpperBound(1, 2, 2);
+  Result<bool> empty = TupleIsEmpty(t);
+  ASSERT_TRUE(empty.ok()) << empty.status();
+  EXPECT_FALSE(empty.value());
+  Result<std::optional<std::vector<std::int64_t>>> point = FirstPoint(t);
+  ASSERT_TRUE(point.ok()) << point.status();
+  EXPECT_EQ(point.value(), (std::vector<std::int64_t>{0, 0, 0}));
+  // The split budget is still checked on the whole product.
+  AlgebraOptions small;
+  small.max_split_product = 1000;
+  Result<bool> over = TupleIsEmpty(t, small);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+}
+
 TEST(FindWitnessTest, RelationWitnessCarriesData) {
   Schema schema({"T"}, {"who"}, {DataType::kString});
   GeneralizedRelation r(schema);

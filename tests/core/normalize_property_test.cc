@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -17,6 +18,7 @@
 
 #include "common/random_relations.h"
 #include "core/normalize.h"
+#include "core/normalize_cache.h"
 
 namespace itdb {
 namespace {
@@ -154,6 +156,37 @@ TEST_P(NormalizePropertyTest, SweepMatchesPerCandidateBuild) {
       ASSERT_TRUE(got.ok()) << got.status() << " for " << t.ToString();
       EXPECT_EQ(*got, *want) << "threads=" << threads << " " << t.ToString();
     }
+  }
+}
+
+// The first-piece scan returns NormalizeTuple's front, or nothing when the
+// full sweep returns nothing -- plainly, through a cache that misses (and
+// must not be filled by it), and through one the full sweep filled.
+TEST_P(NormalizePropertyTest, FirstPieceIsTheSweepsFront) {
+  RandomRelationConfig cfg;
+  cfg.num_tuples = 4;
+  cfg.periods = {0, 1, 2, 3, 4, 6};
+  GeneralizedRelation r = MakeRandomRelation(GetParam() + 9900, cfg);
+  for (const GeneralizedTuple& t : r.tuples()) {
+    Result<std::vector<GeneralizedTuple>> all = NormalizeTuple(t);
+    ASSERT_TRUE(all.ok()) << all.status() << " for " << t.ToString();
+    std::optional<GeneralizedTuple> want;
+    if (!all->empty()) want = all->front();
+    NormalizeCache cache;
+    for (int pass = 0; pass < 3; ++pass) {
+      Result<std::optional<GeneralizedTuple>> got =
+          pass == 0 ? FirstNormalPiece(t) : CachedFirstNormalPiece(&cache, t, {});
+      ASSERT_TRUE(got.ok()) << got.status() << " for " << t.ToString();
+      EXPECT_EQ(*got, want) << "pass " << pass << " " << t.ToString();
+      if (pass == 1) {
+        EXPECT_EQ(cache.stats().entries, 0u) << t.ToString();
+        ASSERT_TRUE(CachedNormalizeTuple(&cache, t, {}).ok());
+      }
+    }
+    // Infeasible constraints answer before the lookup.
+    Dbm closed = t.constraints();
+    ASSERT_TRUE(closed.Close().ok());
+    EXPECT_EQ(cache.stats().hits, closed.feasible() ? 1u : 0u) << t.ToString();
   }
 }
 

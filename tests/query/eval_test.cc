@@ -6,15 +6,18 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/index.h"
 #include "obs/trace.h"
 #include "query/parser.h"
 #include "query/prepared.h"
 #include "storage/text_format.h"
+#include "util/thread_pool.h"
 
 #ifndef ITDB_FUZZ_CORPUS_DIR
 #error "ITDB_FUZZ_CORPUS_DIR must be defined by the build"
@@ -55,7 +58,7 @@ std::set<std::int64_t> OpenUnary(const Database& db, const std::string& text,
   return out;
 }
 
-TEST(EvalTest, YesNoEmptinessTestRecordsIntoTheStatementTracer) {
+TEST(EvalTest, YesNoPullRecordsIntoTheStatementTracer) {
   Database db = SmallDb();
   obs::Tracer tracer;
   QueryOptions options;
@@ -64,9 +67,18 @@ TEST(EvalTest, YesNoEmptinessTestRecordsIntoTheStatementTracer) {
   ASSERT_TRUE(truth.ok()) << truth.status();
   EXPECT_TRUE(*truth);
   std::vector<obs::SpanRecord> records = tracer.records();
-  EXPECT_TRUE(std::any_of(
+  auto pull = std::find_if(
       records.begin(), records.end(),
-      [](const obs::SpanRecord& r) { return r.name == "IsEmpty"; }));
+      [](const obs::SpanRecord& r) { return r.name == "pull P(t)"; });
+  ASSERT_NE(pull, records.end());
+  EXPECT_EQ(pull->category, "plan");
+  const std::vector<std::pair<std::string, std::int64_t>> found = {
+      {"outer_pulled", 1}, {"candidates_tested", 1}, {"found", 1}};
+  for (const auto& arg : found) {
+    EXPECT_NE(std::find(pull->args.begin(), pull->args.end(), arg),
+              pull->args.end())
+        << arg.first;
+  }
 }
 
 TEST(EvalTest, ExistentialAtom) {
@@ -302,6 +314,140 @@ TEST(EvalTest, IndependentConjunctsAnswerWithoutTheirCrossProduct) {
       EXPECT_EQ(empty.value(), !expected);
     }
   }
+}
+
+// ---- The yes/no pull loop on the Theorem 4.1 join ----
+
+// N tuples of the Busy shape: offsets 7i mod 30 without 12-14, so instant
+// 14 of every period of 32 is a gap, and four workers.
+Database BusyDb(int n) {
+  GeneralizedRelation busy(
+      Schema({"S", "E"}, {"Who"}, {DataType::kString}));
+  for (int j = 0; busy.size() < n; ++j) {
+    const int offset = (j * 7) % 30;
+    if (offset >= 12 && offset <= 14) continue;
+    GeneralizedTuple t({Lrp::Make(offset, 32), Lrp::Make(offset + 2, 32)},
+                       {Value("w" + std::to_string(j % 4))});
+    t.mutable_constraints().AddDifferenceEquality(0, 1, -2);
+    EXPECT_TRUE(busy.AddTuple(std::move(t)).ok());
+  }
+  Database db;
+  db.Put("Busy", std::move(busy));
+  return db;
+}
+
+// Two different workers busy at one instant of [lo, hi].
+std::string BusyJoin(int lo, int hi) {
+  return "EXISTS t . EXISTS s1 . EXISTS e1 . EXISTS s2 . EXISTS e2 . "
+         "EXISTS w1 . EXISTS w2 . Busy(s1, e1, w1) AND Busy(s2, e2, w2) AND "
+         "s1 <= t AND t <= e1 AND s2 <= t AND t <= e2 AND NOT w1 = w2 AND " +
+         std::to_string(lo) + " <= t AND t <= " + std::to_string(hi);
+}
+
+struct PathCounts {
+  Result<bool> answer = false;
+  Result<bool> relation_empty = false;
+  std::int64_t pull_pairs = 0;
+  std::int64_t relation_pairs = 0;
+};
+
+// The yes/no answer of `text` and the emptiness of its body's relation,
+// each with the candidate pairs its evaluation counted.  The body is the
+// peeled, optimized tree the yes/no statement plans, evaluated as a
+// relation statement under the same plan.
+PathCounts CountBothPaths(const Database& db, const std::string& text,
+                          QueryOptions options) {
+  PathCounts out;
+  KernelCounters pull_counters;
+  options.algebra.counters = &pull_counters;
+  Prepared yes_no(ParseQuery(text).value(), options, Answer::kYesNo);
+  out.answer = EvalPreparedBoolean(db, yes_no, options);
+  out.pull_pairs = pull_counters.pairs_candidate.load();
+  if (!yes_no.Compile(db).ok()) return out;
+  KernelCounters relation_counters;
+  options.algebra.counters = &relation_counters;
+  Prepared relation(yes_no.rewritten(), options);
+  Result<GeneralizedRelation> rel = EvalPrepared(db, relation, options);
+  out.relation_pairs = relation_counters.pairs_candidate.load();
+  EXPECT_EQ(relation.plan()->ToString(), yes_no.plans().front()->ToString());
+  out.relation_empty =
+      rel.ok() ? IsEmpty(*rel, options.algebra) : Result<bool>(rel.status());
+  return out;
+}
+
+TEST(EvalPullTest, TrueWindowStopsAtTheFirstWitness) {
+  Database db = BusyDb(128);
+  PathCounts counts = CountBothPaths(db, BusyJoin(100, 130), {});
+  ASSERT_TRUE(counts.answer.ok()) << counts.answer.status();
+  ASSERT_TRUE(counts.relation_empty.ok()) << counts.relation_empty.status();
+  EXPECT_TRUE(*counts.answer);
+  EXPECT_FALSE(*counts.relation_empty);
+  EXPECT_GT(counts.pull_pairs, 0);
+  EXPECT_LE(counts.pull_pairs * 8, counts.relation_pairs)
+      << counts.pull_pairs << " vs " << counts.relation_pairs;
+}
+
+TEST(EvalPullTest, FalseWindowProbesEveryPairTheRelationJoins) {
+  Database db = BusyDb(128);
+  // 110 = 14 + 3 * 32: nobody is busy then.
+  PathCounts counts = CountBothPaths(db, BusyJoin(110, 110), {});
+  ASSERT_TRUE(counts.answer.ok()) << counts.answer.status();
+  ASSERT_TRUE(counts.relation_empty.ok()) << counts.relation_empty.status();
+  EXPECT_FALSE(*counts.answer);
+  EXPECT_TRUE(*counts.relation_empty);
+  EXPECT_GT(counts.pull_pairs, 0);
+  EXPECT_EQ(counts.pull_pairs, counts.relation_pairs);
+}
+
+// Each chain node counts its candidates over every tuple it is fed: a
+// false statement whose relation path exceeds the budget fails the same
+// way, even though no single probe does.  A true one may now answer.
+TEST(EvalPullTest, FalseStatementOverTheBudgetStillFails) {
+  Database db = BusyDb(128);
+  QueryOptions options;
+  options.algebra.max_tuples = 5000;
+  PathCounts over = CountBothPaths(db, BusyJoin(110, 110), options);
+  ASSERT_FALSE(over.relation_empty.ok());
+  EXPECT_EQ(over.relation_empty.status().code(),
+            StatusCode::kResourceExhausted);
+  ASSERT_FALSE(over.answer.ok());
+  EXPECT_EQ(over.answer.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(over.answer.status().message().find("Join: result exceeds 5000"),
+            std::string::npos)
+      << over.answer.status();
+  PathCounts witness = CountBothPaths(db, BusyJoin(100, 130), options);
+  ASSERT_TRUE(witness.answer.ok()) << witness.answer.status();
+  EXPECT_TRUE(*witness.answer);
+}
+
+// The loop checks the statement's token between probes: cancelled once its
+// first probe has run, it stops before the pairs a full run counts.
+TEST(EvalPullTest, CancelledTokenStopsTheLoop) {
+  Database db = BusyDb(128);
+  QueryOptions options;
+  options.algebra.threads = 1;
+  const std::int64_t full = CountBothPaths(db, BusyJoin(110, 110), options)
+                                .pull_pairs;
+  KernelCounters counters;
+  options.algebra.counters = &counters;
+  CancellationToken token;
+  std::thread canceller([&] {
+    while (counters.pairs_candidate.load() == 0) std::this_thread::yield();
+    token.Cancel();
+  });
+  Result<bool> answer = false;
+  {
+    CancellationScope scope(&token);
+    answer = EvalBooleanQueryString(db, BusyJoin(110, 110), options);
+  }
+  // Unblocks the canceller if the statement failed before any probe.
+  counters.pairs_candidate.fetch_add(1);
+  canceller.join();
+  ASSERT_FALSE(answer.ok());
+  EXPECT_EQ(answer.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(answer.status().message().find("cancelled"), std::string::npos)
+      << answer.status();
+  EXPECT_LT(counters.pairs_candidate.load(), full);
 }
 
 std::string ReadAll(const std::filesystem::path& path) {

@@ -571,15 +571,22 @@ TEST_F(SessionTest, ExplainAndProfileTemporalLogicVerbs) {
   // A proposition that names no relation fails as `sat` fails.
   Run(session, "profile sat Nope", &status);
   EXPECT_EQ(status.code(), StatusCode::kNotFound) << status;
-  // A yes/no verb has no relation to profile.
-  for (const char* statement :
-       {"profile ask EXISTS t . P(t)", "profile tlcheck G(P)"}) {
-    Run(session, statement, &status);
-    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << statement;
-    EXPECT_NE(status.message().find("a yes/no statement has no profile"),
-              std::string::npos)
-        << statement << ": " << status;
-  }
+  // A yes/no verb profiles its pull loop: one root span per part, over the
+  // children it materialized, then the answer.
+  const std::string asked = Run(session, "profile ask EXISTS t . P(t)", &status);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(asked.rfind("pull P(t)  [", 0), 0u) << asked;
+  EXPECT_NE(asked.find("outer_pulled=1 candidates_tested=1 found=1"),
+            std::string::npos)
+      << asked;
+  EXPECT_EQ(TreeLines("\n" + asked, "", "  [", 0),
+            (std::vector<std::string>{"pull P(t)", "  ATOM P(t)"}))
+      << asked;
+  EXPECT_NE(asked.find("\nanswer: true\n"), std::string::npos) << asked;
+  const std::string checked = Run(session, "profile tlcheck G(P)", &status);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(checked.rfind("pull ", 0), 0u) << checked;
+  EXPECT_NE(checked.find("\nanswer: false\n"), std::string::npos) << checked;
 }
 
 TEST_F(SessionTest, IsQuitStatement) {
