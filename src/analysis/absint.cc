@@ -260,10 +260,9 @@ Certificate AbstractInterpreter::AtomCert(const query::Query& q) {
   cert.lcm = CapLcm(stats.period_lcm_rep);
 
   // The atom pipeline (query/eval.cc EvalAtom) selects, shifts, and then
-  // projects to one column per variable.  Under partial normalization (the
-  // engine default; see the soundness note in absint.h) the projection
-  // splits tuples only when a temporal column is dropped -- a constant or
-  // a repeated variable in a temporal position.
+  // projects to one column per variable.  The projection splits tuples
+  // only when a temporal column is dropped -- a constant or a repeated
+  // variable in a temporal position; a pure reorder never splits.
   bool drops_temporal = false;
   std::vector<std::string> vars;
   for (int i = 0; i < m; ++i) {
@@ -381,7 +380,7 @@ Certificate AbstractInterpreter::Conjoin(const Certificate& l,
                                          const Certificate& r) const {
   Certificate out;
   // Join emits at most one tuple per operand pair; the canonicalizing
-  // reorder afterwards is split-free under partial normalization.
+  // reorder afterwards drops no column, so it never splits.
   out.rows = MulBound(l.rows, r.rows);
   out.lcm = CapLcm(LcmBound(l.lcm, r.lcm));
   // Natural join: a valuation of the union satisfies both sides' zones.

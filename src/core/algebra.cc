@@ -728,228 +728,226 @@ Result<GeneralizedRelation> ComplementWithDataDomains(
 
 namespace {
 
-/// Full-normalization projection of one data-free tuple (Section 3.4
-/// verbatim, ProjectTuplePartial's component step): normalize every column,
-/// eliminate the dropped ones in n-space, rebuild in the requested order.
-Result<std::vector<GeneralizedTuple>> ProjectTupleFull(
-    const GeneralizedTuple& t, const std::vector<int>& keep_temporal,
-    const std::vector<bool>& kept, const AlgebraOptions& options) {
-  std::vector<GeneralizedTuple> out;
-  ITDB_ASSIGN_OR_RETURN(
-      std::vector<GeneralizedTuple> normal,
-      CachedNormalizeTuple(options.normalize_cache, t,
-                           NormalizeOptionsOf(options)));
-  for (const GeneralizedTuple& nt : normal) {
-    ITDB_ASSIGN_OR_RETURN(NSpaceTuple ns, NSpaceTuple::Build(nt));
-    if (!ns.feasible()) continue;
-    for (int c = 0; c < t.temporal_arity(); ++c) {
-      if (!kept[static_cast<std::size_t>(c)]) {
-        ITDB_RETURN_IF_ERROR(ns.EliminateColumn(c));
-      }
-    }
-    ITDB_ASSIGN_OR_RETURN(GeneralizedTuple projected,
-                          ns.Rebuild(keep_temporal, {}));
-    out.push_back(std::move(projected));
+/// The tuple whose column i is t's column columns[i], without data: those
+/// lrps and every atomic whose endpoints both lie among them, renumbered.
+/// A negative columns[i] leaves column i unconstrained, with lrp {0}.
+GeneralizedTuple Restrict(const GeneralizedTuple& t,
+                          const std::vector<int>& columns) {
+  // index[c]: column c's place in `columns`, or -2 (below kZeroVar).
+  std::vector<int> index(static_cast<std::size_t>(t.temporal_arity()), -2);
+  std::vector<Lrp> lrps(columns.size());
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    if (columns[i] < 0) continue;
+    index[static_cast<std::size_t>(columns[i])] = static_cast<int>(i);
+    lrps[i] = t.lrp(columns[i]);
+  }
+  GeneralizedTuple out(std::move(lrps));
+  Dbm& constraints = out.mutable_constraints();
+  for (AtomicConstraint a : t.constraints().ToAtomics()) {
+    if (a.lhs != kZeroVar) a.lhs = index[static_cast<std::size_t>(a.lhs)];
+    if (a.rhs != kZeroVar) a.rhs = index[static_cast<std::size_t>(a.rhs)];
+    if (a.lhs >= kZeroVar && a.rhs >= kZeroVar) constraints.AddAtomic(a);
   }
   return out;
 }
 
-/// Partial-normalization projection (the optimization suggested at the end
-/// of Section 3.4): only the connected component of the dropped columns in
-/// the constraint graph is normalized and projected; every other column --
-/// lrp and constraints -- passes through untouched.
-Result<std::vector<GeneralizedTuple>> ProjectTuplePartial(
-    const GeneralizedTuple& t, const std::vector<int>& keep_temporal,
-    const std::vector<bool>& kept, const std::vector<Value>& data,
-    const AlgebraOptions& options) {
-  const int m = t.temporal_arity();
-  // Connected component of the dropped columns under two-variable
-  // constraint edges (unary bounds do not connect columns).  An edge that
-  // the unary bounds imply (X_i - X_j <= b with X_i <= u, X_j >= l and
-  // u - l <= b) connects nothing either: closure derives one between every
-  // two bounded columns, and it would pull them into the component.
+/// One part of a tuple (SplitIntoParts).
+struct Part {
+  /// The part's columns, ascending.
+  std::vector<int> columns;
+  /// Restrict(t, columns), or t itself when it is one part.
+  GeneralizedTuple tuple;
+};
+
+/// The connected components of t's two-column atomics, ordered by their
+/// least column.  An edge that the unary bounds imply (X_i - X_j <= b with
+/// X_i <= u, X_j >= l and u - l <= b) connects nothing: closure derives one
+/// between every two bounded columns.  So every point of one part combines
+/// with every point of the others, and each part normalizes on its own
+/// period (the optimization at the end of Section 3.4; Theorem 3.1 makes
+/// elimination exact inside a part).
+std::vector<Part> SplitIntoParts(GeneralizedTuple t) {
   const Dbm& dbm = t.constraints();
-  std::vector<AtomicConstraint> atomics = dbm.ToAtomics();
-  auto implied = [&dbm](const AtomicConstraint& a) {
+  // root[c]: a column of c's part, whose least column is its own root.
+  std::vector<std::size_t> root(static_cast<std::size_t>(t.temporal_arity()));
+  std::iota(root.begin(), root.end(), std::size_t{0});
+  auto find = [&root](std::size_t c) {
+    while (root[c] != c) c = root[c];
+    return c;
+  };
+  for (const AtomicConstraint& a : dbm.ToAtomics()) {
+    if (a.lhs == kZeroVar || a.rhs == kZeroVar) continue;
     const std::int64_t upper = dbm.bound_node(a.lhs + 1, 0);
     const std::int64_t lower = dbm.bound_node(0, a.rhs + 1);
-    return upper != Dbm::kInf && lower != Dbm::kInf &&
-           static_cast<__int128>(upper) + lower <= a.bound;
-  };
-  std::vector<bool> in_comp(static_cast<std::size_t>(m), false);
-  std::vector<int> frontier;
-  for (int c = 0; c < m; ++c) {
-    if (!kept[static_cast<std::size_t>(c)]) {
-      in_comp[static_cast<std::size_t>(c)] = true;
-      frontier.push_back(c);
+    if (upper != Dbm::kInf && lower != Dbm::kInf &&
+        static_cast<__int128>(upper) + lower <= a.bound) {
+      continue;
+    }
+    const std::size_t x = find(static_cast<std::size_t>(a.lhs));
+    const std::size_t y = find(static_cast<std::size_t>(a.rhs));
+    root[std::max(x, y)] = std::min(x, y);
+  }
+  // A root is its part's least column, so parts appear in root order.
+  std::vector<Part> parts;
+  for (int c = 0; c < t.temporal_arity(); ++c) {
+    const auto r = static_cast<int>(find(static_cast<std::size_t>(c)));
+    if (r == c) {
+      parts.push_back(Part{{c}, GeneralizedTuple({})});
+    } else {
+      std::find_if(parts.begin(), parts.end(), [r](const Part& part) {
+        return part.columns.front() == r;
+      })->columns.push_back(c);
     }
   }
-  while (!frontier.empty()) {
-    int c = frontier.back();
-    frontier.pop_back();
-    for (const AtomicConstraint& a : atomics) {
-      if (a.lhs == kZeroVar || a.rhs == kZeroVar || implied(a)) continue;
-      int other = -1;
-      if (a.lhs == c) other = a.rhs;
-      if (a.rhs == c) other = a.lhs;
-      if (other >= 0 && !in_comp[static_cast<std::size_t>(other)]) {
-        in_comp[static_cast<std::size_t>(other)] = true;
-        frontier.push_back(other);
-      }
-    }
+  for (Part& part : parts) {
+    part.tuple = parts.size() == 1 ? std::move(t) : Restrict(t, part.columns);
   }
-  // Build the component subtuple: component columns in original order.
-  std::vector<int> comp_cols;
-  std::vector<int> sub_index(static_cast<std::size_t>(m), -1);
-  for (int c = 0; c < m; ++c) {
-    if (in_comp[static_cast<std::size_t>(c)]) {
-      sub_index[static_cast<std::size_t>(c)] = static_cast<int>(comp_cols.size());
-      comp_cols.push_back(c);
-    }
-  }
-  std::vector<Lrp> sub_lrps;
-  sub_lrps.reserve(comp_cols.size());
-  for (int c : comp_cols) sub_lrps.push_back(t.lrp(c));
-  GeneralizedTuple sub(std::move(sub_lrps));
-  for (const AtomicConstraint& a : atomics) {
-    // The only two-variable edges crossing the component boundary are
-    // implied by the unary bounds on both sides, and are dropped; other
-    // atomics belong to the subtuple iff any endpoint lies inside.
-    bool lhs_in = a.lhs != kZeroVar && in_comp[static_cast<std::size_t>(a.lhs)];
-    bool rhs_in = a.rhs != kZeroVar && in_comp[static_cast<std::size_t>(a.rhs)];
-    if (!lhs_in && !rhs_in) continue;
-    if (a.lhs != kZeroVar && a.rhs != kZeroVar && lhs_in != rhs_in) continue;
-    AtomicConstraint mapped = a;
-    if (a.lhs != kZeroVar) mapped.lhs = sub_index[static_cast<std::size_t>(a.lhs)];
-    if (a.rhs != kZeroVar) mapped.rhs = sub_index[static_cast<std::size_t>(a.rhs)];
-    sub.mutable_constraints().AddAtomic(mapped);
-  }
-  // Project the subtuple with full normalization (kept component columns in
-  // original order).  Without a dropped column the component is empty and
-  // the projection is a pure reorder: there is nothing to normalize.
-  std::vector<int> sub_keep;
-  std::vector<bool> sub_kept(comp_cols.size(), false);
-  for (std::size_t i = 0; i < comp_cols.size(); ++i) {
-    if (kept[static_cast<std::size_t>(comp_cols[i])]) {
-      sub_keep.push_back(static_cast<int>(i));
-      sub_kept[i] = true;
-    }
-  }
-  std::vector<GeneralizedTuple> sub_results;
-  if (comp_cols.empty()) {
-    sub_results.push_back(std::move(sub));
-  } else {
-    ITDB_ASSIGN_OR_RETURN(
-        sub_results, ProjectTupleFull(sub, sub_keep, sub_kept, options));
-  }
-  // Where does each original kept column land in the output order?
-  std::vector<int> out_pos(static_cast<std::size_t>(m), -1);
+  return parts;
+}
+
+/// The projection of one tuple onto `keep_temporal` (its columns in output
+/// order), with data values `data`.  Free and pinned dropped columns are
+/// eliminated exactly on the closed DBM (EliminateFreeAndPinnedColumns).
+/// Each part of the rest (SplitIntoParts) that still holds a dropped column
+/// is normalized on its own; its dropped columns are eliminated in n-space
+/// and its kept ones rebuilt.  The other columns pass through with every
+/// atomic among them.  One output tuple per choice of one piece from each
+/// projected part.
+Result<std::vector<GeneralizedTuple>> ProjectTuple(
+    const GeneralizedTuple& t, const std::vector<int>& keep_temporal,
+    const std::vector<Value>& data, const AlgebraOptions& options) {
+  const auto m = static_cast<std::size_t>(t.temporal_arity());
+  // out_pos[c]: the output position of column c of `rest`, -1 if dropped.
+  std::vector<int> out_pos(m, -1);
+  std::vector<bool> dropped(m, true);
   for (std::size_t pos = 0; pos < keep_temporal.size(); ++pos) {
-    out_pos[static_cast<std::size_t>(keep_temporal[pos])] =
-        static_cast<int>(pos);
+    const auto c = static_cast<std::size_t>(keep_temporal[pos]);
+    out_pos[c] = static_cast<int>(pos);
+    dropped[c] = false;
   }
-  // And which output position holds each sub-result column?
-  std::vector<int> sub_out(sub_keep.size());
-  for (std::size_t i = 0; i < sub_keep.size(); ++i) {
-    sub_out[i] =
-        out_pos[static_cast<std::size_t>(comp_cols[static_cast<std::size_t>(
-            sub_keep[i])])];
-  }
-  const int n_out = static_cast<int>(keep_temporal.size());
-  std::vector<GeneralizedTuple> out;
-  for (const GeneralizedTuple& sr : sub_results) {
-    std::vector<Lrp> lrps(static_cast<std::size_t>(n_out));
-    for (int pos = 0; pos < n_out; ++pos) {
-      int col = keep_temporal[static_cast<std::size_t>(pos)];
-      if (!in_comp[static_cast<std::size_t>(col)]) {
-        lrps[static_cast<std::size_t>(pos)] = t.lrp(col);
+  auto is_dropped = [&out_pos](int c) {
+    return out_pos[static_cast<std::size_t>(c)] < 0;
+  };
+  const GeneralizedTuple* rest = &t;
+  std::optional<ExactElimination> elim;
+  std::vector<Part> parts;
+  if (keep_temporal.size() < m) {
+    ITDB_ASSIGN_OR_RETURN(elim, EliminateFreeAndPinnedColumns(t, dropped));
+    if (!elim.has_value()) return std::vector<GeneralizedTuple>{};
+    // When nothing was eliminated the tuple is split as given.
+    if (elim->columns.size() < m) {
+      rest = &elim->tuple;
+      // The columns ascend, so each read is at or past the slot it fills.
+      for (std::size_t i = 0; i < elim->columns.size(); ++i) {
+        out_pos[i] = out_pos[static_cast<std::size_t>(elim->columns[i])];
+      }
+      out_pos.resize(elim->columns.size());
+    }
+    // Only the parts that still hold a dropped column are projected.
+    if (elim->dropped.size() + keep_temporal.size() < m) {
+      for (Part& part : SplitIntoParts(*rest)) {
+        if (std::any_of(part.columns.begin(), part.columns.end(), is_dropped)) {
+          parts.push_back(std::move(part));
+        }
       }
     }
-    for (std::size_t i = 0; i < sub_out.size(); ++i) {
-      lrps[static_cast<std::size_t>(sub_out[i])] = sr.lrp(static_cast<int>(i));
+  }
+  // base_cols[pos]: the column of `rest` at output position pos; the loop
+  // below sets -1 where a projected part rebuilds it.  The others pass
+  // through with every atomic among them.
+  std::vector<int> base_cols(keep_temporal.size(), -1);
+  for (std::size_t c = 0; c < out_pos.size(); ++c) {
+    const int at = out_pos[c];
+    if (at >= 0) base_cols[static_cast<std::size_t>(at)] = static_cast<int>(c);
+  }
+  // Each projected part's pieces and the output positions of their columns.
+  std::vector<std::vector<GeneralizedTuple>> pieces;
+  std::vector<std::vector<int>> piece_pos;
+  std::int64_t count = 1;
+  for (const Part& part : parts) {
+    // The part's kept and dropped columns, and where the kept ones land.
+    std::vector<int> keep;
+    std::vector<int> drop;
+    std::vector<int> pos;
+    for (std::size_t i = 0; i < part.columns.size(); ++i) {
+      const int at = out_pos[static_cast<std::size_t>(part.columns[i])];
+      (at < 0 ? drop : keep).push_back(static_cast<int>(i));
+      if (at >= 0) {
+        pos.push_back(at);
+        base_cols[static_cast<std::size_t>(at)] = -1;
+      }
     }
-    GeneralizedTuple assembled(std::move(lrps), data);
-    Dbm constraints(n_out);
-    // Untouched constraints between kept non-component columns.
-    for (const AtomicConstraint& a : atomics) {
-      bool lhs_in =
-          a.lhs != kZeroVar && in_comp[static_cast<std::size_t>(a.lhs)];
-      bool rhs_in =
-          a.rhs != kZeroVar && in_comp[static_cast<std::size_t>(a.rhs)];
-      if (lhs_in || rhs_in) continue;
-      AtomicConstraint mapped = a;
-      if (a.lhs != kZeroVar) mapped.lhs = out_pos[static_cast<std::size_t>(a.lhs)];
-      if (a.rhs != kZeroVar) mapped.rhs = out_pos[static_cast<std::size_t>(a.rhs)];
-      constraints.AddAtomic(mapped);
+    ITDB_ASSIGN_OR_RETURN(
+        std::vector<GeneralizedTuple> normal,
+        CachedNormalizeTuple(options.normalize_cache, part.tuple,
+                             NormalizeOptionsOf(options)));
+    std::vector<GeneralizedTuple> projected;
+    for (const GeneralizedTuple& nt : normal) {
+      ITDB_ASSIGN_OR_RETURN(NSpaceTuple ns, NSpaceTuple::Build(nt));
+      if (!ns.feasible()) continue;
+      for (int c : drop) ITDB_RETURN_IF_ERROR(ns.EliminateColumn(c));
+      ITDB_ASSIGN_OR_RETURN(GeneralizedTuple piece, ns.Rebuild(keep, {}));
+      projected.push_back(std::move(piece));
     }
-    // Component constraints from the projected subtuple.
-    for (const AtomicConstraint& a : sr.constraints().ToAtomics()) {
-      AtomicConstraint mapped = a;
-      if (a.lhs != kZeroVar) mapped.lhs = sub_out[static_cast<std::size_t>(a.lhs)];
-      if (a.rhs != kZeroVar) mapped.rhs = sub_out[static_cast<std::size_t>(a.rhs)];
-      constraints.AddAtomic(mapped);
+    if (projected.empty()) return std::vector<GeneralizedTuple>{};
+    ITDB_ASSIGN_OR_RETURN(
+        count, CheckedMul(count, static_cast<std::int64_t>(projected.size())));
+    ITDB_RETURN_IF_ERROR(CheckBudget(count, options, "Project"));
+    pieces.push_back(std::move(projected));
+    piece_pos.push_back(std::move(pos));
+  }
+  const GeneralizedTuple base = Restrict(*rest, base_cols);
+  // The choices in odometer order, the last part varying fastest.
+  std::vector<GeneralizedTuple> out;
+  std::vector<std::size_t> choice(pieces.size(), 0);
+  for (bool more = true; more;) {
+    std::vector<Lrp> lrps = base.temporal();
+    Dbm constraints = base.constraints();
+    for (std::size_t h = 0; h < pieces.size(); ++h) {
+      const GeneralizedTuple& piece = pieces[h][choice[h]];
+      const std::vector<int>& pos = piece_pos[h];
+      for (std::size_t i = 0; i < pos.size(); ++i) {
+        lrps[static_cast<std::size_t>(pos[i])] = piece.lrp(static_cast<int>(i));
+      }
+      for (AtomicConstraint a : piece.constraints().ToAtomics()) {
+        if (a.lhs != kZeroVar) a.lhs = pos[static_cast<std::size_t>(a.lhs)];
+        if (a.rhs != kZeroVar) a.rhs = pos[static_cast<std::size_t>(a.rhs)];
+        constraints.AddAtomic(a);
+      }
     }
-    assembled.set_constraints(std::move(constraints));
-    out.push_back(std::move(assembled));
+    out.emplace_back(std::move(lrps), data);
+    out.back().set_constraints(std::move(constraints));
+    std::size_t g = pieces.size();
+    while (g > 0 && ++choice[g - 1] == pieces[g - 1].size()) choice[--g] = 0;
+    more = g > 0;
   }
   return out;
 }
 
-/// The default projection of one tuple: free and pinned dropped columns are
-/// eliminated exactly on the closed DBM (EliminateFreeAndPinnedColumns),
-/// and only the dropped columns left over go through partial normalization.
-Result<std::vector<GeneralizedTuple>> ProjectTupleExact(
-    const GeneralizedTuple& t, const std::vector<int>& keep_temporal,
-    const std::vector<bool>& kept, const std::vector<Value>& data,
-    const AlgebraOptions& options) {
-  if (static_cast<int>(keep_temporal.size()) == t.temporal_arity()) {
-    return ProjectTuplePartial(t, keep_temporal, kept, data, options);
-  }
-  std::vector<bool> dropped = kept;
-  dropped.flip();
-  ITDB_ASSIGN_OR_RETURN(std::optional<ExactElimination> rest,
-                        EliminateFreeAndPinnedColumns(t, dropped));
-  if (!rest.has_value()) return std::vector<GeneralizedTuple>{};
-  if (rest->columns.size() == kept.size()) {
-    // Nothing was eliminated: project the tuple as given.
-    return ProjectTuplePartial(t, keep_temporal, kept, data, options);
-  }
-  // Renumber the kept columns into the remaining tuple.
-  std::vector<int> index_of(kept.size(), -1);
-  std::vector<bool> rest_kept(rest->columns.size());
-  for (std::size_t i = 0; i < rest->columns.size(); ++i) {
-    const auto c = static_cast<std::size_t>(rest->columns[i]);
-    index_of[c] = static_cast<int>(i);
-    rest_kept[i] = kept[c];
-  }
-  std::vector<int> rest_keep;
-  rest_keep.reserve(keep_temporal.size());
-  for (int c : keep_temporal) {
-    rest_keep.push_back(index_of[static_cast<std::size_t>(c)]);
-  }
-  return ProjectTuplePartial(rest->tuple, rest_keep, rest_kept, data, options);
-}
-
-/// The lattice-feasibility reduction of TupleIsEmpty and FirstPoint: drops
-/// every free and pinned column exactly, then normalizes the rest.  nullopt
-/// when t is empty, else the elimination with `tuple` replaced by its first
-/// feasible normal-form piece (a tuple with no column left is its own); the
-/// normalization sweep stops at that piece.
-Result<std::optional<ExactElimination>> ReduceToNormalPiece(
-    const GeneralizedTuple& t, const AlgebraOptions& options) {
+/// The reduction TupleIsEmpty and FirstPoint share: every free and pinned
+/// column is dropped exactly (EliminateFreeAndPinnedColumns), then each part
+/// of the rest (SplitIntoParts) is replaced by its first feasible
+/// normal-form piece; each sweep stops at that piece.  nullopt iff t is
+/// empty: the elimination proves it, or some part has no piece.
+Result<std::optional<std::pair<ExactElimination, std::vector<Part>>>>
+FirstPieces(const GeneralizedTuple& t, const AlgebraOptions& options) {
+  using Pieces = std::optional<std::pair<ExactElimination, std::vector<Part>>>;
   ITDB_ASSIGN_OR_RETURN(
       std::optional<ExactElimination> rest,
       EliminateFreeAndPinnedColumns(
           t, std::vector<bool>(static_cast<std::size_t>(t.temporal_arity()),
                                true)));
-  if (!rest.has_value() || rest->tuple.temporal_arity() == 0) return rest;
-  ITDB_ASSIGN_OR_RETURN(std::optional<GeneralizedTuple> piece,
-                        CachedFirstNormalPiece(options.normalize_cache,
-                                               rest->tuple,
-                                               NormalizeOptionsOf(options)));
-  if (!piece.has_value()) return std::optional<ExactElimination>();
-  rest->tuple = std::move(*piece);
-  return rest;
+  if (!rest.has_value()) return Pieces();
+  std::vector<Part> parts = SplitIntoParts(std::move(rest->tuple));
+  for (Part& part : parts) {
+    ITDB_ASSIGN_OR_RETURN(std::optional<GeneralizedTuple> piece,
+                          CachedFirstNormalPiece(options.normalize_cache,
+                                                 part.tuple,
+                                                 NormalizeOptionsOf(options)));
+    if (!piece.has_value()) return Pieces();
+    part.tuple = std::move(*piece);
+  }
+  return Pieces(std::pair(std::move(*rest), std::move(parts)));
 }
 
 }  // namespace
@@ -979,16 +977,13 @@ Result<GeneralizedRelation> Project(const GeneralizedRelation& r,
   }
   Schema schema(temporal_names, data_names, data_types);
   GeneralizedRelation out(schema);
-  std::vector<bool> kept(static_cast<std::size_t>(r.schema().temporal_arity()),
-                         false);
-  for (int c : keep_temporal) kept[static_cast<std::size_t>(c)] = true;
   for (const GeneralizedTuple& t : r.tuples()) {
     std::vector<Value> data;
     data.reserve(keep_data.size());
     for (int d : keep_data) data.push_back(t.value(d));
     ITDB_ASSIGN_OR_RETURN(
         std::vector<GeneralizedTuple> projected,
-        ProjectTupleExact(t, keep_temporal, kept, data, options));
+        ProjectTuple(t, keep_temporal, data, options));
     for (GeneralizedTuple& p : projected) {
       ITDB_RETURN_IF_ERROR(out.AddTuple(std::move(p)));
     }
@@ -1253,9 +1248,8 @@ Result<GeneralizedRelation> Rename(
 
 Result<bool> TupleIsEmpty(const GeneralizedTuple& t,
                           const AlgebraOptions& options) {
-  ITDB_ASSIGN_OR_RETURN(std::optional<ExactElimination> piece,
-                        ReduceToNormalPiece(t, options));
-  return !piece.has_value();
+  ITDB_ASSIGN_OR_RETURN(auto pieces, FirstPieces(t, options));
+  return !pieces.has_value();
 }
 
 Result<bool> IsEmpty(const GeneralizedRelation& r,
@@ -1271,23 +1265,28 @@ Result<bool> IsEmpty(const GeneralizedRelation& r,
 Result<std::optional<std::vector<std::int64_t>>> FirstPoint(
     const GeneralizedTuple& t, const AlgebraOptions& options) {
   using MaybePoint = std::optional<std::vector<std::int64_t>>;
-  ITDB_ASSIGN_OR_RETURN(std::optional<ExactElimination> piece,
-                        ReduceToNormalPiece(t, options));
-  if (!piece.has_value()) return MaybePoint(std::nullopt);
-  ITDB_ASSIGN_OR_RETURN(NSpaceTuple ns, NSpaceTuple::Build(piece->tuple));
-  ITDB_ASSIGN_OR_RETURN(std::vector<std::int64_t> rest_point, ns.FirstPoint());
-  // Fix the columns left on the closed matrix and lift the point through the
-  // dropped ones, last dropped first.  A pinned column's re-closed bounds
-  // meet in one value of its lrp (the CRT meet put it there); a free one has
-  // period 1 or no bound at all.  So each step finds an lrp member.
+  ITDB_ASSIGN_OR_RETURN(auto pieces, FirstPieces(t, options));
+  if (!pieces.has_value()) return MaybePoint(std::nullopt);
+  const auto& [rest, parts] = *pieces;
+  // Place the parts' points side by side on the closed matrix, then lift
+  // the point through the dropped columns, last dropped first.  A pinned
+  // column's re-closed bounds meet in one value of its lrp (the CRT meet
+  // put it there); a free one has period 1 or no bound at all.  So each
+  // step finds an lrp member.
   std::vector<std::int64_t> point(static_cast<std::size_t>(t.temporal_arity()));
   Dbm dbm = t.constraints();
-  for (std::size_t i = 0; i < rest_point.size(); ++i) {
-    point[static_cast<std::size_t>(piece->columns[i])] = rest_point[i];
-    dbm.AddEquality(piece->columns[i], rest_point[i]);
+  for (const Part& part : parts) {
+    ITDB_ASSIGN_OR_RETURN(NSpaceTuple ns, NSpaceTuple::Build(part.tuple));
+    ITDB_ASSIGN_OR_RETURN(std::vector<std::int64_t> part_point,
+                          ns.FirstPoint());
+    for (std::size_t i = 0; i < part_point.size(); ++i) {
+      const int c = rest.columns[static_cast<std::size_t>(part.columns[i])];
+      point[static_cast<std::size_t>(c)] = part_point[i];
+      dbm.AddEquality(c, part_point[i]);
+    }
   }
   ITDB_RETURN_IF_ERROR(dbm.Close());
-  for (auto it = piece->dropped.rbegin(); it != piece->dropped.rend(); ++it) {
+  for (auto it = rest.dropped.rbegin(); it != rest.dropped.rend(); ++it) {
     const int c = *it;
     const std::int64_t lo = dbm.bound_node(0, c + 1);  // -X_c <= lo.
     const std::int64_t hi = dbm.bound_node(c + 1, 0);  //  X_c <= hi.

@@ -5,15 +5,19 @@
 //   * union:            tuple-set merge (3.1)
 //   * intersection:     pairwise lrp intersection + conjoined constraints (3.2)
 //   * subtraction:      t1 - t2 = (t1 - t2*) U (not(t2) ^ t1) (3.3, Fig. 1)
-//   * projection:       drop free and pinned columns exactly, then
-//                       normalize, eliminate in n-space, rebuild (3.4)
+//   * projection:       drop free and pinned columns exactly; then each
+//                       constraint-graph part holding a dropped column is
+//                       normalized on its own, eliminated in n-space and
+//                       rebuilt (3.4, last paragraph)
 //   * selection:        constraint insertion (3.5)
 //   * cross product:    tuple concatenation (3.6)
 //   * join:             intersection on shared attributes (3.7)
 //   * complement:       residue-universe enumeration + incremental DNF of
 //                       negated constraints with reduction (A.6)
-//   * emptiness and     the same exact drops, then normal-form feasibility
-//     witness:          (Theorem 3.5), lifting a point back through them.
+//   * emptiness and     the same exact drops and parts, then each part's
+//     witness:          first feasible normal-form piece (Theorem 3.5); the
+//                       parts' points side by side lift back through the
+//                       drops.
 
 #ifndef ITDB_CORE_ALGEBRA_H_
 #define ITDB_CORE_ALGEBRA_H_
@@ -231,7 +235,8 @@ Result<GeneralizedRelation> Rename(
 
 /// Whether the tuple's extension is empty.  Exact over the lattice: drops
 /// every free and pinned column without normalizing (normalize.h), then
-/// normalizes the rest and checks n-space feasibility.  Computes no point.
+/// normalizes each connected part of the rest's constraint graph on its own
+/// period; empty iff some part has no feasible piece.  Computes no point.
 Result<bool> TupleIsEmpty(const GeneralizedTuple& t,
                           const AlgebraOptions& options = {});
 
@@ -240,9 +245,10 @@ Result<bool> IsEmpty(const GeneralizedRelation& r,
                      const AlgebraOptions& options = {});
 
 /// A concrete temporal point of the tuple, nullopt iff TupleIsEmpty(t): the
-/// same reduction, then NSpaceTuple::FirstPoint on the columns left, lifted
-/// back through the dropped ones on the re-closed DBM (Theorem 3.5).  Fails
-/// with kOverflow when a value leaves the int64 range.
+/// same reduction, then NSpaceTuple::FirstPoint on each part's piece, the
+/// parts' points side by side lifted back through the dropped columns on
+/// the re-closed DBM (Theorem 3.5).  Fails with kOverflow when a value
+/// leaves the int64 range.
 Result<std::optional<std::vector<std::int64_t>>> FirstPoint(
     const GeneralizedTuple& t, const AlgebraOptions& options = {});
 

@@ -21,7 +21,8 @@
 //     to another column or a constant (X_d = X_j + a), whose existential is
 //     one lrp intersection.  Both are projected on the closed DBM directly
 //     and never split; Project, TupleIsEmpty and FirstPoint normalize only
-//     the rest.
+//     the rest, each connected part of its constraint graph on its own
+//     period (core/algebra.cc).
 
 #ifndef ITDB_CORE_NORMALIZE_H_
 #define ITDB_CORE_NORMALIZE_H_

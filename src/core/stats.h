@@ -54,7 +54,8 @@ struct RelationStats {
   /// each tuple's common period: sum over all tuples of
   /// prod_{columns with period k>0} (L_t / k), where L_t is the lcm of the
   /// tuple's nonzero periods.  This bounds the splitting any Project over
-  /// this relation can perform (partial normalization splits no more).
+  /// this relation can perform (Project normalizes each constraint-graph
+  /// part on its own period, which divides L_t, so it splits no more).
   /// nullopt when the sum or a factor overflows int64.
   std::optional<std::int64_t> normalized_rows;
   /// Inclusive bounding interval per temporal column, folding each tuple's

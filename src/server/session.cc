@@ -277,8 +277,34 @@ Status CmdHistory(std::ostream& out, const storage::StorageEngine& engine,
   return Status::Ok();
 }
 
+// The lattice points Enumerate visits in [lo, hi], saturated at cap + 1:
+// per tuple, the product over its columns of the lrp members in the window,
+// plus those members (the column lists it builds), summed over the tuples.
+std::int64_t WindowPoints(const GeneralizedRelation& rel, std::int64_t lo,
+                          std::int64_t hi, std::int64_t cap) {
+  const __int128 limit = static_cast<__int128>(cap) + 1;
+  __int128 total = 0;
+  for (const GeneralizedTuple& t : rel.tuples()) {
+    __int128 points = 1;
+    for (const Lrp& l : t.temporal()) {
+      const std::optional<std::int64_t> first = l.FirstAtLeast(lo);
+      __int128 members = 0;
+      if (first.has_value() && *first <= hi) {
+        members = l.period() == 0
+                      ? 1
+                      : (static_cast<__int128>(hi) - *first) / l.period() + 1;
+      }
+      members = std::min(members, limit);
+      points = std::min(points * members, limit);
+      total = std::min(total + members, limit);
+    }
+    total = std::min(total + points, limit);
+  }
+  return static_cast<std::int64_t>(total);
+}
+
 Status CmdEnumerate(std::ostream& out, const Database& db,
-                    const std::string& args) {
+                    const std::string& args, std::int64_t max_tuples) {
   std::istringstream in(args);
   std::string name;
   std::int64_t lo = 0;
@@ -287,6 +313,13 @@ Status CmdEnumerate(std::ostream& out, const Database& db,
     return Status::InvalidArgument("usage: enumerate <name> <lo> <hi>");
   }
   ITDB_ASSIGN_OR_RETURN(GeneralizedRelation rel, db.Get(name));
+  // Counted before anything is allocated: a wide window over a dense
+  // relation would otherwise ask for unbounded memory.
+  if (WindowPoints(rel, lo, hi, max_tuples) > max_tuples) {
+    return Status::ResourceExhausted(
+        "enumerate: the window holds more than " +
+        std::to_string(max_tuples) + " candidate points");
+  }
   std::vector<ConcreteRow> rows = rel.Enumerate(lo, hi);
   for (const ConcreteRow& row : rows) {
     out << "  " << row.ToString() << "\n";
@@ -652,7 +685,9 @@ Status Session::Dispatch(const std::string& verb, const std::string& rest,
   }
   if (verb == "enumerate") {
     return db_->WithRead(
-        [&](const Database& db) { return CmdEnumerate(out, db, rest); });
+        [&](const Database& db) {
+          return CmdEnumerate(out, db, rest, options_.max_tuples);
+        });
   }
   if (verb == "ask" || verb == "query" || verb == "tlcheck" ||
       verb == "sat") {
@@ -812,8 +847,11 @@ Status Session::CmdFetch(std::ostream& out, const std::string& args) {
   }
   GeneralizedRelation page(cursor_->schema());
   const std::vector<GeneralizedTuple>& tuples = cursor_->tuples();
-  const std::int64_t end = std::min<std::int64_t>(cursor_pos_ + n,
-                                                  cursor_->size());
+  // Clamped before the add, so a huge n cannot overflow the position.
+  const std::int64_t end =
+      cursor_pos_ + std::min<std::int64_t>(
+                        n, static_cast<std::int64_t>(cursor_->size()) -
+                               cursor_pos_);
   for (std::int64_t i = cursor_pos_; i < end; ++i) {
     ITDB_RETURN_IF_ERROR(page.AddTuple(tuples[static_cast<std::size_t>(i)]));
   }

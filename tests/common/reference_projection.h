@@ -1,6 +1,7 @@
 // The verbatim Section 3.4 projection, the reference that Project's exact
-// elimination of free and pinned columns and its partial normalization are
-// compared against (tests) and measured against (bench_table2_projection).
+// elimination of free and pinned columns and its normalization of one
+// constraint-graph part at a time are compared against (tests) and
+// measured against (bench_table2_projection).
 //
 // Every tuple is normalized as a whole to its common period (Theorem 3.2),
 // the dropped columns are eliminated in n-space, where Theorem 3.1 makes

@@ -222,6 +222,39 @@ TEST(FindWitnessTest, CoprimePeriodsStopAtTheFirstPiece) {
   EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
 }
 
+// Normalizing either tuple whole, at period 420, exceeds the split budget.
+// Their constraint graphs split into independent parts, and each part
+// normalizes on its own period.
+TEST(FindWitnessTest, IndependentPartsNormalizeApart) {
+  // X1 <= X0 - 4 and X2 <= X3 + 5: {X0, X1} at period 60, {X2, X3} at 35.
+  GeneralizedTuple pairs({Lrp::Make(3, 5), Lrp::Make(7, 12), Lrp::Make(2, 5),
+                          Lrp::Make(6, 7)});
+  pairs.mutable_constraints().AddDifferenceUpperBound(1, 0, -4);
+  pairs.mutable_constraints().AddDifferenceUpperBound(2, 3, 5);
+  // X2 <= X0 + 1 joins {X0, X2} at period 60; X1 and X3 have only bounds.
+  GeneralizedTuple bounded({Lrp::Make(0, 5), Lrp::Make(3, 5),
+                            Lrp::Make(2, 12), Lrp::Make(2, 7)});
+  bounded.mutable_constraints().AddLowerBound(1, 1);
+  bounded.mutable_constraints().AddUpperBound(2, -5);
+  bounded.mutable_constraints().AddDifferenceUpperBound(2, 0, 1);
+  bounded.mutable_constraints().AddUpperBound(3, 0);
+  for (const GeneralizedTuple& t : {pairs, bounded}) {
+    Result<bool> empty = TupleIsEmpty(t);
+    ASSERT_TRUE(empty.ok()) << empty.status() << " for " << t.ToString();
+    EXPECT_FALSE(empty.value()) << t.ToString();
+    Result<std::optional<std::vector<std::int64_t>>> point = FirstPoint(t);
+    ASSERT_TRUE(point.ok()) << point.status() << " for " << t.ToString();
+    ASSERT_TRUE(point.value().has_value()) << t.ToString();
+    EXPECT_TRUE(t.ContainsTemporal(*point.value())) << t.ToString();
+    GeneralizedRelation r(Schema::Temporal(4));
+    ASSERT_TRUE(r.AddTuple(t).ok());
+    Result<std::optional<ConcreteRow>> row = FindWitness(r);
+    ASSERT_TRUE(row.ok()) << row.status() << " for " << t.ToString();
+    ASSERT_TRUE(row.value().has_value()) << t.ToString();
+    EXPECT_TRUE(r.Contains(*row.value())) << t.ToString();
+  }
+}
+
 TEST(FindWitnessTest, RelationWitnessCarriesData) {
   Schema schema({"T"}, {"who"}, {DataType::kString});
   GeneralizedRelation r(schema);

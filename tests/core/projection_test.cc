@@ -353,6 +353,26 @@ TEST(ProjectionTest, BoundImpliedEdgeDoesNotJoinTheComponent) {
   EXPECT_FALSE(p.tuples()[0].ContainsTemporal({18}));
 }
 
+TEST(ProjectionTest, DropsInTwoIndependentPartsNormalizeApart) {
+  // {T1, T2} (T2 - T1 <= 3) and {T3, T4} (T4 - T3 <= 5) share no edge.
+  // Dropping T2 and T4 normalizes the parts apart, at periods 12 and 30,
+  // not together at 60: 6 * 6 tuples instead of the reference's 3600.
+  GeneralizedTuple t({Lrp::Make(0, 6), Lrp::Make(1, 4), Lrp::Make(2, 10),
+                      Lrp::Make(3, 15)});
+  t.mutable_constraints().AddDifferenceUpperBound(1, 0, 3);
+  t.mutable_constraints().AddDifferenceUpperBound(3, 2, 5);
+  GeneralizedRelation r = OneTuple(t);
+  Result<GeneralizedRelation> p = Project(r, {"T1", "T3"});
+  Result<GeneralizedRelation> reference = ReferenceProject(r, {"T1", "T3"});
+  ASSERT_TRUE(p.ok()) << p.status();
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  EXPECT_EQ(p->size(), 36);
+  EXPECT_EQ(reference->size(), 3600);
+  Result<bool> same = Equivalent(*p, *reference);
+  ASSERT_TRUE(same.ok()) << same.status();
+  EXPECT_TRUE(same.value());
+}
+
 TEST(ProjectionTest, EmptyAttributeListYieldsZeroArity) {
   GeneralizedRelation r = Figure2Relation();
   Result<GeneralizedRelation> p = Project(r, {});

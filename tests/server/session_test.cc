@@ -109,6 +109,44 @@ TEST_F(SessionTest, FetchPaginatesTheLastQueryResult) {
   EXPECT_NE(page.find("0 tuple(s), 0 remaining"), std::string::npos) << page;
 }
 
+// A fetch of more rows than remain takes the rest; the cursor's position
+// must not overflow on a huge count.
+TEST_F(SessionTest, HugeFetchDrainsTheCursorWithoutOverflow) {
+  Session session(&*shared_);
+  Status status;
+  Run(session, "query Q(t) OR P(t)", &status);
+  ASSERT_TRUE(status.ok()) << status;
+  Run(session, "fetch 1", &status);
+  ASSERT_TRUE(status.ok()) << status;
+  std::string page = Run(session, "fetch 9223372036854775807", &status);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_NE(page.find("1 tuple(s), 0 remaining"), std::string::npos) << page;
+  page = Run(session, "fetch 3", &status);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_NE(page.find("0 tuple(s), 0 remaining"), std::string::npos) << page;
+}
+
+// enumerate counts the window's candidate points before it builds any row
+// and refuses a window past the session's tuple budget.
+TEST_F(SessionTest, EnumerateChargesTheWindowAgainstTheTupleBudget) {
+  SessionOptions options;
+  options.max_tuples = 8;
+  Session session(&*shared_, options);
+  Status status;
+  // Q is [4n]: 26 members in [0, 100], 3 in [0, 8].
+  std::string rows = Run(session, "enumerate Q 0 100", &status);
+  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted) << status;
+  EXPECT_NE(status.message().find("more than 8 candidate points"),
+            std::string::npos)
+      << status;
+  EXPECT_EQ(rows.find("row(s)"), std::string::npos) << rows;
+  rows = Run(session, "enumerate Q 0 8", &status);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_NE(rows.find("(0)"), std::string::npos) << rows;
+  EXPECT_NE(rows.find("(8)"), std::string::npos) << rows;
+  EXPECT_NE(rows.find("3 row(s)"), std::string::npos) << rows;
+}
+
 TEST_F(SessionTest, FetchWithoutQueryFails) {
   Session session(&*shared_);
   Status status;
