@@ -53,7 +53,7 @@ void RunCase(benchmark::State& state, const char* text, bool optimize) {
   itdb::query::QueryOptions options;
   options.optimize = optimize;
   options.algebra.max_tuples = std::int64_t{1} << 26;
-  options.algebra.max_complement_universe = std::int64_t{1} << 26;
+  options.algebra.max_split_product = std::int64_t{1} << 26;
   for (auto _ : state) {
     auto r = itdb::query::EvalBooleanQueryString(db, text, options);
     if (!r.ok()) {

@@ -19,7 +19,7 @@ GeneralizedRelation SparseComplement(std::int64_t k) {
   benchmark::DoNotOptimize(
       r.AddTuple(itdb::GeneralizedTuple({itdb::Lrp::Make(3 % k, k)})));
   itdb::AlgebraOptions options;
-  options.max_complement_universe = std::int64_t{1} << 26;
+  options.max_split_product = std::int64_t{1} << 26;
   auto c = itdb::Complement(r, options);
   return std::move(c).value();
 }

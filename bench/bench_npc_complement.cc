@@ -23,7 +23,7 @@ using itdb::sat::RandomThreeSat;
 AlgebraOptions BigBudget() {
   AlgebraOptions options;
   options.max_tuples = std::int64_t{1} << 26;
-  options.max_complement_universe = std::int64_t{1} << 26;
+  options.max_split_product = std::int64_t{1} << 26;
   return options;
 }
 

@@ -60,7 +60,7 @@ void RunQuery(benchmark::State& state, const std::string& text) {
   Database db = MakeDb(n);
   itdb::query::QueryOptions options;
   options.algebra.max_tuples = std::int64_t{1} << 26;
-  options.algebra.max_complement_universe = std::int64_t{1} << 26;
+  options.algebra.max_split_product = std::int64_t{1} << 26;
   for (auto _ : state) {
     auto r = itdb::query::EvalBooleanQueryString(db, text, options);
     benchmark::DoNotOptimize(r);

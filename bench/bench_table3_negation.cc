@@ -22,7 +22,7 @@ using itdb::bench::MakeNormalizedRelation;
 AlgebraOptions BigBudget() {
   AlgebraOptions options;
   options.max_tuples = std::int64_t{1} << 26;
-  options.max_complement_universe = std::int64_t{1} << 26;
+  options.max_split_product = std::int64_t{1} << 26;
   return options;
 }
 

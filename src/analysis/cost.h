@@ -18,8 +18,7 @@
 // All findings are warnings: they never block evaluation, only explain
 // where time will go (the evaluator's budget checks still backstop
 // runaway cases at run time).  The thresholds are the constants below;
-// the certificate checks (A014) and admission grading read the same
-// ones.
+// the certificate checks (A014) read the same ones.
 
 #ifndef ITDB_ANALYSIS_COST_H_
 #define ITDB_ANALYSIS_COST_H_

@@ -586,7 +586,7 @@ Result<GeneralizedRelation> Complement(const GeneralizedRelation& r,
   __int128 universe = 1;
   for (int i = 0; i < m; ++i) {
     universe *= static_cast<__int128>(k);
-    if (universe > static_cast<__int128>(options.max_complement_universe)) {
+    if (universe > static_cast<__int128>(options.max_split_product)) {
       return Status::ResourceExhausted(
           "Complement: residue universe k^m = " + std::to_string(k) + "^" +
           std::to_string(m) + " exceeds budget");
@@ -805,14 +805,38 @@ std::vector<Part> SplitIntoParts(GeneralizedTuple t) {
   return parts;
 }
 
+/// Keeps the first of each group of equal tuples, in their order.
+/// Different normal-form pieces of a part can project to one piece.
+void KeepFirstOfEqual(std::vector<GeneralizedTuple>& tuples) {
+  if (tuples.size() < 2) return;
+  std::vector<std::size_t> order(tuples.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&tuples](std::size_t a, std::size_t b) {
+                     return CanonicalTupleLess(tuples[a], tuples[b]);
+                   });
+  std::vector<bool> keep(tuples.size(), true);
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    if (tuples[order[i]] == tuples[order[i - 1]]) keep[order[i]] = false;
+  }
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < tuples.size(); ++i) {
+    if (!keep[i]) continue;
+    if (kept != i) tuples[kept] = std::move(tuples[i]);
+    ++kept;
+  }
+  tuples.erase(tuples.begin() + static_cast<std::ptrdiff_t>(kept),
+               tuples.end());
+}
+
 /// The projection of one tuple onto `keep_temporal` (its columns in output
 /// order), with data values `data`.  Free and pinned dropped columns are
 /// eliminated exactly on the closed DBM (EliminateFreeAndPinnedColumns).
 /// Each part of the rest (SplitIntoParts) that still holds a dropped column
 /// is normalized on its own; its dropped columns are eliminated in n-space
-/// and its kept ones rebuilt.  The other columns pass through with every
-/// atomic among them.  One output tuple per choice of one piece from each
-/// projected part.
+/// and its kept ones rebuilt, keeping one copy of equal pieces.  The other
+/// columns pass through with every atomic among them.  One output tuple per
+/// choice of one piece from each projected part.
 Result<std::vector<GeneralizedTuple>> ProjectTuple(
     const GeneralizedTuple& t, const std::vector<int>& keep_temporal,
     const std::vector<Value>& data, const AlgebraOptions& options) {
@@ -889,6 +913,7 @@ Result<std::vector<GeneralizedTuple>> ProjectTuple(
       ITDB_ASSIGN_OR_RETURN(GeneralizedTuple piece, ns.Rebuild(keep, {}));
       projected.push_back(std::move(piece));
     }
+    KeepFirstOfEqual(projected);
     if (projected.empty()) return std::vector<GeneralizedTuple>{};
     ITDB_ASSIGN_OR_RETURN(
         count, CheckedMul(count, static_cast<std::int64_t>(projected.size())));

@@ -46,13 +46,13 @@ class Tracer;  // obs/trace.h
 struct AlgebraOptions {
   /// Cap on the split product of one Theorem 3.2 normalization
   /// (NormalizeOptions::max_split_product); the split sweep runs on
-  /// `threads`.
+  /// `threads`.  Complement's k^m residue universe is the split of the
+  /// free tuple [0+1n, ...] to period k (Lemma 3.1), so the same cap
+  /// bounds it.
   std::int64_t max_split_product = std::int64_t{1} << 20;
   /// Hard cap on the number of tuples any intermediate or final relation may
   /// reach (subtraction chains and complements can explode; see Appendix A).
   std::int64_t max_tuples = std::int64_t{1} << 22;
-  /// Cap on the k^m residue universe enumerated by Complement.
-  std::int64_t max_complement_universe = std::int64_t{1} << 20;
   /// Worker threads for the per-tuple / per-tuple-pair kernels of
   /// Intersect, Join, Subtract and Complement and for the in-tuple
   /// normalization split sweep (0 = the ITDB_THREADS / hardware default,

@@ -651,8 +651,8 @@ GeneralizedRelation EmptyRelationFor(const Query& q, const SortMap& sorts) {
 /// `run(evaluator)` evaluates each plan it needs and returns the
 /// statement's result.
 template <typename Run>
-auto EvalPlans(const Database& db, Prepared& prepared,
-               const QueryOptions& options, obs::Profile* profile, Run run) {
+auto EvalPlans(const Database& db, Prepared& prepared, obs::Profile* profile,
+               Run run) {
   // Seeded from the ORIGINAL query (see Prepared::active_domain), so
   // analysis cannot shift data quantifier ranges.
   const ActiveDomain& adom = prepared.active_domain(db);
@@ -661,7 +661,7 @@ auto EvalPlans(const Database& db, Prepared& prepared,
   // particular), so sharing the cache across the whole tree pays for itself.
   // A caller-provided cache (shared across queries) takes precedence.
   NormalizeCache query_cache;
-  AlgebraOptions algebra = options.algebra;
+  AlgebraOptions algebra = prepared.options().algebra;
   if (algebra.normalize_cache == nullptr) {
     algebra.normalize_cache = &query_cache;
   }
@@ -692,7 +692,6 @@ auto EvalPlans(const Database& db, Prepared& prepared,
 }  // namespace
 
 Result<GeneralizedRelation> EvalPrepared(const Database& db, Prepared& prepared,
-                                         const QueryOptions& options,
                                          obs::Profile* profile) {
   if (prepared.answer() != Answer::kRelation) {
     return Status::InvalidArgument(
@@ -703,7 +702,7 @@ Result<GeneralizedRelation> EvalPrepared(const Database& db, Prepared& prepared,
     return EmptyRelationFor(*prepared.query(), prepared.analysis().sorts);
   }
   return EvalPlans(
-      db, prepared, options, profile,
+      db, prepared, profile,
       [&](const Evaluator& evaluator) -> Result<GeneralizedRelation> {
         // Root span over the plan's evaluation; scoped so it is committed
         // (and visible to BuildProfile) before the profile is folded.
@@ -719,7 +718,6 @@ Result<GeneralizedRelation> EvalPrepared(const Database& db, Prepared& prepared,
 }
 
 Result<bool> EvalPreparedBoolean(const Database& db, Prepared& prepared,
-                                 const QueryOptions& options,
                                  obs::Profile* profile) {
   if (prepared.answer() != Answer::kYesNo) {
     return Status::InvalidArgument("not a yes/no statement");
@@ -736,7 +734,7 @@ Result<bool> EvalPreparedBoolean(const Database& db, Prepared& prepared,
     }
     return true;
   };
-  ITDB_ASSIGN_OR_RETURN(bool nonempty, EvalPlans(db, prepared, options, profile,
+  ITDB_ASSIGN_OR_RETURN(bool nonempty, EvalPlans(db, prepared, profile,
                                                  every_part_nonempty));
   return nonempty != prepared.holds_when_empty();
 }
@@ -744,13 +742,13 @@ Result<bool> EvalPreparedBoolean(const Database& db, Prepared& prepared,
 Result<GeneralizedRelation> EvalQuery(const Database& db, const QueryPtr& q,
                                       const QueryOptions& options) {
   Prepared prepared(q, options);
-  return EvalPrepared(db, prepared, options);
+  return EvalPrepared(db, prepared);
 }
 
 Result<bool> EvalBooleanQuery(const Database& db, const QueryPtr& q,
                               const QueryOptions& options) {
   Prepared prepared(q, options, Answer::kYesNo);
-  return EvalPreparedBoolean(db, prepared, options);
+  return EvalPreparedBoolean(db, prepared);
 }
 
 Result<GeneralizedRelation> EvalQueryString(const Database& db,

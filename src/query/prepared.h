@@ -2,17 +2,17 @@
 // evaluation.
 //
 // Every consumer of a statement -- the session's result-table key,
-// admission grading, evaluation, cache admission, `explain` and `profile`
-// -- reads one Prepared instead of re-running its own slice of the front
-// end.  It is built in two stages:
+// evaluation, cache admission, `explain` and `profile` -- reads one
+// Prepared instead of re-running its own slice of the front end.  It is
+// built in two stages:
 //
 //   * Stage one (construction / Parse): the parsed tree, whose text keys
 //     the statement in the result table, and how the statement is answered
 //     (its verb: a relation, or yes/no for `ask`).  A hit or a follower
 //     pays exactly this.
 //   * Stage two (Analyze, then Compile): Analyze runs the static analyzer
-//     once and keeps its AnalysisResult (grading reads the root certificate
-//     and diagnostics from it); Compile applies the analyzer's sound
+//     once and keeps its AnalysisResult (certified cacheability reads the
+//     root certificate from it); Compile applies the analyzer's sound
 //     rewrites, optimizes, infers sorts and plans.  With cost_plan the
 //     analysis' own abstract interpreter certifies the optimized tree
 //     (its memo already holds every subtree the two trees share) and
@@ -42,13 +42,8 @@
 // Both stages are memoized, and stage two is tied to the Database snapshot
 // it first ran against: callers hold the same reader lock from Analyze to
 // EvalPrepared (a Prepared is per statement, never cached across versions).
-//
-// Options split in two.  The compile-time knobs (analyze, optimize,
-// cost_plan, stats_cache, and algebra.tracer for analysis spans) are fixed
-// at construction.  EvalPrepared reads only the evaluation-time knobs of
-// the options it is given (algebra budgets, caches and tracer), which is
-// how a session divides a heavy statement's budgets after grading it from
-// the analysis.
+// A statement compiles and evaluates under the one QueryOptions it was
+// prepared with.
 
 #ifndef ITDB_QUERY_PREPARED_H_
 #define ITDB_QUERY_PREPARED_H_
@@ -89,15 +84,14 @@ class Prepared {
 
   /// The parsed tree.
   const QueryPtr& query() const { return query_; }
-  /// The compile-time options this statement was prepared with.
+  /// The options this statement compiles and evaluates under.
   const QueryOptions& options() const { return options_; }
   Answer answer() const { return answer_; }
 
   /// Stage two, first half: runs the analyzer (with the statistics cache
   /// and tracer wired as evaluation wires them) on the first call; later
   /// calls return the same result.  Runs whether or not
-  /// `options().analyze` is set -- grading and certified planning need it
-  /// either way.
+  /// `options().analyze` is set -- certified planning needs it either way.
   const analysis::AnalysisResult& Analyze(const Database& db);
   /// The analysis; only after Analyze.
   const analysis::AnalysisResult& analysis() const { return *analysis_; }
@@ -159,13 +153,12 @@ class Prepared {
 };
 
 /// Compiles a relation statement against `db` if it is not yet, then
-/// evaluates its plan (see the option split above).  With `profile`, the
+/// evaluates its plan under `prepared.options()`.  With `profile`, the
 /// plan spans fold into `*profile` (obs/profile.h), recorded in
-/// options.algebra.tracer or else a tracer private to the call (never the
-/// global one).  A yes/no statement fails with kInvalidArgument.  Defined
-/// in eval.cc, next to the evaluator.
+/// options().algebra.tracer or else a tracer private to the call (never
+/// the global one).  A yes/no statement fails with kInvalidArgument.
+/// Defined in eval.cc, next to the evaluator.
 Result<GeneralizedRelation> EvalPrepared(const Database& db, Prepared& prepared,
-                                         const QueryOptions& options,
                                          obs::Profile* profile = nullptr);
 
 /// Answers a yes/no statement (Theorem 4.1): compiles it (failing with
@@ -177,7 +170,6 @@ Result<GeneralizedRelation> EvalPrepared(const Database& db, Prepared& prepared,
 /// "pull" span and the spans of the children it materialized fold into
 /// `*profile`, as for EvalPrepared.
 Result<bool> EvalPreparedBoolean(const Database& db, Prepared& prepared,
-                                 const QueryOptions& options,
                                  obs::Profile* profile = nullptr);
 
 }  // namespace query

@@ -72,7 +72,6 @@ Server::Server(Database* db, ServerOptions options)
   options_.session.normalize_cache = &normalize_cache_;
   options_.session.result_cache = &result_cache_;
   options_.session.stats_cache = &stats_cache_;
-  options_.session.admission = &admission_;
 }
 
 Server::~Server() { Stop(); }
@@ -341,20 +340,11 @@ void Server::HandleStatement(Connection& conn, const std::string& statement) {
                "overloaded: admission queue is full, retry later\n");
     return;
   }
-  // Class-aware admission continues inside the session: it grades a query
-  // from its one analysis after the result-cache lookup (shedding under
-  // overload never pays for analysis, a cache hit never pays for grading)
-  // and sheds a heavy one whose heavy bound is full with kUnavailable.
   std::ostringstream out;
   Status status = conn.session.Execute(statement, out);
   admission_.Release();
-  ResponseStatus response = ResponseStatus::kOk;
-  if (status.code() == StatusCode::kUnavailable) {
-    response = ResponseStatus::kRetry;
-  } else if (!status.ok()) {
-    response = ResponseStatus::kError;
-  }
-  WriteFrame(conn, response, out.str());
+  WriteFrame(conn, status.ok() ? ResponseStatus::kOk : ResponseStatus::kError,
+             out.str());
 }
 
 std::string Server::StatusReport() {
@@ -363,12 +353,8 @@ std::string Server::StatusReport() {
   out << "requests_total " << requests_total() << "\n";
   out << "queue_depth " << admission_.pending() << "\n";
   out << "queue_limit " << admission_.options().max_pending << "\n";
-  out << "queue_heavy_depth " << admission_.pending_heavy() << "\n";
-  out << "queue_heavy_limit " << admission_.options().max_pending_heavy
-      << "\n";
   out << "admitted_total " << admission_.admitted_total() << "\n";
   out << "shed_total " << admission_.shed_total() << "\n";
-  out << "shed_heavy_total " << admission_.shed_heavy_total() << "\n";
   ResultCache::Stats cache = result_cache_.stats();
   out << "batch_leads " << cache.leads << "\n";
   out << "batch_coalesced " << cache.coalesced << "\n";

@@ -8,10 +8,9 @@
 // the order sent; statements from different clients run concurrently).
 // Before a statement executes it passes admission control: past the bound
 // the server answers `retry` immediately instead of queueing -- see
-// admission.h.  The heavy bound is applied later, by the session, once the
-// statement's analysis has graded it (a heavy statement over that bound
-// also answers `retry`).  `status` and `quit` bypass admission (they must
-// work best under overload).
+// admission.h.  That one gate is all of admission: an admitted statement
+// runs under the session's budgets and deadline like any other.  `status`
+// and `quit` bypass admission (they must work best under overload).
 //
 // Listens on a Unix-domain socket (options.unix_path) or loopback TCP
 // (options.port; 0 picks an ephemeral port, readable from port() after
@@ -65,8 +64,8 @@ struct ServerOptions {
   int backlog = 64;
   AdmissionOptions admission;
   /// Per-session defaults (deadline, budgets, read_only, ...).  The
-  /// normalize_cache, result_cache, stats_cache and admission
-  /// fields are overwritten with the server's own shared instances.
+  /// normalize_cache, result_cache and stats_cache fields are
+  /// overwritten with the server's own shared instances.
   SessionOptions session;
   /// Byte budget of the versioned result table shared by every session
   /// (result_cache.h); 0 keeps no outcome but still coalesces concurrent

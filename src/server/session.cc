@@ -19,7 +19,6 @@
 #include "query/optimize.h"
 #include "query/planner.h"
 #include "query/prepared.h"
-#include "server/admission.h"
 #include "storage/binary/binary_format.h"
 #include "storage/text_format.h"
 #include "storage/wal/storage_engine.h"
@@ -121,89 +120,8 @@ class DeadlineGuard {
   std::optional<CancellationScope> scope_;
 };
 
-constexpr const char* kHeavyShed =
-    "overloaded: heavy-query admission is full, retry later";
-
-// What a statement graded heavy divides its tuple/split budgets and deadline
-// by.
-constexpr std::int64_t kHeavyBudgetDivisor = 8;
-
 // Rows a bare `fetch` returns.
 constexpr std::int64_t kFetchBatch = 16;
-
-// The step every evaluating query verb (ask / query / profile) takes
-// between parse and evaluation.  The constructor fixes the budgets: a
-// cost-aware session grades the statement there (its one analysis) and
-// divides a heavy one's tuple/split budgets and deadline by
-// kHeavyBudgetDivisor -- before the result-table key, which holds them.
-// Admit() grades the statement if that has not happened and the heavy gate
-// or the result table reads the grade, then applies the heavy gate; the
-// step holds its heavy slot, if it took one, until destroyed.  The
-// statement's total-bound slot is the server's to release.
-class StatementStep {
- public:
-  StatementStep(const SessionOptions& session, const Database& db,
-                query::Prepared& prepared)
-      : session_(session),
-        db_(db),
-        prepared_(prepared),
-        opts_(prepared.options()),
-        deadline_ms_(session.deadline_ms) {
-    if (!session.cost_aware_budgets) return;
-    Grade();
-    if (grade_->cls != CostClass::kHeavy) return;
-    constexpr std::int64_t d = kHeavyBudgetDivisor;
-    opts_.algebra.max_tuples =
-        std::max<std::int64_t>(1, opts_.algebra.max_tuples / d);
-    opts_.algebra.max_complement_universe =
-        std::max<std::int64_t>(1, opts_.algebra.max_complement_universe / d);
-    opts_.algebra.max_split_product =
-        std::max<std::int64_t>(1, opts_.algebra.max_split_product / d);
-    if (deadline_ms_ > 0) {
-      deadline_ms_ = std::max<std::int64_t>(1, deadline_ms_ / d);
-    }
-  }
-  StatementStep(const StatementStep&) = delete;
-  StatementStep& operator=(const StatementStep&) = delete;
-  ~StatementStep() {
-    if (heavy_ != nullptr) heavy_->DemoteFromHeavy();
-  }
-
-  // kUnavailable when a heavy statement finds the heavy budget full.
-  // Light statements and sessions without a queue always pass.
-  Status Admit() {
-    AdmissionQueue* queue = session_.admission;
-    if (!grade_.has_value() &&
-        (queue != nullptr || session_.result_cache != nullptr)) {
-      Grade();
-    }
-    if (queue == nullptr || grade_->cls != CostClass::kHeavy) {
-      return Status::Ok();
-    }
-    if (!queue->PromoteToHeavy()) return Status::Unavailable(kHeavyShed);
-    heavy_ = queue;
-    return Status::Ok();
-  }
-
-  // The options and deadline the statement evaluates under.
-  const query::QueryOptions& opts() const { return opts_; }
-  std::int64_t deadline_ms() const { return deadline_ms_; }
-  // The grade certifies a bounded result, so the table may keep it.
-  bool cacheable() const {
-    return grade_.has_value() && grade_->root_certificate.bounded();
-  }
-
- private:
-  void Grade() { grade_ = GradeAnalysis(prepared_.Analyze(db_)); }
-
-  const SessionOptions& session_;
-  const Database& db_;
-  query::Prepared& prepared_;
-  query::QueryOptions opts_;
-  std::int64_t deadline_ms_;
-  std::optional<CostGrade> grade_;
-  AdmissionQueue* heavy_ = nullptr;
-};
 
 // The result-table key: besides the catalog version, which the table takes
 // apart, a reply is fixed by the verb, the statement and the budgets it runs
@@ -213,13 +131,12 @@ class StatementStep {
 // thread count.
 std::string StatementKey(std::string_view verb,
                          const query::Prepared& prepared,
-                         const StatementStep& step) {
-  const query::QueryOptions& opts = step.opts();
+                         std::int64_t deadline_ms) {
+  const AlgebraOptions& algebra = prepared.options().algebra;
   std::ostringstream fp;
   fp << verb << '\x1f' << prepared.query()->ToString() << '\x1f'
-     << opts.algebra.max_tuples << '/'
-     << opts.algebra.max_complement_universe << '/'
-     << opts.algebra.max_split_product << '/' << step.deadline_ms();
+     << algebra.max_tuples << '/' << algebra.max_split_product << '/'
+     << deadline_ms;
   return fp.str();
 }
 
@@ -383,23 +300,22 @@ std::pair<std::string, std::string> StatementVerb(const std::string& rest) {
   return {"query", rest};
 }
 
-// Evaluates a prepared statement under `opts` and renders its outcome as
-// `verb` prints it; `query` also hands its relation to the fetch cursor.
-// A failing `tlcheck` prints its violations: the relation statement
-// NOT phi(T), evaluated under the same options.
+// Evaluates a prepared statement and renders its outcome as `verb` prints
+// it; `query` also hands its relation to the fetch cursor.  A failing
+// `tlcheck` prints its violations: the relation statement NOT phi(T),
+// prepared with the same options.
 Status EvalAndRender(std::string_view verb, const Database& db,
-                     query::Prepared& prepared,
-                     const query::QueryOptions& opts, std::ostream& out,
+                     query::Prepared& prepared, std::ostream& out,
                      std::shared_ptr<const GeneralizedRelation>* relation) {
   if (verb == "ask") {
     ITDB_ASSIGN_OR_RETURN(bool truth,
-                          query::EvalPreparedBoolean(db, prepared, opts));
+                          query::EvalPreparedBoolean(db, prepared));
     out << (truth ? "true" : "false") << "\n";
     return Status::Ok();
   }
   if (verb == "query") {
     ITDB_ASSIGN_OR_RETURN(GeneralizedRelation rel,
-                          query::EvalPrepared(db, prepared, opts));
+                          query::EvalPrepared(db, prepared));
     *relation = std::make_shared<const GeneralizedRelation>(std::move(rel));
     out << PrintRelation("result", **relation);
     out << (*relation)->size() << " generalized tuple(s)\n";
@@ -409,7 +325,7 @@ Status EvalAndRender(std::string_view verb, const Database& db,
   std::optional<query::Prepared> violations;
   if (verb == "tlcheck") {
     ITDB_ASSIGN_OR_RETURN(bool holds,
-                          query::EvalPreparedBoolean(db, prepared, opts));
+                          query::EvalPreparedBoolean(db, prepared));
     if (holds) {
       out << "PASS: holds at every instant\n";
       return Status::Ok();
@@ -420,7 +336,7 @@ Status EvalAndRender(std::string_view verb, const Database& db,
   }
   ITDB_ASSIGN_OR_RETURN(
       GeneralizedRelation rel,
-      query::EvalPrepared(db, violations ? *violations : prepared, opts));
+      query::EvalPrepared(db, violations ? *violations : prepared));
   ITDB_ASSIGN_OR_RETURN(GeneralizedRelation packed, CoalesceResidues(rel));
   if (violations) {
     out << "FAIL: violated on\n" << PrintRelation("violations", packed);
@@ -643,10 +559,7 @@ Status Session::Execute(std::string_view statement, std::ostream& out) {
       ->Record(std::chrono::duration_cast<std::chrono::nanoseconds>(
                    std::chrono::steady_clock::now() - start)
                    .count());
-  if (status.code() == StatusCode::kUnavailable) {
-    // Shed, not failed: nothing ran, and the caller may resend verbatim.
-    out << status.message() << "\n";
-  } else if (!status.ok()) {
+  if (!status.ok()) {
     ++stats_.errors;
     obs::AddGlobalCounter("server.errors", 1);
     out << "error: " << status << "\n";
@@ -915,22 +828,20 @@ Status Session::CmdProfile(std::ostream& out, const std::string& text) {
     if (temporal_logic) {
       ITDB_RETURN_IF_ERROR(tl::CheckPropositions(db, *prepared.query()));
     }
-    StatementStep step(options_, db, prepared);
-    ITDB_RETURN_IF_ERROR(step.Admit());
-    DeadlineGuard deadline(step.deadline_ms());
+    DeadlineGuard deadline(options_.deadline_ms);
     obs::Profile profile;
     if (prepared.answer() == query::Answer::kYesNo) {
       // The pull loop's span per part, over the children it materialized.
       ITDB_ASSIGN_OR_RETURN(
           bool truth,
-          query::EvalPreparedBoolean(db, prepared, step.opts(), &profile));
+          query::EvalPreparedBoolean(db, prepared, &profile));
       out << profile.ToText();
       out << "answer: " << (truth ? "true" : "false") << "\n";
       return Status::Ok();
     }
     ITDB_ASSIGN_OR_RETURN(
         GeneralizedRelation relation,
-        query::EvalPrepared(db, prepared, step.opts(), &profile));
+        query::EvalPrepared(db, prepared, &profile));
     out << profile.ToText();
     out << relation.size() << " generalized tuple(s)\n";
     return Status::Ok();
@@ -940,24 +851,21 @@ Status Session::CmdProfile(std::ostream& out, const std::string& text) {
 Status Session::CmdEval(std::string_view verb, query::Prepared& prepared,
                         std::ostream& out) {
   return db_->WithRead([&](const Database& db) -> Status {
-    StatementStep step(options_, db, prepared);
     // Only the leader (or a session without a table) runs this: followers
-    // and hits never analyze, grade or take a heavy slot.
+    // and hits never analyze.
     auto compute = [&]() -> ResultCache::Outcome {
       ResultCache::Outcome o;
-      o.status = step.Admit();
-      if (!o.status.ok()) return o;
       std::ostringstream rendered;
-      DeadlineGuard deadline(step.deadline_ms());
-      o.status = EvalAndRender(verb, db, prepared, step.opts(), rendered,
-                               &o.relation);
+      DeadlineGuard deadline(options_.deadline_ms);
+      o.status = EvalAndRender(verb, db, prepared, rendered, &o.relation);
       if (!o.status.ok()) return o;
       o.text = rendered.str();
       // Certified cacheability: only results whose size the analysis can
       // BOUND are kept.  An unbounded-certificate result may be arbitrarily
       // large relative to its query, so keeping it could displace any
-      // number of certified-small entries.
-      o.cacheable = step.cacheable();
+      // number of certified-small entries.  Analyze returns the analysis
+      // the compile ran.
+      o.cacheable = prepared.Analyze(db).root_certificate.bounded();
       if (!o.cacheable && options_.result_cache != nullptr) {
         obs::AddGlobalCounter("server.cache_refused_unbounded", 1);
       }
@@ -970,8 +878,9 @@ Status Session::CmdEval(std::string_view verb, query::Prepared& prepared,
       // The version is read under the reader lock the evaluation holds, so
       // it is exactly the version the evaluation observes.
       ResultCache::Served served = ResultCache::Served::kComputed;
-      outcome = options_.result_cache->Run(StatementKey(verb, prepared, step),
-                                           db_->version(), compute, &served);
+      outcome = options_.result_cache->Run(
+          StatementKey(verb, prepared, options_.deadline_ms), db_->version(),
+          compute, &served);
       if (served == ResultCache::Served::kHit) ++stats_.cache_hits;
       if (served == ResultCache::Served::kShared) ++stats_.batched;
     }

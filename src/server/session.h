@@ -24,36 +24,28 @@
 // every step reads it -- `tlcheck` and `sat` from the first-order
 // definition of their temporal-logic formula (tl/ltl.h), answered yes/no
 // as FORALL T . phi(T) and as the relation of phi(T).  The server has
-// already passed the statement through the total admission gate, so
-// `ask`, `query`, `tlcheck` and `sat` run
+// already passed the statement through its admission gate (admission.h),
+// so `ask`, `query`, `tlcheck` and `sat` run
 //
-//   total gate (server) -> parse -> budgets -> key ->
-//   result table (result_cache.h): done entry | wait for the in-flight
-//   leader | lead: analyze once -> grade -> heavy gate -> plan -> evaluate
+//   parse -> key -> result table (result_cache.h): done entry | wait for
+//   the in-flight leader | lead: analyze -> compile -> evaluate
 //
-// and `profile` runs the same budgets, grade and heavy gate without the
+// and `profile` runs the same analyze -> compile -> evaluate without the
 // table.  Every statement runs the full pipeline: analysis, optimizer and
 // cost-based planner.  The key is the verb, the parsed statement's text
-// and the effective budgets and deadline.  A hit or a follower pays the
-// parse and the key, nothing else: only the leader analyzes.  Its grade
-// (certified bounds over the analyzer's thresholds, or the A010 / A012
-// heuristics when no bound is certified -- GradeAnalysis in admission.h)
-// comes from that analysis, and so do the plan's rewrites and the table's certified
-// cacheability check.  With an admission queue set, a statement graded
-// heavy must also clear the queue's heavy bound or it is shed: Execute
-// returns kUnavailable and prints only the shed message, which the server
-// answers as `retry` -- to the leader and to every follower waiting on it.
-// `explain` renders the same compiled plan evaluation and `profile` run.
+// and the session's budgets and deadline.  A hit or a follower pays the
+// parse and the key, nothing else: only the leader analyzes, and the plan's
+// rewrites and the table's certified cacheability check both read that one
+// analysis.  `explain` renders the same compiled plan evaluation and
+// `profile` run.
 //
-// Budgets: with deadline_ms set, query-evaluating verbs run under a
-// CancellationToken (util/thread_pool.h) and fail with kResourceExhausted
-// when the budget elapses.  With cost_aware_budgets set, queries graded
-// heavy get tuple/split budgets and deadline divided by 8
-// (kHeavyBudgetDivisor, session.cc) -- the admission layer's defense
-// against one pathological query starving the fleet.  Because the table key holds
-// those effective budgets, a cost-aware session grades (and so analyzes)
-// before the table, on hits too.  Results stay in the table only when
-// their root certificate is bounded (certified cacheability).
+// Budgets: every statement evaluates under the session's one tuple budget
+// (max_tuples), the split budget's AlgebraOptions default and, with
+// deadline_ms set, a CancellationToken (util/thread_pool.h) that fails it
+// with kResourceExhausted when the deadline elapses (Theorem 4.1 makes the
+// work polynomial in the data; the budgets bound the constants).  Results
+// stay in the table only when their root certificate is bounded (certified
+// cacheability).
 
 #ifndef ITDB_SERVER_SESSION_H_
 #define ITDB_SERVER_SESSION_H_
@@ -68,7 +60,6 @@
 #include "core/relation.h"
 #include "query/eval.h"
 #include "query/prepared.h"
-#include "server/admission.h"
 #include "server/result_cache.h"
 #include "server/shared_database.h"
 #include "util/status.h"
@@ -86,14 +77,12 @@ struct SessionOptions {
   /// the ITDB_THREADS / hardware default).  Mutable through `set threads`.
   int threads = 0;
   /// Per-statement tuple budget of any relation (AlgebraOptions::
-  /// max_tuples).  The complement-universe and split-product budgets keep
-  /// their AlgebraOptions defaults.
+  /// max_tuples).  The split-product budget keeps its AlgebraOptions
+  /// default.
   std::int64_t max_tuples = AlgebraOptions{}.max_tuples;
   /// Wall-clock budget per query-evaluating command, in milliseconds.
   /// 0 = unlimited.  Mutable through `set deadline_ms`.
   std::int64_t deadline_ms = 0;
-  /// Apply stricter budgets to queries the cost analysis grades heavy.
-  bool cost_aware_budgets = false;
   /// Reject verbs that mutate the shared catalog or touch server-side
   /// files (define / load / save / drop / coalesce / simplify).
   bool read_only = false;
@@ -103,17 +92,12 @@ struct SessionOptions {
   /// Versioned result table shared across sessions (not owned; null =
   /// off): coalesces concurrent identical statements and keeps their
   /// outcomes between catalog writes.  Keyed by the verb, the parsed
-  /// statement, the effective budgets and deadline, and the database
+  /// statement, the budgets and deadline, and the database
   /// version, so every reply it serves is byte-identical.
   ResultCache* result_cache = nullptr;
   /// Per-relation statistics memo for the cost-based planner and the
   /// `stats` verb, shared across sessions (not owned; null recomputes).
   StatsCache* stats_cache = nullptr;
-  /// Admission queue whose heavy bound this session enforces (not owned;
-  /// null = no heavy gate).  The caller holds one admitted slot of it
-  /// (TryAdmit) for every Execute; a statement graded heavy is promoted
-  /// for its evaluation, or sheds with kUnavailable.
-  AdmissionQueue* admission = nullptr;
   /// Durable storage engine (not owned; null = in-memory only).  When set,
   /// every catalog mutation is WAL-logged through it -- under the same
   /// WithWrite lock as the in-memory change -- and the `checkpoint`,
@@ -190,9 +174,9 @@ class Session {
   query::QueryOptions BaseOptions() const;
 
   /// Runs ask / query / tlcheck / sat on their prepared statement: one
-  /// result-table Run whose computation grades the statement, applies the
-  /// heavy gate and evaluates it (read-only, deterministic), rendering
-  /// output into `out`.
+  /// result-table Run whose computation evaluates it (read-only,
+  /// deterministic) under the session's deadline, rendering output into
+  /// `out`.
   Status CmdEval(std::string_view verb, query::Prepared& prepared,
                  std::ostream& out);
 

@@ -390,7 +390,7 @@ Analyzed PrepareAndEval(const Database& db, const std::string& text) {
   Status compiled = prepared->Compile(db);
   EXPECT_TRUE(compiled.ok()) << compiled;
   Result<GeneralizedRelation> relation =
-      query::EvalPrepared(db, prepared.value(), prepared->options());
+      query::EvalPrepared(db, prepared.value());
   EXPECT_TRUE(relation.ok()) << relation.status();
   if (relation.ok()) out.relation = std::move(relation).value();
   return out;

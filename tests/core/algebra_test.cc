@@ -167,7 +167,7 @@ TEST(ComplementTest, UniverseBudgetEnforced) {
                                            Lrp::Make(0, 101)}))
                   .ok());
   AlgebraOptions options;
-  options.max_complement_universe = 1000;  // 101^3 >> 1000.
+  options.max_split_product = 1000;  // 101^3 >> 1000.
   Result<GeneralizedRelation> c = Complement(r, options);
   ASSERT_FALSE(c.ok());
   EXPECT_EQ(c.status().code(), StatusCode::kResourceExhausted);

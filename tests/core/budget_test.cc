@@ -68,7 +68,7 @@ TEST(BudgetTest, NormalizationSplitBudget) {
 TEST(BudgetTest, ComplementUniverseBudget) {
   GeneralizedRelation r = Unary({Lrp::Make(0, 1000)});
   AlgebraOptions options;
-  options.max_complement_universe = 100;
+  options.max_split_product = 100;
   Result<GeneralizedRelation> c = Complement(r, options);
   ASSERT_FALSE(c.ok());
   EXPECT_EQ(c.status().code(), StatusCode::kResourceExhausted);

@@ -366,8 +366,46 @@ TEST(ProjectionTest, DropsInTwoIndependentPartsNormalizeApart) {
   Result<GeneralizedRelation> reference = ReferenceProject(r, {"T1", "T3"});
   ASSERT_TRUE(p.ok()) << p.status();
   ASSERT_TRUE(reference.ok()) << reference.status();
-  EXPECT_EQ(p->size(), 36);
+  // Each part keeps one copy of its equal pieces: T1 has 2 residues mod 12
+  // and T3 3 mod 30.
+  EXPECT_EQ(p->size(), 6);
   EXPECT_EQ(reference->size(), 3600);
+  Result<bool> same = Equivalent(*p, *reference);
+  ASSERT_TRUE(same.ok()) << same.status();
+  EXPECT_TRUE(same.value());
+}
+
+TEST(ProjectionTest, EachPartKeepsOneCopyOfEqualPieces) {
+  // {W, X} normalizes to period 60 in 60 pieces, which drop X to 12
+  // residues of W; {Y, Z} to period 35 in 35 pieces, which drop Z to 7
+  // residues of Y.  12 * 7 tuples, not 60 * 35.
+  GeneralizedRelation r(Schema({"W", "X", "Y", "Z"}, {}, {}));
+  GeneralizedTuple t({Lrp::Make(3, 5), Lrp::Make(7, 12), Lrp::Make(2, 5),
+                      Lrp::Make(6, 7)});
+  t.mutable_constraints().AddDifferenceUpperBound(1, 0, -4);  // X <= W - 4.
+  t.mutable_constraints().AddDifferenceUpperBound(2, 3, 5);   // Y <= Z + 5.
+  ASSERT_TRUE(r.AddTuple(t).ok());
+  Result<GeneralizedRelation> p = Project(r, {"W", "Y"});
+  ASSERT_TRUE(p.ok()) << p.status();
+  EXPECT_EQ(p->size(), 84);
+  // The whole tuple's reference split (period 420) is out of reach, but the
+  // parts share no column, so its projection is the product of theirs.
+  GeneralizedRelation wx(Schema({"W", "X"}, {}, {}));
+  GeneralizedTuple wx_tuple({t.lrp(0), t.lrp(1)});
+  wx_tuple.mutable_constraints().AddDifferenceUpperBound(1, 0, -4);
+  ASSERT_TRUE(wx.AddTuple(std::move(wx_tuple)).ok());
+  GeneralizedRelation yz(Schema({"Y", "Z"}, {}, {}));
+  GeneralizedTuple yz_tuple({t.lrp(2), t.lrp(3)});
+  yz_tuple.mutable_constraints().AddDifferenceUpperBound(0, 1, 5);
+  ASSERT_TRUE(yz.AddTuple(std::move(yz_tuple)).ok());
+  Result<GeneralizedRelation> w = ReferenceProject(wx, {"W"});
+  Result<GeneralizedRelation> y = ReferenceProject(yz, {"Y"});
+  ASSERT_TRUE(w.ok()) << w.status();
+  ASSERT_TRUE(y.ok()) << y.status();
+  EXPECT_EQ(w->size(), 60);
+  EXPECT_EQ(y->size(), 35);
+  Result<GeneralizedRelation> reference = Join(*w, *y);
+  ASSERT_TRUE(reference.ok()) << reference.status();
   Result<bool> same = Equivalent(*p, *reference);
   ASSERT_TRUE(same.ok()) << same.status();
   EXPECT_TRUE(same.value());

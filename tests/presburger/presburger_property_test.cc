@@ -76,7 +76,7 @@ TEST_P(UnarySweepTest, TranslationMatchesEvaluation) {
   std::mt19937 rng(GetParam());
   FormulaPtr f = RandomFormula(rng, /*max_var=*/0, /*depth=*/3);
   AlgebraOptions options;
-  options.max_complement_universe = std::int64_t{1} << 24;
+  options.max_split_product = std::int64_t{1} << 24;
   options.max_tuples = std::int64_t{1} << 24;
   Result<GeneralizedRelation> r = UnaryToRelation(f, options);
   ASSERT_TRUE(r.ok()) << r.status() << " for " << f->ToString();

@@ -212,7 +212,7 @@ TEST(EvalTest, YesNoStatementsPeelTheRootQuantifierPrefix) {
   EXPECT_EQ(exists->query()->FreeVariables().size(), 0u);
   EXPECT_EQ(exists->rewritten()->FreeVariables(),
             (std::vector<std::string>{"t", "u"}));
-  Result<bool> truth = EvalPreparedBoolean(db, *exists, {});
+  Result<bool> truth = EvalPreparedBoolean(db, *exists);
   ASSERT_TRUE(truth.ok()) << truth.status();
   EXPECT_TRUE(truth.value());
   // A FORALL prefix plans NOT body; the statement holds iff it is empty.
@@ -223,15 +223,15 @@ TEST(EvalTest, YesNoStatementsPeelTheRootQuantifierPrefix) {
   EXPECT_TRUE(forall->holds_when_empty());
   EXPECT_EQ(forall->rewritten()->FreeVariables(),
             (std::vector<std::string>{"t"}));
-  truth = EvalPreparedBoolean(db, *forall, {});
+  truth = EvalPreparedBoolean(db, *forall);
   ASSERT_TRUE(truth.ok()) << truth.status();
   EXPECT_TRUE(truth.value());
   // Each entry point answers only its own kind of statement.
   Result<Prepared> relation = Prepared::Parse("EXISTS t . P(t)", {});
   ASSERT_TRUE(relation.ok());
-  EXPECT_EQ(EvalPreparedBoolean(db, *relation, {}).status().code(),
+  EXPECT_EQ(EvalPreparedBoolean(db, *relation).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(EvalPrepared(db, *forall, {}).status().code(),
+  EXPECT_EQ(EvalPrepared(db, *forall).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -299,7 +299,7 @@ TEST(EvalTest, IndependentConjunctsAnswerWithoutTheirCrossProduct) {
       ASSERT_TRUE(prepared.ok()) << prepared.status();
       ASSERT_TRUE(prepared->Compile(db.value()).ok());
       EXPECT_EQ(prepared->plans().size(), 2u);
-      Result<bool> truth = EvalPreparedBoolean(db.value(), *prepared, options);
+      Result<bool> truth = EvalPreparedBoolean(db.value(), *prepared);
       ASSERT_TRUE(truth.ok()) << truth.status();
       EXPECT_EQ(truth.value(), expected);
       // The relation path, whose zero-column projections still multiply
@@ -361,13 +361,13 @@ PathCounts CountBothPaths(const Database& db, const std::string& text,
   KernelCounters pull_counters;
   options.algebra.counters = &pull_counters;
   Prepared yes_no(ParseQuery(text).value(), options, Answer::kYesNo);
-  out.answer = EvalPreparedBoolean(db, yes_no, options);
+  out.answer = EvalPreparedBoolean(db, yes_no);
   out.pull_pairs = pull_counters.pairs_candidate.load();
   if (!yes_no.Compile(db).ok()) return out;
   KernelCounters relation_counters;
   options.algebra.counters = &relation_counters;
   Prepared relation(yes_no.rewritten(), options);
-  Result<GeneralizedRelation> rel = EvalPrepared(db, relation, options);
+  Result<GeneralizedRelation> rel = EvalPrepared(db, relation);
   out.relation_pairs = relation_counters.pairs_candidate.load();
   EXPECT_EQ(relation.plan()->ToString(), yes_no.plans().front()->ToString());
   out.relation_empty =
@@ -495,13 +495,12 @@ TEST(EvalTest, ClosedCheckQueriesAnswerAsTheRelationPath) {
               options.optimize = optimize;
               Prepared relation(closed, options);
               Result<GeneralizedRelation> rel =
-                  EvalPrepared(db.value(), relation, options);
+                  EvalPrepared(db.value(), relation);
               if (!rel.ok()) continue;  // Does not compile.
               Result<bool> empty = IsEmpty(rel.value(), options.algebra);
               ASSERT_TRUE(empty.ok()) << empty.status();
               Prepared yes_no(closed, options, Answer::kYesNo);
-              Result<bool> answer =
-                  EvalPreparedBoolean(db.value(), yes_no, options);
+              Result<bool> answer = EvalPreparedBoolean(db.value(), yes_no);
               ASSERT_TRUE(answer.ok())
                   << closed->ToString() << ": " << answer.status();
               EXPECT_EQ(answer.value(), !empty.value())

@@ -8,7 +8,6 @@
 
 #include "core/stats.h"
 #include "obs/metrics.h"
-#include "server/admission.h"
 #include "server/result_cache.h"
 #include "server/shared_database.h"
 #include "storage/database.h"
@@ -337,15 +336,13 @@ TEST_F(SessionTest, ExecuteMatchesShellOutputShapes) {
 
 // The work one statement costs, pinned: every query verb analyzes exactly
 // once, and a result-table hit analyzes not at all -- with every server
-// collaborator wired (result table, stats cache, admission queue).
+// collaborator wired (result table, stats cache).
 TEST_F(SessionTest, EachStatementAnalyzesOnceAndCacheHitsNever) {
   ResultCache cache(std::size_t{1} << 20);
   StatsCache stats;
-  AdmissionQueue admission(AdmissionOptions{});
   SessionOptions options;
   options.result_cache = &cache;
   options.stats_cache = &stats;
-  options.admission = &admission;
   Session session(&*shared_, options);
   auto analyses = [](Session& s, const std::string& statement) {
     obs::Counter* runs =
@@ -371,54 +368,10 @@ TEST_F(SessionTest, EachStatementAnalyzesOnceAndCacheHitsNever) {
   // admitted to the cache: the repeat is a miss and analyzes once again.
   EXPECT_EQ(analyses(session, "ask FORALL t . P(t) OR NOT Q(t)"), 1);
   EXPECT_EQ(session.stats().cache_hits, 2);
-  // A plain session (the shell's: no cache, no queue) analyzes once too.
+  // A plain session (the shell's: no cache) analyzes once too.
   Session plain(&*shared_);
   EXPECT_EQ(analyses(plain, "ask EXISTS t . P(t) AND t <= 40"), 1);
   EXPECT_EQ(analyses(plain, "query Q(t) AND t <= 12"), 1);
-  EXPECT_EQ(admission.pending_heavy(), 0);
-}
-
-// cost_aware_budgets divides a heavy statement's budgets: a join whose
-// certified cardinality is over the huge-query threshold succeeds in a
-// plain session and exhausts the divided tuple budget in a cost-aware one.
-// The two share one result table, and the divided budgets are part of the
-// key, so the cost-aware session never reads the plain session's entry.
-TEST_F(SessionTest, CostAwareBudgetsDivideAHeavyStatementsBudgets) {
-  // Three relations of 101 singleton tuples: 101^3 certified join rows,
-  // over analysis::kCertifiedRowsThreshold, so the grade is heavy.
-  Session writer(&*shared_);
-  for (const char* name : {"A", "B", "C"}) {
-    std::string text = std::string("define relation ") + name + "(T: time) {";
-    for (int i = 0; i < 101; ++i) text += " [" + std::to_string(i) + "];";
-    Status status;
-    Run(writer, text + " }", &status);
-    ASSERT_TRUE(status.ok()) << status;
-  }
-  const std::string statement = "query A(t) AND B(t) AND C(t)";
-  ResultCache cache(std::size_t{1} << 20);
-  SessionOptions options;
-  options.result_cache = &cache;
-  options.max_tuples = 20000;
-  Session plain(&*shared_, options);
-  options.cost_aware_budgets = true;  // 20000 / 8 = 2500 tuples.
-  Session cost_aware(&*shared_, options);
-
-  Status status;
-  const std::string result = Run(plain, statement, &status);
-  ASSERT_TRUE(status.ok()) << status;
-  EXPECT_NE(result.find("101 generalized tuple(s)"), std::string::npos)
-      << result;
-  EXPECT_EQ(cache.stats().entries, 1u);  // Bounded certificate: kept.
-
-  Run(cost_aware, statement, &status);
-  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted) << status;
-  EXPECT_NE(status.message().find("exceeds 2500 tuples"), std::string::npos)
-      << status;
-  EXPECT_EQ(cost_aware.stats().cache_hits, 0);
-  EXPECT_EQ(cost_aware.stats().batched, 0);
-  // The plain session still hits its own entry.
-  EXPECT_EQ(Run(plain, statement, &status), result);
-  EXPECT_EQ(plain.stats().cache_hits, 1);
 }
 
 // Keeps the plan-tree lines of `explain` / `profile` output: the labels

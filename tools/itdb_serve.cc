@@ -15,8 +15,6 @@
 //                       port is printed on startup)
 //   --max-pending N     admission bound: requests held at once (default 64)
 //   --deadline-ms N     per-query wall-clock budget (default: unlimited)
-//   --cost-aware        stricter budgets for statically heavy queries
-//                       (A010 NP-regime complement / A012 period blowup)
 //   --cache-bytes N     byte budget of the versioned result table
 //                       (default 16 MiB; 0 keeps no result, but concurrent
 //                       identical statements still share one evaluation)
@@ -61,7 +59,7 @@ void HandleSignal(int) { sem_post(&g_stop_sem); }
 
 int Usage() {
   std::cerr << "usage: itdb_serve (--unix PATH | --port N) [--max-pending N]"
-               " [--deadline-ms N] [--cost-aware] [--cache-bytes N]"
+               " [--deadline-ms N] [--cache-bytes N]"
                " [--read-only] [--data-dir DIR] [--fsync]"
                " [--checkpoint-every N] [file.itdb ...]\n";
   return 2;
@@ -84,8 +82,6 @@ int main(int argc, char** argv) {
       options.admission.max_pending = std::atoll(argv[++i]);
     } else if (arg == "--deadline-ms" && i + 1 < argc) {
       options.session.deadline_ms = std::atoll(argv[++i]);
-    } else if (arg == "--cost-aware") {
-      options.session.cost_aware_budgets = true;
     } else if (arg == "--cache-bytes" && i + 1 < argc) {
       options.result_cache_bytes =
           static_cast<std::size_t>(std::atoll(argv[++i]));

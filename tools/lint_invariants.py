@@ -65,7 +65,11 @@ Checks, over src/ (and where noted, tests/):
      `bool` member: they hold only budgets, `threads` and observers.  A
      bool there picks between two implementations of one operator (as the
      projection and index switches once did); keep the faster one and move
-     the other into tests/ as a reference.
+     the other into tests/ as a reference.  `struct SessionOptions`
+     declares no `bool` member but `read_only`, a deployment setting: a
+     bool there is a per-session policy switch, which doubles the
+     configurations that tests and the result-table key must cover, and
+     each statement runs one budget regime.
 
 Exit status 0 = clean, 1 = findings (printed one per line), 2 = misuse.
 """
@@ -320,11 +324,13 @@ def check_no_pipeline_switch_in_server(src: Path, findings: list[str]) -> None:
                 )
 
 
-OPTIONS_STRUCT_RE = re.compile(r"^struct (AlgebraOptions|NormalizeOptions) \{")
-BOOL_MEMBER_RE = re.compile(r"^\s*bool\s+\w+\s*[;={]")
+OPTIONS_STRUCT_RE = re.compile(
+    r"^struct (AlgebraOptions|NormalizeOptions|SessionOptions) \{")
+BOOL_MEMBER_RE = re.compile(r"^\s*bool\s+(\w+)\s*[;={]")
+ALLOWED_BOOL_MEMBERS = {"SessionOptions": {"read_only"}}
 
 
-def check_no_switch_in_algebra_options(src: Path, findings: list[str]) -> None:
+def check_no_switch_in_options_structs(src: Path, findings: list[str]) -> None:
     for h in sorted(src.rglob("*.h")):
         struct = None
         for lineno, raw in enumerate(h.read_text().splitlines(), 1):
@@ -333,10 +339,13 @@ def check_no_switch_in_algebra_options(src: Path, findings: list[str]) -> None:
                 struct = m.group(1)
             elif line.startswith("};"):
                 struct = None
-            elif struct and BOOL_MEMBER_RE.match(line):
+            elif struct and (m := BOOL_MEMBER_RE.match(line)):
+                if m.group(1) in ALLOWED_BOOL_MEMBERS.get(struct, set()):
+                    continue
                 findings.append(
-                    f"{h}:{lineno}: bool member in {struct} (it holds only "
-                    f"budgets, threads and observers): {raw.strip()}"
+                    f"{h}:{lineno}: bool member in {struct} (no policy "
+                    f"switch: budgets, threads, observers and deployment "
+                    f"settings only): {raw.strip()}"
                 )
 
 
@@ -363,7 +372,7 @@ def main() -> int:
     check_algebra_only_in_listed_modules(src, findings)
     check_pair_kernel_has_one_caller(args.root, findings)
     check_no_pipeline_switch_in_server(src, findings)
-    check_no_switch_in_algebra_options(src, findings)
+    check_no_switch_in_options_structs(src, findings)
 
     for finding in findings:
         print(finding)
