@@ -830,13 +830,14 @@ void KeepFirstOfEqual(std::vector<GeneralizedTuple>& tuples) {
 }
 
 /// The projection of one tuple onto `keep_temporal` (its columns in output
-/// order), with data values `data`.  Free and pinned dropped columns are
-/// eliminated exactly on the closed DBM (EliminateFreeAndPinnedColumns).
-/// Each part of the rest (SplitIntoParts) that still holds a dropped column
-/// is normalized on its own; its dropped columns are eliminated in n-space
-/// and its kept ones rebuilt, keeping one copy of equal pieces.  The other
-/// columns pass through with every atomic among them.  One output tuple per
-/// choice of one piece from each projected part.
+/// order; at least one column is dropped), with data values `data`.  Free
+/// and pinned dropped columns are eliminated exactly on the closed DBM
+/// (EliminateFreeAndPinnedColumns).  Each part of the rest (SplitIntoParts)
+/// that still holds a dropped column is normalized on its own; its dropped
+/// columns are eliminated in n-space and its kept ones rebuilt, keeping one
+/// copy of equal pieces.  The other columns pass through with every atomic
+/// among them.  One output tuple per choice of one piece from each
+/// projected part.
 Result<std::vector<GeneralizedTuple>> ProjectTuple(
     const GeneralizedTuple& t, const std::vector<int>& keep_temporal,
     const std::vector<Value>& data, const AlgebraOptions& options) {
@@ -852,27 +853,25 @@ Result<std::vector<GeneralizedTuple>> ProjectTuple(
   auto is_dropped = [&out_pos](int c) {
     return out_pos[static_cast<std::size_t>(c)] < 0;
   };
+  ITDB_ASSIGN_OR_RETURN(std::optional<ExactElimination> elim,
+                        EliminateFreeAndPinnedColumns(t, dropped));
+  if (!elim.has_value()) return std::vector<GeneralizedTuple>{};
+  // When nothing was eliminated the tuple is split as given.
   const GeneralizedTuple* rest = &t;
-  std::optional<ExactElimination> elim;
-  std::vector<Part> parts;
-  if (keep_temporal.size() < m) {
-    ITDB_ASSIGN_OR_RETURN(elim, EliminateFreeAndPinnedColumns(t, dropped));
-    if (!elim.has_value()) return std::vector<GeneralizedTuple>{};
-    // When nothing was eliminated the tuple is split as given.
-    if (elim->columns.size() < m) {
-      rest = &elim->tuple;
-      // The columns ascend, so each read is at or past the slot it fills.
-      for (std::size_t i = 0; i < elim->columns.size(); ++i) {
-        out_pos[i] = out_pos[static_cast<std::size_t>(elim->columns[i])];
-      }
-      out_pos.resize(elim->columns.size());
+  if (elim->columns.size() < m) {
+    rest = &elim->tuple;
+    // The columns ascend, so each read is at or past the slot it fills.
+    for (std::size_t i = 0; i < elim->columns.size(); ++i) {
+      out_pos[i] = out_pos[static_cast<std::size_t>(elim->columns[i])];
     }
-    // Only the parts that still hold a dropped column are projected.
-    if (elim->dropped.size() + keep_temporal.size() < m) {
-      for (Part& part : SplitIntoParts(*rest)) {
-        if (std::any_of(part.columns.begin(), part.columns.end(), is_dropped)) {
-          parts.push_back(std::move(part));
-        }
+    out_pos.resize(elim->columns.size());
+  }
+  // Only the parts that still hold a dropped column are projected.
+  std::vector<Part> parts;
+  if (elim->dropped.size() + keep_temporal.size() < m) {
+    for (Part& part : SplitIntoParts(*rest)) {
+      if (std::any_of(part.columns.begin(), part.columns.end(), is_dropped)) {
+        parts.push_back(std::move(part));
       }
     }
   }
@@ -1002,15 +1001,39 @@ Result<GeneralizedRelation> Project(const GeneralizedRelation& r,
   }
   Schema schema(temporal_names, data_names, data_types);
   GeneralizedRelation out(schema);
+  const int m = r.schema().temporal_arity();
+  // new_from_old[c]: the output position of temporal column c, -1 if
+  // dropped.
+  std::vector<int> new_from_old(static_cast<std::size_t>(m), -1);
+  for (std::size_t pos = 0; pos < keep_temporal.size(); ++pos) {
+    int& target = new_from_old[static_cast<std::size_t>(keep_temporal[pos])];
+    if (target >= 0) {
+      return Status::InvalidArgument("Project: attribute \"" +
+                                     temporal_names[pos] + "\" named twice");
+    }
+    target = static_cast<int>(pos);
+  }
+  const bool reorder_only = static_cast<int>(keep_temporal.size()) == m;
   for (const GeneralizedTuple& t : r.tuples()) {
     std::vector<Value> data;
     data.reserve(keep_data.size());
     for (int d : keep_data) data.push_back(t.value(d));
-    ITDB_ASSIGN_OR_RETURN(
-        std::vector<GeneralizedTuple> projected,
-        ProjectTuple(t, keep_temporal, data, options));
-    for (GeneralizedTuple& p : projected) {
+    if (reorder_only) {
+      // Nothing temporal is dropped: the lrps and matrix entries move to
+      // their new columns, and nothing is normalized.
+      std::vector<Lrp> lrps;
+      lrps.reserve(keep_temporal.size());
+      for (int c : keep_temporal) lrps.push_back(t.lrp(c));
+      GeneralizedTuple p(std::move(lrps), std::move(data));
+      p.set_constraints(t.constraints().MapVariables(new_from_old, m));
       ITDB_RETURN_IF_ERROR(out.AddTuple(std::move(p)));
+    } else {
+      ITDB_ASSIGN_OR_RETURN(
+          std::vector<GeneralizedTuple> projected,
+          ProjectTuple(t, keep_temporal, data, options));
+      for (GeneralizedTuple& p : projected) {
+        ITDB_RETURN_IF_ERROR(out.AddTuple(std::move(p)));
+      }
     }
     ITDB_RETURN_IF_ERROR(
         CheckBudget(static_cast<std::int64_t>(out.size()), options,

@@ -115,7 +115,11 @@ Result<GeneralizedRelation> ComplementWithDataDomains(
 /// columns are eliminated exactly: free (period-1) and pinned ones on the
 /// closed DBM, where no lattice gap can open, the others via normalization
 /// of their constraint component only (Section 3.4).  A projection that
-/// drops no temporal column only reorders and normalizes nothing.
+/// drops no temporal column is a permutation of each tuple: its lrps and
+/// matrix entries move to their new columns (Dbm::MapVariables) and
+/// nothing is normalized; the query evaluator reorders every chain root
+/// this way.  Fails with kInvalidArgument when a temporal attribute is
+/// named twice.
 Result<GeneralizedRelation> Project(const GeneralizedRelation& r,
                                     const std::vector<std::string>& attrs,
                                     const AlgebraOptions& options = {});
@@ -159,8 +163,9 @@ Result<GeneralizedRelation> Join(const GeneralizedRelation& a,
 /// residue and hull prefilters, the CRT intersection of the matched lrps
 /// and the incremental closure of the conjunction (core/index.h) on each
 /// candidate pair.  Join and Intersect probe every tuple of their left
-/// side; a yes/no statement probes one left tuple at a time and stops at
-/// its first witness (query/eval.cc).  The probe borrows `b`, which must
+/// side; the query evaluator's AND chains probe one left tuple at a time,
+/// depth-first, one probe per AND, and a yes/no statement stops at its
+/// first witness (query/eval.cc).  The probe borrows `b`, which must
 /// outlive it.
 class JoinProbe {
  public:

@@ -312,6 +312,11 @@ Dbm Dbm::MapVariables(const std::vector<int>& new_from_old,
     for (int q = 0; q < n; ++q) {
       std::int64_t b = bound_node(p, q);
       if (b == kInf || (p == q && b >= 0)) continue;
+      if (p == 0 && q == 0) {
+        // Recorded as AddAtomic records it, flags included.
+        out.AddAtomic(AtomicConstraint{kZeroVar, kZeroVar, b});
+        continue;
+      }
       out.Tighten(node_of(p), node_of(q), b);
     }
   }

@@ -144,7 +144,9 @@ class Dbm {
   /// Returns a DBM over `new_size` variables where old variable i becomes
   /// new variable new_from_old[i].  Targets must be distinct and in range;
   /// unmapped new variables are unconstrained.  Negative diagonal entries
-  /// (recorded contradictions) carry over.
+  /// (recorded contradictions) carry over.  The result, flags included, is
+  /// what AddAtomic of each of ToAtomics(), renumbered, builds on a fresh
+  /// matrix.
   Dbm MapVariables(const std::vector<int>& new_from_old, int new_size) const;
 
   /// Conjunction of two systems over the same variables (entrywise min).

@@ -101,12 +101,31 @@ struct Evaluator {
   Result<GeneralizedRelation> Eval(const Query& q) const;
 
   /// Whether q's relation has a point, decided without building it: the
-  /// depth-first pull over q's left-deep AND chain (EvalPreparedBoolean).
-  /// Records one span, "pull <q>", whose children are the materialized
-  /// chain children.
+  /// chain pull over q stops at the first tuple with a point
+  /// (EvalPreparedBoolean).  Records one span, "pull <q>", whose children
+  /// are the materialized chain children.
   Result<bool> Nonempty(const Query& q) const;
 
  private:
+  /// What one pull over a chain saw.
+  struct Pulled {
+    /// The schema of the tuples past the root: the leaf's columns, then
+    /// each right child's new ones, in feed order.
+    Schema schema;
+    std::int64_t outer_pulled = 0;
+    std::int64_t candidates_tested = 0;
+    bool found = false;
+  };
+
+  /// The one chain evaluator.  Materializes the leftmost leaf of q's
+  /// left-deep AND chain and the right child of each of its ANDs, in that
+  /// order, builds one JoinProbe per AND, and feeds the leaf's tuples
+  /// through them depth-first (ChainPull).  A null `sink` stops at the
+  /// first tuple past the root that has a point; otherwise q is an AND and
+  /// every tuple past the root is appended to *sink.
+  Result<Pulled> PullChain(const Query& q,
+                           std::vector<GeneralizedTuple>* sink) const;
+
   Result<GeneralizedRelation> EvalNode(const Query& q) const;
   Result<GeneralizedRelation> EvalAtom(const Query& q) const;
   Result<GeneralizedRelation> EvalCmp(const Query& q) const;
@@ -121,19 +140,18 @@ struct Evaluator {
   }
 
   /// Reorders (and renames nothing) so columns are sorted by name per kind.
-  Result<GeneralizedRelation> Canonical(const GeneralizedRelation& rel) const;
+  Result<GeneralizedRelation> Canonical(GeneralizedRelation rel) const;
   /// Extends `rel` with an unconstrained column for each missing variable
   /// in `vars` (temporal: all of Z; data: the active domain of its type).
   Result<GeneralizedRelation> ExtendTo(
-      const GeneralizedRelation& rel,
-      const std::vector<std::string>& vars) const;
+      GeneralizedRelation rel, const std::vector<std::string>& vars) const;
   /// The universe relation over exactly `vars`.
   Result<GeneralizedRelation> Universe(
       const std::vector<std::string>& vars) const;
 };
 
 Result<GeneralizedRelation> Evaluator::Canonical(
-    const GeneralizedRelation& rel) const {
+    GeneralizedRelation rel) const {
   std::vector<std::string> temporal = rel.schema().temporal_names();
   std::vector<std::string> data = rel.schema().data_names();
   std::sort(temporal.begin(), temporal.end());
@@ -200,7 +218,7 @@ Result<GeneralizedRelation> Evaluator::Universe(
 }
 
 Result<GeneralizedRelation> Evaluator::ExtendTo(
-    const GeneralizedRelation& rel, const std::vector<std::string>& vars) const {
+    GeneralizedRelation rel, const std::vector<std::string>& vars) const {
   std::vector<std::string> missing;
   for (const std::string& v : vars) {
     if (!rel.schema().FindTemporal(v).has_value() &&
@@ -208,11 +226,11 @@ Result<GeneralizedRelation> Evaluator::ExtendTo(
       missing.push_back(v);
     }
   }
-  if (missing.empty()) return Canonical(rel);
+  if (missing.empty()) return Canonical(std::move(rel));
   ITDB_ASSIGN_OR_RETURN(GeneralizedRelation extension, Universe(missing));
   ITDB_ASSIGN_OR_RETURN(GeneralizedRelation crossed,
                         CrossProduct(rel, extension, algebra));
-  return Canonical(crossed);
+  return Canonical(std::move(crossed));
 }
 
 Result<GeneralizedRelation> Evaluator::EvalAtom(const Query& q) const {
@@ -280,7 +298,7 @@ Result<GeneralizedRelation> Evaluator::EvalAtom(const Query& q) const {
                         Project(rel, keep, algebra));
   ITDB_ASSIGN_OR_RETURN(GeneralizedRelation renamed,
                         Rename(projected, renames));
-  return Canonical(renamed);
+  return Canonical(std::move(renamed));
 }
 
 namespace {
@@ -338,7 +356,7 @@ Result<GeneralizedRelation> Evaluator::EvalCmp(const Query& q) const {
                           OrientCmp(operand(l), q.cmp(), operand(r)));
     ITDB_ASSIGN_OR_RETURN(GeneralizedRelation selected,
                           SelectTemporal(universe, cond, algebra));
-    return Canonical(selected);
+    return Canonical(std::move(selected));
   }
   // Data sort: only = and != are defined.
   if (q.cmp() != CmpOp::kEq && q.cmp() != CmpOp::kNe) {
@@ -407,8 +425,8 @@ Result<GeneralizedRelation> Evaluator::EvalOr(const Query& q) const {
   }
   std::sort(vars.begin(), vars.end());
   vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation le, ExtendTo(l, vars));
-  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation re, ExtendTo(r, vars));
+  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation le, ExtendTo(std::move(l), vars));
+  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation re, ExtendTo(std::move(r), vars));
   return Union(le, re, algebra);
 }
 
@@ -491,15 +509,20 @@ Result<GeneralizedRelation> Evaluator::EvalNode(const Query& q) const {
     case Query::Kind::kCmp:
       return EvalCmp(q);
     case Query::Kind::kAnd: {
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation l, Eval(*q.left()));
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation r, Eval(*q.right()));
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation joined, Join(l, r, algebra));
-      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation canon, Canonical(joined));
-      // Canonical tuple order: join results conjoin CLOSED constraint
-      // systems, and closure is idempotent over entrywise min, so the tuple
-      // multiset of a multi-way conjunction is association-invariant; only
-      // the sequence depends on join order.  Sorting here makes planned and
-      // written-order chains bit-identical (query/planner.h).
+      std::vector<GeneralizedTuple> tuples;
+      ITDB_ASSIGN_OR_RETURN(Pulled pulled, PullChain(q, &tuples));
+      GeneralizedRelation joined(std::move(pulled.schema));
+      for (GeneralizedTuple& t : tuples) {
+        ITDB_RETURN_IF_ERROR(joined.AddTuple(std::move(t)));
+      }
+      ITDB_ASSIGN_OR_RETURN(GeneralizedRelation canon,
+                            Canonical(std::move(joined)));
+      // Canonical tuple order, once, at the chain root: each tuple past the
+      // root conjoins CLOSED constraint systems, and closure is idempotent
+      // over entrywise min, so the tuple multiset of a multi-way
+      // conjunction is association-invariant; only the sequence depends on
+      // join order.  Sorting here makes planned and written-order chains
+      // bit-identical (query/planner.h).
       canon.SortTuplesCanonical();
       return canon;
     }
@@ -517,16 +540,20 @@ Result<GeneralizedRelation> Evaluator::EvalNode(const Query& q) const {
   return Status::InvalidArgument("unreachable query kind");
 }
 
-/// The depth-first pull of Evaluator::Nonempty over a chain whose probes
-/// are built: a tuple entering chain node `level` is probed against that
-/// node's right child, each joined tuple enters the node above, and a tuple
-/// past the root is tested for a point.
+/// The depth-first pull over a chain whose probes are built (the Volcano
+/// iterator over Section 3.7's pair step): a tuple entering chain node
+/// `level` is probed against that node's right child and each joined tuple
+/// enters the node above.  Without a sink, a tuple past the root is tested
+/// for a point; with one, the root appends its joined tuples to it.  One
+/// thread: the probes hoist the right rows they reach as they go.
 struct ChainPull {
   std::vector<JoinProbe>& probes;
   const AlgebraOptions& algebra;
+  std::vector<GeneralizedTuple>* sink;
   std::int64_t candidates_tested = 0;
 
-  /// Whether some tuple grown from `t` at chain node `level` has a point.
+  /// Whether some tuple grown from `t` at chain node `level` has a point
+  /// (always false with a sink).
   Result<bool> Feed(std::size_t level, const GeneralizedTuple& t) {
     ITDB_RETURN_IF_ERROR(CheckCancellation());
     if (level == probes.size()) {
@@ -538,6 +565,10 @@ struct ChainPull {
     ITDB_ASSIGN_OR_RETURN(std::span<const std::size_t> bucket,
                           probe.Candidates(t));
     probe.Hoist({&bucket, 1});
+    if (sink != nullptr && level + 1 == probes.size()) {
+      ITDB_RETURN_IF_ERROR(probe.Probe(t, bucket, *sink));
+      return false;
+    }
     std::vector<GeneralizedTuple> joined;
     ITDB_RETURN_IF_ERROR(probe.Probe(t, bucket, joined));
     for (const GeneralizedTuple& next : joined) {
@@ -548,14 +579,8 @@ struct ChainPull {
   }
 };
 
-Result<bool> Evaluator::Nonempty(const Query& q) const {
-  // Like the plan spans of Eval, only under the statement's own tracer.
-  obs::Span span;
-  if (algebra.tracer != nullptr) {
-    span = obs::Span::Begin(algebra.tracer, "pull " + q.ToString(), "plan");
-  }
-  const CounterSnapshot before =
-      SnapshotCounters(algebra.counters, algebra.normalize_cache);
+Result<Evaluator::Pulled> Evaluator::PullChain(
+    const Query& q, std::vector<GeneralizedTuple>* sink) const {
   // The chain's AND nodes, bottom first, and its leftmost leaf.
   std::vector<const Query*> chain;
   const Query* leaf = &q;
@@ -564,9 +589,8 @@ Result<bool> Evaluator::Nonempty(const Query& q) const {
     leaf = leaf->left().get();
   }
   std::reverse(chain.begin(), chain.end());
-  // Children are materialized in the order the relation path evaluates
-  // them.  Neither Canonical nor the canonical sort changes whether a point
-  // exists, so the chain skips both.
+  // The children are canonical relations; the chain's own columns stay in
+  // feed order until the caller reorders the tuples past the root.
   ITDB_ASSIGN_OR_RETURN(GeneralizedRelation outer, Eval(*leaf));
   std::vector<GeneralizedRelation> rights;
   rights.reserve(chain.size());
@@ -583,21 +607,36 @@ Result<bool> Evaluator::Nonempty(const Query& q) const {
     probes.push_back(std::move(probe));
     left = &probes.back().schema();
   }
-  ChainPull pull{probes, algebra};
-  std::int64_t outer_pulled = 0;
-  bool found = false;
+  Pulled pulled;
+  pulled.schema = *left;
+  ChainPull pull{probes, algebra, sink};
   for (const GeneralizedTuple& t : outer.tuples()) {
-    ++outer_pulled;
-    ITDB_ASSIGN_OR_RETURN(found, pull.Feed(0, t));
-    if (found) break;
+    ++pulled.outer_pulled;
+    ITDB_ASSIGN_OR_RETURN(pulled.found, pull.Feed(0, t));
+    if (pulled.found) break;
   }
+  pulled.candidates_tested = pull.candidates_tested;
+  return pulled;
+}
+
+Result<bool> Evaluator::Nonempty(const Query& q) const {
+  // Like the plan spans of Eval, only under the statement's own tracer.
+  obs::Span span;
+  if (algebra.tracer != nullptr) {
+    span = obs::Span::Begin(algebra.tracer, "pull " + q.ToString(), "plan");
+  }
+  const CounterSnapshot before =
+      SnapshotCounters(algebra.counters, algebra.normalize_cache);
+  // Neither Canonical nor the canonical sort changes whether a point
+  // exists, so the answer skips both.
+  ITDB_ASSIGN_OR_RETURN(Pulled pulled, PullChain(q, nullptr));
   const CounterSnapshot after =
       SnapshotCounters(algebra.counters, algebra.normalize_cache);
-  span.AddArg("outer_pulled", outer_pulled);
-  span.AddArg("candidates_tested", pull.candidates_tested);
-  span.AddArg("found", found ? 1 : 0);
+  span.AddArg("outer_pulled", pulled.outer_pulled);
+  span.AddArg("candidates_tested", pulled.candidates_tested);
+  span.AddArg("found", pulled.found ? 1 : 0);
   span.AddArg("pairs_candidate", after.pairs_candidate - before.pairs_candidate);
-  return found;
+  return pulled.found;
 }
 
 /// Publishes the totals of a per-query KernelCounters instance into the

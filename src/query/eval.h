@@ -16,19 +16,22 @@
 //     temporal column per free temporal variable and one data column per
 //     free data variable, each named after its variable, in sorted name
 //     order per kind.
+//   * Every left-deep AND chain runs through one chain evaluator, a
+//     depth-first pull.  The leftmost leaf and the right child of every AND
+//     are materialized; each AND joins the tuples it is fed with its right
+//     child through one JoinProbe (core/algebra.h), on one thread.  Each
+//     AND charges its candidate pairs, over every tuple it is fed, against
+//     max_tuples.  A relation collects the tuples past the root, reorders
+//     their columns canonically and sorts them, once.
 //   * A sentence (no free variables) evaluates to a zero-arity relation,
 //     and is true iff that relation is nonempty (Theorem 4.1).
 //     EvalBooleanQuery decides this without the root quantifiers' work:
 //     emptiness tests on the body under them (query/prepared.h).  The body
-//     is not built either.  Each part runs as a depth-first pull over its
-//     plan's left-deep AND chain.  The leftmost leaf and the right child of
-//     every AND are materialized; each AND joins the tuples it is fed with
-//     its right child through one JoinProbe (core/algebra.h), and a tuple
-//     past the root is tested with TupleIsEmpty.  The loop stops at the
-//     first nonempty one.  Each AND charges its candidate pairs, over every
-//     tuple it is fed, against max_tuples: a false answer probes every pair
-//     the relation path joins, so it fails whenever one of that path's
-//     joins exceeds the budget.
+//     is not built either.  Each part runs the chain pull over its plan,
+//     tests each tuple past the root with TupleIsEmpty and stops at the
+//     first nonempty one.  A false answer probes every pair the relation
+//     would join, so it fails whenever one of the relation's ANDs exceeds
+//     the budget.
 
 #ifndef ITDB_QUERY_EVAL_H_
 #define ITDB_QUERY_EVAL_H_
@@ -76,9 +79,10 @@ struct QueryOptions {
   bool optimize = true;
   /// Cost-based physical planning (query/planner.h): reorder AND-chains
   /// greedy left-deep on per-relation statistics before evaluation.
-  /// Bit-identical to the written order (results of kAnd nodes are sorted
-  /// canonically either way; the fuzz matrix pins it), except that planned
-  /// and written orders can exhaust resource budgets differently.
+  /// Bit-identical to the written order (the tuples past each chain root
+  /// are sorted canonically either way; the fuzz matrix pins it), except
+  /// that planned and written orders can exhaust resource budgets
+  /// differently.
   bool cost_plan = true;
   /// Memo for the per-relation statistics the planner reads, keyed on the
   /// database's catalog version (core/stats.h).  Not owned; null recomputes

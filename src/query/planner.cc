@@ -130,8 +130,8 @@ class Planner {
   /// never exceed the product of the operands' rows (all the conjoined
   /// certificate's rows carry), and zones that refute each other refute the
   /// chain root's zone, which conjoins every conjunct's.
-  ConjunctInfo Join(const ConjunctInfo& a, const ConjunctInfo& b,
-                    bool refuted) const {
+  ConjunctInfo ClampedJoinInfo(const ConjunctInfo& a, const ConjunctInfo& b,
+                               bool refuted) const {
     ConjunctInfo out = JoinInfo(a, b);
     if (refuted) {
       const analysis::Certificate* ca = absint_->Find(a.q.get());
@@ -303,7 +303,7 @@ ConjunctInfo Planner::PlanChain(const QueryPtr& q) {
       const ConjunctInfo& a = infos[i];
       const ConjunctInfo& b = infos[j];
       const bool cross = !SharesVariable(a, b);
-      ConjunctInfo joined = Join(a, b, refuted);
+      ConjunctInfo joined = ClampedJoinInfo(a, b, refuted);
       if (!have_best ||
           better(cross, joined.est, i * remaining.size() + j, best_cross,
                  best_joined.est, best_a * remaining.size() + best_b)) {
@@ -330,7 +330,7 @@ ConjunctInfo Planner::PlanChain(const QueryPtr& q) {
   }
   std::size_t next = best_b;
   while (true) {
-    ConjunctInfo joined = Join(current, infos[next], refuted);
+    ConjunctInfo joined = ClampedJoinInfo(current, infos[next], refuted);
     QueryPtr prev = planned;
     planned = Query::And(planned, infos[next].q);
     joined.q = planned;
@@ -353,7 +353,7 @@ ConjunctInfo Planner::PlanChain(const QueryPtr& q) {
     for (std::size_t k = 0; k < pending.size(); ++k) {
       const ConjunctInfo& cand = infos[pending[k]];
       const bool cross = !SharesVariable(current, cand);
-      ConjunctInfo j = Join(current, cand, refuted);
+      ConjunctInfo j = ClampedJoinInfo(current, cand, refuted);
       if (!have || better(cross, j.est, cand.index, choice_cross,
                           choice_joined.est, infos[pending[choice]].index)) {
         have = true;

@@ -1,12 +1,13 @@
 // Cost-based physical planning: reorder AND-chains before evaluation.
 //
-// The evaluator compiles kAnd nodes to Join and evaluates chains in written
-// order, but conjunction cost is wildly order-sensitive: joining the two
-// large relations of a three-way chain first can materialize an
-// O(|A| * |B|) intermediate that the selective third conjunct would have
-// kept tiny, and a chain whose adjacent conjuncts share no variables
-// degenerates to a cross product (the A011 analysis warning) even when a
-// different order joins on shared attributes throughout.  PlanQuery walks
+// The evaluator runs each left-deep AND-chain as one depth-first pull, one
+// JoinProbe per AND, in the order the tree lists its conjuncts, but
+// conjunction cost is wildly order-sensitive: joining the two large
+// relations of a three-way chain first can probe O(|A| * |B|) pairs that
+// the selective third conjunct would have kept few, and a chain whose
+// adjacent conjuncts share no variables degenerates to a cross product
+// (the A011 analysis warning) even when a different order joins on shared
+// attributes throughout.  PlanQuery walks
 // the tree bottom-up, flattens every maximal AND-chain, estimates each
 // conjunct's cardinality from per-relation statistics (core/stats.h), and
 // rebuilds the chain greedy left-deep: cheapest connected pair first, each
@@ -16,13 +17,14 @@
 // estimated rows exponential in free temporal width) last.
 //
 // Bit-identity: planning changes only the association/order of joins inside
-// AND-chains.  Join output tuples carry the CLOSED conjunction of their
+// AND-chains.  Joined tuples carry the CLOSED conjunction of their
 // operands' constraint systems, and min-plus closure is idempotent over
 // entrywise min, so the per-tuple representation of a multi-way conjunction
 // is join-order-invariant; only the tuple SEQUENCE differs.  The evaluator
-// therefore sorts every kAnd result canonically (SortTuplesCanonical),
-// making planned and written-order evaluation bit-identical -- pinned by
-// the cost_plan axis of the fuzz determinism matrix.  The one observable
+// therefore sorts the tuples past every chain root canonically, once
+// (SortTuplesCanonical), making planned and written-order evaluation
+// bit-identical -- pinned by the cost_plan axis of the fuzz determinism
+// matrix.  The one observable
 // divergence is resource exhaustion: a budget that the written order blows
 // and the planned order does not (or vice versa) surfaces as different
 // kOverflow / kResourceExhausted outcomes; the fuzz oracle treats that as a

@@ -18,8 +18,6 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "parse_error";
     case StatusCode::kUnimplemented:
       return "unimplemented";
-    case StatusCode::kUnavailable:
-      return "unavailable";
   }
   return "unknown";
 }

@@ -36,9 +36,6 @@ enum class StatusCode : std::uint8_t {
   /// The operation is not supported for the given inputs (e.g. algebra on
   /// general -- non-restricted -- constraints).
   kUnimplemented = 6,
-  /// The service is momentarily over capacity (an admission gate is full).
-  /// Nothing ran; the caller may resend the same request later.
-  kUnavailable = 7,
 };
 
 /// Returns a stable lower-case name for `code` ("ok", "overflow", ...).
@@ -72,9 +69,6 @@ class Status {
   }
   static Status Unimplemented(std::string msg) {
     return Status(StatusCode::kUnimplemented, std::move(msg));
-  }
-  static Status Unavailable(std::string msg) {
-    return Status(StatusCode::kUnavailable, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

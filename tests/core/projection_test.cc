@@ -335,6 +335,81 @@ TEST(ProjectionTest, ReorderOnlyProjectionKeepsTheRepresentation) {
   }
 }
 
+// The reorder of `t` onto `keep` (a permutation of its temporal columns),
+// rebuilt atomic by atomic on a fresh matrix.
+GeneralizedTuple RebuildReordered(const GeneralizedTuple& t,
+                                  const std::vector<int>& keep) {
+  std::vector<int> index(keep.size());
+  std::vector<Lrp> lrps;
+  for (std::size_t i = 0; i < keep.size(); ++i) {
+    index[static_cast<std::size_t>(keep[i])] = static_cast<int>(i);
+    lrps.push_back(t.lrp(keep[i]));
+  }
+  GeneralizedTuple out(std::move(lrps), t.data());
+  for (AtomicConstraint a : t.constraints().ToAtomics()) {
+    if (a.lhs != kZeroVar) a.lhs = index[static_cast<std::size_t>(a.lhs)];
+    if (a.rhs != kZeroVar) a.rhs = index[static_cast<std::size_t>(a.rhs)];
+    out.mutable_constraints().AddAtomic(a);
+  }
+  return out;
+}
+
+TEST(ProjectionTest, ReorderOnlyProjectionIsTheAtomicRebuild) {
+  GeneralizedRelation r(
+      Schema({"T1", "T2", "T3"}, {"d"}, {DataType::kString}));
+  // A closed matrix.
+  GeneralizedTuple closed({Lrp::Make(1, 4), Lrp::Make(3, 6), Lrp::Make(0, 1)},
+                          {Value("x")});
+  closed.mutable_constraints().AddDifferenceUpperBound(0, 1, 5);
+  closed.mutable_constraints().AddLowerBound(2, -2);
+  ASSERT_TRUE(closed.mutable_constraints().Close().ok());
+  // A matrix that is not closed: T1 <= T2 <= T3 <= 4 implies T1 <= 4,
+  // which no entry says yet.
+  GeneralizedTuple open({Lrp::Make(2, 5), Lrp::Make(0, 2), Lrp::Make(7, 0)},
+                        {Value("y")});
+  open.mutable_constraints().AddDifferenceUpperBound(0, 1, 0);
+  open.mutable_constraints().AddDifferenceUpperBound(1, 2, 0);
+  open.mutable_constraints().AddUpperBound(2, 4);
+  ASSERT_FALSE(open.constraints().closed());
+  // A contradiction recorded on the zero node, alone (closed and
+  // infeasible) and next to a bound (not closed).
+  GeneralizedTuple contradiction(
+      {Lrp::Make(0, 3), Lrp::Make(1, 3), Lrp::Make(2, 3)}, {Value("z")});
+  contradiction.mutable_constraints().AddAtomic({kZeroVar, kZeroVar, -1});
+  GeneralizedTuple bounded_contradiction = contradiction;
+  bounded_contradiction.mutable_constraints().AddUpperBound(0, 9);
+  for (const GeneralizedTuple* t :
+       {&closed, &open, &contradiction, &bounded_contradiction}) {
+    ASSERT_TRUE(r.AddTuple(*t).ok());
+  }
+  const std::vector<int> keep = {2, 0, 1};
+  Result<GeneralizedRelation> p = Project(r, {"T3", "d", "T1", "T2"});
+  ASSERT_TRUE(p.ok()) << p.status();
+  EXPECT_EQ(p->schema(),
+            Schema({"T3", "T1", "T2"}, {"d"}, {DataType::kString}));
+  ASSERT_EQ(p->size(), r.size());
+  for (std::size_t i = 0; i < r.tuples().size(); ++i) {
+    const GeneralizedTuple want = RebuildReordered(r.tuples()[i], keep);
+    const GeneralizedTuple& got = p->tuples()[i];
+    EXPECT_EQ(got, want) << i;
+    EXPECT_EQ(got.constraints().closed(), want.constraints().closed()) << i;
+    if (want.constraints().closed()) {
+      EXPECT_EQ(got.constraints().feasible(), want.constraints().feasible())
+          << i;
+    }
+  }
+  // The reorder still charges every tuple against the budget.
+  AlgebraOptions tight;
+  tight.max_tuples = static_cast<std::int64_t>(r.size()) - 1;
+  Result<GeneralizedRelation> over = Project(r, {"T3", "T1", "T2"}, tight);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(over.status().message(), "Project: result exceeds 3 tuples");
+  // A reorder names each column once.
+  Result<GeneralizedRelation> twice = Project(r, {"T1", "T1", "T2"});
+  EXPECT_EQ(twice.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ProjectionTest, BoundImpliedEdgeDoesNotJoinTheComponent) {
   // T1 - T2 <= 10 follows from T1 <= 30 and T2 >= 20 (a closed matrix
   // always carries such edges).  It must neither pull T2 into T1's

@@ -139,6 +139,29 @@ TEST(ProfileTest, JoinHeavyQueryReportsPerNodeMetrics) {
   EXPECT_NE(text.find("pairs_candidate="), std::string::npos);
 }
 
+TEST(ProfileTest, AChainProfilesAsOneAndOverItsConjuncts) {
+  Database db = JoinHeavyDb();
+  // Written order is the feed order.
+  QueryOptions options;
+  options.cost_plan = false;
+  Profiled profiled =
+      EvalProfiled(db, "P(t) AND Q(t) AND R(t, u) AND Q(u)", options);
+  ASSERT_TRUE(profiled.relation.ok()) << profiled.relation.status();
+  ASSERT_EQ(profiled.profile.root.children.size(), 1u);
+  const obs::ProfileNode& chain = profiled.profile.root.children[0];
+  EXPECT_EQ(chain.label, "AND");
+  std::vector<std::string> labels;
+  for (const obs::ProfileNode& child : chain.children) {
+    labels.push_back(child.label);
+  }
+  EXPECT_EQ(labels, (std::vector<std::string>{"ATOM P(t)", "ATOM Q(t)",
+                                              "ATOM R(t, u)", "ATOM Q(u)"}));
+  EXPECT_GT(profiled.relation->size(), 0);
+  EXPECT_EQ(chain.Metric("tuples_out", -1),
+            static_cast<std::int64_t>(profiled.relation->size()));
+  EXPECT_GT(chain.Metric("pairs_candidate"), 0);
+}
+
 TEST(ProfileTest, TracingChangesNoResultBit) {
   Database db = JoinHeavyDb();
   QueryOptions plain;

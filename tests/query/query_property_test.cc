@@ -1,7 +1,9 @@
 // Property tests for the query evaluator: randomized existential-positive
 // queries (atoms, comparisons, AND, OR, EXISTS) are evaluated both by the
 // engine (exact, symbolic) and by a brute-force evaluator over a wide
-// window, and must agree on a narrow observation window.
+// window, and must agree on a narrow observation window.  Random AND
+// chains are also compared, byte for byte, with the per-AND fold of
+// tests/common/reference_chain.h.
 //
 // Soundness direction (every brute-force-true assignment is in the engine
 // result) holds unconditionally; the completeness direction relies on the
@@ -18,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random_relations.h"
+#include "common/reference_chain.h"
 #include "query/eval.h"
 #include "query/sorts.h"
 #include "storage/database.h"
@@ -336,6 +340,95 @@ TEST_P(DataQueryPropertyTest, EngineAgreesWithBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DataQueryPropertyTest,
                          ::testing::Range(std::uint32_t{0}, std::uint32_t{30}));
+
+// ---- AND chains: the evaluator's one chain pull against the per-AND fold
+// (tests/common/reference_chain.h), byte for byte.
+
+Database MakeChainDb(std::uint32_t seed) {
+  testing_util::RandomRelationConfig cfg;
+  cfg.periods = {0, 1, 2, 3, 4};
+  cfg.offset_range = 5;
+  cfg.bound_range = 4;
+  cfg.num_tuples = 4;
+  Database db;
+  db.Put("P", testing_util::MakeRandomRelation(seed, cfg));
+  db.Put("Q", testing_util::MakeRandomRelation(seed + 1, cfg));
+  cfg.temporal_arity = 1;
+  db.Put("U", testing_util::MakeRandomRelation(seed + 2, cfg));
+  cfg.data_values = {Value("x"), Value("y")};
+  db.Put("W", testing_util::MakeRandomRelation(seed + 3, cfg));
+  return db;
+}
+
+// A left-deep chain of 3-5 conjuncts over temporal variables a, b, c and
+// data variable w: atoms, comparisons, and one NOT of an atom.
+QueryPtr MakeChain(std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  const std::string vars[3] = {"a", "b", "c"};
+  auto var = [&]() { return Term::Variable(vars[rng() % 3]); };
+  auto atom = [&]() -> QueryPtr {
+    switch (rng() % 4) {
+      case 0:
+        return Query::Atom("P", {var(), var()});
+      case 1:
+        return Query::Atom("Q", {var(), var()});
+      case 2:
+        return Query::Atom("U", {var()});
+      default:
+        return Query::Atom("W", {var(), Term::Variable("w")});
+    }
+  };
+  auto conjunct = [&]() -> QueryPtr {
+    if (rng() % 3 != 0) return atom();
+    const std::int64_t k = static_cast<std::int64_t>(rng() % 7) - 3;
+    Term lhs = var();
+    Term rhs = rng() % 2 == 0 ? Term::Variable(vars[rng() % 3], k)
+                              : Term::Int(k);
+    return Query::Compare(std::move(lhs), CmpOp::kLe, std::move(rhs));
+  };
+  const int n = 3 + static_cast<int>(rng() % 3);
+  const int negated = static_cast<int>(rng() % static_cast<std::uint32_t>(n));
+  QueryPtr chain;
+  for (int i = 0; i < n; ++i) {
+    QueryPtr c = i == negated ? Query::Not(atom()) : conjunct();
+    chain = chain == nullptr ? std::move(c)
+                             : Query::And(std::move(chain), std::move(c));
+  }
+  return chain;
+}
+
+class ChainPropertyTest : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(ChainPropertyTest, ChainPullMatchesThePerAndFold) {
+  Database db = MakeChainDb(GetParam() * 7 + 30000);
+  QueryPtr q = MakeChain(GetParam() + 40000);
+  for (int threads : {1, 4}) {
+    QueryOptions options;
+    options.analyze = false;
+    options.optimize = false;
+    options.cost_plan = false;
+    options.algebra.threads = threads;
+    // Every child is evaluated as the written tree's child is.
+    auto eval_child = [&](const QueryPtr& child) {
+      return EvalQuery(db, child, options);
+    };
+    Result<GeneralizedRelation> reference =
+        testing_util::ReferenceChain(q, eval_child, options.algebra);
+    ASSERT_TRUE(reference.ok()) << reference.status() << "\n" << q->ToString();
+    for (bool planned : {false, true}) {
+      options.cost_plan = planned;
+      Result<GeneralizedRelation> engine = EvalQuery(db, q, options);
+      ASSERT_TRUE(engine.ok()) << engine.status() << "\n" << q->ToString();
+      EXPECT_EQ(engine->schema(), reference->schema()) << q->ToString();
+      EXPECT_EQ(engine->tuples(), reference->tuples())
+          << q->ToString() << " threads=" << threads
+          << " planned=" << planned;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ChainPropertyTest,
+                         ::testing::Range(std::uint32_t{0}, std::uint32_t{60}));
 
 }  // namespace
 }  // namespace query

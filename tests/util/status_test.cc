@@ -26,7 +26,6 @@ TEST(StatusTest, FactoriesSetCodeAndMessage) {
   EXPECT_EQ(Status::NotFound("x").code(), StatusCode::kNotFound);
   EXPECT_EQ(Status::ParseError("x").code(), StatusCode::kParseError);
   EXPECT_EQ(Status::Unimplemented("x").code(), StatusCode::kUnimplemented);
-  EXPECT_EQ(Status::Unavailable("x").ToString(), "unavailable: x");
 }
 
 TEST(StatusTest, Equality) {

@@ -45,6 +45,9 @@ Checks, over src/ (and where noted, tests/):
        sat         the Theorem 3.6 reduction asks for a witness of a
                    complement;
        server      the `witness` verb reads one row of a stored relation.
+     Inside query, no `Join(` or `Intersect(` call either: the evaluator's
+     conjunction is its one chain pull (JoinProbe, query/eval.cc), and a
+     relation-at-a-time join there would be a second AND path.
   9. outside src/core/index.*, `ConjoinOntoClosed(` and `TouchedRows(` each
      have exactly one call site in src/: the indexed pair scan lives in
      one kernel (JoinKernel in core/algebra.cc, which Join and Intersect
@@ -258,6 +261,10 @@ ALGEBRA_CALL_RE = re.compile(
 ALGEBRA_MODULES = {
     "core", "query", "fuzz", "finite", "presburger", "sat", "server",
 }
+# Operators a listed module may still not call.
+MODULE_BANNED_CALL_RE = {
+    "query": re.compile(r"(?:(?<![\w.>:])|(?<=itdb::))(?:Join|Intersect)\s*\("),
+}
 
 
 def check_algebra_only_in_listed_modules(
@@ -266,6 +273,16 @@ def check_algebra_only_in_listed_modules(
     for cc in sorted(list(src.rglob("*.cc")) + list(src.rglob("*.h"))):
         module = cc.relative_to(src).parts[0]
         if module in ALGEBRA_MODULES:
+            banned = MODULE_BANNED_CALL_RE.get(module)
+            if banned is None:
+                continue
+            for lineno, raw in enumerate(cc.read_text().splitlines(), 1):
+                if banned.search(strip_comments_and_strings(raw)):
+                    findings.append(
+                        f"{cc}:{lineno}: src/{module}/ calls Join or "
+                        f"Intersect (conjunctions run through the chain "
+                        f"pull): {raw.strip()}"
+                    )
             continue
         for lineno, raw in enumerate(cc.read_text().splitlines(), 1):
             if ALGEBRA_INCLUDE_RE.search(raw):
