@@ -66,24 +66,6 @@ void BM_Normalize_AlreadyNormal(benchmark::State& state) {
 }
 BENCHMARK(BM_Normalize_AlreadyNormal);
 
-void BM_Normalize_VsThreads(benchmark::State& state) {
-  // Thread-pool scaling of the cross-product feasibility sweep on the
-  // coprime worst case (k = 1001, ~1001 combinations per tuple).
-  GeneralizedRelation r = MakeMixedPeriodRelation(3, 16, 2, {7, 11, 13});
-  NormalizeOptions options;
-  options.max_split_product = std::int64_t{1} << 24;
-  options.threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    for (const auto& t : r.tuples()) {
-      auto n = itdb::NormalizeTuple(t, options);
-      benchmark::DoNotOptimize(n);
-    }
-  }
-  state.counters["threads"] = benchmark::Counter(
-      static_cast<double>(itdb::ResolveThreads(options.threads)));
-}
-BENCHMARK(BM_Normalize_VsThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 void BM_Normalize_MemoCache(benchmark::State& state) {
   // Repeated normalization of one relation through the memo-cache: after
   // the first sweep every tuple is a hit, so steady-state iterations

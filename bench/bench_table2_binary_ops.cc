@@ -146,38 +146,6 @@ void BM_Intersect_VsArity(benchmark::State& state) {
 BENCHMARK(BM_Intersect_VsArity)->DenseRange(1, 8)->Complexity(
     benchmark::oNSquared);
 
-void BM_Intersect_VsThreads(benchmark::State& state) {
-  // Thread-pool scaling of the N^2 pair scan at fixed N.  The result is
-  // bit-identical at every thread count; only wall time should move.
-  const int n = 512;
-  GeneralizedRelation a = MakeNormalizedRelation(1, n, 2, 12);
-  GeneralizedRelation b = MakeNormalizedRelation(2, n, 2, 12);
-  AlgebraOptions options = BigBudget();
-  options.threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    auto r = itdb::Intersect(a, b, options);
-    benchmark::DoNotOptimize(r);
-  }
-  itdb::bench::RecordParallelCounters(state, options);
-}
-BENCHMARK(BM_Intersect_VsThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_Join_VsThreads(benchmark::State& state) {
-  const int n = 512;
-  GeneralizedRelation a0 = MakeNormalizedRelation(1, n, 2, 12);
-  GeneralizedRelation b0 = MakeNormalizedRelation(2, n, 2, 12);
-  GeneralizedRelation a = itdb::Rename(a0, {{"T1", "T"}, {"T2", "A"}}).value();
-  GeneralizedRelation b = itdb::Rename(b0, {{"T1", "T"}, {"T2", "B"}}).value();
-  AlgebraOptions options = BigBudget();
-  options.threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    auto r = itdb::Join(a, b, options);
-    benchmark::DoNotOptimize(r);
-  }
-  itdb::bench::RecordParallelCounters(state, options);
-}
-BENCHMARK(BM_Join_VsThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 // ---- Selective-join workload: the indexed-kernel headline case. ----
 //
 // Both operands carry an integer key "K" spread over [0, 4N), so the

@@ -23,7 +23,6 @@
 #include "core/index.h"
 #include "core/relation.h"
 #include "obs/trace.h"
-#include "util/thread_pool.h"
 
 namespace itdb {
 namespace bench {
@@ -84,14 +83,11 @@ inline int BenchMain(int argc, char** argv) {
   }                                                            \
   static_assert(true, "require a trailing semicolon")
 
-/// Records the parallel-execution configuration of a run as benchmark
-/// counters: "threads" is the resolved worker count (after the ITDB_THREADS
-/// / hardware default), "cache" flags an attached normalization memo-cache,
-/// and "cache_hits"/"cache_misses" report its hit statistics.
-inline void RecordParallelCounters(benchmark::State& state,
-                                   const AlgebraOptions& options) {
-  state.counters["threads"] = benchmark::Counter(
-      static_cast<double>(ResolveThreads(options.threads)));
+/// Records a run's normalization memo-cache as benchmark counters: "cache"
+/// flags an attached cache, and "cache_hits"/"cache_misses" report its hit
+/// statistics.
+inline void RecordCacheCounters(benchmark::State& state,
+                                const AlgebraOptions& options) {
   state.counters["cache"] = benchmark::Counter(
       options.normalize_cache != nullptr ? 1.0 : 0.0);
   if (options.normalize_cache != nullptr) {

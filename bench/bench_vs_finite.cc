@@ -58,8 +58,7 @@ BENCHMARK(BM_Materialize_VsHorizon)
 
 void BM_GeneralizedIntersect_HorizonFree(benchmark::State& state) {
   // Intersecting the workload with a shifted copy of itself: constant cost,
-  // independent of any horizon (there is none).  Threads come from the
-  // ITDB_THREADS / hardware default; the counter records what was used.
+  // independent of any horizon (there is none).
   GeneralizedRelation a = Workload();
   auto shifted = itdb::ShiftTemporalColumn(a, 0, 15);
   GeneralizedRelation b = std::move(shifted).value();
@@ -68,7 +67,7 @@ void BM_GeneralizedIntersect_HorizonFree(benchmark::State& state) {
     auto r = itdb::Intersect(a, b, options);
     benchmark::DoNotOptimize(r);
   }
-  itdb::bench::RecordParallelCounters(state, options);
+  itdb::bench::RecordCacheCounters(state, options);
 }
 BENCHMARK(BM_GeneralizedIntersect_HorizonFree);
 

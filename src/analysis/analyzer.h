@@ -31,8 +31,8 @@
 // Soundness contract (pinned by the fuzz oracle, fuzz/query_oracle.h):
 // every node in `proven_empty` denotes the empty relation, every node in
 // `proven_bit_empty` evaluates to zero tuples, and ApplySoundRewrites
-// never changes the evaluation result -- bit-identical output at any
-// thread count, analysis on or off.  Only the `proven_bit_empty` subset
+// never changes the evaluation result -- bit-identical output, analysis
+// on or off.  Only the `proven_bit_empty` subset
 // (zero certified rows: evaluation yields ZERO tuples, not just the empty
 // set) may drive rewrites or short-circuits; zone-refuted subplans stay
 // diagnostics-only because the evaluator may represent them with

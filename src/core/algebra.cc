@@ -36,11 +36,11 @@ obs::Span OpSpan(const AlgebraOptions& options, const char* name,
 
 /// The normalization options an algebra operation runs under.
 NormalizeOptions NormalizeOptionsOf(const AlgebraOptions& options) {
-  return NormalizeOptions{options.max_split_product, options.threads};
+  return NormalizeOptions{options.max_split_product};
 }
 
-/// Relaxed add on an optional KernelCounters field; safe from any worker
-/// thread (the fields are atomic).
+/// Relaxed add on an optional KernelCounters field (the fields are atomic,
+/// so a reader on another thread sees whole values).
 void BumpCounter(std::atomic<std::int64_t> KernelCounters::*field,
                  const AlgebraOptions& options, std::int64_t v) {
   if (options.counters != nullptr && v != 0) {
@@ -218,25 +218,17 @@ std::vector<std::size_t> TouchedRows(
 /// probed before any pair is joined, so the budget charges the candidate
 /// pairs of the whole operation before any pair work.
 Result<GeneralizedRelation> JoinKernel(const GeneralizedRelation& a,
-                                       JoinProbe probe,
-                                       const AlgebraOptions& options) {
+                                       JoinProbe probe) {
   std::vector<std::span<const std::size_t>> a_buckets(a.tuples().size());
   for (std::size_t i = 0; i < a.tuples().size(); ++i) {
     ITDB_ASSIGN_OR_RETURN(a_buckets[i], probe.Candidates(a.tuples()[i]));
   }
   probe.Hoist(a_buckets);
-  // Bound to a name, not written inside the macro below, so coverage
-  // tools attribute its lines one by one.
-  auto join_row = [&](std::int64_t row,
-                      std::vector<GeneralizedTuple>& part) -> Status {
-    const auto i = static_cast<std::size_t>(row);
-    return probe.Probe(a.tuples()[i], a_buckets[i], part);
-  };
-  ITDB_ASSIGN_OR_RETURN(
-      std::vector<GeneralizedTuple> tuples,
-      ParallelAppend<GeneralizedTuple>(
-          static_cast<std::int64_t>(a.size()),
-          ParallelOptions{options.threads, /*grain=*/16}, join_row));
+  std::vector<GeneralizedTuple> tuples;
+  for (std::size_t i = 0; i < a.tuples().size(); ++i) {
+    ITDB_RETURN_IF_ERROR(CheckCancellationAt(static_cast<std::int64_t>(i)));
+    ITDB_RETURN_IF_ERROR(probe.Probe(a.tuples()[i], a_buckets[i], tuples));
+  }
   GeneralizedRelation out(probe.schema());
   for (GeneralizedTuple& t : tuples) {
     ITDB_RETURN_IF_ERROR(out.AddTuple(std::move(t)));
@@ -430,10 +422,8 @@ Result<GeneralizedRelation> Intersect(const GeneralizedRelation& a,
   std::iota(temporal.begin(), temporal.end(), 0);
   std::vector<int> data(static_cast<std::size_t>(a.schema().data_arity()));
   std::iota(data.begin(), data.end(), 0);
-  return JoinKernel(a,
-                    JoinProbe(a.schema(), b, std::move(temporal),
-                              std::move(data), options, "Intersect"),
-                    options);
+  return JoinKernel(a, JoinProbe(a.schema(), b, std::move(temporal),
+                                 std::move(data), options, "Intersect"));
 }
 
 Result<GeneralizedRelation> Subtract(const GeneralizedRelation& a,
@@ -479,28 +469,15 @@ Result<GeneralizedRelation> Subtract(const GeneralizedRelation& a,
     // hoist it out of the per-residue loop.
     Dbm c2 = t2.constraints();
     ITDB_RETURN_IF_ERROR(c2.Close());
-    // One round subtracts t2 from every residue independently; the round's
-    // outputs merge in residue order.  The budget is checked on the merged
-    // round: round sizes only grow as residues accumulate, so this trips
-    // exactly when the sequential per-residue prefix check would.
-    auto subtract_residue =
-        [&](std::int64_t i,
-            std::vector<std::vector<GeneralizedTuple>>& out_parts) -> Status {
-      ITDB_ASSIGN_OR_RETURN(
-          std::vector<GeneralizedTuple> parts,
-          SubtractTuples(current[static_cast<std::size_t>(i)], t2, c2,
-                         options));
-      out_parts.push_back(std::move(parts));
-      return Status::Ok();
-    };
-    ITDB_ASSIGN_OR_RETURN(
-        std::vector<std::vector<GeneralizedTuple>> rounds,
-        ParallelAppend<std::vector<GeneralizedTuple>>(
-            static_cast<std::int64_t>(current.size()),
-            ParallelOptions{options.threads, /*grain=*/16},
-            subtract_residue));
+    // One round subtracts t2 from every residue, in residue order.  The
+    // budget is checked on the whole round: round sizes only grow as
+    // residues accumulate, so this trips exactly when a per-residue prefix
+    // check would.
     std::vector<GeneralizedTuple> next;
-    for (std::vector<GeneralizedTuple>& parts : rounds) {
+    for (std::size_t i = 0; i < current.size(); ++i) {
+      ITDB_RETURN_IF_ERROR(CheckCancellationAt(static_cast<std::int64_t>(i)));
+      ITDB_ASSIGN_OR_RETURN(std::vector<GeneralizedTuple> parts,
+                            SubtractTuples(current[i], t2, c2, options));
       for (GeneralizedTuple& p : parts) next.push_back(std::move(p));
     }
     ITDB_RETURN_IF_ERROR(
@@ -618,14 +595,14 @@ Result<GeneralizedRelation> Complement(const GeneralizedRelation& r,
       groups[std::move(residues)].push_back(std::move(constraints));
     }
   }
-  // Enumerate the k^m universe.  Residue vectors are decoded from a linear
-  // index in base k with the LAST column least significant -- the sequential
-  // odometer order -- so the index-ordered merge reproduces it exactly.
-  // Each residue class is complemented independently (groups is only read);
-  // the tuple budget is checked on the merged result, which trips exactly
-  // when the sequential running check would (the count only grows).
-  auto complement_residue_class =
-      [&](std::int64_t index, std::vector<GeneralizedTuple>& part) -> Status {
+  // Enumerate the k^m universe in odometer order, the LAST column varying
+  // fastest: residue vector `index` is `index` in base k.  Each residue
+  // class is complemented on its own; the tuple budget is checked once, on
+  // the whole result.
+  std::vector<GeneralizedTuple> tuples;
+  for (std::int64_t index = 0; index < static_cast<std::int64_t>(universe);
+       ++index) {
+    ITDB_RETURN_IF_ERROR(CheckCancellationAt(index));
     std::vector<std::int64_t> rv(static_cast<std::size_t>(m), 0);
     std::int64_t rest = index;
     for (int i = m - 1; i >= 0; --i) {
@@ -639,8 +616,8 @@ Result<GeneralizedRelation> Complement(const GeneralizedRelation& r,
     }
     auto it = groups.find(rv);
     if (it == groups.end()) {
-      part.push_back(GeneralizedTuple(std::move(lrps)));
-      return Status::Ok();
+      tuples.push_back(GeneralizedTuple(std::move(lrps)));
+      continue;
     }
     ITDB_ASSIGN_OR_RETURN(
         std::vector<Dbm> systems,
@@ -648,16 +625,9 @@ Result<GeneralizedRelation> Complement(const GeneralizedRelation& r,
     for (Dbm& s : systems) {
       GeneralizedTuple t(lrps);
       t.set_constraints(std::move(s));
-      part.push_back(std::move(t));
+      tuples.push_back(std::move(t));
     }
-    return Status::Ok();
-  };
-  ITDB_ASSIGN_OR_RETURN(
-      std::vector<GeneralizedTuple> tuples,
-      ParallelAppend<GeneralizedTuple>(
-          static_cast<std::int64_t>(universe),
-          ParallelOptions{options.threads, /*grain=*/16},
-          complement_residue_class));
+  }
   ITDB_RETURN_IF_ERROR(
       CheckBudget(static_cast<std::int64_t>(tuples.size()), options,
                   "Complement"));
@@ -1209,7 +1179,7 @@ Result<GeneralizedRelation> Join(const GeneralizedRelation& a,
   obs::Span span = OpSpan(options, "Join", &a, &b);
   ITDB_ASSIGN_OR_RETURN(JoinProbe probe,
                         JoinProbe::ForJoin(a.schema(), b, options));
-  return JoinKernel(a, std::move(probe), options);
+  return JoinKernel(a, std::move(probe));
 }
 
 Result<GeneralizedRelation> ShiftTemporalColumn(const GeneralizedRelation& r,

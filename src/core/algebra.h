@@ -42,23 +42,17 @@ namespace obs {
 class Tracer;  // obs/trace.h
 }  // namespace obs
 
-/// Budgets, worker threads and observers for algebra operations.
+/// Budgets and observers for algebra operations.  Every operation runs on
+/// the calling thread.
 struct AlgebraOptions {
   /// Cap on the split product of one Theorem 3.2 normalization
-  /// (NormalizeOptions::max_split_product); the split sweep runs on
-  /// `threads`.  Complement's k^m residue universe is the split of the
-  /// free tuple [0+1n, ...] to period k (Lemma 3.1), so the same cap
-  /// bounds it.
+  /// (NormalizeOptions::max_split_product).  Complement's k^m residue
+  /// universe is the split of the free tuple [0+1n, ...] to period k
+  /// (Lemma 3.1), so the same cap bounds it.
   std::int64_t max_split_product = std::int64_t{1} << 20;
   /// Hard cap on the number of tuples any intermediate or final relation may
   /// reach (subtraction chains and complements can explode; see Appendix A).
   std::int64_t max_tuples = std::int64_t{1} << 22;
-  /// Worker threads for the per-tuple / per-tuple-pair kernels of
-  /// Intersect, Join, Subtract and Complement and for the in-tuple
-  /// normalization split sweep (0 = the ITDB_THREADS / hardware default,
-  /// 1 = sequential).  Results are bit-identical at every thread count:
-  /// work is partitioned by input index and merged in input order.
-  int threads = 0;
   /// Optional memo-cache for Theorem 3.2 normalization, shared across the
   /// operations of one query / benchmark run (see normalize_cache.h).
   /// Not owned; null disables memoization.  Cached and uncached results
@@ -197,8 +191,7 @@ class JoinProbe {
 
   /// Appends `ta` joined with each row of `bucket` (a span Candidates
   /// returned, hoisted) to `out`, in bucket order; a pair with disjoint
-  /// lrps or an infeasible conjunction contributes nothing.  Safe to call
-  /// from several threads at once.
+  /// lrps or an infeasible conjunction contributes nothing.
   Status Probe(const GeneralizedTuple& ta, std::span<const std::size_t> bucket,
                std::vector<GeneralizedTuple>& out) const;
 

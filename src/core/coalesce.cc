@@ -46,37 +46,20 @@ Result<std::string> SignatureWithoutOffset(const GeneralizedTuple& t,
 
 }  // namespace
 
-Result<GeneralizedRelation> CoalesceResidues(const GeneralizedRelation& r,
-                                             int threads) {
+Result<GeneralizedRelation> CoalesceResidues(const GeneralizedRelation& r) {
   const int m = r.schema().temporal_arity();
-  const ParallelOptions parallel{threads, /*grain=*/8};
   std::vector<GeneralizedTuple> tuples;
   // Drop tuples with contradictory constraints up front (their extension is
   // empty, so removal preserves the set) and deduplicate exact copies.
-  // Closure + printing are per-tuple and independent; only the order-
-  // sensitive dedup stays sequential.
   {
-    using KeyEntry = std::pair<bool, std::string>;
-    auto key_of = [&](std::int64_t i, std::vector<KeyEntry>& out) -> Status {
-      const GeneralizedTuple& t = r.tuples()[static_cast<std::size_t>(i)];
+    std::set<std::string> seen;
+    for (std::size_t i = 0; i < r.tuples().size(); ++i) {
+      ITDB_RETURN_IF_ERROR(CheckCancellationAt(static_cast<std::int64_t>(i)));
+      const GeneralizedTuple& t = r.tuples()[i];
       Dbm closed = t.constraints();
       ITDB_RETURN_IF_ERROR(closed.Close());
-      if (!closed.feasible()) {
-        out.push_back({false, std::string()});
-      } else {
-        out.push_back({true, t.ToString()});
-      }
-      return Status::Ok();
-    };
-    ITDB_ASSIGN_OR_RETURN(
-        std::vector<KeyEntry> keys,
-        ParallelAppend<KeyEntry>(static_cast<std::int64_t>(r.tuples().size()),
-                                 parallel, key_of));
-    std::set<std::string> seen;
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      if (!keys[i].first) continue;
-      if (seen.insert(std::move(keys[i].second)).second) {
-        tuples.push_back(r.tuples()[i]);
+      if (closed.feasible() && seen.insert(t.ToString()).second) {
+        tuples.push_back(t);
       }
     }
   }
@@ -84,28 +67,17 @@ Result<GeneralizedRelation> CoalesceResidues(const GeneralizedRelation& r,
   while (changed) {
     changed = false;
     for (int col = 0; col < m && !changed; ++col) {
-      // Families keyed by everything but this column's offset.  The
-      // per-tuple signatures (a closure each) fan out; the family map is
-      // built sequentially so member lists stay index-ordered.
-      auto signature_of = [&](std::int64_t i,
-                              std::vector<std::string>& out) -> Status {
-        const GeneralizedTuple& t = tuples[static_cast<std::size_t>(i)];
-        if (t.lrp(col).period() == 0) {
-          out.push_back(std::string());
-          return Status::Ok();
-        }
-        ITDB_ASSIGN_OR_RETURN(std::string key, SignatureWithoutOffset(t, col));
-        out.push_back(std::move(key));
-        return Status::Ok();
-      };
-      ITDB_ASSIGN_OR_RETURN(
-          std::vector<std::string> signatures,
-          ParallelAppend<std::string>(static_cast<std::int64_t>(tuples.size()),
-                                      parallel, signature_of));
+      // Families keyed by everything but this column's offset, each
+      // member list in tuple order.
       std::map<std::string, std::vector<std::size_t>> families;
-      for (std::size_t i = 0; i < signatures.size(); ++i) {
-        if (signatures[i].empty()) continue;
-        families[std::move(signatures[i])].push_back(i);
+      for (std::size_t i = 0; i < tuples.size(); ++i) {
+        ITDB_RETURN_IF_ERROR(
+            CheckCancellationAt(static_cast<std::int64_t>(i)));
+        if (tuples[i].lrp(col).period() == 0) continue;
+        ITDB_ASSIGN_OR_RETURN(std::string key,
+                              SignatureWithoutOffset(tuples[i], col));
+        if (key.empty()) continue;
+        families[std::move(key)].push_back(i);
       }
       for (const auto& [key, members] : families) {
         // A merge rewrites `tuples`, invalidating every index in

@@ -22,11 +22,7 @@ namespace itdb {
 
 /// Merges residue-class families column by column until a fixpoint.
 /// Exact: the result represents the same set with at most as many tuples.
-/// `threads` fans the per-tuple canonicalization (constraint closure +
-/// signature) out over the thread pool (0 = the ITDB_THREADS / hardware
-/// default, 1 = sequential); the result is identical at every thread count.
-Result<GeneralizedRelation> CoalesceResidues(const GeneralizedRelation& r,
-                                             int threads = 0);
+Result<GeneralizedRelation> CoalesceResidues(const GeneralizedRelation& r);
 
 }  // namespace itdb
 

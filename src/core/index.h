@@ -48,8 +48,9 @@
 namespace itdb {
 
 /// Per-operation instrumentation for the indexed kernels.  Fields are
-/// atomic so parallel workers can bump them without synchronization; wire
-/// an instance through AlgebraOptions::counters to collect.
+/// atomic so another thread (a benchmark's reporter) can read them while
+/// a statement runs; wire an instance through AlgebraOptions::counters to
+/// collect.
 struct KernelCounters {
   /// Raw pair product a.size() * b.size() before the data-key partition.
   std::atomic<std::int64_t> pairs_total{0};

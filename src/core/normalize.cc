@@ -1,6 +1,5 @@
 #include "core/normalize.h"
 
-#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <utility>
@@ -223,39 +222,26 @@ Result<std::vector<GeneralizedTuple>> NormalizeTupleToPeriod(
     const GeneralizedTuple& t, std::int64_t period,
     const NormalizeOptions& options) {
   ITDB_ASSIGN_OR_RETURN(SplitSweep sweep, SplitSweep::Make(t, period, options));
-  // Combinations are independent, so the sweep fans out over the thread
-  // pool with index-ordered merging (byte-identical to the sequential
-  // loop).
-  return ParallelAppend<GeneralizedTuple>(
-      sweep.total(), ParallelOptions{options.threads, /*grain=*/64},
-      [&sweep](std::int64_t index, std::vector<GeneralizedTuple>& out) {
-        return sweep.Emit(index, out);
-      });
+  std::vector<GeneralizedTuple> out;
+  for (std::int64_t index = 0; index < sweep.total(); ++index) {
+    ITDB_RETURN_IF_ERROR(CheckCancellationAt(index));
+    ITDB_RETURN_IF_ERROR(sweep.Emit(index, out));
+  }
+  return out;
 }
 
 Result<std::optional<GeneralizedTuple>> FirstNormalPiece(
     const GeneralizedTuple& t, const NormalizeOptions& options) {
   ITDB_ASSIGN_OR_RETURN(std::int64_t k, CommonPeriod(t));
   ITDB_ASSIGN_OR_RETURN(SplitSweep sweep, SplitSweep::Make(t, k, options));
-  // Windows of doubling width, each swept like the full normalization:
-  // the first survivor is the first survivor of the whole sweep, and at
-  // most about twice the combinations before it are tested.
-  for (std::int64_t begin = 0, width = 1; begin < sweep.total();
-       begin += width, width *= 2) {
-    const std::int64_t count = std::min(width, sweep.total() - begin);
-    ITDB_ASSIGN_OR_RETURN(
-        std::vector<GeneralizedTuple> found,
-        ParallelAppend<GeneralizedTuple>(
-            count, ParallelOptions{options.threads, /*grain=*/64},
-            [&sweep, begin](std::int64_t index,
-                            std::vector<GeneralizedTuple>& out) {
-              return sweep.Emit(begin + index, out);
-            }));
-    if (!found.empty()) {
-      return std::optional<GeneralizedTuple>(std::move(found.front()));
-    }
+  std::vector<GeneralizedTuple> found;
+  for (std::int64_t index = 0; index < sweep.total() && found.empty();
+       ++index) {
+    ITDB_RETURN_IF_ERROR(CheckCancellationAt(index));
+    ITDB_RETURN_IF_ERROR(sweep.Emit(index, found));
   }
-  return std::optional<GeneralizedTuple>();
+  if (found.empty()) return std::optional<GeneralizedTuple>();
+  return std::optional<GeneralizedTuple>(std::move(found.front()));
 }
 
 Result<std::optional<ExactElimination>> EliminateFreeAndPinnedColumns(

@@ -41,10 +41,6 @@ namespace itdb {
 /// k_1..k_m splits into prod(k / k_i) tuples, worst case k^m).
 struct NormalizeOptions {
   std::int64_t max_split_product = std::int64_t{1} << 20;
-  /// Worker threads for the cross-product feasibility sweep (0 = the
-  /// ITDB_THREADS / hardware default, 1 = sequential).  The result is
-  /// bit-identical at every thread count.
-  int threads = 0;
 };
 
 /// True iff every non-singleton lrp of `t` has the same period.  On success

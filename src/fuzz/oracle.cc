@@ -86,12 +86,6 @@ bool SameRepresentation(const GeneralizedRelation& a,
   return a.schema() == b.schema() && a.tuples() == b.tuples();
 }
 
-struct EvalConfig {
-  const char* name;
-  int threads;
-  bool cache;
-};
-
 }  // namespace
 
 CaseOutcome CheckCase(const Database& db, const ExprPtr& expr,
@@ -101,11 +95,10 @@ CaseOutcome CheckCase(const Database& db, const ExprPtr& expr,
 
   EvalExprOptions eval;
   eval.algebra = options.algebra;
-  eval.algebra.threads = 1;
   eval.algebra.normalize_cache = nullptr;
   eval.bug = options.bug;
 
-  // ---- Reference evaluation: 1 thread, no memo-cache. ----
+  // ---- Reference evaluation: no memo-cache. ----
   Result<GeneralizedRelation> ref = EvalExpr(expr, db, eval);
   if (!ref.ok()) {
     if (IsBudgetError(ref.status())) {
@@ -119,32 +112,24 @@ CaseOutcome CheckCase(const Database& db, const ExprPtr& expr,
     return outcome;
   }
 
-  // ---- Determinism matrix over {1, N} threads x {off, on} memo-cache,
-  // against the reference (1 thread, cache off): the parallel pair and
-  // residue kernels and the memo-cache must each leave the representation
-  // unchanged, alone and together. ----
-  const EvalConfig configs[] = {
-      {"threads=N cache=off", options.threads, false},
-      {"threads=1 cache=on", 1, true},
-      {"threads=N cache=on", options.threads, true},
-  };
-  for (const EvalConfig& cfg : configs) {
+  // ---- Determinism: the memo-cache must leave the representation of the
+  // reference (cache off) unchanged. ----
+  {
     NormalizeCache cache;
     EvalExprOptions alt = eval;
-    alt.algebra.threads = cfg.threads;
-    alt.algebra.normalize_cache = cfg.cache ? &cache : nullptr;
+    alt.algebra.normalize_cache = &cache;
     Result<GeneralizedRelation> got = EvalExpr(expr, db, alt);
     if (!got.ok()) {
       outcome.failure = {"determinism", "",
-                         std::string(cfg.name) + " failed where reference "
-                         "succeeded: " + got.status().ToString(),
+                         "cache=on failed where reference succeeded: " +
+                             got.status().ToString(),
                          nullptr};
       return outcome;
     }
     if (!SameRepresentation(*ref, *got)) {
       std::ostringstream os;
-      os << cfg.name << " diverged from reference: " << ref->size()
-         << " vs " << got->size() << " tuples";
+      os << "cache=on diverged from reference: " << ref->size() << " vs "
+         << got->size() << " tuples";
       outcome.failure = {"determinism", "", os.str(), nullptr};
       return outcome;
     }

@@ -12,9 +12,8 @@
 //     mismatch is re-verified on a doubled outer window before being
 //     reported, which eliminates window artifacts entirely.
 //
-//   * determinism -- the engine result must be bit-identical at 1 thread
-//     and N threads, with the normalization memo-cache off and on (the two
-//     PR-1 features most likely to produce nondeterministic wrong answers).
+//   * determinism -- the engine result must be bit-identical with the
+//     normalization memo-cache off and on.
 //
 //   * metamorphic -- paper-sound rewrites of the expression (mutate.h) must
 //     produce equivalent results: equal materializations on the inner
@@ -43,8 +42,6 @@ struct OracleOptions {
   /// Row budget for finite-baseline intermediates; beyond it the
   /// differential check is skipped (counted, never silent).
   std::int64_t max_finite_rows = 200000;
-  /// The "N" of the 1-vs-N thread determinism matrix (0 = hardware).
-  int threads = 0;
   /// Metamorphic rewrites checked per case (random subset)...
   int max_mutants = 3;
   /// ...unless this asks for every enumerable rewrite (used when shrinking

@@ -48,26 +48,20 @@ bool IsBudgetFailure(const Status& s) {
 struct Variant {
   const char* name;
   bool analyze;
-  bool parallel;
   bool cost_plan;
 };
 
 constexpr Variant kVariants[] = {
-    {"analyze=off threads=N cost_plan=off", false, true, false},
-    {"analyze=on threads=1 cost_plan=off", true, false, false},
-    {"analyze=on threads=N cost_plan=off", true, true, false},
-    {"analyze=off threads=1 cost_plan=on", false, false, true},
-    {"analyze=on threads=N cost_plan=on", true, true, true},
+    {"analyze=on cost_plan=off", true, false},
+    {"analyze=off cost_plan=on", false, true},
+    {"analyze=on cost_plan=on", true, true},
 };
 
-constexpr Variant kBaseline = {"analyze=off threads=1 cost_plan=off", false,
-                               false, false};
+constexpr Variant kBaseline = {"analyze=off cost_plan=off", false, false};
 
-QueryOptions MakeOptions(bool analyze, bool parallel, bool cost_plan,
-                         int threads) {
+QueryOptions MakeOptions(bool analyze, bool cost_plan) {
   QueryOptions options;
   options.analyze = analyze;
-  options.algebra.threads = parallel ? threads : 1;
   options.cost_plan = cost_plan;
   return options;
 }
@@ -80,7 +74,7 @@ QueryOptions MakeOptions(bool analyze, bool parallel, bool cost_plan,
 /// independent conjuncts would be.  Any other failure must hit both paths
 /// with the same status code.
 std::optional<std::string> CheckClosedForms(const Database& db,
-                                            const QueryPtr& q, int threads,
+                                            const QueryPtr& q,
                                             QueryCaseOutcome* outcome) {
   const std::vector<std::string> free = q->FreeVariables();
   std::vector<Variant> variants = {kBaseline};
@@ -93,8 +87,7 @@ std::optional<std::string> CheckClosedForms(const Database& db,
     }
     const char* form = universal ? "FORALL-closed" : "EXISTS-closed";
     for (const Variant& v : variants) {
-      const QueryOptions opts =
-          MakeOptions(v.analyze, v.parallel, v.cost_plan, threads);
+      const QueryOptions opts = MakeOptions(v.analyze, v.cost_plan);
       Result<GeneralizedRelation> rel = EvalQuery(db, closed, opts);
       Result<bool> answer = EvalBooleanQuery(db, closed, opts);
       if (!rel.ok() || !answer.ok()) {
@@ -128,7 +121,7 @@ std::optional<std::string> CheckClosedForms(const Database& db,
 /// Oracle 5: Optimize preserves the point set.  Every other oracle
 /// evaluates with optimize on, so the successful baseline is compared with
 /// `plain`, the same query evaluated with analyze, optimize and cost_plan
-/// off at one thread.  A budget failure of Equivalent is a skip, and so is
+/// off.  A budget failure of Equivalent is a skip, and so is
 /// any failure of `plain`: a budget, or a vacuous quantifier that sort
 /// inference rejects and Optimize drops.
 std::optional<std::string> CheckOptimizer(
@@ -180,10 +173,9 @@ QueryCaseOutcome CheckQueryCase(const Database& db, const QueryPtr& q,
                                 const QueryOracleOptions& options) {
   QueryCaseOutcome outcome;
 
-  // --- Oracle 1: the analyze/threads/cost_plan matrix vs the baseline. ---
+  // --- Oracle 1: the analyze/cost_plan matrix vs the baseline. ---
   Result<GeneralizedRelation> baseline =
-      EvalQuery(db, q, MakeOptions(/*analyze=*/false, /*parallel=*/false,
-                                   /*cost_plan=*/false, options.threads));
+      EvalQuery(db, q, MakeOptions(/*analyze=*/false, /*cost_plan=*/false));
   if (!baseline.ok() && IsBudgetFailure(baseline.status())) {
     outcome.skipped = true;
     outcome.skip_reason = "baseline over budget: " +
@@ -191,9 +183,8 @@ QueryCaseOutcome CheckQueryCase(const Database& db, const QueryPtr& q,
     return outcome;
   }
   for (const Variant& v : kVariants) {
-    Result<GeneralizedRelation> got = EvalQuery(
-        db, q,
-        MakeOptions(v.analyze, v.parallel, v.cost_plan, options.threads));
+    Result<GeneralizedRelation> got =
+        EvalQuery(db, q, MakeOptions(v.analyze, v.cost_plan));
     ++outcome.variants_checked;
     // Planned and written join orders can exhaust resource budgets
     // differently (the documented exception in query/planner.h): a budget
@@ -240,8 +231,7 @@ QueryCaseOutcome CheckQueryCase(const Database& db, const QueryPtr& q,
   }
 
   // The query evaluated plain: exactly the analyzed tree, unoptimized.
-  QueryOptions plain = MakeOptions(/*analyze=*/false, /*parallel=*/false,
-                                   /*cost_plan=*/false, options.threads);
+  QueryOptions plain = MakeOptions(/*analyze=*/false, /*cost_plan=*/false);
   plain.optimize = false;
   const Result<GeneralizedRelation> plain_result = EvalQuery(db, q, plain);
 
@@ -249,7 +239,7 @@ QueryCaseOutcome CheckQueryCase(const Database& db, const QueryPtr& q,
   // forms answer through the peeled yes/no path as the relation path does,
   // and the optimized baseline has the plain evaluation's point set. ---
   if (baseline.ok()) {
-    outcome.failure = CheckClosedForms(db, q, options.threads, &outcome);
+    outcome.failure = CheckClosedForms(db, q, &outcome);
     if (outcome.failure.has_value()) return outcome;
     outcome.failure =
         CheckOptimizer(*baseline, plain_result, plain.algebra, &outcome);
@@ -273,8 +263,7 @@ QueryCaseOutcome CheckQueryCase(const Database& db, const QueryPtr& q,
     // not a finding.
     Result<GeneralizedRelation> sub = EvalQuery(
         db, node,
-        MakeOptions(/*analyze=*/false, /*parallel=*/false,
-                    /*cost_plan=*/false, options.threads));
+        MakeOptions(/*analyze=*/false, /*cost_plan=*/false));
     if (!sub.ok()) {
       if (!capped) ++outcome.empties_skipped;
       continue;

@@ -4,10 +4,9 @@
 // Five properties, checked per case:
 //   * Bit-identity: evaluating with analysis on must give the SAME
 //     representation (schema plus tuple sequence) as evaluating with it
-//     off, at one thread and at N threads -- a matrix against the
-//     (analyze=off, threads=1) baseline that also covers cost_plan
-//     (certificate-clamped planning must not change the representation
-//     either).  When the baseline fails, every variant must
+//     off -- a matrix against the (analyze=off, cost_plan=off) baseline
+//     that also covers cost_plan (certificate-clamped planning must not
+//     change the representation either).  When the baseline fails, every variant must
 //     fail with the same status code (the analyzer may turn an eval-time
 //     type error into an analysis error, but both surface as
 //     kInvalidArgument / kNotFound consistently).
@@ -32,7 +31,7 @@
 //     and any other failure must hit both paths with one code.
 //   * Optimizer soundness: every check above evaluates with optimize on,
 //     so a successful baseline is compared with the plain evaluation
-//     (analyze / optimize / cost_plan off, one thread): the two must have
+//     (analyze / optimize / cost_plan off): the two must have
 //     one schema and be Equivalent (the same point set; Optimize may change
 //     the representation).  A budget failure of Equivalent, and any
 //     failure of the plain evaluation (a budget, or a vacuous quantifier
@@ -62,8 +61,6 @@ namespace itdb {
 namespace fuzz {
 
 struct QueryOracleOptions {
-  /// Thread count for the parallel variants (0 = hardware concurrency).
-  int threads = 0;
   /// Cap on standalone evaluations of set-level proven-empty subplans per
   /// case.  Bit-level proofs are all checked.
   std::int64_t max_empty_checks = 8;

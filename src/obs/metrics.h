@@ -6,15 +6,16 @@
 // depths nobody could read.  The registry unifies the *read* side: any layer
 // registers a counter or histogram once (mutex-protected, name -> stable
 // handle) and then updates it with a single relaxed atomic operation, safe
-// from any thread.  ParallelFor workers all update the same atomics, so
-// "merging" across workers is the trivial no-op -- a snapshot taken after
-// the parallel region observes the sum of every worker's contributions.
+// from any thread.  Concurrent sessions all update the same atomics, so
+// "merging" across them is the trivial no-op -- a snapshot observes the
+// sum of every thread's contributions.
 //
 // Updates deliberately use std::memory_order_relaxed: metrics never guard
 // data, and torn *cross-counter* consistency (a snapshot taken mid-query
-// sees counter A bumped but not B) is acceptable by design.  Per-query
-// deltas are computed by snapshotting before and after on the query thread,
-// which joins every worker first (ParallelFor blocks), so deltas are exact.
+// sees counter A bumped but not B) is acceptable by design.  A statement
+// runs on one thread, so per-query deltas of its own kernel counters
+// (snapshots before and after on that thread) are exact; the global
+// counters also take in whatever concurrent sessions add meanwhile.
 
 #ifndef ITDB_OBS_METRICS_H_
 #define ITDB_OBS_METRICS_H_

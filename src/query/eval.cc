@@ -48,9 +48,8 @@ std::string PlanNodeLabel(const Query& q) {
 namespace {
 
 /// Point-in-time reading of the work counters a plan span reports as
-/// deltas.  Relaxed loads: the evaluator recursion is single-threaded (the
-/// parallelism lives inside the algebra kernels, which have joined by the
-/// time a node's span closes), so before/after differences are exact.
+/// deltas.  Relaxed loads: the statement, its algebra kernels included,
+/// runs on one thread, so before/after differences are exact.
 struct CounterSnapshot {
   std::int64_t pairs_candidate = 0;
   std::int64_t pairs_pruned_residue = 0;

@@ -60,15 +60,14 @@ struct QueryOptions {
   /// normalize-cache stats attributable to the node's subtree.  With no
   /// algebra.tracer, only the algebra spans go to the process-global
   /// tracer (obs::InstallGlobalTracer) when one is installed.  Tracing is
-  /// an observer only: results are bit-identical with it on or off, at
-  /// every thread count.
+  /// an observer only: results are bit-identical with it on or off.
   AlgebraOptions algebra;
   /// Run the static analyzer (analysis/analyzer.h) before evaluation.
   /// Error-severity diagnostics abort with a Status listing them; otherwise
   /// the analyzer's sound rewrites (dead OR-branch elimination) are applied
   /// and a root proven empty short-circuits evaluation.  Both are
-  /// bit-identical to evaluating without analysis -- same representation,
-  /// at every thread count (the fuzz oracle pins this).  Disable to
+  /// bit-identical to evaluating without analysis -- same representation
+  /// (the fuzz oracle pins this).  Disable to
   /// evaluate exactly the tree you built, diagnostics be damned.  The
   /// analyzer has no knobs of its own: its thresholds are the constants of
   /// analysis/cost.h.

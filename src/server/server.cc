@@ -153,8 +153,8 @@ Status Server::Start() {
     wake_fds_[0] = wake_fds_[1] = -1;
     return status;
   }
-  // The global pool grows lazily (ParallelFor sizes it per call); a bare
-  // Submit does not, so make sure statement pumps have workers to land on.
+  // The global pool starts empty and Submit does not grow it, so make sure
+  // statement pumps have workers to land on.
   ThreadPool::Global().EnsureWorkers(ThreadPool::DefaultThreads());
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);

@@ -127,8 +127,6 @@ constexpr std::int64_t kFetchBatch = 16;
 // apart, a reply is fixed by the verb, the statement and the budgets it runs
 // under (Theorem 4.1).  The parsed tree is finer than any tree compiled from
 // it, so two statements share a key only if they evaluate the same plans.
-// Thread count is deliberately absent: results are bit-identical at every
-// thread count.
 std::string StatementKey(std::string_view verb,
                          const query::Prepared& prepared,
                          std::int64_t deadline_ms) {
@@ -777,7 +775,6 @@ Status Session::CmdFetch(std::ostream& out, const std::string& args) {
 
 Status Session::CmdSet(std::ostream& out, const std::string& args) {
   if (args.empty()) {
-    out << "threads      " << options_.threads << "\n";
     out << "deadline_ms  " << options_.deadline_ms << "\n";
     return Status::Ok();
   }
@@ -787,30 +784,21 @@ Status Session::CmdSet(std::ostream& out, const std::string& args) {
   if (!(in >> name >> value)) {
     return Status::InvalidArgument("usage: set <name> <value>");
   }
-  if (name == "threads") {
-    std::istringstream vin(value);
-    int threads = 0;
-    if (vin >> threads && threads >= 0) {
-      options_.threads = threads;
-      return Status::Ok();
-    }
-  } else if (name == "deadline_ms") {
-    std::istringstream vin(value);
-    std::int64_t ms = 0;
-    if (vin >> ms && ms >= 0) {
-      options_.deadline_ms = ms;
-      return Status::Ok();
-    }
-  } else {
+  if (name != "deadline_ms") {
     return Status::InvalidArgument("unknown option \"" + name +
                                    "\" (set alone lists them)");
   }
-  return Status::InvalidArgument("bad value \"" + value + "\" for " + name);
+  std::istringstream vin(value);
+  std::int64_t ms = 0;
+  if (!(vin >> ms) || ms < 0) {
+    return Status::InvalidArgument("bad value \"" + value + "\" for " + name);
+  }
+  options_.deadline_ms = ms;
+  return Status::Ok();
 }
 
 query::QueryOptions Session::BaseOptions() const {
   query::QueryOptions opts;
-  opts.algebra.threads = options_.threads;
   opts.algebra.max_tuples = options_.max_tuples;
   opts.algebra.normalize_cache = options_.normalize_cache;
   opts.stats_cache = options_.stats_cache;

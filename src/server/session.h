@@ -4,7 +4,7 @@
 //
 // Before this layer existed the pipeline lived inline in the REPL loop
 // (src/shell/shell.cc), so nothing else could drive it.  A Session owns
-// everything per-client -- thread count and budgets, the multi-line
+// everything per-client -- budgets and deadline, the multi-line
 // statement buffer, a result cursor, error/command counters -- while the
 // Database is shared through SharedDatabase's reader-writer lock:
 // read-only verbs (ask / query / explain / profile / check / ...) evaluate
@@ -73,9 +73,6 @@ class StorageEngine;
 namespace server {
 
 struct SessionOptions {
-  /// Worker threads of the algebra kernels (AlgebraOptions::threads; 0 =
-  /// the ITDB_THREADS / hardware default).  Mutable through `set threads`.
-  int threads = 0;
   /// Per-statement tuple budget of any relation (AlgebraOptions::
   /// max_tuples).  The split-product budget keeps its AlgebraOptions
   /// default.
@@ -170,7 +167,7 @@ class Session {
   Status CmdProfile(std::ostream& out, const std::string& text);
 
   /// A statement's query options: the full pipeline under the session's
-  /// threads and budgets, with its shared caches wired in.
+  /// budgets, with its shared caches wired in.
   query::QueryOptions BaseOptions() const;
 
   /// Runs ask / query / tlcheck / sat on their prepared statement: one

@@ -1,58 +1,14 @@
 #include "util/thread_pool.h"
 
 #include <cstdlib>
-#include <memory>
 #include <string>
 
 namespace itdb {
 
 namespace {
 
-/// True while the current thread is executing a ParallelFor range; nested
-/// parallel regions then run inline instead of re-entering the pool.
-thread_local bool t_in_parallel_region = false;
-
 /// The innermost installed cancellation token (see CancellationScope).
 thread_local const CancellationToken* t_cancellation_token = nullptr;
-
-/// Shared state of one ParallelFor invocation.  Helpers and the caller pull
-/// chunks off `next` until exhausted; the caller waits for `completed == n`,
-/// so `body` outlives every invocation.
-struct ParallelForState {
-  std::atomic<std::int64_t> next{0};
-  std::int64_t n = 0;
-  std::int64_t chunk = 1;
-  const std::function<void(std::int64_t, std::int64_t)>* body = nullptr;
-  /// The submitting thread's token, forwarded to every helper so kernel
-  /// bodies observe it through CurrentCancellationToken().
-  const CancellationToken* token = nullptr;
-
-  std::mutex mu;
-  std::condition_variable done_cv;
-  std::int64_t completed = 0;
-};
-
-void RunChunks(const std::shared_ptr<ParallelForState>& state) {
-  bool saved = t_in_parallel_region;
-  t_in_parallel_region = true;
-  CancellationScope cancellation(state->token);
-  while (true) {
-    std::int64_t begin = state->next.fetch_add(state->chunk);
-    if (begin >= state->n) break;
-    std::int64_t end = begin + state->chunk;
-    if (end > state->n) end = state->n;
-    // Cooperative deadline check: once the token expires, remaining chunks
-    // complete without running the body (the region's result is then
-    // partial; ParallelAppend and friends turn that into a Status).
-    if (state->token == nullptr || !state->token->Expired()) {
-      (*state->body)(begin, end);
-    }
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->completed += end - begin;
-    if (state->completed == state->n) state->done_cv.notify_all();
-  }
-  t_in_parallel_region = saved;
-}
 
 }  // namespace
 
@@ -153,40 +109,6 @@ int ThreadPool::DefaultThreads() {
     return n == 0 ? 1 : static_cast<int>(n);
   }();
   return hw;
-}
-
-int ResolveThreads(int threads) {
-  if (threads <= 0) return ThreadPool::DefaultThreads();
-  return threads > ThreadPool::kMaxWorkers ? ThreadPool::kMaxWorkers : threads;
-}
-
-void ParallelFor(std::int64_t n, const ParallelOptions& options,
-                 const std::function<void(std::int64_t, std::int64_t)>& body) {
-  if (n <= 0) return;
-  const int threads = ResolveThreads(options.threads);
-  const std::int64_t grain = options.grain < 1 ? 1 : options.grain;
-  if (threads <= 1 || n <= grain || t_in_parallel_region) {
-    // Same contract as the parallel path: an expired token skips the body.
-    if (t_cancellation_token == nullptr || !t_cancellation_token->Expired()) {
-      body(0, n);
-    }
-    return;
-  }
-  auto state = std::make_shared<ParallelForState>();
-  state->n = n;
-  state->body = &body;
-  state->token = t_cancellation_token;
-  // ~4 chunks per thread balances load without much contention on `next`.
-  std::int64_t chunk = n / (static_cast<std::int64_t>(threads) * 4);
-  state->chunk = chunk < grain ? grain : chunk;
-  ThreadPool& pool = ThreadPool::Global();
-  pool.EnsureWorkers(threads - 1);
-  for (int h = 0; h < threads - 1; ++h) {
-    pool.Submit([state] { RunChunks(state); });
-  }
-  RunChunks(state);  // The caller participates: progress is guaranteed.
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->done_cv.wait(lock, [&state] { return state->completed == state->n; });
 }
 
 }  // namespace itdb

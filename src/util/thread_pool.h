@@ -1,22 +1,10 @@
-// A reusable worker pool and deterministic data-parallel helpers.
+// The server's worker pool and cooperative cancellation.
 //
-// The algebra of Section 3 reduces, after normalization, to independent
-// per-tuple or per-tuple-pair kernels (feasibility closures, lrp
-// intersections, residue enumeration).  These helpers fan such kernels out
-// over a process-wide pool while guaranteeing that RESULTS ARE BIT-IDENTICAL
-// TO THE SEQUENTIAL LOOP at every thread count:
-//
-//   * work is partitioned into contiguous index ranges and each range
-//     appends to its own output buffer;
-//   * buffers are concatenated in range order, which equals input order;
-//   * on failure, the error of the smallest failing index is reported
-//     (later indices in the same range are skipped, which never hides a
-//     smaller-index error).
-//
-// Thread count resolution: an explicit per-call count wins; 0 falls back to
-// the ITDB_THREADS environment variable, then to the hardware concurrency.
-// Nested parallel regions run inline on the calling worker (no
-// oversubscription, no pool deadlock).
+// Every statement runs on the one thread that took it: the per-tuple and
+// per-pair kernels of Section 3 are plain loops, and concurrency exists
+// only between sessions, whose statement pumps the server submits to the
+// process-wide ThreadPool.  A statement's deadline reaches those loops
+// through the CancellationToken its thread has installed.
 
 #ifndef ITDB_UTIL_THREAD_POOL_H_
 #define ITDB_UTIL_THREAD_POOL_H_
@@ -29,25 +17,21 @@
 #include <functional>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "util/status.h"
 
 namespace itdb {
 
-/// Cooperative cancellation and deadlines for parallel work.
+/// Cooperative cancellation and deadlines.
 ///
 /// A token is armed with a wall-clock deadline (or cancelled outright) and
-/// installed on the current thread with a CancellationScope; ParallelFor
-/// forwards the submitting thread's token to every worker that helps with
-/// the region.  Checks are cooperative: kernels call CheckCancellation() at
-/// convenient boundaries, and ParallelFor itself stops fetching chunks once
-/// the token has expired.  A region cut short this way has NOT produced its
-/// full result -- callers that install a token must treat a non-OK
-/// CheckCancellation() after the region as the region's failure.
-/// ParallelAppend does exactly that and fails with kResourceExhausted, so
-/// Status-propagating pipelines unwind cleanly.
+/// installed on the current thread with a CancellationScope.  Checks are
+/// cooperative: kernels call CheckCancellation() at convenient boundaries
+/// (the long sweeps every kCancellationStride indices, via
+/// CheckCancellationAt) and fail with kResourceExhausted, so
+/// Status-propagating pipelines unwind cleanly and never return a
+/// truncated result.
 ///
 /// All members are safe to call from any thread.
 class CancellationToken {
@@ -111,9 +95,19 @@ const CancellationToken* CurrentCancellationToken();
 /// kResourceExhausted("deadline exceeded" / "cancelled") otherwise.
 Status CheckCancellation();
 
+/// How many indices a sweep runs between two cancellation checks: the
+/// stride keeps clock reads off the per-index path.
+inline constexpr std::int64_t kCancellationStride = 64;
+
+/// CheckCancellation() at every kCancellationStride-th index of a sweep,
+/// index 0 included; OK at the others.
+inline Status CheckCancellationAt(std::int64_t index) {
+  return index % kCancellationStride == 0 ? CheckCancellation()
+                                          : Status::Ok();
+}
+
 /// A lazily grown, process-wide pool of worker threads.  Tasks must not
-/// block on other tasks; ParallelFor keeps the submitting thread working,
-/// so progress never depends on a free worker.
+/// block on other tasks.
 class ThreadPool {
  public:
   /// Hard cap on workers (sanity bound for ITDB_THREADS).
@@ -143,7 +137,8 @@ class ThreadPool {
   };
   PoolStats stats() const;
 
-  /// The shared pool.  Created empty; ParallelFor grows it on demand.
+  /// The shared pool.  Created empty; the server grows it to
+  /// DefaultThreads() when it starts.
   static ThreadPool& Global();
 
   /// The default parallelism: ITDB_THREADS when set (clamped to
@@ -161,103 +156,6 @@ class ThreadPool {
   std::int64_t tasks_submitted_ = 0;   // Guarded by mu_.
   std::int64_t queue_depth_max_ = 0;   // Guarded by mu_.
 };
-
-/// Per-call parallelism knobs.
-struct ParallelOptions {
-  /// Worker count; 0 = ThreadPool::DefaultThreads(), 1 = run sequentially.
-  int threads = 0;
-  /// Minimum indices per range; inputs of at most `grain` run sequentially.
-  std::int64_t grain = 1;
-};
-
-/// Resolves a requested thread count (0 = default) to a concrete one >= 1.
-int ResolveThreads(int threads);
-
-/// Runs body(begin, end) over a partition of [0, n), in parallel when
-/// worthwhile.  Ranges are disjoint and cover [0, n); the calling thread
-/// participates.  Blocks until every invocation returned.
-///
-/// Cancellation: the submitting thread's CancellationToken (if any) is
-/// forwarded to every helping worker -- CurrentCancellationToken() resolves
-/// to it inside `body` -- and once the token expires, remaining chunks are
-/// skipped instead of run.  The call still returns normally; a caller that
-/// installed a token MUST check CheckCancellation() afterwards and treat
-/// failure as "the region did not complete".
-void ParallelFor(std::int64_t n, const ParallelOptions& options,
-                 const std::function<void(std::int64_t, std::int64_t)>& body);
-
-/// Deterministic parallel map-append: calls fn(i, out) for every i in
-/// [0, n) ascending within each range, where fn appends any number of
-/// results to `out`; returns all results concatenated IN INPUT-INDEX ORDER,
-/// so the output equals the sequential loop's byte for byte regardless of
-/// thread count.  On failure returns the Status of the smallest failing
-/// index.  When the calling thread has a CancellationToken installed and it
-/// expires mid-sweep, the call fails with kResourceExhausted instead of
-/// returning a partial result (checked every kCancellationStride indices,
-/// and once more after the sweep to cover ParallelFor's skipped chunks).
-inline constexpr std::int64_t kCancellationStride = 64;
-
-template <typename T, typename Fn>
-Result<std::vector<T>> ParallelAppend(std::int64_t n,
-                                      const ParallelOptions& options,
-                                      Fn&& fn) {
-  std::vector<T> out;
-  if (n <= 0) return out;
-  const int threads = ResolveThreads(options.threads);
-  const std::int64_t grain = options.grain < 1 ? 1 : options.grain;
-  if (threads <= 1 || n <= grain) {
-    for (std::int64_t i = 0; i < n; ++i) {
-      if (i % kCancellationStride == 0) {
-        ITDB_RETURN_IF_ERROR(CheckCancellation());
-      }
-      ITDB_RETURN_IF_ERROR(fn(i, out));
-    }
-    return out;
-  }
-  // Fixed contiguous pieces; piece boundaries affect scheduling only, never
-  // the merged result (see file comment).
-  std::int64_t pieces = static_cast<std::int64_t>(threads) * 8;
-  if (pieces > n / grain) pieces = n / grain;
-  if (pieces < 1) pieces = 1;
-  std::vector<std::vector<T>> parts(static_cast<std::size_t>(pieces));
-  std::vector<Status> piece_error(static_cast<std::size_t>(pieces));
-  std::atomic<std::int64_t> first_bad_piece{pieces};
-  ParallelFor(pieces, ParallelOptions{threads, 1},
-              [&](std::int64_t cb, std::int64_t ce) {
-                for (std::int64_t c = cb; c < ce; ++c) {
-                  const std::int64_t lo = c * n / pieces;
-                  const std::int64_t hi = (c + 1) * n / pieces;
-                  std::vector<T>& local =
-                      parts[static_cast<std::size_t>(c)];
-                  for (std::int64_t i = lo; i < hi; ++i) {
-                    Status s = (i - lo) % kCancellationStride == 0
-                                   ? CheckCancellation()
-                                   : Status::Ok();
-                    if (s.ok()) s = fn(i, local);
-                    if (!s.ok()) {
-                      piece_error[static_cast<std::size_t>(c)] = std::move(s);
-                      std::int64_t cur = first_bad_piece.load();
-                      while (c < cur &&
-                             !first_bad_piece.compare_exchange_weak(cur, c)) {
-                      }
-                      break;
-                    }
-                  }
-                }
-              });
-  const std::int64_t bad = first_bad_piece.load();
-  if (bad < pieces) return piece_error[static_cast<std::size_t>(bad)];
-  // ParallelFor may have skipped whole chunks on an expired token; this
-  // check turns that into a failure instead of a silently truncated result.
-  ITDB_RETURN_IF_ERROR(CheckCancellation());
-  std::size_t total = 0;
-  for (const std::vector<T>& p : parts) total += p.size();
-  out.reserve(total);
-  for (std::vector<T>& p : parts) {
-    for (T& v : p) out.push_back(std::move(v));
-  }
-  return out;
-}
 
 }  // namespace itdb
 

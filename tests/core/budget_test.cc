@@ -7,8 +7,10 @@
 #include <vector>
 
 #include "core/algebra.h"
+#include "core/coalesce.h"
 #include "core/index.h"
 #include "core/normalize.h"
+#include "util/thread_pool.h"
 
 namespace itdb {
 namespace {
@@ -72,6 +74,30 @@ TEST(BudgetTest, ComplementUniverseBudget) {
   Result<GeneralizedRelation> c = Complement(r, options);
   ASSERT_FALSE(c.ok());
   EXPECT_EQ(c.status().code(), StatusCode::kResourceExhausted);
+}
+
+// A statement's deadline reaches the kernels' loops: under an expired
+// token each sweep fails with kResourceExhausted instead of returning what
+// it swept so far.  Without the token the same calls succeed.
+TEST(BudgetTest, SequentialSweepFailsOnExpiredDeadline) {
+  const GeneralizedTuple t({Lrp::Make(0, 4), Lrp::Make(1, 6)});
+  const GeneralizedRelation a = Unary({Lrp::Make(0, 4), Lrp::Make(1, 6)});
+  const GeneralizedRelation b = Unary({Lrp::Make(0, 3)});
+  auto sweeps = [&]() -> std::vector<Status> {
+    return {NormalizeTupleToPeriod(t, 12).status(),
+            Complement(a).status(),
+            Join(a, b).status(),
+            Subtract(a, b).status(),
+            CoalesceResidues(a).status()};
+  };
+  for (const Status& s : sweeps()) EXPECT_TRUE(s.ok()) << s;
+  CancellationToken token;
+  token.SetDeadlineAfter(std::chrono::nanoseconds(-1));
+  CancellationScope scope(&token);
+  for (const Status& s : sweeps()) {
+    EXPECT_EQ(s.code(), StatusCode::kResourceExhausted) << s;
+    EXPECT_EQ(s.message(), "deadline exceeded") << s;
+  }
 }
 
 TEST(BudgetTest, ComplementDnfBudget) {

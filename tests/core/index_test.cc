@@ -325,7 +325,7 @@ GeneralizedRelation EdgeRelation(
   return r;
 }
 
-TEST(IndexedKernelsTest, OverflowEdgeAgreesAcrossKernelsAndModes) {
+TEST(IndexedKernelsTest, OverflowEdgeAgreesAcrossKernels) {
   constexpr std::int64_t kBig = 3 * (Dbm::kBoundLimit / 4);
   // T1 - T2 <= kBig and T2 <= kBig close to T1 <= 1.5 kBoundLimit: overflow.
   const std::vector<AtomicConstraint> chain = {{0, 1, kBig},
@@ -352,22 +352,17 @@ TEST(IndexedKernelsTest, OverflowEdgeAgreesAcrossKernelsAndModes) {
   };
   for (const Case& c : cases) {
     std::optional<GeneralizedRelation> first;
-    for (int threads : {1, 4}) {
-      AlgebraOptions options;
-      options.threads = threads;
-      for (bool join : {false, true}) {
-        auto r = join ? Join(c.a, c.b, options) : Intersect(c.a, c.b, options);
-        const std::string where = std::string(c.name) +
-                                  (join ? " Join" : " Intersect") +
-                                  " threads=" + std::to_string(threads);
-        ASSERT_EQ(r.status().code(), c.want) << where << ": " << r.status();
-        if (!r.ok()) continue;
-        EXPECT_EQ(r.value().size(), 2u) << where;
-        if (!first.has_value()) {
-          first = r.value();
-        } else {
-          ExpectSame(*first, r.value(), where.c_str());
-        }
+    for (bool join : {false, true}) {
+      auto r = join ? Join(c.a, c.b, {}) : Intersect(c.a, c.b, {});
+      const std::string where =
+          std::string(c.name) + (join ? " Join" : " Intersect");
+      ASSERT_EQ(r.status().code(), c.want) << where << ": " << r.status();
+      if (!r.ok()) continue;
+      EXPECT_EQ(r.value().size(), 2u) << where;
+      if (!first.has_value()) {
+        first = r.value();
+      } else {
+        ExpectSame(*first, r.value(), where.c_str());
       }
     }
   }

@@ -148,14 +148,9 @@ TEST_P(NormalizePropertyTest, SweepMatchesPerCandidateBuild) {
     ASSERT_TRUE(k.ok());
     Result<std::vector<GeneralizedTuple>> want = ReferenceSweep(t, *k);
     ASSERT_TRUE(want.ok()) << want.status() << " for " << t.ToString();
-    for (int threads : {1, 4}) {
-      NormalizeOptions options;
-      options.threads = threads;
-      Result<std::vector<GeneralizedTuple>> got =
-          NormalizeTupleToPeriod(t, *k, options);
-      ASSERT_TRUE(got.ok()) << got.status() << " for " << t.ToString();
-      EXPECT_EQ(*got, *want) << "threads=" << threads << " " << t.ToString();
-    }
+    Result<std::vector<GeneralizedTuple>> got = NormalizeTupleToPeriod(t, *k);
+    ASSERT_TRUE(got.ok()) << got.status() << " for " << t.ToString();
+    EXPECT_EQ(*got, *want) << t.ToString();
   }
 }
 
@@ -202,14 +197,9 @@ TEST(NormalizeSweepTest, TranslationOverflowReturnsBuildStatus) {
   Result<std::vector<GeneralizedTuple>> want = ReferenceSweep(t, 6);
   ASSERT_FALSE(want.ok());
   EXPECT_EQ(want.status().code(), StatusCode::kOverflow);
-  for (int threads : {1, 4}) {
-    NormalizeOptions options;
-    options.threads = threads;
-    Result<std::vector<GeneralizedTuple>> got =
-        NormalizeTupleToPeriod(t, 6, options);
-    ASSERT_FALSE(got.ok());
-    EXPECT_EQ(got.status().code(), want.status().code());
-  }
+  Result<std::vector<GeneralizedTuple>> got = NormalizeTupleToPeriod(t, 6);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), want.status().code());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NormalizePropertyTest,

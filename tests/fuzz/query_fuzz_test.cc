@@ -48,12 +48,12 @@ TEST(QueryOracleTest, PassesOnAHandWrittenCase) {
   QueryCaseOutcome outcome = CheckQueryCase(db, q);
   EXPECT_FALSE(outcome.skipped);
   EXPECT_FALSE(outcome.failure.has_value()) << *outcome.failure;
-  EXPECT_EQ(outcome.variants_checked, 5);
+  EXPECT_EQ(outcome.variants_checked, 3);
   // A single atom with a comparison gets a fully bounded certificate, so
   // the soundness oracle must have verified it against the plain result.
   EXPECT_EQ(outcome.certificates_checked, 1);
-  // Both closed forms, on the baseline and each of the five variants.
-  EXPECT_EQ(outcome.closed_checked, 12);
+  // Both closed forms, on the baseline and each of the three variants.
+  EXPECT_EQ(outcome.closed_checked, 8);
   // The optimized baseline has the plain evaluation's point set.
   EXPECT_EQ(outcome.optimizer_checked, 1);
 }
@@ -79,7 +79,7 @@ TEST(QueryOracleTest, ChecksClosedFormsOfIndependentConjuncts) {
     QueryCaseOutcome outcome = CheckQueryCase(db, q);
     EXPECT_FALSE(outcome.skipped);
     EXPECT_FALSE(outcome.failure.has_value()) << *outcome.failure;
-    EXPECT_EQ(outcome.closed_checked, 12);
+    EXPECT_EQ(outcome.closed_checked, 8);
   }
 }
 

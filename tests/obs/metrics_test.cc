@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/thread_pool.h"
-
 namespace itdb {
 namespace obs {
 namespace {
@@ -116,23 +114,7 @@ TEST(MetricsRegistryTest, GlobalCounterShorthand) {
   EXPECT_EQ(c->value(), before + 5);
 }
 
-TEST(MetricsRegistryTest, ParallelForWorkersMergeIntoOneCounter) {
-  // ParallelFor workers all bump the same atomic; the "merge" is the sum
-  // a post-join snapshot observes.
-  MetricsRegistry registry;
-  Counter* c = registry.GetCounter("parallel.iterations");
-  constexpr std::int64_t kIterations = 1000;
-  ParallelFor(kIterations, ParallelOptions{/*threads=*/4, /*grain=*/16},
-              [&](std::int64_t begin, std::int64_t end) {
-                for (std::int64_t i = begin; i < end; ++i) c->Increment();
-              });
-  EXPECT_EQ(c->value(), kIterations);
-}
-
 TEST(MetricsRegistryTest, PublishThreadPoolMetrics) {
-  // Drive the shared pool once so its gauges are nonzero, then pull.
-  ParallelFor(64, ParallelOptions{/*threads=*/2, /*grain=*/1},
-              [](std::int64_t, std::int64_t) {});
   MetricsRegistry registry;
   PublishThreadPoolMetrics(registry);
   MetricsRegistry::Snapshot snap = registry.snapshot();

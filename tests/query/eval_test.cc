@@ -425,7 +425,6 @@ TEST(EvalPullTest, FalseStatementOverTheBudgetStillFails) {
 TEST(EvalPullTest, CancelledTokenStopsTheLoop) {
   Database db = BusyDb(128);
   QueryOptions options;
-  options.algebra.threads = 1;
   const std::int64_t full = CountBothPaths(db, BusyJoin(110, 110), options)
                                 .pull_pairs;
   KernelCounters counters;
@@ -448,6 +447,24 @@ TEST(EvalPullTest, CancelledTokenStopsTheLoop) {
   EXPECT_NE(answer.status().message().find("cancelled"), std::string::npos)
       << answer.status();
   EXPECT_LT(counters.pairs_candidate.load(), full);
+}
+
+// A statement runs on the thread that took it: neither the Theorem 4.1
+// yes/no join nor a chain query over a complement hands work to the pool.
+TEST(EvalPullTest, StatementsSubmitNoPoolTasks) {
+  Database db = BusyDb(128);
+  const std::int64_t before = ThreadPool::Global().stats().tasks_submitted;
+  Result<bool> answer = EvalBooleanQueryString(db, BusyJoin(110, 110), {});
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_FALSE(*answer);
+  Result<GeneralizedRelation> chain = EvalQueryString(
+      db,
+      "Busy(s1, e1, w1) AND Busy(s2, e2, w2) AND s1 <= s2 AND NOT w1 = w2 "
+      "AND NOT (EXISTS e . EXISTS w . Busy(s2, e, w) AND s1 = e)",
+      {});
+  ASSERT_TRUE(chain.ok()) << chain.status();
+  EXPECT_GT(chain->size(), 0u);
+  EXPECT_EQ(ThreadPool::Global().stats().tasks_submitted, before);
 }
 
 std::string ReadAll(const std::filesystem::path& path) {

@@ -169,30 +169,20 @@ TEST(ProfileTest, TracingChangesNoResultBit) {
   ASSERT_TRUE(baseline.ok()) << baseline.status();
   const std::string expect = PrintRelation("r", baseline.value());
 
-  for (int threads : {1, 4}) {
-    QueryOptions options;
-    options.algebra.threads = threads;
-    // Traced, untraced, and profiled evaluation must agree bit for bit.
-    Result<GeneralizedRelation> untraced =
-        EvalQueryString(db, kJoinQuery, options);
-    ASSERT_TRUE(untraced.ok()) << untraced.status();
-    EXPECT_EQ(PrintRelation("r", untraced.value()), expect)
-        << "untraced, threads=" << threads;
+  // Profiled and traced evaluation must agree with the plain one bit for
+  // bit.
+  QueryOptions options;
+  Profiled profiled = EvalProfiled(db, kJoinQuery, options);
+  ASSERT_TRUE(profiled.relation.ok()) << profiled.relation.status();
+  EXPECT_EQ(PrintRelation("r", profiled.relation.value()), expect)
+      << "profiled";
 
-    Profiled profiled = EvalProfiled(db, kJoinQuery, options);
-    ASSERT_TRUE(profiled.relation.ok()) << profiled.relation.status();
-    EXPECT_EQ(PrintRelation("r", profiled.relation.value()), expect)
-        << "profiled, threads=" << threads;
-
-    obs::Tracer tracer;
-    options.algebra.tracer = &tracer;
-    Result<GeneralizedRelation> traced =
-        EvalQueryString(db, kJoinQuery, options);
-    ASSERT_TRUE(traced.ok()) << traced.status();
-    EXPECT_EQ(PrintRelation("r", traced.value()), expect)
-        << "traced, threads=" << threads;
-    EXPECT_GT(tracer.size(), 0u);
-  }
+  obs::Tracer tracer;
+  options.algebra.tracer = &tracer;
+  Result<GeneralizedRelation> traced = EvalQueryString(db, kJoinQuery, options);
+  ASSERT_TRUE(traced.ok()) << traced.status();
+  EXPECT_EQ(PrintRelation("r", traced.value()), expect) << "traced";
+  EXPECT_GT(tracer.size(), 0u);
 }
 
 TEST(ProfileTest, ExplicitTracerEmitsValidChromeTrace) {

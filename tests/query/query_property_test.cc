@@ -402,28 +402,24 @@ class ChainPropertyTest : public ::testing::TestWithParam<std::uint32_t> {};
 TEST_P(ChainPropertyTest, ChainPullMatchesThePerAndFold) {
   Database db = MakeChainDb(GetParam() * 7 + 30000);
   QueryPtr q = MakeChain(GetParam() + 40000);
-  for (int threads : {1, 4}) {
-    QueryOptions options;
-    options.analyze = false;
-    options.optimize = false;
-    options.cost_plan = false;
-    options.algebra.threads = threads;
-    // Every child is evaluated as the written tree's child is.
-    auto eval_child = [&](const QueryPtr& child) {
-      return EvalQuery(db, child, options);
-    };
-    Result<GeneralizedRelation> reference =
-        testing_util::ReferenceChain(q, eval_child, options.algebra);
-    ASSERT_TRUE(reference.ok()) << reference.status() << "\n" << q->ToString();
-    for (bool planned : {false, true}) {
-      options.cost_plan = planned;
-      Result<GeneralizedRelation> engine = EvalQuery(db, q, options);
-      ASSERT_TRUE(engine.ok()) << engine.status() << "\n" << q->ToString();
-      EXPECT_EQ(engine->schema(), reference->schema()) << q->ToString();
-      EXPECT_EQ(engine->tuples(), reference->tuples())
-          << q->ToString() << " threads=" << threads
-          << " planned=" << planned;
-    }
+  QueryOptions options;
+  options.analyze = false;
+  options.optimize = false;
+  options.cost_plan = false;
+  // Every child is evaluated as the written tree's child is.
+  auto eval_child = [&](const QueryPtr& child) {
+    return EvalQuery(db, child, options);
+  };
+  Result<GeneralizedRelation> reference =
+      testing_util::ReferenceChain(q, eval_child, options.algebra);
+  ASSERT_TRUE(reference.ok()) << reference.status() << "\n" << q->ToString();
+  for (bool planned : {false, true}) {
+    options.cost_plan = planned;
+    Result<GeneralizedRelation> engine = EvalQuery(db, q, options);
+    ASSERT_TRUE(engine.ok()) << engine.status() << "\n" << q->ToString();
+    EXPECT_EQ(engine->schema(), reference->schema()) << q->ToString();
+    EXPECT_EQ(engine->tuples(), reference->tuples())
+        << q->ToString() << " planned=" << planned;
   }
 }
 

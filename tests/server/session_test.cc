@@ -159,16 +159,13 @@ TEST_F(SessionTest, SetListsAndUpdatesOptions) {
   Status status;
   std::string listing = Run(session, "set", &status);
   ASSERT_TRUE(status.ok());
-  EXPECT_EQ(listing, "threads      0\ndeadline_ms  0\n");
-  Run(session, "set threads 2", &status);
-  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(listing, "deadline_ms  0\n");
   Run(session, "set deadline_ms 250", &status);
   ASSERT_TRUE(status.ok());
-  EXPECT_EQ(session.options().threads, 2);
   EXPECT_EQ(session.options().deadline_ms, 250);
   Run(session, "set bogus 1", &status);
   EXPECT_FALSE(status.ok());
-  Run(session, "set threads lots", &status);
+  Run(session, "set deadline_ms lots", &status);
   EXPECT_FALSE(status.ok());
   // The pipeline switches are gone: every statement is analyzed, optimized
   // and planned.
@@ -198,13 +195,14 @@ TEST_F(SessionTest, EveryListedOptionParsesAndPruneIsGone) {
     EXPECT_TRUE(status.ok()) << line << ": " << status;
     ++options;
   }
-  EXPECT_EQ(options, 2) << listing;
+  EXPECT_EQ(options, 1) << listing;
   EXPECT_EQ(Run(session, "set", &status), listing);
   // Deleted knobs are unknown options, not silently accepted ones: every
-  // statement runs the full pipeline.
+  // statement runs the full pipeline, on the thread that took it.
   for (const char* gone :
        {"set prune on", "set certified_bounds on", "set analyze on",
-        "set analyze off", "set optimize off", "set cost_plan off"}) {
+        "set analyze off", "set optimize off", "set cost_plan off",
+        "set threads 2"}) {
     Run(session, gone, &status);
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << gone;
     EXPECT_NE(status.message().find("unknown option"), std::string::npos)
@@ -290,31 +288,24 @@ TEST_F(SessionTest, TemporalLogicVerbsObeyTheSessionTupleBudget) {
   }
 }
 
-// tlcheck and sat answer byte-identically at every thread count, like
-// every other statement of the pipeline.
-TEST_F(SessionTest, TemporalLogicVerbsAnswerTheSameAtEveryThreadCount) {
+// tlcheck and sat run through the statement pipeline like every other
+// verb.
+TEST_F(SessionTest, TemporalLogicVerbsAnswer) {
   const char* statements[] = {
       "tlcheck G(P -> F[0,9](Q))", "tlcheck G(Q -> F[0,2](P))",
       "sat F[0,3](P) & !Q",        "sat P U Q",
       "sat H(!P) | O(Q & X(Q))",   "tlcheck G(F(P))",
   };
-  std::string answers[2];
-  int slot = 0;
-  for (const char* threads : {"set threads 1", "set threads 4"}) {
-    Session session(&*shared_);
-    Status status;
-    Run(session, threads, &status);
-    ASSERT_TRUE(status.ok()) << status;
-    for (const char* statement : statements) {
-      answers[slot] += Run(session, statement, &status);
-      EXPECT_TRUE(status.ok()) << statement << ": " << status;
-    }
-    ++slot;
+  std::string answers;
+  Session session(&*shared_);
+  Status status;
+  for (const char* statement : statements) {
+    answers += Run(session, statement, &status);
+    EXPECT_TRUE(status.ok()) << statement << ": " << status;
   }
-  EXPECT_EQ(answers[0], answers[1]);
-  EXPECT_NE(answers[0].find("PASS"), std::string::npos) << answers[0];
-  EXPECT_NE(answers[0].find("FAIL: violated on"), std::string::npos);
-  EXPECT_NE(answers[0].find("relation sat(T: time)"), std::string::npos);
+  EXPECT_NE(answers.find("PASS"), std::string::npos) << answers;
+  EXPECT_NE(answers.find("FAIL: violated on"), std::string::npos);
+  EXPECT_NE(answers.find("relation sat(T: time)"), std::string::npos);
 }
 
 TEST_F(SessionTest, ExecuteMatchesShellOutputShapes) {

@@ -1,135 +1,22 @@
 #include "util/thread_pool.h"
 
-#include <atomic>
-#include <cstdint>
+#include <condition_variable>
 #include <cstdlib>
-#include <string>
-#include <thread>
-#include <vector>
+#include <mutex>
 
 #include <gtest/gtest.h>
 
 namespace itdb {
 namespace {
 
-TEST(ResolveThreadsTest, ExplicitCountWinsAndIsCapped) {
-  EXPECT_EQ(ResolveThreads(1), 1);
-  EXPECT_EQ(ResolveThreads(3), 3);
-  EXPECT_EQ(ResolveThreads(ThreadPool::kMaxWorkers + 17),
-            ThreadPool::kMaxWorkers);
-  EXPECT_GE(ResolveThreads(0), 1);
-  EXPECT_GE(ResolveThreads(-5), 1);
-}
-
-TEST(ResolveThreadsTest, EnvironmentOverridesDefault) {
+TEST(ThreadPoolTest, EnvironmentSizesDefaultThreads) {
   ASSERT_EQ(setenv("ITDB_THREADS", "2", /*overwrite=*/1), 0);
   EXPECT_EQ(ThreadPool::DefaultThreads(), 2);
-  EXPECT_EQ(ResolveThreads(0), 2);
+  ASSERT_EQ(setenv("ITDB_THREADS", "100000", 1), 0);
+  EXPECT_EQ(ThreadPool::DefaultThreads(), ThreadPool::kMaxWorkers);
   ASSERT_EQ(setenv("ITDB_THREADS", "garbage", 1), 0);
   EXPECT_GE(ThreadPool::DefaultThreads(), 1);  // Unparsable: hardware default.
   ASSERT_EQ(unsetenv("ITDB_THREADS"), 0);
-}
-
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  const std::int64_t n = 10000;
-  std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
-  ParallelFor(n, ParallelOptions{4, 1},
-              [&](std::int64_t begin, std::int64_t end) {
-                for (std::int64_t i = begin; i < end; ++i) {
-                  hits[static_cast<std::size_t>(i)].fetch_add(1);
-                }
-              });
-  for (std::int64_t i = 0; i < n; ++i) {
-    EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ParallelForTest, SmallInputsRunOnTheCallingThread) {
-  const auto caller = std::this_thread::get_id();
-  bool inline_run = false;
-  ParallelFor(8, ParallelOptions{4, /*grain=*/16},
-              [&](std::int64_t begin, std::int64_t end) {
-                inline_run = std::this_thread::get_id() == caller &&
-                             begin == 0 && end == 8;
-              });
-  EXPECT_TRUE(inline_run);
-}
-
-std::vector<std::int64_t> AppendPairs(std::int64_t n, int threads) {
-  auto result = ParallelAppend<std::int64_t>(
-      n, ParallelOptions{threads, 1},
-      [](std::int64_t i, std::vector<std::int64_t>& out) -> Status {
-        out.push_back(2 * i);
-        out.push_back(2 * i + 1);
-        return Status::Ok();
-      });
-  EXPECT_TRUE(result.ok());
-  return result.value();
-}
-
-TEST(ParallelAppendTest, PreservesInputOrderAtEveryThreadCount) {
-  const std::int64_t n = 1237;  // Deliberately not a multiple of any piece
-                                // count, to exercise uneven ranges.
-  std::vector<std::int64_t> expected = AppendPairs(n, 1);
-  ASSERT_EQ(expected.size(), static_cast<std::size_t>(2 * n));
-  for (std::int64_t i = 0; i < 2 * n; ++i) {
-    EXPECT_EQ(expected[static_cast<std::size_t>(i)], i);
-  }
-  for (int threads : {2, 3, 4, 8}) {
-    EXPECT_EQ(AppendPairs(n, threads), expected) << threads << " threads";
-  }
-}
-
-TEST(ParallelAppendTest, ReportsTheSmallestFailingIndex) {
-  for (int threads : {1, 4}) {
-    auto result = ParallelAppend<int>(
-        1000, ParallelOptions{threads, 1},
-        [](std::int64_t i, std::vector<int>&) -> Status {
-          if (i >= 321) {
-            return Status::InvalidArgument(std::to_string(i));
-          }
-          return Status::Ok();
-        });
-    ASSERT_FALSE(result.ok()) << threads << " threads";
-    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_EQ(result.status().message(), "321") << threads << " threads";
-  }
-}
-
-TEST(ParallelAppendTest, NestedRegionsRunInline) {
-  // An outer sweep whose body itself calls ParallelAppend: the inner call
-  // must run inline on the worker (no pool re-entry) and stay correct.
-  auto outer = ParallelAppend<std::int64_t>(
-      16, ParallelOptions{4, 1},
-      [](std::int64_t i, std::vector<std::int64_t>& out) -> Status {
-        auto inner = ParallelAppend<std::int64_t>(
-            50, ParallelOptions{4, 1},
-            [i](std::int64_t j, std::vector<std::int64_t>& acc) -> Status {
-              acc.push_back(i * 50 + j);
-              return Status::Ok();
-            });
-        ITDB_RETURN_IF_ERROR(inner.status());
-        std::int64_t sum = 0;
-        for (std::int64_t v : inner.value()) sum += v;
-        out.push_back(sum);
-        return Status::Ok();
-      });
-  ASSERT_TRUE(outer.ok());
-  ASSERT_EQ(outer.value().size(), 16u);
-  for (std::int64_t i = 0; i < 16; ++i) {
-    // sum_{j<50} (50 i + j) = 2500 i + 1225.
-    EXPECT_EQ(outer.value()[static_cast<std::size_t>(i)], 2500 * i + 1225);
-  }
-}
-
-TEST(ParallelAppendTest, EmptyInputYieldsEmptyOutput) {
-  auto result = ParallelAppend<int>(
-      0, ParallelOptions{4, 1},
-      [](std::int64_t, std::vector<int>&) -> Status {
-        return Status::InvalidArgument("never called");
-      });
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result.value().empty());
 }
 
 TEST(CancellationTest, NoTokenInstalledIsAlwaysOk) {
@@ -181,79 +68,15 @@ TEST(CancellationTest, ExpiredDeadlineReportsDeadlineExceeded) {
   EXPECT_EQ(s.message(), "deadline exceeded");
 }
 
-TEST(CancellationTest, ParallelForSkipsChunksOnceCancelled) {
-  // Cancel from inside the first executed chunk: later chunk fetches must
-  // skip their bodies (cooperatively -- the call still returns with every
-  // chunk accounted as done).  The sequential path (threads == 1) is a
-  // single chunk, so only the parallel path can be cut short.
-  CancellationToken token;
-  CancellationScope scope(&token);
-  std::atomic<std::int64_t> executed{0};
-  ParallelFor(100000, ParallelOptions{4, 1},
-              [&](std::int64_t begin, std::int64_t end) {
-                executed.fetch_add(end - begin);
-                token.Cancel();
-              });
-  EXPECT_LT(executed.load(), 100000);
-  EXPECT_FALSE(CheckCancellation().ok());
-}
-
-TEST(CancellationTest, SequentialParallelForSkipsBodyWhenAlreadyExpired) {
+TEST(CancellationTest, SweepsCheckEveryStrideIndices) {
   CancellationToken token;
   token.Cancel();
   CancellationScope scope(&token);
-  bool ran = false;
-  ParallelFor(8, ParallelOptions{1, 1},
-              [&](std::int64_t, std::int64_t) { ran = true; });
-  EXPECT_FALSE(ran);
-}
-
-TEST(CancellationTest, ParallelForForwardsTokenToWorkers) {
-  CancellationToken token;
-  CancellationScope scope(&token);
-  std::atomic<bool> seen_everywhere{true};
-  ParallelFor(1000, ParallelOptions{4, 1},
-              [&](std::int64_t, std::int64_t) {
-                if (CurrentCancellationToken() != &token) {
-                  seen_everywhere.store(false);
-                }
-              });
-  EXPECT_TRUE(seen_everywhere.load());
-}
-
-TEST(CancellationTest, ParallelAppendFailsInsteadOfTruncating) {
-  for (int threads : {1, 4}) {
-    CancellationToken token;
-    CancellationScope scope(&token);
-    std::atomic<std::int64_t> calls{0};
-    auto result = ParallelAppend<std::int64_t>(
-        100000, ParallelOptions{threads, 1},
-        [&](std::int64_t i, std::vector<std::int64_t>& out) -> Status {
-          if (calls.fetch_add(1) == 0) token.Cancel();
-          out.push_back(i);
-          return Status::Ok();
-        });
-    ASSERT_FALSE(result.ok()) << threads << " threads";
-    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
-        << threads << " threads";
-  }
-}
-
-TEST(CancellationTest, UnexpiredTokenChangesNothing) {
-  CancellationToken token;
-  token.SetDeadlineAfter(std::chrono::hours(1));
-  CancellationScope scope(&token);
-  auto result = ParallelAppend<std::int64_t>(
-      1237, ParallelOptions{4, 1},
-      [](std::int64_t i, std::vector<std::int64_t>& out) -> Status {
-        out.push_back(i);
-        return Status::Ok();
-      });
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result.value().size(), 1237u);
-  for (std::int64_t i = 0; i < 1237; ++i) {
-    EXPECT_EQ(result.value()[static_cast<std::size_t>(i)], i);
-  }
+  EXPECT_FALSE(CheckCancellationAt(0).ok());
+  EXPECT_TRUE(CheckCancellationAt(1).ok());
+  EXPECT_TRUE(CheckCancellationAt(kCancellationStride - 1).ok());
+  EXPECT_FALSE(CheckCancellationAt(kCancellationStride).ok());
+  EXPECT_FALSE(CheckCancellationAt(3 * kCancellationStride).ok());
 }
 
 TEST(ThreadPoolTest, EnsureWorkersGrowsMonotonically) {
@@ -263,6 +86,28 @@ TEST(ThreadPoolTest, EnsureWorkersGrowsMonotonically) {
   EXPECT_EQ(pool.num_workers(), 4);
   pool.EnsureWorkers(1);  // Never shrinks.
   EXPECT_EQ(pool.num_workers(), 4);
+}
+
+TEST(ThreadPoolTest, SubmitRunsEveryTaskAndCountsIt) {
+  constexpr int kTasks = 100;
+  ThreadPool pool(3);
+  std::mutex mu;
+  std::condition_variable done;
+  int ran = 0;
+  for (int i = 0; i < kTasks; ++i) {
+    pool.Submit([&] {
+      std::lock_guard<std::mutex> lock(mu);
+      if (++ran == kTasks) done.notify_one();
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    done.wait(lock, [&] { return ran == kTasks; });
+  }
+  const ThreadPool::PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.tasks_submitted, kTasks);
+  EXPECT_GE(stats.queue_depth_max, 1);
+  EXPECT_EQ(stats.workers, 3);
 }
 
 }  // namespace

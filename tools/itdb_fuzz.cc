@@ -24,7 +24,6 @@ constexpr const char* kUsage = R"(usage: itdb_fuzz [options]
   --cases N          number of random cases to run (default 1000)
   --seed S           master seed; every failure reports its own sub-seed
                      (default 1)
-  --threads N        "N" of the 1-vs-N determinism matrix (default: hardware)
   --inner W          differential comparison window [-W, W] (default 4)
   --outer W          finite-baseline materialization window (default 28)
   --max-failures N   stop after N failures (default 5)
@@ -107,10 +106,6 @@ int main(int argc, char** argv) {
         const char* v = next();
         if (!v) return Usage();
         config.seed = ParseU64(v);
-      } else if (arg == "--threads") {
-        const char* v = next();
-        if (!v) return Usage();
-        config.oracle.threads = std::stoi(v);
       } else if (arg == "--inner") {
         const char* v = next();
         if (!v) return Usage();
@@ -183,7 +178,6 @@ int main(int argc, char** argv) {
   if (query_config.cases > 0) {
     query_config.seed = config.seed;
     query_config.max_failures = config.max_failures;
-    query_config.oracle.threads = config.oracle.threads;
     itdb::fuzz::QueryFuzzReport query_report =
         itdb::fuzz::RunQueryFuzz(query_config);
     std::cout << "seed " << config.seed << ": " << query_report.Summary()

@@ -65,7 +65,7 @@ Checks, over src/ (and where noted, tests/):
      cannot grow back.  Not caught: positional aggregate initialisation
      of a QueryOptions, and code outside src/server/.  Likewise
      `struct AlgebraOptions` and `struct NormalizeOptions` declare no
-     `bool` member: they hold only budgets, `threads` and observers.  A
+     `bool` member: they hold only budgets and observers.  A
      bool there picks between two implementations of one operator (as the
      projection and index switches once did); keep the faster one and move
      the other into tests/ as a reference.  `struct SessionOptions`
@@ -73,6 +73,13 @@ Checks, over src/ (and where noted, tests/):
      bool there is a per-session policy switch, which doubles the
      configurations that tests and the result-table key must cover, and
      each statement runs one budget regime.
+ 11. no src/core/, src/query/ or src/analysis/ code names `ThreadPool`,
+     `std::thread`, `std::jthread` or `std::async`: a statement runs on
+     the one thread that took it, and concurrency lives between sessions
+     (the server's pool).  Fanning one statement's kernels out over
+     threads measured no faster on any statement-level benchmark (the
+     normalization sweep slower) and was deleted; a second way to run a
+     kernel is a second configuration to test.
 
 Exit status 0 = clean, 1 = findings (printed one per line), 2 = misuse.
 """
@@ -361,9 +368,28 @@ def check_no_switch_in_options_structs(src: Path, findings: list[str]) -> None:
                     continue
                 findings.append(
                     f"{h}:{lineno}: bool member in {struct} (no policy "
-                    f"switch: budgets, threads, observers and deployment "
+                    f"switch: budgets, observers and deployment "
                     f"settings only): {raw.strip()}"
                 )
+
+
+THREADING_RE = re.compile(r"\bThreadPool\b|\bstd::(?:j?thread|async)\b")
+SINGLE_THREADED_MODULES = ("core", "query", "analysis")
+
+
+def check_no_threads_in_statement_modules(
+    src: Path, findings: list[str]
+) -> None:
+    for module in SINGLE_THREADED_MODULES:
+        tree = src / module
+        for cc in sorted(list(tree.rglob("*.cc")) + list(tree.rglob("*.h"))):
+            for lineno, raw in enumerate(cc.read_text().splitlines(), 1):
+                if THREADING_RE.search(strip_comments_and_strings(raw)):
+                    findings.append(
+                        f"{cc}:{lineno}: thread or pool in src/{module}/ "
+                        f"(a statement runs on the thread that took it): "
+                        f"{raw.strip()}"
+                    )
 
 
 def main() -> int:
@@ -390,6 +416,7 @@ def main() -> int:
     check_pair_kernel_has_one_caller(args.root, findings)
     check_no_pipeline_switch_in_server(src, findings)
     check_no_switch_in_options_structs(src, findings)
+    check_no_threads_in_statement_modules(src, findings)
 
     for finding in findings:
         print(finding)
