@@ -431,7 +431,7 @@ Result<GeneralizedRelation> Subtract(const GeneralizedRelation& a,
                                      const AlgebraOptions& options) {
   obs::Span span = OpSpan(options, "Subtract", &a, &b);
   ITDB_RETURN_IF_ERROR(CheckSameSchema(a, b, "Subtract"));
-  std::vector<GeneralizedTuple> current = a.tuples();
+  GeneralizedRelation current = a;
   // Round skipping: every tuple SubtractTuples emits inherits t1's data
   // values, so the data keys of `current` never change across rounds.  A
   // key probe of t2 against the partition of the original `a` therefore
@@ -442,9 +442,8 @@ Result<GeneralizedRelation> Subtract(const GeneralizedRelation& a,
   std::optional<DataKeyIndex> index;
   if (keyed) index.emplace(a, key_cols);
   for (const GeneralizedTuple& t2 : b.tuples()) {
-    if (current.empty()) break;
-    BumpCounter(&KernelCounters::pairs_total, options,
-                static_cast<std::int64_t>(current.size()));
+    if (current.size() == 0) break;
+    BumpCounter(&KernelCounters::pairs_total, options, current.size());
     // When no residue shares t2's data values the round maps every t1 to
     // {t1}: skip it (keeping the per-round budget check).  This mirrors
     // SubtractTuples' data-mismatch early exit, which also never looks at
@@ -453,44 +452,39 @@ Result<GeneralizedRelation> Subtract(const GeneralizedRelation& a,
     // matches; a nonempty one leaves the survivors to a linear scan.
     const bool any_match =
         !keyed || (!index->Candidates(t2, key_cols).empty() &&
-                   std::any_of(current.begin(), current.end(),
+                   std::any_of(current.tuples().begin(),
+                               current.tuples().end(),
                                [&t2](const GeneralizedTuple& t1) {
                                  return t1.data() == t2.data();
                                }));
     if (!any_match) {
-      ITDB_RETURN_IF_ERROR(
-          CheckBudget(static_cast<std::int64_t>(current.size()), options,
-                      "Subtract"));
+      ITDB_RETURN_IF_ERROR(CheckBudget(current.size(), options, "Subtract"));
       continue;
     }
-    BumpCounter(&KernelCounters::pairs_candidate, options,
-                static_cast<std::int64_t>(current.size()));
+    BumpCounter(&KernelCounters::pairs_candidate, options, current.size());
     // The closure of t2's constraints is the same matrix for every t1:
     // hoist it out of the per-residue loop.
     Dbm c2 = t2.constraints();
     ITDB_RETURN_IF_ERROR(c2.Close());
-    // One round subtracts t2 from every residue, in residue order.  The
-    // budget is checked on the whole round: round sizes only grow as
-    // residues accumulate, so this trips exactly when a per-residue prefix
-    // check would.
-    std::vector<GeneralizedTuple> next;
-    for (std::size_t i = 0; i < current.size(); ++i) {
+    // One round subtracts t2 from every residue, in residue order.  Residues
+    // of different t1 can coincide, and each round would multiply every
+    // copy, so the round keeps one copy of equal residues.  The budget is
+    // checked on the whole round after that.
+    GeneralizedRelation next(a.schema());
+    for (std::size_t i = 0; i < current.tuples().size(); ++i) {
       ITDB_RETURN_IF_ERROR(CheckCancellationAt(static_cast<std::int64_t>(i)));
-      ITDB_ASSIGN_OR_RETURN(std::vector<GeneralizedTuple> parts,
-                            SubtractTuples(current[i], t2, c2, options));
-      for (GeneralizedTuple& p : parts) next.push_back(std::move(p));
+      ITDB_ASSIGN_OR_RETURN(
+          std::vector<GeneralizedTuple> parts,
+          SubtractTuples(current.tuples()[i], t2, c2, options));
+      for (GeneralizedTuple& p : parts) {
+        ITDB_RETURN_IF_ERROR(next.AddTuple(std::move(p)));
+      }
     }
-    ITDB_RETURN_IF_ERROR(
-        CheckBudget(static_cast<std::int64_t>(next.size()), options,
-                    "Subtract"));
+    next.KeepFirstOfEqual(options.counters);
+    ITDB_RETURN_IF_ERROR(CheckBudget(next.size(), options, "Subtract"));
     current = std::move(next);
-    if (current.empty()) break;
   }
-  GeneralizedRelation out(a.schema());
-  for (GeneralizedTuple& t : current) {
-    ITDB_RETURN_IF_ERROR(out.AddTuple(std::move(t)));
-  }
-  return out;
+  return current;
 }
 
 namespace {
@@ -775,30 +769,6 @@ std::vector<Part> SplitIntoParts(GeneralizedTuple t) {
   return parts;
 }
 
-/// Keeps the first of each group of equal tuples, in their order.
-/// Different normal-form pieces of a part can project to one piece.
-void KeepFirstOfEqual(std::vector<GeneralizedTuple>& tuples) {
-  if (tuples.size() < 2) return;
-  std::vector<std::size_t> order(tuples.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&tuples](std::size_t a, std::size_t b) {
-                     return CanonicalTupleLess(tuples[a], tuples[b]);
-                   });
-  std::vector<bool> keep(tuples.size(), true);
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    if (tuples[order[i]] == tuples[order[i - 1]]) keep[order[i]] = false;
-  }
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < tuples.size(); ++i) {
-    if (!keep[i]) continue;
-    if (kept != i) tuples[kept] = std::move(tuples[i]);
-    ++kept;
-  }
-  tuples.erase(tuples.begin() + static_cast<std::ptrdiff_t>(kept),
-               tuples.end());
-}
-
 /// The projection of one tuple onto `keep_temporal` (its columns in output
 /// order; at least one column is dropped), with data values `data`.  Free
 /// and pinned dropped columns are eliminated exactly on the closed DBM
@@ -854,7 +824,7 @@ Result<std::vector<GeneralizedTuple>> ProjectTuple(
     if (at >= 0) base_cols[static_cast<std::size_t>(at)] = static_cast<int>(c);
   }
   // Each projected part's pieces and the output positions of their columns.
-  std::vector<std::vector<GeneralizedTuple>> pieces;
+  std::vector<GeneralizedRelation> pieces;
   std::vector<std::vector<int>> piece_pos;
   std::int64_t count = 1;
   for (const Part& part : parts) {
@@ -874,18 +844,19 @@ Result<std::vector<GeneralizedTuple>> ProjectTuple(
         std::vector<GeneralizedTuple> normal,
         CachedNormalizeTuple(options.normalize_cache, part.tuple,
                              NormalizeOptionsOf(options)));
-    std::vector<GeneralizedTuple> projected;
+    // Different normal-form pieces of a part can project to one piece.
+    GeneralizedRelation projected(
+        Schema::Temporal(static_cast<int>(keep.size())));
     for (const GeneralizedTuple& nt : normal) {
       ITDB_ASSIGN_OR_RETURN(NSpaceTuple ns, NSpaceTuple::Build(nt));
       if (!ns.feasible()) continue;
       for (int c : drop) ITDB_RETURN_IF_ERROR(ns.EliminateColumn(c));
       ITDB_ASSIGN_OR_RETURN(GeneralizedTuple piece, ns.Rebuild(keep, {}));
-      projected.push_back(std::move(piece));
+      ITDB_RETURN_IF_ERROR(projected.AddTuple(std::move(piece)));
     }
-    KeepFirstOfEqual(projected);
-    if (projected.empty()) return std::vector<GeneralizedTuple>{};
-    ITDB_ASSIGN_OR_RETURN(
-        count, CheckedMul(count, static_cast<std::int64_t>(projected.size())));
+    projected.KeepFirstOfEqual(options.counters);
+    if (projected.size() == 0) return std::vector<GeneralizedTuple>{};
+    ITDB_ASSIGN_OR_RETURN(count, CheckedMul(count, projected.size()));
     ITDB_RETURN_IF_ERROR(CheckBudget(count, options, "Project"));
     pieces.push_back(std::move(projected));
     piece_pos.push_back(std::move(pos));
@@ -898,7 +869,7 @@ Result<std::vector<GeneralizedTuple>> ProjectTuple(
     std::vector<Lrp> lrps = base.temporal();
     Dbm constraints = base.constraints();
     for (std::size_t h = 0; h < pieces.size(); ++h) {
-      const GeneralizedTuple& piece = pieces[h][choice[h]];
+      const GeneralizedTuple& piece = pieces[h].tuples()[choice[h]];
       const std::vector<int>& pos = piece_pos[h];
       for (std::size_t i = 0; i < pos.size(); ++i) {
         lrps[static_cast<std::size_t>(pos[i])] = piece.lrp(static_cast<int>(i));
@@ -912,7 +883,9 @@ Result<std::vector<GeneralizedTuple>> ProjectTuple(
     out.emplace_back(std::move(lrps), data);
     out.back().set_constraints(std::move(constraints));
     std::size_t g = pieces.size();
-    while (g > 0 && ++choice[g - 1] == pieces[g - 1].size()) choice[--g] = 0;
+    while (g > 0 && ++choice[g - 1] == pieces[g - 1].tuples().size()) {
+      choice[--g] = 0;
+    }
     more = g > 0;
   }
   return out;

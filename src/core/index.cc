@@ -17,6 +17,7 @@ void KernelCounters::Reset() {
   pairs_pruned_hull.store(0, std::memory_order_relaxed);
   closures_incremental.store(0, std::memory_order_relaxed);
   closures_full.store(0, std::memory_order_relaxed);
+  tuples_equal_dropped.store(0, std::memory_order_relaxed);
 }
 
 bool LrpIntersectionEmpty(const Lrp& a, const Lrp& b) {
@@ -62,6 +63,24 @@ std::size_t ValueKeyHash::operator()(const ProbeKey& key) const {
   std::uint64_t h = key.cols->size();
   for (int c : *key.cols) h = Combine(h, HashOne(key.tuple->value(c)));
   return static_cast<std::size_t>(h);
+}
+
+std::uint64_t TupleHash(const GeneralizedTuple& t) {
+  std::uint64_t h = static_cast<std::uint64_t>(t.temporal_arity());
+  for (const Lrp& l : t.temporal()) {
+    h = Combine(h, static_cast<std::uint64_t>(l.offset()));
+    h = Combine(h, static_cast<std::uint64_t>(l.period()));
+  }
+  for (const Value& v : t.data()) h = Combine(h, HashOne(v));
+  const Dbm& d = t.constraints();
+  const int nodes = d.num_vars() + 1;
+  for (int p = 0; p < nodes; ++p) {
+    for (int q = 0; q < nodes; ++q) {
+      h = Combine(h, static_cast<std::uint64_t>(d.bound_node(p, q)));
+    }
+  }
+  // The low bits pick a slot, so mix them.
+  return Mix64(h);
 }
 
 }  // namespace internal

@@ -64,6 +64,9 @@ struct KernelCounters {
   std::atomic<std::int64_t> closures_incremental{0};
   /// Conjunctions that fell back to the full Floyd-Warshall closure.
   std::atomic<std::int64_t> closures_full{0};
+  /// Tuples dropped as equal to an earlier one of the same relation
+  /// (GeneralizedRelation::KeepFirstOfEqual).
+  std::atomic<std::int64_t> tuples_equal_dropped{0};
 
   void Reset();
 };
@@ -88,6 +91,10 @@ struct ProbeKey {
 struct ValueKeyHash {
   std::size_t operator()(const ProbeKey& key) const;
 };
+
+/// A hash of everything operator== on GeneralizedTuple compares: lrps,
+/// data values and the constraint matrix.
+std::uint64_t TupleHash(const GeneralizedTuple& t);
 
 }  // namespace internal
 

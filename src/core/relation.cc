@@ -1,6 +1,9 @@
 #include "core/relation.h"
 
 #include <algorithm>
+#include <bit>
+
+#include "core/index.h"
 
 namespace itdb {
 
@@ -53,6 +56,41 @@ bool CanonicalTupleLess(const GeneralizedTuple& a, const GeneralizedTuple& b) {
 
 void GeneralizedRelation::SortTuplesCanonical() {
   std::sort(tuples_.begin(), tuples_.end(), CanonicalTupleLess);
+}
+
+void GeneralizedRelation::KeepFirstOfEqual(KernelCounters* counters) {
+  const std::size_t n = tuples_.size();
+  if (n < 2) return;
+  // Open addressing over the kept tuples' positions; n marks a free slot.
+  // Kept tuples are compacted to the front as they are found, so a slot
+  // always names a position below the tuple being looked up.
+  const std::size_t mask = std::bit_ceil(2 * n) - 1;
+  std::vector<std::size_t> slots(mask + 1, n);
+  std::vector<std::uint64_t> hashes(n);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t h = internal::TupleHash(tuples_[i]);
+    std::size_t s = static_cast<std::size_t>(h) & mask;
+    bool equal = false;
+    for (; slots[s] != n; s = (s + 1) & mask) {
+      const std::size_t j = slots[s];
+      if (hashes[j] == h && tuples_[j] == tuples_[i]) {
+        equal = true;
+        break;
+      }
+    }
+    if (equal) continue;
+    if (kept != i) tuples_[kept] = std::move(tuples_[i]);
+    hashes[kept] = h;
+    slots[s] = kept;
+    ++kept;
+  }
+  if (counters != nullptr && kept < n) {
+    counters->tuples_equal_dropped.fetch_add(
+        static_cast<std::int64_t>(n - kept), std::memory_order_relaxed);
+  }
+  tuples_.erase(tuples_.begin() + static_cast<std::ptrdiff_t>(kept),
+                tuples_.end());
 }
 
 Status GeneralizedRelation::AddTuple(GeneralizedTuple t) {

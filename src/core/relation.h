@@ -14,6 +14,8 @@
 
 namespace itdb {
 
+struct KernelCounters;  // core/index.h
+
 /// A concrete (fully instantiated) row: one integer per temporal attribute
 /// and one value per data attribute.  Used by the ground-truth enumeration
 /// APIs and by the finite baseline.
@@ -71,6 +73,14 @@ class GeneralizedRelation {
   /// systems, whose closure is association-invariant, so reordered plans
   /// yield the same tuple multiset and sorting makes the sequences equal.
   void SortTuplesCanonical();
+
+  /// Keeps the first of each group of equal tuples (operator==), in their
+  /// order.  The represented set is unchanged; operators over the relation
+  /// stop paying for a tuple twice.  Adds the number dropped to
+  /// counters->tuples_equal_dropped when `counters` is not null.  A hash
+  /// over the lrps, data and matrix finds the groups, so no tuples are
+  /// compared unless their hashes match; below two tuples it does nothing.
+  void KeepFirstOfEqual(KernelCounters* counters);
 
  private:
   Schema schema_;

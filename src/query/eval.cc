@@ -56,6 +56,7 @@ struct CounterSnapshot {
   std::int64_t pairs_pruned_hull = 0;
   std::int64_t closures_incremental = 0;
   std::int64_t closures_full = 0;
+  std::int64_t tuples_equal_dropped = 0;
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
 };
@@ -73,6 +74,8 @@ CounterSnapshot SnapshotCounters(const KernelCounters* counters,
     s.closures_incremental =
         counters->closures_incremental.load(std::memory_order_relaxed);
     s.closures_full = counters->closures_full.load(std::memory_order_relaxed);
+    s.tuples_equal_dropped =
+        counters->tuples_equal_dropped.load(std::memory_order_relaxed);
   }
   if (cache != nullptr) {
     NormalizeCache::Stats stats = cache->stats();
@@ -426,22 +429,35 @@ Result<GeneralizedRelation> Evaluator::EvalOr(const Query& q) const {
   vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
   ITDB_ASSIGN_OR_RETURN(GeneralizedRelation le, ExtendTo(std::move(l), vars));
   ITDB_ASSIGN_OR_RETURN(GeneralizedRelation re, ExtendTo(std::move(r), vars));
-  return Union(le, re, algebra);
+  ITDB_ASSIGN_OR_RETURN(GeneralizedRelation out, Union(le, re, algebra));
+  // A union with an empty operand is the other operand as it was: the
+  // analyzer's dead-branch rewrite (analysis/rewrite.h) drops an operand
+  // that evaluates to no tuples, and both trees must give the same tuples.
+  if (le.size() > 0 && re.size() > 0) out.KeepFirstOfEqual(algebra.counters);
+  return out;
 }
 
 Result<GeneralizedRelation> Evaluator::ExistsVar(GeneralizedRelation rel,
                                                  const std::string& var) const {
   bool present = rel.schema().FindTemporal(var).has_value() ||
                  rel.schema().FindData(var).has_value();
-  if (!present) return rel;  // Vacuous quantification over a nonempty sort.
-  std::vector<std::string> keep;
-  for (const std::string& v : rel.schema().temporal_names()) {
-    if (v != var) keep.push_back(v);
+  // Vacuous quantification over a nonempty sort keeps the relation.
+  if (present) {
+    std::vector<std::string> keep;
+    for (const std::string& v : rel.schema().temporal_names()) {
+      if (v != var) keep.push_back(v);
+    }
+    for (const std::string& v : rel.schema().data_names()) {
+      if (v != var) keep.push_back(v);
+    }
+    ITDB_ASSIGN_OR_RETURN(rel, Project(rel, keep, algebra));
   }
-  for (const std::string& v : rel.schema().data_names()) {
-    if (v != var) keep.push_back(v);
-  }
-  return Project(rel, keep, algebra);
+  // Tuples that differed only in `var` are equal now, and every operator
+  // above would pay for each copy.  One copy is kept here, after Project
+  // has charged its budget, rather than in every Project: an atom's
+  // selections and a chain root's reordering rarely make equal tuples.
+  rel.KeepFirstOfEqual(algebra.counters);
+  return rel;
 }
 
 Result<GeneralizedRelation> Evaluator::Eval(const Query& q) const {
@@ -463,6 +479,10 @@ Result<GeneralizedRelation> Evaluator::Eval(const Query& q) const {
   if (result.ok()) {
     span.AddArg("tuples_out",
                 static_cast<std::int64_t>(result.value().size()));
+  }
+  if (q.kind() == Query::Kind::kExists || q.kind() == Query::Kind::kOr) {
+    span.AddArg("tuples_equal_dropped",
+                after.tuples_equal_dropped - before.tuples_equal_dropped);
   }
   // Planner estimate next to the actual, so `profile` reads as
   // estimate-vs-actual per node.
@@ -660,6 +680,9 @@ void FlushKernelCounters(const KernelCounters& counters) {
   obs::AddGlobalCounter(
       "kernel.closures_full",
       counters.closures_full.load(std::memory_order_relaxed));
+  obs::AddGlobalCounter(
+      "kernel.tuples_equal_dropped",
+      counters.tuples_equal_dropped.load(std::memory_order_relaxed));
 }
 
 /// The canonical empty result for `q`: the exact schema evaluation would

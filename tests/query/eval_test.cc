@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/algebra.h"
 #include "core/index.h"
+#include "obs/profile.h"
 #include "obs/trace.h"
 #include "query/parser.h"
 #include "query/prepared.h"
@@ -465,6 +467,100 @@ TEST(EvalPullTest, StatementsSubmitNoPoolTasks) {
   ASSERT_TRUE(chain.ok()) << chain.status();
   EXPECT_GT(chain->size(), 0u);
   EXPECT_EQ(ThreadPool::Global().stats().tasks_submitted, before);
+}
+
+// ---- One copy of equal tuples at EXISTS and OR ----
+
+const obs::ProfileNode* FindNode(const obs::ProfileNode& node,
+                                 const std::string& label) {
+  if (node.label == label) return &node;
+  for (const obs::ProfileNode& child : node.children) {
+    if (const obs::ProfileNode* found = FindNode(child, label)) return found;
+  }
+  return nullptr;
+}
+
+// Busy's 128 tuples have 27 distinct (S, E) shapes, because the workers
+// share shifts: EXISTS w keeps one copy of each.
+TEST(EvalSetTest, ExistsKeepsOneCopyOfEqualTuples) {
+  Database db = BusyDb(128);
+  Result<GeneralizedRelation> shapes =
+      EvalQueryString(db, "EXISTS w . Busy(s, e, w)");
+  ASSERT_TRUE(shapes.ok()) << shapes.status();
+  EXPECT_EQ(shapes->size(), 27);
+  // The plain projection keeps all 128 and has the same points.
+  Result<GeneralizedRelation> busy = db.Get("Busy");
+  ASSERT_TRUE(busy.ok()) << busy.status();
+  Result<GeneralizedRelation> projected = Project(*busy, {"E", "S"});
+  ASSERT_TRUE(projected.ok()) << projected.status();
+  EXPECT_EQ(projected->size(), 128);
+  Result<GeneralizedRelation> plain =
+      Rename(*projected, {{"E", "e"}, {"S", "s"}});
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  ASSERT_EQ(plain->schema(), shapes->schema());
+  Result<bool> same = Equivalent(*shapes, *plain);
+  ASSERT_TRUE(same.ok()) << same.status();
+  EXPECT_TRUE(*same);
+}
+
+// The Theorem 4.1 negation template: the NOT complements the 31 distinct
+// tuples of EXISTS s (its projections make 384), and the answer is what
+// the one gap of Busy, instant 14 of every period of 32, says.
+TEST(EvalSetTest, NegationTemplateComplementsOneCopyOfEachTuple) {
+  Database db = BusyDb(128);
+  const std::pair<const char*, bool> windows[] = {
+      {"110 <= t AND t <= 110", true}, {"100 <= t AND t <= 105", false}};
+  for (const auto& [window, truth] : windows) {
+    const std::string text =
+        std::string("EXISTS t . ") + window +
+        " AND NOT (EXISTS s . EXISTS e . EXISTS w . Busy(s, e, w) AND "
+        "s <= t AND t <= e)";
+    Prepared prepared(ParseQuery(text).value(), {}, Answer::kYesNo);
+    obs::Profile profile;
+    Result<bool> answer = EvalPreparedBoolean(db, prepared, &profile);
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    EXPECT_EQ(*answer, truth) << text;
+    const obs::ProfileNode* exists_s = FindNode(profile.root, "EXISTS s");
+    ASSERT_NE(exists_s, nullptr) << profile.ToText();
+    EXPECT_EQ(exists_s->Metric("tuples_out", -1), 31) << profile.ToText();
+  }
+}
+
+Database TwoTupleDb() {
+  Result<Database> db = Database::FromText(R"(
+    relation P(T: time) { [1+6n] : T >= 1; [2+10n]; }
+    relation D(T: time) { [2n]; [2n]; }
+  )");
+  EXPECT_TRUE(db.ok()) << db.status();
+  return std::move(db).value();
+}
+
+TEST(EvalSetTest, OrKeepsOneCopyOfEqualTuples) {
+  Database db = TwoTupleDb();
+  Result<GeneralizedRelation> once = EvalQueryString(db, "P(t)");
+  Result<GeneralizedRelation> twice = EvalQueryString(db, "P(t) OR P(t)");
+  ASSERT_TRUE(once.ok()) << once.status();
+  ASSERT_TRUE(twice.ok()) << twice.status();
+  EXPECT_EQ(once->size(), 2);
+  EXPECT_EQ(twice->tuples(), once->tuples());
+}
+
+// A union with an empty operand is the other operand as it was, so the
+// analyzer's dead-branch rewrite, which drops that operand, prints what
+// the plain OR prints, D's stored copies included.
+TEST(EvalSetTest, OrWithAnEmptyOperandIsTheOtherOperand) {
+  Database db = TwoTupleDb();
+  Result<GeneralizedRelation> atom = EvalQueryString(db, "D(t)");
+  ASSERT_TRUE(atom.ok()) << atom.status();
+  EXPECT_EQ(atom->size(), 2);
+  for (bool analyze : {false, true}) {
+    QueryOptions options;
+    options.analyze = analyze;
+    Result<GeneralizedRelation> both =
+        EvalQueryString(db, "D(t) OR (D(t) AND 3 < 2)", options);
+    ASSERT_TRUE(both.ok()) << both.status();
+    EXPECT_EQ(both->tuples(), atom->tuples()) << "analyze=" << analyze;
+  }
 }
 
 std::string ReadAll(const std::filesystem::path& path) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/index.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/eval.h"
 #include "query/parser.h"
@@ -160,6 +162,54 @@ TEST(ProfileTest, AChainProfilesAsOneAndOverItsConjuncts) {
   EXPECT_EQ(chain.Metric("tuples_out", -1),
             static_cast<std::int64_t>(profiled.relation->size()));
   EXPECT_GT(chain.Metric("pairs_candidate"), 0);
+}
+
+// EXISTS and OR report the equal tuples they dropped next to tuples_out;
+// the statement's counters and the `metrics` registry carry the total.
+TEST(ProfileTest, ExistsAndOrReportTheEqualTuplesTheyDropped) {
+  Result<Database> db = Database::FromText(R"(
+    relation P(T: time) { [1+6n]; [2+10n]; }
+    relation R(A: time, B: time) { [2n, 3n]; [2n, 1+3n]; }
+  )");
+  ASSERT_TRUE(db.ok()) << db.status();
+  // R's tuples differ only in B.
+  Profiled exists = EvalProfiled(*db, "EXISTS u . R(t, u)");
+  ASSERT_TRUE(exists.relation.ok()) << exists.relation.status();
+  EXPECT_EQ(exists.relation->size(), 1);
+  ASSERT_EQ(exists.profile.root.children.size(), 1u);
+  const obs::ProfileNode& node = exists.profile.root.children[0];
+  EXPECT_EQ(node.label, "EXISTS u");
+  EXPECT_EQ(node.Metric("tuples_out", -1), 1);
+  EXPECT_EQ(node.Metric("tuples_equal_dropped", -1), 1);
+  ASSERT_GE(node.metrics.size(), 2u);
+  EXPECT_EQ(node.metrics[1].first, "tuples_equal_dropped");
+
+  Profiled both = EvalProfiled(*db, "P(t) OR P(t)");
+  ASSERT_TRUE(both.relation.ok()) << both.relation.status();
+  ASSERT_EQ(both.profile.root.children.size(), 1u);
+  EXPECT_EQ(both.profile.root.children[0].label, "OR");
+  EXPECT_EQ(both.profile.root.children[0].Metric("tuples_equal_dropped", -1),
+            2);
+  // Nodes that keep every copy do not report the arg.
+  for (const obs::ProfileNode& atom : both.profile.root.children[0].children) {
+    EXPECT_EQ(atom.Metric("tuples_equal_dropped", -1), -1) << atom.label;
+  }
+
+  // A caller's counters see the drops; without them the statement
+  // publishes its own into the global registry.
+  KernelCounters counters;
+  QueryOptions options;
+  options.algebra.counters = &counters;
+  ASSERT_TRUE(EvalQueryString(*db, "P(t) OR P(t)", options).ok());
+  EXPECT_EQ(counters.tuples_equal_dropped.load(), 2);
+  auto published = [] {
+    return obs::MetricsRegistry::Global()
+        .snapshot()
+        .counters["kernel.tuples_equal_dropped"];
+  };
+  const std::int64_t before = published();
+  ASSERT_TRUE(EvalQueryString(*db, "EXISTS u . R(t, u)").ok());
+  EXPECT_EQ(published() - before, 1);
 }
 
 TEST(ProfileTest, TracingChangesNoResultBit) {

@@ -11,7 +11,9 @@
 // periods/offsets/bounds of the generated databases guarantee with a wide
 // margin.  Everything is seeded and deterministic.
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <random>
 #include <set>
@@ -22,6 +24,7 @@
 
 #include "common/random_relations.h"
 #include "common/reference_chain.h"
+#include "core/algebra.h"
 #include "query/eval.h"
 #include "query/sorts.h"
 #include "storage/database.h"
@@ -424,6 +427,86 @@ TEST_P(ChainPropertyTest, ChainPullMatchesThePerAndFold) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChainPropertyTest,
+                         ::testing::Range(std::uint32_t{0}, std::uint32_t{60}));
+
+// ---- EXISTS and OR keep one copy of equal tuples.
+
+bool HasEqualTuples(const GeneralizedRelation& r) {
+  std::vector<GeneralizedTuple> sorted = r.tuples();
+  std::sort(sorted.begin(), sorted.end(), CanonicalTupleLess);
+  return std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end();
+}
+
+class SetPropertyTest : public ::testing::TestWithParam<std::uint32_t> {};
+
+// Over random chains of MakeRandomRelation atoms, in written and planned
+// order: EXISTS of each free variable, and OR of the chain with itself and
+// with the chain under a bound on its first variable, never hold two equal
+// tuples, and each is Equivalent to the plain Project or Union.  A union
+// with an empty operand is the other operand as it was
+// (analysis/rewrite.h).
+TEST_P(SetPropertyTest, ExistsAndOrKeepOneCopyOfEqualTuples) {
+  Database db = MakeChainDb(GetParam() * 7 + 50000);
+  const std::uint32_t seed = GetParam() + 60000;
+  const std::vector<std::string> free = MakeChain(seed)->FreeVariables();
+  // The chain's variables are sorted, so the first is temporal.
+  const std::function<QueryPtr()> operands[] = {
+      [&] { return MakeChain(seed); },
+      [&] {
+        return Query::And(
+            MakeChain(seed),
+            Query::Compare(Term::Variable(free.front()), CmpOp::kLe,
+                           Term::Int(static_cast<std::int64_t>(seed % 5) - 2)));
+      }};
+  QueryOptions options;
+  options.analyze = false;
+  options.optimize = false;
+  for (bool planned : {false, true}) {
+    options.cost_plan = planned;
+    Result<GeneralizedRelation> body = EvalQuery(db, MakeChain(seed), options);
+    ASSERT_TRUE(body.ok()) << body.status();
+    for (const std::string& var : free) {
+      QueryPtr q = Query::Exists(var, MakeChain(seed));
+      Result<GeneralizedRelation> got = EvalQuery(db, q, options);
+      ASSERT_TRUE(got.ok()) << got.status() << "\n" << q->ToString();
+      EXPECT_FALSE(HasEqualTuples(*got)) << q->ToString();
+      std::vector<std::string> keep;
+      for (const std::string& v : body->schema().temporal_names()) {
+        if (v != var) keep.push_back(v);
+      }
+      for (const std::string& v : body->schema().data_names()) {
+        if (v != var) keep.push_back(v);
+      }
+      Result<GeneralizedRelation> plain =
+          Project(*body, keep, options.algebra);
+      ASSERT_TRUE(plain.ok()) << plain.status();
+      EXPECT_EQ(got->schema(), plain->schema());
+      Result<bool> same = Equivalent(*got, *plain, options.algebra);
+      ASSERT_TRUE(same.ok()) << same.status() << "\n" << q->ToString();
+      EXPECT_TRUE(*same) << q->ToString() << " planned=" << planned;
+    }
+    for (const std::function<QueryPtr()>& right : operands) {
+      QueryPtr q = Query::Or(MakeChain(seed), right());
+      Result<GeneralizedRelation> operand = EvalQuery(db, right(), options);
+      ASSERT_TRUE(operand.ok()) << operand.status();
+      Result<GeneralizedRelation> got = EvalQuery(db, q, options);
+      ASSERT_TRUE(got.ok()) << got.status() << "\n" << q->ToString();
+      Result<GeneralizedRelation> plain =
+          Union(*body, *operand, options.algebra);
+      ASSERT_TRUE(plain.ok()) << plain.status();
+      if (body->size() > 0 && operand->size() > 0) {
+        EXPECT_FALSE(HasEqualTuples(*got)) << q->ToString();
+      } else {
+        EXPECT_EQ(got->tuples(), plain->tuples()) << q->ToString();
+      }
+      Result<bool> same = Equivalent(*got, *plain, options.algebra);
+      ASSERT_TRUE(same.ok()) << same.status() << "\n" << q->ToString();
+      EXPECT_TRUE(*same) << q->ToString() << " planned=" << planned;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SetPropertyTest,
                          ::testing::Range(std::uint32_t{0}, std::uint32_t{60}));
 
 }  // namespace
